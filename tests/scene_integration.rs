@@ -7,6 +7,8 @@
 //! * **Scene snapshots** — `tests/golden/*.scene.json` pin the display
 //!   list itself for the canonical paper queries (single-block, nested
 //!   ∄-chain, 2-branch UNION).
+//! * **ASCII goldens** — `tests/golden/*.ascii` pin the char-cell
+//!   projection of the same three scenes byte for byte.
 //! * **Backend consistency** — svg and ascii rendered from the *same*
 //!   scene agree on table count, row text, and edge endpoints, for every
 //!   query of the paper corpus.
@@ -72,6 +74,16 @@ fn scene_snapshots_are_stable() {
     }
 }
 
+#[test]
+fn ascii_goldens_are_byte_identical() {
+    for (name, sql) in GOLDEN_CASES {
+        let golden = std::fs::read_to_string(golden_path(name, "ascii"))
+            .unwrap_or_else(|e| panic!("{name}.ascii golden missing: {e}"));
+        let rendered = QueryVis::from_sql(sql).unwrap().ascii();
+        assert_eq!(rendered, golden, "{name}: ascii output drifted");
+    }
+}
+
 /// Re-capture the scene snapshots (run explicitly after an intentional
 /// visual change; the svg goldens are pre-refactor captures and should
 /// only change together with an EXPERIMENTS.md note).
@@ -81,6 +93,7 @@ fn regenerate() {
     for (name, sql) in GOLDEN_CASES {
         let qv = QueryVis::from_sql(sql).unwrap();
         std::fs::write(golden_path(name, "svg"), qv.svg()).unwrap();
+        std::fs::write(golden_path(name, "ascii"), qv.ascii()).unwrap();
         let mut scene = scene_json(&qv.scene());
         scene.push('\n');
         std::fs::write(golden_path(name, "scene.json"), scene).unwrap();
