@@ -19,12 +19,14 @@
 
 pub mod engine;
 pub mod geometry;
+pub mod number;
 pub mod scene;
 
 pub use engine::{
     crossing_count, layout_diagram, BoxLayout, EdgeLayout, Layout, LayoutOptions, TableLayout,
 };
 pub use geometry::{Point, Rect};
+pub use number::{write_shortest, write_tenths, write_whole};
 pub use scene::{
     build_scene, compose_union, EdgeKind, EdgeMark, Mark, MarkRole, RectMark, Scene, SceneBadge,
     SceneBranch, SceneOptions, StyleClass, TextMark, TextRole, UNION_BADGE_HEIGHT,

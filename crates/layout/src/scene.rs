@@ -161,16 +161,48 @@ impl Mark {
     }
 }
 
-/// Assigns mark ids within one branch: FNV-1a over a structural path
-/// string (`"rowr:<alias>:<i>"`, `"edge:<from><op><to>"`, …) plus an
-/// occurrence counter for repeated paths (duplicate aliases), linearly
-/// probed to uniqueness. Purely deterministic — two builds of the same
-/// diagram assign identical ids, and a mark that survives an edit in the
-/// same structural role keeps its id, which is what lets scene diffs pair
-/// marks across recompiles.
+/// A mark's structural path (`"rowr:<alias>:<i>"`, `"edge:<from><op><to>"`,
+/// …), hashed as its pieces arrive instead of being formatted into a
+/// string: FNV-1a 32 (the id's basis) and FNV-1a 64 (the occurrence key)
+/// over the same bytes the formatted path would have.
+#[derive(Clone, Copy)]
+struct Path {
+    h32: u32,
+    h64: u64,
+}
+
+impl Path {
+    fn new() -> Path {
+        Path {
+            h32: 0x811c_9dc5,
+            h64: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn str(mut self, s: &str) -> Path {
+        for &b in s.as_bytes() {
+            self.h32 = (self.h32 ^ u32::from(b)).wrapping_mul(0x0100_0193);
+            self.h64 = (self.h64 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The decimal digits of `n`, as `{n}` prints them.
+    fn num(self, n: usize) -> Path {
+        self.str(crate::number::fixed_digits(&mut [0; 24], n as u64, 0))
+    }
+}
+
+/// Assigns mark ids within one branch: FNV-1a over a structural [`Path`]
+/// plus an occurrence counter for repeated paths (duplicate aliases),
+/// linearly probed to uniqueness. Purely deterministic — two builds of the
+/// same diagram assign identical ids, and a mark that survives an edit in
+/// the same structural role keeps its id, which is what lets scene diffs
+/// pair marks across recompiles. Occurrences are counted per 64-bit path
+/// hash, which stands in for the path itself.
 struct MarkIds {
     used: std::collections::HashSet<u32>,
-    seen: std::collections::HashMap<String, u32>,
+    seen: std::collections::HashMap<u64, u32>,
 }
 
 impl MarkIds {
@@ -181,14 +213,10 @@ impl MarkIds {
         }
     }
 
-    fn id(&mut self, path: String) -> u32 {
-        let occurrence = self.seen.entry(path.clone()).or_insert(0);
+    fn id(&mut self, path: Path) -> u32 {
+        let occurrence = self.seen.entry(path.h64).or_insert(0);
         *occurrence += 1;
-        let mut h: u32 = 0x811c_9dc5;
-        for &b in path.as_bytes() {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        }
+        let mut h = path.h32;
         h ^= *occurrence;
         h = h.wrapping_mul(0x0100_0193);
         while !self.used.insert(h) {
@@ -304,7 +332,7 @@ pub fn title_annotation(diagram: &Diagram, table: queryvis_diagram::TableId) -> 
         if !out.is_empty() {
             out.push(' ');
         }
-        out.push_str(&qbox.quantifier.to_string());
+        out.push_str(qbox.quantifier.symbol());
     }
     out
 }
@@ -328,13 +356,12 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
         qbox.tables
             .first()
             .map_or("", |&t| diagram.tables[t].alias.as_str())
-            .to_string()
     };
     for bl in &layout.boxes {
         let qbox = &diagram.boxes[bl.box_index];
         match qbox.quantifier {
             Quantifier::NotExists => marks.push(Mark::Rect(RectMark {
-                id: ids.id(format!("box:{}:ne", box_key(qbox))),
+                id: ids.id(Path::new().str("box:").str(box_key(qbox)).str(":ne")),
                 rect: bl.rect,
                 role: MarkRole::QuantifierBox,
                 class: StyleClass::BoxNotExists,
@@ -342,14 +369,14 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
             })),
             Quantifier::ForAll => {
                 marks.push(Mark::Rect(RectMark {
-                    id: ids.id(format!("box:{}:fa", box_key(qbox))),
+                    id: ids.id(Path::new().str("box:").str(box_key(qbox)).str(":fa")),
                     rect: bl.rect,
                     role: MarkRole::QuantifierBox,
                     class: StyleClass::BoxForAll,
                     radius: BOX_RADIUS,
                 }));
                 marks.push(Mark::Rect(RectMark {
-                    id: ids.id(format!("boxi:{}", box_key(qbox))),
+                    id: ids.id(Path::new().str("boxi:").str(box_key(qbox))),
                     rect: Rect::new(
                         bl.rect.x + FORALL_INNER_INSET,
                         bl.rect.y + FORALL_INNER_INSET,
@@ -377,7 +404,11 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
         let to_text = format!("{}.{}", to_table.alias, to_table.rows[edge.to.row].column);
         let op = edge.label.map_or("-", |op| op.as_str());
         marks.push(Mark::Edge(EdgeMark {
-            id: ids.id(format!("edge:{from_text}{op}{to_text}")),
+            id: ids.id(Path::new()
+                .str("edge:")
+                .str(&from_text)
+                .str(op)
+                .str(&to_text)),
             from: el.from,
             to: el.to,
             kind: if edge.directed {
@@ -398,22 +429,22 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
         let alias = table.alias.as_str();
         let header = header_class(table.is_select);
         marks.push(Mark::Rect(RectMark {
-            id: ids.id(format!("frame:{alias}")),
+            id: ids.id(Path::new().str("frame:").str(alias)),
             rect: tl.rect,
             role: MarkRole::Frame,
             class: StyleClass::Frame,
             radius: 0.0,
         }));
         marks.push(Mark::Rect(RectMark {
-            id: ids.id(format!("hdr:{alias}")),
+            id: ids.id(Path::new().str("hdr:").str(alias)),
             rect: tl.header,
             role: MarkRole::Header,
             class: header,
             radius: 0.0,
         }));
         marks.push(Mark::Text(TextMark {
-            id: ids.id(format!("title:{alias}")),
-            text: table.name.to_string(),
+            id: ids.id(Path::new().str("title:").str(alias)),
+            text: table.name.as_str().to_string(),
             anchor: tl.header.center(),
             role: TextRole::Title,
             class: header,
@@ -422,7 +453,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
             let annotation = title_annotation(diagram, tl.table);
             if !annotation.is_empty() {
                 marks.push(Mark::Text(TextMark {
-                    id: ids.id(format!("ann:{alias}")),
+                    id: ids.id(Path::new().str("ann:").str(alias)),
                     text: annotation,
                     anchor: tl.header.right_mid(),
                     role: TextRole::TitleAnnotation,
@@ -434,14 +465,14 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
             let class = row_class(&row.kind);
             let rect = tl.row_rects[i];
             marks.push(Mark::Rect(RectMark {
-                id: ids.id(format!("rowr:{alias}:{i}")),
+                id: ids.id(Path::new().str("rowr:").str(alias).str(":").num(i)),
                 rect,
                 role: MarkRole::Row,
                 class,
                 radius: 0.0,
             }));
             marks.push(Mark::Text(TextMark {
-                id: ids.id(format!("rowt:{alias}:{i}")),
+                id: ids.id(Path::new().str("rowt:").str(alias).str(":").num(i)),
                 text: row.display(),
                 anchor: rect.center(),
                 role: TextRole::RowText,

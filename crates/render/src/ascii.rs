@@ -35,24 +35,19 @@ pub fn write_ascii(out: &mut String, scene: &Scene) {
             // Project the badge rule into a fixed-width char rule with the
             // label centered on it.
             let pad = BADGE_WIDTH.saturating_sub(label.chars().count() + 2);
-            out.push_str(&"=".repeat(pad / 2 + pad % 2));
+            push_repeated(out, '=', pad / 2 + pad % 2);
             out.push(' ');
             out.push_str(label);
             out.push(' ');
-            out.push_str(&"=".repeat(pad / 2));
+            push_repeated(out, '=', pad / 2);
             out.push('\n');
         }
         write_branch(out, &branch.marks);
     }
 }
 
-/// One table reconstructed from the display list: the frame rect plus the
-/// content runs that followed it in paint order.
-struct Block {
-    x: f64,
-    right: f64,
-    y: f64,
-    lines: Vec<String>,
+fn push_repeated(out: &mut String, c: char, n: usize) {
+    out.extend(std::iter::repeat_n(c, n));
 }
 
 /// The ASCII row marker of a row-band style class (shared semantics with
@@ -65,43 +60,83 @@ fn marker(class: StyleClass) -> char {
     }
 }
 
+/// One table box, rebuilt from the display list: the frame rect plus the
+/// content runs that followed it in paint order, borrowed from the scene
+/// and drawn line by line straight into the output.
+struct Block<'a> {
+    x: f64,
+    right: f64,
+    y: f64,
+    /// The title in pieces: the title run, then `" "` and each annotation.
+    title: Vec<&'a str>,
+    rows: Vec<(char, &'a str)>,
+    /// Interior width in chars: the widest of the title and the rows
+    /// (each row one char wider for its marker).
+    width: usize,
+}
+
+impl Block<'_> {
+    /// Box height in lines: three rules, the title, the rows.
+    fn height(&self) -> usize {
+        self.rows.len() + 4
+    }
+
+    /// Write line `line` of the box: a `+---+` rule, `| title |`, or
+    /// `| <marker>row |`, padded to the box width.
+    fn write_line(&self, out: &mut String, line: usize) {
+        if line == 0 || line == 2 || line == self.height() - 1 {
+            out.push('+');
+            push_repeated(out, '-', self.width + 2);
+            out.push('+');
+            return;
+        }
+        out.push_str("| ");
+        let used = if line == 1 {
+            self.title.iter().for_each(|piece| out.push_str(piece));
+            chars(&self.title)
+        } else {
+            let (marker, text) = self.rows[line - 3];
+            out.push(marker);
+            out.push_str(text);
+            text.chars().count() + 1
+        };
+        push_repeated(out, ' ', self.width - used);
+        out.push_str(" |");
+    }
+}
+
+fn chars(pieces: &[&str]) -> usize {
+    pieces.iter().map(|piece| piece.chars().count()).sum()
+}
+
 fn write_branch(out: &mut String, marks: &[Mark]) {
     // -------- Pass 1: rebuild per-table content from mark order --------
     // A Frame rect opens a table; Title/Annotation/RowText runs up to the
     // next Frame belong to it. Edge marks feed the legend.
-    struct Table {
-        x: f64,
-        right: f64,
-        y: f64,
-        title: String,
-        rows: Vec<(char, String)>,
-    }
-    let mut tables: Vec<Table> = Vec::new();
+    let mut blocks: Vec<Block> = Vec::new();
     let mut edges: Vec<&EdgeMark> = Vec::new();
     for mark in marks {
         match mark {
-            Mark::Rect(rect) if rect.role == MarkRole::Frame => tables.push(Table {
+            Mark::Rect(rect) if rect.role == MarkRole::Frame => blocks.push(Block {
                 x: rect.rect.x,
                 right: rect.rect.right(),
                 y: rect.rect.y,
-                title: String::new(),
+                title: Vec::new(),
                 rows: Vec::new(),
+                width: 0,
             }),
             Mark::Text(text) => {
-                if let Some(table) = tables.last_mut() {
+                if let Some(block) = blocks.last_mut() {
                     match text.role {
                         TextRole::Title => {
-                            if table.title.is_empty() {
-                                table.title = text.text.clone();
+                            if chars(&block.title) == 0 {
+                                block.title = vec![&text.text];
                             }
                         }
                         TextRole::TitleAnnotation => {
-                            table.title.push(' ');
-                            table.title.push_str(&text.text);
+                            block.title.extend([" ", text.text.as_str()]);
                         }
-                        TextRole::RowText => {
-                            table.rows.push((marker(text.class), text.text.clone()))
-                        }
+                        TextRole::RowText => block.rows.push((marker(text.class), &text.text)),
                         TextRole::EdgeLabel => {}
                     }
                 }
@@ -110,41 +145,20 @@ fn write_branch(out: &mut String, marks: &[Mark]) {
             Mark::Rect(_) => {}
         }
     }
+    for block in &mut blocks {
+        block.width = block
+            .rows
+            .iter()
+            .map(|(_, text)| text.chars().count() + 1)
+            .fold(chars(&block.title), usize::max);
+    }
 
-    // -------- Pass 2: render each table to a block of lines --------
-    // Box interiors size to their text in char cells; positions (columns,
-    // stacking) still come from the scene geometry below.
-    let blocks: Vec<Block> = tables
-        .into_iter()
-        .map(|table| {
-            let width = std::iter::once(table.title.chars().count())
-                .chain(table.rows.iter().map(|(_, text)| text.chars().count() + 1))
-                .max()
-                .unwrap_or(1);
-            let mut lines = Vec::with_capacity(table.rows.len() + 4);
-            let rule = format!("+{}+", "-".repeat(width + 2));
-            lines.push(rule.clone());
-            lines.push(format!("| {:<width$} |", table.title));
-            lines.push(rule.clone());
-            for (marker, text) in &table.rows {
-                let row = format!("{marker}{text}");
-                lines.push(format!("| {row:<width$} |"));
-            }
-            lines.push(rule);
-            Block {
-                x: table.x,
-                right: table.right,
-                y: table.y,
-                lines,
-            }
-        })
-        .collect();
-
-    // -------- Pass 3: project x → column, y → order within column --------
+    // -------- Pass 2: project x → column, y → order within column --------
     // Tables of one layout column overlap horizontally (they share the
     // column's center); distinct columns are separated by the column gap.
     // Chaining x-overlaps therefore recovers the column structure without
-    // re-deriving it.
+    // re-deriving it. Box interiors size to their text in char cells;
+    // positions (columns, stacking) come from the scene geometry.
     let mut order: Vec<usize> = (0..blocks.len()).collect();
     order.sort_by(|&a, &b| {
         blocks[a]
@@ -175,34 +189,37 @@ fn write_branch(out: &mut String, marks: &[Mark]) {
         });
     }
 
-    // -------- Pass 4: stack within columns, join side by side --------
-    let column_texts: Vec<Vec<&str>> = columns
+    // -------- Pass 3: stack within columns, join side by side --------
+    // A column is its boxes top to bottom with one blank line between
+    // them; each column pads to its widest box plus a three-space gutter.
+    // Trailing blanks are never written: box lines end in `+` or `|`, so
+    // a line ends at its last non-blank cell.
+    let widths: Vec<usize> = columns
         .iter()
         .map(|ids| {
-            let mut lines: Vec<&str> = Vec::new();
-            for (i, &id) in ids.iter().enumerate() {
-                if i > 0 {
-                    lines.push("");
-                }
-                lines.extend(blocks[id].lines.iter().map(String::as_str));
-            }
-            lines
+            ids.iter()
+                .map(|&id| blocks[id].width + 4)
+                .max()
+                .unwrap_or(0)
         })
         .collect();
-    let widths: Vec<usize> = column_texts
+    let max_height = columns
         .iter()
-        .map(|c| c.iter().map(|l| l.chars().count()).max().unwrap_or(0))
-        .collect();
-    let max_height = column_texts.iter().map(Vec::len).max().unwrap_or(0);
-    for line_idx in 0..max_height {
-        let mut line = String::new();
-        for (col, text) in column_texts.iter().enumerate() {
-            let cell = text.get(line_idx).copied().unwrap_or("");
-            line.push_str(cell);
-            let pad = widths[col].saturating_sub(cell.chars().count());
-            line.push_str(&" ".repeat(pad + 3));
+        .map(|ids| ids.iter().map(|&id| blocks[id].height() + 1).sum::<usize>() - 1)
+        .max()
+        .unwrap_or(0);
+    for line in 0..max_height {
+        let mut pending = 0;
+        for (column, &width) in columns.iter().zip(&widths) {
+            match cell(&blocks, column, line) {
+                Some((block, block_line)) => {
+                    push_repeated(out, ' ', pending);
+                    block.write_line(out, block_line);
+                    pending = width - (block.width + 4) + 3;
+                }
+                None => pending += width + 3,
+            }
         }
-        out.push_str(line.trim_end());
         out.push('\n');
     }
 
@@ -228,6 +245,26 @@ fn write_branch(out: &mut String, marks: &[Mark]) {
             out.push('\n');
         }
     }
+}
+
+/// The box (and its line) that `line` of a column shows, or `None` for a
+/// blank cell: a separator between boxes, or below the column's end.
+fn cell<'b, 'a>(
+    blocks: &'b [Block<'a>],
+    column: &[usize],
+    mut line: usize,
+) -> Option<(&'b Block<'a>, usize)> {
+    for &id in column {
+        let height = blocks[id].height();
+        if line < height {
+            return Some((&blocks[id], line));
+        }
+        if line == height {
+            return None;
+        }
+        line -= height + 1;
+    }
+    None
 }
 
 #[cfg(test)]

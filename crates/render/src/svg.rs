@@ -5,8 +5,9 @@
 //! this module only maps style classes to theme colors and text anchors
 //! to SVG baselines. It contains no layout arithmetic.
 
-use queryvis_layout::{EdgeKind, Mark, MarkRole, Scene, StyleClass, TextRole};
-use std::fmt::Write;
+use queryvis_layout::{
+    write_tenths, write_whole, EdgeKind, Mark, MarkRole, Rect, Scene, StyleClass, TextRole,
+};
 
 /// Colors and strokes for the SVG output. Defaults mirror the paper (black
 /// headers, lighter SELECT header, yellow selection rows, gray group rows)
@@ -47,12 +48,36 @@ impl Default for SvgTheme {
     }
 }
 
-fn escape(text: &str) -> String {
-    text.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('\'', "&apos;")
-        .replace('"', "&quot;")
+/// Append `text` with the five XML special characters escaped, in one
+/// pass: clean runs are copied whole (every special byte is ASCII, so run
+/// boundaries are char boundaries).
+fn push_escaped(out: &mut String, text: &str) {
+    let mut run = 0;
+    for (i, byte) in text.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'\'' => "&apos;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&text[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&text[run..]);
+}
+
+/// Append ` name="value"` for each pair, the value printed as `{:.1}`.
+fn push_tenths(out: &mut String, attrs: &[(&str, f64)]) {
+    for &(name, value) in attrs {
+        out.push(' ');
+        out.push_str(name);
+        out.push_str("=\"");
+        write_tenths(out, value);
+        out.push('"');
+    }
 }
 
 /// Render a scene as a standalone SVG document.
@@ -64,164 +89,214 @@ pub fn to_svg(scene: &Scene, theme: &SvgTheme) -> String {
 
 /// [`to_svg`] into a caller-owned buffer (the serving layer renders into
 /// reusable per-worker buffers).
+///
+/// Written with plain pushes and the scene's number writers, not
+/// `write!`: coordinates print as `{:.1}` would print them, document
+/// extents, corner radii and the font size as `{:.0}`.
 pub fn write_svg(out: &mut String, scene: &Scene, theme: &SvgTheme) {
-    let _ = writeln!(
-        out,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.0} {:.0}">"#,
-        scene.width, scene.height, scene.width, scene.height
-    );
-    let _ = writeln!(
-        out,
-        r#"<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill="{}"/></marker></defs>"#,
-        theme.edge
-    );
-    let _ = writeln!(
-        out,
-        r#"<rect x="0" y="0" width="{:.0}" height="{:.0}" fill="{}"/>"#,
-        scene.width, scene.height, theme.background
-    );
+    // ` font-family="…" font-size="…"` is shared by every text element.
+    let mut font = String::with_capacity(64);
+    font.push_str(" font-family=\"");
+    font.push_str(&theme.font_family);
+    font.push_str("\" font-size=\"");
+    write_whole(&mut font, theme.font_size);
+    font.push('"');
+    let svg = Svg { theme, font };
+
+    out.push_str(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#);
+    write_whole(out, scene.width);
+    out.push_str(r#"" height=""#);
+    write_whole(out, scene.height);
+    out.push_str(r#"" viewBox="0 0 "#);
+    write_whole(out, scene.width);
+    out.push(' ');
+    write_whole(out, scene.height);
+    out.push_str("\">\n");
+    out.push_str(r#"<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill=""#);
+    out.push_str(&theme.edge);
+    out.push_str("\"/></marker></defs>\n");
+    out.push_str(r#"<rect x="0" y="0" width=""#);
+    write_whole(out, scene.width);
+    out.push_str(r#"" height=""#);
+    write_whole(out, scene.height);
+    out.push_str(r#"" fill=""#);
+    out.push_str(&theme.background);
+    out.push_str("\"/>\n");
     if let [branch] = scene.branches.as_slice() {
-        write_marks(out, &branch.marks, theme);
+        svg.marks(out, &branch.marks);
     } else {
         for (i, branch) in scene.branches.iter().enumerate() {
             if i > 0 {
                 // The union badge: a rule with the connective label on it.
                 let badge = &scene.badges[i - 1];
-                let _ = writeln!(
+                out.push_str(r#"<line x1="0""#);
+                push_tenths(
                     out,
-                    r#"<line x1="0" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="{}" stroke-width="1" stroke-dasharray="2,3" class="union-rule"/>"#,
-                    badge.y_mid, scene.width, badge.y_mid, theme.border
+                    &[
+                        ("y1", badge.y_mid),
+                        ("x2", scene.width),
+                        ("y2", badge.y_mid),
+                    ],
                 );
-                let _ = writeln!(
-                    out,
-                    r#"<text x="{:.1}" y="{:.1}" text-anchor="middle" font-family="{}" font-size="{:.0}" font-weight="bold" fill="{}" class="union-badge">{}</text>"#,
-                    scene.width / 2.0,
-                    badge.y_mid - 4.0,
-                    theme.font_family,
-                    theme.font_size,
-                    theme.border,
-                    badge.label,
+                out.push_str(r#" stroke=""#);
+                out.push_str(&theme.border);
+                out.push_str(
+                    "\" stroke-width=\"1\" stroke-dasharray=\"2,3\" class=\"union-rule\"/>\n",
                 );
+                svg.text_open(out, scene.width / 2.0, badge.y_mid - 4.0);
+                out.push_str(r#" font-weight="bold" fill=""#);
+                out.push_str(&theme.border);
+                out.push_str(r#"" class="union-badge">"#);
+                out.push_str(&badge.label);
+                out.push_str("</text>\n");
             }
-            let _ = writeln!(
-                out,
-                r#"<g transform="translate(0,{:.1})" class="union-branch">"#,
-                branch.dy
-            );
-            write_marks(out, &branch.marks, theme);
+            out.push_str(r#"<g transform="translate(0,"#);
+            write_tenths(out, branch.dy);
+            out.push_str(")\" class=\"union-branch\">\n");
+            svg.marks(out, &branch.marks);
             out.push_str("</g>\n");
         }
     }
     out.push_str("</svg>\n");
 }
 
-/// Write one branch's marks into an open SVG context, in scene paint
-/// order.
-fn write_marks(out: &mut String, marks: &[Mark], theme: &SvgTheme) {
-    for mark in marks {
-        match mark {
-            Mark::Rect(rect) => {
-                let r = rect.rect;
-                match rect.role {
-                    // Vector media tile the frame with header + row bands.
-                    MarkRole::Frame => {}
-                    MarkRole::QuantifierBox => {
-                        let (extra, class) = match rect.class {
-                            StyleClass::BoxNotExists => {
-                                (r#" stroke-dasharray="6,4""#, "box not-exists")
-                            }
-                            StyleClass::BoxForAll => ("", "box for-all"),
-                            _ => ("", "box for-all-inner"),
-                        };
-                        let _ = writeln!(
-                            out,
-                            r#"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" rx="{:.0}" fill="none" stroke="{}" stroke-width="1.5"{} class="{}"/>"#,
-                            r.x, r.y, r.w, r.h, rect.radius, theme.border, extra, class
-                        );
-                    }
-                    MarkRole::Header => {
-                        let fill = if rect.class == StyleClass::HeaderSelect {
-                            &theme.select_header_fill
-                        } else {
-                            &theme.header_fill
-                        };
-                        let _ = writeln!(
-                            out,
-                            r#"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{}" stroke="{}" class="header"/>"#,
-                            r.x, r.y, r.w, r.h, fill, theme.border
-                        );
-                    }
-                    MarkRole::Row => {
-                        let fill = match rect.class {
-                            StyleClass::RowSelection => &theme.selection_row_fill,
-                            StyleClass::RowGroup => &theme.group_row_fill,
-                            _ => &theme.row_fill,
-                        };
-                        let _ = writeln!(
-                            out,
-                            r#"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{}" stroke="{}" class="row"/>"#,
-                            r.x, r.y, r.w, r.h, fill, theme.border
-                        );
+/// Per-document writer state: the theme plus its pre-rendered font
+/// attributes.
+struct Svg<'a> {
+    theme: &'a SvgTheme,
+    font: String,
+}
+
+impl Svg<'_> {
+    /// `<text x="{:.1}" y="{:.1}" text-anchor="middle" font-family=… font-size=…`
+    fn text_open(&self, out: &mut String, x: f64, y: f64) {
+        out.push_str("<text");
+        push_tenths(out, &[("x", x), ("y", y)]);
+        out.push_str(r#" text-anchor="middle""#);
+        out.push_str(&self.font);
+    }
+
+    /// `<rect x=… y=… width=… height=…` (all `{:.1}`), then the rest.
+    fn rect_open(&self, out: &mut String, r: &Rect) {
+        out.push_str("<rect");
+        push_tenths(
+            out,
+            &[("x", r.x), ("y", r.y), ("width", r.w), ("height", r.h)],
+        );
+    }
+
+    /// A header or row band: ` fill="…" stroke="…" class="…"/>`.
+    fn band(&self, out: &mut String, r: &Rect, fill: &str, class: &str) {
+        self.rect_open(out, r);
+        out.push_str(r#" fill=""#);
+        out.push_str(fill);
+        out.push_str(r#"" stroke=""#);
+        out.push_str(&self.theme.border);
+        out.push_str(r#"" class=""#);
+        out.push_str(class);
+        out.push_str("\"/>\n");
+    }
+
+    /// Write one branch's marks into an open SVG context, in scene paint
+    /// order.
+    fn marks(&self, out: &mut String, marks: &[Mark]) {
+        let theme = self.theme;
+        for mark in marks {
+            match mark {
+                Mark::Rect(rect) => {
+                    let r = &rect.rect;
+                    match rect.role {
+                        // Vector media tile the frame with header + row bands.
+                        MarkRole::Frame => {}
+                        MarkRole::QuantifierBox => {
+                            let (extra, class) = match rect.class {
+                                StyleClass::BoxNotExists => {
+                                    (r#" stroke-dasharray="6,4""#, "box not-exists")
+                                }
+                                StyleClass::BoxForAll => ("", "box for-all"),
+                                _ => ("", "box for-all-inner"),
+                            };
+                            self.rect_open(out, r);
+                            out.push_str(r#" rx=""#);
+                            write_whole(out, rect.radius);
+                            out.push_str(r#"" fill="none" stroke=""#);
+                            out.push_str(&theme.border);
+                            out.push_str(r#"" stroke-width="1.5""#);
+                            out.push_str(extra);
+                            out.push_str(r#" class=""#);
+                            out.push_str(class);
+                            out.push_str("\"/>\n");
+                        }
+                        MarkRole::Header => {
+                            let fill = if rect.class == StyleClass::HeaderSelect {
+                                &theme.select_header_fill
+                            } else {
+                                &theme.header_fill
+                            };
+                            self.band(out, r, fill, "header");
+                        }
+                        MarkRole::Row => {
+                            let fill = match rect.class {
+                                StyleClass::RowSelection => &theme.selection_row_fill,
+                                StyleClass::RowGroup => &theme.group_row_fill,
+                                _ => &theme.row_fill,
+                            };
+                            self.band(out, r, fill, "row");
+                        }
                     }
                 }
-            }
-            Mark::Text(text) => match text.role {
-                // Char-medium decoration; the box style already encodes it.
-                TextRole::TitleAnnotation => {}
-                TextRole::Title => {
-                    let fill = if text.class == StyleClass::HeaderSelect {
-                        &theme.select_header_text
-                    } else {
-                        &theme.header_text
+                Mark::Text(text) => {
+                    let fill = match text.role {
+                        // Char-medium decoration; the box style already
+                        // encodes it.
+                        TextRole::TitleAnnotation => continue,
+                        // Edge labels are emitted with their edge mark
+                        // below, so the scene may omit them as standalone
+                        // runs.
+                        TextRole::EdgeLabel => continue,
+                        TextRole::Title if text.class == StyleClass::HeaderSelect => {
+                            &theme.select_header_text
+                        }
+                        TextRole::Title => &theme.header_text,
+                        TextRole::RowText => "#000000",
                     };
-                    let _ = writeln!(
-                        out,
-                        r#"<text x="{:.1}" y="{:.1}" text-anchor="middle" font-family="{}" font-size="{:.0}" font-weight="bold" fill="{}">{}</text>"#,
-                        text.anchor.x,
-                        text.anchor.y + theme.font_size / 3.0,
-                        theme.font_family,
-                        theme.font_size,
-                        fill,
-                        escape(&text.text)
-                    );
+                    let baseline = text.anchor.y + theme.font_size / 3.0;
+                    self.text_open(out, text.anchor.x, baseline);
+                    if text.role == TextRole::Title {
+                        out.push_str(r#" font-weight="bold""#);
+                    }
+                    out.push_str(r#" fill=""#);
+                    out.push_str(fill);
+                    out.push_str("\">");
+                    push_escaped(out, &text.text);
+                    out.push_str("</text>\n");
                 }
-                TextRole::RowText => {
-                    let _ = writeln!(
+                Mark::Edge(edge) => {
+                    out.push_str("<line");
+                    push_tenths(
                         out,
-                        r##"<text x="{:.1}" y="{:.1}" text-anchor="middle" font-family="{}" font-size="{:.0}" fill="#000000">{}</text>"##,
-                        text.anchor.x,
-                        text.anchor.y + theme.font_size / 3.0,
-                        theme.font_family,
-                        theme.font_size,
-                        escape(&text.text)
+                        &[
+                            ("x1", edge.from.x),
+                            ("y1", edge.from.y),
+                            ("x2", edge.to.x),
+                            ("y2", edge.to.y),
+                        ],
                     );
-                }
-                // Edge labels are emitted with their edge mark below, so
-                // the scene may omit them as standalone runs.
-                TextRole::EdgeLabel => {}
-            },
-            Mark::Edge(edge) => {
-                let marker = if edge.kind == EdgeKind::Directed {
-                    r#" marker-end="url(#arrow)""#
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    out,
-                    r#"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="{}" stroke-width="1.4"{} class="edge"/>"#,
-                    edge.from.x, edge.from.y, edge.to.x, edge.to.y, theme.edge, marker
-                );
-                if let Some(label) = &edge.label {
-                    let _ = writeln!(
-                        out,
-                        r#"<text x="{:.1}" y="{:.1}" text-anchor="middle" font-family="{}" font-size="{:.0}" font-weight="bold" fill="{}" class="edge-label">{}</text>"#,
-                        edge.label_pos.x,
-                        edge.label_pos.y,
-                        theme.font_family,
-                        theme.font_size,
-                        theme.edge,
-                        escape(label)
-                    );
+                    out.push_str(r#" stroke=""#);
+                    out.push_str(&theme.edge);
+                    out.push_str(r#"" stroke-width="1.4""#);
+                    if edge.kind == EdgeKind::Directed {
+                        out.push_str(r#" marker-end="url(#arrow)""#);
+                    }
+                    out.push_str(" class=\"edge\"/>\n");
+                    if let Some(label) = &edge.label {
+                        self.text_open(out, edge.label_pos.x, edge.label_pos.y);
+                        out.push_str(r#" font-weight="bold" fill=""#);
+                        out.push_str(&theme.edge);
+                        out.push_str(r#"" class="edge-label">"#);
+                        push_escaped(out, label);
+                        out.push_str("</text>\n");
+                    }
                 }
             }
         }

@@ -7,7 +7,10 @@
 //! stored as `Arc<str>`: responses share the entry's rendering instead of
 //! cloning whole artifact strings per request, so a warm hit copies
 //! pointers, not text. The 32-hex-character fingerprint string and the
-//! representative's SQL are likewise rendered/shared once per entry.
+//! representative's SQL are likewise rendered/shared once per entry. The
+//! canonical pattern string is not kept at all: the fingerprint, hashed
+//! from the pattern's token stream, is the entry's whole identity, so a
+//! cache miss canonicalizes once (while fingerprinting) and never again.
 //!
 //! **One layout per entry.** The geometric formats (svg, ascii,
 //! scene_json) all render from one shared [`Scene`] behind its own
@@ -81,7 +84,6 @@ pub struct CompiledEntry {
     /// The fingerprint as 32 lowercase hex characters, rendered once at
     /// entry construction and shared by every response.
     hex: Arc<str>,
-    pattern: String,
     /// The representative's SQL, shared (not cloned) into disclosing
     /// responses.
     representative: Arc<str>,
@@ -107,11 +109,6 @@ impl CompiledEntry {
     /// The fingerprint's fixed-width hex rendering, shared per entry.
     pub fn fingerprint_hex(&self) -> &Arc<str> {
         &self.hex
-    }
-
-    /// The canonical pattern string this entry serves.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
     }
 
     /// The SQL of the representative query the artifacts were rendered from.
@@ -218,9 +215,6 @@ impl CompiledEntry {
 
 /// Run the expensive back half of the pipeline for a pattern representative.
 pub fn compile_representative(fingerprinted: FingerprintedQuery) -> CompiledEntry {
-    // Cache misses are the only place the canonical pattern key is
-    // materialized and rendered — the hit path hashes a reused buffer.
-    let pattern = fingerprinted.pattern_key().render();
     let FingerprintedQuery {
         prepared,
         fingerprint,
@@ -229,7 +223,6 @@ pub fn compile_representative(fingerprinted: FingerprintedQuery) -> CompiledEntr
     CompiledEntry {
         fingerprint,
         hex: fingerprint.to_string().into(),
-        pattern,
         representative: qv.sql.as_str().into(),
         qv,
         scene: OnceLock::new(),
@@ -292,7 +285,6 @@ mod tests {
     fn entry_remembers_its_identity() {
         let entry = compiled("SELECT T.a FROM T");
         assert_eq!(entry.representative_sql(), "SELECT T.a FROM T");
-        assert!(entry.pattern().starts_with("S["));
         assert!(entry.stats().visual_elements() > 0);
         assert_eq!(
             entry.fingerprint_hex().as_ref(),

@@ -93,10 +93,11 @@ pub struct FingerprintedQuery {
 
 impl FingerprintedQuery {
     /// The canonical pattern key behind the fingerprint, recomputed from
-    /// the prepared logic tree. The hot path never materializes the key —
-    /// [`fingerprint_sql`] hashes the token stream out of a reused buffer —
-    /// so callers that want the key itself (cache-miss pattern rendering,
-    /// tests) rebuild it here, off the hit path.
+    /// the prepared logic tree. The service never materializes the key,
+    /// on hits or misses — [`fingerprint_sql`] hashes the token stream out
+    /// of a reused buffer — so callers that want the key itself (tests,
+    /// diagnostics) rebuild it here, at the cost of a second
+    /// canonicalization.
     pub fn pattern_key(&self) -> PatternKey {
         self.prepared.pattern_key()
     }

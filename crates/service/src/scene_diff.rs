@@ -41,8 +41,8 @@
 use crate::json::{escape_into, write_u64, Json};
 use crate::scene_json::write_mark_v2;
 use queryvis::layout::{
-    EdgeKind, EdgeMark, Mark, MarkRole, Point, Rect, RectMark, Scene, SceneBadge, StyleClass,
-    TextMark, TextRole,
+    write_shortest, EdgeKind, EdgeMark, Mark, MarkRole, Point, Rect, RectMark, Scene, SceneBadge,
+    StyleClass, TextMark, TextRole,
 };
 
 /// One scene patch op. Geometry travels as the full v2 mark object — the
@@ -316,11 +316,6 @@ pub fn apply_patch(base: &Scene, ops: &[PatchOp]) -> Result<Scene, String> {
     Ok(scene)
 }
 
-fn write_f64(out: &mut String, value: f64) {
-    use std::fmt::Write;
-    let _ = write!(out, "{value}");
-}
-
 /// Serialize patch ops as the `"patch"` array's contents (the ops only,
 /// no surrounding brackets — the protocol writer owns the envelope).
 pub fn write_patch_ops(out: &mut String, ops: &[PatchOp]) {
@@ -331,9 +326,9 @@ pub fn write_patch_ops(out: &mut String, ops: &[PatchOp]) {
         match op {
             PatchOp::Meta { w, h } => {
                 out.push_str("{\"op\":\"meta\",\"w\":");
-                write_f64(out, *w);
+                write_shortest(out, *w);
                 out.push_str(",\"h\":");
-                write_f64(out, *h);
+                write_shortest(out, *h);
                 out.push('}');
             }
             PatchOp::Badges { badges } => {
@@ -343,7 +338,7 @@ pub fn write_patch_ops(out: &mut String, ops: &[PatchOp]) {
                         out.push(',');
                     }
                     out.push_str("{\"y\":");
-                    write_f64(out, badge.y_mid);
+                    write_shortest(out, badge.y_mid);
                     out.push_str(",\"label\":");
                     escape_into(out, &badge.label);
                     out.push('}');
@@ -354,11 +349,11 @@ pub fn write_patch_ops(out: &mut String, ops: &[PatchOp]) {
                 out.push_str("{\"op\":\"branch\",\"i\":");
                 write_u64(out, *i as u64);
                 out.push_str(",\"dy\":");
-                write_f64(out, *dy);
+                write_shortest(out, *dy);
                 out.push_str(",\"w\":");
-                write_f64(out, *w);
+                write_shortest(out, *w);
                 out.push_str(",\"h\":");
-                write_f64(out, *h);
+                write_shortest(out, *h);
                 out.push('}');
             }
             PatchOp::Remove { i, id } => {

@@ -3,9 +3,11 @@
 //! Serializes the [`Scene`] display-list IR as one JSON document: the
 //! format a browser client renders from without running any layout of
 //! its own. The writer is the service's own [`json`](crate::json) layer
-//! (`escape_into` + digit writers — no serde in the image), and the
-//! output parses back with [`json::parse`](crate::json::parse), which CI
-//! verifies over the whole paper corpus.
+//! (`escape_into` + `write_u64` — no serde in the image) plus the scene's
+//! number writer, [`write_shortest`], which prints each coordinate as
+//! `{}` would. The output parses back with
+//! [`json::parse`](crate::json::parse), which CI verifies over the whole
+//! paper corpus.
 //!
 //! Document shape (coordinates in diagram px, `y` growing downward):
 //!
@@ -30,7 +32,8 @@
 
 use crate::json::{escape_into, write_u64};
 use queryvis::layout::{
-    EdgeKind, EdgeMark, Mark, MarkRole, RectMark, Scene, StyleClass, TextMark, TextRole,
+    write_shortest, EdgeKind, EdgeMark, Mark, MarkRole, RectMark, Scene, StyleClass, TextMark,
+    TextRole,
 };
 
 /// Schema version of the scene_json artifact document.
@@ -72,15 +75,6 @@ fn text_role_name(role: TextRole) -> &'static str {
     }
 }
 
-/// Write an `f64` as a JSON number. Scene coordinates are finite sums of
-/// layout constants, so `{}` (shortest round-trip form, no exponent for
-/// these magnitudes) is both exact and compact.
-fn write_f64(out: &mut String, value: f64) {
-    use std::fmt::Write;
-    debug_assert!(value.is_finite(), "scene coordinates are finite");
-    let _ = write!(out, "{value}");
-}
-
 fn write_rect_with(out: &mut String, rect: &RectMark, with_id: bool) {
     out.push_str("{\"t\":\"rect\",");
     if with_id {
@@ -93,15 +87,15 @@ fn write_rect_with(out: &mut String, rect: &RectMark, with_id: bool) {
     out.push_str(",\"class\":");
     escape_into(out, class_name(rect.class));
     out.push_str(",\"x\":");
-    write_f64(out, rect.rect.x);
+    write_shortest(out, rect.rect.x);
     out.push_str(",\"y\":");
-    write_f64(out, rect.rect.y);
+    write_shortest(out, rect.rect.y);
     out.push_str(",\"w\":");
-    write_f64(out, rect.rect.w);
+    write_shortest(out, rect.rect.w);
     out.push_str(",\"h\":");
-    write_f64(out, rect.rect.h);
+    write_shortest(out, rect.rect.h);
     out.push_str(",\"r\":");
-    write_f64(out, rect.radius);
+    write_shortest(out, rect.radius);
     out.push('}');
 }
 
@@ -117,9 +111,9 @@ fn write_text_with(out: &mut String, text: &TextMark, with_id: bool) {
     out.push_str(",\"class\":");
     escape_into(out, class_name(text.class));
     out.push_str(",\"x\":");
-    write_f64(out, text.anchor.x);
+    write_shortest(out, text.anchor.x);
     out.push_str(",\"y\":");
-    write_f64(out, text.anchor.y);
+    write_shortest(out, text.anchor.y);
     out.push_str(",\"s\":");
     escape_into(out, &text.text);
     out.push('}');
@@ -141,20 +135,20 @@ fn write_edge_with(out: &mut String, edge: &EdgeMark, with_id: bool) {
         },
     );
     out.push_str(",\"x1\":");
-    write_f64(out, edge.from.x);
+    write_shortest(out, edge.from.x);
     out.push_str(",\"y1\":");
-    write_f64(out, edge.from.y);
+    write_shortest(out, edge.from.y);
     out.push_str(",\"x2\":");
-    write_f64(out, edge.to.x);
+    write_shortest(out, edge.to.x);
     out.push_str(",\"y2\":");
-    write_f64(out, edge.to.y);
+    write_shortest(out, edge.to.y);
     if let Some(label) = &edge.label {
         out.push_str(",\"label\":");
         escape_into(out, label);
         out.push_str(",\"lx\":");
-        write_f64(out, edge.label_pos.x);
+        write_shortest(out, edge.label_pos.x);
         out.push_str(",\"ly\":");
-        write_f64(out, edge.label_pos.y);
+        write_shortest(out, edge.label_pos.y);
     }
     out.push_str(",\"from\":");
     escape_into(out, &edge.from_text);
@@ -188,9 +182,9 @@ fn write_scene_json_with(out: &mut String, scene: &Scene, version: u64, with_ids
     out.push_str("{\"v\":");
     write_u64(out, version);
     out.push_str(",\"w\":");
-    write_f64(out, scene.width);
+    write_shortest(out, scene.width);
     out.push_str(",\"h\":");
-    write_f64(out, scene.height);
+    write_shortest(out, scene.height);
     out.push_str(",\"union_all\":");
     out.push_str(if scene.union_all { "true" } else { "false" });
     out.push_str(",\"badges\":[");
@@ -199,7 +193,7 @@ fn write_scene_json_with(out: &mut String, scene: &Scene, version: u64, with_ids
             out.push(',');
         }
         out.push_str("{\"y\":");
-        write_f64(out, badge.y_mid);
+        write_shortest(out, badge.y_mid);
         out.push_str(",\"label\":");
         escape_into(out, &badge.label);
         out.push('}');
@@ -210,11 +204,11 @@ fn write_scene_json_with(out: &mut String, scene: &Scene, version: u64, with_ids
             out.push(',');
         }
         out.push_str("{\"dy\":");
-        write_f64(out, branch.dy);
+        write_shortest(out, branch.dy);
         out.push_str(",\"w\":");
-        write_f64(out, branch.width);
+        write_shortest(out, branch.width);
         out.push_str(",\"h\":");
-        write_f64(out, branch.height);
+        write_shortest(out, branch.height);
         out.push_str(",\"marks\":[");
         for (j, mark) in branch.marks.iter().enumerate() {
             if j > 0 {
