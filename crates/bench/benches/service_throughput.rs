@@ -26,12 +26,12 @@
 //!
 //! Three **keystroke-trace** rows replay scripted single-character edit
 //! round-trips through a live [`SessionStore`] session (append-typing,
-//! a mid-query identifier rename, a predicate insertion), measuring the
-//! incremental tiers an editor actually hits. The rename trace is
-//! structure-preserving and asserts a zero full-recompile fallback rate;
-//! the run as a whole asserts single-character-edit p99 < same-run cold
-//! compile p50 — the relative contract `bench_guard` cannot express
-//! across hosts.
+//! a mid-query identifier rename, a predicate insertion): each edit is
+//! applied to the session buffer and served through the plain request
+//! path. The rename trace asserts that every intermediate buffer
+//! compiles; the run as a whole asserts single-character-edit p99 <
+//! same-run cold compile p50 — the relative contract `bench_guard` cannot
+//! express across hosts.
 //!
 //! Four **eviction-policy** rows replay deterministic seeded traces — a
 //! zipfian-skewed key stream and a hot-set-with-cold-scan-bursts stream —
@@ -629,13 +629,12 @@ fn main() {
         ));
     }
 
-    // Keystroke traces: the incremental-session contract. Each row opens
-    // one session and replays a scripted round-trip of single-character
-    // edits (type forward, unwind back) through the typed `SessionStore`
-    // API — the same code path the `open`/`edit` wire ops take, minus
-    // socket framing. `rename_identifier` is structure-preserving (every
-    // intermediate buffer compiles; the session must stay on the warm
-    // token/fragment tiers — asserted below as a ~0 full-recompile rate);
+    // Keystroke traces: the session contract. Each row opens one session
+    // and replays a scripted round-trip of single-character edits (type
+    // forward, unwind back) through the typed `SessionStore` API — the
+    // same code path the `open`/`edit` wire ops take, minus socket
+    // framing. `rename_identifier` is structure-preserving (every
+    // intermediate buffer compiles — asserted below);
     // `append_typing` and `insert_predicate` pass through transient parse
     // states like a real editor does, so their per-edit time averages the
     // cheap error replies with the recompile on recovery. The headline
@@ -737,22 +736,10 @@ fn main() {
                 }
                 last_ok
             }));
-            let stats = store.snapshot();
             if structure_preserving {
-                // The fallback-rate contract: a structure-preserving trace
-                // must never leave the warm tiers. `path_full` counts
-                // every edit that fell back to the from-scratch pipeline.
-                assert_eq!(
-                    stats.path_full, 0,
-                    "{name}: {} of {} edits fell back to a full recompile",
-                    stats.path_full, stats.edits
-                );
+                let stats = store.snapshot();
                 assert_eq!(stats.parse_errors, 0, "{name}: trace must stay well-formed");
             }
-            println!(
-                "  {name}: {} edits/iter (tokens {} / fragment {} / full {} over the run)",
-                edits_per_iter, stats.path_tokens, stats.path_fragment, stats.path_full
-            );
         }
     }
 
@@ -883,7 +870,7 @@ fn main() {
         }
     }
 
-    // The incremental-session headline, relative and same-run (so host
+    // The session headline, relative and same-run (so host
     // speed cancels out): a single-character edit at p99 must be cheaper
     // than a cold compile at p50. Skipped in smoke mode, where single
     // iterations report no percentiles.
@@ -901,7 +888,7 @@ fn main() {
             );
             assert!(
                 edit_p99 < cold_p50,
-                "incremental edit p99 ({edit_p99:.0} ns) must beat cold compile p50 \
+                "session edit p99 ({edit_p99:.0} ns) must beat cold compile p50 \
                  ({cold_p50:.0} ns) in the same run"
             );
         }

@@ -5,7 +5,7 @@
 //! by more than the allowed fraction. Guarded rows are the warm-path
 //! contract of the serving layer (`warm_hit`, `warm_l1_hit`, `warm_batch`,
 //! the shared-scene `warm_multiformat` rows, the eviction-policy replay
-//! rows, and the incremental-session `keystroke` rows); cold rows are
+//! rows, and the session `keystroke` rows); cold rows are
 //! reported but not gated — they are compile-bound and noisy on shared CI
 //! hardware. (The *relative* keystroke contract — edit p99 < cold p50 —
 //! is asserted inside the bench itself, where both sides share a run.)

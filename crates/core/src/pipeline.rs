@@ -170,59 +170,6 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Assemble a `PreparedQuery` from per-branch parts — the
-    /// branch-level fragment-memoization entry. `branches` pairs each
-    /// lowered, OR-free AST with its translated logic tree, in lowering
-    /// order; an incremental session re-derives only the edited `UNION`
-    /// branch's pair and reuses the siblings' cached pairs verbatim.
-    ///
-    /// The cross-branch invariants [`QueryVis::prepare`] enforces *after*
-    /// translation (branch-count cap, strict-mode degeneracy validation)
-    /// are re-checked here over the assembled set, so a fragment-spliced
-    /// result is accepted exactly when a from-scratch prepare of the same
-    /// text would be. Canonicalization and fingerprinting downstream
-    /// operate on the real trees, so warm≡cold byte-identity holds by
-    /// construction. Callers must treat any error as "splicing unsound"
-    /// and fall back to the full pipeline for canonical error parity.
-    pub fn from_parts(
-        sql: &str,
-        expr: QueryExpr,
-        branches: Vec<(Query, LogicTree)>,
-        options: Arc<QueryVisOptions>,
-    ) -> Result<PreparedQuery, QueryVisError> {
-        if branches.is_empty() || branches.len() > MAX_QUERY_BRANCHES {
-            return Err(QueryVisError::Translate(
-                TranslateError::DisjunctionTooWide {
-                    branches: branches.len(),
-                },
-            ));
-        }
-        let mut branches = branches;
-        if options.strict {
-            for (_, tree) in &mut branches {
-                let mut cx = PassContext::new();
-                if strict_validation_passes().run_with(tree, &mut cx).is_err() {
-                    let degeneracy = cx
-                        .take_fact::<DegeneracyError>(ValidatePass::ERROR_FACT)
-                        .expect("ValidatePass publishes its structured error");
-                    return Err(QueryVisError::Degenerate(degeneracy));
-                }
-            }
-        }
-        let union_all = expr.all;
-        let mut iter = branches.into_iter();
-        let (query, logic_tree) = iter.next().expect("at least one branch");
-        Ok(PreparedQuery {
-            sql: sql.to_string(),
-            expr,
-            query,
-            logic_tree,
-            rest: iter.collect(),
-            union_all,
-            options,
-        })
-    }
-
     /// The options this query was prepared with (shared, not cloned).
     pub fn options(&self) -> &Arc<QueryVisOptions> {
         &self.options
@@ -369,11 +316,9 @@ impl QueryVis {
         QueryVis::prepare_parsed(sql, expr, options)
     }
 
-    /// [`QueryVis::prepare`] starting from an already-parsed expression —
-    /// the incremental-session entry: a damage-tracked relex plus
-    /// [`queryvis_sql::parse_query_expr_tokens`] produces `expr` without
-    /// re-lexing the undamaged text, and everything from the schema check
-    /// on is byte-for-byte the standard pipeline.
+    /// [`QueryVis::prepare`] starting from an already-parsed expression:
+    /// the schema check, OR lowering, translation and (in strict mode)
+    /// degeneracy validation, byte-for-byte as `prepare` runs them.
     pub fn prepare_parsed(
         sql: &str,
         expr: QueryExpr,

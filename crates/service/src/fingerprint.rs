@@ -118,11 +118,10 @@ pub fn fingerprint_sql(
     Ok(fingerprint_prepared(prepared))
 }
 
-/// Canonicalize + hash an already-prepared query — the incremental
-/// session path, which reaches a [`PreparedQuery`] without re-lexing (and
-/// on fragment splices without re-parsing sibling `UNION` branches) and
-/// joins the standard pipeline here. Byte-identical to what
-/// [`fingerprint_sql`] computes for the same text.
+/// Canonicalize + hash an already-prepared query: the back half of
+/// [`fingerprint_sql`], for callers that time or drive the frontend stages
+/// themselves. Byte-identical to what [`fingerprint_sql`] computes for the
+/// same text.
 pub fn fingerprint_prepared(prepared: PreparedQuery) -> FingerprintedQuery {
     let _span = STAGE_CANONICALIZE.span();
     let fingerprint = PATTERN_TOKENS.with(|cell| match cell.try_borrow_mut() {

@@ -1,4 +1,4 @@
-//! Scene diffs for incremental sessions: compute, serialize, parse, and
+//! Scene diffs for live-editing sessions: compute, serialize, parse, and
 //! apply patch ops between two [`Scene`]s.
 //!
 //! A session `edit` response may carry `{"patch": [...]}` instead of a

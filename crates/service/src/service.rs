@@ -8,6 +8,7 @@
 //!   (`Mutex<HashMap>` + condvar): the first thread to claim a missing
 //!   fingerprint compiles it, racers park and are handed the finished
 //!   entry — one compile no matter how many concurrent duplicates.
+//!   Session opens and edits ([`crate::session`]) take the same path.
 //! * [`DiagramService::execute_batch`] serves a whole `Vec<Request>`
 //!   across a fixed thread pool with *deterministic* results: requests are
 //!   fingerprinted in parallel, grouped by fingerprint, and each group's
@@ -203,20 +204,9 @@ impl DiagramService {
         &self.config
     }
 
-    /// The shared interner this service resolves symbols against.
-    pub fn interner(&self) -> &'static Interner {
-        self.interner
-    }
-
     /// The L1 text memo (exposed for tests and diagnostics).
     pub fn memo(&self) -> &L1Memo {
         &self.memo
-    }
-
-    /// The shared pipeline options (the session layer's frontend runs
-    /// outside `handle` but must prepare with identical options).
-    pub(crate) fn options_arc(&self) -> &Arc<QueryVisOptions> {
-        &self.options
     }
 
     /// The L2 cache (exposed for warm-snapshot export and tests).
@@ -262,54 +252,68 @@ impl DiagramService {
         let _trace_scope = queryvis_telemetry::global()
             .tracing()
             .then(|| queryvis_telemetry::request_scope(request.id));
+        match self.resolve(&request.sql) {
+            Ok((words, entry)) => self.respond(request, words, &entry),
+            Err(error) => Response {
+                id: request.id,
+                outcome: Err(error),
+            },
+        }
+    }
+
+    /// The single-request path: resolve `sql` to its word count and its
+    /// resident compiled entry. Plain requests and session opens/edits
+    /// both come through here, so both count alike in `requests`,
+    /// `l1_hits` and `errors`. A frontend failure is a `compile` error;
+    /// a compile panic keeps the `panic` kind [`Self::entry_for`] gives it.
+    #[inline]
+    pub(crate) fn resolve(&self, sql: &str) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         C_REQUESTS.add(1);
         // L1: a repeat text resolves to its fingerprint without touching
         // the frontend at all.
-        if let Some((fingerprint, words)) = self.memo.lookup(&request.sql) {
+        if let Some((fingerprint, words)) = self.memo.lookup(sql) {
             if let Some(entry) = self.cache.get(fingerprint) {
                 self.l1_hits.fetch_add(1, Ordering::Relaxed);
                 C_L1_HITS.add(1);
-                return self.respond(request, words as usize, &entry);
+                return Ok((words as usize, entry));
             }
             // L2 evicted this fingerprint between the eager invalidation
             // and our probe (or we raced it): fall through to the full
             // path, which recompiles and re-publishes both levels.
         }
-        let fingerprinted = match fingerprint_sql(&request.sql, Arc::clone(&self.options)) {
-            Ok(fq) => fq,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                C_ERRORS.add(1);
-                return Response::error(request.id, e.to_string());
-            }
-        };
-        let words = fingerprinted.prepared.sql_word_count();
-        let fingerprint = fingerprinted.fingerprint;
-        match self.entry_for(fingerprinted) {
-            Ok(entry) => {
+        self.resolve_miss(sql)
+    }
+
+    /// [`Self::resolve`] past the L1 probe: frontend, L2 lookup or
+    /// compile, then memoize the text. Kept out of line so the L1-hit
+    /// path that `handle` inlines stays small: with this body inlined
+    /// too, warm serving p50 read ~8 % slower (2-vCPU x86-64 host).
+    #[inline(never)]
+    fn resolve_miss(&self, sql: &str) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
+        let resolved = fingerprint_sql(sql, Arc::clone(&self.options))
+            .map_err(|e| ServiceError::new(ErrorKind::Compile, e.to_string()))
+            .and_then(|fingerprinted| {
+                let words = fingerprinted.prepared.sql_word_count();
+                let fingerprint = fingerprinted.fingerprint;
+                let entry = self.entry_for(fingerprinted)?;
                 // Memoize only after the entry is resident in L2, so an L1
                 // hit almost always finds its L2 entry.
-                self.memo.insert(&request.sql, fingerprint, words as u32);
-                self.respond(request, words, &entry)
-            }
-            Err(error) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                C_ERRORS.add(1);
-                Response {
-                    id: request.id,
-                    outcome: Err(error),
-                }
-            }
+                self.memo.insert(sql, fingerprint, words as u32);
+                Ok((words, entry))
+            });
+        if resolved.is_err() {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            C_ERRORS.add(1);
         }
+        resolved
     }
 
     /// Look up or compile the entry for a fingerprinted query, joining an
     /// in-flight compile of the same fingerprint when one exists. `Err`
     /// means the compile failed or panicked (classified by its kind).
-    /// The incremental session layer (and its equivalence oracles) join
-    /// the standard cache/coalescing machinery here after their own
-    /// frontend shortcut.
+    /// Public so tests can build a from-scratch oracle that fills L2
+    /// without touching L1 or the request counters.
     pub fn entry_for(
         &self,
         fingerprinted: FingerprintedQuery,

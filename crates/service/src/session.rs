@@ -1,75 +1,36 @@
-//! Incremental compile sessions: the live-editing front end (DESIGN.md §9).
+//! Live-editing sessions (DESIGN.md §9).
 //!
 //! A session pins one SQL buffer server-side. The client opens it once
 //! (`{"op":"open","sql":…}`), then streams byte-range edits
 //! (`{"op":"edit","session":S,"edits":[{"at":O,"del":N,"ins":T}]}`)
 //! instead of re-sending the whole text per keystroke. The server applies
-//! each edit to its copy of the buffer and recompiles *incrementally*,
-//! descending only as far as the damage requires:
+//! each edit to its copy of the buffer with [`apply_edit`] and serves the
+//! result through the path a plain request takes
+//! (`DiagramService::resolve`): the L1 memo answers texts it has seen
+//! (modulo whitespace, comments and keyword case), anything else runs the
+//! frontend and the L2 cache. A session reply therefore carries exactly
+//! the plain reply's fingerprint, word count, `representative_sql`
+//! disclosure and error text.
 //!
-//! 1. **Token splice** ([`queryvis_sql::relex`]): only the damaged window
-//!    is re-lexed; the surviving prefix/suffix token runs are spliced
-//!    around it with shifted spans.
-//! 2. **Tier `tokens`** — if the new token stream has the same kinds and
-//!    symbols as the last successfully compiled one ([`same_kinds`]),
-//!    the AST is unchanged (the parser is a function of kinds+symbols),
-//!    so the cached fingerprint, word count, and compiled entry are
-//!    reused outright. Whitespace, comments, and keyword-case edits land
-//!    here.
-//! 3. **Tier `fragment`** — the token stream is split into per-branch
-//!    runs at depth-0 `UNION` connectives. If the branch structure is
-//!    unchanged and *exactly one* run's kinds differ, only that branch is
-//!    re-parsed ([`parse_branch_tokens`]), lowered, and translated; the
-//!    sibling branches' cached (AST, logic-tree) pairs are reused
-//!    verbatim and the whole set is reassembled with
-//!    [`PreparedQuery::from_parts`].
-//! 4. **Tier `full`** — anything structural (branch count, connective
-//!    flavor, no previous compile) re-parses the whole expression from
-//!    the (still splice-lexed) tokens. Any error inside the fragment
-//!    path also falls back here, so error text and acceptance are always
-//!    those of the canonical pipeline.
-//!
-//! **Why fragments reuse parse+translate, not erasures.** The canonical
-//! pattern erases names to *query-wide* first-use indices and shares
-//! physical-identity information across branches
-//! (`PatternKey::of_branches_into` builds one sharing profile over all
-//! trees), so per-branch erasure streams are not independent and cannot
-//! be spliced soundly. What *is* per-branch is the expensive part —
-//! parsing, lowering, and translation. The session reuses those and
-//! re-runs the cheap id-arithmetic canonicalization over the real trees,
-//! which makes warm≡cold byte-identity hold by construction on every
-//! path: each tier hands the standard pipeline the same values a cold
-//! compile would compute.
-//!
-//! The response serves the *pattern representative's* compiled entry —
-//! exactly the semantics of a plain request for the same text, including
-//! the `representative_sql` disclosure. Scenes are serialized as
-//! `scene_json` v2 (stable mark ids); an `edit` response carries either a
-//! [`crate::scene_diff`] patch against the session's last acknowledged
-//! scene or a full-scene resync when the patch would not be smaller (or
-//! the branch structure changed).
+//! Scenes are serialized as `scene_json` v2 (stable mark ids); an `edit`
+//! response carries either a [`crate::scene_diff`] patch against the
+//! session's last acknowledged scene or a full-scene resync when the patch
+//! would not be smaller (or the branch structure changed).
 //!
 //! Sessions are bounded ([`SessionConfig`]): at most `max_sessions` live
 //! at once (least-recently-used is evicted), each buffer capped at
 //! `max_source_bytes`. A transient parse error keeps the session (and
-//! its edited buffer) alive — the next edit may recover — while the last
-//! successfully compiled state stays cached, so recovery re-enters the
-//! warm tiers directly.
+//! its edited buffer) alive — the next edit may recover — and keeps the
+//! last acknowledged scene, so the recovery reply patches from it.
 
-use crate::compile::CompiledEntry;
-use crate::fingerprint::{fingerprint_prepared, fingerprint_sql, Fingerprint};
+use crate::fingerprint::Fingerprint;
 use crate::json::{escape_into, write_u64, Json};
 use crate::protocol::{ErrorKind, ServiceError};
 use crate::scene_diff::{diff_scenes, write_patch_ops};
 use crate::scene_json::scene_json_v2;
 use crate::service::DiagramService;
 use queryvis::layout::Scene;
-use queryvis::PreparedQuery;
-use queryvis_logic::LogicTree;
-use queryvis_sql::token::{Keyword, Token, TokenKind};
-use queryvis_sql::{
-    apply_edit, parse_branch_tokens, relex, same_kinds, tokenize_in, Edit, Query, QueryExpr, Relex,
-};
+use queryvis_sql::{apply_edit, Edit};
 use queryvis_telemetry::{CounterDef, GaugeDef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,9 +40,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // section is the per-instance source of truth).
 static C_OPENS: CounterDef = CounterDef::new("session.opens");
 static C_EDITS: CounterDef = CounterDef::new("session.edits");
-static C_PATH_TOKENS: CounterDef = CounterDef::new("session.path_tokens");
-static C_PATH_FRAGMENT: CounterDef = CounterDef::new("session.path_fragment");
-static C_PATH_FULL: CounterDef = CounterDef::new("session.path_full");
 static C_PARSE_ERRORS: CounterDef = CounterDef::new("session.parse_errors");
 static C_PATCHES: CounterDef = CounterDef::new("session.patches");
 static C_RESYNCS: CounterDef = CounterDef::new("session.resyncs");
@@ -122,14 +80,6 @@ pub struct SessionStatsSnapshot {
     pub reaped: u64,
     /// Edit requests applied (each may carry several byte-range edits).
     pub edits: u64,
-    /// Edits whose relex spliced surviving token runs (vs full re-lex).
-    pub token_splices: u64,
-    /// Edits resolved by tier `tokens` (kinds unchanged — total reuse).
-    pub path_tokens: u64,
-    /// Edits resolved by tier `fragment` (one branch re-derived).
-    pub path_fragment: u64,
-    /// Edits that fell back to the full pipeline.
-    pub path_full: u64,
     /// Edits (or opens) whose buffer does not currently compile.
     pub parse_errors: u64,
     /// Edit responses answered with a scene patch.
@@ -138,34 +88,9 @@ pub struct SessionStatsSnapshot {
     pub resyncs: u64,
 }
 
-/// One written `UNION` branch's cached derivation: the pre-lowering AST
-/// and the lowered, translated pairs it expands to. Reused verbatim by
-/// the fragment tier when the branch's token run is undamaged.
-struct BranchFrag {
-    ast: Query,
-    lowered: Vec<(Query, LogicTree)>,
-}
-
-/// The last *successful* compile of a session's buffer. Kept across
-/// transient error states so recovery re-enters the warm tiers.
-struct Compiled {
-    /// Token stream at compile time (spans may be stale relative to the
-    /// current buffer; tier comparisons use kinds+symbols only).
-    tokens: Vec<Token>,
-    fingerprint: Fingerprint,
-    words: usize,
-    entry: Arc<CompiledEntry>,
-    frags: Vec<BranchFrag>,
-    union_all: bool,
-}
-
 struct Session {
     owner: u64,
     source: String,
-    /// Token stream of `source` while it lexes cleanly; dropped on a lex
-    /// error (re-derived by the next successful compile).
-    tokens: Option<Vec<Token>>,
-    compiled: Option<Compiled>,
     /// The scene the client last acknowledged — the base scene diffs are
     /// computed against. Survives error states (the client keeps showing
     /// it) so the recovery response patches from the right base.
@@ -190,9 +115,6 @@ pub struct SessionReply {
     /// Disclosure, as in plain responses: the artifacts/scene come from
     /// this pattern-equivalent representative, not the session's text.
     pub representative_sql: Option<Arc<str>>,
-    /// Which tier served the compile: `cold` (open), `tokens`,
-    /// `fragment`, or `full`.
-    pub path: &'static str,
     /// Serialized `scene_json` v2 document (open and resync responses) …
     pub scene: Option<String>,
     /// … or serialized patch ops (the contents of the `patch` array).
@@ -201,57 +123,6 @@ pub struct SessionReply {
 
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Depth-0 branch structure of a token stream: per-branch run ranges and
-/// the `ALL` flavor of each connective. `None` when the stream is not a
-/// plain `block (UNION [ALL] block)* [;] EOF` shape (e.g. trailing
-/// tokens after the semicolon) — such streams take the full path.
-struct BranchSplit {
-    runs: Vec<(usize, usize)>,
-    alls: Vec<bool>,
-}
-
-fn split_depth0(tokens: &[Token]) -> Option<BranchSplit> {
-    let mut runs = Vec::new();
-    let mut alls = Vec::new();
-    let mut depth: i64 = 0;
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i < tokens.len() {
-        match tokens[i].kind {
-            TokenKind::LParen => depth += 1,
-            TokenKind::RParen => depth -= 1,
-            TokenKind::Keyword(Keyword::Union) if depth == 0 => {
-                runs.push((start, i));
-                let all = matches!(
-                    tokens.get(i + 1).map(|t| &t.kind),
-                    Some(TokenKind::Keyword(Keyword::All))
-                );
-                alls.push(all);
-                if all {
-                    i += 1;
-                }
-                start = i + 1;
-            }
-            TokenKind::Semicolon if depth == 0 => {
-                // Only `EOF` may follow a depth-0 semicolon; anything else
-                // is an error the full parser must surface.
-                if !matches!(tokens.get(i + 1).map(|t| &t.kind), Some(TokenKind::Eof)) {
-                    return None;
-                }
-                runs.push((start, i));
-                return Some(BranchSplit { runs, alls });
-            }
-            TokenKind::Eof => {
-                runs.push((start, i));
-                return Some(BranchSplit { runs, alls });
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None // no EOF sentinel: not a lexer-produced stream
 }
 
 /// The bounded, evictable session table in front of one
@@ -266,10 +137,6 @@ pub struct SessionStore {
     evicted: AtomicU64,
     reaped: AtomicU64,
     edits: AtomicU64,
-    token_splices: AtomicU64,
-    path_tokens: AtomicU64,
-    path_fragment: AtomicU64,
-    path_full: AtomicU64,
     parse_errors: AtomicU64,
     patches: AtomicU64,
     resyncs: AtomicU64,
@@ -290,10 +157,6 @@ impl SessionStore {
             evicted: AtomicU64::new(0),
             reaped: AtomicU64::new(0),
             edits: AtomicU64::new(0),
-            token_splices: AtomicU64::new(0),
-            path_tokens: AtomicU64::new(0),
-            path_fragment: AtomicU64::new(0),
-            path_full: AtomicU64::new(0),
             parse_errors: AtomicU64::new(0),
             patches: AtomicU64::new(0),
             resyncs: AtomicU64::new(0),
@@ -316,10 +179,6 @@ impl SessionStore {
             evicted: self.evicted.load(Ordering::Relaxed),
             reaped: self.reaped.load(Ordering::Relaxed),
             edits: self.edits.load(Ordering::Relaxed),
-            token_splices: self.token_splices.load(Ordering::Relaxed),
-            path_tokens: self.path_tokens.load(Ordering::Relaxed),
-            path_fragment: self.path_fragment.load(Ordering::Relaxed),
-            path_full: self.path_full.load(Ordering::Relaxed),
             parse_errors: self.parse_errors.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
             resyncs: self.resyncs.load(Ordering::Relaxed),
@@ -365,8 +224,6 @@ impl SessionStore {
         let mut session = Session {
             owner,
             source: sql.to_string(),
-            tokens: None,
-            compiled: None,
             last_scene: None,
             last_used: inner.tick,
             edits: 0,
@@ -374,23 +231,18 @@ impl SessionStore {
         self.opened_total.fetch_add(1, Ordering::Relaxed);
         C_OPENS.add(1);
         G_OPEN.add(1);
-        let compiled = self.compile(&mut session, id, "cold");
-        let reply = match compiled {
-            Ok(mut reply) => {
-                // An open always syncs the full scene.
-                let scene = Arc::clone(session.compiled.as_ref().expect("compiled").entry.scene());
-                reply.scene = Some(scene_json_v2(&scene));
-                session.last_scene = Some(scene);
-                Ok(reply)
-            }
-            Err(e) => Err(e),
-        };
+        // An open always syncs the full scene.
+        let reply = self.compile(id, sql).map(|(mut reply, scene)| {
+            reply.scene = Some(scene_json_v2(&scene));
+            session.last_scene = Some(scene);
+            reply
+        });
         inner.sessions.insert(id, session);
         Ok((id, reply))
     }
 
     /// Apply `edits` (in order, each offset relative to the buffer the
-    /// previous ones produced) and recompile incrementally. The outer
+    /// previous ones produced) and recompile the buffer. The outer
     /// `Err` means the request was refused — unknown session, foreign
     /// owner, invalid edit range, or buffer overflow — and the session
     /// state is unchanged. The inner result is the compile outcome: on
@@ -419,12 +271,10 @@ impl SessionStore {
             ));
         }
         session.last_used = tick;
-        // Stage the edits on copies: a mid-sequence failure must leave
+        // Stage the edits on a copy: a mid-sequence failure must leave
         // the session exactly as it was (client and server buffers agree
         // on every acknowledged state, never on a half-applied one).
         let mut source = session.source.clone();
-        let mut tokens = session.tokens.clone();
-        let mut spliced = 0u64;
         for edit in edits {
             apply_edit(&mut source, edit)
                 .map_err(|m| ServiceError::new(ErrorKind::BadRequest, format!("bad edit: {m}")))?;
@@ -437,39 +287,18 @@ impl SessionStore {
                     ),
                 ));
             }
-            tokens = match tokens.take() {
-                Some(old) => {
-                    let mut out = Vec::with_capacity(old.len() + 4);
-                    match relex(&source, &old, edit, self.service.interner(), &mut out) {
-                        Ok(Relex::Spliced { .. }) => {
-                            spliced += 1;
-                            Some(out)
-                        }
-                        Ok(Relex::Full) => Some(out),
-                        // The buffer no longer lexes; the compile below
-                        // reproduces the canonical error from scratch.
-                        Err(_) => None,
-                    }
-                }
-                None => None,
-            };
         }
         session.source = source;
-        session.tokens = tokens;
         session.edits += edits.len() as u64;
         self.edits.fetch_add(1, Ordering::Relaxed);
-        self.token_splices.fetch_add(spliced, Ordering::Relaxed);
         C_EDITS.add(1);
-        let result = self.compile(session, session_id, "edit");
-        Ok(match result {
-            Ok(mut reply) => {
-                let scene = Arc::clone(session.compiled.as_ref().expect("compiled").entry.scene());
-                self.attach_scene(&mut reply, session, &scene);
+        Ok(self
+            .compile(session_id, &session.source)
+            .map(|(mut reply, scene)| {
+                self.attach_scene(&mut reply, session.last_scene.as_deref(), &scene);
                 session.last_scene = Some(scene);
-                Ok(reply)
-            }
-            Err(e) => Err(e),
-        })
+                reply
+            }))
     }
 
     /// Close a session, returning how many edits it absorbed.
@@ -525,281 +354,54 @@ impl SessionStore {
     /// Decide patch vs resync for an edit reply: patch when the branch
     /// structure held and the serialized ops are smaller than the full
     /// document they replace.
-    fn attach_scene(&self, reply: &mut SessionReply, session: &Session, scene: &Arc<Scene>) {
-        if let Some(last) = &session.last_scene {
-            if let Some(ops) = diff_scenes(last, scene) {
-                let mut patch = String::with_capacity(256);
-                write_patch_ops(&mut patch, &ops);
-                let full = scene_json_v2(scene);
-                if patch.len() < full.len() {
-                    self.patches.fetch_add(1, Ordering::Relaxed);
-                    C_PATCHES.add(1);
-                    reply.patch = Some(patch);
-                } else {
-                    self.resyncs.fetch_add(1, Ordering::Relaxed);
-                    C_RESYNCS.add(1);
-                    reply.scene = Some(full);
-                }
-                return;
+    fn attach_scene(&self, reply: &mut SessionReply, last: Option<&Scene>, scene: &Scene) {
+        let full = scene_json_v2(scene);
+        let patch = last.and_then(|last| diff_scenes(last, scene)).map(|ops| {
+            let mut patch = String::with_capacity(256);
+            write_patch_ops(&mut patch, &ops);
+            patch
+        });
+        match patch {
+            Some(patch) if patch.len() < full.len() => {
+                self.patches.fetch_add(1, Ordering::Relaxed);
+                C_PATCHES.add(1);
+                reply.patch = Some(patch);
+            }
+            _ => {
+                self.resyncs.fetch_add(1, Ordering::Relaxed);
+                C_RESYNCS.add(1);
+                reply.scene = Some(full);
             }
         }
-        self.resyncs.fetch_add(1, Ordering::Relaxed);
-        C_RESYNCS.add(1);
-        reply.scene = Some(scene_json_v2(scene));
     }
 
-    /// The tiered incremental compile. On success the session's
-    /// `compiled` state is replaced; on error it is left as the last
-    /// successful state (recovery re-enters the warm tiers from there).
+    /// Compile a session buffer exactly as a plain request for the same
+    /// text would, returning the reply body (no scene yet) and the scene
+    /// of the entry that served it.
     fn compile(
         &self,
-        session: &mut Session,
         session_id: u64,
-        mode: &'static str,
-    ) -> Result<SessionReply, ServiceError> {
-        // Ensure a token stream exists (open, or recovery from a lex
-        // error): the canonical lexer over the whole buffer.
-        if session.tokens.is_none() {
-            match tokenize_in(&session.source, self.service.interner()) {
-                Ok(tokens) => session.tokens = Some(tokens),
-                Err(e) => {
-                    self.parse_errors.fetch_add(1, Ordering::Relaxed);
-                    C_PARSE_ERRORS.add(1);
-                    if mode == "edit" {
-                        self.path_full.fetch_add(1, Ordering::Relaxed);
-                        C_PATH_FULL.add(1);
-                    }
-                    return Err(ServiceError::new(ErrorKind::Compile, e.to_string()));
-                }
-            }
-        }
-        let tokens = session.tokens.as_ref().expect("ensured above");
-
-        // Tier `tokens`: kinds+symbols unchanged since the last success —
-        // the AST, pattern, fingerprint, and entry are all unchanged.
-        if let Some(compiled) = &mut session.compiled {
-            if same_kinds(tokens, &compiled.tokens) {
-                // Refresh the cached spans so later fragment splits see
-                // current coordinates.
-                compiled.tokens = tokens.clone();
-                let path = if mode == "cold" { "cold" } else { "tokens" };
-                if mode == "edit" {
-                    self.path_tokens.fetch_add(1, Ordering::Relaxed);
-                    C_PATH_TOKENS.add(1);
-                }
-                return Ok(self.reply_from(
-                    session_id,
-                    session.compiled.as_ref().unwrap(),
-                    path,
-                    &session.source,
-                ));
-            }
-        }
-
-        // Tier `fragment`: aligned branch structure with exactly one
-        // damaged run. Any error in here falls back to the full tier so
-        // acceptance and error text stay canonical.
-        if let Some(compiled) = &session.compiled {
-            // An Err(()) outcome means unsound or failed: fall through
-            // to the full tier below.
-            if let Some(Ok(new_compiled)) = self.try_fragment(session, compiled, tokens) {
-                if mode == "edit" {
-                    self.path_fragment.fetch_add(1, Ordering::Relaxed);
-                    C_PATH_FRAGMENT.add(1);
-                }
-                let reply = self.reply_from(session_id, &new_compiled, "fragment", &session.source);
-                session.compiled = Some(new_compiled);
-                return Ok(reply);
-            }
-        }
-
-        // Tier `full`: the canonical frontend over the (relex-maintained)
-        // buffer. `fingerprint_sql` is the exact path a plain request
-        // takes, so errors — and successes — are byte-identical to it.
-        if mode == "edit" {
-            self.path_full.fetch_add(1, Ordering::Relaxed);
-            C_PATH_FULL.add(1);
-        }
-        let fq = match fingerprint_sql(&session.source, Arc::clone(self.service.options_arc())) {
-            Ok(fq) => fq,
-            Err(e) => {
+        source: &str,
+    ) -> Result<(SessionReply, Arc<Scene>), ServiceError> {
+        let (sql_words, entry) = self.service.resolve(source).inspect_err(|e| {
+            // A compile panic is not a parse error: the buffer parsed.
+            if e.kind == ErrorKind::Compile {
                 self.parse_errors.fetch_add(1, Ordering::Relaxed);
                 C_PARSE_ERRORS.add(1);
-                return Err(ServiceError::new(ErrorKind::Compile, e.to_string()));
             }
-        };
-        let frags = frags_of(&fq.prepared);
-        let words = fq.prepared.sql_word_count();
-        let fingerprint = fq.fingerprint;
-        let union_all = fq.prepared.union_all;
-        let entry = self.service.entry_for(fq)?;
-        let compiled = Compiled {
-            tokens: tokens.clone(),
-            fingerprint,
-            words,
-            entry,
-            frags,
-            union_all,
-        };
-        let path = if mode == "cold" { "cold" } else { "full" };
-        let reply = self.reply_from(session_id, &compiled, path, &session.source);
-        session.compiled = Some(compiled);
-        Ok(reply)
-    }
-
-    /// Attempt the fragment tier. `None`: structure precludes it (take
-    /// the full tier silently). `Some(Err(()))`: it was attempted and
-    /// failed — the caller must fall back for canonical errors.
-    fn try_fragment(
-        &self,
-        session: &Session,
-        compiled: &Compiled,
-        tokens: &[Token],
-    ) -> Option<Result<Compiled, ()>> {
-        let new_split = split_depth0(tokens)?;
-        let old_split = split_depth0(&compiled.tokens)?;
-        if new_split.runs.len() != old_split.runs.len()
-            || new_split.alls != old_split.alls
-            || new_split.runs.len() != compiled.frags.len()
-        {
-            return None;
-        }
-        let mut damaged: Option<usize> = None;
-        for (i, (new_run, old_run)) in new_split.runs.iter().zip(&old_split.runs).enumerate() {
-            let new_toks = &tokens[new_run.0..new_run.1];
-            let old_toks = &compiled.tokens[old_run.0..old_run.1];
-            if !same_kinds(new_toks, old_toks) {
-                if damaged.is_some() {
-                    return None; // more than one damaged branch
-                }
-                damaged = Some(i);
-            }
-        }
-        let damaged = damaged?; // all runs equal ⇒ tier `tokens` handled it
-        let run = new_split.runs[damaged];
-        let options = Arc::clone(self.service.options_arc());
-        let interner = self.service.interner();
-        // Errors are deliberately discarded: any failure sends the caller
-        // to the full tier, which reproduces the canonical error text.
-        let attempt = || -> Result<Compiled, ()> {
-            let ast = parse_branch_tokens(&session.source, &tokens[run.0..run.1], interner)
-                .map_err(|_| ())?;
-            // Reassemble the written expression: cached sibling ASTs,
-            // the re-parsed branch in place. The connective flavor is
-            // unchanged by construction (alls compared above).
-            let mut branches: Vec<Query> = compiled.frags.iter().map(|f| f.ast.clone()).collect();
-            branches[damaged] = ast.clone();
-            let expr = QueryExpr {
-                branches,
-                all: compiled.union_all,
-            };
-            if let Some(schema) = &options.schema {
-                schema.check_query_expr(&expr).map_err(|_| ())?;
-            }
-            // Lower and translate only the damaged branch, exactly as
-            // `prepare_parsed` would.
-            let mut lowered: Vec<(Query, LogicTree)> = Vec::new();
-            if queryvis_logic::has_disjunction(&ast) {
-                for low in queryvis_logic::lower_disjunctions(&ast).map_err(|_| ())? {
-                    let tree =
-                        queryvis_logic::translate(&low, options.schema.as_ref()).map_err(|_| ())?;
-                    lowered.push((low, tree));
-                }
-            } else {
-                let tree =
-                    queryvis_logic::translate(&ast, options.schema.as_ref()).map_err(|_| ())?;
-                lowered.push((ast.clone(), tree));
-            }
-            let mut frags: Vec<BranchFrag> = Vec::with_capacity(compiled.frags.len());
-            let mut all_pairs: Vec<(Query, LogicTree)> = Vec::new();
-            for (i, frag) in compiled.frags.iter().enumerate() {
-                let pairs = if i == damaged {
-                    &lowered
-                } else {
-                    &frag.lowered
-                };
-                all_pairs.extend(pairs.iter().cloned());
-                frags.push(BranchFrag {
-                    ast: if i == damaged {
-                        ast.clone()
-                    } else {
-                        frag.ast.clone()
-                    },
-                    lowered: pairs.clone(),
-                });
-            }
-            let prepared =
-                PreparedQuery::from_parts(&session.source, expr, all_pairs, Arc::clone(&options))
-                    .map_err(|_| ())?;
-            let words = prepared.sql_word_count();
-            let fq = fingerprint_prepared(prepared);
-            let fingerprint = fq.fingerprint;
-            let entry = self.service.entry_for(fq).map_err(|_| ())?;
-            Ok(Compiled {
-                tokens: tokens.to_vec(),
-                fingerprint,
-                words,
-                entry,
-                frags,
-                union_all: compiled.union_all,
-            })
-        };
-        match attempt() {
-            Ok(compiled) => Some(Ok(compiled)),
-            Err(_) => Some(Err(())),
-        }
-    }
-
-    fn reply_from(
-        &self,
-        session_id: u64,
-        compiled: &Compiled,
-        path: &'static str,
-        source: &str,
-    ) -> SessionReply {
-        let representative_sql = (compiled.entry.representative_sql() != source)
-            .then(|| Arc::clone(compiled.entry.representative_shared()));
-        SessionReply {
+        })?;
+        let reply = SessionReply {
             session: session_id,
-            fingerprint: compiled.fingerprint,
-            fingerprint_hex: Arc::clone(compiled.entry.fingerprint_hex()),
-            sql_words: compiled.words,
-            representative_sql,
-            path,
+            fingerprint: entry.fingerprint(),
+            fingerprint_hex: Arc::clone(entry.fingerprint_hex()),
+            sql_words,
+            representative_sql: (entry.representative_sql() != source)
+                .then(|| Arc::clone(entry.representative_shared())),
             scene: None,
             patch: None,
-        }
-    }
-}
-
-/// Per-written-branch derivations of a freshly prepared query, cloned
-/// for the session's fragment cache. The prepared query's flattened
-/// branch list is re-grouped by re-lowering each written AST — cheap id
-/// work, and structurally identical to what `prepare_parsed` produced.
-fn frags_of(prepared: &PreparedQuery) -> Vec<BranchFrag> {
-    let mut flat: Vec<(Query, LogicTree)> = Vec::with_capacity(1 + prepared.rest.len());
-    flat.push((prepared.query.clone(), prepared.logic_tree.clone()));
-    flat.extend(prepared.rest.iter().cloned());
-    let mut frags = Vec::with_capacity(prepared.expr.branches.len());
-    let mut taken = 0usize;
-    for written in &prepared.expr.branches {
-        let width = if queryvis_logic::has_disjunction(written) {
-            // The lowering fan-out is deterministic; recompute the width
-            // to slice this branch's share of the flattened pairs.
-            queryvis_logic::lower_disjunctions(written)
-                .map(|v| v.len())
-                .unwrap_or(1)
-        } else {
-            1
         };
-        let end = (taken + width).min(flat.len());
-        frags.push(BranchFrag {
-            ast: written.clone(),
-            lowered: flat[taken..end].to_vec(),
-        });
-        taken = end;
+        Ok((reply, Arc::clone(entry.scene())))
     }
-    frags
 }
 
 // ---------------------------------------------------------------------
@@ -844,8 +446,6 @@ fn reply_line(id: u64, reply: &SessionReply) -> String {
         out.push_str(",\"representative_sql\":");
         escape_into(&mut out, representative);
     }
-    out.push_str(",\"path\":");
-    escape_into(&mut out, reply.path);
     if let Some(patch) = &reply.patch {
         out.push_str(",\"patch\":[");
         out.push_str(patch);
@@ -994,7 +594,7 @@ mod tests {
     use super::*;
     use crate::protocol::Format;
     use crate::service::{DiagramService, ServiceConfig};
-    use crate::{apply_patch, parse_patch_ops};
+    use crate::{apply_patch, fingerprint_sql, parse_patch_ops};
 
     fn store() -> SessionStore {
         SessionStore::new(
@@ -1019,11 +619,10 @@ mod tests {
         }
     }
 
-    /// Compile `sql` from scratch through a plain request and return the
-    /// fingerprint hex + v2 scene — the oracle every session reply must
-    /// match byte for byte.
+    /// Compile `sql` from scratch and return the fingerprint hex + v2
+    /// scene — the oracle every session reply must match byte for byte.
     fn oracle(service: &DiagramService, sql: &str) -> (String, String) {
-        let fq = fingerprint_sql(sql, Arc::clone(service.options_arc())).unwrap();
+        let fq = fingerprint_sql(sql, service.config().options.clone()).unwrap();
         let fingerprint = fq.fingerprint.to_string();
         let entry = service.entry_for(fq).unwrap();
         (fingerprint, scene_json_v2(entry.scene()))
@@ -1034,14 +633,16 @@ mod tests {
         let store = store();
         let (id, reply) = store.open("SELECT T.a FROM T", 1).unwrap();
         let reply = reply.unwrap();
-        assert_eq!(reply.path, "cold");
         assert!(reply.scene.is_some());
         assert_eq!(store.open_count(), 1);
 
-        // Whitespace edit: tier `tokens`.
+        // Whitespace edit: the L1 memo recognizes the text, nothing
+        // compiles, and the unchanged scene ships as an empty patch.
+        let before = store.service.stats();
         let reply = store.edit(id, &[ins(6, "  ")], 1).unwrap().unwrap();
-        assert_eq!(reply.path, "tokens");
-        // Same entry, same scene → empty patch.
+        let after = store.service.stats();
+        assert_eq!(after.l1_hits, before.l1_hits + 1);
+        assert_eq!(after.compiles, before.compiles);
         assert_eq!(reply.patch.as_deref(), Some(""));
 
         assert_eq!(store.close(id, 1).unwrap(), 1);
@@ -1049,7 +650,7 @@ mod tests {
         let stats = store.snapshot();
         assert_eq!(stats.opened_total, 1);
         assert_eq!(stats.closed, 1);
-        assert_eq!(stats.path_tokens, 1);
+        assert_eq!(stats.patches, 1);
     }
 
     #[test]
@@ -1058,7 +659,6 @@ mod tests {
         let base = "SELECT F.person FROM Frequents F WHERE F.bar = 'Owl'";
         let (id, reply) = store.open(base, 1).unwrap();
         assert!(reply.is_ok());
-        // Rename the constant: single-branch fragment path.
         let target = base.find("'Owl'").unwrap();
         let reply = store
             .edit(id, &[del(target + 1, 3), ins(target + 1, "Tap")], 1)
@@ -1067,11 +667,10 @@ mod tests {
         let now = "SELECT F.person FROM Frequents F WHERE F.bar = 'Tap'";
         let (fp, _scene) = oracle(&store.service, now);
         assert_eq!(reply.fingerprint_hex.as_ref(), fp);
-        assert_eq!(reply.path, "fragment");
     }
 
     #[test]
-    fn union_edit_takes_the_fragment_path_and_patches() {
+    fn union_branch_edit_patches_to_the_from_scratch_scene() {
         let store = store();
         let sql = "SELECT F.person FROM Frequents F WHERE F.bar = 'Owl' \
                    UNION SELECT L.person FROM Likes L WHERE L.beer = 'IPA'";
@@ -1083,7 +682,6 @@ mod tests {
             .edit(id, &[del(at, 3), ins(at, "ALE")], 1)
             .unwrap()
             .unwrap();
-        assert_eq!(reply.path, "fragment");
         let now = sql.replace("'IPA'", "'ALE'");
         let (fp, scene) = oracle(&store.service, &now);
         assert_eq!(reply.fingerprint_hex.as_ref(), fp);
@@ -1093,7 +691,7 @@ mod tests {
         let parsed = crate::json::parse(&format!("[{patch}]")).unwrap();
         let ops = parse_patch_ops(parsed.as_arr().unwrap()).unwrap();
         let base_scene = {
-            let fq = fingerprint_sql(sql, Arc::clone(store.service.options_arc())).unwrap();
+            let fq = fingerprint_sql(sql, store.service.config().options.clone()).unwrap();
             let entry = store.service.entry_for(fq).unwrap();
             Arc::clone(entry.scene())
         };
@@ -1101,6 +699,8 @@ mod tests {
         assert_eq!(scene_json_v2(&patched), scene);
     }
 
+    /// A structural edit (the branch count changes) has no patch: the
+    /// reply falls back to the full scene.
     #[test]
     fn structural_edit_falls_back_to_full() {
         let store = store();
@@ -1111,9 +711,8 @@ mod tests {
             .edit(id, &[ins("SELECT T.a FROM T".len(), suffix)], 1)
             .unwrap()
             .unwrap();
-        assert_eq!(reply.path, "full");
         assert!(reply.scene.is_some(), "branch split must resync");
-        assert_eq!(store.snapshot().path_full, 1);
+        assert_eq!(store.snapshot().resyncs, 1);
     }
 
     #[test]
@@ -1129,17 +728,19 @@ mod tests {
         // Canonical error text: same as compiling the text from scratch.
         let oracle_err = fingerprint_sql(
             "SELECT T.a FROM T WHERE",
-            Arc::clone(store.service.options_arc()),
+            store.service.config().options.clone(),
         )
         .unwrap_err();
         assert_eq!(err.message, oracle_err.to_string());
-        // Recover by deleting the damage: back to the original pattern,
-        // via the warm tier (kinds match the last success again).
+        // Recover by deleting the damage: back to the original text, which
+        // the open memoized, so L1 answers it without a compile.
+        let stats = store.service.stats();
         let reply = store
             .edit(id, &[del(sql.len(), " WHERE".len())], 1)
             .unwrap()
             .unwrap();
-        assert_eq!(reply.path, "tokens");
+        assert_eq!(store.service.stats().l1_hits, stats.l1_hits + 1);
+        assert_eq!(store.service.stats().compiles, stats.compiles);
         assert_eq!(reply.fingerprint_hex, before);
         assert_eq!(store.snapshot().parse_errors, 1);
     }
@@ -1192,7 +793,7 @@ mod tests {
         let doc = crate::json::parse(&line).unwrap();
         assert_eq!(doc.get("id").and_then(Json::as_u64), Some(1));
         let session = doc.get("session").and_then(Json::as_u64).unwrap();
-        assert_eq!(doc.get("path").and_then(Json::as_str), Some("cold"));
+        assert!(doc.get("path").is_none(), "replies name no compile tier");
         assert_eq!(
             doc.get("scene")
                 .and_then(|s| s.get("v"))
@@ -1206,7 +807,7 @@ mod tests {
         .unwrap();
         let line = store.dispatch_value(&edit, 0, 1);
         let doc = crate::json::parse(&line).unwrap();
-        assert_eq!(doc.get("path").and_then(Json::as_str), Some("tokens"));
+        assert!(doc.get("path").is_none(), "replies name no compile tier");
         assert!(doc.get("patch").is_some());
 
         let close =

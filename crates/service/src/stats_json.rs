@@ -155,9 +155,9 @@ pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
     ])
 }
 
-/// The incremental-session ledger as the `sessions` section (DESIGN.md
-/// §9): how many sessions exist, how their edits resolved across the
-/// compile tiers, and how their scene updates shipped.
+/// The session ledger as the `sessions` section (DESIGN.md §9): how many
+/// sessions exist, how many edits they took and how many failed to
+/// compile, and how their scene updates shipped.
 pub fn session_stats_json(s: &SessionStatsSnapshot) -> Json {
     Json::Obj(vec![
         ("open".to_string(), Json::Int(s.open)),
@@ -166,10 +166,6 @@ pub fn session_stats_json(s: &SessionStatsSnapshot) -> Json {
         ("evicted".to_string(), Json::Int(s.evicted)),
         ("reaped".to_string(), Json::Int(s.reaped)),
         ("edits".to_string(), Json::Int(s.edits)),
-        ("token_splices".to_string(), Json::Int(s.token_splices)),
-        ("path_tokens".to_string(), Json::Int(s.path_tokens)),
-        ("path_fragment".to_string(), Json::Int(s.path_fragment)),
-        ("path_full".to_string(), Json::Int(s.path_full)),
         ("parse_errors".to_string(), Json::Int(s.parse_errors)),
         ("patches".to_string(), Json::Int(s.patches)),
         ("resyncs".to_string(), Json::Int(s.resyncs)),

@@ -426,7 +426,6 @@ fn session_ops_compile_incrementally_over_the_wire() {
         .get("session")
         .and_then(Json::as_u64)
         .expect("open assigns a session id");
-    assert_eq!(opened.get("path").and_then(Json::as_str), Some("cold"));
     assert_eq!(
         opened
             .get("scene")
@@ -437,8 +436,8 @@ fn session_ops_compile_incrementally_over_the_wire() {
     );
     let cold_fp = opened.get("fingerprint").and_then(Json::as_str).unwrap();
 
-    // Whitespace keystroke: token-tier reuse, fingerprint unchanged,
-    // empty patch against the acked scene.
+    // Whitespace keystroke: the L1 memo recognizes the text, fingerprint
+    // unchanged, empty patch against the acked scene.
     let edited = roundtrip(
         &mut stream,
         &mut reader,
@@ -446,7 +445,6 @@ fn session_ops_compile_incrementally_over_the_wire() {
             "{{\"op\":\"edit\",\"id\":2,\"session\":{session},\"edits\":[{{\"at\":6,\"ins\":\" \"}}]}}"
         ),
     );
-    assert_eq!(edited.get("path").and_then(Json::as_str), Some("tokens"));
     assert_eq!(
         edited.get("fingerprint").and_then(Json::as_str),
         Some(cold_fp)
@@ -469,14 +467,18 @@ fn session_ops_compile_incrementally_over_the_wire() {
             "{{\"op\":\"edit\",\"id\":4,\"session\":{session},\"edits\":[{{\"at\":18,\"del\":6}}]}}"
         ),
     );
-    assert_eq!(recovered.get("path").and_then(Json::as_str), Some("tokens"));
+    for reply in [&opened, &edited, &recovered] {
+        assert!(reply.get("path").is_none(), "replies name no compile tier");
+    }
 
-    // The stats op carries the session ledger.
+    // The stats op carries the session ledger; the whitespace edit and
+    // the recovery were both answered by the service's L1 memo.
     let stats = roundtrip(&mut stream, &mut reader, "{\"op\":\"stats\"}");
     let sessions = stats.get("sessions").expect("sessions section");
     assert_eq!(sessions.get("open").and_then(Json::as_u64), Some(1));
     assert_eq!(sessions.get("edits").and_then(Json::as_u64), Some(3));
-    assert_eq!(sessions.get("path_tokens").and_then(Json::as_u64), Some(2));
+    let service = stats.get("service").expect("service section");
+    assert_eq!(service.get("l1_hits").and_then(Json::as_u64), Some(2));
     assert_eq!(sessions.get("parse_errors").and_then(Json::as_u64), Some(1));
 
     let closed = roundtrip(

@@ -1,4 +1,4 @@
-//! Generative equivalence suite for incremental sessions (DESIGN.md §9):
+//! Generative equivalence suite for live-editing sessions (DESIGN.md §9):
 //! random edit scripts replayed through a [`SessionStore`] must be
 //! *observationally identical* to compiling every intermediate buffer
 //! from scratch.
@@ -100,9 +100,7 @@ fn random_edit_scripts_match_from_scratch_compiles_at_every_step() {
     let cfg = GenConfig::default();
     let mut checked_states = 0usize;
     let mut error_states = 0usize;
-    let mut path_tokens = 0u64;
-    let mut path_fragment = 0u64;
-    let mut path_full = 0u64;
+    let mut l1_hits = 0u64;
     for case in 0..30u64 {
         let mut rng = TestRng::for_case("session_equivalence", case);
         let service = Arc::new(DiagramService::new(ServiceConfig::default()));
@@ -198,10 +196,7 @@ fn random_edit_scripts_match_from_scratch_compiles_at_every_step() {
             }
             assert_eq!(&buffer, target, "morph script must land on its target");
         }
-        let stats = store.snapshot();
-        path_tokens += stats.path_tokens;
-        path_fragment += stats.path_fragment;
-        path_full += stats.path_full;
+        l1_hits += service.stats().l1_hits;
         store
             .close(id, 1)
             .expect("session survives the whole script");
@@ -215,12 +210,7 @@ fn random_edit_scripts_match_from_scratch_compiles_at_every_step() {
         error_states > 30,
         "expected transient parse errors along the morphs, saw {error_states}"
     );
-    // Equivalence would hold trivially if every edit fell back to the
-    // full pipeline; prove the warm tiers really carried traffic.
-    assert!(path_tokens > 0, "no edit resolved at the token tier");
-    assert!(
-        path_fragment > 50,
-        "fragment tier underused: {path_fragment} of {checked_states}"
-    );
-    assert!(path_full > 0, "structural morphs must hit the full tier");
+    // Edits take the plain request path; prove they reach its L1 memo
+    // (a morph that returns to a text seen before is answered there).
+    assert!(l1_hits > 0, "no edit was answered by the L1 memo");
 }

@@ -1,47 +1,9 @@
-//! Damage-tracked incremental relexing for live-editing sessions.
+//! Byte-range edits for live-editing sessions.
 //!
-//! An editor session holds a source buffer and the token stream of its
-//! previous state (with byte-accurate [`Span`]s). When a byte-range edit
-//! arrives, only a *damage window* around the edit needs relexing: the
-//! token runs strictly before and after the window are byte-identical to
-//! the previous state and can be spliced into the new stream — the suffix
-//! with spans shifted by the edit's length delta.
-//!
-//! **Soundness.** Lexing is a forward-deterministic function of the byte
-//! string: each step (token or whitespace/comment gap) starts at a step
-//! boundary and consumes bytes determined only by the bytes from that
-//! position on. Two splice rules follow:
-//!
-//! * *Prefix*: every old token ending strictly before the edit offset is
-//!   kept. The relex resumes at the last kept token's end — a step
-//!   boundary reached in normal state by the old lex over bytes the edit
-//!   did not touch, so the new lex provably emits the same prefix.
-//! * *Suffix*: while relexing forward, the stream resynchronizes at the
-//!   first step boundary `p` at or past the damage window's right edge
-//!   whose pre-edit image `p - delta` is an old token start in the
-//!   unchanged tail. From equal byte suffixes and normal lexer state on
-//!   both sides, the remaining old tokens are exactly what a full relex
-//!   would produce, shifted by `delta`.
-//!
-//! The window's right edge is *extended to token boundaries via the SWAR
-//! scanners*: when the byte before the insertion end continues an
-//! identifier/number run into the unchanged tail, the edge advances to
-//! the end of that run ([`scan::ident_run_end`] /
-//! [`scan::digit_run_end`]), so a resync can never land inside a word the
-//! edit grew (e.g. typing `x` in front of `y` must relex `xy` whole).
-//!
-//! A token-level equivalence (`same_kinds`) lets callers detect edits
-//! that change bytes but not tokens (whitespace, comments, keyword case)
-//! and skip re-parsing entirely. Anything irregular — span bookkeeping
-//! that does not line up, an empty previous stream — falls back to a full
-//! [`tokenize_into`], and every caller is expected to treat `Full` as the
-//! ordinary slow path, not an error.
-
-use crate::error::ParseError;
-use crate::lexer::{scan_token, tokenize_into, Step};
-use crate::scan;
-use crate::token::{Span, Token, TokenKind};
-use queryvis_ir::Interner;
+//! A session holds a source buffer server-side; the client sends edits
+//! ([`Edit`]) instead of whole texts, and [`apply_edit`] replays each one
+//! onto the buffer. The edited text is then served like any other request
+//! text, so nothing here knows about tokens or parsing.
 
 /// One byte-range edit against a source buffer: replace
 /// `source[offset .. offset + deleted]` with `inserted`.
@@ -73,11 +35,6 @@ impl Edit {
             inserted: String::new(),
         }
     }
-
-    /// Signed length delta of the edit.
-    pub fn delta(&self) -> isize {
-        self.inserted.len() as isize - self.deleted as isize
-    }
 }
 
 /// Apply an edit to a source buffer, validating bounds and UTF-8
@@ -108,319 +65,9 @@ pub fn apply_edit(source: &mut String, edit: &Edit) -> Result<(), String> {
     Ok(())
 }
 
-/// How an incremental relex produced its token stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Relex {
-    /// Prefix/suffix token runs were spliced from the previous stream;
-    /// only the damage window was relexed.
-    Spliced {
-        /// Tokens reused unchanged from the front of the old stream.
-        reused_prefix: usize,
-        /// Tokens reused (spans shifted) from the back of the old stream,
-        /// including the trailing `Eof`.
-        reused_suffix: usize,
-    },
-    /// The whole stream was relexed (no reusable previous state, or the
-    /// damage reached both ends).
-    Full,
-}
-
-/// Relex `new_source` (the post-edit text) into `out`, splicing token
-/// runs from `old_tokens` (the pre-edit stream, ending with `Eof`) where
-/// the edit provably did not change them. Errors are exactly the errors a
-/// full [`tokenize_into`] of `new_source` would report.
-pub fn relex(
-    new_source: &str,
-    old_tokens: &[Token],
-    edit: &Edit,
-    interner: &Interner,
-    out: &mut Vec<Token>,
-) -> Result<Relex, ParseError> {
-    let bytes = new_source.as_bytes();
-    // The old stream must be a complete lex of the pre-edit text: a
-    // trailing Eof whose span records the old length consistent with this
-    // edit. Anything else → full relex.
-    let old_len = match old_tokens.last() {
-        Some(token) if token.kind == TokenKind::Eof => token.span.end,
-        _ => {
-            tokenize_into(new_source, interner, out)?;
-            return Ok(Relex::Full);
-        }
-    };
-    let edit_end_old = edit.offset.saturating_add(edit.deleted);
-    if edit_end_old > old_len
-        || new_source.len() != (old_len as isize + edit.delta()) as usize
-        || old_len != old_tokens.last().map_or(0, |t| t.span.start)
-    {
-        tokenize_into(new_source, interner, out)?;
-        return Ok(Relex::Full);
-    }
-    let delta = edit.delta();
-
-    // Prefix: every old token ending strictly before the edit offset. A
-    // token ending *at* the offset may merge with inserted bytes (`ab` +
-    // `c` → `abc`, `<` + `=` → `<=`), so it is relexed instead.
-    let prefix_len = old_tokens.partition_point(|t| t.span.end < edit.offset);
-    let relex_start = old_tokens[..prefix_len].last().map_or(0, |t| t.span.end);
-
-    // Damage window right edge (new coordinates): the insertion end,
-    // extended by the SWAR scanners through any identifier/number run the
-    // insertion's last byte continues into the unchanged tail.
-    let ins_end = edit.offset + edit.inserted.len();
-    let mut damage_hi = ins_end;
-    if damage_hi > 0 && damage_hi < bytes.len() {
-        let last = bytes[damage_hi - 1];
-        if crate::lexer::is_ident_continue(last)
-            && crate::lexer::is_ident_continue(bytes[damage_hi])
-        {
-            damage_hi = scan::ident_run_end(bytes, damage_hi);
-        } else if last.is_ascii_digit() && bytes[damage_hi].is_ascii_digit() {
-            damage_hi = scan::digit_run_end(bytes, damage_hi);
-        }
-    }
-
-    out.clear();
-    out.extend_from_slice(&old_tokens[..prefix_len]);
-
-    // Old token starts in the unchanged tail, for resync binary search.
-    // (Eof excluded: reaching the end of the new text is handled directly.)
-    let tail_first = old_tokens.partition_point(|t| t.span.start < edit_end_old);
-    let tail = &old_tokens[tail_first..old_tokens.len().saturating_sub(1)];
-
-    let mut pos = relex_start;
-    loop {
-        if pos == bytes.len() {
-            out.push(Token {
-                kind: TokenKind::Eof,
-                span: Span::new(pos, pos),
-            });
-            return Ok(if prefix_len == 0 {
-                Relex::Full
-            } else {
-                Relex::Spliced {
-                    reused_prefix: prefix_len,
-                    reused_suffix: 0,
-                }
-            });
-        }
-        if pos >= damage_hi {
-            let old_pos = pos as isize - delta;
-            if old_pos >= edit_end_old as isize {
-                let old_pos = old_pos as usize;
-                if let Ok(k) = tail.binary_search_by_key(&old_pos, |t| t.span.start) {
-                    // Resync: equal byte suffixes from a shared step
-                    // boundary — the remaining old tokens are exactly the
-                    // full relex of the tail, shifted by delta.
-                    let reused = &old_tokens[tail_first + k..];
-                    out.extend(reused.iter().map(|t| Token {
-                        kind: t.kind,
-                        span: Span::new(
-                            (t.span.start as isize + delta) as usize,
-                            (t.span.end as isize + delta) as usize,
-                        ),
-                    }));
-                    return Ok(Relex::Spliced {
-                        reused_prefix: prefix_len,
-                        reused_suffix: reused.len(),
-                    });
-                }
-            }
-        }
-        match scan_token(new_source, bytes, pos, interner)? {
-            Step::Tok(token, next) => {
-                out.push(token);
-                pos = next;
-            }
-            Step::Gap(next) => pos = next,
-        }
-    }
-}
-
-/// Token-level equality ignoring spans: true when two streams carry the
-/// same kinds (and therefore the same interned symbols). Two sources with
-/// `same_kinds` streams parse to identical ASTs — whitespace, comment,
-/// and keyword-case edits change bytes but not tokens.
-pub fn same_kinds(a: &[Token], b: &[Token]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.kind == y.kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::tokenize;
-
-    fn check_edit(old_source: &str, edit: Edit) {
-        let old_tokens = tokenize(old_source).expect("old source lexes");
-        let mut new_source = old_source.to_string();
-        apply_edit(&mut new_source, &edit).expect("edit in bounds");
-        let mut spliced = Vec::new();
-        let incremental = relex(
-            &new_source,
-            &old_tokens,
-            &edit,
-            Interner::global(),
-            &mut spliced,
-        );
-        let full = tokenize(&new_source);
-        match (incremental, full) {
-            (Ok(_), Ok(full)) => {
-                assert_eq!(
-                    spliced, full,
-                    "splice != full lex\n  old: {old_source:?}\n  edit: {edit:?}\n  new: {new_source:?}"
-                );
-            }
-            (Err(a), Err(b)) => assert_eq!(a.message, b.message, "error parity for {new_source:?}"),
-            (a, b) => panic!("outcome mismatch for {new_source:?}: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn append_typing_splices_prefix() {
-        let old = "SELECT T.a FROM T WHERE T.a ";
-        let old_tokens = tokenize(old).unwrap();
-        let edit = Edit::insert(old.len(), "> 1");
-        let mut new_source = old.to_string();
-        apply_edit(&mut new_source, &edit).unwrap();
-        let mut out = Vec::new();
-        let outcome = relex(
-            &new_source,
-            &old_tokens,
-            &edit,
-            Interner::global(),
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(out, tokenize(&new_source).unwrap());
-        match outcome {
-            Relex::Spliced {
-                reused_prefix,
-                reused_suffix,
-            } => {
-                // Everything before the trailing space is reused.
-                assert_eq!(reused_prefix, old_tokens.len() - 1);
-                assert_eq!(reused_suffix, 0);
-            }
-            Relex::Full => panic!("append should splice"),
-        }
-    }
-
-    #[test]
-    fn mid_edit_reuses_both_runs() {
-        let old = "SELECT T.a FROM T WHERE T.a = 5 AND T.b = 7";
-        let old_tokens = tokenize(old).unwrap();
-        let at = old.find('5').unwrap();
-        let edit = Edit {
-            offset: at,
-            deleted: 1,
-            inserted: "42".to_string(),
-        };
-        let mut new_source = old.to_string();
-        apply_edit(&mut new_source, &edit).unwrap();
-        let mut out = Vec::new();
-        let outcome = relex(
-            &new_source,
-            &old_tokens,
-            &edit,
-            Interner::global(),
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(out, tokenize(&new_source).unwrap());
-        let Relex::Spliced {
-            reused_prefix,
-            reused_suffix,
-        } = outcome
-        else {
-            panic!("mid edit should splice");
-        };
-        assert!(reused_prefix >= 8, "prefix reused: {reused_prefix}");
-        assert!(reused_suffix >= 5, "suffix reused: {reused_suffix}");
-    }
-
-    #[test]
-    fn operator_merge_cases() {
-        // Inserting `=` right after `<` must merge into `<=`.
-        let old = "SELECT T.a FROM T WHERE T.a < 5";
-        let at = old.find('<').unwrap() + 1;
-        check_edit(old, Edit::insert(at, "="));
-        // Deleting the `>` of `<>` leaves `<`.
-        let old = "SELECT T.a FROM T WHERE T.a <> 5";
-        let at = old.find('>').unwrap();
-        check_edit(old, Edit::delete(at, 1));
-        // Typing the second `-` of a line comment swallows the tail.
-        let old = "SELECT T.a FROM T -- note\nWHERE T.a = 1";
-        check_edit(old, Edit::delete(old.find("--").unwrap(), 1));
-    }
-
-    #[test]
-    fn identifier_growth_is_window_extended() {
-        // Inserting in front of an identifier merges with it (SWAR window
-        // extension): `x` + `person` → `xperson`, one token.
-        let old = "SELECT F.person FROM Frequents F";
-        let at = old.find("person").unwrap();
-        check_edit(old, Edit::insert(at, "x"));
-        // And appending to the end of one.
-        check_edit(old, Edit::insert(at + "person".len(), "x2"));
-        // Splitting one in half with a space.
-        check_edit(old, Edit::insert(at + 3, " "));
-    }
-
-    #[test]
-    fn string_and_comment_state_changes() {
-        let old = "SELECT T.a FROM T WHERE T.b = 'owl bar' AND T.c = 2";
-        // Deleting the opening quote changes everything after it.
-        check_edit(old, Edit::delete(old.find('\'').unwrap(), 1));
-        // Inserting a quote inside the literal closes it early.
-        check_edit(old, Edit::insert(old.find("owl").unwrap() + 3, "'"));
-        // Opening an unterminated block comment → same error as full lex.
-        check_edit(old, Edit::insert(old.find("AND").unwrap(), "/* "));
-        // Editing inside an existing comment.
-        let old = "SELECT T.a /* note here */ FROM T";
-        check_edit(old, Edit::insert(old.find("note").unwrap(), "my "));
-        check_edit(old, Edit::delete(old.find("*/").unwrap(), 2));
-    }
-
-    #[test]
-    fn whole_buffer_replacement_falls_back_to_full() {
-        let old = "SELECT T.a FROM T";
-        let old_tokens = tokenize(old).unwrap();
-        let edit = Edit {
-            offset: 0,
-            deleted: old.len(),
-            inserted: "SELECT U.b FROM U".to_string(),
-        };
-        let mut new_source = old.to_string();
-        apply_edit(&mut new_source, &edit).unwrap();
-        let mut out = Vec::new();
-        let outcome = relex(
-            &new_source,
-            &old_tokens,
-            &edit,
-            Interner::global(),
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(outcome, Relex::Full);
-        assert_eq!(out, tokenize(&new_source).unwrap());
-    }
-
-    #[test]
-    fn stale_token_stream_falls_back_to_full() {
-        // Old tokens that do not match the edit's pre-image (wrong length
-        // bookkeeping) must not be spliced.
-        let old_tokens = tokenize("SELECT T.a FROM T").unwrap();
-        let edit = Edit::insert(3, "x");
-        let mut out = Vec::new();
-        let outcome = relex(
-            "SELxECT U.b FROM U WHERE U.a = 1",
-            &old_tokens,
-            &edit,
-            Interner::global(),
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(outcome, Relex::Full);
-    }
 
     #[test]
     fn apply_edit_validates_bounds_and_boundaries() {
@@ -429,92 +76,5 @@ mod tests {
         assert!(apply_edit(&mut s, &Edit::delete(1, 1)).is_err(), "mid-é");
         assert!(apply_edit(&mut s, &Edit::delete(1, 2)).is_ok());
         assert_eq!(s, "hllo");
-    }
-
-    #[test]
-    fn same_kinds_ignores_spans_but_not_symbols() {
-        let a = tokenize("SELECT  T.a FROM T").unwrap();
-        let b = tokenize("select T.a -- c\nFROM T").unwrap();
-        assert!(same_kinds(&a, &b), "ws/comment/case edits keep kinds");
-        let c = tokenize("SELECT T.b FROM T").unwrap();
-        assert!(!same_kinds(&a, &c), "renames change symbols");
-    }
-
-    /// Deterministic pseudo-random edit scripts over a corpus of shapes:
-    /// every splice must equal the full relex, at every step, including
-    /// steps whose text no longer lexes.
-    #[test]
-    fn random_edit_scripts_match_full_relex() {
-        let seeds: &[&str] = &[
-            "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
-             (SELECT * FROM Serves S WHERE S.bar = F.bar)",
-            "SELECT T.a FROM T, T u WHERE T.a = u.a AND T.b <> 'x''y'",
-            "SELECT L.person FROM Likes L WHERE L.beer = 'IPA' \
-             UNION ALL SELECT F.person FROM Frequents F",
-            "SELECT a.x /* c /* n */ t */ FROM a -- tail\nWHERE a.x >= 3.5",
-        ];
-        let alphabet = b"abcXY_09 ()=<>'*,.\n-/";
-        let mut rng: u64 = 0x9e3779b97f4a7c15;
-        let mut next = |bound: usize| {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((rng >> 33) as usize) % bound.max(1)
-        };
-        for seed in seeds {
-            let mut text = seed.to_string();
-            for _ in 0..200 {
-                let offset = loop {
-                    let at = next(text.len() + 1);
-                    if text.is_char_boundary(at) {
-                        break at;
-                    }
-                };
-                let max_del = text.len() - offset;
-                let deleted = loop {
-                    let d = next(4.min(max_del) + 1);
-                    if text.is_char_boundary(offset + d) {
-                        break d;
-                    }
-                };
-                let inserted: String = (0..next(4))
-                    .map(|_| alphabet[next(alphabet.len())] as char)
-                    .collect();
-                let edit = Edit {
-                    offset,
-                    deleted,
-                    inserted,
-                };
-                // The previous state may be unlexable; then there is no
-                // token stream to splice from — apply the edit and move on.
-                let old_tokens = tokenize(&text).ok();
-                let mut new_text = text.clone();
-                apply_edit(&mut new_text, &edit).unwrap();
-                if let Some(old_tokens) = old_tokens {
-                    let mut spliced = Vec::new();
-                    let incremental = relex(
-                        &new_text,
-                        &old_tokens,
-                        &edit,
-                        Interner::global(),
-                        &mut spliced,
-                    );
-                    match (incremental, tokenize(&new_text)) {
-                        (Ok(_), Ok(full)) => assert_eq!(
-                            spliced, full,
-                            "splice != full\n  old: {text:?}\n  edit: {edit:?}"
-                        ),
-                        (Err(a), Err(b)) => assert_eq!(a.message, b.message),
-                        (a, b) => {
-                            panic!("outcome mismatch\n  old: {text:?}\n  edit: {edit:?}\n  {a:?} vs {b:?}")
-                        }
-                    }
-                }
-                text = new_text;
-                if text.len() > 4096 {
-                    text = seed.to_string();
-                }
-            }
-        }
     }
 }

@@ -130,17 +130,15 @@ pub fn tokenize_into(
 
 /// One step of the lexer's main loop at position `i` (which must be a
 /// token or separator boundary — any position a previous step returned,
-/// or 0). The incremental relexer (`crate::incremental`) drives this same
-/// step function from a damage anchor, so spliced and full token streams
-/// come from one lexing definition.
-pub(crate) enum Step {
+/// or 0).
+enum Step {
     /// A token, and the position after it.
     Tok(Token, usize),
     /// Whitespace or a comment was skipped; resume at the position.
     Gap(usize),
 }
 
-pub(crate) fn scan_token(
+fn scan_token(
     source: &str,
     bytes: &[u8],
     start: usize,

@@ -52,11 +52,11 @@ pub use ast::{
     SelectItem, SelectList, TableRef, Value,
 };
 pub use error::{ParseError, SemanticError};
-pub use incremental::{apply_edit, relex, same_kinds, Edit, Relex};
+pub use incremental::{apply_edit, Edit};
 pub use lexer::{tokenize, tokenize_in, tokenize_into};
 pub use parser::{
-    parse_branch_tokens, parse_query, parse_query_expr, parse_query_expr_in,
-    parse_query_expr_tokens, parse_query_expr_with, parse_query_in, parse_query_with,
+    parse_query, parse_query_expr, parse_query_expr_in, parse_query_expr_with, parse_query_in,
+    parse_query_with,
 };
 pub use printer::{to_sql, to_sql_expr};
 pub use queryvis_ir::{Interner, Symbol, SymbolQuery};

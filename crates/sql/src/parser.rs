@@ -91,70 +91,6 @@ pub fn parse_query_expr_with(
     Ok(expr)
 }
 
-/// Parse an already-lexed token stream (ending in `Eof`) into a query
-/// expression. `source` must be the exact text the tokens were lexed from
-/// — spans index into it for error messages.
-///
-/// This is the incremental-session entry point: the damage-tracked
-/// relexer ([`crate::incremental::relex`]) splices the stream, and
-/// because parsing is a pure function of the token stream, parsing the
-/// spliced stream equals parsing from scratch.
-pub fn parse_query_expr_tokens(
-    source: &str,
-    tokens: &[Token],
-    interner: &Interner,
-) -> Result<QueryExpr, ParseError> {
-    let _span = STAGE_PARSE.span();
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        source,
-        interner,
-        scope: Vec::new(),
-        depth: 0,
-    };
-    let expr = parser.query_expr()?;
-    parser.eat_if(&TokenKind::Semicolon);
-    parser.expect_eof()?;
-    Ok(expr)
-}
-
-/// Parse one `UNION`-branch token slice (no trailing `Eof`; terminated by
-/// the slice end) into a [`Query`] block, for branch-level fragment reuse:
-/// when an edit is contained in one branch of a union, only that branch's
-/// token run is re-parsed and the sibling blocks' trees are reused.
-///
-/// The slice must end exactly where the branch ends; a `UNION` keyword or
-/// any trailing token is an error, mirroring what `query_expr` accepts
-/// between connectives.
-pub fn parse_branch_tokens(
-    source: &str,
-    tokens: &[Token],
-    interner: &Interner,
-) -> Result<Query, ParseError> {
-    let _span = STAGE_PARSE.span();
-    // The parser expects an Eof sentinel; branch slices are cut between
-    // UNION connectives, so append one at the slice's end position.
-    let end = tokens.last().map_or(0, |t| t.span.end);
-    let mut owned: Vec<Token> = Vec::with_capacity(tokens.len() + 1);
-    owned.extend_from_slice(tokens);
-    owned.push(Token {
-        kind: TokenKind::Eof,
-        span: Span::new(end, end),
-    });
-    let mut parser = Parser {
-        tokens: &owned,
-        pos: 0,
-        source,
-        interner,
-        scope: Vec::new(),
-        depth: 0,
-    };
-    let query = parser.query_block()?;
-    parser.expect_eof()?;
-    Ok(query)
-}
-
 /// [`parse_query`] with an explicit interner, for tests that prove symbol
 /// resolution is a property of the source text rather than of interner
 /// history.
