@@ -1,69 +1,32 @@
-//! The sharded L2 diagram cache: ARC replacement behind a lock-free
-//! read side.
+//! The sharded L2 diagram cache: ARC replacement, one mutex per shard.
 //!
 //! Keys are pattern [`Fingerprint`]s; values are [`Arc`]s of immutable
 //! [`CompiledEntry`]s whose rendered artifacts materialize lazily per
-//! format. Each shard is split into two halves:
+//! format. Each shard is one `Mutex<Shard>` around the map and the
+//! **ARC** (adaptive replacement) lists: resident `T1` (seen once) and
+//! `T2` (seen again), ghost `B1`/`B2` remembering recently evicted keys,
+//! and the adaptation target `p`. ARC is scan-resistant: a sequential
+//! sweep of one-shot keys churns through `T1` while the re-referenced hot
+//! set stays in `T2`, and ghost hits steer `p` toward whichever half the
+//! workload actually re-references.
 //!
-//! * **Read side** — a fixed, open-addressed table of atomic
-//!   `(key, pointer)` slots guarded by a per-shard **seqlock** and the
-//!   [`epoch`] pin protocol. A warm hit probes the table, validates the
-//!   sequence window, bumps the entry's refcount, and returns — **zero
-//!   lock acquisitions** (a bounded number of retries falls back to the
-//!   write mutex only when a writer keeps the window unstable, and that
-//!   fallback is counted so tests can assert it never fires on the warm
-//!   path).
-//! * **Write side** — a `Mutex<WriteState>` holding the authoritative
-//!   map and the **ARC** (adaptive replacement) lists: resident `T1`
-//!   (seen once) and `T2` (seen again), ghost `B1`/`B2` remembering
-//!   recently evicted keys, and the adaptation target `p`. ARC is
-//!   scan-resistant: a sequential sweep of one-shot keys churns through
-//!   `T1` while the re-referenced hot set stays in `T2`, and ghost hits
-//!   steer `p` toward whichever half the workload actually re-references.
-//!
-//! ## The seqlock read protocol
-//!
-//! Writers mutate the table only inside an odd-sequence window
-//! (`seq += 1` … mutate … `seq += 1`, all under the write mutex).
-//! Readers load `seq` (even or retry), probe, `fence(Acquire)`, reload
-//! `seq`, and trust the probe only if both loads agree — so a torn
-//! `(key, pointer)` pair can never be *acted on*. Reading the pointer is
-//! made safe by the epoch pin taken around the probe: an unlinked entry's
-//! `Arc` is retired into the shard's [`Limbo`] and freed only after every
-//! pin that could have seen the pointer is released (see [`epoch`] for
-//! the full argument), so `Arc::increment_strong_count` on a validated
-//! pointer is sound.
-//!
-//! Readers cannot touch the ARC lists, so recency flows through per-slot
-//! hit counters the writer drains on each insert ("batched recency": a
-//! resident re-referenced since the last write is promoted to `T2` MRU
-//! then — an approximation of ARC's per-access promotion that never
-//! reorders the response-visible behavior, only the eviction choice).
-//! Shard `entries`/`evictions` mirrors are written inside the same odd
-//! window, so [`ShardedCache::stats`] reads them through the seqlock and
-//! can never observe a torn mid-eviction state.
+//! Every operation holds its shard's lock for a hash lookup plus O(1)
+//! list surgery. A hit counts itself and promotes the entry to `T2` MRU
+//! at once (ARC's own per-access rule); an insert runs the ARC miss
+//! algorithm. Callers leave with an `Arc` clone, so rendering and reply
+//! serialization never run under the lock.
 
 use crate::compile::CompiledEntry;
-use crate::epoch::{self, Limbo};
 use crate::fingerprint::Fingerprint;
 use queryvis_telemetry::CounterDef;
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 // Global telemetry mirrors of the per-shard counters (DESIGN.md §6);
 // `CacheStats` remains the per-instance view.
 static C_L2_HITS: CounterDef = CounterDef::new("l2_hits");
 static C_L2_MISSES: CounterDef = CounterDef::new("l2_misses");
 static C_L2_EVICTIONS: CounterDef = CounterDef::new("l2_evictions");
-static C_L2_READ_RETRIES: CounterDef = CounterDef::new("l2_read_retries");
-static C_L2_READ_FALLBACKS: CounterDef = CounterDef::new("l2_read_fallbacks");
-
-/// Optimistic probe attempts before a reader gives up on the seqlock and
-/// takes the write mutex. Writers hold the odd window for O(1) list
-/// surgery, so in practice one retry suffices; the fallback exists so a
-/// reader never spins unboundedly against a pathological writer.
-const MAX_READ_RETRIES: u32 = 64;
 
 /// Cache configuration.
 #[derive(Debug, Clone, Copy)]
@@ -83,10 +46,9 @@ impl Default for CacheConfig {
     }
 }
 
-/// Aggregated counters across all shards. `entries`/`evictions` are read
-/// through each shard's sequence window, so the snapshot can never tear
-/// against an in-flight eviction; `hits`/`misses` are monotone reader-side
-/// atomics (a racing read is a moment-in-time floor, never a torn value).
+/// Aggregated counters across all shards. Each shard is read under its
+/// lock, so a shard's figures can never tear against an in-flight
+/// eviction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -95,11 +57,6 @@ pub struct CacheStats {
     pub entries: usize,
     pub capacity: usize,
     pub shards: usize,
-    /// Optimistic probes that had to be retried (writer window overlap).
-    pub read_retries: u64,
-    /// Reads that exhausted their retries and took the write mutex — the
-    /// "zero lock acquisitions on the warm path" test hook.
-    pub read_fallbacks: u64,
 }
 
 impl CacheStats {
@@ -110,165 +67,10 @@ impl CacheStats {
     }
 }
 
-// ---------------------------------------------------------------------
-// The read side: an open-addressed table of atomic (key, ptr) slots
-// ---------------------------------------------------------------------
-
-const SLOT_EMPTY: u64 = 0;
-const SLOT_TOMB: u64 = 1;
-const SLOT_FULL: u64 = 2;
-
-/// One read-table slot. `state` transitions EMPTY → FULL ⇄ TOMB (only a
-/// rebuild resets to EMPTY); the key of a tombstone stays behind so a
-/// reader probing for it stops with a definite miss instead of walking
-/// into slots the key never reached.
-struct Slot {
-    state: AtomicU64,
-    key_hi: AtomicU64,
-    key_lo: AtomicU64,
-    ptr: AtomicPtr<CompiledEntry>,
-    /// Deferred-recency hit counter, drained by the writer.
-    hits: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            state: AtomicU64::new(SLOT_EMPTY),
-            key_hi: AtomicU64::new(0),
-            key_lo: AtomicU64::new(0),
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-            hits: AtomicU64::new(0),
-        }
-    }
-}
-
-struct ReadTable {
-    slots: Box<[Slot]>,
-    mask: usize,
-}
-
-impl ReadTable {
-    fn new(resident_capacity: usize) -> ReadTable {
-        // ≥ 2× residents keeps the load factor under one half, so probe
-        // chains stay short and an EMPTY slot always terminates them.
-        let len = (2 * resident_capacity).next_power_of_two().max(4);
-        ReadTable {
-            slots: (0..len).map(|_| Slot::new()).collect(),
-            mask: len - 1,
-        }
-    }
-
-    #[inline]
-    fn home(&self, key: u128) -> usize {
-        let h = (key as u64) ^ ((key >> 64) as u64);
-        (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask
-    }
-
-    /// Optimistic probe. Only meaningful when the caller validates the
-    /// shard's sequence window around it; a torn result is discarded
-    /// there, so this can use plain linear probing with no write-side
-    /// coordination.
-    #[inline]
-    fn probe(&self, key: u128) -> Option<(usize, *const CompiledEntry)> {
-        let (hi, lo) = ((key >> 64) as u64, key as u64);
-        let mut idx = self.home(key);
-        for _ in 0..=self.mask {
-            let slot = &self.slots[idx];
-            let state = slot.state.load(Ordering::Acquire);
-            if state == SLOT_EMPTY {
-                return None;
-            }
-            if slot.key_hi.load(Ordering::Relaxed) == hi
-                && slot.key_lo.load(Ordering::Relaxed) == lo
-            {
-                if state == SLOT_FULL {
-                    let ptr = slot.ptr.load(Ordering::Acquire);
-                    if !ptr.is_null() {
-                        return Some((idx, ptr));
-                    }
-                }
-                // The key's slot, tombstoned: a definite miss — inserts
-                // always reuse a key's own tombstone, so the key cannot
-                // live further down the chain.
-                return None;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-        None
-    }
-
-    /// Writer-side: publish `key → ptr`, reusing the key's own tombstone
-    /// if one exists (required for reader probes to stop at a key match),
-    /// else the first tombstone, else the first empty slot. Must run
-    /// inside an odd sequence window.
-    fn publish(&self, key: u128, ptr: *mut CompiledEntry) -> usize {
-        let (hi, lo) = ((key >> 64) as u64, key as u64);
-        let mut idx = self.home(key);
-        let mut reusable: Option<usize> = None;
-        for _ in 0..=self.mask {
-            let slot = &self.slots[idx];
-            match slot.state.load(Ordering::Relaxed) {
-                SLOT_EMPTY => {
-                    let target = reusable.unwrap_or(idx);
-                    self.fill(target, hi, lo, ptr);
-                    return target;
-                }
-                SLOT_TOMB => {
-                    if slot.key_hi.load(Ordering::Relaxed) == hi
-                        && slot.key_lo.load(Ordering::Relaxed) == lo
-                    {
-                        self.fill(idx, hi, lo, ptr);
-                        return idx;
-                    }
-                    if reusable.is_none() {
-                        reusable = Some(idx);
-                    }
-                }
-                _ => {}
-            }
-            idx = (idx + 1) & self.mask;
-        }
-        let target = reusable.expect("read table over half empty by construction");
-        self.fill(target, hi, lo, ptr);
-        target
-    }
-
-    fn fill(&self, idx: usize, hi: u64, lo: u64, ptr: *mut CompiledEntry) {
-        let slot = &self.slots[idx];
-        slot.key_hi.store(hi, Ordering::Relaxed);
-        slot.key_lo.store(lo, Ordering::Relaxed);
-        slot.hits.store(0, Ordering::Relaxed);
-        slot.ptr.store(ptr, Ordering::Release);
-        slot.state.store(SLOT_FULL, Ordering::Release);
-    }
-
-    /// Writer-side: tombstone a slot (key left behind on purpose). Must
-    /// run inside an odd sequence window.
-    fn unpublish(&self, idx: usize) {
-        let slot = &self.slots[idx];
-        slot.state.store(SLOT_TOMB, Ordering::Release);
-        slot.ptr.store(std::ptr::null_mut(), Ordering::Release);
-    }
-
-    /// Writer-side: wipe every slot ahead of a republish (tombstone
-    /// compaction). Must run inside an odd sequence window.
-    fn clear(&self) {
-        for slot in &self.slots {
-            slot.state.store(SLOT_EMPTY, Ordering::Relaxed);
-            slot.ptr.store(std::ptr::null_mut(), Ordering::Relaxed);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The write side: ARC lists over a slab
-// ---------------------------------------------------------------------
-
 const NIL: usize = usize::MAX;
 
-/// ARC list ids. `T1`/`T2` hold residents (value + read-table slot);
-/// `B1`/`B2` hold ghosts (key only).
+/// ARC list ids. `T1`/`T2` hold residents (key and value); `B1`/`B2`
+/// hold ghosts (key only).
 const T1: usize = 0;
 const T2: usize = 1;
 const B1: usize = 2;
@@ -278,8 +80,6 @@ struct Node {
     key: u128,
     /// `Some` for residents, `None` for ghosts.
     value: Option<Arc<CompiledEntry>>,
-    /// Read-table slot of a resident; `NIL` for ghosts.
-    slot: usize,
     list: usize,
     prev: usize,
     next: usize,
@@ -302,8 +102,8 @@ impl ListHead {
     }
 }
 
-/// One shard's authoritative state, guarded by the write mutex.
-struct WriteState {
+/// One shard's state: the ARC lists over a slab, and its counters.
+struct Shard {
     map: HashMap<u128, usize>,
     slab: Vec<Node>,
     free: Vec<usize>,
@@ -311,24 +111,23 @@ struct WriteState {
     /// ARC's adaptation target for `|T1|`.
     p: usize,
     capacity: usize,
-    /// Tombstones currently in the read table; a rebuild clears them.
-    tombs: usize,
+    hits: u64,
+    misses: u64,
     evictions: u64,
-    limbo: Limbo<Arc<CompiledEntry>>,
 }
 
-impl WriteState {
-    fn new(capacity: usize) -> WriteState {
-        WriteState {
+impl Shard {
+    fn new(capacity: usize) -> Shard {
+        Shard {
             map: HashMap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             lists: [ListHead::new(); 4],
             p: 0,
             capacity,
-            tombs: 0,
+            hits: 0,
+            misses: 0,
             evictions: 0,
-            limbo: Limbo::default(),
         }
     }
 
@@ -395,16 +194,36 @@ impl WriteState {
         self.lists[T1].len + self.lists[T2].len
     }
 
+    /// The slab index of `key` if it is resident (a ghost is not).
+    fn resident(&self, key: u128) -> Option<usize> {
+        self.map
+            .get(&key)
+            .copied()
+            .filter(|&idx| self.slab[idx].value.is_some())
+    }
+
     /// ARC hit: promote a resident to `T2` MRU.
     fn promote(&mut self, idx: usize) {
         self.unlink(idx);
         self.push_mru(T2, idx);
     }
 
-    /// ARC REPLACE: demote one resident to its ghost list, tombstone its
-    /// read slot, and queue its `Arc` for retirement. Returns the demoted
-    /// key. Must run inside an odd sequence window.
-    fn replace(&mut self, in_b2: bool, table: &ReadTable) -> Option<(u128, Arc<CompiledEntry>)> {
+    /// A counted lookup: a hit promotes the entry.
+    fn get(&mut self, key: u128) -> Option<Arc<CompiledEntry>> {
+        let Some(idx) = self.resident(key) else {
+            self.misses += 1;
+            C_L2_MISSES.add(1);
+            return None;
+        };
+        self.hits += 1;
+        C_L2_HITS.add(1);
+        self.promote(idx);
+        self.slab[idx].value.clone()
+    }
+
+    /// ARC REPLACE: demote one resident to its ghost list, dropping its
+    /// value. Returns the demoted key.
+    fn replace(&mut self, in_b2: bool) -> Option<u128> {
         let t1 = self.lists[T1].len;
         let from = if t1 >= 1 && ((in_b2 && t1 == self.p) || t1 > self.p) {
             T1
@@ -419,350 +238,96 @@ impl WriteState {
         debug_assert_ne!(victim, NIL);
         self.unlink(victim);
         let ghost_list = if from == T1 { B1 } else { B2 };
-        let value = self.slab[victim]
-            .value
-            .take()
-            .expect("resident has a value");
-        let slot = std::mem::replace(&mut self.slab[victim].slot, NIL);
-        table.unpublish(slot);
-        self.tombs += 1;
+        self.slab[victim].value = None;
         self.push_mru(ghost_list, victim);
         self.evictions += 1;
         C_L2_EVICTIONS.add(1);
-        Some((self.slab[victim].key, value))
+        Some(self.slab[victim].key)
     }
 
-    /// Drain the read table's per-slot hit counters into ARC promotions
-    /// ("batched recency"). Slot order approximates access order; ARC
-    /// only needs "was this resident re-referenced since the last write",
-    /// which a nonzero counter answers exactly.
-    fn drain_recency(&mut self, table: &ReadTable) {
-        for idx in 0..table.slots.len() {
-            let slot = &table.slots[idx];
-            if slot.state.load(Ordering::Relaxed) != SLOT_FULL
-                || slot.hits.load(Ordering::Relaxed) == 0
-            {
-                continue;
-            }
-            slot.hits.store(0, Ordering::Relaxed);
-            let key = (u128::from(slot.key_hi.load(Ordering::Relaxed)) << 64)
-                | u128::from(slot.key_lo.load(Ordering::Relaxed));
-            if let Some(&node) = self.map.get(&key) {
-                if self.slab[node].value.is_some() {
-                    self.promote(node);
-                }
-            }
-        }
+    /// Case IV(A) with `B1` empty: the `T1` LRU leaves the cache without
+    /// a ghost. Returns its key.
+    fn evict_outright(&mut self) -> u128 {
+        let victim = self.lists[T1].tail;
+        debug_assert_ne!(victim, NIL);
+        self.unlink(victim);
+        let key = self.slab[victim].key;
+        self.slab[victim].value = None;
+        self.map.remove(&key);
+        self.free.push(victim);
+        self.evictions += 1;
+        C_L2_EVICTIONS.add(1);
+        key
     }
 
-    /// Republish every resident into a cleared table, dropping all
-    /// tombstones. Must run inside an odd sequence window.
-    fn rebuild_table(&mut self, table: &ReadTable) {
-        table.clear();
-        self.tombs = 0;
-        for list in [T1, T2] {
-            let mut cursor = self.lists[list].head;
-            while cursor != NIL {
-                let key = self.slab[cursor].key;
-                let ptr = Arc::as_ptr(self.slab[cursor].value.as_ref().expect("resident"))
-                    as *mut CompiledEntry;
-                self.slab[cursor].slot = table.publish(key, ptr);
-                cursor = self.slab[cursor].next;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The shard: seqlock + table + write state
-// ---------------------------------------------------------------------
-
-struct CacheShard {
-    /// Seqlock word: odd while a writer is mutating the read table.
-    seq: AtomicU64,
-    table: ReadTable,
-    /// Reader-side monotone counters.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    read_retries: AtomicU64,
-    read_fallbacks: AtomicU64,
-    /// Writer-side mirrors, stored inside the odd window so `stats` can
-    /// read a coherent (entries, evictions) pair through the seqlock.
-    w_entries: AtomicU64,
-    w_evictions: AtomicU64,
-    capacity: usize,
-    write: Mutex<WriteState>,
-}
-
-impl CacheShard {
-    fn new(capacity: usize) -> CacheShard {
-        CacheShard {
-            seq: AtomicU64::new(0),
-            table: ReadTable::new(capacity),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            read_retries: AtomicU64::new(0),
-            read_fallbacks: AtomicU64::new(0),
-            w_entries: AtomicU64::new(0),
-            w_evictions: AtomicU64::new(0),
-            capacity,
-            write: Mutex::new(WriteState::new(capacity)),
-        }
-    }
-
-    /// Open the odd window. Caller must hold the write mutex.
-    fn begin_write(&self) -> u64 {
-        let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s & 1, 0, "window opened twice");
-        self.seq.store(s + 1, Ordering::Relaxed);
-        // Keep the table mutations inside the window: no store below may
-        // be reordered before the odd store above.
-        fence(Ordering::Release);
-        s
-    }
-
-    /// Close the window opened by [`CacheShard::begin_write`].
-    fn end_write(&self, s: u64) {
-        self.seq.store(s + 2, Ordering::Release);
-    }
-
-    /// One optimistic probe attempt: `Ok(found)` if the window was
-    /// stable, `Err(())` if a writer interfered.
-    #[inline]
-    fn try_read(&self, key: u128) -> Result<Option<(usize, *const CompiledEntry)>, ()> {
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 & 1 == 1 {
-            return Err(());
-        }
-        let found = self.table.probe(key);
-        fence(Ordering::Acquire);
-        let s2 = self.seq.load(Ordering::Relaxed);
-        if s1 == s2 {
-            Ok(found)
-        } else {
-            Err(())
-        }
-    }
-
-    /// The lock-free read path. Returns `Err(())` only when every retry
-    /// saw an unstable window (caller falls back to the mutex).
-    fn read(&self, key: u128, count: bool) -> Result<Option<Arc<CompiledEntry>>, ()> {
-        let _pin = epoch::pin();
-        for _ in 0..MAX_READ_RETRIES {
-            match self.try_read(key) {
-                Ok(Some((slot, ptr))) => {
-                    // SAFETY: the pin was taken before the probe, so the
-                    // Arc backing `ptr` is still alive in the shard map or
-                    // its limbo (see the epoch module's argument), and the
-                    // validated window rules out a torn key/ptr pair.
-                    let value = unsafe {
-                        Arc::increment_strong_count(ptr);
-                        Arc::from_raw(ptr)
-                    };
-                    if count {
-                        self.table.slots[slot].hits.fetch_add(1, Ordering::Relaxed);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        C_L2_HITS.add(1);
-                    }
-                    return Ok(Some(value));
-                }
-                Ok(None) => {
-                    if count {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        C_L2_MISSES.add(1);
-                    }
-                    return Ok(None);
-                }
-                Err(()) => {
-                    self.read_retries.fetch_add(1, Ordering::Relaxed);
-                    C_L2_READ_RETRIES.add(1);
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        Err(())
-    }
-
-    /// Mutex fallback for a contended read. Counts like the lock-free
-    /// path and still refreshes ARC recency (directly — we hold the
-    /// lock anyway).
-    fn read_locked(&self, key: u128, count: bool) -> Option<Arc<CompiledEntry>> {
-        self.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-        C_L2_READ_FALLBACKS.add(1);
-        let mut state = self.write.lock().expect("cache shard poisoned");
-        let resident = state
-            .map
-            .get(&key)
-            .copied()
-            .filter(|&idx| state.slab[idx].value.is_some());
-        match resident {
-            Some(idx) => {
-                if count {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    C_L2_HITS.add(1);
-                    state.promote(idx);
-                }
-                state.slab[idx].value.clone()
-            }
-            None => {
-                if count {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    C_L2_MISSES.add(1);
-                }
-                None
-            }
-        }
-    }
-
-    fn get(&self, key: u128, count: bool) -> Option<Arc<CompiledEntry>> {
-        match self.read(key, count) {
-            Ok(found) => found,
-            Err(()) => self.read_locked(key, count),
-        }
-    }
-
-    /// Insert under the write mutex, running the ARC miss algorithm.
-    /// Returns the resident entry and the key of the resident this
-    /// insert pushed out of residency, if any.
-    fn insert(&self, key: u128, value: Arc<CompiledEntry>) -> (Arc<CompiledEntry>, Option<u128>) {
-        let mut state = self.write.lock().expect("cache shard poisoned");
-        let state = &mut *state;
-        state.drain_recency(&self.table);
-
-        if let Some(&idx) = state.map.get(&key) {
-            if state.slab[idx].value.is_some() {
+    /// Insert, running the ARC miss algorithm. Returns the resident entry
+    /// and the key of the resident this insert pushed out of residency,
+    /// if any.
+    fn insert(
+        &mut self,
+        key: u128,
+        value: Arc<CompiledEntry>,
+    ) -> (Arc<CompiledEntry>, Option<u128>) {
+        if let Some(&idx) = self.map.get(&key) {
+            if let Some(incumbent) = self.slab[idx].value.clone() {
                 // Racing compilers can insert the same fingerprint twice;
                 // keep the incumbent (first insert wins), refresh recency.
-                state.promote(idx);
-                return (state.slab[idx].value.clone().expect("resident"), None);
+                self.promote(idx);
+                return (incumbent, None);
             }
             // Ghost hit: adapt p, make room, resurrect as a T2 resident.
-            let in_b2 = state.slab[idx].list == B2;
-            let (b1, b2) = (state.lists[B1].len, state.lists[B2].len);
+            let in_b2 = self.slab[idx].list == B2;
+            let (b1, b2) = (self.lists[B1].len, self.lists[B2].len);
             if in_b2 {
-                state.p = state.p.saturating_sub((b1 / b2.max(1)).max(1));
+                self.p = self.p.saturating_sub((b1 / b2.max(1)).max(1));
             } else {
-                state.p = (state.p + (b2 / b1.max(1)).max(1)).min(state.capacity);
+                self.p = (self.p + (b2 / b1.max(1)).max(1)).min(self.capacity);
             }
-            let seq = self.begin_write();
-            let demoted = state.replace(in_b2, &self.table);
-            state.unlink(idx);
-            let ptr = Arc::as_ptr(&value) as *mut CompiledEntry;
-            state.slab[idx].value = Some(Arc::clone(&value));
-            state.slab[idx].slot = self.table.publish(key, ptr);
-            state.push_mru(T2, idx);
-            self.maybe_rebuild(state);
-            self.mirror_stats(state);
-            self.end_write(seq);
-            let evicted = demoted.map(|(victim, arc)| {
-                state.limbo.retire(arc);
-                victim
-            });
+            let evicted = self.replace(in_b2);
+            self.unlink(idx);
+            self.slab[idx].value = Some(Arc::clone(&value));
+            self.push_mru(T2, idx);
             return (value, evicted);
         }
 
         // Fresh miss: ARC case IV.
-        let l1 = state.lists[T1].len + state.lists[B1].len;
-        let total = l1 + state.lists[T2].len + state.lists[B2].len;
-        let seq = self.begin_write();
-        let demoted = if l1 == state.capacity {
-            if state.lists[T1].len < state.capacity {
-                let ghost = state.lists[B1].tail;
-                state.drop_ghost(ghost);
-                state.replace(false, &self.table)
+        let l1 = self.lists[T1].len + self.lists[B1].len;
+        let total = l1 + self.lists[T2].len + self.lists[B2].len;
+        let evicted = if l1 == self.capacity {
+            if self.lists[T1].len < self.capacity {
+                let ghost = self.lists[B1].tail;
+                self.drop_ghost(ghost);
+                self.replace(false)
             } else {
                 // B1 empty and T1 full: evict the T1 LRU outright — it
                 // leaves no ghost behind.
-                let victim = self.lists_evict_outright(state);
-                Some(victim)
+                Some(self.evict_outright())
             }
-        } else if total >= state.capacity {
-            if total == 2 * state.capacity {
-                let ghost = state.lists[B2].tail;
-                state.drop_ghost(ghost);
+        } else if total >= self.capacity {
+            if total == 2 * self.capacity {
+                let ghost = self.lists[B2].tail;
+                self.drop_ghost(ghost);
             }
-            state.replace(false, &self.table)
+            self.replace(false)
         } else {
             None
         };
-        let ptr = Arc::as_ptr(&value) as *mut CompiledEntry;
-        let slot = self.table.publish(key, ptr);
-        let idx = state.alloc(Node {
+        let idx = self.alloc(Node {
             key,
             value: Some(Arc::clone(&value)),
-            slot,
             list: T1,
             prev: NIL,
             next: NIL,
         });
-        state.map.insert(key, idx);
-        state.push_mru(T1, idx);
-        self.maybe_rebuild(state);
-        self.mirror_stats(state);
-        self.end_write(seq);
-        let evicted = demoted.map(|(victim, arc)| {
-            state.limbo.retire(arc);
-            victim
-        });
+        self.map.insert(key, idx);
+        self.push_mru(T1, idx);
         (value, evicted)
-    }
-
-    /// Case IV(A) with `B1` empty: the `T1` LRU leaves the cache without
-    /// a ghost. Must run inside an odd sequence window.
-    fn lists_evict_outright(&self, state: &mut WriteState) -> (u128, Arc<CompiledEntry>) {
-        let victim = state.lists[T1].tail;
-        debug_assert_ne!(victim, NIL);
-        state.unlink(victim);
-        let key = state.slab[victim].key;
-        let value = state.slab[victim].value.take().expect("resident");
-        self.table.unpublish(state.slab[victim].slot);
-        state.tombs += 1;
-        state.map.remove(&key);
-        state.free.push(victim);
-        state.evictions += 1;
-        C_L2_EVICTIONS.add(1);
-        (key, value)
-    }
-
-    /// Compact the read table once tombstones dominate. Must run inside
-    /// an odd sequence window.
-    fn maybe_rebuild(&self, state: &mut WriteState) {
-        if state.tombs > self.table.slots.len() / 4 {
-            state.rebuild_table(&self.table);
-        }
-    }
-
-    /// Refresh the seq-protected stats mirror. Must run inside an odd
-    /// sequence window.
-    fn mirror_stats(&self, state: &WriteState) {
-        self.w_entries
-            .store(state.resident_len() as u64, Ordering::Relaxed);
-        self.w_evictions.store(state.evictions, Ordering::Relaxed);
-    }
-
-    /// Read the (entries, evictions) mirror coherently.
-    fn stats_snapshot(&self) -> (u64, u64) {
-        for _ in 0..MAX_READ_RETRIES {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 0 {
-                let entries = self.w_entries.load(Ordering::Relaxed);
-                let evictions = self.w_evictions.load(Ordering::Relaxed);
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    return (entries, evictions);
-                }
-            }
-            std::hint::spin_loop();
-        }
-        // Contended: serialize against the writer instead.
-        let state = self.write.lock().expect("cache shard poisoned");
-        (state.resident_len() as u64, state.evictions)
     }
 }
 
 /// The sharded cache.
 pub struct ShardedCache {
-    shards: Vec<CacheShard>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl ShardedCache {
@@ -771,18 +336,21 @@ impl ShardedCache {
         // Distribute capacity across shards, at least one entry each.
         let per_shard = config.capacity.div_ceil(shards).max(1);
         ShardedCache {
-            shards: (0..shards).map(|_| CacheShard::new(per_shard)).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .collect(),
         }
     }
 
-    fn shard(&self, fingerprint: Fingerprint) -> &CacheShard {
-        &self.shards[fingerprint.shard(self.shards.len())]
+    fn shard(&self, fingerprint: Fingerprint) -> MutexGuard<'_, Shard> {
+        self.shards[fingerprint.shard(self.shards.len())]
+            .lock()
+            .expect("cache shard poisoned")
     }
 
     /// Look up a fingerprint, recording recency. Counts a hit or a miss.
-    /// The warm path acquires no lock (see the module docs).
     pub fn get(&self, fingerprint: Fingerprint) -> Option<Arc<CompiledEntry>> {
-        self.shard(fingerprint).get(fingerprint.0, true)
+        self.shard(fingerprint).get(fingerprint.0)
     }
 
     /// Insert a compiled entry, demoting a resident per ARC if full.
@@ -815,7 +383,9 @@ impl ShardedCache {
     /// is a consistency re-check rather than request traffic (e.g. the
     /// owner's post-claim re-check in the in-flight path).
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<Arc<CompiledEntry>> {
-        self.shard(fingerprint).get(fingerprint.0, false)
+        let shard = self.shard(fingerprint);
+        let idx = shard.resident(fingerprint.0)?;
+        shard.slab[idx].value.clone()
     }
 
     /// Peek without touching recency or counters (used by tests/stats).
@@ -823,23 +393,19 @@ impl ShardedCache {
         self.peek(fingerprint).is_some()
     }
 
-    /// Aggregate counters across shards. Each shard's entries/evictions
-    /// pair is read through its sequence window (coherent even against an
-    /// in-flight eviction); hits/misses are monotone atomics.
+    /// Aggregate counters across shards, locking each shard in turn.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats {
             shards: self.shards.len(),
             ..CacheStats::default()
         };
         for shard in &self.shards {
-            let (entries, evictions) = shard.stats_snapshot();
-            stats.entries += entries as usize;
-            stats.evictions += evictions;
+            let shard = shard.lock().expect("cache shard poisoned");
+            stats.hits += shard.hits;
+            stats.misses += shard.misses;
+            stats.evictions += shard.evictions;
+            stats.entries += shard.resident_len();
             stats.capacity += shard.capacity;
-            stats.hits += shard.hits.load(Ordering::Relaxed);
-            stats.misses += shard.misses.load(Ordering::Relaxed);
-            stats.read_retries += shard.read_retries.load(Ordering::Relaxed);
-            stats.read_fallbacks += shard.read_fallbacks.load(Ordering::Relaxed);
         }
         stats
     }
@@ -848,29 +414,20 @@ impl ShardedCache {
     /// the warm-cache persistence hook: recompiling these texts in a
     /// fresh process reproduces the cache's diagram set (entries are pure
     /// functions of their representative's text). Takes each shard's
-    /// write lock briefly; order is unspecified.
+    /// lock briefly; order is unspecified.
     pub fn representatives(&self) -> Vec<Arc<str>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let state = shard
-                .write
+            let shard = shard
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for node in &state.slab {
+            for node in &shard.slab {
                 if let Some(value) = &node.value {
                     out.push(Arc::clone(value.representative_shared()));
                 }
             }
         }
         out
-    }
-
-    /// Total reads that fell back to a mutex (the zero-lock test hook).
-    pub fn read_fallbacks(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read_fallbacks.load(Ordering::Relaxed))
-            .sum()
     }
 }
 
@@ -901,7 +458,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.hit_rate(), Some(0.5));
-        assert_eq!(stats.read_fallbacks, 0, "uncontended reads never lock");
     }
 
     #[test]
@@ -969,7 +525,7 @@ mod tests {
         for i in 0..100 {
             cache.insert(synthetic_key(i), Arc::clone(&value));
         }
-        let state = cache.shards[0].write.lock().unwrap();
+        let state = cache.shards[0].lock().unwrap();
         // Residents + ghosts are bounded by 2c; the slab reuses freed
         // ghost nodes instead of growing with traffic.
         assert!(
@@ -1019,7 +575,7 @@ mod tests {
         // Reinserting b is a B1 ghost hit: p grows, b resurrects in T2.
         cache.insert(b, Arc::clone(&value));
         assert!(cache.contains(b));
-        let state = cache.shards[0].write.lock().unwrap();
+        let state = cache.shards[0].lock().unwrap();
         assert!(state.p >= 1, "B1 hit must grow p (got {})", state.p);
         let b_idx = state.map[&b.0];
         assert_eq!(state.slab[b_idx].list, T2, "ghost hit lands in T2");
@@ -1057,33 +613,8 @@ mod tests {
     }
 
     #[test]
-    fn contended_window_falls_back_to_the_mutex_and_stays_correct() {
-        let cache = ShardedCache::new(CacheConfig {
-            capacity: 8,
-            shards: 1,
-        });
-        let (_, value) = entry("SELECT T.a FROM T");
-        let key = synthetic_key(7);
-        cache.insert(key, Arc::clone(&value));
-        // Hold the window odd without going through insert: every read
-        // must exhaust its retries, take the fallback, and still answer.
-        let shard = &cache.shards[0];
-        let seq = shard.begin_write();
-        assert!(cache.get(key).is_some());
-        assert!(cache.get(synthetic_key(8)).is_none());
-        shard.end_write(seq);
-        let stats = cache.stats();
-        assert_eq!(stats.read_fallbacks, 2);
-        assert!(stats.read_retries >= 2 * u64::from(MAX_READ_RETRIES));
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // Window closed: reads are lock-free again.
-        assert!(cache.get(key).is_some());
-        assert_eq!(cache.stats().read_fallbacks, 2);
-    }
-
-    #[test]
     fn stats_snapshot_is_coherent_under_writer_churn() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let cache = ShardedCache::new(CacheConfig {
             capacity: 4,
             shards: 1,

@@ -14,7 +14,7 @@
 //! SQL text → L1 memo (normalized bytes → fingerprint)
 //!              │ miss: parse → translate → canonical pattern → fingerprint
 //!              ▼
-//!            L2 sharded LRU (fingerprint → compiled entry)
+//!            L2 sharded ARC cache (fingerprint → compiled entry)
 //!              │  miss → simplify → diagram → layout →
 //!              │         render (lazy per format)
 //!              └→ artifacts (Arc<str>, shared into responses)
@@ -23,10 +23,8 @@
 //! * [`memo`] — the L1 text→fingerprint memo (byte-level normalization,
 //!   exact match, invalidated on L2 eviction);
 //! * [`fingerprint`] — canonical-pattern cache keys;
-//! * [`cache`] — the N-shard ARC cache with a lock-free (seqlock +
-//!   epoch) read side and hit/miss/eviction counters;
-//! * [`epoch`] — the pin/era/limbo reclamation protocol both cache
-//!   levels use to make unlocked pointer reads sound;
+//! * [`cache`] — the N-shard ARC cache, one mutex per shard, with
+//!   hit/miss/eviction counters;
 //! * [`compile`] — immutable compiled entries (pattern representatives)
 //!   with lazily rendered, `Arc`-shared per-format artifacts;
 //! * [`service`] — [`DiagramService`]: single-request serving with
@@ -45,9 +43,10 @@
 //!   histograms, mirrored counters, `pass.*` timings) as one
 //!   schema-stable JSON document, and the `--trace-jsonl` span dump.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod compile;
-pub mod epoch;
 pub mod executor;
 pub mod fault;
 pub mod fingerprint;

@@ -48,27 +48,23 @@
 //! the diagram cache has dropped. A lost race (eviction between L1 lookup
 //! and L2 get) falls back to the full frontend, which re-publishes both
 //! levels.
+//!
+//! Each shard is one mutex. A lookup hashes the text's normalization
+//! before it takes the lock, then compares the bucket's candidates with
+//! the text under it; neither step allocates.
 
-use crate::epoch::{self, Limbo};
 use crate::fingerprint::Fingerprint;
 use queryvis_sql::lexer::is_ident_start;
 use queryvis_sql::scan as swar;
 use queryvis_sql::token::Keyword;
 use queryvis_telemetry::CounterDef;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// Global telemetry mirror of coherence invalidations (DESIGN.md §6);
 /// `MemoStats` remains the per-instance view. L1 *hits* are counted by the
 /// service, which knows whether the resolved fingerprint was servable.
 static C_L1_INVALIDATIONS: CounterDef = CounterDef::new("l1_invalidations");
-static C_L1_READ_RETRIES: CounterDef = CounterDef::new("l1_read_retries");
-static C_L1_READ_FALLBACKS: CounterDef = CounterDef::new("l1_read_fallbacks");
-
-/// Optimistic probe attempts before a lookup gives up on the seqlock and
-/// takes the shard mutex (mirrors the L2 cache's bound).
-const MAX_READ_RETRIES: u32 = 64;
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -324,10 +320,6 @@ pub struct MemoStats {
     pub evictions: u64,
     /// Entries dropped because L2 evicted their fingerprint.
     pub invalidations: u64,
-    /// Optimistic probes that had to be retried (writer window overlap).
-    pub read_retries: u64,
-    /// Lookups that exhausted their retries and took the shard mutex.
-    pub read_fallbacks: u64,
 }
 
 struct MemoEntry {
@@ -336,101 +328,10 @@ struct MemoEntry {
     sql_words: u32,
 }
 
-// ---------------------------------------------------------------------
-// The read side: a seqlock-versioned table of (hash, entry) slots
-// ---------------------------------------------------------------------
-//
-// Same protocol as the L2 cache (see `cache.rs` module docs), with one
-// structural difference: normalized-hash keys are *not* unique — distinct
-// texts can share a 64-bit hash — so the table stores one slot per entry,
-// duplicates allowed, and a reader walks every key-matching slot until the
-// first EMPTY (a tombstone never terminates the walk). Every candidate is
-// verified by exact normalized-byte comparison, so the read path is
-// self-validating: the worst a stale probe can produce is a miss (the
-// request falls back to the full frontend, which is always correct) or a
-// hit on an entry that *was* memoized — never a wrong fingerprint.
-
-const SLOT_EMPTY: u64 = 0;
-const SLOT_TOMB: u64 = 1;
-const SLOT_FULL: u64 = 2;
-
-struct MemoSlot {
-    state: AtomicU64,
-    key: AtomicU64,
-    ptr: AtomicPtr<MemoEntry>,
-}
-
-struct MemoReadTable {
-    slots: Box<[MemoSlot]>,
-    mask: usize,
-}
-
-impl MemoReadTable {
-    fn new(resident_capacity: usize) -> MemoReadTable {
-        let len = (2 * resident_capacity).next_power_of_two().max(4);
-        MemoReadTable {
-            slots: (0..len)
-                .map(|_| MemoSlot {
-                    state: AtomicU64::new(SLOT_EMPTY),
-                    key: AtomicU64::new(0),
-                    ptr: AtomicPtr::new(std::ptr::null_mut()),
-                })
-                .collect(),
-            mask: len - 1,
-        }
-    }
-
-    #[inline]
-    fn home(&self, hash: u64) -> usize {
-        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask
-    }
-
-    /// Writer-side: publish an entry in the first non-FULL slot of its
-    /// probe chain (an insert never skips an EMPTY, so readers walking to
-    /// the first EMPTY see every published entry). Must run inside an odd
-    /// sequence window.
-    fn publish(&self, hash: u64, ptr: *mut MemoEntry) -> usize {
-        let mut idx = self.home(hash);
-        loop {
-            let slot = &self.slots[idx];
-            if slot.state.load(Ordering::Relaxed) != SLOT_FULL {
-                slot.key.store(hash, Ordering::Relaxed);
-                slot.ptr.store(ptr, Ordering::Release);
-                slot.state.store(SLOT_FULL, Ordering::Release);
-                return idx;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    /// Writer-side: tombstone a slot. Must run inside an odd window.
-    fn unpublish(&self, idx: usize) {
-        let slot = &self.slots[idx];
-        slot.state.store(SLOT_TOMB, Ordering::Release);
-        slot.ptr.store(std::ptr::null_mut(), Ordering::Release);
-    }
-
-    /// Writer-side: wipe ahead of a republish. Must run inside an odd
-    /// window.
-    fn clear(&self) {
-        for slot in &self.slots {
-            slot.state.store(SLOT_EMPTY, Ordering::Relaxed);
-            slot.ptr.store(std::ptr::null_mut(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// A memoized entry as the write side tracks it: the shared entry plus
-/// its current read-table slot.
-struct Resident {
-    entry: Arc<MemoEntry>,
-    slot: usize,
-}
-
 struct MemoShard {
     /// Normalized-hash → entries (exact normalized bytes verified on every
     /// lookup, so hash collisions cost a compare, never a wrong answer).
-    map: HashMap<u64, Vec<Resident>>,
+    map: HashMap<u64, Vec<MemoEntry>>,
     /// FIFO replacement order. Invalidation leaves stale hashes behind
     /// (skipped when popped); [`MemoShard::compact_fifo`] rebuilds the
     /// queue whenever staleness exceeds the live count, so the deque is
@@ -442,14 +343,8 @@ struct MemoShard {
     by_fingerprint: HashMap<u128, Vec<u64>>,
     len: usize,
     capacity: usize,
-    /// Tombstones currently in the read table; a rebuild clears them.
-    tombs: usize,
     evictions: u64,
     invalidations: u64,
-    /// Entries unlinked inside the current write window, awaiting
-    /// retirement once the window closes.
-    graveyard: Vec<Arc<MemoEntry>>,
-    limbo: Limbo<Arc<MemoEntry>>,
 }
 
 impl MemoShard {
@@ -460,39 +355,8 @@ impl MemoShard {
             by_fingerprint: HashMap::new(),
             len: 0,
             capacity,
-            tombs: 0,
             evictions: 0,
             invalidations: 0,
-            graveyard: Vec::new(),
-            limbo: Limbo::default(),
-        }
-    }
-
-    /// Retire everything unlinked by the write that just ended. Must run
-    /// *after* the window closes (retirement advances the era; the unlink
-    /// must already be visible — see the epoch module docs).
-    fn drain_graveyard(&mut self) {
-        for entry in std::mem::take(&mut self.graveyard) {
-            self.limbo.retire(entry);
-        }
-    }
-
-    /// Republish every resident into a cleared table, dropping all
-    /// tombstones. Must run inside an odd sequence window.
-    fn rebuild_table(&mut self, table: &MemoReadTable) {
-        table.clear();
-        self.tombs = 0;
-        for (hash, bucket) in self.map.iter_mut() {
-            for r in bucket.iter_mut() {
-                let ptr = Arc::as_ptr(&r.entry) as *mut MemoEntry;
-                r.slot = table.publish(*hash, ptr);
-            }
-        }
-    }
-
-    fn maybe_rebuild(&mut self, table: &MemoReadTable) {
-        if self.tombs > table.slots.len() / 4 {
-            self.rebuild_table(table);
         }
     }
 
@@ -507,9 +371,8 @@ impl MemoShard {
         }
     }
 
-    /// Evict the FIFO-oldest entry: unpublish its read slot and queue it
-    /// for retirement. Must run inside an odd sequence window.
-    fn evict_one(&mut self, table: &MemoReadTable) {
+    /// Evict the FIFO-oldest entry.
+    fn evict_one(&mut self) {
         while let Some(hash) = self.fifo.pop_front() {
             let Some(bucket) = self.map.get_mut(&hash) else {
                 continue; // stale FIFO entry left by invalidation
@@ -518,16 +381,13 @@ impl MemoShard {
                 self.map.remove(&hash);
                 continue;
             }
-            let resident = bucket.remove(0);
+            let entry = bucket.remove(0);
             if bucket.is_empty() {
                 self.map.remove(&hash);
             }
-            table.unpublish(resident.slot);
-            self.tombs += 1;
             self.len -= 1;
             self.evictions += 1;
-            self.unindex(resident.entry.fingerprint, hash);
-            self.graveyard.push(resident.entry);
+            self.unindex(entry.fingerprint, hash);
             return;
         }
     }
@@ -557,62 +417,49 @@ impl MemoShard {
         debug_assert_eq!(self.fifo.len(), self.len);
     }
 
-    /// Insert under the write mutex. Must run inside an odd sequence
-    /// window (eviction and publication both touch the read table).
-    fn insert(
-        &mut self,
-        table: &MemoReadTable,
-        hash: u64,
-        normalized: Vec<u8>,
-        fingerprint: Fingerprint,
-        words: u32,
-    ) {
+    /// The entry memoized for `sql`, whose normalization hashes to `hash`.
+    fn lookup(&self, hash: u64, sql: &str) -> Option<&MemoEntry> {
+        self.map
+            .get(&hash)?
+            .iter()
+            .find(|entry| normalized_matches(sql, &entry.normalized))
+    }
+
+    fn insert(&mut self, hash: u64, normalized: Vec<u8>, fingerprint: Fingerprint, words: u32) {
+        if let Some(bucket) = self.map.get(&hash) {
+            if bucket.iter().any(|e| *e.normalized == *normalized) {
+                return; // incumbent wins; racing inserts agree anyway
+            }
+        }
         while self.len >= self.capacity {
-            self.evict_one(table);
+            self.evict_one();
         }
         if self.fifo.len() >= (2 * self.len).max(16) {
             self.compact_fifo();
         }
-        let entry = Arc::new(MemoEntry {
+        self.map.entry(hash).or_default().push(MemoEntry {
             normalized: normalized.into_boxed_slice(),
             fingerprint,
             sql_words: words,
         });
-        let ptr = Arc::as_ptr(&entry) as *mut MemoEntry;
-        let slot = table.publish(hash, ptr);
-        self.map
-            .entry(hash)
-            .or_default()
-            .push(Resident { entry, slot });
         self.fifo.push_back(hash);
         self.by_fingerprint
             .entry(fingerprint.0)
             .or_default()
             .push(hash);
         self.len += 1;
-        self.maybe_rebuild(table);
     }
 
-    /// Must run inside an odd sequence window.
-    fn invalidate(&mut self, table: &MemoReadTable, fingerprint: Fingerprint) -> usize {
+    fn invalidate(&mut self, fingerprint: Fingerprint) -> usize {
         let Some(hashes) = self.by_fingerprint.remove(&fingerprint.0) else {
             return 0;
         };
         let mut removed = 0usize;
         for hash in hashes {
             if let Some(bucket) = self.map.get_mut(&hash) {
-                let mut i = 0;
-                while i < bucket.len() {
-                    if bucket[i].entry.fingerprint == fingerprint {
-                        let resident = bucket.remove(i);
-                        table.unpublish(resident.slot);
-                        self.tombs += 1;
-                        self.graveyard.push(resident.entry);
-                        removed += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
+                let before = bucket.len();
+                bucket.retain(|entry| entry.fingerprint != fingerprint);
+                removed += before - bucket.len();
                 if bucket.is_empty() {
                     self.map.remove(&hash);
                 }
@@ -621,122 +468,13 @@ impl MemoShard {
         self.len -= removed;
         self.invalidations += removed as u64;
         C_L1_INVALIDATIONS.add(removed as u64);
-        self.maybe_rebuild(table);
         removed
-    }
-}
-
-/// One shard: the seqlock word, the read table, and the write mutex.
-struct Shard {
-    /// Seqlock word: odd while a writer is mutating the read table.
-    seq: AtomicU64,
-    table: MemoReadTable,
-    read_retries: AtomicU64,
-    read_fallbacks: AtomicU64,
-    write: Mutex<MemoShard>,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
-            seq: AtomicU64::new(0),
-            table: MemoReadTable::new(capacity),
-            read_retries: AtomicU64::new(0),
-            read_fallbacks: AtomicU64::new(0),
-            write: Mutex::new(MemoShard::new(capacity)),
-        }
-    }
-
-    /// Open the odd window. Caller must hold the write mutex.
-    fn begin_write(&self) -> u64 {
-        let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s & 1, 0, "window opened twice");
-        self.seq.store(s + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        s
-    }
-
-    fn end_write(&self, s: u64) {
-        self.seq.store(s + 2, Ordering::Release);
-    }
-
-    fn note_retry(&self) {
-        self.read_retries.fetch_add(1, Ordering::Relaxed);
-        C_L1_READ_RETRIES.add(1);
-        std::hint::spin_loop();
-    }
-
-    /// The lock-free lookup: walk every key-matching slot under a
-    /// validated sequence window, verifying each candidate by exact
-    /// normalized-byte comparison.
-    fn lookup(&self, hash: u64, sql: &str) -> Option<(Fingerprint, u32)> {
-        let _pin = epoch::pin();
-        'attempt: for _ in 0..MAX_READ_RETRIES {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                self.note_retry();
-                continue 'attempt;
-            }
-            let mut idx = self.table.home(hash);
-            for _ in 0..=self.table.mask {
-                let slot = &self.table.slots[idx];
-                let state = slot.state.load(Ordering::Acquire);
-                if state == SLOT_EMPTY {
-                    fence(Ordering::Acquire);
-                    if self.seq.load(Ordering::Relaxed) == s1 {
-                        return None;
-                    }
-                    self.note_retry();
-                    continue 'attempt;
-                }
-                if state == SLOT_FULL && slot.key.load(Ordering::Relaxed) == hash {
-                    let ptr = slot.ptr.load(Ordering::Acquire);
-                    if !ptr.is_null() {
-                        // SAFETY: the pin was taken before the load, so
-                        // the Arc backing `ptr` is alive in the shard map
-                        // or its limbo (see the epoch module docs).
-                        let entry = unsafe {
-                            Arc::increment_strong_count(ptr);
-                            Arc::from_raw(ptr)
-                        };
-                        fence(Ordering::Acquire);
-                        if self.seq.load(Ordering::Relaxed) != s1 {
-                            self.note_retry();
-                            continue 'attempt;
-                        }
-                        if normalized_matches(sql, &entry.normalized) {
-                            return Some((entry.fingerprint, entry.sql_words));
-                        }
-                        // Not this candidate. The byte compare took time;
-                        // re-check the window before trusting the rest of
-                        // the chain.
-                        if self.seq.load(Ordering::Acquire) != s1 {
-                            self.note_retry();
-                            continue 'attempt;
-                        }
-                    }
-                }
-                idx = (idx + 1) & self.table.mask;
-            }
-            // Full walk without hitting EMPTY: the chain was exhaustive.
-            return None;
-        }
-        // Seqlock contended: serialize against the writer instead.
-        self.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-        C_L1_READ_FALLBACKS.add(1);
-        let state = self.write.lock().expect("memo shard poisoned");
-        state
-            .map
-            .get(&hash)?
-            .iter()
-            .find(|r| normalized_matches(sql, &r.entry.normalized))
-            .map(|r| (r.entry.fingerprint, r.entry.sql_words))
     }
 }
 
 /// The sharded L1 memo. See the module docs.
 pub struct L1Memo {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<MemoShard>>,
 }
 
 impl L1Memo {
@@ -744,44 +482,36 @@ impl L1Memo {
         let shards = config.shards.max(1);
         let per_shard = config.capacity.div_ceil(shards).max(1);
         L1Memo {
-            shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(MemoShard::new(per_shard)))
+                .collect(),
         }
     }
 
-    fn shard(&self, hash: u64) -> &Shard {
-        &self.shards[(hash % self.shards.len() as u64) as usize]
+    fn shard(&self, hash: u64) -> MutexGuard<'_, MemoShard> {
+        self.shards[(hash % self.shards.len() as u64) as usize]
+            .lock()
+            .expect("memo shard poisoned")
     }
 
     /// Look up the fingerprint and word count memoized for a text. The
-    /// miss/hit decision is exact (normalized-byte equality); the lookup
-    /// path performs no allocation and — unless a writer keeps the shard's
-    /// sequence window unstable for the whole retry budget — acquires no
-    /// lock. Texts the lexer would reject at scan level (unterminated
-    /// comment/string) never hit — they must reach the full frontend and
-    /// produce their error deterministically.
+    /// miss/hit decision is exact (normalized-byte equality), and the
+    /// lookup performs no allocation. Texts the lexer would reject at
+    /// scan level (unterminated comment/string) never hit — they must
+    /// reach the full frontend and produce their error deterministically.
     pub fn lookup(&self, sql: &str) -> Option<(Fingerprint, u32)> {
         let hash = normalized_hash(sql)?;
-        self.shard(hash).lookup(hash, sql)
+        let shard = self.shard(hash);
+        let entry = shard.lookup(hash, sql)?;
+        Some((entry.fingerprint, entry.sql_words))
     }
 
     /// Memoize a text after a successful full-frontend run.
     pub fn insert(&self, sql: &str, fingerprint: Fingerprint, sql_words: u32) {
         let normalized = normalized_bytes(sql);
         let hash = hash_of(&normalized);
-        let shard = self.shard(hash);
-        let mut state = shard.write.lock().expect("memo shard poisoned");
-        if let Some(bucket) = state.map.get(&hash) {
-            if bucket
-                .iter()
-                .any(|r| r.entry.normalized.as_ref() == normalized.as_slice())
-            {
-                return; // incumbent wins; racing inserts agree anyway
-            }
-        }
-        let seq = shard.begin_write();
-        state.insert(&shard.table, hash, normalized, fingerprint, sql_words);
-        shard.end_write(seq);
-        state.drain_graveyard();
+        self.shard(hash)
+            .insert(hash, normalized, fingerprint, sql_words);
     }
 
     /// Drop every memo entry pointing at `fingerprint` (called when L2
@@ -794,15 +524,10 @@ impl L1Memo {
         self.shards
             .iter()
             .map(|shard| {
-                let mut state = shard.write.lock().expect("memo shard poisoned");
-                if !state.by_fingerprint.contains_key(&fingerprint.0) {
-                    return 0; // nothing here: don't disturb readers
-                }
-                let seq = shard.begin_write();
-                let removed = state.invalidate(&shard.table, fingerprint);
-                shard.end_write(seq);
-                state.drain_graveyard();
-                removed
+                shard
+                    .lock()
+                    .expect("memo shard poisoned")
+                    .invalidate(fingerprint)
             })
             .sum()
     }
@@ -811,7 +536,7 @@ impl L1Memo {
     pub fn entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.write.lock().expect("memo shard poisoned").len)
+            .map(|s| s.lock().expect("memo shard poisoned").len)
             .sum()
     }
 
@@ -822,23 +547,13 @@ impl L1Memo {
             ..MemoStats::default()
         };
         for shard in &self.shards {
-            let state = shard.write.lock().expect("memo shard poisoned");
-            stats.entries += state.len;
-            stats.capacity += state.capacity;
-            stats.evictions += state.evictions;
-            stats.invalidations += state.invalidations;
-            stats.read_retries += shard.read_retries.load(Ordering::Relaxed);
-            stats.read_fallbacks += shard.read_fallbacks.load(Ordering::Relaxed);
+            let shard = shard.lock().expect("memo shard poisoned");
+            stats.entries += shard.len;
+            stats.capacity += shard.capacity;
+            stats.evictions += shard.evictions;
+            stats.invalidations += shard.invalidations;
         }
         stats
-    }
-
-    /// Total lookups that fell back to a mutex (the zero-lock test hook).
-    pub fn read_fallbacks(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read_fallbacks.load(Ordering::Relaxed))
-            .sum()
     }
 }
 
@@ -1041,7 +756,7 @@ mod tests {
             );
             memo.invalidate(Fingerprint(u128::from(i)));
         }
-        let shard = memo.shards[0].write.lock().unwrap();
+        let shard = memo.shards[0].lock().unwrap();
         assert_eq!(shard.len, 0);
         assert!(
             shard.fifo.len() <= 2 * shard.capacity.max(16),

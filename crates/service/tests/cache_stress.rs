@@ -1,17 +1,17 @@
-//! Concurrency stress for the lock-free warm path.
+//! Concurrency stress for the L1 memo and the L2 cache.
 //!
-//! Three properties the seqlock/epoch read side must keep under real
-//! thread interleavings:
+//! Three properties the per-shard locks must keep under real thread
+//! interleavings:
 //!
 //! * **no torn reads** — an L2 `get` racing writers either misses or
 //!   returns the entry actually published under that fingerprint (the
-//!   entry self-identifies, so a torn `(key, ptr)` pair would be caught);
+//!   entry self-identifies, so a mismatched `(key, entry)` pair would be
+//!   caught);
 //! * **no stale-text L1 hit** — a memo lookup racing inserts,
-//!   invalidations, and table rebuilds either misses or returns exactly
-//!   the fingerprint memoized for that text;
-//! * **zero lock acquisitions on the warm path** — once the working set
-//!   is resident, reads never take the mutex fallback (counted per
-//!   shard), even across a multi-threaded batch.
+//!   invalidations, evictions and FIFO compaction either misses or
+//!   returns exactly the fingerprint memoized for that text;
+//! * **warm batches are memo hits** — once the working set is resident,
+//!   a repeat batch resolves through L1, single- and multi-threaded.
 //!
 //! Plus the executor's determinism contract: byte-identical batch output
 //! for any thread count, stealing included.
@@ -46,8 +46,8 @@ fn distinct_entries(n: usize) -> Vec<(Fingerprint, Arc<CompiledEntry>)> {
 
 #[test]
 fn l2_readers_never_see_a_torn_entry_under_writer_churn() {
-    // Tiny cache, big keyspace: every insert demotes/evicts, tombstones
-    // accumulate, and the table rebuilds repeatedly while readers probe.
+    // Tiny cache, big keyspace: every insert demotes or evicts while
+    // readers probe.
     let cache = ShardedCache::new(CacheConfig {
         capacity: 16,
         shards: 2,
@@ -95,7 +95,7 @@ fn l1_lookups_never_return_a_stale_fingerprint_under_churn() {
     // Writers insert texts and invalidate their fingerprints while
     // readers look the same texts up: a hit must always carry the
     // fingerprint memoized for that exact text. Tiny shards force
-    // eviction, tombstoning, FIFO compaction, and table rebuilds.
+    // eviction and FIFO compaction.
     let memo = L1Memo::new(MemoConfig {
         capacity: 32,
         shards: 2,
@@ -149,11 +149,9 @@ fn l1_lookups_never_return_a_stale_fingerprint_under_churn() {
 }
 
 #[test]
-fn warm_path_acquires_zero_locks() {
+fn warm_batches_hit_the_memo() {
     // Warm the service once, then serve the same batch again — single-
-    // and multi-threaded. Every request resolves via L1+L2 reads; the
-    // fallback counters (the only way a read can reach a mutex) must
-    // still be zero afterwards.
+    // and multi-threaded. Repeat texts must resolve through L1.
     let service = DiagramService::new(ServiceConfig::default());
     let requests = paper_corpus_requests(&[Format::Ascii, Format::Dot]);
     let cold = service.execute_batch(&requests, 1);
@@ -164,14 +162,6 @@ fn warm_path_acquires_zero_locks() {
     }
     let stats = service.stats();
     assert!(stats.l1_hits > 0, "warm runs must hit the memo");
-    assert_eq!(
-        stats.cache.read_fallbacks, 0,
-        "a warm L2 hit must acquire zero locks"
-    );
-    assert_eq!(
-        stats.memo.read_fallbacks, 0,
-        "a warm L1 lookup must acquire zero locks"
-    );
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //! release build): eight threads hammer a fully warm service and the
 //! output must stay byte-identical to the single-threaded run while
 //! clearing a conservative throughput floor. Catches both correctness
-//! regressions under real contention and accidental re-serialization of
-//! the warm path (e.g. a mutex sneaking back into the hit path would
-//! collapse multi-thread throughput well below the floor).
+//! regressions under real contention and the warm path serializing
+//! again: one global lock, or a lock held across a whole request, would
+//! collapse multi-thread throughput well below the floor. The per-shard
+//! locks of the memo and the cache are held only for a lookup, so they
+//! do not.
 
 use queryvis_service::{paper_corpus_requests, DiagramService, Format, ServiceConfig};
 use std::time::Instant;
@@ -12,7 +14,7 @@ use std::time::Instant;
 /// Aggregate warm lookups/sec the 8-thread run must clear. A warm hit
 /// costs single-digit microseconds on one thread, so even a fully
 /// serialized single-core CI box clears this by an order of magnitude —
-/// unless the warm path starts blocking.
+/// unless warm requests start queueing behind each other.
 const MIN_WARM_HITS_PER_SEC: f64 = 50_000.0;
 
 #[test]
