@@ -1,16 +1,17 @@
 //! `service` — the JSON-lines front end of the diagram-compilation service.
 //!
-//! Reads one request per stdin line, writes one response per stdout line
-//! (in request order, byte-identical for any `--threads` value), and with
-//! `--stats` prints one JSON stats line per pass to **stderr**, so stdout
-//! stays a pure response stream.
+//! Reads one request per stdin line and writes one reply per stdout line,
+//! in request order. Every line goes through
+//! [`Frontend::serve_line`](queryvis_service::Frontend::serve_line), the
+//! function the TCP `server` answers its lines with, so both front ends
+//! answer a line with the same bytes. With `--stats` it prints one JSON
+//! stats line per pass to **stderr**, so stdout stays a pure reply stream.
 //!
 //! ```text
 //! Usage: service [OPTIONS]
-//!   --threads N        worker threads for batch execution      [default: 1]
 //!   --capacity N       total cache entries across shards       [default: 4096]
 //!   --shards N         cache shard count                       [default: 16]
-//!   --passes N         run the whole input batch N times       [default: 1]
+//!   --passes N         serve the whole input N times           [default: 1]
 //!   --max-line BYTES   stdin request-line budget; longer lines
 //!                      become structured `too_large` errors     [default: 1048576]
 //!   --format LIST      default formats for requests without a
@@ -27,18 +28,18 @@
 //! ```
 //!
 //! The cache persists across passes, so `--passes 2 --stats` demonstrates
-//! the steady-state hit rate: pass 2 of any fixed batch is 100 % hits.
+//! the steady-state hit rate: pass 2 of any fixed input is 100 % hits.
+//! A `{"op":"shutdown"}` line ends the run after its ack.
 //! `--stats`, `--stats-json`, and `--trace-jsonl` all enable process
 //! telemetry; without them every span/counter call site stays a single
 //! relaxed atomic load.
 
-use queryvis_service::json::Json;
+use queryvis_service::frontend::too_large_reply;
+use queryvis_service::json::{self, Json};
 use queryvis_service::net::{LineReader, Poll};
-use queryvis_service::protocol::ErrorKind;
-use queryvis_service::session::{is_session_op, SessionConfig, SessionStore};
 use queryvis_service::stats_json::{histogram_json, stats_snapshot_json, write_trace_jsonl};
 use queryvis_service::{
-    paper_corpus_requests, CacheConfig, DiagramService, Format, MemoConfig, Request, Response,
+    paper_corpus_requests, CacheConfig, DiagramService, Format, Frontend, MemoConfig, Served,
     ServiceConfig, ServiceStats,
 };
 use queryvis_telemetry::TelemetrySnapshot;
@@ -47,7 +48,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 struct Cli {
-    threads: usize,
     capacity: usize,
     shards: usize,
     passes: usize,
@@ -61,7 +61,6 @@ struct Cli {
 
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
-        threads: 1,
         capacity: 4096,
         shards: 16,
         passes: 1,
@@ -81,7 +80,6 @@ fn parse_cli() -> Result<Cli, String> {
                 .map_err(|_| format!("{name} needs an unsigned integer"))
         };
         match arg.as_str() {
-            "--threads" => cli.threads = number("--threads")?.max(1),
             "--capacity" => cli.capacity = number("--capacity")?.max(1),
             "--shards" => cli.shards = number("--shards")?.max(1),
             "--passes" => cli.passes = number("--passes")?.max(1),
@@ -116,10 +114,9 @@ fn parse_cli() -> Result<Cli, String> {
 const USAGE: &str = "
 service — QueryVis diagram-compilation service (JSON lines on stdin/stdout)
 
-  --threads N    worker threads for batch execution      [default: 1]
   --capacity N   total cache entries across shards       [default: 4096]
   --shards N     cache shard count                       [default: 16]
-  --passes N     run the whole input batch N times       [default: 1]
+  --passes N     serve the whole input N times           [default: 1]
   --max-line BYTES  stdin request-line budget (longer lines become
                  structured too_large errors)           [default: 1048576]
   --format LIST  default formats (comma-separated from
@@ -135,103 +132,43 @@ Response lines: {\"id\":1,\"fingerprint\":\"…\",\"sql_words\":4,\"artifacts\":
 Session lines:  {\"op\":\"open\",\"id\":1,\"sql\":\"SELECT T.a FROM T\"}
                 {\"op\":\"edit\",\"id\":2,\"session\":1,\"edits\":[{\"at\":9,\"del\":0,\"ins\":\"a\"}]}
                 {\"op\":\"close\",\"id\":3,\"session\":1}
+Control lines:  {\"op\":\"ping\"}  {\"op\":\"stats\"}  {\"op\":\"shutdown\"}
 ";
 
-/// One ordered slice of the input stream. Runs of plain compile requests
-/// stay together so they still go through the deterministic batch
-/// executor at full `--threads` parallelism; a session op is a sequence
-/// point (its effect depends on every line before it), so it cuts the
-/// batch and executes inline.
-enum Segment {
-    /// Consecutive plain requests plus pre-built error lines interleaved
-    /// at their original positions within the run.
-    Batch {
-        requests: Vec<Request>,
-        bad_lines: Vec<(usize, Response)>,
-    },
-    /// One `open`/`edit`/`close` line (input line number, parsed value).
-    Op(u64, Json),
+/// One input line as the bounded framer delivered it.
+enum Input {
+    Line(String),
+    /// A line past `--max-line`, discarded to its newline; `usize` is how
+    /// much of it had arrived when it tripped the budget.
+    TooLarge(usize),
 }
 
-/// Read the whole input through the same bounded line framer the TCP
-/// server uses: a line past `max_line` bytes is *discarded to its
-/// newline* (never buffered whole — a hostile or corrupt input cannot
-/// balloon memory through one giant line) and becomes a structured
-/// `too_large` error at its position. Malformed lines likewise become
-/// pre-built `bad_request` error responses, so every non-empty input line
-/// still produces exactly one output line in order.
-fn read_segments(corpus: bool, formats: &[Format], max_line: usize) -> Vec<Segment> {
+/// Read the whole input once. Stdin goes through the same bounded line
+/// framer the TCP server uses: a line past `max_line` bytes is *discarded
+/// to its newline* (never buffered whole — a hostile or corrupt input
+/// cannot balloon memory through one giant line) and answers `too_large`
+/// at its position. `--corpus` turns the paper corpus into request lines.
+fn read_input(corpus: bool, max_line: usize) -> Vec<Input> {
     if corpus {
-        return vec![Segment::Batch {
-            requests: paper_corpus_requests(formats),
-            bad_lines: Vec::new(),
-        }];
+        return paper_corpus_requests(&[])
+            .iter()
+            .map(|request| {
+                let mut line = String::from("{\"id\":");
+                json::write_u64(&mut line, request.id);
+                line.push_str(",\"sql\":");
+                json::escape_into(&mut line, &request.sql);
+                line.push('}');
+                Input::Line(line)
+            })
+            .collect();
     }
     let stdin = std::io::stdin();
     let mut reader = LineReader::new(stdin.lock(), max_line);
-    let mut segments = Vec::new();
-    let mut requests = Vec::new();
-    let mut bad_lines = Vec::new();
-    let mut position = 0usize;
-    let mut line_no = 0u64;
-    fn cut(
-        segments: &mut Vec<Segment>,
-        requests: &mut Vec<Request>,
-        bad_lines: &mut Vec<(usize, Response)>,
-        position: &mut usize,
-    ) {
-        if !requests.is_empty() || !bad_lines.is_empty() {
-            segments.push(Segment::Batch {
-                requests: std::mem::take(requests),
-                bad_lines: std::mem::take(bad_lines),
-            });
-        }
-        *position = 0;
-    }
+    let mut input = Vec::new();
     loop {
         match reader.poll() {
-            Poll::Line(line) => {
-                let id = line_no;
-                line_no += 1;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let Ok(value) = queryvis_service::json::parse(&line) {
-                    if is_session_op(&value) {
-                        cut(&mut segments, &mut requests, &mut bad_lines, &mut position);
-                        segments.push(Segment::Op(id, value));
-                        continue;
-                    }
-                }
-                match Request::from_json_line(&line, id) {
-                    Ok(request) => requests.push(request),
-                    Err(message) => bad_lines.push((
-                        position,
-                        Response::error_kind(
-                            id,
-                            ErrorKind::BadRequest,
-                            format!("bad request: {message}"),
-                        ),
-                    )),
-                }
-                position += 1;
-            }
-            Poll::TooLarge { len } => {
-                let id = line_no;
-                line_no += 1;
-                bad_lines.push((
-                    position,
-                    Response::error_kind(
-                        id,
-                        ErrorKind::TooLarge,
-                        format!(
-                            "request line exceeded the {max_line} byte budget \
-                             (received at least {len})"
-                        ),
-                    ),
-                ));
-                position += 1;
-            }
+            Poll::Line(line) => input.push(Input::Line(line)),
+            Poll::TooLarge { len } => input.push(Input::TooLarge(len)),
             // Blocking stdin never reports Idle, but stay total.
             Poll::Idle => continue,
             Poll::Eof => break,
@@ -241,8 +178,7 @@ fn read_segments(corpus: bool, formats: &[Format], max_line: usize) -> Vec<Segme
             }
         }
     }
-    cut(&mut segments, &mut requests, &mut bad_lines, &mut position);
-    segments
+    input
 }
 
 fn stats_line(
@@ -251,17 +187,16 @@ fn stats_line(
     delta_hits: u64,
     delta_lookups: u64,
     elapsed_secs: f64,
-    batch_len: usize,
+    served: usize,
     telemetry: Option<(&TelemetrySnapshot, &TelemetrySnapshot)>,
 ) -> String {
-    use queryvis_service::json::Json;
     let pass_hit_rate = if delta_lookups > 0 {
         delta_hits as f64 / delta_lookups as f64
     } else {
         0.0
     };
     let qps = if elapsed_secs > 0.0 {
-        batch_len as f64 / elapsed_secs
+        served as f64 / elapsed_secs
     } else {
         0.0
     };
@@ -357,63 +292,41 @@ fn main() {
         options: Default::default(),
         default_formats: cli.default_formats.clone(),
     }));
-    let sessions = SessionStore::new(Arc::clone(&service), SessionConfig::default());
-    let segments = read_segments(cli.corpus, &cli.default_formats, cli.max_line);
-    let batch_len: usize = segments
-        .iter()
-        .map(|s| match s {
-            Segment::Batch { requests, .. } => requests.len(),
-            Segment::Op(..) => 1,
-        })
-        .sum();
+    let frontend = Frontend::new(Arc::clone(&service));
+    let input = read_input(cli.corpus, cli.max_line);
 
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    // One reusable serialization buffer for the whole output stream: each
-    // line escapes directly from the cache entry's shared artifacts into
-    // this buffer — no per-response JSON tree or artifact clone.
-    let mut line = String::with_capacity(4096);
-    let mut write_line = |out: &mut dyn Write, response: &Response| {
-        line.clear();
-        response.write_json_line(&mut line);
-        line.push('\n');
-        out.write_all(line.as_bytes()).expect("stdout write");
-    };
+    // One reusable reply buffer for the whole output stream: each reply
+    // escapes directly from the cache entry's shared artifacts into it —
+    // no per-response JSON tree or artifact clone.
+    let mut reply = String::with_capacity(4096);
+    let mut shutdown = false;
     for pass in 1..=cli.passes {
         let before = service.stats();
         let telemetry_before = telemetry_on.then(|| queryvis_telemetry::global().snapshot());
         let start = Instant::now();
-        for segment in &segments {
-            match segment {
-                Segment::Batch {
-                    requests,
-                    bad_lines,
-                } => {
-                    let responses = service.execute_batch(requests, cli.threads);
-                    // Interleave computed responses with the pre-built
-                    // error lines at their original input positions.
-                    let mut bad = bad_lines.iter().peekable();
-                    let mut written = 0usize;
-                    for (slot, response) in responses.iter().enumerate() {
-                        while bad.peek().is_some_and(|(pos, _)| *pos == written + slot) {
-                            let (_, error) = bad.next().expect("peeked");
-                            write_line(&mut out, error);
-                            written += 1;
-                        }
-                        write_line(&mut out, response);
-                    }
-                    for (_, error) in bad {
-                        write_line(&mut out, error);
-                    }
+        let mut served = 0usize;
+        for (line_id, line) in input.iter().enumerate() {
+            let line_id = line_id as u64;
+            // Stdin is one client: owner 0 holds every session it opens.
+            let outcome = match line {
+                Input::Line(text) if text.trim().is_empty() => continue,
+                Input::Line(text) => frontend.serve_line(text, line_id, 0, &mut reply),
+                Input::TooLarge(len) => {
+                    too_large_reply(line_id, cli.max_line, *len, &mut reply);
+                    Served::Reply
                 }
-                Segment::Op(id, value) => {
-                    // Session ops execute inline: each depends on the
-                    // buffer state every prior line produced. Stdin is one
-                    // client; owner 0 covers the whole stream.
-                    let mut response = sessions.dispatch_value(value, *id, 0);
-                    response.push('\n');
-                    out.write_all(response.as_bytes()).expect("stdout write");
-                }
+            };
+            if outcome == Served::Stats {
+                frontend.stats_reply(None, &mut reply);
+            }
+            reply.push('\n');
+            out.write_all(reply.as_bytes()).expect("stdout write");
+            served += 1;
+            if outcome == Served::Shutdown {
+                shutdown = true;
+                break;
             }
         }
         let elapsed = start.elapsed().as_secs_f64();
@@ -432,10 +345,13 @@ fn main() {
                     delta_hits,
                     delta_lookups,
                     elapsed,
-                    batch_len,
+                    served,
                     telemetry_before.as_ref().map(|b| (b, &telemetry_after)),
                 )
             );
+        }
+        if shutdown {
+            break;
         }
     }
 
@@ -443,7 +359,7 @@ fn main() {
         let doc = stats_snapshot_json(
             &service.stats(),
             &queryvis_telemetry::global().snapshot(),
-            Some(&sessions.snapshot()),
+            Some(&frontend.sessions.snapshot()),
         );
         if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
             eprintln!("service: cannot write --stats-json {path}: {e}");

@@ -28,12 +28,13 @@
 //! * [`compile`] — immutable compiled entries (pattern representatives)
 //!   with lazily rendered, `Arc`-shared per-format artifacts;
 //! * [`service`] — [`DiagramService`]: single-request serving with
-//!   in-flight deduplication, plus the deterministic batch executor;
-//! * [`executor`] — the fixed thread pool primitive;
-//! * [`protocol`] / [`json`] — the JSON-lines wire format of the
-//!   `service` binary (see the repository `README.md` for examples),
-//!   serialized without intermediate trees by
-//!   [`Response::write_json_line`];
+//!   in-flight deduplication;
+//! * [`protocol`] / [`json`] — the JSON-lines wire format (see the
+//!   repository `README.md` for examples), serialized without
+//!   intermediate trees by [`Response::write_json_line`];
+//! * [`frontend`] — [`Frontend::serve_line`], the one line→reply function
+//!   both front ends (the stdin `service` binary and the TCP [`server`])
+//!   serve every request line through;
 //! * [`scene_json`] — the machine-readable scene export: one entry's
 //!   shared [`Scene`](queryvis::layout::Scene) display list (svg, ascii,
 //!   and scene_json all render from it — one layout per entry) as a JSON
@@ -47,9 +48,9 @@
 
 pub mod cache;
 pub mod compile;
-pub mod executor;
 pub mod fault;
 pub mod fingerprint;
+pub mod frontend;
 pub mod json;
 pub mod memo;
 pub mod net;
@@ -64,6 +65,7 @@ pub mod stats_json;
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
 pub use compile::{compile_representative, CompiledEntry};
 pub use fingerprint::{fingerprint_prepared, fingerprint_sql, Fingerprint, FingerprintedQuery};
+pub use frontend::{Frontend, Served};
 pub use memo::{L1Memo, MemoConfig, MemoStats};
 pub use protocol::{Artifacts, ErrorKind, Format, Request, Response, ServiceError};
 pub use scene_diff::{apply_patch, diff_scenes, parse_patch_ops, write_patch_ops, PatchOp};
@@ -73,7 +75,7 @@ pub use service::{DiagramService, ServiceConfig, ServiceStats};
 pub use session::{SessionConfig, SessionReply, SessionStatsSnapshot, SessionStore};
 pub use stats_json::{session_stats_json, stats_snapshot_json, write_trace_jsonl};
 
-/// Every query of the paper corpus as a request batch — the standard
+/// Every query of the paper corpus as a list of requests — the standard
 /// workload of the `service` binary's `--corpus` mode and the throughput
 /// benchmark. Ids are assigned in corpus order.
 pub fn paper_corpus_requests(formats: &[Format]) -> Vec<Request> {

@@ -173,6 +173,11 @@ impl Request {
     /// request does not carry an explicit `id`.
     pub fn from_json_line(line: &str, default_id: u64) -> Result<Request, String> {
         let value = json::parse(line).map_err(|e| e.to_string())?;
+        Request::from_json(&value, default_id)
+    }
+
+    /// Read a request from an already parsed line.
+    pub fn from_json(value: &Json, default_id: u64) -> Result<Request, String> {
         let sql = value
             .get("sql")
             .and_then(Json::as_str)

@@ -16,9 +16,10 @@
 //! * **Bounded output.** Responses are written with a stall budget
 //!   (`write_stall`): a reader that stops draining is disconnected, so no
 //!   connection can pin unbounded output memory.
-//! * **Panic isolation.** Request handling runs under `catch_unwind` (on
-//!   top of the service's own compile isolation): a poisoned request
-//!   fails alone with a `panic` error; connection and process survive.
+//! * **Panic isolation.** [`Frontend::serve_line`] runs each line under
+//!   `catch_unwind` (on top of the service's own compile isolation): a
+//!   poisoned request fails alone with a `panic` error; connection and
+//!   process survive.
 //! * **Graceful drain.** On shutdown (the `{"op":"shutdown"}` wire op or
 //!   [`ServerHandle::shutdown`]) the listener stops accepting, backlog
 //!   connections are refused with a `draining` error line, in-flight
@@ -26,21 +27,20 @@
 //!   [`DrainReport`] whose `dropped` field is the accepted-but-unanswered
 //!   count — zero in any clean drain.
 //!
-//! Wire operations besides compile requests: `{"op":"ping"}` (liveness),
-//! `{"op":"stats"}` (one JSON line: server counters + the full
-//! [`stats_snapshot_json`] document), `{"op":"shutdown"}` (ack, then
-//! drain).
+//! Each line is answered by [`Frontend::serve_line`], the function the
+//! stdin `service` binary serves through too. Wire operations besides
+//! compile requests: `{"op":"ping"}` (liveness), `{"op":"stats"}` (one
+//! JSON line: server counters + the service, session and telemetry
+//! snapshots), `{"op":"shutdown"}` (ack, then drain).
 
-use crate::json::{self, Json};
+use crate::frontend::{too_large_reply, Frontend, Served};
+use crate::json::Json;
 use crate::net::{write_all_stall_bounded, LineReader, Poll};
-use crate::protocol::{ErrorKind, Request, Response};
+use crate::protocol::{ErrorKind, Response};
 use crate::service::DiagramService;
-use crate::session::{self, SessionConfig, SessionStore};
-use crate::stats_json::{service_stats_json, session_stats_json, telemetry_json};
 use queryvis_telemetry::CounterDef;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -135,8 +135,7 @@ impl DrainReport {
 
 /// State shared by the accept loop and every connection thread.
 struct Shared {
-    service: Arc<DiagramService>,
-    sessions: SessionStore,
+    frontend: Frontend,
     config: ServerConfig,
     draining: AtomicBool,
     open_conns: AtomicUsize,
@@ -168,9 +167,9 @@ impl Shared {
         }
     }
 
-    /// The `{"op":"stats"}` response: live server counters plus the full
-    /// stats snapshot document, as one line.
-    fn stats_line(&self) -> String {
+    /// The `{"op":"stats"}` reply: live server counters, then the
+    /// sections every front end reports.
+    fn stats_reply(&self, out: &mut String) {
         let server = Json::Obj(vec![
             (
                 "accepted".to_string(),
@@ -209,23 +208,7 @@ impl Shared {
                 Json::Bool(self.draining.load(Ordering::Acquire)),
             ),
         ]);
-        Json::Obj(vec![
-            ("op".to_string(), Json::Str("stats".to_string())),
-            ("server".to_string(), server),
-            (
-                "service".to_string(),
-                service_stats_json(&self.service.stats()),
-            ),
-            (
-                "sessions".to_string(),
-                session_stats_json(&self.sessions.snapshot()),
-            ),
-            (
-                "telemetry".to_string(),
-                telemetry_json(&queryvis_telemetry::global().snapshot()),
-            ),
-        ])
-        .to_string()
+        self.frontend.stats_reply(Some(server), out);
     }
 
     /// Best-effort one-line refusal on a connection we will not serve
@@ -302,8 +285,7 @@ impl Server {
             listener,
             addr,
             shared: Arc::new(Shared {
-                sessions: SessionStore::new(Arc::clone(&service), SessionConfig::default()),
-                service,
+                frontend: Frontend::new(service),
                 config,
                 draining: AtomicBool::new(false),
                 open_conns: AtomicUsize::new(0),
@@ -358,7 +340,7 @@ impl Server {
                     let conn_shared = Arc::clone(&shared);
                     workers.push(thread::spawn(move || {
                         serve_connection(&conn_shared, stream, owner);
-                        conn_shared.sessions.reap_owner(owner);
+                        conn_shared.frontend.sessions.reap_owner(owner);
                         conn_shared.open_conns.fetch_sub(1, Ordering::AcqRel);
                     }));
                 }
@@ -386,7 +368,7 @@ impl Server {
         // Workers have reaped their own sessions on the way out; whatever
         // is left (none, in a clean drain) is closed here so the ledger
         // balances.
-        let sessions_closed = shared.sessions.close_all() as u64;
+        let sessions_closed = shared.frontend.sessions.close_all() as u64;
         let mut report = shared.report();
         report.sessions_closed = sessions_closed;
         report
@@ -403,51 +385,6 @@ impl Server {
             shared,
             thread: Some(thread),
         }
-    }
-}
-
-/// What one request line turned into.
-enum Dispatch {
-    /// A response line to write (no trailing newline yet).
-    Respond(String),
-    /// A shutdown ack to write, then begin the drain.
-    Shutdown(String),
-}
-
-fn dispatch(shared: &Shared, text: &str, default_id: u64, owner: u64) -> Dispatch {
-    // Wire operations ride the same JSON-lines framing with an `op` key.
-    if let Ok(value) = json::parse(text) {
-        if session::is_session_op(&value) {
-            return Dispatch::Respond(shared.sessions.dispatch_value(&value, default_id, owner));
-        }
-        if let Some(op) = value.get("op").and_then(Json::as_str) {
-            return match op {
-                "ping" => Dispatch::Respond("{\"op\":\"ping\",\"ok\":true}".to_string()),
-                "stats" => Dispatch::Respond(shared.stats_line()),
-                "shutdown" => {
-                    Dispatch::Shutdown("{\"op\":\"shutdown\",\"draining\":true}".to_string())
-                }
-                other => Dispatch::Respond(
-                    Response::error_kind(
-                        default_id,
-                        ErrorKind::BadRequest,
-                        format!("unknown op `{other}` (ping, stats, shutdown, open, edit, close)"),
-                    )
-                    .to_json_line(),
-                ),
-            };
-        }
-    }
-    match Request::from_json_line(text, default_id) {
-        Ok(request) => Dispatch::Respond(shared.service.handle(&request).to_json_line()),
-        Err(message) => Dispatch::Respond(
-            Response::error_kind(
-                default_id,
-                ErrorKind::BadRequest,
-                format!("bad request: {message}"),
-            )
-            .to_json_line(),
-        ),
     }
 }
 
@@ -484,6 +421,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream, owner: u64) {
     };
     let mut reader = LineReader::new(stream, config.max_line);
     let mut line_no: u64 = 0;
+    // One reply buffer for the connection's lifetime.
+    let mut reply = String::with_capacity(4096);
     // Start of the current partial line (slowloris deadline anchor).
     let mut partial_since: Option<Instant> = None;
     // When drain was first observed on this connection.
@@ -505,32 +444,16 @@ fn serve_connection(shared: &Shared, stream: TcpStream, owner: u64) {
                     continue;
                 }
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
-                // Panic isolation above the service's own compile guard:
-                // no request line may take down the connection thread.
-                let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(shared, &text, id, owner)));
-                let outcome = outcome.unwrap_or_else(|_| {
-                    Dispatch::Respond(
-                        Response::error_kind(
-                            id,
-                            ErrorKind::Panic,
-                            "request handling panicked; the fault was isolated to this request",
-                        )
-                        .to_json_line(),
-                    )
-                });
-                match outcome {
-                    Dispatch::Respond(mut line) => {
-                        if !write_response(shared, &mut writer, &mut line) {
-                            return;
-                        }
-                    }
-                    Dispatch::Shutdown(mut ack) => {
-                        let ok = write_response(shared, &mut writer, &mut ack);
-                        shared.draining.store(true, Ordering::Release);
-                        if !ok {
-                            return;
-                        }
-                    }
+                let served = shared.frontend.serve_line(&text, id, owner, &mut reply);
+                if served == Served::Stats {
+                    shared.stats_reply(&mut reply);
+                }
+                let ok = write_response(shared, &mut writer, &mut reply);
+                if served == Served::Shutdown {
+                    shared.draining.store(true, Ordering::Release);
+                }
+                if !ok {
+                    return;
                 }
             }
             Poll::TooLarge { len } => {
@@ -542,16 +465,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream, owner: u64) {
                 // The line was received (and discarded): count it so the
                 // error response keeps accepted == responded.
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
-                let mut line = Response::error_kind(
-                    id,
-                    ErrorKind::TooLarge,
-                    format!(
-                        "request line exceeded the {} byte budget (received at least {len})",
-                        config.max_line
-                    ),
-                )
-                .to_json_line();
-                if !write_response(shared, &mut writer, &mut line) {
+                too_large_reply(id, config.max_line, len, &mut reply);
+                if !write_response(shared, &mut writer, &mut reply) {
                     return;
                 }
             }

@@ -1,21 +1,15 @@
 //! The diagram-compilation service: L1 memo → fingerprint → L2 cache →
 //! compile → render.
 //!
-//! Two entry points share one two-level cache:
-//!
-//! * [`DiagramService::handle`] serves a single request, deduplicating
-//!   concurrent identical fingerprints through an in-flight table
-//!   (`Mutex<HashMap>` + condvar): the first thread to claim a missing
-//!   fingerprint compiles it, racers park and are handed the finished
-//!   entry — one compile no matter how many concurrent duplicates.
-//!   Session opens and edits ([`crate::session`]) take the same path.
-//! * [`DiagramService::execute_batch`] serves a whole `Vec<Request>`
-//!   across a fixed thread pool with *deterministic* results: requests are
-//!   fingerprinted in parallel, grouped by fingerprint, and each group's
-//!   **first occurrence in request order** is the pattern representative
-//!   that compiles. Output bytes are therefore identical for any worker
-//!   count — the property the `service` binary's acceptance check relies
-//!   on — while duplicate patterns still compile exactly once per batch.
+//! [`DiagramService::handle`] serves one request, deduplicating concurrent
+//! identical fingerprints through an in-flight table (`Mutex<HashMap>` +
+//! condvar): the first thread to claim a missing fingerprint compiles it,
+//! racers park and are handed the finished entry — one compile no matter
+//! how many concurrent duplicates. Session opens and edits
+//! ([`crate::session`]) take the same path. Both front ends serve their
+//! lines through it one at a time and in order, so a pattern's
+//! representative is the first request of that pattern the service
+//! serves.
 //!
 //! **The warm path.** Before any lexing happens, the request text is
 //! probed in the [`L1Memo`](crate::memo::L1Memo): a repeat text (modulo
@@ -30,7 +24,6 @@
 
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::compile::{compile_representative, CompiledEntry};
-use crate::executor::run_indexed;
 use crate::fingerprint::{fingerprint_sql, Fingerprint, FingerprintedQuery};
 use crate::memo::{L1Memo, MemoConfig, MemoStats};
 use crate::protocol::{
@@ -38,7 +31,7 @@ use crate::protocol::{
 };
 use queryvis::ir::Interner;
 use queryvis::QueryVisOptions;
-use queryvis_telemetry::{now_if_enabled, CounterDef, GaugeDef, StageDef};
+use queryvis_telemetry::{CounterDef, GaugeDef, StageDef};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,9 +48,7 @@ static C_ERRORS: CounterDef = CounterDef::new("errors");
 static C_L1_HITS: CounterDef = CounterDef::new("l1_hits");
 static C_PANICS: CounterDef = CounterDef::new("panics_caught");
 static G_INFLIGHT: GaugeDef = GaugeDef::new("inflight_compiles");
-/// End-to-end request latency. `handle()` records wall time; the batch
-/// executor records queue-free *service time* (frontend + compile +
-/// respond, compile attributed to the pattern representative only).
+/// End-to-end request latency: `handle()` wall time.
 static STAGE_REQUEST: StageDef = StageDef::new("request");
 
 /// Service configuration.
@@ -90,8 +81,8 @@ pub struct ServiceStats {
     pub requests: u64,
     /// Full pipeline compilations actually executed.
     pub compiles: u64,
-    /// Requests served by joining another request's in-flight/in-batch
-    /// compile instead of compiling themselves.
+    /// Requests served by joining another request's in-flight compile
+    /// instead of compiling themselves.
     pub coalesced: u64,
     /// Requests that failed (parse/semantic/translation errors).
     pub errors: u64,
@@ -473,289 +464,6 @@ impl DiagramService {
             }),
         }
     }
-
-    /// Serve a whole batch across `threads` workers.
-    ///
-    /// Responses come back in request order with contents independent of
-    /// the worker count: per-pattern compilation is assigned to the
-    /// pattern's first request in batch order, not to whichever thread
-    /// gets there first.
-    pub fn execute_batch(&self, requests: &[Request], threads: usize) -> Vec<Response> {
-        let n = requests.len();
-        // The batch is CPU-bound (no I/O anywhere in the pipeline), so
-        // workers beyond the hardware's parallelism cannot overlap
-        // anything — they only add spawn cost and context switches. Clamp
-        // to the core count; the caller's `threads` is a ceiling, not a
-        // demand, and output bytes are identical for any worker count.
-        let hardware = std::thread::available_parallelism().map_or(1, usize::from);
-        let threads = threads.clamp(1, hardware);
-        self.requests.fetch_add(n as u64, Ordering::Relaxed);
-        C_REQUESTS.add(n as u64);
-
-        /// Result of the per-request front half: either the L1 memo
-        /// recognized the text (no frontend ran), or the full frontend
-        /// produced a prepared query, or the text is malformed. The
-        /// prepared query is boxed so the per-request vector stays dense
-        /// on warm batches, where almost every slot is the small `Memo`
-        /// variant.
-        enum Front {
-            Memo {
-                fingerprint: Fingerprint,
-                words: usize,
-            },
-            Full {
-                words: usize,
-                fq: Box<FingerprintedQuery>,
-            },
-            Failed(ServiceError),
-        }
-
-        // Phase 1 — resolve every request's fingerprint in parallel: L1
-        // memo probe first, full frontend on memo misses. The memo cannot
-        // change any response byte — it returns exactly the fingerprint
-        // and word count the frontend would recompute.
-        let fronts: Vec<(Front, u64)> = run_indexed(n, threads, |i| {
-            // Telemetry measures queue-free service time per request; the
-            // frontend share is timed here, the compile/respond shares in
-            // phases 3/4, and the sum is recorded in phase 4.
-            let t0 = now_if_enabled();
-            let _trace_scope = queryvis_telemetry::global()
-                .tracing()
-                .then(|| queryvis_telemetry::request_scope(requests[i].id));
-            let front = (|| {
-                let sql = &requests[i].sql;
-                // (l1_hits is counted in phase 4, once it is known whether
-                // the representative had to re-run the frontend after all.)
-                if let Some((fingerprint, words)) = self.memo.lookup(sql) {
-                    return Front::Memo {
-                        fingerprint,
-                        words: words as usize,
-                    };
-                }
-                match fingerprint_sql(sql, Arc::clone(&self.options)) {
-                    Ok(fq) => Front::Full {
-                        words: fq.prepared.sql_word_count(),
-                        fq: Box::new(fq),
-                    },
-                    Err(e) => Front::Failed(ServiceError::new(ErrorKind::Compile, e.to_string())),
-                }
-            })();
-            let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            (front, ns)
-        });
-        let mut front_ns: Vec<u64> = Vec::with_capacity(n);
-        let mut outcome: Vec<Result<usize, ServiceError>> = Vec::with_capacity(n);
-        let mut fingerprints: Vec<Option<Fingerprint>> = Vec::with_capacity(n);
-        let mut fqs: Vec<Option<Box<FingerprintedQuery>>> = Vec::with_capacity(n);
-        // Which requests ran the full frontend (and should be memoized
-        // once their entry is resident).
-        let mut memoize: Vec<bool> = Vec::with_capacity(n);
-        for (front, ns) in fronts {
-            front_ns.push(ns);
-            match front {
-                Front::Memo { fingerprint, words } => {
-                    outcome.push(Ok(words));
-                    fingerprints.push(Some(fingerprint));
-                    fqs.push(None);
-                    memoize.push(false);
-                }
-                Front::Full { words, fq } => {
-                    outcome.push(Ok(words));
-                    fingerprints.push(Some(fq.fingerprint));
-                    fqs.push(Some(fq));
-                    memoize.push(true);
-                }
-                Front::Failed(message) => {
-                    outcome.push(Err(message));
-                    fingerprints.push(None);
-                    fqs.push(None);
-                    memoize.push(false);
-                }
-            }
-        }
-        let front_errors = outcome.iter().filter(|r| r.is_err()).count() as u64;
-        self.errors.fetch_add(front_errors, Ordering::Relaxed);
-        C_ERRORS.add(front_errors);
-
-        // Phase 2 — group by fingerprint in request order; the first
-        // occurrence is the representative. One cache lookup per group.
-        struct Group {
-            fingerprint: Fingerprint,
-            representative: usize,
-            entry: Option<Arc<CompiledEntry>>,
-            /// Set only if the representative's compile failed (a caught
-            /// panic) or its frontend re-run failed — the latter is
-            /// unreachable when L1 normalization is sound, but a wrong
-            /// answer must degrade to an error response, not a panic.
-            failed: Option<ServiceError>,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_index: HashMap<u128, usize> = HashMap::new();
-        let mut group_of: Vec<Option<usize>> = vec![None; n];
-        for (i, fingerprint) in fingerprints.iter().enumerate() {
-            if let Some(fingerprint) = fingerprint {
-                let gi = *group_index.entry(fingerprint.0).or_insert_with(|| {
-                    groups.push(Group {
-                        fingerprint: *fingerprint,
-                        representative: i,
-                        entry: None,
-                        failed: None,
-                    });
-                    groups.len() - 1
-                });
-                group_of[i] = Some(gi);
-            }
-        }
-        // Missing groups carry the representative's prepared query, or
-        // `None` when the representative was an L1 hit whose L2 entry has
-        // been evicted since — those re-run the frontend in phase 3.
-        struct MissingGroup {
-            group: usize,
-            representative: usize,
-            fq: Mutex<Option<Box<FingerprintedQuery>>>,
-        }
-        let mut missing: Vec<MissingGroup> = Vec::new();
-        for (gi, group) in groups.iter_mut().enumerate() {
-            match self.cache.get(group.fingerprint) {
-                Some(entry) => group.entry = Some(entry),
-                None => missing.push(MissingGroup {
-                    group: gi,
-                    representative: group.representative,
-                    fq: Mutex::new(fqs[group.representative].take()),
-                }),
-            }
-        }
-
-        // Phase 3 — compile the missing representatives in parallel and
-        // publish them. Joins within the batch are the coalesced ones.
-        // (group index, refingerprinted, outcome, compile ns)
-        type CompiledGroup = (usize, bool, Result<Arc<CompiledEntry>, ServiceError>, u64);
-        let compiled: Vec<CompiledGroup> = run_indexed(missing.len(), threads, |k| {
-            let job = &missing[k];
-            let t0 = now_if_enabled();
-            // Compile spans are attributed to the representative.
-            let _trace_scope = queryvis_telemetry::global()
-                .tracing()
-                .then(|| queryvis_telemetry::request_scope(requests[job.representative].id));
-            let (refingerprinted, fq) = match lock_unpoisoned(&job.fq).take() {
-                Some(fq) => (false, Ok(*fq)),
-                None => (
-                    true,
-                    fingerprint_sql(&requests[job.representative].sql, Arc::clone(&self.options))
-                        .map_err(|e| ServiceError::new(ErrorKind::Compile, e.to_string())),
-                ),
-            };
-            let (group, refingerprinted, result) = match fq {
-                Ok(fq) => {
-                    let fingerprint = fq.fingerprint;
-                    // Keep whatever is resident after the insert: if a
-                    // concurrent batch compiled the same fingerprint
-                    // first, its incumbent wins and this whole group
-                    // serves it, keeping responses consistent within
-                    // the batch. A caught compile panic fails the whole
-                    // group with a `panic` error instead.
-                    let result = self
-                        .compile(fq)
-                        .map(|entry| self.publish(fingerprint, Arc::new(entry)));
-                    (job.group, refingerprinted, result)
-                }
-                Err(error) => (job.group, refingerprinted, Err(error)),
-            };
-            let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            (group, refingerprinted, result, ns)
-        });
-        let mut freshly_compiled = vec![false; groups.len()];
-        for job in &missing {
-            freshly_compiled[job.group] = true;
-        }
-        // Groups whose representative was an L1 hit but had to re-run the
-        // frontend anyway (its L2 entry was evicted in between): that one
-        // request's frontend was not skipped, so it must not count as an
-        // L1 hit in phase 4.
-        let mut rep_refingerprinted = vec![false; groups.len()];
-        // Compile time attributed to each group's representative when the
-        // per-request service time is recorded in phase 4.
-        let mut group_compile_ns = vec![0u64; groups.len()];
-        for (gi, refingerprinted, result, ns) in compiled {
-            rep_refingerprinted[gi] = refingerprinted;
-            group_compile_ns[gi] = ns;
-            match result {
-                Ok(entry) => groups[gi].entry = Some(entry),
-                Err(error) => groups[gi].failed = Some(error),
-            }
-        }
-
-        // Phase 4 — render responses in parallel, in request order. Every
-        // non-representative request performs its own cache lookup (a hit),
-        // so counters reflect per-request traffic deterministically; the
-        // requests that piggybacked on a batch compile count as coalesced.
-        // Requests that ran the full frontend memoize their text here, now
-        // that the entry is resident.
-        run_indexed(n, threads, |i| {
-            let request = &requests[i];
-            let t0 = now_if_enabled();
-            let _trace_scope = queryvis_telemetry::global()
-                .tracing()
-                .then(|| queryvis_telemetry::request_scope(request.id));
-            let response = (|| match (&outcome[i], group_of[i]) {
-                (Err(error), _) => Response {
-                    id: request.id,
-                    outcome: Err(error.clone()),
-                },
-                (Ok(words), Some(gi)) => {
-                    let group = &groups[gi];
-                    // Count the L1 hit exactly: a memo-resolved request
-                    // skipped the frontend unless it was the representative
-                    // that had to re-fingerprint after an L2 eviction.
-                    let memo_resolved = !memoize[i];
-                    if memo_resolved && !(group.representative == i && rep_refingerprinted[gi]) {
-                        self.l1_hits.fetch_add(1, Ordering::Relaxed);
-                        C_L1_HITS.add(1);
-                    }
-                    if let Some(error) = &group.failed {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        C_ERRORS.add(1);
-                        return Response {
-                            id: request.id,
-                            outcome: Err(error.clone()),
-                        };
-                    }
-                    // Every response in the group comes from the *same*
-                    // entry (phase 2/3's resident), so disclosures stay
-                    // consistent within a batch even if a concurrent batch
-                    // touches the cache between phases. Non-representative
-                    // members still perform their own lookup so counters
-                    // reflect per-request traffic.
-                    if group.representative != i {
-                        if freshly_compiled[gi] {
-                            self.coalesced.fetch_add(1, Ordering::Relaxed);
-                            C_COALESCED.add(1);
-                        }
-                        let _ = self.cache.get(group.fingerprint);
-                    }
-                    let entry = Arc::clone(group.entry.as_ref().expect("filled in phase 2/3"));
-                    if memoize[i] {
-                        self.memo
-                            .insert(&request.sql, group.fingerprint, *words as u32);
-                    }
-                    self.respond(request, *words, &entry)
-                }
-                (Ok(_), None) => unreachable!("fingerprinted requests always have a group"),
-            })();
-            if let Some(t0) = t0 {
-                // Queue-free service time: this request's frontend share +
-                // its compile (representatives only) + response assembly.
-                let mut ns = front_ns[i] + t0.elapsed().as_nanos() as u64;
-                if let Some(gi) = group_of[i] {
-                    if groups[gi].representative == i {
-                        ns += group_compile_ns[gi];
-                    }
-                }
-                STAGE_REQUEST.record_ns(ns);
-            }
-            response
-        })
-    }
 }
 
 #[cfg(test)]
@@ -773,6 +481,11 @@ mod tests {
 
     fn service() -> DiagramService {
         DiagramService::new(ServiceConfig::default())
+    }
+
+    /// Serve `requests` one at a time, in order, as both front ends do.
+    fn serve_all(service: &DiagramService, requests: &[Request]) -> Vec<Response> {
+        requests.iter().map(|r| service.handle(r)).collect()
     }
 
     #[test]
@@ -840,36 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_output_is_identical_for_any_thread_count() {
-        let sqls = [
-            "SELECT T.a FROM T",
-            "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
-             (SELECT * FROM Serves S WHERE S.bar = F.bar)",
-            "SELECT U.a FROM T U", // alias-renamed duplicate of the first
-            "SELECT FROM",         // error
-            "SELECT T.a FROM T",   // exact duplicate
-        ];
-        let requests: Vec<Request> = sqls
-            .iter()
-            .enumerate()
-            .map(|(i, sql)| request(i as u64, sql))
-            .collect();
-        let baseline: Vec<String> = service()
-            .execute_batch(&requests, 1)
-            .iter()
-            .map(Response::to_json_line)
-            .collect();
-        for threads in [2, 4, 8] {
-            let lines: Vec<String> = service()
-                .execute_batch(&requests, threads)
-                .iter()
-                .map(Response::to_json_line)
-                .collect();
-            assert_eq!(lines, baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn batch_deduplicates_equivalent_queries() {
         let service = service();
         let requests = vec![
@@ -877,11 +560,10 @@ mod tests {
             request(1, "SELECT U.a FROM T U"),
             request(2, "SELECT T.a FROM T"),
         ];
-        let responses = service.execute_batch(&requests, 4);
+        let responses = serve_all(&service, &requests);
         assert!(responses.iter().all(|r| r.outcome.is_ok()));
         let stats = service.stats();
         assert_eq!(stats.compiles, 1, "one compile for three equivalents");
-        assert_eq!(stats.coalesced, 2);
         // All three share the representative's artifacts and fingerprint.
         let fingerprints: Vec<String> = responses
             .iter()
@@ -926,9 +608,9 @@ mod tests {
                 request(i as u64, &sql)
             })
             .collect();
-        service.execute_batch(&requests, 2);
+        serve_all(&service, &requests);
         let before = service.stats();
-        service.execute_batch(&requests, 2);
+        serve_all(&service, &requests);
         let after = service.stats();
         assert_eq!(after.compiles, before.compiles, "no new compiles");
         assert_eq!(after.cache.misses, before.cache.misses, "no new misses");

@@ -408,14 +408,6 @@ impl SessionStore {
 // Wire layer: `open` / `edit` / `close` ops over the JSON-lines framing.
 // ---------------------------------------------------------------------
 
-/// True when a parsed request line is a session op this module owns.
-pub fn is_session_op(value: &Json) -> bool {
-    matches!(
-        value.get("op").and_then(Json::as_str),
-        Some("open" | "edit" | "close")
-    )
-}
-
 fn error_line(id: u64, session: Option<u64>, error: &ServiceError) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"id\":");
@@ -461,8 +453,8 @@ fn reply_line(id: u64, reply: &SessionReply) -> String {
 
 impl SessionStore {
     /// Serve one parsed session-op line, returning the response line (no
-    /// trailing newline). Callers route lines here when
-    /// [`is_session_op`] matched.
+    /// trailing newline). [`crate::frontend::Frontend`] routes the
+    /// `open`, `edit` and `close` ops here.
     pub fn dispatch_value(&self, value: &Json, default_id: u64, owner: u64) -> String {
         let id = match value.get("id") {
             None => default_id,

@@ -11,15 +11,12 @@
 //!   invalidations, evictions and FIFO compaction either misses or
 //!   returns exactly the fingerprint memoized for that text;
 //! * **warm batches are memo hits** — once the working set is resident,
-//!   a repeat batch resolves through L1, single- and multi-threaded.
-//!
-//! Plus the executor's determinism contract: byte-identical batch output
-//! for any thread count, stealing included.
+//!   a repeat batch resolves through L1.
 
 use queryvis::QueryVisOptions;
 use queryvis_service::{
     compile_representative, fingerprint_sql, paper_corpus_requests, CacheConfig, CompiledEntry,
-    DiagramService, Fingerprint, Format, L1Memo, MemoConfig, Request, ServiceConfig, ShardedCache,
+    DiagramService, Fingerprint, Format, L1Memo, MemoConfig, Response, ServiceConfig, ShardedCache,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -150,40 +147,17 @@ fn l1_lookups_never_return_a_stale_fingerprint_under_churn() {
 
 #[test]
 fn warm_batches_hit_the_memo() {
-    // Warm the service once, then serve the same batch again — single-
-    // and multi-threaded. Repeat texts must resolve through L1.
+    // Warm the service once, then serve the same batch twice more, in
+    // order. Repeat texts must resolve through L1.
     let service = DiagramService::new(ServiceConfig::default());
     let requests = paper_corpus_requests(&[Format::Ascii, Format::Dot]);
-    let cold = service.execute_batch(&requests, 1);
+    let serve = || -> Vec<Response> { requests.iter().map(|r| service.handle(r)).collect() };
+    let cold = serve();
     assert_eq!(cold.len(), requests.len());
-    for threads in [1, 4] {
-        let warm = service.execute_batch(&requests, threads);
+    for _ in 0..2 {
+        let warm = serve();
         assert_eq!(warm.len(), requests.len());
     }
     let stats = service.stats();
     assert!(stats.l1_hits > 0, "warm runs must hit the memo");
-}
-
-#[test]
-fn batch_output_is_byte_identical_across_thread_counts_with_stealing() {
-    let requests: Vec<Request> = paper_corpus_requests(&[Format::Ascii])
-        .into_iter()
-        .take(24)
-        .collect();
-    let render = |threads: usize| -> Vec<String> {
-        let service = DiagramService::new(ServiceConfig::default());
-        service
-            .execute_batch(&requests, threads)
-            .iter()
-            .map(|response| {
-                let mut line = String::new();
-                response.write_json_line(&mut line);
-                line
-            })
-            .collect()
-    };
-    let reference = render(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(render(threads), reference, "threads={threads}");
-    }
 }

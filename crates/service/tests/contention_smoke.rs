@@ -1,52 +1,74 @@
 //! Release-mode contention smoke (CI runs this with `--ignored` after the
-//! release build): eight threads hammer a fully warm service and the
-//! output must stay byte-identical to the single-threaded run while
-//! clearing a conservative throughput floor. Catches both correctness
-//! regressions under real contention and the warm path serializing
-//! again: one global lock, or a lock held across a whole request, would
-//! collapse multi-thread throughput well below the floor. The per-shard
-//! locks of the memo and the cache are held only for a lookup, so they
-//! do not.
+//! release build): eight clients hammer a fully warm service, every reply
+//! must stay byte-identical to the single-client warm reference, and the
+//! run must clear a conservative throughput floor. Catches both
+//! correctness regressions under real contention and the warm path
+//! serializing again: one global lock, or a lock held across a whole
+//! request, would collapse multi-client throughput well below the floor.
+//! The per-shard locks of the memo and the cache are held only for a
+//! lookup, so they do not.
+//!
+//! The clients are spawned once, outside the timed phase, so the rate
+//! measures requests, not thread spawns.
 
-use queryvis_service::{paper_corpus_requests, DiagramService, Format, ServiceConfig};
+use queryvis_service::{paper_corpus_requests, DiagramService, Format, Request, ServiceConfig};
 use std::time::Instant;
 
-/// Aggregate warm lookups/sec the 8-thread run must clear. A warm hit
+/// Aggregate warm lookups/sec the 8-client run must clear. A warm hit
 /// costs single-digit microseconds on one thread, so even a fully
 /// serialized single-core CI box clears this by an order of magnitude —
 /// unless warm requests start queueing behind each other.
 const MIN_WARM_HITS_PER_SEC: f64 = 50_000.0;
+
+const CLIENTS: usize = 8;
+
+fn reply(service: &DiagramService, request: &Request, line: &mut String) {
+    line.clear();
+    service.handle(request).write_json_line(line);
+}
 
 #[test]
 #[ignore = "release-mode contention smoke; run explicitly in CI"]
 fn eight_thread_warm_batch_is_identical_and_fast() {
     let service = DiagramService::new(ServiceConfig::default());
     let requests = paper_corpus_requests(&[Format::Ascii, Format::Dot]);
-    let render = |threads: usize| -> Vec<String> {
-        service
-            .execute_batch(&requests, threads)
+    let serve_all = || -> Vec<String> {
+        requests
             .iter()
-            .map(|response| {
+            .map(|request| {
                 let mut line = String::new();
-                response.write_json_line(&mut line);
+                reply(&service, request, &mut line);
                 line
             })
             .collect()
     };
-    let cold = render(1); // populate both cache levels
-    let reference = render(1); // warm single-thread reference
+    let cold = serve_all(); // populate both cache levels
+    let reference = serve_all(); // warm single-client reference
     assert_eq!(cold, reference, "warm output must match cold output");
 
-    // 8-thread warm rounds: byte-identity every round, throughput floor
-    // over the whole contended phase.
+    // 8-client warm phase: the clients together serve `rounds` copies of
+    // the corpus (request k of the flattened sequence goes to client
+    // k % CLIENTS), comparing every reply with the reference; the
+    // throughput floor covers the whole contended phase.
     let rounds = 40usize;
+    let total = rounds * requests.len();
     let started = Instant::now();
-    for _ in 0..rounds {
-        assert_eq!(render(8), reference, "8-thread warm output diverged");
-    }
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (service, requests, reference) = (&service, &requests, &reference);
+            scope.spawn(move || {
+                let mut line = String::new();
+                for k in (client..total).step_by(CLIENTS) {
+                    let i = k % requests.len();
+                    reply(service, &requests[i], &mut line);
+                    assert_eq!(line, reference[i], "8-client warm reply diverged");
+                }
+            });
+        }
+    });
     let elapsed = started.elapsed().as_secs_f64();
-    let lookups = (rounds * requests.len()) as f64;
-    let rate = lookups / elapsed;
+    let rate = total as f64 / elapsed;
+    eprintln!("contention smoke: {rate:.0} req/s over {total} warm requests");
     assert!(
         rate >= MIN_WARM_HITS_PER_SEC,
         "warm throughput collapsed: {rate:.0} req/s < {MIN_WARM_HITS_PER_SEC} floor"

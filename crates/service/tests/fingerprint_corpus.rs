@@ -150,10 +150,14 @@ fn corpus_served_twice_compiles_each_pattern_once() {
         patterns.dedup();
         patterns.len()
     };
-    service.execute_batch(&requests, 4);
+    for request in &requests {
+        service.handle(request);
+    }
     let first = service.stats();
     assert_eq!(first.compiles as usize, unique_patterns);
-    service.execute_batch(&requests, 4);
+    for request in &requests {
+        service.handle(request);
+    }
     let second = service.stats();
     assert_eq!(second.compiles as usize, unique_patterns, "no recompiles");
     assert_eq!(

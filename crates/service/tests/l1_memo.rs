@@ -5,7 +5,7 @@
 use queryvis::QueryVisOptions;
 use queryvis_service::{
     fingerprint_sql, paper_corpus_requests, CacheConfig, DiagramService, Format, MemoConfig,
-    Request, ServiceConfig,
+    Request, Response, ServiceConfig,
 };
 
 fn request(id: u64, sql: &str) -> Request {
@@ -241,7 +241,8 @@ fn memoized_fingerprints_equal_recomputed_ones_across_the_corpus() {
     // change an answer.
     let service = service();
     let requests = paper_corpus_requests(&[Format::Ascii]);
-    let responses = service.execute_batch(&requests, 2);
+    let serve = || -> Vec<Response> { requests.iter().map(|r| service.handle(r)).collect() };
+    let responses = serve();
     for (request, response) in requests.iter().zip(&responses) {
         let artifacts = response.outcome.as_ref().expect("corpus queries serve");
         let memoized = service
@@ -254,9 +255,10 @@ fn memoized_fingerprints_equal_recomputed_ones_across_the_corpus() {
         assert_eq!(memoized.0, artifacts.fingerprint, "{}", request.sql);
     }
     // Second pass is served entirely through the memo, byte-identically.
-    let warm = service.execute_batch(&requests, 2);
+    let hits_before = service.stats().l1_hits;
+    let warm = serve();
     let stats = service.stats();
-    assert_eq!(stats.l1_hits, requests.len() as u64);
+    assert_eq!(stats.l1_hits - hits_before, requests.len() as u64);
     let cold_lines: Vec<String> = responses.iter().map(|r| r.to_json_line()).collect();
     let warm_lines: Vec<String> = warm.iter().map(|r| r.to_json_line()).collect();
     assert_eq!(cold_lines, warm_lines, "the memo must not change bytes");
@@ -329,7 +331,7 @@ fn corpus_variants_hit_the_memo_after_one_sighting() {
     }
     let service = service();
     let requests = paper_corpus_requests(&[Format::Ascii]);
-    let baseline = service.execute_batch(&requests, 1);
+    let baseline: Vec<Response> = requests.iter().map(|r| service.handle(r)).collect();
     let mut checked = 0;
     for (i, (request, response)) in requests.iter().zip(&baseline).enumerate() {
         let Ok(artifacts) = &response.outcome else {

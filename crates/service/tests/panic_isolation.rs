@@ -8,11 +8,7 @@
 //! other instrumented tests.
 
 use queryvis_service::{fault, DiagramService, ErrorKind, Format, Request, ServiceConfig};
-use std::sync::{Mutex, Once};
-
-/// The fault hook is process-global; both tests arm it, so they must not
-/// overlap even within this binary.
-static HOOK_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Once;
 
 /// Swallow the *expected* injected-panic backtraces while letting real
 /// test failures print normally.
@@ -36,7 +32,6 @@ fn quiet_injected_panics() {
 
 #[test]
 fn injected_compile_panic_fails_one_request_not_the_process() {
-    let _serial = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
     fault::arm_compile_panic("Poisoned_Tbl_xyzzy");
 
@@ -84,49 +79,4 @@ fn injected_compile_panic_fails_one_request_not_the_process() {
         1,
         "no new panics after disarm"
     );
-}
-
-#[test]
-fn batch_executor_contains_injected_panics_too() {
-    let _serial = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    quiet_injected_panics();
-    fault::arm_compile_panic("Poisoned_Batch_xyzzy");
-
-    let service = DiagramService::new(ServiceConfig::default());
-    let requests = vec![
-        Request {
-            id: 0,
-            sql: "SELECT T.a FROM T WHERE T.a = 1".to_string(),
-            formats: vec![Format::Ascii],
-            rows: None,
-        },
-        // Structurally distinct from the healthy requests: fingerprinting
-        // abstracts table names and constants, so a pattern-equivalent
-        // query would coalesce onto the healthy representative and the
-        // token would never reach the compile.
-        Request {
-            id: 1,
-            sql: "SELECT P.a FROM Poisoned_Batch_xyzzy P WHERE P.a = 2 AND P.b = 3".to_string(),
-            formats: vec![Format::Ascii],
-            rows: None,
-        },
-        Request {
-            id: 2,
-            sql: "SELECT U.b FROM U WHERE U.b = 3".to_string(),
-            formats: vec![Format::Ascii],
-            rows: None,
-        },
-    ];
-    let responses = service.execute_batch(&requests, 2);
-    fault::disarm_compile_panic();
-
-    assert_eq!(responses.len(), 3);
-    assert!(responses[0].outcome.is_ok());
-    assert!(responses[2].outcome.is_ok());
-    let err = responses[1]
-        .outcome
-        .as_ref()
-        .expect_err("poisoned batch entry must fail alone");
-    assert_eq!(err.kind, ErrorKind::Panic);
-    assert!(service.stats().panics_caught >= 1);
 }

