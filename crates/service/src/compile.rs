@@ -3,11 +3,18 @@
 //! An entry is immutable once built; the rendered artifacts materialize on
 //! first request per format behind [`OnceLock`]s, so a pattern that is only
 //! ever served as ASCII never pays for SVG text, while concurrent
-//! renderers of the same entry do the work exactly once. Artifacts are
-//! stored as `Arc<str>`: responses share the entry's rendering instead of
-//! cloning whole artifact strings per request, so a warm hit copies
-//! pointers, not text. The 32-hex-character fingerprint string and the
-//! representative's SQL are likewise rendered/shared once per entry. The
+//! renderers of the same entry do the work exactly once.
+//!
+//! **One form per artifact: the reply's.** Each artifact is stored once,
+//! as the JSON string literal a reply line carries (quotes and escapes
+//! included), in an `Arc<str>` shared into every response. The escape runs
+//! once per entry and format, inside the render's `OnceLock` init and its
+//! `stage.render.*` span; a warm reply then copies the literal's bytes
+//! instead of escaping the artifact again. No raw copy is kept beside it:
+//! a caller that wants the raw text decodes the literal with
+//! [`json::parse`]. The 32-hex-character fingerprint string and the
+//! representative's SQL stay raw (they are short, and sessions and the
+//! disclosure check compare them raw), shared once per entry. The
 //! canonical pattern string is not kept at all: the fingerprint, hashed
 //! from the pattern's token stream, is the entry's whole identity, so a
 //! cache miss canonicalizes once (while fingerprinting) and never again.
@@ -29,7 +36,7 @@
 //! of whole diagrams, concrete label text included.
 
 use crate::fingerprint::{Fingerprint, FingerprintedQuery};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::protocol::Format;
 use crate::scene_json::write_scene_json;
 use queryvis::diagram::DiagramStats;
@@ -135,33 +142,35 @@ impl CompiledEntry {
         self.scene.get_or_init(|| self.qv.scene())
     }
 
-    /// Render (or fetch the memoized) artifact for one format. The
-    /// returned `Arc` is shared: responses clone the pointer, never the
-    /// text. Geometric formats walk the shared [`CompiledEntry::scene`];
-    /// only dot (semantic GraphViz export) and reading (prose) bypass it.
+    /// Render (or fetch the memoized) artifact for one format, as its
+    /// JSON string literal: quotes and escapes included, the exact bytes a
+    /// reply line carries. The returned `Arc` is shared: responses clone
+    /// the pointer, and writing a reply copies the literal. Geometric
+    /// formats walk the shared [`CompiledEntry::scene`]; only dot
+    /// (semantic GraphViz export) and reading (prose) bypass it.
     pub fn render(&self, format: Format) -> &Arc<str> {
         match format {
             Format::Ascii => self.ascii.get_or_init(|| {
                 let _span = STAGE_RENDER_ASCII.span();
-                ascii::to_ascii(self.scene()).into()
+                literal(&ascii::to_ascii(self.scene()))
             }),
             Format::Dot => self.dot.get_or_init(|| {
                 let _span = STAGE_RENDER_DOT.span();
-                self.qv.dot().into()
+                literal(&self.qv.dot())
             }),
             Format::Svg => self.svg.get_or_init(|| {
                 let _span = STAGE_RENDER_SVG.span();
-                svg::to_svg(self.scene(), &SvgTheme::default()).into()
+                literal(&svg::to_svg(self.scene(), &SvgTheme::default()))
             }),
             Format::Reading => self.reading.get_or_init(|| {
                 let _span = STAGE_RENDER_READING.span();
-                self.qv.reading().into()
+                literal(&self.qv.reading())
             }),
             Format::SceneJson => self.scene_json.get_or_init(|| {
                 let _span = STAGE_RENDER_SCENE_JSON.span();
                 let mut out = String::with_capacity(4096);
                 write_scene_json(&mut out, self.scene());
-                out.into()
+                literal(&out)
             }),
         }
     }
@@ -213,6 +222,16 @@ impl CompiledEntry {
     }
 }
 
+/// `raw` as a JSON string literal, stored at its exact length. The
+/// scratch buffer holds every escape but `\u00XX` (a control byte in
+/// user text) without regrowing; the `Arc` copy drops its slack, which,
+/// kept, measured a third more peak memory over a run of cold compiles.
+fn literal(raw: &str) -> Arc<str> {
+    let mut out = String::with_capacity(2 * raw.len() + 2);
+    json::escape_into(&mut out, raw);
+    Arc::from(out)
+}
+
 /// Run the expensive back half of the pipeline for a pattern representative.
 pub fn compile_representative(fingerprinted: FingerprintedQuery) -> CompiledEntry {
     let FingerprintedQuery {
@@ -239,24 +258,39 @@ pub fn compile_representative(fingerprinted: FingerprintedQuery) -> CompiledEntr
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint_sql;
+    use crate::scene_json::scene_json;
     use queryvis::QueryVisOptions;
 
     fn compiled(sql: &str) -> CompiledEntry {
         compile_representative(fingerprint_sql(sql, QueryVisOptions::default()).unwrap())
     }
 
+    /// Each stored artifact is a JSON string literal that decodes to
+    /// exactly the library facade's raw rendering of the representative.
     #[test]
     fn artifacts_render_lazily_and_memoize() {
-        let entry = compiled("SELECT F.person FROM Frequents F WHERE F.bar = 'Owl'");
+        let sql = "SELECT F.person FROM Frequents F WHERE F.bar = 'Owl'";
+        let entry = compiled(sql);
         assert!(entry.rendered_formats().is_empty());
         let first = Arc::as_ptr(entry.render(Format::Ascii));
         assert_eq!(entry.rendered_formats(), vec![Format::Ascii]);
         let second = Arc::as_ptr(entry.render(Format::Ascii));
         assert_eq!(first, second, "memoized render must be reused");
-        assert!(entry.render(Format::Svg).starts_with("<svg"));
-        assert!(entry.render(Format::Dot).starts_with("digraph"));
-        assert!(entry.render(Format::Reading).starts_with("Return"));
-        assert!(entry.render(Format::SceneJson).starts_with("{\"v\":"));
+        let qv = QueryVis::from_sql(sql).unwrap();
+        for (format, raw) in [
+            (Format::Ascii, qv.ascii()),
+            (Format::Dot, qv.dot()),
+            (Format::Svg, qv.svg()),
+            (Format::Reading, qv.reading()),
+            (Format::SceneJson, scene_json(&qv.scene())),
+        ] {
+            assert_eq!(
+                json::parse(entry.render(format)),
+                Ok(Json::Str(raw)),
+                "{}",
+                format.name()
+            );
+        }
     }
 
     /// The acceptance property of the scene rearchitecture: an entry

@@ -4,6 +4,13 @@
 //! own ~200-line JSON implementation instead of serde. It supports the full
 //! JSON grammar the protocol needs: objects, arrays, strings (with escapes
 //! and `\uXXXX`, including surrogate pairs), numbers, booleans, and null.
+//! The reader takes RFC 8259's grammar exactly: a number such as `01`,
+//! `+1` or `.5`, or a `\u` escape that is not four hex digits, is an
+//! error, so a request line carrying one is a `bad_request`.
+//!
+//! The writer's [`escape_into`] is not a per-reply loop over artifact
+//! text: a cache entry escapes each artifact once, when it stores the
+//! artifact as the JSON string literal replies copy.
 
 use std::fmt;
 
@@ -147,20 +154,25 @@ fn parse_literal(
     }
 }
 
+/// Scan the run of number characters at `pos` and accept it only in RFC
+/// 8259's form, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Rust's
+/// own parsers are laxer (`+1`, `01`, `.5` and `1.` all parse), so the
+/// grammar is checked here first.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
+    let text = &bytes[start..*pos];
+    if !is_json_number(text) {
+        return Err(err(start, "malformed number"));
+    }
+    let text = std::str::from_utf8(text).expect("ascii digits");
     // Plain non-negative integer literals stay exact as u64; everything
     // else (sign, fraction, exponent, overflow) goes through f64.
-    if !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) {
+    if text.bytes().all(|b| b.is_ascii_digit()) {
         if let Ok(n) = text.parse::<u64>() {
             return Ok(Json::Int(n));
         }
@@ -168,6 +180,40 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| err(start, "malformed number"))
+}
+
+fn is_json_number(text: &[u8]) -> bool {
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while text.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    match text.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if text.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == text.len()
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -247,13 +293,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
+/// Exactly four ASCII hex digits (`u32::from_str_radix` would also take
+/// a sign, reading `\u+041` as `A`).
 fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
-    if *pos + 4 > bytes.len() {
-        return Err(err(*pos, "truncated \\u escape"));
+    let digits = bytes
+        .get(*pos..*pos + 4)
+        .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
+    let mut unit = 0;
+    for &b in digits {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| err(*pos, "malformed \\u escape"))?;
+        unit = unit * 16 + digit;
     }
-    let text = std::str::from_utf8(&bytes[*pos..*pos + 4])
-        .map_err(|_| err(*pos, "non-ascii \\u escape"))?;
-    let unit = u32::from_str_radix(text, 16).map_err(|_| err(*pos, "malformed \\u escape"))?;
     *pos += 4;
     Ok(unit)
 }
@@ -312,10 +364,11 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
 /// Works in unescaped *runs*: the scan finds the next byte needing an
 /// escape (all such bytes are ASCII, so run boundaries are always UTF-8
 /// character boundaries) and copies everything before it in one
-/// `push_str`. Rendered artifacts are kilobytes of mostly clean text, so
-/// this is the serializer's inner loop. Public (`escape_into`) because
-/// `Response::write_json_line` serializes directly into a caller buffer
-/// without building a [`Json`] tree.
+/// `push_str`. Rendered artifacts are kilobytes of mostly clean text; a
+/// cache entry runs this over each once, when it stores the artifact as
+/// a JSON string literal. Public because that store and
+/// `Response::write_json_line` (for the short raw fields) both write
+/// into a caller buffer without building a [`Json`] tree.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     let bytes = s.as_bytes();
@@ -476,6 +529,16 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("\"\u{1}\"").is_err());
+        // Numbers and `\u` escapes RFC 8259 forbids, which Rust's own
+        // parsers accept.
+        for bad in ["+1", "01", "00", "-01", ".5", "1.", "-.5", r#""\u+041""#] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
+        assert!(parse(r#"{"id":01,"sql":"SELECT T.a FROM T"}"#).is_err());
+        assert_eq!(parse("-0").unwrap(), Json::Num(-0.0));
+        assert_eq!(parse("1E+2").unwrap(), Json::Num(100.0));
+        assert_eq!(parse("0.0e-0").unwrap(), Json::Num(0.0));
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::Int(u64::MAX));
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!              ▼
 //!            L2 sharded ARC cache (fingerprint → compiled entry)
 //!              │  miss → simplify → diagram → layout →
-//!              │         render (lazy per format)
-//!              └→ artifacts (Arc<str>, shared into responses)
+//!              │         render → JSON-escape (lazy, once per format)
+//!              └→ artifacts (JSON string literals in Arc<str>, shared
+//!                 into responses, copied into reply lines)
 //! ```
 //!
 //! * [`memo`] — the L1 text→fingerprint memo (byte-level normalization,
@@ -26,12 +27,14 @@
 //! * [`cache`] — the N-shard ARC cache, one mutex per shard, with
 //!   hit/miss/eviction counters;
 //! * [`compile`] — immutable compiled entries (pattern representatives)
-//!   with lazily rendered, `Arc`-shared per-format artifacts;
+//!   with lazily rendered, `Arc`-shared per-format artifacts, each stored
+//!   once as the JSON string literal a reply carries;
 //! * [`service`] — [`DiagramService`]: single-request serving with
 //!   in-flight deduplication;
 //! * [`protocol`] / [`json`] — the JSON-lines wire format (see the
 //!   repository `README.md` for examples), serialized without
-//!   intermediate trees by [`Response::write_json_line`];
+//!   intermediate trees by [`Response::write_json_line`], which copies
+//!   each artifact's stored literal instead of escaping it;
 //! * [`frontend`] — [`Frontend::serve_line`], the one line→reply function
 //!   both front ends (the stdin `service` binary and the TCP [`server`])
 //!   serve every request line through;

@@ -224,7 +224,9 @@ impl Request {
 /// Every string in here is an `Arc<str>` **shared with the cache entry**
 /// that served the request — building a response copies pointers, never
 /// artifact text. The bytes on the wire are produced straight from these
-/// shared strings by [`Response::write_json_line`].
+/// shared strings by [`Response::write_json_line`]: the artifacts are
+/// stored as JSON string literals and copied, the short fields are raw
+/// and escaped on write.
 #[derive(Debug, Clone)]
 pub struct Artifacts {
     pub fingerprint: Fingerprint,
@@ -240,7 +242,10 @@ pub struct Artifacts {
     /// representative; this field is the disclosure that lets clients
     /// detect the substitution.
     pub representative_sql: Option<Arc<str>>,
-    /// `(format, rendered)` in request order.
+    /// `(format, literal)` in request order. Each string is the artifact
+    /// as a JSON string literal, quotes and escapes included, exactly as
+    /// the reply line carries it; [`json::parse`] decodes it to the raw
+    /// text as a [`Json::Str`].
     pub rendered: Vec<(Format, Arc<str>)>,
     /// Sample result rows, present only when the request opted in via
     /// `rows`. Row fragments are pre-rendered JSON arrays shared with the
@@ -286,10 +291,13 @@ impl Response {
     }
 
     /// Serialize as one JSON line (no trailing newline) into `out`,
-    /// escaping artifact text directly from the shared `Arc<str>`s — no
-    /// intermediate [`Json`] tree, no per-field `String`s. Callers on the
-    /// output hot path keep one reusable buffer per worker and `clear()`
-    /// it between lines.
+    /// straight from the shared `Arc<str>`s — no intermediate [`Json`]
+    /// tree, no per-field `String`s. Each artifact is already a JSON
+    /// string literal, so it is appended with one copy and never escaped
+    /// here; only the short raw fields (fingerprint, representative SQL,
+    /// `rows_error`, error message) go through [`json::escape_into`].
+    /// Callers on the output hot path keep one reusable buffer per worker
+    /// and `clear()` it between lines.
     pub fn write_json_line(&self, out: &mut String) {
         out.push_str("{\"id\":");
         json::write_u64(out, self.id);
@@ -304,13 +312,13 @@ impl Response {
                     json::escape_into(out, representative);
                 }
                 out.push_str(",\"artifacts\":{");
-                for (i, (format, text)) in artifacts.rendered.iter().enumerate() {
+                for (i, (format, literal)) in artifacts.rendered.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
                     json::escape_into(out, format.name());
                     out.push(':');
-                    json::escape_into(out, text);
+                    out.push_str(literal);
                 }
                 out.push('}');
                 match &artifacts.sample_rows {
@@ -400,7 +408,7 @@ mod tests {
                 fingerprint_hex: hex(Fingerprint(0xff)),
                 sql_words: 4,
                 representative_sql: None,
-                rendered: vec![(Format::Ascii, "a\nb".into())],
+                rendered: vec![(Format::Ascii, r#""a\nb""#.into())],
                 sample_rows: None,
             }),
         };
@@ -482,7 +490,7 @@ mod tests {
                 fingerprint_hex: hex(Fingerprint(2)),
                 sql_words: 4,
                 representative_sql: None,
-                rendered: vec![(Format::Ascii, "d".into())],
+                rendered: vec![(Format::Ascii, r#""d""#.into())],
                 sample_rows: Some(SampleOutcome::Rows {
                     rows: vec!["[1,\"a\",null]".into(), "[2,\"b\",null]".into()],
                     truncated: true,

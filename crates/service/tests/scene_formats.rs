@@ -23,7 +23,8 @@ fn request(id: u64, sql: &str, formats: &[Format]) -> Request {
 }
 
 /// Every corpus query's scene_json artifact parses with the service's own
-/// JSON parser and carries the expected document shape. (CI runs this in
+/// JSON parser and carries the expected document shape. The entry stores
+/// it as a JSON string literal, so it is decoded first. (CI runs this in
 /// release mode as the scene_json validation step.)
 #[test]
 fn corpus_scene_json_parses_with_own_parser() {
@@ -33,9 +34,12 @@ fn corpus_scene_json_parses_with_own_parser() {
     assert_eq!(responses.len(), requests.len());
     for response in &responses {
         let artifacts = response.outcome.as_ref().expect("corpus compiles");
-        let (format, text) = &artifacts.rendered[0];
+        let (format, literal) = &artifacts.rendered[0];
         assert_eq!(*format, Format::SceneJson);
-        let doc = json::parse(text)
+        let Ok(Json::Str(text)) = json::parse(literal) else {
+            panic!("request {}: artifact is not a string literal", response.id);
+        };
+        let doc = json::parse(&text)
             .unwrap_or_else(|e| panic!("scene_json of request {} invalid: {e}", response.id));
         assert_eq!(doc.get("v").and_then(Json::as_u64), Some(1));
         let branches = doc.get("branches").and_then(Json::as_arr).unwrap();
@@ -53,7 +57,7 @@ fn corpus_scene_json_parses_with_own_parser() {
                 .get("artifacts")
                 .and_then(|a| a.get("scene_json"))
                 .and_then(Json::as_str),
-            Some(text.as_ref())
+            Some(text.as_str())
         );
     }
 }
