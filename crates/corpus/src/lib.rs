@@ -3,7 +3,7 @@
 //! Every schema and query that appears in the paper, transcribed verbatim
 //! (modulo whitespace) and exposed as typed data:
 //!
-//! * [`schemas`] — the beer-drinkers schema (Ullman [78]), the three
+//! * [`schemas`] — the beer-drinkers schema (Ullman \[78\]), the three
 //!   Appendix G schemas (sailors, students, actors, Fig. 22), and the
 //!   Chinook music-store schema used by the study (tutorial page 2).
 //! * [`paper`] — the running examples: the unique-set query (Fig. 1a),

@@ -2,7 +2,7 @@
 
 use queryvis_sql::{Schema, Table};
 
-/// The beer-drinkers schema of Ullman [78] (paper §1.1):
+/// The beer-drinkers schema of Ullman \[78\] (paper §1.1):
 /// `Likes(drinker, beer)`, `Frequents(drinker, bar)`, `Serves(bar, beer)`.
 ///
 /// Different figures of the paper use `person`/`drinker` and
@@ -15,7 +15,7 @@ pub fn beers_schema() -> Schema {
         .with_table(Table::new("Serves", &["bar", "beer", "drink"]))
 }
 
-/// The sailors schema of Fig. 22a (Ramakrishnan & Gehrke [65]):
+/// The sailors schema of Fig. 22a (Ramakrishnan & Gehrke \[65\]):
 /// `Sailor(sid, sname, rating, age)`, `Reserves(sid, bid, day)`,
 /// `Boat(bid, bname, color)`.
 pub fn sailors_schema() -> Schema {
@@ -45,7 +45,7 @@ pub fn actors_schema() -> Schema {
         .with_table(Table::new("Movie", &["mid", "mname", "director"]))
 }
 
-/// The Chinook digital-media-store schema [20] used for all study and
+/// The Chinook digital-media-store schema \[20\] used for all study and
 /// qualification questions (tutorial page 2).
 pub fn chinook_schema() -> Schema {
     Schema::new("chinook")

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 /// Build the QueryVis diagram of a logic tree.
 ///
-/// Pass the *simplified* tree (see [`queryvis_logic::simplify`]) to obtain
+/// Pass the *simplified* tree (see [`queryvis_logic::simplify`](fn@queryvis_logic::simplify)) to obtain
 /// ∀ boxes (paper Fig. 2c / Fig. 12b); the raw tree yields the nested-∄
 /// form (Fig. 2b / Fig. 12a).
 pub fn build_diagram(tree: &LogicTree) -> Diagram {

@@ -122,7 +122,7 @@ pub fn check_pair(
 }
 
 /// Differentially execute a query's raw trees against their
-/// [`queryvis_logic::simplify`]d forms on the same generated database —
+/// [`queryvis_logic::simplify`](fn@queryvis_logic::simplify)d forms on the same generated database —
 /// the ∀-introduction rewrite must be answer-preserving.
 pub fn check_simplify(
     query: &PreparedQuery,

@@ -8,7 +8,7 @@
 //! path only where its result is provably the same, and hands every other
 //! value to `core::fmt`:
 //!
-//! - **Fast domain.** Non-negative values below [`FAST_LIMIT`] (which
+//! - **Fast domain.** Non-negative values below `FAST_LIMIT` (which
 //!   excludes −0.0, NaN and ±∞). Layout coordinates live here.
 //! - **`{:.1}` / `{:.0}`.** `core::fmt` rounds the *exact* binary value to
 //!   the requested digit, ties to even. The writer rounds the floating

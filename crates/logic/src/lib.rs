@@ -4,13 +4,13 @@
 //!
 //! * [`lt`] — the **Logic Tree (LT)**: a rooted tree of query blocks, each
 //!   holding its tables, conjunctive predicates, and quantifier (∃, ∄, ∀).
-//! * [`translate`] — SQL AST → LT, de-sugaring `IN` / `NOT IN` /
+//! * [`translate`](mod@translate) — SQL AST → LT, de-sugaring `IN` / `NOT IN` /
 //!   `ANY` / `ALL` into the corresponding quantifiers (and `HAVING` into
 //!   post-grouping predicates on the root block).
 //! * [`disjunction`] — polarity-aware `OR` lowering: negative-polarity
 //!   disjunctions become sibling ∄-groups, positive-polarity ones split
 //!   the query into union branches (`translate_branches`).
-//! * [`simplify`] — the De Morgan rewrite ∄·∄ → ∀·∃ that introduces the
+//! * [`simplify`](mod@simplify) — the De Morgan rewrite ∄·∄ → ∀·∃ that introduces the
 //!   universal quantifier (a construct SQL itself lacks).
 //! * [`validate`] — the *non-degeneracy* properties 5.1 (local attributes)
 //!   and 5.2 (connected subqueries) under which diagrams are provably

@@ -1,6 +1,6 @@
 //! SQL AST → Logic Tree translation (paper §4.7, Appendix A.1).
 //!
-//! Each query block becomes one [`LtNode`]. Subquery predicates are
+//! Each query block becomes one [`LtNode`](queryvis_ir::LtNode). Subquery predicates are
 //! de-sugared into quantified child nodes, removing the syntactic variance
 //! of SQL (`IN`, `NOT IN`, `ANY`, `ALL` "do not add expressiveness"):
 //!

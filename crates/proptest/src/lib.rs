@@ -404,7 +404,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`] — the two range forms in-repo tests use.
+    /// Length bounds for [`vec`](fn@vec) — the two range forms in-repo tests use.
     pub trait SizeRange: Clone {
         /// Inclusive `(min, max)` length bounds.
         fn bounds(&self) -> (usize, usize);

@@ -86,12 +86,7 @@ fn parse_cli() -> Result<Cli, String> {
             "--max-line" => cli.max_line = number("--max-line")?.max(1),
             "--format" => {
                 let list = args.next().ok_or("--format needs a value")?;
-                cli.default_formats = list
-                    .split(',')
-                    .map(|name| {
-                        Format::parse(name.trim()).ok_or_else(|| format!("unknown format `{name}`"))
-                    })
-                    .collect::<Result<Vec<Format>, String>>()?;
+                cli.default_formats = Format::parse_list(&list)?;
             }
             "--corpus" => cli.corpus = true,
             "--stats" => cli.stats = true,

@@ -18,15 +18,8 @@
 
 use crate::compile::CompiledEntry;
 use crate::fingerprint::Fingerprint;
-use queryvis_telemetry::CounterDef;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-// Global telemetry mirrors of the per-shard counters (DESIGN.md §6);
-// `CacheStats` remains the per-instance view.
-static C_L2_HITS: CounterDef = CounterDef::new("l2_hits");
-static C_L2_MISSES: CounterDef = CounterDef::new("l2_misses");
-static C_L2_EVICTIONS: CounterDef = CounterDef::new("l2_evictions");
 
 /// Cache configuration.
 #[derive(Debug, Clone, Copy)]
@@ -212,11 +205,9 @@ impl Shard {
     fn get(&mut self, key: u128) -> Option<Arc<CompiledEntry>> {
         let Some(idx) = self.resident(key) else {
             self.misses += 1;
-            C_L2_MISSES.add(1);
             return None;
         };
         self.hits += 1;
-        C_L2_HITS.add(1);
         self.promote(idx);
         self.slab[idx].value.clone()
     }
@@ -241,7 +232,6 @@ impl Shard {
         self.slab[victim].value = None;
         self.push_mru(ghost_list, victim);
         self.evictions += 1;
-        C_L2_EVICTIONS.add(1);
         Some(self.slab[victim].key)
     }
 
@@ -256,7 +246,6 @@ impl Shard {
         self.map.remove(&key);
         self.free.push(victim);
         self.evictions += 1;
-        C_L2_EVICTIONS.add(1);
         key
     }
 

@@ -38,14 +38,15 @@
 //! * [`frontend`] — [`Frontend::serve_line`], the one line→reply function
 //!   both front ends (the stdin `service` binary and the TCP [`server`])
 //!   serve every request line through;
-//! * [`scene_json`] — the machine-readable scene export: one entry's
+//! * [`scene_json`](mod@scene_json) — the machine-readable scene export: one entry's
 //!   shared [`Scene`](queryvis::layout::Scene) display list (svg, ascii,
 //!   and scene_json all render from it — one layout per entry) as a JSON
 //!   document a browser client can draw directly;
-//! * [`stats_json`] — the observability export: [`ServiceStats`] plus the
-//!   process-wide `queryvis-telemetry` snapshot (per-stage latency
-//!   histograms, mirrored counters, `pass.*` timings) as one
-//!   schema-stable JSON document, and the `--trace-jsonl` span dump.
+//! * [`stats_json`] — the observability export: [`ServiceStats`] (each
+//!   service event counted once, in the instance) plus the process-wide
+//!   `queryvis-telemetry` snapshot (per-stage latency histograms, pass
+//!   counters, `pass.*` timings) as one schema-stable JSON document, and
+//!   the `--trace-jsonl` span dump.
 
 #![forbid(unsafe_code)]
 

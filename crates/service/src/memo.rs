@@ -57,14 +57,8 @@ use crate::fingerprint::Fingerprint;
 use queryvis_sql::lexer::is_ident_start;
 use queryvis_sql::scan as swar;
 use queryvis_sql::token::Keyword;
-use queryvis_telemetry::CounterDef;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
-
-/// Global telemetry mirror of coherence invalidations (DESIGN.md §6);
-/// `MemoStats` remains the per-instance view. L1 *hits* are counted by the
-/// service, which knows whether the resolved fingerprint was servable.
-static C_L1_INVALIDATIONS: CounterDef = CounterDef::new("l1_invalidations");
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -467,7 +461,6 @@ impl MemoShard {
         }
         self.len -= removed;
         self.invalidations += removed as u64;
-        C_L1_INVALIDATIONS.add(removed as u64);
         removed
     }
 }
@@ -529,14 +522,6 @@ impl L1Memo {
                     .expect("memo shard poisoned")
                     .invalidate(fingerprint)
             })
-            .sum()
-    }
-
-    /// Entries currently resident.
-    pub fn entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len)
             .sum()
     }
 
@@ -697,11 +682,11 @@ mod tests {
         memo.insert("SELECT T.a FROM T", fp, 4);
         assert_eq!(memo.lookup("select T.a  from T;"), Some((fp, 4)));
         assert_eq!(memo.lookup("SELECT T.b FROM T"), None);
-        assert_eq!(memo.entries(), 1);
+        assert_eq!(memo.stats().entries, 1);
         // Equal-normalization reinsert keeps the incumbent.
         memo.insert("select T.a from T", Fingerprint(43), 9);
         assert_eq!(memo.lookup("SELECT T.a FROM T"), Some((fp, 4)));
-        assert_eq!(memo.entries(), 1);
+        assert_eq!(memo.stats().entries, 1);
     }
 
     #[test]
@@ -712,9 +697,9 @@ mod tests {
         // Distinct text, same pattern fingerprint (an alias rename).
         memo.insert("SELECT U.a FROM T U", fp_a, 5);
         memo.insert("SELECT T.b FROM T", fp_b, 4);
-        assert_eq!(memo.entries(), 3);
+        assert_eq!(memo.stats().entries, 3);
         assert_eq!(memo.invalidate(fp_a), 2);
-        assert_eq!(memo.entries(), 1);
+        assert_eq!(memo.stats().entries, 1);
         assert_eq!(memo.lookup("SELECT T.a FROM T"), None);
         assert_eq!(memo.lookup("SELECT U.a FROM T U"), None);
         assert_eq!(memo.lookup("SELECT T.b FROM T"), Some((fp_b, 4)));

@@ -8,9 +8,10 @@
 //! ```
 //!
 //! `id` defaults to the (zero-based) input line index and `formats` to the
-//! front end's default format list. Responses carry the pattern
-//! fingerprint, the SQL text-complexity word count (paper §4.8, from
-//! `queryvis_sql::metrics`), and one artifact string per requested format:
+//! front end's default format list; a list that names a format twice is a
+//! `bad_request`. Responses carry the pattern fingerprint, the SQL
+//! text-complexity word count (paper §4.8, from `queryvis_sql::metrics`),
+//! and one artifact string per requested format:
 //!
 //! ```json
 //! {"id":7,"fingerprint":"<32 hex>","sql_words":4,"artifacts":{"ascii":"..."}}
@@ -72,6 +73,31 @@ impl Format {
     pub fn parse(name: &str) -> Option<Format> {
         Format::ALL.into_iter().find(|f| f.name() == name)
     }
+
+    /// Read the comma-separated list of the `--format` flag both binaries
+    /// take.
+    pub fn parse_list(list: &str) -> Result<Vec<Format>, String> {
+        read_formats(list.split(',').map(|name| {
+            Format::parse(name.trim()).ok_or_else(|| format!("unknown format `{name}`"))
+        }))
+    }
+}
+
+/// The one reader of a format list, for request lines and the `--format`
+/// flag alike: the first error wins, and a format named twice is an
+/// error, since a reply would carry its artifact once per mention.
+fn read_formats(
+    formats: impl IntoIterator<Item = Result<Format, String>>,
+) -> Result<Vec<Format>, String> {
+    let mut list = Vec::new();
+    for format in formats {
+        let format = format?;
+        if list.contains(&format) {
+            return Err(format!("format `{}` is named twice", format.name()));
+        }
+        list.push(format);
+    }
+    Ok(list)
 }
 
 /// Machine-readable classification of a failed request, carried on the
@@ -191,16 +217,16 @@ impl Request {
         };
         let formats = match value.get("formats") {
             None => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| "`formats` must be an array".to_string())?
-                .iter()
-                .map(|f| {
-                    f.as_str()
-                        .and_then(Format::parse)
-                        .ok_or_else(|| format!("unknown format {f}"))
-                })
-                .collect::<Result<Vec<Format>, String>>()?,
+            Some(v) => read_formats(
+                v.as_arr()
+                    .ok_or_else(|| "`formats` must be an array".to_string())?
+                    .iter()
+                    .map(|f| {
+                        f.as_str()
+                            .and_then(Format::parse)
+                            .ok_or_else(|| format!("unknown format {f}"))
+                    }),
+            )?,
         };
         let rows = match value.get("rows") {
             None => None,
@@ -393,6 +419,28 @@ mod tests {
         assert!(Request::from_json_line(r#"{"sql": 7}"#, 0).is_err());
         assert!(Request::from_json_line(r#"{"sql": "x", "formats": ["png"]}"#, 0).is_err());
         assert!(Request::from_json_line("not json", 0).is_err());
+    }
+
+    #[test]
+    fn a_format_named_twice_is_rejected() {
+        let line = r#"{"id": 4, "sql": "SELECT T.a FROM T", "formats": ["svg", "ascii", "svg"]}"#;
+        let value = json::parse(line).unwrap();
+        assert_eq!(
+            Request::from_json(&value, 0).unwrap_err(),
+            "format `svg` is named twice"
+        );
+        assert_eq!(
+            Format::parse_list("svg, svg").unwrap_err(),
+            "format `svg` is named twice"
+        );
+        assert_eq!(
+            Format::parse_list("ascii,svg").unwrap(),
+            vec![Format::Ascii, Format::Svg]
+        );
+        assert_eq!(
+            Format::parse_list("ascii,png").unwrap_err(),
+            "unknown format `png`"
+        );
     }
 
     fn hex(fingerprint: Fingerprint) -> Arc<str> {

@@ -4,7 +4,7 @@
 //! A session `edit` response may carry `{"patch": [...]}` instead of a
 //! full `scene_json` v2 document: a list of ops that transform the
 //! session's last acknowledged scene into the new one. Patch ops address
-//! marks by the stable structural ids [`build_scene`] assigns (see
+//! marks by the stable structural ids [`build_scene`](queryvis::layout::build_scene) assigns (see
 //! `queryvis_layout::scene`), scoped to a branch index.
 //!
 //! Op vocabulary (also documented in DESIGN.md §9):

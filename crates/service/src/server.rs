@@ -38,19 +38,12 @@ use crate::json::Json;
 use crate::net::{write_all_stall_bounded, LineReader, Poll};
 use crate::protocol::{ErrorKind, Response};
 use crate::service::DiagramService;
-use queryvis_telemetry::CounterDef;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-static C_CONNECTIONS: CounterDef = CounterDef::new("net.connections");
-static C_SHEDS: CounterDef = CounterDef::new("net.sheds");
-static C_TIMEOUTS: CounterDef = CounterDef::new("net.timeouts");
-static C_TOO_LARGE: CounterDef = CounterDef::new("net.too_large");
-static C_SLOW: CounterDef = CounterDef::new("net.slow_disconnects");
 
 /// Serving knobs. The defaults are sized for the fault-injection and soak
 /// harnesses; production fronts would tune per deployment.
@@ -218,7 +211,6 @@ impl Shared {
         match kind {
             ErrorKind::Overloaded => {
                 self.sheds.fetch_add(1, Ordering::Relaxed);
-                C_SHEDS.add(1);
             }
             _ => {
                 self.drain_refusals.fetch_add(1, Ordering::Relaxed);
@@ -336,7 +328,6 @@ impl Server {
                     // The connection ordinal doubles as the session owner
                     // id: sessions opened here die with this connection.
                     let owner = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
-                    C_CONNECTIONS.add(1);
                     let conn_shared = Arc::clone(&shared);
                     workers.push(thread::spawn(move || {
                         serve_connection(&conn_shared, stream, owner);
@@ -401,7 +392,6 @@ fn write_response(shared: &Shared, writer: &mut TcpStream, line: &mut String) ->
         Err(e) => {
             if e.kind() == io::ErrorKind::TimedOut {
                 shared.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                C_SLOW.add(1);
             }
             false
         }
@@ -461,7 +451,6 @@ fn serve_connection(shared: &Shared, stream: TcpStream, owner: u64) {
                 let id = line_no;
                 line_no += 1;
                 shared.too_large.fetch_add(1, Ordering::Relaxed);
-                C_TOO_LARGE.add(1);
                 // The line was received (and discarded): count it so the
                 // error response keeps accepted == responded.
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
@@ -481,7 +470,6 @@ fn serve_connection(shared: &Shared, stream: TcpStream, owner: u64) {
                 let since = partial_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= config.read_deadline {
                     shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                    C_TIMEOUTS.add(1);
                     let mut line = Response::error_kind(
                         line_no,
                         ErrorKind::Timeout,

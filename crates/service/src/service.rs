@@ -12,15 +12,15 @@
 //! serves.
 //!
 //! **The warm path.** Before any lexing happens, the request text is
-//! probed in the [`L1Memo`](crate::memo::L1Memo): a repeat text (modulo
-//! whitespace, comments, and keyword case) resolves straight to its
-//! pattern fingerprint and word count, skipping parse, translation, and
-//! canonicalization entirely, and proceeds to the L2 entry whose
-//! `Arc<str>` artifacts are shared — not copied — into the response. L1
-//! and L2 stay coherent: an L2 eviction eagerly invalidates every L1 text
-//! pointing at the evicted fingerprint, and the rare lost race (evicted
-//! between L1 probe and L2 get) falls back to the full frontend. The memo
-//! never changes response bytes — it only skips recomputing them.
+//! probed in the [`L1Memo`]: a repeat text (modulo whitespace, comments,
+//! and keyword case) resolves straight to its pattern fingerprint and
+//! word count, skipping parse, translation, and canonicalization
+//! entirely, and proceeds to the L2 entry whose `Arc<str>` artifacts are
+//! shared — not copied — into the response. L1 and L2 stay coherent: an
+//! L2 eviction eagerly invalidates every L1 text pointing at the evicted
+//! fingerprint, and the rare lost race (evicted between L1 probe and L2
+//! get) falls back to the full frontend. The memo never changes response
+//! bytes — it only skips recomputing them.
 
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::compile::{compile_representative, CompiledEntry};
@@ -31,23 +31,12 @@ use crate::protocol::{
 };
 use queryvis::ir::Interner;
 use queryvis::QueryVisOptions;
-use queryvis_telemetry::{CounterDef, GaugeDef, StageDef};
+use queryvis_telemetry::StageDef;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-// Global telemetry mirrors of the per-service counters (DESIGN.md §6).
-// `ServiceStats` stays the per-instance source of truth; these fold the
-// same events into the process-wide registry so `--stats`/`--trace-jsonl`
-// see one vocabulary. Every call is a relaxed load + branch when disabled.
-static C_REQUESTS: CounterDef = CounterDef::new("requests");
-static C_COMPILES: CounterDef = CounterDef::new("compiles");
-static C_COALESCED: CounterDef = CounterDef::new("coalesced");
-static C_ERRORS: CounterDef = CounterDef::new("errors");
-static C_L1_HITS: CounterDef = CounterDef::new("l1_hits");
-static C_PANICS: CounterDef = CounterDef::new("panics_caught");
-static G_INFLIGHT: GaugeDef = GaugeDef::new("inflight_compiles");
 /// End-to-end request latency: `handle()` wall time.
 static STAGE_REQUEST: StageDef = StageDef::new("request");
 
@@ -92,7 +81,8 @@ pub struct ServiceStats {
     /// Compile panics caught and converted into per-request `panic`
     /// errors (the process survived every one of them).
     pub panics_caught: u64,
-    /// Texts currently memoized in L1.
+    /// Texts currently memoized in L1: `memo.entries`, from the same read
+    /// of the memo shards.
     pub l1_entries: usize,
     /// Distinct names resident in the shared interner (process-wide; grows
     /// monotonically with the vocabulary of table/column/alias/constant
@@ -220,6 +210,7 @@ impl DiagramService {
     }
 
     pub fn stats(&self) -> ServiceStats {
+        let memo = self.memo.stats();
         ServiceStats {
             requests: self.requests.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
@@ -227,10 +218,10 @@ impl DiagramService {
             errors: self.errors.load(Ordering::Relaxed),
             l1_hits: self.l1_hits.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            l1_entries: self.memo.entries(),
+            l1_entries: memo.entries,
             interned_symbols: self.interner.len() as u64,
             cache: self.cache.stats(),
-            memo: self.memo.stats(),
+            memo,
         }
     }
 
@@ -260,13 +251,11 @@ impl DiagramService {
     #[inline]
     pub(crate) fn resolve(&self, sql: &str) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        C_REQUESTS.add(1);
         // L1: a repeat text resolves to its fingerprint without touching
         // the frontend at all.
         if let Some((fingerprint, words)) = self.memo.lookup(sql) {
             if let Some(entry) = self.cache.get(fingerprint) {
                 self.l1_hits.fetch_add(1, Ordering::Relaxed);
-                C_L1_HITS.add(1);
                 return Ok((words as usize, entry));
             }
             // L2 evicted this fingerprint between the eager invalidation
@@ -295,7 +284,6 @@ impl DiagramService {
             });
         if resolved.is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
-            C_ERRORS.add(1);
         }
         resolved
     }
@@ -329,7 +317,6 @@ impl DiagramService {
         };
         if !is_owner {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
-            C_COALESCED.add(1);
             let guard = lock_unpoisoned(&flight.slot);
             let guard = flight
                 .ready
@@ -390,16 +377,12 @@ impl DiagramService {
     /// every other connection survive.
     fn compile(&self, fingerprinted: FingerprintedQuery) -> Result<CompiledEntry, ServiceError> {
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        C_COMPILES.add(1);
-        G_INFLIGHT.add(1);
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             crate::fault::maybe_panic_compile(&fingerprinted.prepared.sql);
             compile_representative(fingerprinted)
-        }));
-        G_INFLIGHT.add(-1);
-        result.map_err(|payload| {
+        }))
+        .map_err(|payload| {
             self.panics_caught.fetch_add(1, Ordering::Relaxed);
-            C_PANICS.add(1);
             let detail = if let Some(s) = payload.downcast_ref::<&str>() {
                 s
             } else if let Some(s) = payload.downcast_ref::<String>() {

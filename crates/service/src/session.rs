@@ -31,20 +31,9 @@ use crate::scene_json::scene_json_v2;
 use crate::service::DiagramService;
 use queryvis::layout::Scene;
 use queryvis_sql::{apply_edit, Edit};
-use queryvis_telemetry::{CounterDef, GaugeDef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-// Telemetry mirrors of the per-store counters (the `sessions` stats
-// section is the per-instance source of truth).
-static C_OPENS: CounterDef = CounterDef::new("session.opens");
-static C_EDITS: CounterDef = CounterDef::new("session.edits");
-static C_PARSE_ERRORS: CounterDef = CounterDef::new("session.parse_errors");
-static C_PATCHES: CounterDef = CounterDef::new("session.patches");
-static C_RESYNCS: CounterDef = CounterDef::new("session.resyncs");
-static C_EVICTIONS: CounterDef = CounterDef::new("session.evictions");
-static G_OPEN: GaugeDef = GaugeDef::new("session.open");
 
 /// Bounds on per-session server state.
 #[derive(Debug, Clone)]
@@ -215,8 +204,6 @@ impl SessionStore {
                 .expect("non-empty table");
             inner.sessions.remove(&victim);
             self.evicted.fetch_add(1, Ordering::Relaxed);
-            C_EVICTIONS.add(1);
-            G_OPEN.add(-1);
         }
         let id = inner.next_id;
         inner.next_id += 1;
@@ -229,8 +216,6 @@ impl SessionStore {
             edits: 0,
         };
         self.opened_total.fetch_add(1, Ordering::Relaxed);
-        C_OPENS.add(1);
-        G_OPEN.add(1);
         // An open always syncs the full scene.
         let reply = self.compile(id, sql).map(|(mut reply, scene)| {
             reply.scene = Some(scene_json_v2(&scene));
@@ -291,7 +276,6 @@ impl SessionStore {
         session.source = source;
         session.edits += edits.len() as u64;
         self.edits.fetch_add(1, Ordering::Relaxed);
-        C_EDITS.add(1);
         Ok(self
             .compile(session_id, &session.source)
             .map(|(mut reply, scene)| {
@@ -316,7 +300,6 @@ impl SessionStore {
             Some(_) => {
                 let session = inner.sessions.remove(&session_id).expect("present");
                 self.closed.fetch_add(1, Ordering::Relaxed);
-                G_OPEN.add(-1);
                 Ok(session.edits)
             }
         }
@@ -337,7 +320,6 @@ impl SessionStore {
         }
         let n = doomed.len();
         self.reaped.fetch_add(n as u64, Ordering::Relaxed);
-        G_OPEN.add(-(n as i64));
         n
     }
 
@@ -347,7 +329,6 @@ impl SessionStore {
         let n = inner.sessions.len();
         inner.sessions.clear();
         self.closed.fetch_add(n as u64, Ordering::Relaxed);
-        G_OPEN.add(-(n as i64));
         n
     }
 
@@ -364,12 +345,10 @@ impl SessionStore {
         match patch {
             Some(patch) if patch.len() < full.len() => {
                 self.patches.fetch_add(1, Ordering::Relaxed);
-                C_PATCHES.add(1);
                 reply.patch = Some(patch);
             }
             _ => {
                 self.resyncs.fetch_add(1, Ordering::Relaxed);
-                C_RESYNCS.add(1);
                 reply.scene = Some(full);
             }
         }
@@ -387,7 +366,6 @@ impl SessionStore {
             // A compile panic is not a parse error: the buffer parsed.
             if e.kind == ErrorKind::Compile {
                 self.parse_errors.fetch_add(1, Ordering::Relaxed);
-                C_PARSE_ERRORS.add(1);
             }
         })?;
         let reply = SessionReply {
@@ -764,6 +742,46 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::TooLarge);
         // The session still works after the refusal.
         assert!(store.edit(a, &[ins(6, " ")], 1).unwrap().is_ok());
+    }
+
+    /// Every way a session ends is counted once, so the `sessions`
+    /// ledger balances after each of them.
+    #[test]
+    fn session_ledger_adds_up() {
+        let store = SessionStore::new(
+            Arc::new(DiagramService::new(ServiceConfig::default())),
+            SessionConfig {
+                max_sessions: 2,
+                max_source_bytes: 256,
+            },
+        );
+        let ledger = || {
+            let s = store.snapshot();
+            assert_eq!(
+                s.open,
+                s.opened_total - s.closed - s.evicted - s.reaped,
+                "{s:?}"
+            );
+            (s.open, s.opened_total, s.closed, s.evicted, s.reaped)
+        };
+        let open = |sql: &str, owner: u64| {
+            let (id, reply) = store.open(sql, owner).unwrap();
+            reply.unwrap();
+            id
+        };
+        let a = open("SELECT T.a FROM T", 1);
+        assert_eq!(ledger(), (1, 1, 0, 0, 0));
+        store.close(a, 1).unwrap();
+        assert_eq!(ledger(), (0, 1, 1, 0, 0));
+        open("SELECT T.a FROM T", 1);
+        open("SELECT U.b FROM U", 2);
+        // A third open evicts the least recently used session.
+        open("SELECT V.c FROM V", 1);
+        assert_eq!(ledger(), (2, 4, 1, 1, 0));
+        assert_eq!(store.reap_owner(2), 1);
+        assert_eq!(ledger(), (1, 4, 1, 1, 1));
+        assert_eq!(store.close_all(), 1);
+        assert_eq!(ledger(), (0, 4, 2, 1, 1));
     }
 
     #[test]

@@ -2,30 +2,30 @@
 //! telemetry snapshot as one JSON document, built with the service's own
 //! [`json`](crate::json) writer (the workspace carries no serde).
 //!
-//! Shape (all keys name-sorted within their section, so the document is
-//! schema-stable run to run):
+//! Shape (fields in a fixed order, counters and histograms sorted by
+//! name, so the document is schema-stable run to run):
 //!
 //! ```json
 //! {
 //!   "service":   { "requests": 123, ..., "cache": {...}, "memo": {...} },
 //!   "telemetry": {
 //!     "enabled": true,
-//!     "counters": { "compiles": 7, "l2_hits": 90, ... },
-//!     "gauges": { "inflight_compiles": 0 },
+//!     "counters": { "pass_facts": 40, "passes_changed": 9, "passes_run": 80 },
 //!     "histograms": {
 //!       "request":     { "count": 123, "p50_ns": ..., "p999_ns": ... },
 //!       "stage.parse": { ... }, "pass.simplify": { ... }, ...
 //!     },
 //!     "trace_dropped": 0
-//!   }
+//!   },
+//!   "sessions":  { "open": 0, "opened_total": 0, ... }
 //! }
 //! ```
 //!
-//! The `service` section is the legacy per-instance [`ServiceStats`] view
-//! (kept as the compatibility surface the acceptance checks grep); the
-//! `telemetry` section is the process-global registry — counters mirror
-//! the service events, histograms carry the per-stage spans, and `pass.*`
-//! entries surface the `PassManager` timings that used to be write-only.
+//! Every service, cache, memo and session event is counted once, in the
+//! instance that owns it, and appears only in the `service` and
+//! `sessions` sections. The `telemetry` section is the process-global
+//! registry: the `PassManager`'s pass counters, the per-stage span
+//! histograms, and the `pass.*` timings.
 
 use crate::json::Json;
 use crate::service::ServiceStats;
@@ -34,13 +34,6 @@ use queryvis_telemetry::{HistogramSnapshot, TelemetrySnapshot, TraceRecord};
 
 fn usize_json(n: usize) -> Json {
     Json::Int(n as u64)
-}
-
-fn i64_json(n: i64) -> Json {
-    match u64::try_from(n) {
-        Ok(n) => Json::Int(n),
-        Err(_) => Json::Num(n as f64),
-    }
 }
 
 /// An `f64` in parser-normal form: the writer prints integral floats
@@ -71,7 +64,7 @@ pub fn histogram_json(h: &HistogramSnapshot) -> Json {
     ])
 }
 
-/// The legacy per-instance counters as the `service` section.
+/// The per-instance service counters as the `service` section.
 pub fn service_stats_json(stats: &ServiceStats) -> Json {
     Json::Obj(vec![
         ("requests".to_string(), Json::Int(stats.requests)),
@@ -129,16 +122,6 @@ pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
             ),
         ),
         (
-            "gauges".to_string(),
-            Json::Obj(
-                snapshot
-                    .gauges
-                    .iter()
-                    .map(|(name, value)| (name.clone(), i64_json(*value)))
-                    .collect(),
-            ),
-        ),
-        (
             "histograms".to_string(),
             Json::Obj(
                 snapshot
@@ -172,10 +155,10 @@ pub fn session_stats_json(s: &SessionStatsSnapshot) -> Json {
     ])
 }
 
-/// The full stats document: `ServiceStats` compat view + telemetry
-/// snapshot, plus the `sessions` ledger when the front end ran one. This
-/// is what `service --stats-json` emits and what the acceptance smoke
-/// round-trips through [`crate::json::parse`].
+/// The full stats document: `ServiceStats` + telemetry snapshot, plus
+/// the `sessions` ledger when the front end ran one. This is what
+/// `service --stats-json` emits and what the acceptance smoke round-trips
+/// through [`crate::json::parse`].
 pub fn stats_snapshot_json(
     stats: &ServiceStats,
     snapshot: &TelemetrySnapshot,

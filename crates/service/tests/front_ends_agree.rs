@@ -64,6 +64,8 @@ fn script() -> String {
         // One oversized line, then proof the stream recovered.
         &oversized,
         r#"{"id":31,"sql":"SELECT T.a FROM T"}"#,
+        // A format named twice is refused, not served twice.
+        r#"{"id":32,"sql":"SELECT T.a FROM T","formats":["svg","svg"]}"#,
     ];
     let mut script = lines.join("\n");
     script.push('\n');
@@ -181,6 +183,7 @@ fn stdin_and_socket_answer_one_script_with_the_same_bytes() {
         (12, "bad_request"), // `{"sql":7}`, shifted by the blank line
         (22, "compile"),
         (25, "bad_request"),
+        (32, "bad_request"),
     ] {
         let prefix = format!("{{\"id\":{id},");
         let kind = format!("\"error_kind\":\"{kind}\"");

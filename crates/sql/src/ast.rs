@@ -324,7 +324,7 @@ impl fmt::Display for HavingPredicate {
     }
 }
 
-/// A query block (`SELECT`–`FROM`–`WHERE`[–`GROUP BY`[–`HAVING`]]).
+/// A query block (`SELECT`–`FROM`–`WHERE`\[–`GROUP BY`\[–`HAVING`\]\]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub select: SelectList,

@@ -4,7 +4,7 @@
 //! identifier and literal is interned exactly once here, and all later
 //! layers (parser, logic tree, diagram, fingerprints) carry ids.
 //!
-//! The main loop dispatches on a 256-entry byte-class table ([`CLASS`]) —
+//! The main loop dispatches on a 256-entry byte-class table (`CLASS`) —
 //! one indexed load per input byte decides the whole token shape, and no
 //! UTF-8 decoding happens outside the cold error path (multi-byte
 //! characters can only appear inside string literals, which are scanned

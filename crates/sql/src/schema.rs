@@ -256,7 +256,7 @@ impl Schema {
     }
 }
 
-/// The beer-drinkers schema of Ullman [78] used throughout the paper:
+/// The beer-drinkers schema of Ullman \[78\] used throughout the paper:
 /// `Likes(drinker, beer)`, `Frequents(drinker, bar)`, `Serves(bar, beer)`.
 ///
 /// Note the paper uses both `person`/`drinker` and `drink`/`beer` naming in

@@ -3,9 +3,10 @@
 //! The workspace's vendored observability layer (no crates.io): one
 //! process-wide [`Telemetry`] instance holding
 //!
-//! * a metrics registry of **sharded relaxed-atomic counters** and gauges
-//!   ([`registry`]) — register-once by name, `Copy`-cheap static handles
-//!   ([`CounterDef`], [`GaugeDef`]), ~zero cost on the warm path;
+//! * a registry of **relaxed-atomic counters** ([`registry`]) —
+//!   register-once by name behind `static` [`CounterDef`] handles; the IR
+//!   `PassManager` counts the passes it runs, the facts they publish and
+//!   how many changed the IR;
 //! * **log-linear latency histograms** ([`histogram`]) — fixed buckets,
 //!   ≤3.1% relative quantization error over all of `u64`, mergeable,
 //!   exact-extreme p50/p90/p99/p999 queries;
@@ -20,8 +21,8 @@
 //! predictable branch — no clock reads, no atomics written, no
 //! allocation — which is what keeps the service's 2.3µs `warm_hit`
 //! budget intact (enforced by `bench_guard`'s `warm_hit_telemetry_off`
-//! row). Enabling at runtime (`--stats`, `--trace-jsonl`) costs a few
-//! sharded increments and two `Instant` reads per span.
+//! row). Enabling at runtime (`--stats`, `--trace-jsonl`) costs two
+//! `Instant` reads and one histogram record per span.
 //!
 //! ## Who records what
 //!
@@ -29,8 +30,9 @@
 //! parse, `queryvis` (core) times lowering/diagram/scene, `queryvis-ir`'s
 //! `PassManager` publishes per-pass durations and fact counts, and
 //! `queryvis-service` times canonicalization, per-format rendering, and
-//! end-to-end request latency, folding in its L1/L2 hit/miss/eviction and
-//! in-flight-dedup counters. The service exports everything as one JSON
+//! end-to-end request latency. The service counts its own events (cache
+//! hits, compiles, sessions, connections) in per-instance fields, not
+//! here, and exports those next to this registry's snapshot as one JSON
 //! document via its own `json` writer (`stats_json` module there); this
 //! crate deliberately has no serialization and no dependencies.
 
@@ -39,7 +41,7 @@ pub mod registry;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 
-use registry::{CounterCell, GaugeCell, Registry};
+use registry::Registry;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -74,8 +76,7 @@ pub struct TraceRecord {
 pub struct Telemetry {
     enabled: AtomicBool,
     tracing: AtomicBool,
-    counters: Registry<CounterCell>,
-    gauges: Registry<GaugeCell>,
+    counters: Registry<AtomicU64>,
     histograms: Registry<Histogram>,
     trace: Mutex<Vec<TraceRecord>>,
     trace_dropped: AtomicU64,
@@ -86,7 +87,6 @@ static GLOBAL: Telemetry = Telemetry {
     enabled: AtomicBool::new(false),
     tracing: AtomicBool::new(false),
     counters: Registry::new(),
-    gauges: Registry::new(),
     histograms: Registry::new(),
     trace: Mutex::new(Vec::new()),
     trace_dropped: AtomicU64::new(0),
@@ -103,18 +103,6 @@ pub fn global() -> &'static Telemetry {
 #[inline]
 pub fn enabled() -> bool {
     GLOBAL.enabled.load(Ordering::Relaxed)
-}
-
-/// `Instant::now()` only when telemetry is recording — the pattern for
-/// call sites that time a region without a [`StageDef`] (e.g. the batch
-/// executor's per-request service-time attribution).
-#[inline]
-pub fn now_if_enabled() -> Option<Instant> {
-    if enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
 }
 
 impl Telemetry {
@@ -166,12 +154,7 @@ impl Telemetry {
 
     fn counter_id(&self, def: &CounterDef) -> u32 {
         *def.id
-            .get_or_init(|| self.counters.register(def.name, CounterCell::default))
-    }
-
-    fn gauge_id(&self, def: &GaugeDef) -> u32 {
-        *def.id
-            .get_or_init(|| self.gauges.register(def.name, GaugeCell::default))
+            .get_or_init(|| self.counters.register(def.name, AtomicU64::default))
     }
 
     fn histogram_id(&self, def: &StageDef) -> u32 {
@@ -191,23 +174,16 @@ impl Telemetry {
         self.histograms.get(id).record(ns);
     }
 
-    /// A full snapshot of every counter, gauge, and histogram, sorted by
-    /// name so exports are schema-stable.
+    /// A full snapshot of every counter and histogram, sorted by name so
+    /// exports are schema-stable.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut counters: Vec<(String, u64)> = self
             .counters
             .entries()
             .into_iter()
-            .map(|(name, cell)| (name, cell.value()))
+            .map(|(name, cell)| (name, cell.load(Ordering::Relaxed)))
             .collect();
         counters.sort();
-        let mut gauges: Vec<(String, i64)> = self
-            .gauges
-            .entries()
-            .into_iter()
-            .map(|(name, cell)| (name, cell.value()))
-            .collect();
-        gauges.sort();
         let mut histograms: Vec<(String, HistogramSnapshot)> = self
             .histograms
             .entries()
@@ -218,7 +194,6 @@ impl Telemetry {
         TelemetrySnapshot {
             enabled: self.enabled(),
             counters,
-            gauges,
             histograms,
         }
     }
@@ -229,7 +204,6 @@ impl Telemetry {
 pub struct TelemetrySnapshot {
     pub enabled: bool,
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, i64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
@@ -257,8 +231,8 @@ impl TelemetrySnapshot {
 ///
 /// ```
 /// use queryvis_telemetry::CounterDef;
-/// static HITS: CounterDef = CounterDef::new("l2_hits");
-/// HITS.add(1); // no-op unless telemetry is enabled
+/// static PASSES_RUN: CounterDef = CounterDef::new("passes_run");
+/// PASSES_RUN.add(1); // no-op unless telemetry is enabled
 /// ```
 pub struct CounterDef {
     name: &'static str,
@@ -280,50 +254,15 @@ impl CounterDef {
         if !t.enabled() {
             return;
         }
-        t.counters.get(t.counter_id(self)).add(n);
+        t.counters
+            .get(t.counter_id(self))
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current total (registers the counter if it never incremented).
     pub fn value(&self) -> u64 {
         let t = global();
-        t.counters.get(t.counter_id(self)).value()
-    }
-}
-
-/// A register-once gauge handle (see [`CounterDef`] for the pattern).
-pub struct GaugeDef {
-    name: &'static str,
-    id: OnceLock<u32>,
-}
-
-impl GaugeDef {
-    pub const fn new(name: &'static str) -> GaugeDef {
-        GaugeDef {
-            name,
-            id: OnceLock::new(),
-        }
-    }
-
-    #[inline]
-    pub fn add(&self, d: i64) {
-        let t = global();
-        if !t.enabled() {
-            return;
-        }
-        t.gauges.get(t.gauge_id(self)).add(d);
-    }
-
-    pub fn set(&self, v: i64) {
-        let t = global();
-        if !t.enabled() {
-            return;
-        }
-        t.gauges.get(t.gauge_id(self)).set(v);
-    }
-
-    pub fn value(&self) -> i64 {
-        let t = global();
-        t.gauges.get(t.gauge_id(self)).value()
+        t.counters.get(t.counter_id(self)).load(Ordering::Relaxed)
     }
 }
 

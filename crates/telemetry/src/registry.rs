@@ -6,14 +6,12 @@
 //! always points at initialized storage. Hot-path mutation never touches
 //! the lock.
 //!
-//! Counters are sharded: each logical counter owns [`COUNTER_SHARDS`]
-//! cache-line-padded relaxed atomics, and every thread picks a home shard
-//! once (round-robin at first use), so concurrent increments from a
-//! thread pool don't ping-pong one cache line. Reads sum the shards —
-//! counters are monotone, so a racing read is merely a moment-in-time
-//! floor, never a torn value.
+//! A counter slot is one plain relaxed `AtomicU64`. The only counters
+//! (`passes_run`, `passes_changed`, `pass_facts`) move once per compiled
+//! pass, and only while telemetry is enabled, so none is hot enough to
+//! need per-thread cells.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Hard cap per metric kind. Registration panics beyond it — the metric
@@ -21,72 +19,17 @@ use std::sync::{Mutex, OnceLock};
 /// registration loop is a bug worth failing loudly on.
 pub const MAX_METRICS: usize = 256;
 
-/// Per-counter shard fan-out (power of two).
-pub const COUNTER_SHARDS: usize = 8;
-
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's ordinal, assigned round-robin at first telemetry use;
-    /// the low bits pick its counter shard, the full value labels its
-    /// trace records.
+    /// This thread's ordinal, assigned in order of first use; it labels
+    /// the thread's trace records.
     static THREAD_ORDINAL: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A small stable id for the current thread (trace labeling).
 pub fn thread_ordinal() -> usize {
     THREAD_ORDINAL.with(|t| *t)
-}
-
-#[inline]
-fn thread_shard() -> usize {
-    THREAD_ORDINAL.with(|t| *t) & (COUNTER_SHARDS - 1)
-}
-
-/// One cache line per shard so neighboring shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A sharded monotone counter.
-#[derive(Default)]
-pub struct CounterCell {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-impl CounterCell {
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.shards[thread_shard()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// A settable signed gauge (not sharded — gauges record *levels*, and a
-/// sharded level cannot be set atomically; gauge traffic is cold).
-#[derive(Default)]
-pub struct GaugeCell(AtomicI64);
-
-impl GaugeCell {
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// Append-only named storage for one metric kind.
@@ -147,42 +90,20 @@ impl<T> Registry<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn registration_is_idempotent_and_ordered() {
-        let r: Registry<CounterCell> = Registry::new();
-        let a = r.register("a", CounterCell::default);
-        let b = r.register("b", CounterCell::default);
+        let r: Registry<AtomicU64> = Registry::new();
+        let a = r.register("a", AtomicU64::default);
+        let b = r.register("b", AtomicU64::default);
         assert_ne!(a, b);
-        assert_eq!(r.register("a", CounterCell::default), a);
-        r.get(a).add(2);
-        r.get(a).add(3);
-        assert_eq!(r.get(a).value(), 5);
-        assert_eq!(r.get(b).value(), 0);
+        assert_eq!(r.register("a", AtomicU64::default), a);
+        r.get(a).fetch_add(2, Ordering::Relaxed);
+        r.get(a).fetch_add(3, Ordering::Relaxed);
+        assert_eq!(r.get(a).load(Ordering::Relaxed), 5);
+        assert_eq!(r.get(b).load(Ordering::Relaxed), 0);
         let names: Vec<String> = r.entries().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn counter_shards_sum() {
-        let c = CounterCell::default();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        c.add(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.value(), 8000);
-    }
-
-    #[test]
-    fn gauge_set_and_add() {
-        let g = GaugeCell::default();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.value(), 7);
     }
 }

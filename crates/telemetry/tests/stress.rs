@@ -9,7 +9,7 @@
 //!   histogram count, or histogram sum (relaxed atomics, but counts
 //!   only ever increase);
 //! * after all writers join, the totals are exact — no lost updates
-//!   across the sharded counter cells or histogram buckets;
+//!   in the counter or the histogram buckets;
 //! * per-thread owned snapshots merge to the same result in any order.
 //!
 //! This test is its own integration binary: it flips the process-global
