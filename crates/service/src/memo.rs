@@ -49,39 +49,51 @@
 //! and L2 get) falls back to the full frontend, which re-publishes both
 //! levels.
 //!
-//! Each shard is one mutex. A lookup hashes the text's normalization
-//! before it takes the lock, then compares the bucket's candidates with
-//! the text under it; neither step allocates.
+//! ## One scan per lookup
+//!
+//! A lookup normalizes the text once, into a per-thread key buffer that
+//! every lookup and insert on the thread clears and reuses. It hashes
+//! that key once with the memo's [`RandomState`], takes the shard lock,
+//! and compares the bucket's candidates with the key by slice equality;
+//! a dirty scan returns before the lock. An insert runs the same scan
+//! and hasher and copies the key into its entry. A key is at most twice
+//! its text (one separator per token), and the scan reserves that much,
+//! so the buffer keeps the capacity of the longest text its thread
+//! looked up: at most about 2× `--max-line`. Once a thread has looked up
+//! its longest text, a hit and a miss are both allocation-free.
 
 use crate::fingerprint::Fingerprint;
 use queryvis_sql::lexer::is_ident_start;
 use queryvis_sql::scan as swar;
 use queryvis_sql::token::Keyword;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, RandomState};
 use std::sync::{Mutex, MutexGuard};
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+// ---------------------------------------------------------------------
+// Normalization: one scanner writing the key
+// ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// Normalization: one scanner, three consumers (bytes / hash / compare)
-// ---------------------------------------------------------------------
+thread_local! {
+    /// The key buffer every lookup and insert on this thread normalizes
+    /// into (see "One scan per lookup" in the module docs).
+    static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Separator/flush state around the token scan: exactly one `b' '`
 /// between tokens, semicolons held back so a single trailing one drops.
-struct Sink<'a> {
-    emit: &'a mut dyn FnMut(&[u8]),
-    started: bool,
+struct KeyWriter<'a> {
+    out: &'a mut Vec<u8>,
     pending_semis: u32,
 }
 
-impl Sink<'_> {
+impl KeyWriter<'_> {
     fn raw(&mut self, bytes: &[u8]) {
-        if self.started {
-            (self.emit)(b" ");
+        if !self.out.is_empty() {
+            self.out.push(b' ');
         }
-        self.started = true;
-        (self.emit)(bytes);
+        self.out.extend_from_slice(bytes);
     }
 
     fn token(&mut self, bytes: &[u8]) {
@@ -106,25 +118,25 @@ impl Sink<'_> {
     }
 }
 
-/// The normalization scanner: streams the normalized byte sequence of
-/// `source` into `emit`, chunk by chunk. Token boundaries replicate the
-/// lexer exactly (see the module docs for the soundness argument).
+/// The normalization scanner: writes the normalized bytes of `source`
+/// into `out` (cleared first). Token boundaries replicate the lexer
+/// exactly (see the module docs for the soundness argument).
 ///
 /// Returns `false` if the text contains a construct the lexer rejects at
 /// scan level (an unterminated block comment or string literal). Such a
 /// text has no trustworthy normalization — dropping the dangling rest
-/// could make it byte-equal to a *valid* memoized text — so lookups must
-/// treat `false` as "never matches" and the insert path must never be
-/// reached with one (it only runs after a successful lex).
+/// could make it byte-equal to a *valid* memoized text — so a lookup
+/// treats `false` as "never matches" and an insert as "nothing to
+/// memoize".
 #[must_use]
-fn scan(source: &str, emit: &mut dyn FnMut(&[u8])) -> bool {
+fn normalize_into(source: &str, out: &mut Vec<u8>) -> bool {
     let bytes = source.as_bytes();
-    let mut sink = Sink {
-        emit,
-        started: false,
+    out.clear();
+    out.reserve_exact(2 * bytes.len());
+    let mut key = KeyWriter {
+        out,
         pending_semis: 0,
     };
-    let mut clean = true;
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
@@ -151,37 +163,29 @@ fn scan(source: &str, emit: &mut dyn FnMut(&[u8])) -> bool {
                             }
                             _ => i = at + 1,
                         },
-                        _ => {
-                            // Unterminated comment: the lexer rejects this
-                            // text. Mark the scan dirty so it can never
-                            // match a memoized (necessarily valid) key.
-                            clean = false;
-                            i = bytes.len();
-                            break;
-                        }
+                        // Unterminated comment: the lexer rejects this
+                        // text, so it has no key that may match a
+                        // memoized (necessarily valid) one.
+                        _ => return false,
                     }
                 }
             }
             b'\'' => {
                 // String literal, verbatim (quotes and '' escapes kept).
                 let start = i;
-                let mut terminated = false;
                 i += 1;
-                while let Some(at) = swar::find_byte(bytes, i, b'\'') {
-                    if at + 1 < bytes.len() && bytes[at + 1] == b'\'' {
-                        i = at + 2;
-                    } else {
-                        i = at + 1;
-                        terminated = true;
+                loop {
+                    // Unterminated literal: lexer error; see above.
+                    let Some(at) = swar::find_byte(bytes, i, b'\'') else {
+                        return false;
+                    };
+                    i = at + 1;
+                    if bytes.get(i) != Some(&b'\'') {
                         break;
                     }
+                    i += 1;
                 }
-                if !terminated {
-                    // Unterminated literal: lexer error; see above.
-                    clean = false;
-                    i = bytes.len();
-                }
-                sink.token(&bytes[start..i]);
+                key.token(&bytes[start..i]);
             }
             b'0'..=b'9' => {
                 // Number, verbatim; the `.`-absorption rule matches the
@@ -192,22 +196,22 @@ fn scan(source: &str, emit: &mut dyn FnMut(&[u8])) -> bool {
                     end = swar::digit_run_end(bytes, end + 1);
                 }
                 i = end;
-                sink.token(&bytes[start..i]);
+                key.token(&bytes[start..i]);
             }
             b';' => {
-                sink.pending_semis += 1;
+                key.pending_semis += 1;
                 i += 1;
             }
             b'!' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                sink.token(b"<>");
+                key.token(b"<>");
                 i += 2;
             }
             b'<' if i + 1 < bytes.len() && matches!(bytes[i + 1], b'>' | b'=') => {
-                sink.token(&bytes[i..i + 2]);
+                key.token(&bytes[i..i + 2]);
                 i += 2;
             }
             b'>' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                sink.token(&bytes[i..i + 2]);
+                key.token(&bytes[i..i + 2]);
                 i += 2;
             }
             _ if is_ident_start(b) => {
@@ -215,69 +219,20 @@ fn scan(source: &str, emit: &mut dyn FnMut(&[u8])) -> bool {
                 i = swar::ident_run_end(bytes, i + 1);
                 let word = &source[start..i];
                 match Keyword::lookup(word) {
-                    Some(kw) => sink.token(kw.as_str().as_bytes()),
-                    None => sink.token(word.as_bytes()),
+                    Some(kw) => key.token(kw.as_str().as_bytes()),
+                    None => key.token(word.as_bytes()),
                 }
             }
             _ => {
                 // Any other byte is a lex error downstream; keep it
                 // verbatim so distinct broken texts stay distinct.
-                sink.token(&bytes[i..i + 1]);
+                key.token(&bytes[i..i + 1]);
                 i += 1;
             }
         }
     }
-    sink.finish();
-    clean
-}
-
-/// The normalized byte sequence, materialized (insert path only — which
-/// runs strictly after a successful lex, so the scan is always clean
-/// there).
-pub fn normalized_bytes(sql: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sql.len());
-    let clean = scan(sql, &mut |chunk| out.extend_from_slice(chunk));
-    debug_assert!(clean, "memo inserts only happen after a successful lex");
-    out
-}
-
-/// FNV-1a/64 of the normalized byte sequence, computed streaming — the
-/// lookup path allocates nothing. `None` when the text has no
-/// trustworthy normalization (unterminated comment/string): such a text
-/// must take the full frontend and fail there.
-fn normalized_hash(sql: &str) -> Option<u64> {
-    let mut hash = FNV64_OFFSET;
-    let clean = scan(sql, &mut |chunk| {
-        for &b in chunk {
-            hash = (hash ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
-        }
-    });
-    clean.then_some(hash)
-}
-
-fn hash_of(normalized: &[u8]) -> u64 {
-    let mut hash = FNV64_OFFSET;
-    for &b in normalized {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
-    }
-    hash
-}
-
-/// Streaming equality of `sql`'s normalization against a stored key,
-/// without materializing the normalization. A dirty scan (unterminated
-/// comment/string) never matches: stored keys only come from texts the
-/// lexer accepted.
-fn normalized_matches(sql: &str, key: &[u8]) -> bool {
-    let mut offset = 0usize;
-    let mut ok = true;
-    let clean = scan(sql, &mut |chunk| {
-        if ok && key[offset..].starts_with(chunk) {
-            offset += chunk.len();
-        } else {
-            ok = false;
-        }
-    });
-    clean && ok && offset == key.len()
+    key.finish();
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -411,19 +366,17 @@ impl MemoShard {
         debug_assert_eq!(self.fifo.len(), self.len);
     }
 
-    /// The entry memoized for `sql`, whose normalization hashes to `hash`.
-    fn lookup(&self, hash: u64, sql: &str) -> Option<&MemoEntry> {
+    /// The entry memoized under `key`, which hashes to `hash`.
+    fn lookup(&self, hash: u64, key: &[u8]) -> Option<&MemoEntry> {
         self.map
             .get(&hash)?
             .iter()
-            .find(|entry| normalized_matches(sql, &entry.normalized))
+            .find(|entry| *entry.normalized == *key)
     }
 
-    fn insert(&mut self, hash: u64, normalized: Vec<u8>, fingerprint: Fingerprint, words: u32) {
-        if let Some(bucket) = self.map.get(&hash) {
-            if bucket.iter().any(|e| *e.normalized == *normalized) {
-                return; // incumbent wins; racing inserts agree anyway
-            }
+    fn insert(&mut self, hash: u64, key: &[u8], fingerprint: Fingerprint, words: u32) {
+        if self.lookup(hash, key).is_some() {
+            return; // incumbent wins; racing inserts agree anyway
         }
         while self.len >= self.capacity {
             self.evict_one();
@@ -432,7 +385,7 @@ impl MemoShard {
             self.compact_fifo();
         }
         self.map.entry(hash).or_default().push(MemoEntry {
-            normalized: normalized.into_boxed_slice(),
+            normalized: key.into(),
             fingerprint,
             sql_words: words,
         });
@@ -468,6 +421,7 @@ impl MemoShard {
 /// The sharded L1 memo. See the module docs.
 pub struct L1Memo {
     shards: Vec<Mutex<MemoShard>>,
+    hasher: RandomState,
 }
 
 impl L1Memo {
@@ -478,6 +432,7 @@ impl L1Memo {
             shards: (0..shards)
                 .map(|_| Mutex::new(MemoShard::new(per_shard)))
                 .collect(),
+            hasher: RandomState::new(),
         }
     }
 
@@ -488,23 +443,33 @@ impl L1Memo {
     }
 
     /// Look up the fingerprint and word count memoized for a text. The
-    /// miss/hit decision is exact (normalized-byte equality), and the
-    /// lookup performs no allocation. Texts the lexer would reject at
-    /// scan level (unterminated comment/string) never hit — they must
-    /// reach the full frontend and produce their error deterministically.
+    /// miss/hit decision is exact (normalized-byte equality), and once
+    /// the thread has looked up a text at least this long, the lookup
+    /// performs no allocation. Texts the lexer would reject at scan level
+    /// (unterminated comment/string) never hit — they must reach the full
+    /// frontend and produce their error deterministically.
     pub fn lookup(&self, sql: &str) -> Option<(Fingerprint, u32)> {
-        let hash = normalized_hash(sql)?;
-        let shard = self.shard(hash);
-        let entry = shard.lookup(hash, sql)?;
-        Some((entry.fingerprint, entry.sql_words))
+        KEY.with_borrow_mut(|key| {
+            if !normalize_into(sql, key) {
+                return None;
+            }
+            let hash = self.hasher.hash_one(key.as_slice());
+            let shard = self.shard(hash);
+            let entry = shard.lookup(hash, key)?;
+            Some((entry.fingerprint, entry.sql_words))
+        })
     }
 
-    /// Memoize a text after a successful full-frontend run.
+    /// Memoize a text after a successful full-frontend run. A text the
+    /// lexer rejects at scan level has no key and is not memoized.
     pub fn insert(&self, sql: &str, fingerprint: Fingerprint, sql_words: u32) {
-        let normalized = normalized_bytes(sql);
-        let hash = hash_of(&normalized);
-        self.shard(hash)
-            .insert(hash, normalized, fingerprint, sql_words);
+        KEY.with_borrow_mut(|key| {
+            if !normalize_into(sql, key) {
+                return;
+            }
+            let hash = self.hasher.hash_one(key.as_slice());
+            self.shard(hash).insert(hash, key, fingerprint, sql_words);
+        });
     }
 
     /// Drop every memo entry pointing at `fingerprint` (called when L2
@@ -547,7 +512,9 @@ mod tests {
     use super::*;
 
     fn norm(sql: &str) -> String {
-        String::from_utf8(normalized_bytes(sql)).unwrap()
+        let mut key = Vec::new();
+        assert!(normalize_into(sql, &mut key), "{sql:?}");
+        String::from_utf8(key).unwrap()
     }
 
     #[test]
@@ -636,24 +603,58 @@ mod tests {
     }
 
     #[test]
-    fn streaming_hash_and_compare_agree_with_materialization() {
-        let sqls = [
-            "SELECT T.a FROM T",
-            "select  t.a\nfrom t ;",
-            "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
-             (SELECT * FROM Serves S WHERE S.bar = F.bar)",
-            "x = 'it''s' AND y != 3.5 -- c",
+    fn texts_and_their_variants_hit_and_near_keys_miss() {
+        // (text, variants with an equal key, texts whose key is the
+        // text's key plus one trailing byte; a key ending in `)` has no
+        // such text, since any later token brings a separator too)
+        let cases: [(&str, &[&str], &[&str]); 4] = [
+            (
+                "SELECT T.a FROM T",
+                &["select T.a  from T;", "SELECT /* c */ T.a\nFROM T -- t"],
+                &["SELECT T.a FROM T2"],
+            ),
+            (
+                "select  t.a\nfrom t ;",
+                &["SELECT t.a FROM t", "select t . a from t"],
+                &["select t.a from tt"],
+            ),
+            (
+                "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+                 (SELECT * FROM Serves S WHERE S.bar = F.bar)",
+                &["select F.person from Frequents F where not exists\n\
+                   (select * from Serves S where S.bar = F.bar);"],
+                &[],
+            ),
+            (
+                "x = 'it''s' AND y != 3.5 -- c",
+                &["x='it''s' and y<>3.5", "x = 'it''s' AND y != 3.5;"],
+                &["x = 'it''s' AND y != 3.55"],
+            ),
         ];
-        for sql in sqls {
-            let bytes = normalized_bytes(sql);
-            assert_eq!(normalized_hash(sql), Some(hash_of(&bytes)), "{sql:?}");
-            assert!(normalized_matches(sql, &bytes), "{sql:?}");
-            let mut other = bytes.clone();
-            other.push(b'!');
-            assert!(!normalized_matches(sql, &other));
-            if !bytes.is_empty() {
-                assert!(!normalized_matches(sql, &bytes[..bytes.len() - 1]));
+        for (sql, variants, longer) in cases {
+            let memo = L1Memo::new(MemoConfig::default());
+            memo.insert(sql, Fingerprint(1), 4);
+            for text in std::iter::once(&sql).chain(variants) {
+                assert_eq!(memo.lookup(text), Some((Fingerprint(1), 4)), "{text:?}");
             }
+            for text in longer {
+                assert_eq!(memo.lookup(text), None, "{text:?}");
+                // And the other way round: the shorter key misses too.
+                let other = L1Memo::new(MemoConfig::default());
+                other.insert(text, Fingerprint(2), 4);
+                assert_eq!(other.lookup(sql), None, "{sql:?}");
+            }
+            // Within one bucket, the compare alone rejects a key one
+            // byte longer or shorter at the end.
+            let mut key = Vec::new();
+            assert!(normalize_into(sql, &mut key));
+            let hash = memo.hasher.hash_one(key.as_slice());
+            let shard = memo.shard(hash);
+            assert!(shard.lookup(hash, &key).is_some(), "{sql:?}");
+            key.push(b'!');
+            assert!(shard.lookup(hash, &key).is_none(), "{sql:?}");
+            key.truncate(key.len() - 2);
+            assert!(shard.lookup(hash, &key).is_none(), "{sql:?}");
         }
     }
 
@@ -673,6 +674,10 @@ mod tests {
         memo.insert("SELECT B.x FROM B WHERE B.c = 'red'", Fingerprint(8), 8);
         assert_eq!(memo.lookup("SELECT B.x FROM B WHERE B.c = 'red"), None);
         assert_eq!(memo.lookup("SELECT B.x FROM B WHERE B.c = 'red''"), None);
+        // Nor is such a text ever memoized under its clean prefix.
+        memo.insert("SELECT T.c FROM T /* oops", Fingerprint(9), 4);
+        assert_eq!(memo.lookup("SELECT T.c FROM T"), None);
+        assert_eq!(memo.stats().entries, 2);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! End-to-end semantics of the L1 text→fingerprint memo: normalization
-//! equivalence, coherence with L2 eviction, and the property that a
-//! memoized fingerprint always equals the recomputed one.
+//! equivalence, coherence with L2 eviction, the property that a
+//! memoized fingerprint always equals the recomputed one, and the
+//! agreement of L1 keys with the lexer's token streams.
 
+use proptest::sqlgen::{gen_query, GenConfig};
+use proptest::test_runner::TestRng;
 use queryvis::QueryVisOptions;
 use queryvis_service::{
-    fingerprint_sql, paper_corpus_requests, CacheConfig, DiagramService, Format, MemoConfig,
-    Request, Response, ServiceConfig,
+    fingerprint_sql, paper_corpus_requests, CacheConfig, DiagramService, Fingerprint, Format,
+    L1Memo, MemoConfig, Request, Response, ServiceConfig,
 };
+use queryvis_sql::lexer::tokenize;
+use queryvis_sql::token::TokenKind;
 
 fn request(id: u64, sql: &str) -> Request {
     Request {
@@ -355,4 +360,78 @@ fn corpus_variants_hit_the_memo_after_one_sighting() {
         checked += 1;
     }
     assert!(checked >= 30, "corpus coverage: {checked}");
+}
+
+/// The token kinds of `sql` as the parser sees them: `Eof` and a single
+/// trailing `;` (which the parser ignores) dropped. `None` when the text
+/// does not lex.
+fn parsed_kinds(sql: &str) -> Option<Vec<TokenKind>> {
+    let mut kinds: Vec<TokenKind> = tokenize(sql).ok()?.into_iter().map(|t| t.kind).collect();
+    assert_eq!(kinds.pop(), Some(TokenKind::Eof));
+    if kinds.last() == Some(&TokenKind::Semicolon) {
+        kinds.pop();
+    }
+    Some(kinds)
+}
+
+#[test]
+fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
+    // The soundness argument of the memo, checked on texts that lex
+    // differently: once the original is memoized, a mutated text hits
+    // exactly when both texts lex and their token kinds are equal. Kinds,
+    // not spellings: the noisy variants spell `ANY` as `SOME`, and both
+    // lex as `ANY`.
+    const TEXTS: u64 = 150;
+    const MUTATIONS: u64 = 40;
+    const BYTES: &[u8] = b"'-/*;!<>=. \n0123456789\
+        abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    let config = GenConfig {
+        max_depth: 3,
+        max_tables: 3,
+        max_preds: 3,
+        with_or: true,
+        with_union: true,
+        with_having: true,
+    };
+    let (mut hits, mut misses) = (0u64, 0u64);
+    for case in 0..TEXTS {
+        let mut rng = TestRng::for_case("l1_lexer_agreement", case);
+        let query = gen_query(&config, &mut rng);
+        let original = if case % 2 == 0 {
+            query.canonical()
+        } else {
+            query.text_variant(case)
+        };
+        let kinds = parsed_kinds(&original).expect("sqlgen texts lex");
+        let memo = L1Memo::new(MemoConfig::default());
+        memo.insert(&original, Fingerprint(1), 1);
+        for _ in 0..MUTATIONS {
+            let mut bytes = original.clone().into_bytes();
+            let op = rng.below(3);
+            let at = rng.below(bytes.len() as u64 + u64::from(op == 0)) as usize;
+            let byte = BYTES[rng.below(BYTES.len() as u64) as usize];
+            match op {
+                0 => bytes.insert(at, byte),
+                1 => {
+                    bytes.remove(at);
+                }
+                _ => bytes[at] = byte,
+            }
+            let Ok(mutated) = String::from_utf8(bytes) else {
+                continue; // cut through a multi-byte character
+            };
+            let agree = parsed_kinds(&mutated).as_ref() == Some(&kinds);
+            let hit = memo.lookup(&mutated).is_some();
+            assert_eq!(hit, agree, "original: {original:?}\nmutated:  {mutated:?}");
+            if hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+    }
+    // Both sides of the property are exercised (about 1 in 10 mutations
+    // hits).
+    assert!(hits >= TEXTS * MUTATIONS / 20, "hits: {hits}");
+    assert!(misses >= TEXTS * MUTATIONS / 20, "misses: {misses}");
 }

@@ -83,63 +83,84 @@ pub enum Keyword {
     OrderKw,
 }
 
-/// Keyword spellings grouped by length, so lookup is an allocation-free
-/// case-insensitive scan over a handful of same-length candidates instead
-/// of an uppercased copy of every identifier (the lexer calls this for
-/// every word in every query).
-const KEYWORDS_BY_LEN: [&[(&str, Keyword)]; 9] = [
+/// Keyword spellings grouped by length, each packed into a `u64` by
+/// [`pack_upper`], so lookup packs the candidate word once and compares
+/// it with a handful of same-length spellings, one integer compare each
+/// (the lexer and the service's L1 memo call this for every word in
+/// every query).
+const KEYWORDS_BY_LEN: [&[(u64, Keyword)]; 9] = [
     &[], // 0
     &[], // 1
     &[
-        ("IN", Keyword::In),
-        ("BY", Keyword::By),
-        ("OR", Keyword::Or),
-        ("AS", Keyword::As),
-        ("ON", Keyword::On),
+        kw("IN", Keyword::In),
+        kw("BY", Keyword::By),
+        kw("OR", Keyword::Or),
+        kw("AS", Keyword::As),
+        kw("ON", Keyword::On),
     ], // 2
     &[
-        ("AND", Keyword::And),
-        ("NOT", Keyword::Not),
-        ("ANY", Keyword::Any),
-        ("ALL", Keyword::All),
-        ("SUM", Keyword::Sum),
-        ("AVG", Keyword::Avg),
-        ("MIN", Keyword::Min),
-        ("MAX", Keyword::Max),
+        kw("AND", Keyword::And),
+        kw("NOT", Keyword::Not),
+        kw("ANY", Keyword::Any),
+        kw("ALL", Keyword::All),
+        kw("SUM", Keyword::Sum),
+        kw("AVG", Keyword::Avg),
+        kw("MIN", Keyword::Min),
+        kw("MAX", Keyword::Max),
     ], // 3
     &[
-        ("FROM", Keyword::From),
-        ("SOME", Keyword::Any),
-        ("JOIN", Keyword::Join),
-        ("LEFT", Keyword::Left),
-        ("FULL", Keyword::Full),
+        kw("FROM", Keyword::From),
+        kw("SOME", Keyword::Any),
+        kw("JOIN", Keyword::Join),
+        kw("LEFT", Keyword::Left),
+        kw("FULL", Keyword::Full),
     ], // 4
     &[
-        ("WHERE", Keyword::Where),
-        ("GROUP", Keyword::Group),
-        ("COUNT", Keyword::Count),
-        ("UNION", Keyword::Union),
-        ("ORDER", Keyword::OrderKw),
-        ("INNER", Keyword::Inner),
-        ("RIGHT", Keyword::Right),
-        ("OUTER", Keyword::Outer),
-        ("CROSS", Keyword::Cross),
+        kw("WHERE", Keyword::Where),
+        kw("GROUP", Keyword::Group),
+        kw("COUNT", Keyword::Count),
+        kw("UNION", Keyword::Union),
+        kw("ORDER", Keyword::OrderKw),
+        kw("INNER", Keyword::Inner),
+        kw("RIGHT", Keyword::Right),
+        kw("OUTER", Keyword::Outer),
+        kw("CROSS", Keyword::Cross),
     ], // 5
     &[
-        ("SELECT", Keyword::Select),
-        ("EXISTS", Keyword::Exists),
-        ("HAVING", Keyword::Having),
+        kw("SELECT", Keyword::Select),
+        kw("EXISTS", Keyword::Exists),
+        kw("HAVING", Keyword::Having),
     ], // 6
     &[], // 7
-    &[("DISTINCT", Keyword::Distinct)], // 8
+    &[kw("DISTINCT", Keyword::Distinct)], // 8
 ];
+
+/// A table entry: `spelling` packed by [`pack_upper`].
+const fn kw(spelling: &str, keyword: Keyword) -> (u64, Keyword) {
+    (pack_upper(spelling.as_bytes()), keyword)
+}
+
+/// The ASCII-uppercased bytes of a word of at most 8 bytes, packed
+/// little-endian into a `u64`. Among words of one length the packing is
+/// injective, so equal packed words are case-insensitively equal words.
+const fn pack_upper(word: &[u8]) -> u64 {
+    debug_assert!(word.len() <= 8);
+    let mut packed = 0u64;
+    let mut i = 0;
+    while i < word.len() {
+        packed |= (word[i].to_ascii_uppercase() as u64) << (8 * i);
+        i += 1;
+    }
+    packed
+}
 
 impl Keyword {
     pub fn lookup(ident: &str) -> Option<Keyword> {
         let candidates = KEYWORDS_BY_LEN.get(ident.len())?;
+        let packed = pack_upper(ident.as_bytes());
         candidates
             .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(ident))
+            .find(|(spelling, _)| *spelling == packed)
             .map(|(_, kw)| *kw)
     }
 
@@ -254,6 +275,92 @@ mod tests {
     #[test]
     fn some_is_alias_for_any() {
         assert_eq!(Keyword::lookup("SOME"), Some(Keyword::Any));
+    }
+
+    /// Every `(spelling, keyword)` of the table, spellings unpacked.
+    fn spellings() -> Vec<(String, Keyword)> {
+        let mut all = Vec::new();
+        for (len, entries) in KEYWORDS_BY_LEN.iter().enumerate() {
+            for &(packed, keyword) in *entries {
+                let bytes: Vec<u8> = (0..len).map(|i| (packed >> (8 * i)) as u8).collect();
+                all.push((String::from_utf8(bytes).unwrap(), keyword));
+            }
+        }
+        all
+    }
+
+    /// The lookup as a linear case-insensitive scan over the whole table.
+    fn reference_lookup(table: &[(String, Keyword)], word: &str) -> Option<Keyword> {
+        table
+            .iter()
+            .find(|(spelling, _)| spelling.eq_ignore_ascii_case(word))
+            .map(|(_, keyword)| *keyword)
+    }
+
+    #[test]
+    fn every_case_mix_of_every_spelling_finds_its_keyword() {
+        let table = spellings();
+        assert_eq!(table.len(), 31);
+        for (spelling, keyword) in &table {
+            let alias = spelling == "SOME" && *keyword == Keyword::Any;
+            assert!(alias || spelling == keyword.as_str(), "{spelling}");
+            for mask in 0u32..1 << spelling.len() {
+                let mixed: String = spelling
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        if mask & (1 << i) != 0 {
+                            c.to_ascii_lowercase()
+                        } else {
+                            c
+                        }
+                    })
+                    .collect();
+                assert_eq!(Keyword::lookup(&mixed), Some(*keyword), "{mixed}");
+            }
+        }
+    }
+
+    #[test]
+    fn words_one_edit_from_a_spelling_agree_with_a_table_scan() {
+        let table = spellings();
+        let alphabet: Vec<u8> = (b'a'..=b'z')
+            .chain(b'A'..=b'Z')
+            .chain(b'0'..=b'9')
+            .chain([b'_'])
+            .collect();
+        let mut checked = 0;
+        let mut check = |word: Vec<u8>| {
+            let word = String::from_utf8(word).unwrap();
+            assert!((1..=9).contains(&word.len()), "{word}");
+            assert_eq!(
+                Keyword::lookup(&word),
+                reference_lookup(&table, &word),
+                "{word}"
+            );
+            checked += 1;
+        };
+        for (spelling, _) in &table {
+            let bytes = spelling.as_bytes();
+            for at in 0..=bytes.len() {
+                for &b in &alphabet {
+                    let mut inserted = bytes.to_vec();
+                    inserted.insert(at, b);
+                    check(inserted);
+                    if at < bytes.len() {
+                        let mut replaced = bytes.to_vec();
+                        replaced[at] = b;
+                        check(replaced);
+                    }
+                }
+                if at < bytes.len() {
+                    let mut deleted = bytes.to_vec();
+                    deleted.remove(at);
+                    check(deleted);
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
     }
 
     #[test]
