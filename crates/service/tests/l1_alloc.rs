@@ -14,31 +14,18 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting every allocation and reallocation on
-/// the calling thread.
+/// The system allocator, counting every allocation on the calling
+/// thread. `GlobalAlloc`'s provided `alloc_zeroed` and `realloc` call
+/// `alloc`, so they are counted too.
 struct Counting;
 
-fn count() {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments;
+// SAFETY: both methods forward to `System` with the caller's arguments;
 // the count is a `const` thread-local `Cell` without a destructor, so it
 // never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
