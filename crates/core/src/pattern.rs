@@ -15,20 +15,22 @@
 //!
 //! The token stream is the serving layer's **hot path**: with interned
 //! [`Symbol`] names the whole canonicalization is id arithmetic (symbol →
-//! dense canonical index via integer-keyed maps), and the 128-bit cache
-//! fingerprint is an FNV-1a hash of the `u32` tokens — no canonical
-//! *string* is ever built on a cache hit. [`canonical_pattern`] renders
-//! the stream into the human-readable `S[…]…{…}` form for debugging,
-//! protocol disclosure, and tests; string equality and token equality
-//! coincide by construction (the renderer is injective on streams).
+//! dense canonical index, the position of the name in a short vector),
+//! and the 128-bit cache fingerprint is an FNV-1a hash of the `u32`
+//! tokens — no canonical *string* is ever built on a cache hit.
+//! [`canonical_pattern`] renders the stream into the human-readable
+//! `S[…]…{…}` form for debugging, protocol disclosure, and tests; string
+//! equality and token equality coincide by construction (the renderer is
+//! injective on streams).
 //!
 //! Anywhere the canonical form must not depend on written conjunct order
 //! — sibling subtrees whose *name-free structural signatures* tie, and
 //! the predicate/HAVING conjunct lists themselves — ordering is decided
-//! by **speculative erasure**: each candidate is erased against a clone
-//! of the current canonical-name state and the smallest resulting stream
-//! commits first — streams that tie fall back to the constants the
-//! erasure recorded, then to a rename-invariant physical-sharing trail.
+//! by **speculative erasure**: each candidate is erased against the live
+//! canonical-name state, which is then rolled back to where the probe
+//! began, and the smallest resulting stream commits first — streams that
+//! tie fall back to the constants the erasure recorded, then to a
+//! rename-invariant physical-sharing trail.
 //! Naming in written order and sorting afterwards is not enough, because
 //! naming *assigns* the `c` indices the sort keys are made of. (The
 //! semantic oracle, ISSUE 9, caught the failure modes of the old scheme
@@ -40,8 +42,8 @@
 
 use queryvis_logic::{AttrRef, LogicTree, LtOperand, LtPredicate, NodeId, SelectAttr};
 use queryvis_sql::{AggFunc, CompareOp, Symbol, Value};
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::cmp::Ordering;
+use std::ops::Range;
 
 // Token tags. Kept well clear of the dense payload ranges so a tag can
 // never be confused with a canonical index in a stream comparison.
@@ -93,16 +95,19 @@ pub struct TreeErasure {
     pub attrs: Vec<(Symbol, Symbol, (u32, u32))>,
 }
 
-/// Canonical-name erasure state: symbol → dense index maps, integer-keyed.
-/// `Clone` so sibling signature ties can be broken by *speculatively*
-/// erasing each candidate subtree against a snapshot of the current state
-/// (see the tie-break in `walk`).
-#[derive(Default, Clone)]
-struct Eraser {
-    bindings: HashMap<Symbol, u32>,
-    columns: HashMap<(u32, Symbol), u32>,
-    /// Next column index per binding, indexed by binding code.
-    column_counters: Vec<u32>,
+/// Canonical-name erasure state, flat and in allocation order: a binding's
+/// canonical index is its position in `bindings`, and `slots` lists every
+/// named column with its index. Speculative probes (the tie-breaks in
+/// [`erase_all`] and `walk`) erase against this live state and then
+/// [`Eraser::rollback`] to the [`Mark`] taken before them, so a probe
+/// costs what it erases, not a copy of everything named so far.
+struct Eraser<'p> {
+    /// Binding key and the next free column index of that binding, by
+    /// canonical binding index.
+    bindings: Vec<(Symbol, u32)>,
+    /// `(b, column, c)`: column `column` of binding `b` is canonical
+    /// column `c`, in allocation order.
+    slots: Vec<(u32, Symbol, u32)>,
     /// Constant values seen, in erasure order. *Not* part of the token
     /// stream (the pattern erases constant values) — recorded only as a
     /// deterministic tie-break between candidates whose erased streams
@@ -112,9 +117,8 @@ struct Eraser {
     /// that stability to pair up slots across equal-fingerprint queries.
     consts: Vec<ConstKey>,
     /// Physical-sharing profile of the query being erased (see
-    /// [`physical_shares`]). Shared (`Rc`) because the eraser is cloned
-    /// per speculative probe.
-    share_of: Rc<ShareProfile>,
+    /// [`physical_shares`]), borrowed by every branch's eraser.
+    share_of: &'p ShareProfile,
     /// Sharing descriptors of freshly allocated columns, in allocation
     /// order — the last-resort tie-break trail. Candidates can be fully
     /// token-symmetric (identical probes *and* identical continuations:
@@ -125,7 +129,16 @@ struct Eraser {
     /// canonical indices of already-named co-sharers, plus a count of
     /// not-yet-named ones), so ordering on the trail keeps the name maps
     /// spelling-independent without re-admitting names into the pattern.
-    shares: Vec<ShareKey>,
+    shares: Vec<ShareKey<'p>>,
+}
+
+/// The lengths of an [`Eraser`]'s vectors before a speculative probe.
+#[derive(Clone, Copy)]
+struct Mark {
+    bindings: usize,
+    slots: usize,
+    consts: usize,
+    shares: usize,
 }
 
 /// One fresh column's sharing descriptor, compared component-wise:
@@ -147,7 +160,7 @@ struct Eraser {
 /// concrete name — two sharing classes of equal size still compare
 /// differently when their members sit at different canonical coordinates
 /// or are used differently elsewhere in the query.
-type ShareKey = (Vec<(u32, u32)>, u32, u32, Rc<Vec<CtxTag>>);
+type ShareKey<'p> = (Vec<(u32, u32)>, u32, u32, &'p [CtxTag]);
 
 /// One reference context of a physical column, name-free: selected
 /// column, aggregate argument (with function), grouping column, HAVING
@@ -159,44 +172,75 @@ type CtxTag = (u8, u32, u32);
 /// Rename-invariant sharing profile of a query, consulted by the erasure
 /// tie-break. It is a function of the query's reference *structure* only
 /// (never of written conjunct order or concrete names), so it is safe to
-/// consult inside canonicalization.
-#[derive(Default)]
+/// consult inside canonicalization. Flat: one entry per referenced
+/// (binding key, column), sorted for binary search, with the sharing
+/// classes and context multisets concatenated into two vectors.
 struct ShareProfile {
-    /// (binding key, column) → the members of its physical column's
-    /// sharing class: the distinct bindings, across all branches, of the
-    /// same base table referencing a column of that name. Exactly the
-    /// relation the semantic oracle's transport partitions columns by.
-    sharers: HashMap<(Symbol, Symbol), Rc<Vec<Symbol>>>,
-    /// (binding key, column) → total number of references across all
-    /// branches (predicates, select list, grouping, aggregate args).
-    refs: HashMap<(Symbol, Symbol), u32>,
-    /// (binding key, column) → the physical column's sorted context
+    entries: Vec<ShareEntry>,
+    members: Vec<Symbol>,
+    contexts: Vec<CtxTag>,
+}
+
+/// What [`ShareProfile`] records for one (binding key, column).
+struct ShareEntry {
+    key: (Symbol, Symbol),
+    /// Total number of references across all branches (predicates,
+    /// select list, grouping, aggregate args).
+    refs: u32,
+    /// Range of `members`: the physical column's sharing class, the
+    /// distinct bindings, across all branches, of the same base table
+    /// referencing a column of that name. Exactly the relation the
+    /// semantic oracle's transport partitions columns by.
+    class: Range<usize>,
+    /// Range of `contexts`: the physical column's sorted context
     /// multiset, shared by every member of its sharing class.
-    contexts: HashMap<(Symbol, Symbol), Rc<Vec<CtxTag>>>,
+    contexts: Range<usize>,
+}
+
+impl ShareProfile {
+    /// Reference count, sharing class and context multiset of one
+    /// (binding key, column); nothing for a column the query never
+    /// references.
+    fn of(&self, binding: Symbol, column: Symbol) -> (u32, &[Symbol], &[CtxTag]) {
+        match self
+            .entries
+            .binary_search_by_key(&(binding, column), |e| e.key)
+        {
+            Ok(i) => {
+                let e = &self.entries[i];
+                (
+                    e.refs,
+                    &self.members[e.class.clone()],
+                    &self.contexts[e.contexts.clone()],
+                )
+            }
+            Err(_) => (0, &[], &[]),
+        }
+    }
 }
 
 fn physical_shares(trees: &[&LogicTree]) -> ShareProfile {
-    let mut table_of: HashMap<Symbol, Symbol> = HashMap::new();
-    for tree in trees {
-        for t in tree.bindings() {
-            table_of.insert(t.key, t.table);
-        }
-    }
-    // (base table, column) → distinct binding keys referencing it, and
-    // the multiset of contexts it is referenced in.
-    let mut members: HashMap<(Symbol, Symbol), Vec<Symbol>> = HashMap::new();
-    let mut ctx_of: HashMap<(Symbol, Symbol), Vec<CtxTag>> = HashMap::new();
-    let mut refs: HashMap<(Symbol, Symbol), u32> = HashMap::new();
+    // Binding key → base table, sorted by key. A key bound twice keeps
+    // its last binding.
+    let mut table_of: Vec<(Symbol, Symbol)> = trees
+        .iter()
+        .flat_map(|tree| tree.bindings())
+        .map(|t| (t.key, t.table))
+        .collect();
+    table_of.reverse();
+    table_of.sort_by_key(|&(key, _)| key);
+    table_of.dedup_by_key(|&mut (key, _)| key);
+    // Every reference as (base table, column, binding key, context), so
+    // sorting groups the references by physical column and, within one,
+    // by binding. A binding without a table shares with nothing.
+    let mut refs: Vec<(Option<Symbol>, Symbol, Symbol, CtxTag)> = Vec::new();
     {
         let mut add = |a: &AttrRef, tag: CtxTag| {
-            *refs.entry((a.binding, a.column)).or_insert(0) += 1;
-            if let Some(&table) = table_of.get(&a.binding) {
-                let keys = members.entry((table, a.column)).or_default();
-                if !keys.contains(&a.binding) {
-                    keys.push(a.binding);
-                }
-                ctx_of.entry((table, a.column)).or_default().push(tag);
-            }
+            let table = table_of
+                .binary_search_by_key(&a.binding, |&(key, _)| key)
+                .ok()
+                .map(|i| table_of[i].1);
+            refs.push((table, a.column, a.binding, tag));
         };
         for tree in trees {
             for s in &tree.select {
@@ -231,21 +275,31 @@ fn physical_shares(trees: &[&LogicTree]) -> ShareProfile {
             }
         }
     }
-    let mut sharers = HashMap::new();
-    let mut contexts = HashMap::new();
-    for ((table, column), keys) in members {
-        let mut tags = ctx_of.remove(&(table, column)).unwrap_or_default();
-        tags.sort_unstable();
-        let tags = Rc::new(tags);
-        let class = Rc::new(keys);
-        for &key in class.iter() {
-            sharers.insert((key, column), Rc::clone(&class));
-            contexts.insert((key, column), Rc::clone(&tags));
+    refs.sort_unstable();
+    let mut entries = Vec::new();
+    let mut members = Vec::new();
+    let mut contexts = Vec::new();
+    for column in refs.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+        let (class, tags) = (members.len(), contexts.len());
+        let bindings = || column.chunk_by(|x, y| x.2 == y.2);
+        if column[0].0.is_some() {
+            members.extend(bindings().map(|run| run[0].2));
+            contexts.extend(column.iter().map(|r| r.3));
+            contexts[tags..].sort_unstable();
+        }
+        for run in bindings() {
+            entries.push(ShareEntry {
+                key: (run[0].2, run[0].1),
+                refs: run.len() as u32,
+                class: class..members.len(),
+                contexts: tags..contexts.len(),
+            });
         }
     }
+    entries.sort_unstable_by_key(|e| e.key);
     ShareProfile {
-        sharers,
-        refs,
+        entries,
+        members,
         contexts,
     }
 }
@@ -258,7 +312,7 @@ type ConstKey = (u8, u64, &'static str);
 /// What one speculative continuation recorded, in comparison order:
 /// erased streams first, then the constants trail, then the sharing
 /// trail, then the committed candidate (index or node).
-type ErasedTrail<S, C> = (S, Vec<ConstKey>, Vec<ShareKey>, C);
+type ErasedTrail<'p, S, C> = (S, Vec<ConstKey>, Vec<ShareKey<'p>>, C);
 
 fn const_key(v: Value) -> ConstKey {
     match v.numeric() {
@@ -275,57 +329,81 @@ fn const_key(v: Value) -> ConstKey {
     }
 }
 
-impl Eraser {
-    fn binding(&mut self, key: Symbol) -> u32 {
-        let next = self.bindings.len() as u32;
-        let code = *self.bindings.entry(key).or_insert(next);
-        if code as usize >= self.column_counters.len() {
-            self.column_counters.resize(code as usize + 1, 0);
+impl<'p> Eraser<'p> {
+    fn new(share_of: &'p ShareProfile) -> Eraser<'p> {
+        Eraser {
+            bindings: Vec::new(),
+            slots: Vec::new(),
+            consts: Vec::new(),
+            share_of,
+            shares: Vec::new(),
         }
-        code
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            bindings: self.bindings.len(),
+            slots: self.slots.len(),
+            consts: self.consts.len(),
+            shares: self.shares.len(),
+        }
+    }
+
+    /// Undo everything erased since `mark`. A binding's next free column
+    /// index goes back to the smallest index it handed out since then.
+    fn rollback(&mut self, mark: Mark) {
+        for &(b, _, c) in self.slots[mark.slots..].iter().rev() {
+            self.bindings[b as usize].1 = c;
+        }
+        self.bindings.truncate(mark.bindings);
+        self.slots.truncate(mark.slots);
+        self.consts.truncate(mark.consts);
+        self.shares.truncate(mark.shares);
+    }
+
+    fn binding_of(&self, key: Symbol) -> Option<u32> {
+        self.bindings
+            .iter()
+            .position(|&(k, _)| k == key)
+            .map(|b| b as u32)
+    }
+
+    fn column_of(&self, b: u32, column: Symbol) -> Option<u32> {
+        self.slots
+            .iter()
+            .find(|&&(sb, sc, _)| sb == b && sc == column)
+            .map(|&(_, _, c)| c)
+    }
+
+    fn binding(&mut self, key: Symbol) -> u32 {
+        self.binding_of(key).unwrap_or_else(|| {
+            self.bindings.push((key, 0));
+            self.bindings.len() as u32 - 1
+        })
     }
 
     fn attr(&mut self, binding: Symbol, column: Symbol) -> (u32, u32) {
         let b = self.binding(binding);
-        if let Some(&c) = self.columns.get(&(b, column)) {
+        if let Some(c) = self.column_of(b, column) {
             return (b, c);
         }
         // Fresh column: record its sharing descriptor (see [`ShareKey`])
         // before committing the index.
-        let refs = self
-            .share_of
-            .refs
-            .get(&(binding, column))
-            .copied()
-            .unwrap_or(0);
-        let ctx = self
-            .share_of
-            .contexts
-            .get(&(binding, column))
-            .cloned()
-            .unwrap_or_default();
-        let share = match self.share_of.sharers.get(&(binding, column)) {
-            Some(sharers) => {
-                let mut named: Vec<(u32, u32)> = Vec::new();
-                let mut unnamed = 0u32;
-                for &k in sharers.iter().filter(|&&k| k != binding) {
-                    match self.bindings.get(&k) {
-                        Some(&bk) => {
-                            let ck = self.columns.get(&(bk, column)).copied().unwrap_or(u32::MAX);
-                            named.push((bk, ck));
-                        }
-                        None => unnamed += 1,
-                    }
-                }
-                named.sort_unstable();
-                (named, unnamed, refs, ctx)
+        let (refs, class, ctx) = self.share_of.of(binding, column);
+        let mut named: Vec<(u32, u32)> = Vec::new();
+        let mut unnamed = 0u32;
+        for &k in class.iter().filter(|&&k| k != binding) {
+            match self.binding_of(k) {
+                Some(bk) => named.push((bk, self.column_of(bk, column).unwrap_or(u32::MAX))),
+                None => unnamed += 1,
             }
-            None => (Vec::new(), 0, refs, ctx),
-        };
-        self.shares.push(share);
-        let c = self.column_counters[b as usize];
-        self.column_counters[b as usize] += 1;
-        self.columns.insert((b, column), c);
+        }
+        named.sort_unstable();
+        self.shares.push((named, unnamed, refs, ctx));
+        let next = &mut self.bindings[b as usize].1;
+        let c = *next;
+        *next += 1;
+        self.slots.push((b, column, c));
         (b, c)
     }
 }
@@ -383,8 +461,9 @@ fn erase_pred(p: &LtPredicate, eraser: &mut Eraser) -> [u32; 6] {
 const TIE_LOOKAHEAD_BUDGET: u32 = 10_000;
 
 /// Greedily order a conjunct list: at each step erase every remaining
-/// item against a clone of the current name state and commit the smallest
-/// resulting tuple (ties broken by the constants the erasure recorded).
+/// item against the current name state (rolled back after each probe) and
+/// commit the smallest resulting tuple (ties broken by the constants the
+/// erasure recorded).
 /// Committing the minimum first keeps the emitted sequence sorted — a
 /// later item's final tuple can only grow past its earlier candidate,
 /// because committed names are fixed and fresh `c` indices only increase
@@ -402,10 +481,10 @@ const TIE_LOOKAHEAD_BUDGET: u32 = 10_000;
 /// lookahead (fully token-symmetric conjuncts) are ordered by the
 /// physical-sharing trail — see [`Eraser::shares`] — before falling back
 /// to written order.
-fn greedy_erase<T>(
+fn greedy_erase<'p, T>(
     items: &[T],
-    eraser: &mut Eraser,
-    erase: impl Fn(&T, &mut Eraser) -> [u32; 6],
+    eraser: &mut Eraser<'p>,
+    erase: impl Fn(&T, &mut Eraser<'p>) -> [u32; 6],
 ) -> Vec<[u32; 6]> {
     let mut remaining: Vec<&T> = items.iter().collect();
     let mut ordered = Vec::with_capacity(items.len());
@@ -414,30 +493,39 @@ fn greedy_erase<T>(
     ordered
 }
 
-fn erase_all<T>(
+fn erase_all<'p, T>(
     remaining: &mut Vec<&T>,
-    eraser: &mut Eraser,
-    erase: &impl Fn(&T, &mut Eraser) -> [u32; 6],
+    eraser: &mut Eraser<'p>,
+    erase: &impl Fn(&T, &mut Eraser<'p>) -> [u32; 6],
     budget: &mut u32,
     out: &mut Vec<[u32; 6]>,
 ) {
     while !remaining.is_empty() {
-        let base = eraser.consts.len();
-        let sbase = eraser.shares.len();
-        let mut probes: Vec<([u32; 6], Vec<ConstKey>, Vec<ShareKey>)> =
-            Vec::with_capacity(remaining.len());
-        for item in remaining.iter() {
-            let mut probe = eraser.clone();
-            let tuple = erase(item, &mut probe);
-            probes.push((
-                tuple,
-                probe.consts[base..].to_vec(),
-                probe.shares[sbase..].to_vec(),
-            ));
+        let mark = eraser.mark();
+        // Probe every item, keeping the smallest probe so far and the
+        // items that tie it exactly, in written order.
+        let mut min: Option<([u32; 6], Vec<ConstKey>, Vec<ShareKey<'p>>)> = None;
+        let mut candidates: Vec<usize> = Vec::new();
+        for (i, item) in remaining.iter().enumerate() {
+            let tuple = erase(item, eraser);
+            let consts = &eraser.consts[mark.consts..];
+            let shares = &eraser.shares[mark.shares..];
+            let order = match &min {
+                None => Ordering::Less,
+                Some((t, k, s)) => (&tuple, consts, shares).cmp(&(t, k.as_slice(), s.as_slice())),
+            };
+            match order {
+                Ordering::Less => {
+                    min = Some((tuple, consts.to_vec(), shares.to_vec()));
+                    candidates.clear();
+                    candidates.push(i);
+                }
+                Ordering::Equal => candidates.push(i),
+                Ordering::Greater => {}
+            }
+            eraser.rollback(mark);
             *budget = budget.saturating_sub(1);
         }
-        let min = probes.iter().min().cloned().unwrap();
-        let candidates: Vec<usize> = (0..probes.len()).filter(|&i| probes[i] == min).collect();
         let chosen = if candidates.len() == 1 || *budget == 0 {
             candidates[0]
         } else {
@@ -445,26 +533,28 @@ fn erase_all<T>(
             // whole continuations (tokens, then constants, then the
             // physical-sharing trail) and commit the candidate yielding
             // the smallest one.
-            let mut best: Option<ErasedTrail<Vec<[u32; 6]>, usize>> = None;
+            let mut best: Option<ErasedTrail<'p, Vec<[u32; 6]>, usize>> = None;
             for &c in &candidates {
-                let mut probe = eraser.clone();
-                let mut trail = vec![erase(remaining[c], &mut probe)];
+                let mut trail = vec![erase(remaining[c], eraser)];
                 let mut rest: Vec<&T> = remaining
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != c)
                     .map(|(_, item)| *item)
                     .collect();
-                erase_all(&mut rest, &mut probe, erase, budget, &mut trail);
-                let consts = probe.consts[base..].to_vec();
-                let shares = probe.shares[sbase..].to_vec();
+                erase_all(&mut rest, eraser, erase, budget, &mut trail);
+                let consts = &eraser.consts[mark.consts..];
+                let shares = &eraser.shares[mark.shares..];
                 let better = match &best {
                     None => true,
-                    Some((t, k, s, _)) => (&trail, &consts, &shares) < (t, k, s),
+                    Some((t, k, s, _)) => {
+                        (&trail, consts, shares) < (t, k.as_slice(), s.as_slice())
+                    }
                 };
                 if better {
-                    best = Some((trail, consts, shares, c));
+                    best = Some((trail, consts.to_vec(), shares.to_vec(), c));
                 }
+                eraser.rollback(mark);
             }
             best.unwrap().3
         };
@@ -487,11 +577,8 @@ impl PatternKey {
     /// per query. Combine with [`PatternKey::fingerprint128_of`] to hash
     /// without ever materializing a `PatternKey`.
     pub fn of_tree_into(tree: &LogicTree, tokens: &mut Vec<u32>) {
-        let mut eraser = Eraser {
-            share_of: Rc::new(physical_shares(&[tree])),
-            ..Eraser::default()
-        };
-        Self::canonicalize_into(tree, &mut eraser, tokens);
+        let share_of = physical_shares(&[tree]);
+        Self::canonicalize_into(tree, &mut Eraser::new(&share_of), tokens);
     }
 
     /// The full canonicalization, erasing through caller-provided state so
@@ -502,13 +589,13 @@ impl PatternKey {
         // order children deterministically before assigning canonical
         // names. Signatures are token streams themselves (compared
         // lexicographically), so sibling ordering never hinges on a hash.
-        let mut signature: HashMap<NodeId, Vec<u32>> = HashMap::new();
+        let mut signature: Vec<Vec<u32>> = vec![Vec::new(); tree.node_count()];
         for &id in tree.preorder().iter().rev() {
             let node = tree.node(id);
             let mut child_sigs: Vec<&[u32]> = node
                 .children
                 .iter()
-                .map(|c| signature[c].as_slice())
+                .map(|&c| signature[c].as_slice())
                 .collect();
             child_sigs.sort();
             // Predicate *shapes* only (join vs selection, operator), no
@@ -540,7 +627,7 @@ impl PatternKey {
                 sig.extend_from_slice(child);
             }
             sig.push(T_CLOSE);
-            signature.insert(id, sig);
+            signature[id] = sig;
         }
 
         // Phase 2: canonical traversal (children ordered by signature),
@@ -602,7 +689,7 @@ impl PatternKey {
         fn walk(
             tree: &LogicTree,
             id: NodeId,
-            signature: &HashMap<NodeId, Vec<u32>>,
+            signature: &[Vec<u32>],
             eraser: &mut Eraser,
             tokens: &mut Vec<u32>,
         ) {
@@ -633,19 +720,19 @@ impl PatternKey {
             // Ties used to fall back to insertion order, which made the
             // erased stream depend on the written conjunct order — the
             // semantic oracle's first catch. Resolve a tied run by erasing
-            // each candidate subtree against a *snapshot* of the current
-            // eraser and ordering on the resulting streams: candidate
-            // streams only reference outer bindings (already named) and a
-            // sibling's own fresh bindings (named deterministically from
-            // the snapshot), never another sibling's, so they are stable
-            // while the run commits and the greedy order is canonical.
+            // each candidate subtree against the current eraser, rolled
+            // back after each, and ordering on the resulting streams:
+            // candidate streams only reference outer bindings (already
+            // named) and a sibling's own fresh bindings (named
+            // deterministically from the marked state), never another
+            // sibling's, so they are stable while the run commits and the
+            // greedy order is canonical.
             let mut children = node.children.clone();
-            children.sort_by(|a, b| signature[a].cmp(&signature[b]));
+            children.sort_by(|&a, &b| signature[a].cmp(&signature[b]));
             let mut start = 0;
             while start < children.len() {
                 let mut end = start + 1;
-                while end < children.len()
-                    && signature[&children[end]] == signature[&children[start]]
+                while end < children.len() && signature[children[end]] == signature[children[start]]
                 {
                     end += 1;
                 }
@@ -657,20 +744,20 @@ impl PatternKey {
                     // then the physical-sharing trail (token-symmetric
                     // candidates can still erase differently shared
                     // columns), then node id for full determinism.
-                    let base = eraser.consts.len();
-                    let sbase = eraser.shares.len();
+                    let mark = eraser.mark();
                     let mut keyed: Vec<ErasedTrail<Vec<u32>, NodeId>> = children[start..end]
                         .iter()
                         .map(|&child| {
-                            let mut probe = eraser.clone();
                             let mut stream = Vec::new();
-                            walk(tree, child, signature, &mut probe, &mut stream);
-                            (
+                            walk(tree, child, signature, eraser, &mut stream);
+                            let key = (
                                 stream,
-                                probe.consts[base..].to_vec(),
-                                probe.shares[sbase..].to_vec(),
+                                eraser.consts[mark.consts..].to_vec(),
+                                eraser.shares[mark.shares..].to_vec(),
                                 child,
-                            )
+                            );
+                            eraser.rollback(mark);
+                            key
                         })
                         .collect();
                     keyed.sort();
@@ -709,17 +796,13 @@ impl PatternKey {
             return;
         }
         // The sharing profile spans all branches (column sharing is a
-        // query-wide relation), so every branch erases against one map.
-        let share_of = Rc::new(physical_shares(trees));
+        // query-wide relation), so every branch erases against one profile.
+        let share_of = physical_shares(trees);
         let mut branch_streams: Vec<Vec<u32>> = trees
             .iter()
             .map(|tree| {
-                let mut eraser = Eraser {
-                    share_of: Rc::clone(&share_of),
-                    ..Eraser::default()
-                };
                 let mut stream = Vec::new();
-                PatternKey::canonicalize_into(tree, &mut eraser, &mut stream);
+                PatternKey::canonicalize_into(tree, &mut Eraser::new(&share_of), &mut stream);
                 stream
             })
             .collect();
@@ -746,27 +829,22 @@ impl PatternKey {
     /// database generated per canonical slot executes both queries over
     /// "the same" data even when every concrete name differs.
     pub fn branch_erasures(trees: &[&LogicTree]) -> Vec<TreeErasure> {
-        let share_of = Rc::new(physical_shares(trees));
+        let share_of = physical_shares(trees);
         let mut trails: Vec<(Vec<ConstKey>, Vec<ShareKey>)> = Vec::with_capacity(trees.len());
         let mut erasures: Vec<TreeErasure> = trees
             .iter()
             .map(|tree| {
-                let mut eraser = Eraser {
-                    share_of: Rc::clone(&share_of),
-                    ..Eraser::default()
-                };
+                let mut eraser = Eraser::new(&share_of);
                 let mut tokens = Vec::new();
                 PatternKey::canonicalize_into(tree, &mut eraser, &mut tokens);
-                let mut bindings: Vec<(Symbol, u32)> =
-                    eraser.bindings.iter().map(|(&key, &b)| (key, b)).collect();
-                bindings.sort_by_key(|&(_, b)| b);
+                let bindings: Vec<(Symbol, u32)> = (0..)
+                    .zip(&eraser.bindings)
+                    .map(|(b, &(key, _))| (key, b))
+                    .collect();
                 let mut attrs: Vec<(Symbol, Symbol, (u32, u32))> = eraser
-                    .columns
+                    .slots
                     .iter()
-                    .map(|(&(b, column), &c)| {
-                        let key = bindings[b as usize].0;
-                        (key, column, (b, c))
-                    })
+                    .map(|&(b, column, c)| (bindings[b as usize].0, column, (b, c)))
                     .collect();
                 attrs.sort_by_key(|&(_, _, slot)| slot);
                 trails.push((eraser.consts, eraser.shares));

@@ -38,7 +38,7 @@
 use crate::fingerprint::{Fingerprint, FingerprintedQuery};
 use crate::json::{self, Json};
 use crate::protocol::Format;
-use crate::scene_json::write_scene_json;
+use crate::scene_json::{scene_json_v2, write_scene_json};
 use queryvis::diagram::DiagramStats;
 use queryvis::layout::Scene;
 use queryvis::render::{ascii, svg, SvgTheme};
@@ -103,6 +103,9 @@ pub struct CompiledEntry {
     svg: OnceLock<Arc<str>>,
     reading: OnceLock<Arc<str>>,
     scene_json: OnceLock<Arc<str>>,
+    /// Byte length of the scene's `scene_json` v2 document, the size a
+    /// session edit's patch must beat; serialized once per entry.
+    scene_json_v2_len: OnceLock<usize>,
     /// Sample result rows over the pattern's transport-generated database,
     /// computed once per entry on first `rows` request.
     samples: OnceLock<Result<SampleRows, Arc<str>>>,
@@ -140,6 +143,15 @@ impl CompiledEntry {
     /// (delegating to [`QueryVis::scene`]'s own memoization).
     pub fn scene(&self) -> &Arc<Scene> {
         self.scene.get_or_init(|| self.qv.scene())
+    }
+
+    /// `scene_json_v2(self.scene()).len()`, serialized on first call and
+    /// remembered: a session edit compares its patch with this length
+    /// and serializes the document only when it resyncs.
+    pub fn scene_json_v2_len(&self) -> usize {
+        *self
+            .scene_json_v2_len
+            .get_or_init(|| scene_json_v2(self.scene()).len())
     }
 
     /// Render (or fetch the memoized) artifact for one format, as its
@@ -250,6 +262,7 @@ pub fn compile_representative(fingerprinted: FingerprintedQuery) -> CompiledEntr
         svg: OnceLock::new(),
         reading: OnceLock::new(),
         scene_json: OnceLock::new(),
+        scene_json_v2_len: OnceLock::new(),
         samples: OnceLock::new(),
     }
 }
@@ -313,6 +326,19 @@ mod tests {
         // Reading and dot don't need geometry and must not build it
         // eagerly either (checked by construction: they bypass scene()).
         assert_eq!(entry.rendered_formats().len(), 3);
+    }
+
+    #[test]
+    fn scene_json_v2_len_is_the_document_length() {
+        for request in crate::paper_corpus_requests(&[]) {
+            let entry = compiled(&request.sql);
+            assert_eq!(
+                entry.scene_json_v2_len(),
+                scene_json_v2(entry.scene()).len(),
+                "{}",
+                request.sql
+            );
+        }
     }
 
     #[test]

@@ -55,12 +55,19 @@
 //! every lookup and insert on the thread clears and reuses. It hashes
 //! that key once with the memo's [`RandomState`], takes the shard lock,
 //! and compares the bucket's candidates with the key by slice equality;
-//! a dirty scan returns before the lock. An insert runs the same scan
-//! and hasher and copies the key into its entry. A key is at most twice
-//! its text (one separator per token), and the scan reserves that much,
-//! so the buffer keeps the capacity of the longest text its thread
-//! looked up: at most about 2× `--max-line`. Once a thread has looked up
-//! its longest text, a hit and a miss are both allocation-free.
+//! a dirty scan returns before the lock. A key is at most twice its text
+//! (one separator per token), and the scan reserves that much, so the
+//! buffer keeps the capacity of the longest text its thread looked up:
+//! at most about 2× `--max-line`. Once a thread has looked up its longest
+//! text, a hit and a miss are both allocation-free.
+//!
+//! The service memoizes a missed text after the full frontend has run,
+//! on the thread that looked it up. `L1Memo::lookup_key` hands it the
+//! lookup's hash as a `MemoKey`, and `L1Memo::insert_key` copies the
+//! key out of the thread's buffer into the entry without scanning the
+//! text again. The buffer counts the texts normalized into it, and a
+//! `MemoKey` whose count no longer matches scans again, so a key is
+//! never filed under another text's hash.
 
 use crate::fingerprint::Fingerprint;
 use queryvis_sql::lexer::is_ident_start;
@@ -69,6 +76,7 @@ use queryvis_sql::token::Keyword;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, RandomState};
+use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------
@@ -78,7 +86,27 @@ use std::sync::{Mutex, MutexGuard};
 thread_local! {
     /// The key buffer every lookup and insert on this thread normalizes
     /// into (see "One scan per lookup" in the module docs).
-    static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    static KEY: RefCell<KeyBuffer> = const {
+        RefCell::new(KeyBuffer {
+            bytes: Vec::new(),
+            texts: 0,
+        })
+    };
+}
+
+/// A thread's key buffer: the last text's key, and how many texts have
+/// been normalized into it.
+struct KeyBuffer {
+    bytes: Vec<u8>,
+    texts: u64,
+}
+
+impl KeyBuffer {
+    /// Normalize `sql` into the buffer; `false` for a dirty text.
+    fn load(&mut self, sql: &str) -> bool {
+        self.texts += 1;
+        normalize_into(sql, &mut self.bytes)
+    }
 }
 
 /// Separator/flush state around the token scan: exactly one `b' '`
@@ -418,6 +446,17 @@ impl MemoShard {
     }
 }
 
+/// A looked-up text's key, for [`L1Memo::insert_key`]: its hash, while
+/// the key itself stays in the thread's buffer. Not `Send`, because the
+/// buffer belongs to the thread that looked the text up.
+pub(crate) struct MemoKey {
+    /// `None` for a dirty text, which has no key.
+    hash: Option<u64>,
+    /// The buffer's text count right after this text was normalized.
+    text: u64,
+    _thread: PhantomData<*const ()>,
+}
+
 /// The sharded L1 memo. See the module docs.
 pub struct L1Memo {
     shards: Vec<Mutex<MemoShard>>,
@@ -449,27 +488,66 @@ impl L1Memo {
     /// (unterminated comment/string) never hit — they must reach the full
     /// frontend and produce their error deterministically.
     pub fn lookup(&self, sql: &str) -> Option<(Fingerprint, u32)> {
-        KEY.with_borrow_mut(|key| {
-            if !normalize_into(sql, key) {
-                return None;
-            }
-            let hash = self.hasher.hash_one(key.as_slice());
-            let shard = self.shard(hash);
-            let entry = shard.lookup(hash, key)?;
-            Some((entry.fingerprint, entry.sql_words))
+        self.lookup_key(sql).0
+    }
+
+    /// [`L1Memo::lookup`], also returning the text's key for a later
+    /// [`L1Memo::insert_key`] on this thread.
+    pub(crate) fn lookup_key(&self, sql: &str) -> (Option<(Fingerprint, u32)>, MemoKey) {
+        KEY.with_borrow_mut(|buffer| {
+            let hash = buffer
+                .load(sql)
+                .then(|| self.hasher.hash_one(buffer.bytes.as_slice()));
+            let hit = hash.and_then(|hash| {
+                let shard = self.shard(hash);
+                let entry = shard.lookup(hash, &buffer.bytes)?;
+                Some((entry.fingerprint, entry.sql_words))
+            });
+            let key = MemoKey {
+                hash,
+                text: buffer.texts,
+                _thread: PhantomData,
+            };
+            (hit, key)
         })
     }
 
     /// Memoize a text after a successful full-frontend run. A text the
     /// lexer rejects at scan level has no key and is not memoized.
     pub fn insert(&self, sql: &str, fingerprint: Fingerprint, sql_words: u32) {
-        KEY.with_borrow_mut(|key| {
-            if !normalize_into(sql, key) {
+        KEY.with_borrow_mut(|buffer| {
+            if !buffer.load(sql) {
                 return;
             }
-            let hash = self.hasher.hash_one(key.as_slice());
-            self.shard(hash).insert(hash, key, fingerprint, sql_words);
+            let hash = self.hasher.hash_one(buffer.bytes.as_slice());
+            self.shard(hash)
+                .insert(hash, &buffer.bytes, fingerprint, sql_words);
         });
+    }
+
+    /// [`L1Memo::insert`] for the text `key` was looked up for: unless
+    /// the thread has normalized another text since, the key is still in
+    /// its buffer and is filed under the lookup's hash without a scan.
+    pub(crate) fn insert_key(
+        &self,
+        key: MemoKey,
+        sql: &str,
+        fingerprint: Fingerprint,
+        sql_words: u32,
+    ) {
+        let filed = KEY.with_borrow(|buffer| {
+            if buffer.texts != key.text {
+                return false;
+            }
+            if let Some(hash) = key.hash {
+                self.shard(hash)
+                    .insert(hash, &buffer.bytes, fingerprint, sql_words);
+            }
+            true
+        });
+        if !filed {
+            self.insert(sql, fingerprint, sql_words);
+        }
     }
 
     /// Drop every memo entry pointing at `fingerprint` (called when L2
@@ -692,6 +770,31 @@ mod tests {
         memo.insert("select T.a from T", Fingerprint(43), 9);
         assert_eq!(memo.lookup("SELECT T.a FROM T"), Some((fp, 4)));
         assert_eq!(memo.stats().entries, 1);
+    }
+
+    #[test]
+    fn insert_key_files_the_looked_up_text() {
+        let memo = L1Memo::new(MemoConfig::default());
+        let (hit, key) = memo.lookup_key("select T.a  from T;");
+        assert_eq!(hit, None);
+        memo.insert_key(key, "select T.a  from T;", Fingerprint(1), 4);
+        assert_eq!(memo.lookup("SELECT T.a FROM T"), Some((Fingerprint(1), 4)));
+        // Another text normalized in between: the key scans its own
+        // text again instead of filing the buffer's.
+        let (_, key) = memo.lookup_key("SELECT T.b FROM T");
+        assert_eq!(memo.lookup("SELECT T.c FROM T"), None);
+        memo.insert_key(key, "SELECT T.b FROM T", Fingerprint(2), 4);
+        assert_eq!(memo.lookup("SELECT T.b FROM T"), Some((Fingerprint(2), 4)));
+        assert_eq!(memo.lookup("SELECT T.c FROM T"), None);
+        // A dirty text memoizes nothing, scanned again or not.
+        let (_, key) = memo.lookup_key("SELECT T.d FROM T /* oops");
+        memo.insert_key(key, "SELECT T.d FROM T /* oops", Fingerprint(3), 4);
+        let (_, key) = memo.lookup_key("SELECT T.e FROM T 'oops");
+        memo.lookup("SELECT T.a FROM T");
+        memo.insert_key(key, "SELECT T.e FROM T 'oops", Fingerprint(4), 4);
+        assert_eq!(memo.lookup("SELECT T.d FROM T"), None);
+        assert_eq!(memo.lookup("SELECT T.e FROM T"), None);
+        assert_eq!(memo.stats().entries, 2);
     }
 
     #[test]

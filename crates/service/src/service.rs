@@ -25,7 +25,7 @@
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::compile::{compile_representative, CompiledEntry};
 use crate::fingerprint::{fingerprint_sql, Fingerprint, FingerprintedQuery};
-use crate::memo::{L1Memo, MemoConfig, MemoStats};
+use crate::memo::{L1Memo, MemoConfig, MemoKey, MemoStats};
 use crate::protocol::{
     Artifacts, ErrorKind, Format, Request, Response, SampleOutcome, ServiceError,
 };
@@ -253,7 +253,8 @@ impl DiagramService {
         self.requests.fetch_add(1, Ordering::Relaxed);
         // L1: a repeat text resolves to its fingerprint without touching
         // the frontend at all.
-        if let Some((fingerprint, words)) = self.memo.lookup(sql) {
+        let (hit, key) = self.memo.lookup_key(sql);
+        if let Some((fingerprint, words)) = hit {
             if let Some(entry) = self.cache.get(fingerprint) {
                 self.l1_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((words as usize, entry));
@@ -262,15 +263,20 @@ impl DiagramService {
             // and our probe (or we raced it): fall through to the full
             // path, which recompiles and re-publishes both levels.
         }
-        self.resolve_miss(sql)
+        self.resolve_miss(sql, key)
     }
 
     /// [`Self::resolve`] past the L1 probe: frontend, L2 lookup or
-    /// compile, then memoize the text. Kept out of line so the L1-hit
-    /// path that `handle` inlines stays small: with this body inlined
-    /// too, warm serving p50 read ~8 % slower (2-vCPU x86-64 host).
+    /// compile, then memoize the text under the probe's `key`. Kept out
+    /// of line so the L1-hit path that `handle` inlines stays small: with
+    /// this body inlined too, warm serving p50 read ~8 % slower (2-vCPU
+    /// x86-64 host).
     #[inline(never)]
-    fn resolve_miss(&self, sql: &str) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
+    fn resolve_miss(
+        &self,
+        sql: &str,
+        key: MemoKey,
+    ) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
         let resolved = fingerprint_sql(sql, Arc::clone(&self.options))
             .map_err(|e| ServiceError::new(ErrorKind::Compile, e.to_string()))
             .and_then(|fingerprinted| {
@@ -279,7 +285,7 @@ impl DiagramService {
                 let entry = self.entry_for(fingerprinted)?;
                 // Memoize only after the entry is resident in L2, so an L1
                 // hit almost always finds its L2 entry.
-                self.memo.insert(sql, fingerprint, words as u32);
+                self.memo.insert_key(key, sql, fingerprint, words as u32);
                 Ok((words, entry))
             });
         if resolved.is_err() {

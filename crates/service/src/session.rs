@@ -23,6 +23,7 @@
 //! its edited buffer) alive — the next edit may recover — and keeps the
 //! last acknowledged scene, so the recovery reply patches from it.
 
+use crate::compile::CompiledEntry;
 use crate::fingerprint::Fingerprint;
 use crate::json::{escape_into, write_u64, Json};
 use crate::protocol::{ErrorKind, ServiceError};
@@ -217,9 +218,9 @@ impl SessionStore {
         };
         self.opened_total.fetch_add(1, Ordering::Relaxed);
         // An open always syncs the full scene.
-        let reply = self.compile(id, sql).map(|(mut reply, scene)| {
-            reply.scene = Some(scene_json_v2(&scene));
-            session.last_scene = Some(scene);
+        let reply = self.compile(id, sql).map(|(mut reply, entry)| {
+            reply.scene = Some(scene_json_v2(entry.scene()));
+            session.last_scene = Some(Arc::clone(entry.scene()));
             reply
         });
         inner.sessions.insert(id, session);
@@ -278,9 +279,9 @@ impl SessionStore {
         self.edits.fetch_add(1, Ordering::Relaxed);
         Ok(self
             .compile(session_id, &session.source)
-            .map(|(mut reply, scene)| {
-                self.attach_scene(&mut reply, session.last_scene.as_deref(), &scene);
-                session.last_scene = Some(scene);
+            .map(|(mut reply, entry)| {
+                self.attach_scene(&mut reply, session.last_scene.as_deref(), &entry);
+                session.last_scene = Some(Arc::clone(entry.scene()));
                 reply
             }))
     }
@@ -334,34 +335,35 @@ impl SessionStore {
 
     /// Decide patch vs resync for an edit reply: patch when the branch
     /// structure held and the serialized ops are smaller than the full
-    /// document they replace.
-    fn attach_scene(&self, reply: &mut SessionReply, last: Option<&Scene>, scene: &Scene) {
-        let full = scene_json_v2(scene);
+    /// document they replace. The document's length is memoized per
+    /// entry, so only a resync serializes it.
+    fn attach_scene(&self, reply: &mut SessionReply, last: Option<&Scene>, entry: &CompiledEntry) {
+        let scene = entry.scene();
         let patch = last.and_then(|last| diff_scenes(last, scene)).map(|ops| {
             let mut patch = String::with_capacity(256);
             write_patch_ops(&mut patch, &ops);
             patch
         });
         match patch {
-            Some(patch) if patch.len() < full.len() => {
+            Some(patch) if patch.len() < entry.scene_json_v2_len() => {
                 self.patches.fetch_add(1, Ordering::Relaxed);
                 reply.patch = Some(patch);
             }
             _ => {
                 self.resyncs.fetch_add(1, Ordering::Relaxed);
-                reply.scene = Some(full);
+                reply.scene = Some(scene_json_v2(scene));
             }
         }
     }
 
     /// Compile a session buffer exactly as a plain request for the same
-    /// text would, returning the reply body (no scene yet) and the scene
-    /// of the entry that served it.
+    /// text would, returning the reply body (no scene yet) and the entry
+    /// that served it.
     fn compile(
         &self,
         session_id: u64,
         source: &str,
-    ) -> Result<(SessionReply, Arc<Scene>), ServiceError> {
+    ) -> Result<(SessionReply, Arc<CompiledEntry>), ServiceError> {
         let (sql_words, entry) = self.service.resolve(source).inspect_err(|e| {
             // A compile panic is not a parse error: the buffer parsed.
             if e.kind == ErrorKind::Compile {
@@ -378,7 +380,7 @@ impl SessionStore {
             scene: None,
             patch: None,
         };
-        Ok((reply, Arc::clone(entry.scene())))
+        Ok((reply, entry))
     }
 }
 
