@@ -25,7 +25,7 @@
 
 use crate::inverse::{group_graph, GroupGraph, InverseError};
 use queryvis_diagram::Diagram;
-use queryvis_ir::{Pass, PassContext, PassEffect, PassError, Symbol};
+use queryvis_ir::Symbol;
 use std::collections::{HashMap, HashSet};
 
 /// Recover the depth of every table group constructively. Returns
@@ -371,50 +371,13 @@ pub fn recovered_depth_by_binding(
 ) -> Result<HashMap<Symbol, usize>, InverseError> {
     let gg = group_graph(diagram)?;
     let depths = recover_depths_decomposition(diagram)?;
-    Ok(binding_depths(diagram, &gg, &depths))
-}
-
-/// Project per-group depths onto binding keys.
-fn binding_depths(diagram: &Diagram, gg: &GroupGraph, depths: &[usize]) -> HashMap<Symbol, usize> {
     let mut map = HashMap::new();
     for (g, group) in gg.groups.iter().enumerate() {
         for &tid in &group.tables {
             map.insert(diagram.tables[tid].binding, depths[g]);
         }
     }
-    map
-}
-
-/// The constructive depth recovery as an analysis pass over the diagram
-/// IR: publishes the per-group depth vector under
-/// [`DepthRecoveryPass::DEPTHS_FACT`] (and the per-binding map under
-/// [`DepthRecoveryPass::BINDING_DEPTHS_FACT`]) without mutating the
-/// diagram; fails the pipeline when the diagram admits no interpretation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DepthRecoveryPass;
-
-impl DepthRecoveryPass {
-    /// [`PassContext`] fact key: `Vec<usize>` depth per table group.
-    pub const DEPTHS_FACT: &'static str = "decompose.group_depths";
-    /// [`PassContext`] fact key: `HashMap<Symbol, usize>` depth per binding.
-    pub const BINDING_DEPTHS_FACT: &'static str = "decompose.binding_depths";
-}
-
-impl Pass<Diagram> for DepthRecoveryPass {
-    fn name(&self) -> &'static str {
-        "recover-depths"
-    }
-
-    fn run(&self, ir: &mut Diagram, cx: &mut PassContext) -> Result<PassEffect, PassError> {
-        // One recovery, both facts: the constructive decomposition is the
-        // expensive part, so it runs exactly once per pass execution.
-        let gg = group_graph(ir).map_err(|e| PassError::new(self.name(), e.to_string()))?;
-        let depths = recover_depths_decomposition(ir)
-            .map_err(|e| PassError::new(self.name(), e.to_string()))?;
-        cx.put_fact(Self::BINDING_DEPTHS_FACT, binding_depths(ir, &gg, &depths));
-        cx.put_fact(Self::DEPTHS_FACT, depths);
-        Ok(PassEffect::Unchanged)
-    }
+    Ok(map)
 }
 
 #[cfg(test)]

@@ -56,12 +56,11 @@ pub mod pattern;
 pub mod pipeline;
 pub mod unambiguity;
 
-pub use decompose::{recover_depths_decomposition, recovered_depth_by_binding, DepthRecoveryPass};
+pub use decompose::{recover_depths_decomposition, recovered_depth_by_binding};
 pub use inverse::{recover_logic_tree, GroupGraph, InverseError};
 pub use pattern::{canonical_pattern, canonical_pattern_branches, PatternKey, TreeErasure};
 pub use pipeline::{
-    rewrite_passes, strict_validation_passes, PreparedQuery, QueryVis, QueryVisError,
-    QueryVisOptions, UnionBranch, MAX_QUERY_BRANCHES,
+    PreparedQuery, QueryVis, QueryVisError, QueryVisOptions, UnionBranch, MAX_QUERY_BRANCHES,
 };
 pub use queryvis_ir as ir;
 pub use unambiguity::{valid_path_patterns, verify_path_patterns, PathPattern};

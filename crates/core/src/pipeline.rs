@@ -6,13 +6,12 @@
 
 use crate::pattern::PatternKey;
 use queryvis_diagram::{build_diagram, diagram_stats, render_reading, Diagram, DiagramStats};
-use queryvis_ir::{PassContext, PassManager};
 use queryvis_layout::{
     build_scene, compose_union, layout_diagram, Layout, LayoutOptions, Scene, SceneOptions,
 };
 use queryvis_logic::{
-    check_non_degenerate, check_valid_diagram_source, to_trc, DegeneracyError, LogicTree,
-    SimplifyPass, TranslateError, ValidatePass,
+    check_non_degenerate, check_valid_diagram_source, simplify_in_place, to_trc, DegeneracyError,
+    LogicTree, TranslateError,
 };
 use queryvis_render::{to_ascii, to_dot_union, to_svg, SvgTheme};
 use queryvis_sql::{
@@ -24,9 +23,11 @@ use std::sync::{Arc, OnceLock};
 
 /// Telemetry stages for the pipeline's back half (DESIGN.md §6). Lex and
 /// parse are spanned inside `queryvis-sql`; these cover lowering +
-/// translation, diagram construction, and scene composition.
+/// translation, diagram construction (with the ∄·∄ → ∀·∃ rewrite of each
+/// branch nested inside it), and scene composition.
 static STAGE_LOWER: StageDef = StageDef::new("stage.lower");
 static STAGE_DIAGRAM: StageDef = StageDef::new("stage.diagram");
+static PASS_SIMPLIFY: StageDef = StageDef::new("pass.simplify-forall");
 static STAGE_SCENE: StageDef = StageDef::new("stage.scene");
 
 /// Hard cap on lowered branches per request (`UNION` branches times each
@@ -34,19 +35,6 @@ static STAGE_SCENE: StageDef = StageDef::new("stage.scene");
 /// enforces per block, applied to the whole expression so a request can
 /// never fan out into an unbounded number of diagrams.
 pub const MAX_QUERY_BRANCHES: usize = queryvis_logic::MAX_DISJUNCTION_BRANCHES;
-
-/// The logic-IR rewrite pipeline run by [`PreparedQuery::complete`]:
-/// today the single ∄·∄ → ∀·∃ simplification pass. New rewrites join the
-/// pipeline here, uniformly named and timed by the pass framework.
-pub fn rewrite_passes() -> PassManager<LogicTree> {
-    PassManager::new().with_pass(SimplifyPass)
-}
-
-/// The strict-mode validation pipeline run by [`QueryVis::prepare`]:
-/// non-degeneracy (Properties 5.1/5.2) plus the depth ≤ 3 bound.
-pub fn strict_validation_passes() -> PassManager<LogicTree> {
-    PassManager::new().with_pass(ValidatePass { strict_depth: true })
-}
 
 /// Errors from any pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,9 +217,10 @@ impl PreparedQuery {
         } = self;
         let compile_branch = |logic_tree: &LogicTree| {
             let mut simplified = logic_tree.clone();
-            rewrite_passes()
-                .run(&mut simplified)
-                .expect("rewrite passes are infallible");
+            {
+                let _span = PASS_SIMPLIFY.span();
+                simplify_in_place(&mut simplified);
+            }
             let diagram = if options.no_simplify {
                 build_diagram(logic_tree)
             } else {
@@ -355,14 +344,10 @@ impl QueryVis {
             ));
         }
         if options.strict {
-            for (_, tree) in &mut branches {
-                let mut cx = PassContext::new();
-                if strict_validation_passes().run_with(tree, &mut cx).is_err() {
-                    let degeneracy = cx
-                        .take_fact::<DegeneracyError>(ValidatePass::ERROR_FACT)
-                        .expect("ValidatePass publishes its structured error");
-                    return Err(QueryVisError::Degenerate(degeneracy));
-                }
+            // Non-degeneracy (Properties 5.1/5.2) plus the depth ≤ 3
+            // bound, on every branch.
+            for (_, tree) in &branches {
+                check_valid_diagram_source(tree).map_err(QueryVisError::Degenerate)?;
             }
         }
         let union_all = expr.all;

@@ -19,10 +19,10 @@
 //!   predicates, and attribute references, all `Symbol`-based.
 //! * [`ops`] — the shared operator vocabulary ([`CompareOp`], [`AggFunc`],
 //!   [`Value`]) used by both the SQL AST and the pattern IR.
-//! * [`pass`] — a small [`Pass`]/[`PassManager`] framework that turns the
-//!   formerly ad-hoc rewrite/validate/analyze steps (`logic::simplify`,
-//!   `logic::validate`, `core::decompose`) into named, composable,
-//!   individually timed passes over an IR.
+//!
+//! The steps that run over this IR — the ∄·∄ → ∀·∃ rewrite, the §5
+//! validity checks — are plain functions in `queryvis-logic`, called in
+//! order by the `queryvis` pipeline; this crate has no dependencies.
 //!
 //! ## Where strings may exist
 //!
@@ -34,13 +34,11 @@
 pub mod arena;
 pub mod intern;
 pub mod ops;
-pub mod pass;
 pub mod pattern;
 
 pub use arena::Arena;
 pub use intern::{Interner, Symbol, SymbolQuery};
 pub use ops::{AggFunc, CompareOp, Value};
-pub use pass::{Pass, PassContext, PassEffect, PassError, PassManager, PassMetric};
 pub use pattern::{
     AttrRef, LogicTree, LtHaving, LtNode, LtOperand, LtPredicate, LtTable, NodeId, Quantifier,
     SelectAttr,

@@ -30,12 +30,11 @@ pub use lt::{
     AttrRef, LogicTree, LtHaving, LtNode, LtOperand, LtPredicate, LtTable, NodeId, Quantifier,
     SelectAttr,
 };
-pub use simplify::{simplify, simplify_in_place, SimplifyPass};
+pub use simplify::{simplify, simplify_in_place};
 pub use translate::{translate, translate_branches, TranslateError};
 pub use trc::to_trc;
 pub use validate::{
-    check_non_degenerate, check_valid_diagram_source, DegeneracyError, ValidatePass,
-    MAX_DIAGRAM_DEPTH,
+    check_non_degenerate, check_valid_diagram_source, DegeneracyError, MAX_DIAGRAM_DEPTH,
 };
 
 #[cfg(test)]

@@ -14,7 +14,6 @@
 //! ψ′ is also ∄: ψ becomes ∀ and ψ′ becomes ∃.
 
 use crate::lt::{LogicTree, Quantifier};
-use queryvis_ir::{Pass, PassContext, PassEffect, PassError};
 
 /// Return a simplified copy of the tree with all applicable ∄·∄ pairs
 /// rewritten to ∀·∃. The rewrite is applied top-down, so chains of four ∄
@@ -25,8 +24,9 @@ pub fn simplify(tree: &LogicTree) -> LogicTree {
     out
 }
 
-/// The in-place rewrite behind [`simplify`] and [`SimplifyPass`]; returns
-/// the number of ∄·∄ pairs rewritten.
+/// The in-place rewrite behind [`simplify`]; returns the number of ∄·∄
+/// pairs rewritten. `PreparedQuery::complete` (in `queryvis`) calls it
+/// once per compiled branch, timed as the `pass.simplify-forall` stage.
 pub fn simplify_in_place(tree: &mut LogicTree) -> usize {
     let mut rewritten = 0;
     for id in tree.preorder() {
@@ -42,32 +42,6 @@ pub fn simplify_in_place(tree: &mut LogicTree) -> usize {
         }
     }
     rewritten
-}
-
-/// The ∄·∄ → ∀·∃ rewrite as a composable IR pass. Publishes the number of
-/// rewritten pairs under the [`SimplifyPass::PAIRS_FACT`] key.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimplifyPass;
-
-impl SimplifyPass {
-    /// [`PassContext`] fact key: `usize` count of rewritten ∄·∄ pairs.
-    pub const PAIRS_FACT: &'static str = "simplify.rewritten_pairs";
-}
-
-impl Pass<LogicTree> for SimplifyPass {
-    fn name(&self) -> &'static str {
-        "simplify-forall"
-    }
-
-    fn run(&self, ir: &mut LogicTree, cx: &mut PassContext) -> Result<PassEffect, PassError> {
-        let rewritten = simplify_in_place(ir);
-        cx.put_fact(Self::PAIRS_FACT, rewritten);
-        Ok(if rewritten == 0 {
-            PassEffect::Unchanged
-        } else {
-            PassEffect::Changed
-        })
-    }
 }
 
 /// Count how many ∄·∄ pairs the simplifier would rewrite — used by the

@@ -88,47 +88,6 @@ pub fn check_valid_diagram_source(tree: &LogicTree) -> Result<(), DegeneracyErro
     check_non_degenerate(tree)
 }
 
-/// Non-degeneracy validation as a composable IR pass (read-only: fails the
-/// pipeline on the first violated property instead of mutating).
-///
-/// `strict_depth` additionally enforces the depth ≤ 3 unambiguity bound —
-/// the strict-mode configuration of `QueryVis::prepare`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ValidatePass {
-    pub strict_depth: bool,
-}
-
-impl ValidatePass {
-    /// [`queryvis_ir::PassContext`] fact key: the structured
-    /// [`DegeneracyError`] behind a failed run (the [`queryvis_ir::PassError`]
-    /// itself carries only the rendered message).
-    pub const ERROR_FACT: &'static str = "validate.degeneracy_error";
-}
-
-impl queryvis_ir::Pass<LogicTree> for ValidatePass {
-    fn name(&self) -> &'static str {
-        "validate-non-degenerate"
-    }
-
-    fn run(
-        &self,
-        ir: &mut LogicTree,
-        cx: &mut queryvis_ir::PassContext,
-    ) -> Result<queryvis_ir::PassEffect, queryvis_ir::PassError> {
-        let result = if self.strict_depth {
-            check_valid_diagram_source(ir)
-        } else {
-            check_non_degenerate(ir)
-        };
-        if let Err(e) = result {
-            let rendered = e.to_string();
-            cx.put_fact(Self::ERROR_FACT, e);
-            return Err(queryvis_ir::PassError::new(self.name(), rendered));
-        }
-        Ok(queryvis_ir::PassEffect::Unchanged)
-    }
-}
-
 /// Property 5.1.
 pub fn check_local_attributes(tree: &LogicTree) -> Result<(), DegeneracyError> {
     for node in tree.nodes() {

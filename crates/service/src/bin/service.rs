@@ -31,8 +31,8 @@
 //! the steady-state hit rate: pass 2 of any fixed input is 100 % hits.
 //! A `{"op":"shutdown"}` line ends the run after its ack.
 //! `--stats`, `--stats-json`, and `--trace-jsonl` all enable process
-//! telemetry; without them every span/counter call site stays a single
-//! relaxed atomic load.
+//! telemetry; without them every span stays a single relaxed atomic
+//! load.
 
 use queryvis_service::frontend::too_large_reply;
 use queryvis_service::json::{self, Json};

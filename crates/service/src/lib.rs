@@ -44,9 +44,9 @@
 //!   document a browser client can draw directly;
 //! * [`stats_json`] — the observability export: [`ServiceStats`] (each
 //!   service event counted once, in the instance) plus the process-wide
-//!   `queryvis-telemetry` snapshot (per-stage latency histograms, pass
-//!   counters, `pass.*` timings) as one schema-stable JSON document, and
-//!   the `--trace-jsonl` span dump.
+//!   `queryvis-telemetry` snapshot (per-stage latency histograms,
+//!   `pass.simplify-forall` among them) as one schema-stable JSON
+//!   document, and the `--trace-jsonl` span dump.
 
 #![forbid(unsafe_code)]
 

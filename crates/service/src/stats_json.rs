@@ -2,18 +2,18 @@
 //! telemetry snapshot as one JSON document, built with the service's own
 //! [`json`](crate::json) writer (the workspace carries no serde).
 //!
-//! Shape (fields in a fixed order, counters and histograms sorted by
-//! name, so the document is schema-stable run to run):
+//! Shape (fields in a fixed order, histograms sorted by name, so the
+//! document is schema-stable run to run):
 //!
 //! ```json
 //! {
 //!   "service":   { "requests": 123, ..., "cache": {...}, "memo": {...} },
 //!   "telemetry": {
 //!     "enabled": true,
-//!     "counters": { "pass_facts": 40, "passes_changed": 9, "passes_run": 80 },
 //!     "histograms": {
-//!       "request":     { "count": 123, "p50_ns": ..., "p999_ns": ... },
-//!       "stage.parse": { ... }, "pass.simplify": { ... }, ...
+//!       "pass.simplify-forall": { "count": 60, "p50_ns": ..., "p999_ns": ... },
+//!       "request":              { "count": 123, ... },
+//!       "stage.parse": { ... }, ...
 //!     },
 //!     "trace_dropped": 0
 //!   },
@@ -24,8 +24,8 @@
 //! Every service, cache, memo and session event is counted once, in the
 //! instance that owns it, and appears only in the `service` and
 //! `sessions` sections. The `telemetry` section is the process-global
-//! registry: the `PassManager`'s pass counters, the per-stage span
-//! histograms, and the `pass.*` timings.
+//! histogram registry: one latency histogram per span name, including
+//! the `pass.simplify-forall` rewrite timed inside `stage.diagram`.
 
 use crate::json::Json;
 use crate::service::ServiceStats;
@@ -106,21 +106,11 @@ pub fn service_stats_json(stats: &ServiceStats) -> Json {
 }
 
 /// The process-wide telemetry registry as the `telemetry` section. The
-/// snapshot's vectors are already name-sorted, so field order — and
+/// snapshot's histograms are already name-sorted, so field order — and
 /// therefore serialization — is deterministic.
 pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
     Json::Obj(vec![
         ("enabled".to_string(), Json::Bool(snapshot.enabled)),
-        (
-            "counters".to_string(),
-            Json::Obj(
-                snapshot
-                    .counters
-                    .iter()
-                    .map(|(name, value)| (name.clone(), Json::Int(*value)))
-                    .collect(),
-            ),
-        ),
         (
             "histograms".to_string(),
             Json::Obj(

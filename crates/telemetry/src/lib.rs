@@ -3,13 +3,10 @@
 //! The workspace's vendored observability layer (no crates.io): one
 //! process-wide [`Telemetry`] instance holding
 //!
-//! * a registry of **relaxed-atomic counters** ([`registry`]) —
-//!   register-once by name behind `static` [`CounterDef`] handles; the IR
-//!   `PassManager` counts the passes it runs, the facts they publish and
-//!   how many changed the IR;
 //! * **log-linear latency histograms** ([`histogram`]) — fixed buckets,
 //!   ≤3.1% relative quantization error over all of `u64`, mergeable,
-//!   exact-extreme p50/p90/p99/p999 queries;
+//!   exact-extreme p50/p90/p99/p999 queries — registered once by name
+//!   ([`registry`]) behind `static` [`StageDef`] handles;
 //! * a lightweight **span API** ([`StageDef::span`]) — an RAII guard that
 //!   times a pipeline stage into the stage's histogram and, when tracing
 //!   is on, appends a per-request [`TraceRecord`] to the trace sink.
@@ -17,7 +14,7 @@
 //! ## The disabled path
 //!
 //! Everything is gated on one relaxed [`Telemetry::enabled`] flag, off by
-//! default: a disabled counter bump or span is a single atomic load and a
+//! default: a disabled span or record is a single atomic load and a
 //! predictable branch — no clock reads, no atomics written, no
 //! allocation — which is what keeps the service's 2.3µs `warm_hit`
 //! budget intact (enforced by `bench_guard`'s `warm_hit_telemetry_off`
@@ -27,14 +24,15 @@
 //! ## Who records what
 //!
 //! Stage spans live where the stages live: `queryvis-sql` times lex and
-//! parse, `queryvis` (core) times lowering/diagram/scene, `queryvis-ir`'s
-//! `PassManager` publishes per-pass durations and fact counts, and
-//! `queryvis-service` times canonicalization, per-format rendering, and
-//! end-to-end request latency. The service counts its own events (cache
-//! hits, compiles, sessions, connections) in per-instance fields, not
-//! here, and exports those next to this registry's snapshot as one JSON
-//! document via its own `json` writer (`stats_json` module there); this
-//! crate deliberately has no serialization and no dependencies.
+//! parse, `queryvis` (core) times lowering, diagram construction (with
+//! the `pass.simplify-forall` rewrite of each branch nested inside it)
+//! and scene composition, and `queryvis-service` times canonicalization,
+//! per-format rendering, and end-to-end request latency. The service
+//! counts its own events (cache hits, compiles, sessions, connections)
+//! in per-instance fields, not here, and exports those next to this
+//! registry's snapshot as one JSON document via its own `json` writer
+//! (`stats_json` module there); this crate deliberately has no
+//! serialization and no dependencies.
 
 pub mod histogram;
 pub mod registry;
@@ -76,7 +74,6 @@ pub struct TraceRecord {
 pub struct Telemetry {
     enabled: AtomicBool,
     tracing: AtomicBool,
-    counters: Registry<AtomicU64>,
     histograms: Registry<Histogram>,
     trace: Mutex<Vec<TraceRecord>>,
     trace_dropped: AtomicU64,
@@ -86,7 +83,6 @@ pub struct Telemetry {
 static GLOBAL: Telemetry = Telemetry {
     enabled: AtomicBool::new(false),
     tracing: AtomicBool::new(false),
-    counters: Registry::new(),
     histograms: Registry::new(),
     trace: Mutex::new(Vec::new()),
     trace_dropped: AtomicU64::new(0),
@@ -152,38 +148,14 @@ impl Telemetry {
         sink.push(record);
     }
 
-    fn counter_id(&self, def: &CounterDef) -> u32 {
-        *def.id
-            .get_or_init(|| self.counters.register(def.name, AtomicU64::default))
-    }
-
     fn histogram_id(&self, def: &StageDef) -> u32 {
         *def.id
             .get_or_init(|| self.histograms.register(def.name, Histogram::new))
     }
 
-    /// Record a duration into a histogram registered by *runtime* name
-    /// (the `PassManager` path: pass names compose as `pass.<name>`).
-    /// Registration-by-name costs a short mutex section; call sites with
-    /// static stages should use a [`StageDef`] instead.
-    pub fn record_named_ns(&self, name: &str, ns: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let id = self.histograms.register(name, Histogram::new);
-        self.histograms.get(id).record(ns);
-    }
-
-    /// A full snapshot of every counter and histogram, sorted by name so
-    /// exports are schema-stable.
+    /// A full snapshot of every histogram, sorted by name so exports are
+    /// schema-stable.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .entries()
-            .into_iter()
-            .map(|(name, cell)| (name, cell.load(Ordering::Relaxed)))
-            .collect();
-        counters.sort();
         let mut histograms: Vec<(String, HistogramSnapshot)> = self
             .histograms
             .entries()
@@ -193,28 +165,19 @@ impl Telemetry {
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
         TelemetrySnapshot {
             enabled: self.enabled(),
-            counters,
             histograms,
         }
     }
 }
 
-/// A point-in-time copy of every metric, sorted by name.
+/// A point-in-time copy of every histogram, sorted by name.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     pub enabled: bool,
-    pub counters: Vec<(String, u64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl TelemetrySnapshot {
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
             .iter()
@@ -224,47 +187,8 @@ impl TelemetrySnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Static metric handles
+// Static stage handles
 // ---------------------------------------------------------------------
-
-/// A register-once counter handle, declared `static` at its use site:
-///
-/// ```
-/// use queryvis_telemetry::CounterDef;
-/// static PASSES_RUN: CounterDef = CounterDef::new("passes_run");
-/// PASSES_RUN.add(1); // no-op unless telemetry is enabled
-/// ```
-pub struct CounterDef {
-    name: &'static str,
-    id: OnceLock<u32>,
-}
-
-impl CounterDef {
-    pub const fn new(name: &'static str) -> CounterDef {
-        CounterDef {
-            name,
-            id: OnceLock::new(),
-        }
-    }
-
-    /// Add `n` when telemetry is enabled; a load and a branch otherwise.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        let t = global();
-        if !t.enabled() {
-            return;
-        }
-        t.counters
-            .get(t.counter_id(self))
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current total (registers the counter if it never incremented).
-    pub fn value(&self) -> u64 {
-        let t = global();
-        t.counters.get(t.counter_id(self)).load(Ordering::Relaxed)
-    }
-}
 
 /// A named pipeline stage backed by a latency histogram. Declared
 /// `static` where the stage is implemented:
@@ -395,21 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_counters_do_not_count() {
-        static C: CounterDef = CounterDef::new("test.disabled_counter");
-        let _serial = enable_lock();
-        global().set_enabled(false);
-        C.add(5);
-        assert_eq!(C.value(), 0);
-        global().set_enabled(true);
-        C.add(5);
-        assert_eq!(C.value(), 5);
-        global().set_enabled(false);
-        C.add(5);
-        assert_eq!(C.value(), 5);
-    }
-
-    #[test]
     fn spans_record_into_stage_histograms() {
         static S: StageDef = StageDef::new("test.span_stage");
         let _serial = enable_lock();
@@ -467,32 +376,20 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
-        static CB: CounterDef = CounterDef::new("test.snap_b");
-        static CA: CounterDef = CounterDef::new("test.snap_a");
+        static HB: StageDef = StageDef::new("test.snap_b");
+        static HA: StageDef = StageDef::new("test.snap_a");
         let _serial = enable_lock();
         global().set_enabled(true);
-        CB.add(2);
-        CA.add(1);
+        HB.record_ns(2);
+        HB.record_ns(2);
+        HA.record_ns(1);
         global().set_enabled(false);
         let snap = global().snapshot();
-        assert_eq!(snap.counter("test.snap_a"), Some(1));
-        assert_eq!(snap.counter("test.snap_b"), Some(2));
-        let names: Vec<&String> = snap.counters.iter().map(|(n, _)| n).collect();
+        assert_eq!(snap.histogram("test.snap_a").map(|h| h.count()), Some(1));
+        assert_eq!(snap.histogram("test.snap_b").map(|h| h.count()), Some(2));
+        let names: Vec<&String> = snap.histograms.iter().map(|(n, _)| n).collect();
         let mut sorted = names.clone();
         sorted.sort();
-        assert_eq!(names, sorted, "counters must be name-sorted");
-    }
-
-    #[test]
-    fn named_histograms_register_on_demand() {
-        let _serial = enable_lock();
-        let t = global();
-        t.set_enabled(true);
-        t.record_named_ns("pass.test_pass", 1234);
-        t.set_enabled(false);
-        t.record_named_ns("pass.test_pass", 5678); // ignored
-        let snap = t.snapshot();
-        let h = snap.histogram("pass.test_pass").expect("registered");
-        assert_eq!(h.count(), 1);
+        assert_eq!(names, sorted, "histograms must be name-sorted");
     }
 }

@@ -1,20 +1,16 @@
 //! Register-once metric storage: append-only slots behind a name index.
 //!
-//! Registration (rare, startup/first-use) takes a mutex and scans a small
-//! name vector; every later access is a single atomic load — `OnceLock`
-//! slots are filled *before* their id is published, so a handed-out id
-//! always points at initialized storage. Hot-path mutation never touches
-//! the lock.
-//!
-//! A counter slot is one plain relaxed `AtomicU64`. The only counters
-//! (`passes_run`, `passes_changed`, `pass_facts`) move once per compiled
-//! pass, and only while telemetry is enabled, so none is hot enough to
-//! need per-thread cells.
+//! Registration (rare: a `StageDef`'s first record or snapshot) takes a
+//! mutex and scans a small name vector; every later access is a single
+//! atomic load — `OnceLock` slots are filled *before* their id is
+//! published, so a handed-out id always points at initialized storage.
+//! Hot-path mutation never touches the lock. The one registry in the
+//! process holds the stage histograms.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Hard cap per metric kind. Registration panics beyond it — the metric
+/// Hard cap per registry. Registration panics beyond it — the metric
 /// vocabulary is a small, developer-controlled set, and a run-away
 /// registration loop is a bug worth failing loudly on.
 pub const MAX_METRICS: usize = 256;

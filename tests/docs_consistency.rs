@@ -4,30 +4,75 @@
 use queryvis::corpus::{pattern_grid, qualification_questions, study_questions, tutorial_examples};
 use queryvis::valid_path_patterns;
 
+fn read(rel: &str) -> String {
+    let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The `members` paths of the root `Cargo.toml`'s `[workspace]` table.
+fn workspace_members() -> Vec<String> {
+    let manifest = read("Cargo.toml");
+    let list = manifest
+        .split("\nmembers = [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("root Cargo.toml has a `members = [...]` list");
+    let members: Vec<String> = list
+        .split(',')
+        .map(|entry| entry.trim().trim_matches('"').to_string())
+        .filter(|entry| !entry.is_empty())
+        .collect();
+    assert!(members.len() > 10, "parsed only {members:?}");
+    members
+}
+
+/// The `[package]` name declared in `<member>/Cargo.toml`.
+fn package_name(member: &str) -> String {
+    let manifest = read(&format!("{member}/Cargo.toml"));
+    manifest
+        .lines()
+        .find_map(|line| line.strip_prefix("name = \""))
+        .and_then(|rest| rest.strip_suffix('"'))
+        .unwrap_or_else(|| panic!("{member}/Cargo.toml declares no package name"))
+        .to_string()
+}
+
 #[test]
 fn design_md_lists_every_crate_directory() {
-    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"))
-        .expect("DESIGN.md present at the workspace root");
-    for dir in [
-        "crates/sql",
-        "crates/logic",
-        "crates/diagram",
-        "crates/layout",
-        "crates/render",
-        "crates/stats",
-        "crates/corpus",
-        "crates/study",
-        "crates/core",
-        "crates/bench",
-    ] {
-        assert!(design.contains(dir), "DESIGN.md misses {dir}");
+    let design = read("DESIGN.md");
+    for member in workspace_members() {
+        assert!(design.contains(&member), "DESIGN.md misses {member}");
     }
 }
 
 #[test]
+fn readme_crate_table_is_complete() {
+    let readme = read("README.md");
+    for member in workspace_members() {
+        let name = format!("`{}`", package_name(&member));
+        assert!(
+            readme
+                .lines()
+                .any(|line| line.starts_with('|') && line.contains(&name)),
+            "README's crate table misses {name} ({member})"
+        );
+    }
+}
+
+#[test]
+fn ir_crate_has_no_dependencies() {
+    // DESIGN.md §1: the IR sits under every other crate and depends on
+    // none of them.
+    let manifest = read("crates/ir/Cargo.toml");
+    assert!(
+        !manifest.contains("[dependencies"),
+        "crates/ir/Cargo.toml declares dependencies"
+    );
+}
+
+#[test]
 fn design_md_indexes_every_repro_target() {
-    let design =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md")).unwrap();
+    let design = read("DESIGN.md");
     for target in [
         "repro fig1",
         "repro fig2",
@@ -60,8 +105,7 @@ fn corpus_counts_match_docs() {
 
 #[test]
 fn experiments_md_reports_all_figures() {
-    let experiments =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md")).unwrap();
+    let experiments = read("EXPERIMENTS.md");
     for figure in [
         "Fig. 7",
         "Fig. 18",
@@ -79,9 +123,8 @@ fn experiments_md_reports_all_figures() {
 }
 
 #[test]
-fn readme_crate_table_is_complete() {
-    let readme =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+fn readme_lists_every_example() {
+    let readme = read("README.md");
     for name in [
         "quickstart",
         "unique_set",

@@ -4,7 +4,7 @@
 
 use queryvis::corpus::beers_schema;
 use queryvis::{QueryVis, QueryVisError, QueryVisOptions};
-use queryvis_logic::{translate, TranslateError};
+use queryvis_logic::{check_valid_diagram_source, translate, DegeneracyError, TranslateError};
 use queryvis_sql::{parse_query, SemanticError};
 
 fn strict(sql: &str) -> Result<QueryVis, QueryVisError> {
@@ -15,6 +15,15 @@ fn strict(sql: &str) -> Result<QueryVis, QueryVisError> {
             ..QueryVisOptions::default()
         },
     )
+}
+
+/// The exact degeneracy error strict mode refuses `sql` with.
+fn strict_refusal(sql: &str) -> DegeneracyError {
+    match strict(sql) {
+        Err(QueryVisError::Degenerate(e)) => e,
+        Err(other) => panic!("expected a degeneracy refusal, got {other}"),
+        Ok(_) => panic!("strict mode drew {sql}"),
+    }
 }
 
 // ---------- lexical / syntactic ----------
@@ -199,32 +208,38 @@ fn nested_group_by_rejected() {
 fn smuggled_disjunction_rejected_in_strict_mode() {
     // The paper's §5.1 example: a selection predicate placed below its
     // natural scope encodes a disjunction.
-    let err = strict(
+    let err = strict_refusal(
         "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
          (SELECT * FROM Serves S WHERE S.bar = F.bar AND F.bar = 'Owl')",
-    )
-    .unwrap_err();
-    assert!(matches!(err, QueryVisError::Degenerate(_)), "{err}");
+    );
+    assert_eq!(
+        err,
+        DegeneracyError::NonLocalPredicate {
+            node: 1,
+            predicate: "(F.bar = 'Owl')".to_string(),
+        }
+    );
 }
 
 #[test]
 fn disconnected_subquery_rejected_in_strict_mode() {
     let err =
-        strict("SELECT A.x FROM A WHERE NOT EXISTS (SELECT * FROM B WHERE B.y = 'z')").unwrap_err();
-    assert!(matches!(err, QueryVisError::Degenerate(_)));
+        strict_refusal("SELECT A.x FROM A WHERE NOT EXISTS (SELECT * FROM B WHERE B.y = 'z')");
+    assert_eq!(err, DegeneracyError::DisconnectedBlock { node: 1 });
 }
 
 #[test]
 fn depth_four_rejected_in_strict_mode() {
-    let err = strict(
+    // Depth 4 with every block connected and local: only the depth bound
+    // (not Properties 5.1/5.2 alone) refuses it.
+    let err = strict_refusal(
         "SELECT A.a FROM A WHERE NOT EXISTS( \
           SELECT * FROM B WHERE B.a = A.a AND NOT EXISTS( \
            SELECT * FROM C WHERE C.b = B.b AND NOT EXISTS( \
             SELECT * FROM D WHERE D.c = C.c AND NOT EXISTS( \
              SELECT * FROM E WHERE E.d = D.d))))",
-    )
-    .unwrap_err();
-    assert!(matches!(err, QueryVisError::Degenerate(_)));
+    );
+    assert_eq!(err, DegeneracyError::TooDeep { depth: 4 });
     // Lenient mode still draws it (depth > 3 just voids the proof).
     QueryVis::from_sql(
         "SELECT A.a FROM A WHERE NOT EXISTS( \
@@ -272,8 +287,33 @@ fn deeply_nested_input_is_handled() {
     sql.push_str(&")".repeat(12));
     let qv = QueryVis::from_sql(&sql).unwrap();
     assert_eq!(qv.logic_tree.max_depth(), 12);
-    assert!(matches!(
-        strict(&sql).unwrap_err(),
-        QueryVisError::Degenerate(_)
-    ));
+    assert_eq!(strict_refusal(&sql), DegeneracyError::TooDeep { depth: 12 });
+}
+
+#[test]
+fn strict_mode_checks_every_branch() {
+    // Each query's first branch is valid on its own; only the second
+    // branch (a written UNION branch, then a positive-polarity OR split)
+    // violates a property. Lenient mode draws both branches.
+    let union = "SELECT A.x FROM A UNION SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+                 (SELECT * FROM Serves S WHERE S.bar = F.bar AND F.bar = 'Owl')";
+    let or_split =
+        "SELECT A.x FROM A WHERE A.y = 1 OR NOT EXISTS (SELECT * FROM B WHERE B.z = 'q')";
+    for sql in [union, or_split] {
+        let lenient = QueryVis::from_sql(sql).unwrap();
+        assert_eq!(lenient.rest.len(), 1, "{sql}");
+        check_valid_diagram_source(&lenient.logic_tree)
+            .unwrap_or_else(|e| panic!("first branch of {sql} is valid: {e}"));
+    }
+    assert_eq!(
+        strict_refusal(union),
+        DegeneracyError::NonLocalPredicate {
+            node: 1,
+            predicate: "(F.bar = 'Owl')".to_string(),
+        }
+    );
+    assert_eq!(
+        strict_refusal(or_split),
+        DegeneracyError::DisconnectedBlock { node: 1 }
+    );
 }
