@@ -199,7 +199,6 @@ fn stats_line(
         ("pass".into(), Json::Num(pass as f64)),
         ("requests".into(), Json::Num(stats.requests as f64)),
         ("compiles".into(), Json::Num(stats.compiles as f64)),
-        ("coalesced".into(), Json::Num(stats.coalesced as f64)),
         ("errors".into(), Json::Num(stats.errors as f64)),
         ("l1_hits".into(), Json::Num(stats.l1_hits as f64)),
         ("l1_entries".into(), Json::Num(stats.l1_entries as f64)),

@@ -369,8 +369,8 @@ impl ShardedCache {
     }
 
     /// Look up without touching recency or counters. Used where a lookup
-    /// is a consistency re-check rather than request traffic (e.g. the
-    /// owner's post-claim re-check in the in-flight path).
+    /// is not request traffic: [`ShardedCache::contains`], tests, and
+    /// replays of the read path that must not perturb the counters.
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<Arc<CompiledEntry>> {
         let shard = self.shard(fingerprint);
         let idx = shard.resident(fingerprint.0)?;

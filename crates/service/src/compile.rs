@@ -30,7 +30,7 @@
 //! fingerprint, and pattern-equivalent queries (alias renames, predicate
 //! reordering, even schema swaps — paper App. G) share one entry. The
 //! diagram and artifacts are rendered from the *pattern representative*:
-//! the first query of the pattern to be compiled. That is exactly the
+//! the query whose compile of the pattern was inserted first. That is the
 //! deduplication the paper licenses — "the visual diagram remains the same
 //! for queries with identical logical patterns" — traded at the granularity
 //! of whole diagrams, concrete label text included.
@@ -48,7 +48,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Per-format render stages (DESIGN.md §6). Each span covers one *actual*
 /// materialization — memoized re-serves of an artifact record nothing, so
-/// the histograms count renders, not requests.
+/// the histograms count renders, not requests. A geometric format builds
+/// the entry's scene before its span opens, so `stage.scene` is never
+/// timed inside a render span.
 static STAGE_RENDER_ASCII: StageDef = StageDef::new("stage.render.ascii");
 static STAGE_RENDER_DOT: StageDef = StageDef::new("stage.render.dot");
 static STAGE_RENDER_SVG: StageDef = StageDef::new("stage.render.svg");
@@ -163,25 +165,28 @@ impl CompiledEntry {
     pub fn render(&self, format: Format) -> &Arc<str> {
         match format {
             Format::Ascii => self.ascii.get_or_init(|| {
+                let scene = self.scene();
                 let _span = STAGE_RENDER_ASCII.span();
-                literal(&ascii::to_ascii(self.scene()))
+                literal(&ascii::to_ascii(scene))
             }),
             Format::Dot => self.dot.get_or_init(|| {
                 let _span = STAGE_RENDER_DOT.span();
                 literal(&self.qv.dot())
             }),
             Format::Svg => self.svg.get_or_init(|| {
+                let scene = self.scene();
                 let _span = STAGE_RENDER_SVG.span();
-                literal(&svg::to_svg(self.scene(), &SvgTheme::default()))
+                literal(&svg::to_svg(scene, &SvgTheme::default()))
             }),
             Format::Reading => self.reading.get_or_init(|| {
                 let _span = STAGE_RENDER_READING.span();
                 literal(&self.qv.reading())
             }),
             Format::SceneJson => self.scene_json.get_or_init(|| {
+                let scene = self.scene();
                 let _span = STAGE_RENDER_SCENE_JSON.span();
                 let mut out = String::with_capacity(4096);
-                write_scene_json(&mut out, self.scene());
+                write_scene_json(&mut out, scene);
                 literal(&out)
             }),
         }

@@ -4,9 +4,9 @@
 //! never the process. That promise is only testable if a compile *can* be
 //! poisoned on demand, so this module carries a single injection point:
 //! an armed "panic token". While armed, any compile whose SQL contains
-//! the token panics mid-pipeline — downstream machinery (the service's
-//! `catch_unwind`, the in-flight `FlightGuard`, the server's connection
-//! loop) must then contain the blast radius.
+//! the token panics mid-pipeline — downstream machinery (each compile's
+//! own `catch_unwind` in the service, the server's connection loop) must
+//! then contain the blast radius.
 //!
 //! The hook is disarmed by default and costs one relaxed atomic load per
 //! compile when disarmed. It is deliberately compiled into release builds:

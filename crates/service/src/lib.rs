@@ -29,8 +29,8 @@
 //! * [`compile`] — immutable compiled entries (pattern representatives)
 //!   with lazily rendered, `Arc`-shared per-format artifacts, each stored
 //!   once as the JSON string literal a reply carries;
-//! * [`service`] — [`DiagramService`]: single-request serving with
-//!   in-flight deduplication;
+//! * [`service`] — [`DiagramService`]: single-request serving; a miss
+//!   compiles and publishes, and when misses race the first insert wins;
 //! * [`protocol`] / [`json`] — the JSON-lines wire format (see the
 //!   repository `README.md` for examples), serialized without
 //!   intermediate trees by [`Response::write_json_line`], which copies

@@ -1,15 +1,14 @@
 //! The diagram-compilation service: L1 memo → fingerprint → L2 cache →
 //! compile → render.
 //!
-//! [`DiagramService::handle`] serves one request, deduplicating concurrent
-//! identical fingerprints through an in-flight table (`Mutex<HashMap>` +
-//! condvar): the first thread to claim a missing fingerprint compiles it,
-//! racers park and are handed the finished entry — one compile no matter
-//! how many concurrent duplicates. Session opens and edits
-//! ([`crate::session`]) take the same path. Both front ends serve their
-//! lines through it one at a time and in order, so a pattern's
-//! representative is the first request of that pattern the service
-//! serves.
+//! [`DiagramService::handle`] serves one request. On an L2 miss the
+//! request compiles the pattern itself and publishes the entry. The
+//! diagram is a function of the logical pattern (paper §1.1, App. G), so
+//! requests that miss on one new pattern at once each compile it, the
+//! first insert wins ([`ShardedCache::insert`] keeps the incumbent), and
+//! every racer serves the resident entry. A pattern's representative is
+//! the first compile of it to be inserted. Session opens and edits
+//! ([`crate::session`]) take the same path.
 //!
 //! **The warm path.** Before any lexing happens, the request text is
 //! probed in the [`L1Memo`]: a repeat text (modulo whitespace, comments,
@@ -32,10 +31,9 @@ use crate::protocol::{
 use queryvis::ir::Interner;
 use queryvis::QueryVisOptions;
 use queryvis_telemetry::StageDef;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// End-to-end request latency: `handle()` wall time.
 static STAGE_REQUEST: StageDef = StageDef::new("request");
@@ -70,9 +68,6 @@ pub struct ServiceStats {
     pub requests: u64,
     /// Full pipeline compilations actually executed.
     pub compiles: u64,
-    /// Requests served by joining another request's in-flight compile
-    /// instead of compiling themselves.
-    pub coalesced: u64,
     /// Requests that failed (parse/semantic/translation errors).
     pub errors: u64,
     /// Requests whose frontend (lex→parse→translate→canonicalize) was
@@ -92,51 +87,6 @@ pub struct ServiceStats {
     pub memo: MemoStats,
 }
 
-/// Lock a mutex, recovering the guard from a poisoned lock. Every mutex
-/// in the service guards state that is valid at all times (inserts and
-/// removes are single operations, never multi-step invariants), so a
-/// panic that unwound through a critical section leaves usable data
-/// behind. Propagating poison instead would turn one isolated request
-/// panic into a process-wide failure: every later request would panic on
-/// the poisoned `lock().expect(..)` — exactly the amplification the
-/// serving layer promises not to have.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One in-flight compilation that racing requests can join. The slot is
-/// filled with `Err` if the owning compile unwinds, so joiners get an
-/// error response instead of parking forever.
-struct Flight {
-    slot: Mutex<Option<Result<Arc<CompiledEntry>, ServiceError>>>,
-    ready: Condvar,
-}
-
-/// Retires a [`Flight`] even if the owning compile panics: on unwind the
-/// guard fails the slot, wakes every joiner, and removes the in-flight
-/// entry so later requests for the fingerprint retry instead of
-/// deadlocking. Disarmed on the success path.
-struct FlightGuard<'a> {
-    service: &'a DiagramService,
-    fingerprint: Fingerprint,
-    flight: &'a Flight,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        *lock_unpoisoned(&self.flight.slot) = Some(Err(ServiceError::new(
-            ErrorKind::Panic,
-            "diagram compilation panicked",
-        )));
-        self.flight.ready.notify_all();
-        lock_unpoisoned(&self.service.inflight).remove(&self.fingerprint.0);
-    }
-}
-
 /// The compilation service.
 pub struct DiagramService {
     config: ServiceConfig,
@@ -154,10 +104,8 @@ pub struct DiagramService {
     memo: L1Memo,
     /// L2: fingerprint → compiled entry.
     cache: ShardedCache,
-    inflight: Mutex<HashMap<u128, Arc<Flight>>>,
     requests: AtomicU64,
     compiles: AtomicU64,
-    coalesced: AtomicU64,
     errors: AtomicU64,
     l1_hits: AtomicU64,
     panics_caught: AtomicU64,
@@ -171,10 +119,8 @@ impl DiagramService {
             options: Arc::new(config.options.clone()),
             interner: Interner::global(),
             config,
-            inflight: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             l1_hits: AtomicU64::new(0),
             panics_caught: AtomicU64::new(0),
@@ -214,7 +160,6 @@ impl DiagramService {
         ServiceStats {
             requests: self.requests.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             l1_hits: self.l1_hits.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
@@ -294,11 +239,13 @@ impl DiagramService {
         resolved
     }
 
-    /// Look up or compile the entry for a fingerprinted query, joining an
-    /// in-flight compile of the same fingerprint when one exists. `Err`
-    /// means the compile failed or panicked (classified by its kind).
-    /// Public so tests can build a from-scratch oracle that fills L2
-    /// without touching L1 or the request counters.
+    /// Look up or compile the entry for a fingerprinted query. A miss
+    /// compiles here even if another request is compiling the same
+    /// pattern: the first insert wins, and both serve the resident entry.
+    /// `Err` means the compile failed or panicked (classified by its
+    /// kind); nothing is cached then. Public so tests can build a
+    /// from-scratch oracle that fills L2 without touching L1 or the
+    /// request counters.
     pub fn entry_for(
         &self,
         fingerprinted: FingerprintedQuery,
@@ -307,73 +254,8 @@ impl DiagramService {
         if let Some(entry) = self.cache.get(fingerprint) {
             return Ok(entry);
         }
-        let (flight, is_owner) = {
-            let mut inflight = lock_unpoisoned(&self.inflight);
-            match inflight.get(&fingerprint.0) {
-                Some(flight) => (Arc::clone(flight), false),
-                None => {
-                    let flight = Arc::new(Flight {
-                        slot: Mutex::new(None),
-                        ready: Condvar::new(),
-                    });
-                    inflight.insert(fingerprint.0, Arc::clone(&flight));
-                    (flight, true)
-                }
-            }
-        };
-        if !is_owner {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            let guard = lock_unpoisoned(&flight.slot);
-            let guard = flight
-                .ready
-                .wait_while(guard, |slot| slot.is_none())
-                .unwrap_or_else(PoisonError::into_inner);
-            return guard.as_ref().expect("woken with a filled slot").clone();
-        }
-        let mut guard = FlightGuard {
-            service: self,
-            fingerprint,
-            flight: &flight,
-            armed: true,
-        };
-        // Re-check after winning ownership: a previous owner may have
-        // compiled, published, and retired its flight between our cache
-        // miss and the inflight claim — recompiling would be wasted work.
-        // (Counter-free peek: the miss was already counted above.)
-        let resident = match self.cache.peek(fingerprint) {
-            Some(entry) => entry,
-            None => match self.compile(fingerprinted) {
-                // Publish to the cache before retiring the flight so there
-                // is no window where the entry is reachable through
-                // neither; serve the *resident* entry (the incumbent, if
-                // another compile won a race) so owner and joiners agree.
-                Ok(entry) => self.publish(fingerprint, Arc::new(entry)),
-                Err(error) => {
-                    // A caught compile panic: hand joiners the classified
-                    // error (not the guard's generic one) and fail only
-                    // this fingerprint's requests.
-                    guard.armed = false;
-                    self.retire_flight(&flight, fingerprint, Err(error.clone()));
-                    return Err(error);
-                }
-            },
-        };
-        guard.armed = false;
-        self.retire_flight(&flight, fingerprint, Ok(Arc::clone(&resident)));
-        Ok(resident)
-    }
-
-    /// Fill a flight's slot, wake its joiners, and drop it from the
-    /// in-flight table.
-    fn retire_flight(
-        &self,
-        flight: &Flight,
-        fingerprint: Fingerprint,
-        result: Result<Arc<CompiledEntry>, ServiceError>,
-    ) {
-        *lock_unpoisoned(&flight.slot) = Some(result);
-        flight.ready.notify_all();
-        lock_unpoisoned(&self.inflight).remove(&fingerprint.0);
+        let entry = self.compile(fingerprinted)?;
+        Ok(self.publish(fingerprint, Arc::new(entry)))
     }
 
     /// Run the back half of the pipeline with panic isolation: an unwind
@@ -607,22 +489,31 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_handles_compile_once() {
-        let service = Arc::new(service());
+    fn concurrent_misses_serve_one_entry() {
+        let service = service();
         let sql = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
                    (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
                    (SELECT L.drink FROM Likes L WHERE L.person = F.person \
                     AND S.drink = L.drink))";
-        std::thread::scope(|scope| {
-            for i in 0..8 {
-                let service = Arc::clone(&service);
-                scope.spawn(move || {
-                    let r = service.handle(&request(i, sql));
-                    assert!(r.outcome.is_ok());
-                });
-            }
+        // Every racer may compile; the first insert wins and all of them
+        // serve it, so the reply lines (one id for all) are identical.
+        let start = std::sync::Barrier::new(8);
+        let lines: Vec<String> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        service.handle(&request(0, sql)).to_json_line()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
         });
-        assert_eq!(service.stats().compiles, 1);
-        assert_eq!(service.stats().requests, 8);
+        assert!(lines[0].contains("\"artifacts\""), "{}", lines[0]);
+        assert!(lines.iter().all(|line| *line == lines[0]));
+        let stats = service.stats();
+        assert_eq!(stats.requests, 8);
+        assert_eq!(stats.cache.entries, 1);
+        assert!((1..=8).contains(&stats.compiles), "{}", stats.compiles);
     }
 }

@@ -111,6 +111,9 @@ pub struct SessionReply {
     pub patch: Option<String>,
 }
 
+/// Lock a mutex, recovering the guard from a poisoned lock, so that one
+/// request's panic does not turn into a failure of every later session
+/// op.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

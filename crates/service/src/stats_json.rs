@@ -69,7 +69,6 @@ pub fn service_stats_json(stats: &ServiceStats) -> Json {
     Json::Obj(vec![
         ("requests".to_string(), Json::Int(stats.requests)),
         ("compiles".to_string(), Json::Int(stats.compiles)),
-        ("coalesced".to_string(), Json::Int(stats.coalesced)),
         ("errors".to_string(), Json::Int(stats.errors)),
         ("l1_hits".to_string(), Json::Int(stats.l1_hits)),
         ("panics_caught".to_string(), Json::Int(stats.panics_caught)),
@@ -197,7 +196,6 @@ mod tests {
         let stats = ServiceStats {
             requests: 5,
             compiles: 2,
-            coalesced: 1,
             errors: 0,
             l1_hits: 2,
             panics_caught: 0,

@@ -238,6 +238,51 @@ fn l2_eviction_invalidates_l1_and_the_service_recovers() {
     assert_eq!(service.stats().l1_hits, 0);
 }
 
+/// What eager invalidation buys under eviction pressure: the texts of an
+/// evicted pattern leave the memo at once, instead of filling its FIFO
+/// and pushing out texts whose entries are still resident. So on a pass
+/// that evicts, every L2 hit is reached through an L1 hit. The property
+/// holds for any L2 eviction policy.
+#[test]
+fn resident_entries_keep_their_texts_memoized_under_eviction() {
+    // The binaries' memo-to-cache ratio (4×), one shard each.
+    let service = DiagramService::new(ServiceConfig {
+        cache: CacheConfig {
+            capacity: 8,
+            shards: 1,
+        },
+        memo: MemoConfig {
+            capacity: 32,
+            shards: 1,
+        },
+        options: QueryVisOptions::default(),
+        default_formats: vec![Format::Ascii],
+    });
+    let requests = paper_corpus_requests(&[Format::Ascii]);
+    let serve = || {
+        for request in &requests {
+            assert!(service.handle(request).outcome.is_ok(), "{}", request.sql);
+        }
+    };
+    serve();
+    for pass in 2..=3 {
+        let before = service.stats();
+        serve();
+        let after = service.stats();
+        assert!(
+            after.cache.evictions > before.cache.evictions,
+            "pass {pass} must evict from L2"
+        );
+        let l2_hits = after.cache.hits - before.cache.hits;
+        assert!(l2_hits > 0, "pass {pass} must hit L2");
+        assert_eq!(
+            after.l1_hits - before.l1_hits,
+            l2_hits,
+            "pass {pass}: a resident entry's texts stay memoized"
+        );
+    }
+}
+
 #[test]
 fn memoized_fingerprints_equal_recomputed_ones_across_the_corpus() {
     // Property over the whole paper corpus: after serving, every memoized

@@ -1,14 +1,16 @@
 //! Panic isolation, end to end through the public service API: an
-//! injected compile panic must fail exactly one request with a
-//! classified `panic` error, increment `panics_caught`, and leave the
-//! service fully functional — the promise the TCP front end builds on.
+//! injected compile panic must fail only the request that compiled it,
+//! with a classified `panic` error, increment `panics_caught`, and leave
+//! the service fully functional — the promise the TCP front end builds
+//! on. Concurrent requests racing on the poisoned pattern each compile,
+//! and each catch their own panic.
 //!
 //! Own integration binary: the fault hook and the telemetry counter it
 //! asserts on are process-global, so this must not share a process with
 //! other instrumented tests.
 
 use queryvis_service::{fault, DiagramService, ErrorKind, Format, Request, ServiceConfig};
-use std::sync::Once;
+use std::sync::{Barrier, Once};
 
 /// Swallow the *expected* injected-panic backtraces while letting real
 /// test failures print normally.
@@ -55,8 +57,38 @@ fn injected_compile_panic_fails_one_request_not_the_process() {
         "wire line must carry the classification: {line}"
     );
 
-    // The panic was counted, and the service keeps serving other queries.
+    // The panic was counted.
     assert_eq!(service.stats().panics_caught, 1);
+
+    // Racers on the poisoned text each compile, each catch their own
+    // panic and each answer `panic`; nothing is cached. (They race before
+    // the healthy text below, which is pattern-equivalent and would
+    // otherwise serve them from L2.)
+    let start = Barrier::new(4);
+    std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    service.handle(&poisoned)
+                })
+            })
+            .collect();
+        for racer in racers {
+            let response = racer.join().expect("a racer's panic is caught");
+            let err = response.outcome.expect_err("every racer fails");
+            assert_eq!(err.kind, ErrorKind::Panic);
+        }
+    });
+    let stats = service.stats();
+    assert_eq!(
+        stats.panics_caught, stats.compiles,
+        "every compile panicked"
+    );
+    assert_eq!(stats.cache.entries, 0, "a failed compile is not cached");
+    let panics = stats.panics_caught;
+
+    // The service keeps serving other queries.
     let healthy = Request {
         id: 8,
         sql: "SELECT T.a FROM T WHERE T.a = 1".to_string(),
@@ -65,8 +97,9 @@ fn injected_compile_panic_fails_one_request_not_the_process() {
     };
     assert!(service.handle(&healthy).outcome.is_ok());
 
-    // A panicking flight is retired, not cached: disarmed, the very same
-    // SQL compiles cleanly on retry.
+    // The panicking compiles left nothing behind: disarmed, the very same
+    // SQL is served (from the entry its pattern-equivalent healthy text
+    // put in L2) without a new panic.
     fault::disarm_compile_panic();
     let retry = service.handle(&poisoned);
     assert!(
@@ -76,7 +109,7 @@ fn injected_compile_panic_fails_one_request_not_the_process() {
     );
     assert_eq!(
         service.stats().panics_caught,
-        1,
+        panics,
         "no new panics after disarm"
     );
 }
