@@ -116,7 +116,10 @@ fn serve_batch(service: &DiagramService, requests: &[Request], clients: usize) -
 /// Alias names and constants are canonicalized away, so diversity has to
 /// be structural. The resulting workload — many requests, ~120 compiles,
 /// the rest deduplicated — is the regime where client scaling shows; the
-/// paper corpus alone is too small to amortize thread start-up.
+/// paper corpus alone is too small to amortize thread start-up. The text
+/// repeats every 144 requests, so four clients on contiguous shares miss
+/// on some patterns at once; each racer compiles (a few more than 120
+/// compiles per iteration), and the first insert wins.
 fn synthetic_requests(n: usize) -> Vec<Request> {
     (0..n)
         .map(|i| {

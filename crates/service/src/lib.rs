@@ -4,7 +4,9 @@
 //! pipeline, built on the paper's observation that *queries sharing a
 //! logical pattern share one diagram* (§1.1, App. G): the serving layer
 //! canonicalizes each query, hashes the pattern into a stable 128-bit
-//! [`Fingerprint`], and deduplicates all compilation work behind it.
+//! [`Fingerprint`], and serves every pattern-equivalent query from the
+//! one entry resident under it (misses that race on a new pattern may
+//! each compile it; the first insert wins).
 //!
 //! Architecture (two cache levels; a request descends only as far as it
 //! must — repeat texts skip the frontend, repeat patterns skip the
