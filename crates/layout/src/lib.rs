@@ -17,11 +17,13 @@
 //! * edges attach to the left/right midpoint of their attribute rows and
 //!   carry an optional operator label at the midpoint.
 
+pub mod carrier;
 pub mod engine;
 pub mod geometry;
 pub mod number;
 pub mod scene;
 
+pub use carrier::{escape_json, Carrier, JsonEscaped, Lit};
 pub use engine::{
     crossing_count, layout_diagram, BoxLayout, EdgeLayout, Layout, LayoutOptions, TableLayout,
 };

@@ -14,7 +14,9 @@
 //! are marked `*`, group-by rows `#`. Edges are listed below the grid in
 //! reading form, straight from the scene's resolved endpoint names.
 
-use queryvis_layout::{EdgeKind, EdgeMark, Mark, MarkRole, Scene, StyleClass, TextRole};
+use queryvis_layout::{
+    lit, Carrier, EdgeKind, EdgeMark, Mark, MarkRole, Scene, StyleClass, TextRole,
+};
 
 /// Width of the `====… UNION …====` badge line between union branches.
 const BADGE_WIDTH: usize = 35;
@@ -27,20 +29,22 @@ pub fn to_ascii(scene: &Scene) -> String {
     out
 }
 
-/// [`to_ascii`] into a caller-owned buffer.
-pub fn write_ascii(out: &mut String, scene: &Scene) {
+/// [`to_ascii`] into a caller-owned [`Carrier`]: a `String`, or the
+/// JSON-escaped form a service reply stores. Box rules and padding read
+/// the same in both forms; only names and labels are text.
+pub fn write_ascii<C: Carrier>(out: &mut C, scene: &Scene) {
     for (i, branch) in scene.branches.iter().enumerate() {
         if i > 0 {
             let label = &scene.badges[i - 1].label;
             // Project the badge rule into a fixed-width char rule with the
             // label centered on it.
             let pad = BADGE_WIDTH.saturating_sub(label.chars().count() + 2);
-            push_repeated(out, '=', pad / 2 + pad % 2);
-            out.push(' ');
-            out.push_str(label);
-            out.push(' ');
-            push_repeated(out, '=', pad / 2);
-            out.push('\n');
+            push_repeated(out.plain(), '=', pad / 2 + pad % 2);
+            out.plain().push(' ');
+            out.text(label);
+            out.plain().push(' ');
+            push_repeated(out.plain(), '=', pad / 2);
+            out.lit(lit!("\n"));
         }
         write_branch(out, &branch.marks);
     }
@@ -83,25 +87,26 @@ impl Block<'_> {
 
     /// Write line `line` of the box: a `+---+` rule, `| title |`, or
     /// `| <marker>row |`, padded to the box width.
-    fn write_line(&self, out: &mut String, line: usize) {
+    fn write_line<C: Carrier>(&self, out: &mut C, line: usize) {
         if line == 0 || line == 2 || line == self.height() - 1 {
-            out.push('+');
-            push_repeated(out, '-', self.width + 2);
-            out.push('+');
+            let rule = out.plain();
+            rule.push('+');
+            push_repeated(rule, '-', self.width + 2);
+            rule.push('+');
             return;
         }
-        out.push_str("| ");
+        out.plain().push_str("| ");
         let used = if line == 1 {
-            self.title.iter().for_each(|piece| out.push_str(piece));
+            self.title.iter().for_each(|piece| out.text(piece));
             chars(&self.title)
         } else {
             let (marker, text) = self.rows[line - 3];
-            out.push(marker);
-            out.push_str(text);
+            out.plain().push(marker);
+            out.text(text);
             text.chars().count() + 1
         };
-        push_repeated(out, ' ', self.width - used);
-        out.push_str(" |");
+        push_repeated(out.plain(), ' ', self.width - used);
+        out.plain().push_str(" |");
     }
 }
 
@@ -109,7 +114,7 @@ fn chars(pieces: &[&str]) -> usize {
     pieces.iter().map(|piece| piece.chars().count()).sum()
 }
 
-fn write_branch(out: &mut String, marks: &[Mark]) {
+fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
     // -------- Pass 1: rebuild per-table content from mark order --------
     // A Frame rect opens a table; Title/Annotation/RowText runs up to the
     // next Frame belong to it. Edge marks feed the legend.
@@ -213,36 +218,34 @@ fn write_branch(out: &mut String, marks: &[Mark]) {
         for (column, &width) in columns.iter().zip(&widths) {
             match cell(&blocks, column, line) {
                 Some((block, block_line)) => {
-                    push_repeated(out, ' ', pending);
+                    push_repeated(out.plain(), ' ', pending);
                     block.write_line(out, block_line);
                     pending = width - (block.width + 4) + 3;
                 }
                 None => pending += width + 3,
             }
         }
-        out.push('\n');
+        out.lit(lit!("\n"));
     }
 
     // -------- Edge legend --------
     if !edges.is_empty() {
-        out.push('\n');
+        out.lit(lit!("\n"));
         for edge in edges {
             let arrow = if edge.kind == EdgeKind::Directed {
-                "-->"
+                " --> "
             } else {
-                "---"
+                " --- "
             };
-            out.push_str(&edge.from_text);
-            out.push(' ');
-            out.push_str(arrow);
-            out.push(' ');
-            out.push_str(&edge.to_text);
+            out.text(&edge.from_text);
+            out.plain().push_str(arrow);
+            out.text(&edge.to_text);
             if let Some(label) = &edge.label {
-                out.push_str(" [");
-                out.push_str(label);
-                out.push(']');
+                out.plain().push_str(" [");
+                out.text(label);
+                out.plain().push(']');
             }
-            out.push('\n');
+            out.lit(lit!("\n"));
         }
     }
 }

@@ -6,8 +6,10 @@
 //! to SVG baselines. It contains no layout arithmetic.
 
 use queryvis_layout::{
-    write_tenths, write_whole, EdgeKind, Mark, MarkRole, Rect, Scene, StyleClass, TextRole,
+    lit, write_tenths, write_whole, Carrier, EdgeKind, Lit, Mark, MarkRole, Rect, Scene,
+    StyleClass, TextRole,
 };
+use std::marker::PhantomData;
 
 /// Colors and strokes for the SVG output. Defaults mirror the paper (black
 /// headers, lighter SELECT header, yellow selection rows, gray group rows)
@@ -49,34 +51,40 @@ impl Default for SvgTheme {
 }
 
 /// Append `text` with the five XML special characters escaped, in one
-/// pass: clean runs are copied whole (every special byte is ASCII, so run
-/// boundaries are char boundaries).
-fn push_escaped(out: &mut String, text: &str) {
+/// pass: clean runs go to `out` whole as text (every special byte is
+/// ASCII, so run boundaries are char boundaries), each entity as a `lit!`.
+fn push_escaped<C: Carrier>(out: &mut C, text: &str) {
     let mut run = 0;
     for (i, byte) in text.bytes().enumerate() {
         let entity = match byte {
-            b'&' => "&amp;",
-            b'<' => "&lt;",
-            b'>' => "&gt;",
-            b'\'' => "&apos;",
-            b'"' => "&quot;",
+            b'&' => lit!("&amp;"),
+            b'<' => lit!("&lt;"),
+            b'>' => lit!("&gt;"),
+            b'\'' => lit!("&apos;"),
+            b'"' => lit!("&quot;"),
             _ => continue,
         };
-        out.push_str(&text[run..i]);
-        out.push_str(entity);
+        out.text(&text[run..i]);
+        out.lit(entity);
         run = i + 1;
     }
-    out.push_str(&text[run..]);
+    out.text(&text[run..]);
+}
+
+/// `value` XML-escaped, in `C`'s form: a theme value formed once per
+/// document and copied into every mark that uses it.
+fn formed<C: Carrier>(value: &str) -> String {
+    let mut out = C::default();
+    push_escaped(&mut out, value);
+    std::mem::take(out.plain())
 }
 
 /// Append ` name="value"` for each pair, the value printed as `{:.1}`.
-fn push_tenths(out: &mut String, attrs: &[(&str, f64)]) {
+fn push_tenths<C: Carrier>(out: &mut C, attrs: &[(Lit, f64)]) {
     for &(name, value) in attrs {
-        out.push(' ');
-        out.push_str(name);
-        out.push_str("=\"");
-        write_tenths(out, value);
-        out.push('"');
+        out.lit(name);
+        write_tenths(out.plain(), value);
+        out.lit(lit!("\""));
     }
 }
 
@@ -87,41 +95,34 @@ pub fn to_svg(scene: &Scene, theme: &SvgTheme) -> String {
     out
 }
 
-/// [`to_svg`] into a caller-owned buffer (the serving layer renders into
-/// reusable per-worker buffers).
+/// [`to_svg`] into a caller-owned [`Carrier`]: a `String`, or the
+/// JSON-escaped form a service reply stores.
 ///
 /// Written with plain pushes and the scene's number writers, not
 /// `write!`: coordinates print as `{:.1}` would print them, document
-/// extents, corner radii and the font size as `{:.0}`.
-pub fn write_svg(out: &mut String, scene: &Scene, theme: &SvgTheme) {
-    // ` font-family="…" font-size="…"` is shared by every text element.
-    let mut font = String::with_capacity(64);
-    font.push_str(" font-family=\"");
-    font.push_str(&theme.font_family);
-    font.push_str("\" font-size=\"");
-    write_whole(&mut font, theme.font_size);
-    font.push('"');
-    let svg = Svg { theme, font };
-
-    out.push_str(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#);
-    write_whole(out, scene.width);
-    out.push_str(r#"" height=""#);
-    write_whole(out, scene.height);
-    out.push_str(r#"" viewBox="0 0 "#);
-    write_whole(out, scene.width);
-    out.push(' ');
-    write_whole(out, scene.height);
-    out.push_str("\">\n");
-    out.push_str(r#"<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill=""#);
-    out.push_str(&theme.edge);
-    out.push_str("\"/></marker></defs>\n");
-    out.push_str(r#"<rect x="0" y="0" width=""#);
-    write_whole(out, scene.width);
-    out.push_str(r#"" height=""#);
-    write_whole(out, scene.height);
-    out.push_str(r#"" fill=""#);
-    out.push_str(&theme.background);
-    out.push_str("\"/>\n");
+/// extents, corner radii and the font size as `{:.0}`. Theme values are
+/// XML-escaped, since a CSS font list may quote a family name.
+pub fn write_svg<C: Carrier>(out: &mut C, scene: &Scene, theme: &SvgTheme) {
+    let svg = Svg::<C>::new(theme);
+    out.lit(lit!(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#));
+    write_whole(out.plain(), scene.width);
+    out.lit(lit!(r#"" height=""#));
+    write_whole(out.plain(), scene.height);
+    out.lit(lit!(r#"" viewBox="0 0 "#));
+    write_whole(out.plain(), scene.width);
+    out.plain().push(' ');
+    write_whole(out.plain(), scene.height);
+    out.lit(lit!("\">\n"));
+    out.lit(lit!(r#"<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="7" markerHeight="7" orient="auto-start-reverse"><path d="M 0 0 L 10 5 L 0 10 z" fill=""#));
+    out.plain().push_str(&svg.theme.edge);
+    out.lit(lit!("\"/></marker></defs>\n"));
+    out.lit(lit!(r#"<rect x="0" y="0" width=""#));
+    write_whole(out.plain(), scene.width);
+    out.lit(lit!(r#"" height=""#));
+    write_whole(out.plain(), scene.height);
+    out.lit(lit!(r#"" fill=""#));
+    out.plain().push_str(&svg.theme.background);
+    out.lit(lit!("\"/>\n"));
     if let [branch] = scene.branches.as_slice() {
         svg.marks(out, &branch.marks);
     } else {
@@ -129,78 +130,113 @@ pub fn write_svg(out: &mut String, scene: &Scene, theme: &SvgTheme) {
             if i > 0 {
                 // The union badge: a rule with the connective label on it.
                 let badge = &scene.badges[i - 1];
-                out.push_str(r#"<line x1="0""#);
+                out.lit(lit!(r#"<line x1="0""#));
                 push_tenths(
                     out,
                     &[
-                        ("y1", badge.y_mid),
-                        ("x2", scene.width),
-                        ("y2", badge.y_mid),
+                        (lit!(r#" y1=""#), badge.y_mid),
+                        (lit!(r#" x2=""#), scene.width),
+                        (lit!(r#" y2=""#), badge.y_mid),
                     ],
                 );
-                out.push_str(r#" stroke=""#);
-                out.push_str(&theme.border);
-                out.push_str(
-                    "\" stroke-width=\"1\" stroke-dasharray=\"2,3\" class=\"union-rule\"/>\n",
-                );
+                out.lit(lit!(r#" stroke=""#));
+                out.plain().push_str(&svg.theme.border);
+                out.lit(lit!(
+                    "\" stroke-width=\"1\" stroke-dasharray=\"2,3\" class=\"union-rule\"/>\n"
+                ));
                 svg.text_open(out, scene.width / 2.0, badge.y_mid - 4.0);
-                out.push_str(r#" font-weight="bold" fill=""#);
-                out.push_str(&theme.border);
-                out.push_str(r#"" class="union-badge">"#);
-                out.push_str(&badge.label);
-                out.push_str("</text>\n");
+                out.lit(lit!(r#" font-weight="bold" fill=""#));
+                out.plain().push_str(&svg.theme.border);
+                out.lit(lit!(r#"" class="union-badge">"#));
+                out.text(&badge.label);
+                out.lit(lit!("</text>\n"));
             }
-            out.push_str(r#"<g transform="translate(0,"#);
-            write_tenths(out, branch.dy);
-            out.push_str(")\" class=\"union-branch\">\n");
+            out.lit(lit!(r#"<g transform="translate(0,"#));
+            write_tenths(out.plain(), branch.dy);
+            out.lit(lit!(")\" class=\"union-branch\">\n"));
             svg.marks(out, &branch.marks);
-            out.push_str("</g>\n");
+            out.lit(lit!("</g>\n"));
         }
     }
-    out.push_str("</svg>\n");
+    out.lit(lit!("</svg>\n"));
 }
 
-/// Per-document writer state: the theme plus its pre-rendered font
-/// attributes.
-struct Svg<'a> {
-    theme: &'a SvgTheme,
+/// Per-document writer state: the theme with each value formed in the
+/// carrier's form, plus the pre-rendered font attributes.
+struct Svg<C> {
+    /// The caller's theme, every string XML-escaped and in `C`'s form.
+    theme: SvgTheme,
+    /// ` font-family="…" font-size="…"`, in `C`'s form.
     font: String,
+    carrier: PhantomData<C>,
 }
 
-impl Svg<'_> {
+impl<C: Carrier> Svg<C> {
+    fn new(theme: &SvgTheme) -> Self {
+        let mut font = C::default();
+        font.lit(lit!(r#" font-family=""#));
+        push_escaped(&mut font, &theme.font_family);
+        font.lit(lit!(r#"" font-size=""#));
+        write_whole(font.plain(), theme.font_size);
+        font.lit(lit!("\""));
+        Svg {
+            theme: SvgTheme {
+                background: formed::<C>(&theme.background),
+                header_fill: formed::<C>(&theme.header_fill),
+                header_text: formed::<C>(&theme.header_text),
+                select_header_fill: formed::<C>(&theme.select_header_fill),
+                select_header_text: formed::<C>(&theme.select_header_text),
+                row_fill: formed::<C>(&theme.row_fill),
+                selection_row_fill: formed::<C>(&theme.selection_row_fill),
+                group_row_fill: formed::<C>(&theme.group_row_fill),
+                border: formed::<C>(&theme.border),
+                edge: formed::<C>(&theme.edge),
+                // Unused: `font` holds the whole attribute pair.
+                font_family: String::new(),
+                font_size: theme.font_size,
+            },
+            font: std::mem::take(font.plain()),
+            carrier: PhantomData,
+        }
+    }
+
     /// `<text x="{:.1}" y="{:.1}" text-anchor="middle" font-family=… font-size=…`
-    fn text_open(&self, out: &mut String, x: f64, y: f64) {
-        out.push_str("<text");
-        push_tenths(out, &[("x", x), ("y", y)]);
-        out.push_str(r#" text-anchor="middle""#);
-        out.push_str(&self.font);
+    fn text_open(&self, out: &mut C, x: f64, y: f64) {
+        out.lit(lit!("<text"));
+        push_tenths(out, &[(lit!(r#" x=""#), x), (lit!(r#" y=""#), y)]);
+        out.lit(lit!(r#" text-anchor="middle""#));
+        out.plain().push_str(&self.font);
     }
 
     /// `<rect x=… y=… width=… height=…` (all `{:.1}`), then the rest.
-    fn rect_open(&self, out: &mut String, r: &Rect) {
-        out.push_str("<rect");
+    fn rect_open(&self, out: &mut C, r: &Rect) {
+        out.lit(lit!("<rect"));
         push_tenths(
             out,
-            &[("x", r.x), ("y", r.y), ("width", r.w), ("height", r.h)],
+            &[
+                (lit!(r#" x=""#), r.x),
+                (lit!(r#" y=""#), r.y),
+                (lit!(r#" width=""#), r.w),
+                (lit!(r#" height=""#), r.h),
+            ],
         );
     }
 
-    /// A header or row band: ` fill="…" stroke="…" class="…"/>`.
-    fn band(&self, out: &mut String, r: &Rect, fill: &str, class: &str) {
+    /// A header or row band: ` fill="…" stroke="…" class="…"/>`, `fill`
+    /// already formed.
+    fn band(&self, out: &mut C, r: &Rect, fill: &str, class: Lit) {
         self.rect_open(out, r);
-        out.push_str(r#" fill=""#);
-        out.push_str(fill);
-        out.push_str(r#"" stroke=""#);
-        out.push_str(&self.theme.border);
-        out.push_str(r#"" class=""#);
-        out.push_str(class);
-        out.push_str("\"/>\n");
+        out.lit(lit!(r#" fill=""#));
+        out.plain().push_str(fill);
+        out.lit(lit!(r#"" stroke=""#));
+        out.plain().push_str(&self.theme.border);
+        out.lit(class);
     }
 
     /// Write one branch's marks into an open SVG context, in scene paint
     /// order.
-    fn marks(&self, out: &mut String, marks: &[Mark]) {
-        let theme = self.theme;
+    fn marks(&self, out: &mut C, marks: &[Mark]) {
+        let theme = &self.theme;
         for mark in marks {
             match mark {
                 Mark::Rect(rect) => {
@@ -209,23 +245,23 @@ impl Svg<'_> {
                         // Vector media tile the frame with header + row bands.
                         MarkRole::Frame => {}
                         MarkRole::QuantifierBox => {
-                            let (extra, class) = match rect.class {
-                                StyleClass::BoxNotExists => {
-                                    (r#" stroke-dasharray="6,4""#, "box not-exists")
+                            let class = match rect.class {
+                                StyleClass::BoxNotExists => lit!(
+                                    "\" stroke-width=\"1.5\" stroke-dasharray=\"6,4\" class=\"box not-exists\"/>\n"
+                                ),
+                                StyleClass::BoxForAll => {
+                                    lit!("\" stroke-width=\"1.5\" class=\"box for-all\"/>\n")
                                 }
-                                StyleClass::BoxForAll => ("", "box for-all"),
-                                _ => ("", "box for-all-inner"),
+                                _ => lit!(
+                                    "\" stroke-width=\"1.5\" class=\"box for-all-inner\"/>\n"
+                                ),
                             };
                             self.rect_open(out, r);
-                            out.push_str(r#" rx=""#);
-                            write_whole(out, rect.radius);
-                            out.push_str(r#"" fill="none" stroke=""#);
-                            out.push_str(&theme.border);
-                            out.push_str(r#"" stroke-width="1.5""#);
-                            out.push_str(extra);
-                            out.push_str(r#" class=""#);
-                            out.push_str(class);
-                            out.push_str("\"/>\n");
+                            out.lit(lit!(r#" rx=""#));
+                            write_whole(out.plain(), rect.radius);
+                            out.lit(lit!(r#"" fill="none" stroke=""#));
+                            out.plain().push_str(&theme.border);
+                            out.lit(class);
                         }
                         MarkRole::Header => {
                             let fill = if rect.class == StyleClass::HeaderSelect {
@@ -233,7 +269,7 @@ impl Svg<'_> {
                             } else {
                                 &theme.header_fill
                             };
-                            self.band(out, r, fill, "header");
+                            self.band(out, r, fill, lit!("\" class=\"header\"/>\n"));
                         }
                         MarkRole::Row => {
                             let fill = match rect.class {
@@ -241,7 +277,7 @@ impl Svg<'_> {
                                 StyleClass::RowGroup => &theme.group_row_fill,
                                 _ => &theme.row_fill,
                             };
-                            self.band(out, r, fill, "row");
+                            self.band(out, r, fill, lit!("\" class=\"row\"/>\n"));
                         }
                     }
                 }
@@ -263,39 +299,39 @@ impl Svg<'_> {
                     let baseline = text.anchor.y + theme.font_size / 3.0;
                     self.text_open(out, text.anchor.x, baseline);
                     if text.role == TextRole::Title {
-                        out.push_str(r#" font-weight="bold""#);
+                        out.lit(lit!(r#" font-weight="bold""#));
                     }
-                    out.push_str(r#" fill=""#);
-                    out.push_str(fill);
-                    out.push_str("\">");
+                    out.lit(lit!(r#" fill=""#));
+                    out.plain().push_str(fill);
+                    out.lit(lit!("\">"));
                     push_escaped(out, &text.text);
-                    out.push_str("</text>\n");
+                    out.lit(lit!("</text>\n"));
                 }
                 Mark::Edge(edge) => {
-                    out.push_str("<line");
+                    out.lit(lit!("<line"));
                     push_tenths(
                         out,
                         &[
-                            ("x1", edge.from.x),
-                            ("y1", edge.from.y),
-                            ("x2", edge.to.x),
-                            ("y2", edge.to.y),
+                            (lit!(r#" x1=""#), edge.from.x),
+                            (lit!(r#" y1=""#), edge.from.y),
+                            (lit!(r#" x2=""#), edge.to.x),
+                            (lit!(r#" y2=""#), edge.to.y),
                         ],
                     );
-                    out.push_str(r#" stroke=""#);
-                    out.push_str(&theme.edge);
-                    out.push_str(r#"" stroke-width="1.4""#);
+                    out.lit(lit!(r#" stroke=""#));
+                    out.plain().push_str(&theme.edge);
+                    out.lit(lit!(r#"" stroke-width="1.4""#));
                     if edge.kind == EdgeKind::Directed {
-                        out.push_str(r#" marker-end="url(#arrow)""#);
+                        out.lit(lit!(r#" marker-end="url(#arrow)""#));
                     }
-                    out.push_str(" class=\"edge\"/>\n");
+                    out.lit(lit!(" class=\"edge\"/>\n"));
                     if let Some(label) = &edge.label {
                         self.text_open(out, edge.label_pos.x, edge.label_pos.y);
-                        out.push_str(r#" font-weight="bold" fill=""#);
-                        out.push_str(&theme.edge);
-                        out.push_str(r#"" class="edge-label">"#);
+                        out.lit(lit!(r#" font-weight="bold" fill=""#));
+                        out.plain().push_str(&theme.edge);
+                        out.lit(lit!(r#"" class="edge-label">"#));
                         push_escaped(out, label);
-                        out.push_str("</text>\n");
+                        out.lit(lit!("</text>\n"));
                     }
                 }
             }
@@ -377,6 +413,28 @@ mod tests {
     fn select_header_uses_light_fill() {
         let s = svg("SELECT L.beer FROM Likes L", false);
         assert!(s.contains("#bdbdbd"));
+    }
+
+    /// Theme values are XML-escaped: a CSS font list quoting a family
+    /// name must not close the attribute early.
+    #[test]
+    fn theme_values_are_escaped_into_attributes() {
+        let theme = SvgTheme {
+            font_family: r#""Helvetica Neue", Arial"#.into(),
+            edge: "#222<>".into(),
+            ..SvgTheme::default()
+        };
+        let scene = diagram_scene(&build_diagram(
+            &translate(
+                &parse_query("SELECT A.x FROM T A, T B WHERE A.x <> B.x").unwrap(),
+                None,
+            )
+            .unwrap(),
+        ));
+        let s = to_svg(&scene, &theme);
+        assert!(s.contains(r#"font-family="&quot;Helvetica Neue&quot;, Arial""#));
+        assert!(s.contains(r##"stroke="#222&lt;&gt;""##));
+        assert!(!s.contains("Neue\""));
     }
 
     #[test]

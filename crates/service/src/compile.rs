@@ -7,10 +7,15 @@
 //!
 //! **One form per artifact: the reply's.** Each artifact is stored once,
 //! as the JSON string literal a reply line carries (quotes and escapes
-//! included), in an `Arc<str>` shared into every response. The escape runs
-//! once per entry and format, inside the render's `OnceLock` init and its
-//! `stage.render.*` span; a warm reply then copies the literal's bytes
-//! instead of escaping the artifact again. No raw copy is kept beside it:
+//! included), in an `Arc<str>` shared into every response. The svg, ascii
+//! and scene_json writers write that literal directly, through a
+//! [`JsonEscaped`] carrier, inside the render's `OnceLock` init and its
+//! `stage.render.*` span: constant markup arrives in its compile-time JSON
+//! form and only names, labels and theme values are escaped, so a miss
+//! makes no second pass over the artifact. Dot and reading, whose writers
+//! take no carrier, are rendered raw and escaped once. A warm reply then
+//! copies the literal's bytes instead of escaping the artifact again. No
+//! raw copy is kept beside it:
 //! a caller that wants the raw text decodes the literal with
 //! [`json::parse`]. The 32-hex-character fingerprint string and the
 //! representative's SQL stay raw (they are short, and sessions and the
@@ -40,7 +45,7 @@ use crate::json::{self, Json};
 use crate::protocol::Format;
 use crate::scene_json::{scene_json_v2, write_scene_json};
 use queryvis::diagram::DiagramStats;
-use queryvis::layout::Scene;
+use queryvis::layout::{JsonEscaped, Scene};
 use queryvis::render::{ascii, svg, SvgTheme};
 use queryvis::QueryVis;
 use queryvis_telemetry::StageDef;
@@ -167,7 +172,7 @@ impl CompiledEntry {
             Format::Ascii => self.ascii.get_or_init(|| {
                 let scene = self.scene();
                 let _span = STAGE_RENDER_ASCII.span();
-                literal(&ascii::to_ascii(scene))
+                written(1024, |out| ascii::write_ascii(out, scene))
             }),
             Format::Dot => self.dot.get_or_init(|| {
                 let _span = STAGE_RENDER_DOT.span();
@@ -176,7 +181,7 @@ impl CompiledEntry {
             Format::Svg => self.svg.get_or_init(|| {
                 let scene = self.scene();
                 let _span = STAGE_RENDER_SVG.span();
-                literal(&svg::to_svg(scene, &SvgTheme::default()))
+                written(2048, |out| svg::write_svg(out, scene, &SvgTheme::default()))
             }),
             Format::Reading => self.reading.get_or_init(|| {
                 let _span = STAGE_RENDER_READING.span();
@@ -185,9 +190,7 @@ impl CompiledEntry {
             Format::SceneJson => self.scene_json.get_or_init(|| {
                 let scene = self.scene();
                 let _span = STAGE_RENDER_SCENE_JSON.span();
-                let mut out = String::with_capacity(4096);
-                write_scene_json(&mut out, scene);
-                literal(&out)
+                written(4096, |out| write_scene_json(out, scene))
             }),
         }
     }
@@ -239,14 +242,25 @@ impl CompiledEntry {
     }
 }
 
-/// `raw` as a JSON string literal, stored at its exact length. The
-/// scratch buffer holds every escape but `\u00XX` (a control byte in
-/// user text) without regrowing; the `Arc` copy drops its slack, which,
-/// kept, measured a third more peak memory over a run of cold compiles.
+/// `raw` as a JSON string literal, stored at its exact length: the dot
+/// and reading artifacts, whose writers take no carrier.
 fn literal(raw: &str) -> Arc<str> {
     let mut out = String::with_capacity(2 * raw.len() + 2);
     json::escape_into(&mut out, raw);
     Arc::from(out)
+}
+
+/// The JSON string literal of the document `write` puts into a
+/// [`JsonEscaped`] carrier, written in one pass and stored at its exact
+/// length. `capacity` is the buffer's first size; the `Arc` copy drops
+/// its slack, which, kept, measured a third more peak memory over a run
+/// of cold compiles.
+fn written(capacity: usize, write: impl FnOnce(&mut JsonEscaped)) -> Arc<str> {
+    let mut out = JsonEscaped(String::with_capacity(capacity));
+    out.0.push('"');
+    write(&mut out);
+    out.0.push('"');
+    Arc::from(out.0)
 }
 
 /// Run the expensive back half of the pipeline for a pattern representative.
@@ -294,6 +308,12 @@ mod tests {
         assert_eq!(entry.rendered_formats(), vec![Format::Ascii]);
         let second = Arc::as_ptr(entry.render(Format::Ascii));
         assert_eq!(first, second, "memoized render must be reused");
+        assert_literals_decode_to_facade_bytes(sql, &entry);
+    }
+
+    /// Each of the entry's five stored literals parses back to exactly the
+    /// library facade's raw rendering of `sql`.
+    fn assert_literals_decode_to_facade_bytes(sql: &str, entry: &CompiledEntry) {
         let qv = QueryVis::from_sql(sql).unwrap();
         for (format, raw) in [
             (Format::Ascii, qv.ascii()),
@@ -305,10 +325,45 @@ mod tests {
             assert_eq!(
                 json::parse(entry.render(format)),
                 Ok(Json::Str(raw)),
-                "{}",
+                "{} of {sql}",
                 format.name()
             );
         }
+    }
+
+    /// Label text holding every byte either escape rewrites (`"`, `\`,
+    /// tab, newline, a control byte, XML specials) and multi-byte chars:
+    /// the artifacts written straight into their literals, scene_json's
+    /// nested escapes included, decode to the facade's bytes.
+    #[test]
+    fn stored_literals_decode_to_facade_bytes_on_hostile_labels() {
+        let boat = |literal: &str| format!("SELECT B.bid FROM Boat B WHERE B.name = {literal}");
+        let mut queries: Vec<String> = [
+            r#"'say "hi" \ there'"#,
+            "'tab\there'",
+            "'ctl\u{1}byte'",
+            "'a&b<c>d''e'",
+            "'Žatec </text> ∄'",
+            "'line\nbreak'",
+        ]
+        .into_iter()
+        .map(boat)
+        .collect();
+        queries.push(
+            r#"SELECT F.person FROM Frequents F WHERE NOT EXISTS (SELECT * FROM Serves S WHERE S.bar = F.bar AND S.drink = 'q"\\z') UNION SELECT L.person FROM Likes L WHERE L.beer < 'x\y'"#
+                .to_string(),
+        );
+        queries.push(r#"SELECT A.x FROM T A, T B WHERE A.x <> B.x AND A.y >= '"'"#.to_string());
+        queries.extend(crate::paper_corpus_requests(&[]).into_iter().map(|r| r.sql));
+        for sql in &queries {
+            assert_literals_decode_to_facade_bytes(sql, &compiled(sql));
+        }
+        // The scene_json literal holds the label's JSON escape escaped once
+        // more: `"hi"` → `\"hi\"` in the document → `\\\"hi\\\"` stored.
+        let entry = compiled(&queries[0]);
+        assert!(entry
+            .render(Format::SceneJson)
+            .contains(r#"say \\\"hi\\\" \\\\ there"#));
     }
 
     /// The acceptance property of the scene rearchitecture: an entry

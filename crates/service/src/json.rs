@@ -9,9 +9,12 @@
 //! error, so a request line carrying one is a `bad_request`.
 //!
 //! The writer's [`escape_into`] is not a per-reply loop over artifact
-//! text: a cache entry escapes each artifact once, when it stores the
-//! artifact as the JSON string literal replies copy.
+//! text: a cache entry stores each artifact as the JSON string literal
+//! replies copy, written in that form by its scene writer (svg, ascii,
+//! scene_json) or escaped once (dot, reading). [`escape_into`] is quotes
+//! around the layout crate's [`escape_json`], the one JSON escape loop.
 
+use queryvis::layout::{escape_json, lit, Carrier};
 use std::fmt;
 
 /// A parsed JSON value.
@@ -359,44 +362,20 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
     }
 }
 
-/// Write a string as a quoted JSON value into `out`, escaping as needed.
+/// Write a string as a quoted JSON value into `out`, in `out`'s form:
+/// quotes around [`escape_json`], the one JSON escape loop.
 ///
-/// Works in unescaped *runs*: the scan finds the next byte needing an
-/// escape (all such bytes are ASCII, so run boundaries are always UTF-8
-/// character boundaries) and copies everything before it in one
-/// `push_str`. Rendered artifacts are kilobytes of mostly clean text; a
-/// cache entry runs this over each once, when it stores the artifact as
-/// a JSON string literal. Public because that store and
-/// `Response::write_json_line` (for the short raw fields) both write
-/// into a caller buffer without building a [`Json`] tree.
-pub fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    let bytes = s.as_bytes();
-    let mut run_start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'"' || b == b'\\' || b < 0x20 {
-            out.push_str(&s[run_start..i]);
-            match b {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\r' => out.push_str("\\r"),
-                b'\t' => out.push_str("\\t"),
-                c => {
-                    const HEX: &[u8; 16] = b"0123456789abcdef";
-                    out.push_str("\\u00");
-                    out.push(HEX[(c >> 4) as usize] as char);
-                    out.push(HEX[(c & 0xf) as usize] as char);
-                }
-            }
-            run_start = i + 1;
-        }
-        i += 1;
-    }
-    out.push_str(&s[run_start..]);
-    out.push('"');
+/// Public because `Response::write_json_line` (for the short raw fields)
+/// and the scene_json writer (for names and labels) both write into a
+/// caller buffer without building a [`Json`] tree. Into a `String` this
+/// is the string's JSON literal; into a
+/// [`JsonEscaped`](queryvis::layout::JsonEscaped) carrier it is that
+/// literal escaped once more, as it sits inside a stored scene_json
+/// artifact.
+pub fn escape_into<C: Carrier>(out: &mut C, s: &str) {
+    out.lit(lit!("\""));
+    escape_json(out, s);
+    out.lit(lit!("\""));
 }
 
 /// Write a decimal `u64` into `out` without allocating.
@@ -471,6 +450,7 @@ impl Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use queryvis::layout::JsonEscaped;
 
     #[test]
     fn roundtrip_request_shape() {
@@ -484,6 +464,30 @@ mod tests {
         assert_eq!(value.get("formats").unwrap().as_arr().unwrap().len(), 2);
         // Serialize → parse → identical tree.
         assert_eq!(parse(&value.to_string()).unwrap(), value);
+    }
+
+    /// `escape_into` is quotes around the carrier's text escape, for every
+    /// ASCII byte and a multi-byte string: into a `String` it writes `"`,
+    /// what the escaped carrier's `text` writes, `"`, and that parses back;
+    /// into the escaped carrier it writes the escape of that literal.
+    #[test]
+    fn escape_into_is_quotes_around_the_carrier_text_escape() {
+        let texts = (0u8..0x80)
+            .map(|byte| char::from(byte).to_string())
+            .chain(["Žatec ∄ 😀 \"q\" \\ \u{1}".to_string()]);
+        for text in texts {
+            let mut quoted = String::new();
+            escape_into(&mut quoted, &text);
+            let mut body = JsonEscaped::default();
+            body.text(&text);
+            assert_eq!(quoted, format!("\"{}\"", body.0), "{text:?}");
+            assert_eq!(parse(&quoted), Ok(Json::Str(text.clone())));
+            let mut nested = JsonEscaped::default();
+            escape_into(&mut nested, &text);
+            let mut twice = String::new();
+            escape_json(&mut twice, &quoted);
+            assert_eq!(nested.0, twice, "{text:?}");
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!              │ miss: parse → translate → canonical pattern → fingerprint
 //!              ▼
 //!            L2 sharded ARC cache (fingerprint → compiled entry)
-//!              │  miss → simplify → diagram → layout →
-//!              │         render → JSON-escape (lazy, once per format)
+//!              │  miss → simplify → diagram → layout → scene →
+//!              │         render into the reply's JSON string literal
+//!              │         (lazy, once per format)
 //!              └→ artifacts (JSON string literals in Arc<str>, shared
 //!                 into responses, copied into reply lines)
 //! ```

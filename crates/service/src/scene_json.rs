@@ -2,8 +2,14 @@
 //!
 //! Serializes the [`Scene`] display-list IR as one JSON document: the
 //! format a browser client renders from without running any layout of
-//! its own. The writer is the service's own [`json`](crate::json) layer
-//! (`escape_into` + `write_u64` — no serde in the image) plus the scene's
+//! its own. The writer takes a [`Carrier`]: a `String` receives the
+//! document, and the service's cache entries hand it the JSON-escaped
+//! carrier, which receives the document as the body of the JSON string
+//! literal a reply stores. Keys, punctuation and the role, class and
+//! edge-kind names are [`lit!`] constants, whose escaped form exists at
+//! compile time; names and labels go through the service's own
+//! [`json`](crate::json) layer (`escape_into`, in the carrier's form; no
+//! serde in the image), and numbers through `write_u64` and the scene's
 //! number writer, [`write_shortest`], which prints each coordinate as
 //! `{}` would. The output parses back with
 //! [`json::parse`](crate::json::parse), which CI verifies over the whole
@@ -32,8 +38,8 @@
 
 use crate::json::{escape_into, write_u64};
 use queryvis::layout::{
-    write_shortest, EdgeKind, EdgeMark, Mark, MarkRole, RectMark, Scene, StyleClass, TextMark,
-    TextRole,
+    lit, write_shortest, Carrier, EdgeKind, EdgeMark, Lit, Mark, MarkRole, RectMark, Scene,
+    StyleClass, TextMark, TextRole,
 };
 
 /// Schema version of the scene_json artifact document.
@@ -43,133 +49,131 @@ const VERSION: u64 = 1;
 /// stable `"id"` per mark — the identity scene-diff patch ops address.
 const VERSION_SESSION: u64 = 2;
 
-fn class_name(class: StyleClass) -> &'static str {
+fn class_name(class: StyleClass) -> Lit {
     match class {
-        StyleClass::HeaderTable => "header_table",
-        StyleClass::HeaderSelect => "header_select",
-        StyleClass::Row => "row",
-        StyleClass::RowSelection => "row_selection",
-        StyleClass::RowGroup => "row_group",
-        StyleClass::BoxNotExists => "box_not_exists",
-        StyleClass::BoxForAll => "box_for_all",
-        StyleClass::BoxForAllInner => "box_for_all_inner",
-        StyleClass::Frame => "frame",
+        StyleClass::HeaderTable => lit!("\"header_table\""),
+        StyleClass::HeaderSelect => lit!("\"header_select\""),
+        StyleClass::Row => lit!("\"row\""),
+        StyleClass::RowSelection => lit!("\"row_selection\""),
+        StyleClass::RowGroup => lit!("\"row_group\""),
+        StyleClass::BoxNotExists => lit!("\"box_not_exists\""),
+        StyleClass::BoxForAll => lit!("\"box_for_all\""),
+        StyleClass::BoxForAllInner => lit!("\"box_for_all_inner\""),
+        StyleClass::Frame => lit!("\"frame\""),
     }
 }
 
-fn role_name(role: MarkRole) -> &'static str {
+fn role_name(role: MarkRole) -> Lit {
     match role {
-        MarkRole::Frame => "frame",
-        MarkRole::Header => "header",
-        MarkRole::Row => "row",
-        MarkRole::QuantifierBox => "quantifier_box",
+        MarkRole::Frame => lit!("\"frame\""),
+        MarkRole::Header => lit!("\"header\""),
+        MarkRole::Row => lit!("\"row\""),
+        MarkRole::QuantifierBox => lit!("\"quantifier_box\""),
     }
 }
 
-fn text_role_name(role: TextRole) -> &'static str {
+fn text_role_name(role: TextRole) -> Lit {
     match role {
-        TextRole::Title => "title",
-        TextRole::TitleAnnotation => "title_annotation",
-        TextRole::RowText => "row_text",
-        TextRole::EdgeLabel => "edge_label",
+        TextRole::Title => lit!("\"title\""),
+        TextRole::TitleAnnotation => lit!("\"title_annotation\""),
+        TextRole::RowText => lit!("\"row_text\""),
+        TextRole::EdgeLabel => lit!("\"edge_label\""),
     }
 }
 
-fn write_rect_with(out: &mut String, rect: &RectMark, with_id: bool) {
-    out.push_str("{\"t\":\"rect\",");
+/// `"id":N,` when the document carries mark ids.
+fn write_id<C: Carrier>(out: &mut C, id: u32, with_id: bool) {
     if with_id {
-        out.push_str("\"id\":");
-        write_u64(out, u64::from(rect.id));
-        out.push(',');
+        out.lit(lit!("\"id\":"));
+        write_u64(out.plain(), u64::from(id));
+        out.plain().push(',');
     }
-    out.push_str("\"role\":");
-    escape_into(out, role_name(rect.role));
-    out.push_str(",\"class\":");
-    escape_into(out, class_name(rect.class));
-    out.push_str(",\"x\":");
-    write_shortest(out, rect.rect.x);
-    out.push_str(",\"y\":");
-    write_shortest(out, rect.rect.y);
-    out.push_str(",\"w\":");
-    write_shortest(out, rect.rect.w);
-    out.push_str(",\"h\":");
-    write_shortest(out, rect.rect.h);
-    out.push_str(",\"r\":");
-    write_shortest(out, rect.radius);
-    out.push('}');
 }
 
-fn write_text_with(out: &mut String, text: &TextMark, with_id: bool) {
-    out.push_str("{\"t\":\"text\",");
-    if with_id {
-        out.push_str("\"id\":");
-        write_u64(out, u64::from(text.id));
-        out.push(',');
-    }
-    out.push_str("\"role\":");
-    escape_into(out, text_role_name(text.role));
-    out.push_str(",\"class\":");
-    escape_into(out, class_name(text.class));
-    out.push_str(",\"x\":");
-    write_shortest(out, text.anchor.x);
-    out.push_str(",\"y\":");
-    write_shortest(out, text.anchor.y);
-    out.push_str(",\"s\":");
+fn write_rect_with<C: Carrier>(out: &mut C, rect: &RectMark, with_id: bool) {
+    out.lit(lit!("{\"t\":\"rect\","));
+    write_id(out, rect.id, with_id);
+    out.lit(lit!("\"role\":"));
+    out.lit(role_name(rect.role));
+    out.lit(lit!(",\"class\":"));
+    out.lit(class_name(rect.class));
+    out.lit(lit!(",\"x\":"));
+    write_shortest(out.plain(), rect.rect.x);
+    out.lit(lit!(",\"y\":"));
+    write_shortest(out.plain(), rect.rect.y);
+    out.lit(lit!(",\"w\":"));
+    write_shortest(out.plain(), rect.rect.w);
+    out.lit(lit!(",\"h\":"));
+    write_shortest(out.plain(), rect.rect.h);
+    out.lit(lit!(",\"r\":"));
+    write_shortest(out.plain(), rect.radius);
+    out.plain().push('}');
+}
+
+fn write_text_with<C: Carrier>(out: &mut C, text: &TextMark, with_id: bool) {
+    out.lit(lit!("{\"t\":\"text\","));
+    write_id(out, text.id, with_id);
+    out.lit(lit!("\"role\":"));
+    out.lit(text_role_name(text.role));
+    out.lit(lit!(",\"class\":"));
+    out.lit(class_name(text.class));
+    out.lit(lit!(",\"x\":"));
+    write_shortest(out.plain(), text.anchor.x);
+    out.lit(lit!(",\"y\":"));
+    write_shortest(out.plain(), text.anchor.y);
+    out.lit(lit!(",\"s\":"));
     escape_into(out, &text.text);
-    out.push('}');
+    out.plain().push('}');
 }
 
-fn write_edge_with(out: &mut String, edge: &EdgeMark, with_id: bool) {
-    out.push_str("{\"t\":\"edge\",");
-    if with_id {
-        out.push_str("\"id\":");
-        write_u64(out, u64::from(edge.id));
-        out.push(',');
-    }
-    out.push_str("\"kind\":");
-    escape_into(
-        out,
-        match edge.kind {
-            EdgeKind::Directed => "directed",
-            EdgeKind::Undirected => "undirected",
-        },
-    );
-    out.push_str(",\"x1\":");
-    write_shortest(out, edge.from.x);
-    out.push_str(",\"y1\":");
-    write_shortest(out, edge.from.y);
-    out.push_str(",\"x2\":");
-    write_shortest(out, edge.to.x);
-    out.push_str(",\"y2\":");
-    write_shortest(out, edge.to.y);
+fn write_edge_with<C: Carrier>(out: &mut C, edge: &EdgeMark, with_id: bool) {
+    out.lit(lit!("{\"t\":\"edge\","));
+    write_id(out, edge.id, with_id);
+    out.lit(match edge.kind {
+        EdgeKind::Directed => lit!("\"kind\":\"directed\""),
+        EdgeKind::Undirected => lit!("\"kind\":\"undirected\""),
+    });
+    out.lit(lit!(",\"x1\":"));
+    write_shortest(out.plain(), edge.from.x);
+    out.lit(lit!(",\"y1\":"));
+    write_shortest(out.plain(), edge.from.y);
+    out.lit(lit!(",\"x2\":"));
+    write_shortest(out.plain(), edge.to.x);
+    out.lit(lit!(",\"y2\":"));
+    write_shortest(out.plain(), edge.to.y);
     if let Some(label) = &edge.label {
-        out.push_str(",\"label\":");
+        out.lit(lit!(",\"label\":"));
         escape_into(out, label);
-        out.push_str(",\"lx\":");
-        write_shortest(out, edge.label_pos.x);
-        out.push_str(",\"ly\":");
-        write_shortest(out, edge.label_pos.y);
+        out.lit(lit!(",\"lx\":"));
+        write_shortest(out.plain(), edge.label_pos.x);
+        out.lit(lit!(",\"ly\":"));
+        write_shortest(out.plain(), edge.label_pos.y);
     }
-    out.push_str(",\"from\":");
+    out.lit(lit!(",\"from\":"));
     escape_into(out, &edge.from_text);
-    out.push_str(",\"to\":");
+    out.lit(lit!(",\"to\":"));
     escape_into(out, &edge.to_text);
-    out.push('}');
+    out.plain().push('}');
 }
 
 /// Serialize one mark as a v2 (id-carrying) JSON object — shared with the
 /// scene-diff writer's `add` ops so patched and full documents agree byte
 /// for byte.
 pub(crate) fn write_mark_v2(out: &mut String, mark: &Mark) {
+    write_mark(out, mark, true);
+}
+
+fn write_mark<C: Carrier>(out: &mut C, mark: &Mark, with_id: bool) {
     match mark {
-        Mark::Rect(rect) => write_rect_with(out, rect, true),
-        Mark::Text(text) => write_text_with(out, text, true),
-        Mark::Edge(edge) => write_edge_with(out, edge, true),
+        Mark::Rect(rect) => write_rect_with(out, rect, with_id),
+        Mark::Text(text) => write_text_with(out, text, with_id),
+        Mark::Edge(edge) => write_edge_with(out, edge, with_id),
     }
 }
 
-/// Serialize a scene into `out` (no trailing newline).
-pub fn write_scene_json(out: &mut String, scene: &Scene) {
+/// Serialize a scene into `out` (no trailing newline): a `String`, or the
+/// JSON-escaped form a service reply stores.
+pub fn write_scene_json<C: Carrier>(out: &mut C, scene: &Scene) {
     write_scene_json_with(out, scene, VERSION, false)
 }
 
@@ -178,51 +182,49 @@ pub fn write_scene_json_v2(out: &mut String, scene: &Scene) {
     write_scene_json_with(out, scene, VERSION_SESSION, true)
 }
 
-fn write_scene_json_with(out: &mut String, scene: &Scene, version: u64, with_ids: bool) {
-    out.push_str("{\"v\":");
-    write_u64(out, version);
-    out.push_str(",\"w\":");
-    write_shortest(out, scene.width);
-    out.push_str(",\"h\":");
-    write_shortest(out, scene.height);
-    out.push_str(",\"union_all\":");
-    out.push_str(if scene.union_all { "true" } else { "false" });
-    out.push_str(",\"badges\":[");
+fn write_scene_json_with<C: Carrier>(out: &mut C, scene: &Scene, version: u64, with_ids: bool) {
+    out.lit(lit!("{\"v\":"));
+    write_u64(out.plain(), version);
+    out.lit(lit!(",\"w\":"));
+    write_shortest(out.plain(), scene.width);
+    out.lit(lit!(",\"h\":"));
+    write_shortest(out.plain(), scene.height);
+    out.lit(if scene.union_all {
+        lit!(",\"union_all\":true,\"badges\":[")
+    } else {
+        lit!(",\"union_all\":false,\"badges\":[")
+    });
     for (i, badge) in scene.badges.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.plain().push(',');
         }
-        out.push_str("{\"y\":");
-        write_shortest(out, badge.y_mid);
-        out.push_str(",\"label\":");
+        out.lit(lit!("{\"y\":"));
+        write_shortest(out.plain(), badge.y_mid);
+        out.lit(lit!(",\"label\":"));
         escape_into(out, &badge.label);
-        out.push('}');
+        out.plain().push('}');
     }
-    out.push_str("],\"branches\":[");
+    out.lit(lit!("],\"branches\":["));
     for (i, branch) in scene.branches.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.plain().push(',');
         }
-        out.push_str("{\"dy\":");
-        write_shortest(out, branch.dy);
-        out.push_str(",\"w\":");
-        write_shortest(out, branch.width);
-        out.push_str(",\"h\":");
-        write_shortest(out, branch.height);
-        out.push_str(",\"marks\":[");
+        out.lit(lit!("{\"dy\":"));
+        write_shortest(out.plain(), branch.dy);
+        out.lit(lit!(",\"w\":"));
+        write_shortest(out.plain(), branch.width);
+        out.lit(lit!(",\"h\":"));
+        write_shortest(out.plain(), branch.height);
+        out.lit(lit!(",\"marks\":["));
         for (j, mark) in branch.marks.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.plain().push(',');
             }
-            match mark {
-                Mark::Rect(rect) => write_rect_with(out, rect, with_ids),
-                Mark::Text(text) => write_text_with(out, text, with_ids),
-                Mark::Edge(edge) => write_edge_with(out, edge, with_ids),
-            }
+            write_mark(out, mark, with_ids);
         }
-        out.push_str("]}");
+        out.plain().push_str("]}");
     }
-    out.push_str("]}");
+    out.plain().push_str("]}");
 }
 
 /// [`write_scene_json`] into a fresh string.
