@@ -131,14 +131,17 @@ pub const fn json_form<const N: usize>(raw: &str) -> [u8; N] {
 
 /// The document as it is.
 impl Carrier for String {
+    #[inline]
     fn lit(&mut self, lit: Lit) {
         self.push_str(lit.raw);
     }
 
+    #[inline]
     fn text(&mut self, text: &str) {
         self.push_str(text);
     }
 
+    #[inline]
     fn plain(&mut self) -> &mut String {
         self
     }
@@ -150,6 +153,7 @@ impl Carrier for String {
 pub struct JsonEscaped(pub String);
 
 impl Carrier for JsonEscaped {
+    #[inline]
     fn lit(&mut self, lit: Lit) {
         self.0.push_str(lit.json);
     }
@@ -158,6 +162,7 @@ impl Carrier for JsonEscaped {
         escape_json(&mut self.0, text);
     }
 
+    #[inline]
     fn plain(&mut self) -> &mut String {
         &mut self.0
     }
