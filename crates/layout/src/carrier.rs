@@ -40,7 +40,7 @@ pub trait Carrier: Default {
 
 /// Constant markup together with its JSON-escaped form. Built only by
 /// [`lit!`](crate::lit), which computes the escaped form at compile time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct Lit {
     raw: &'static str,
     json: &'static str,
