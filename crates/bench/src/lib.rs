@@ -1,8 +1,9 @@
 //! # queryvis-bench
 //!
 //! Shared helpers for the figure-reproduction harness (`repro` binary) and
-//! the Criterion benchmarks. See `DESIGN.md` §2 for the experiment index
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! the TCP server's clients (`faultgen`, `loadgen`; see [`harness`]). See
+//! `DESIGN.md` §2 for the experiment index and `EXPERIMENTS.md` for
+//! paper-vs-measured results.
 
 pub mod harness;
 

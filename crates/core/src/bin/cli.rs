@@ -90,7 +90,6 @@ fn main() {
             schema,
             strict,
             no_simplify,
-            layout: None,
         },
     ) {
         Ok(qv) => qv,

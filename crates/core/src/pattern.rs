@@ -878,7 +878,7 @@ impl PatternKey {
         erasures
     }
 
-    /// The raw token stream (exposed for benches and tests).
+    /// The raw token stream (exposed for tests).
     pub fn tokens(&self) -> &[u32] {
         &self.tokens
     }

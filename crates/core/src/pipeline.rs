@@ -6,9 +6,7 @@
 
 use crate::pattern::PatternKey;
 use queryvis_diagram::{build_diagram, diagram_stats, render_reading, Diagram, DiagramStats};
-use queryvis_layout::{
-    build_scene, compose_union, layout_diagram, Layout, LayoutOptions, Scene, SceneOptions,
-};
+use queryvis_layout::{build_scene, compose_union, layout_diagram, Layout, Scene};
 use queryvis_logic::{
     check_non_degenerate, check_valid_diagram_source, simplify_in_place, to_trc, DegeneracyError,
     LogicTree, TranslateError,
@@ -83,8 +81,6 @@ pub struct QueryVisOptions {
     pub strict: bool,
     /// Skip the ∄∄ → ∀∃ simplification (Fig. 2b instead of Fig. 2c).
     pub no_simplify: bool,
-    /// Layout tuning for rendering.
-    pub layout: Option<LayoutOptions>,
 }
 
 /// One lowered branch of a multi-root query, fully compiled. Branches
@@ -130,7 +126,6 @@ pub struct QueryVis {
     /// Lazily built composed scene shared by every geometric render —
     /// see [`QueryVis::scene`].
     scene: OnceLock<Arc<Scene>>,
-    options: Arc<QueryVisOptions>,
 }
 
 /// The front half of the pipeline — parsed, lowered, and translated, but
@@ -258,7 +253,6 @@ impl PreparedQuery {
             union_all,
             raw,
             scene: OnceLock::new(),
-            options,
         }
     }
 }
@@ -394,17 +388,15 @@ impl QueryVis {
 
     /// Lay out the first branch's diagram (deterministic).
     pub fn layout(&self) -> Layout {
-        layout_diagram(&self.diagram, &self.options.layout.unwrap_or_default())
+        layout_diagram(&self.diagram)
     }
 
     /// Resolve each branch into its own single-branch [`Scene`] (layout +
     /// mark resolution, no union composition).
     pub fn scenes(&self) -> Vec<Scene> {
-        let layout_options = self.options.layout.unwrap_or_default();
-        let scene_options = SceneOptions::default();
         self.diagrams()
             .iter()
-            .map(|d| build_scene(d, &layout_diagram(d, &layout_options), &scene_options))
+            .map(|d| build_scene(d, &layout_diagram(d)))
             .collect()
     }
 

@@ -5,55 +5,34 @@
 //! barycenter passes → assign coordinates → compute quantifier-box rects
 //! → anchor edges at row midpoints.
 
-use crate::geometry::{segments_cross, Point, Rect};
+use crate::geometry::{Point, Rect};
 use queryvis_diagram::{Diagram, TableId};
 use std::collections::HashMap;
 
-/// Tunable layout constants (defaults mirror the paper's visual density).
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutOptions {
-    /// Estimated width of one character of row text, in px.
-    pub char_width: f64,
-    /// Height of the table header row.
-    pub header_height: f64,
-    /// Height of one attribute row.
-    pub row_height: f64,
-    /// Horizontal padding inside a row.
-    pub cell_padding: f64,
-    /// Minimum table width.
-    pub min_table_width: f64,
-    /// Padding between a quantifier box and its tables.
-    pub box_padding: f64,
-    /// Horizontal gap between columns.
-    pub column_gap: f64,
-    /// Vertical gap between stacked groups in a column.
-    pub group_gap: f64,
-    /// Vertical gap between tables within one group.
-    pub table_gap: f64,
-    /// Outer margin of the drawing.
-    pub margin: f64,
-    /// Number of barycenter ordering sweeps (0 disables the refinement —
-    /// kept configurable for the layout ablation bench).
-    pub barycenter_passes: usize,
-}
+// Layout constants, in px; they mirror the paper's visual density.
 
-impl Default for LayoutOptions {
-    fn default() -> Self {
-        LayoutOptions {
-            char_width: 7.2,
-            header_height: 24.0,
-            row_height: 20.0,
-            cell_padding: 8.0,
-            min_table_width: 90.0,
-            box_padding: 12.0,
-            column_gap: 70.0,
-            group_gap: 34.0,
-            table_gap: 14.0,
-            margin: 20.0,
-            barycenter_passes: 3,
-        }
-    }
-}
+/// Estimated width of one character of row text.
+const CHAR_WIDTH: f64 = 7.2;
+/// Height of the table header row.
+const HEADER_HEIGHT: f64 = 24.0;
+/// Height of one attribute row.
+const ROW_HEIGHT: f64 = 20.0;
+/// Horizontal padding inside a row.
+const CELL_PADDING: f64 = 8.0;
+/// Minimum table width.
+const MIN_TABLE_WIDTH: f64 = 90.0;
+/// Padding between a quantifier box and its tables.
+const BOX_PADDING: f64 = 12.0;
+/// Horizontal gap between columns.
+const COLUMN_GAP: f64 = 70.0;
+/// Vertical gap between stacked groups in a column.
+const GROUP_GAP: f64 = 34.0;
+/// Vertical gap between tables within one group.
+const TABLE_GAP: f64 = 14.0;
+/// Outer margin of the drawing.
+const MARGIN: f64 = 20.0;
+/// Number of barycenter ordering sweeps.
+const BARYCENTER_PASSES: usize = 3;
 
 /// Geometry of one table composite mark.
 #[derive(Debug, Clone)]
@@ -102,9 +81,15 @@ impl Layout {
     }
 }
 
-/// Lay out a diagram with the given options.
-pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
-    let sizes = measure_tables(diagram, options);
+/// Lay out a diagram.
+pub fn layout_diagram(diagram: &Diagram) -> Layout {
+    layout_with_passes(diagram, BARYCENTER_PASSES)
+}
+
+/// [`layout_diagram`] with `barycenter_passes` ordering sweeps (0 keeps
+/// the groups in construction order).
+fn layout_with_passes(diagram: &Diagram, barycenter_passes: usize) -> Layout {
+    let sizes = measure_tables(diagram);
 
     // -------- Column assignment --------
     // Column 0: SELECT table. Column d+1: tables at nesting depth d.
@@ -155,7 +140,7 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
     for edge in &diagram.edges {
         adjacency.push((edge.from.table, edge.to.table));
     }
-    for _ in 0..options.barycenter_passes {
+    for _ in 0..barycenter_passes {
         for col in 0..n_columns {
             // Current vertical rank of each table = order of its group.
             let rank: HashMap<TableId, f64> = group_of
@@ -209,17 +194,17 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
             .map(|t| sizes[t].0)
             .fold(0.0_f64, f64::max);
         if is_boxed(group) {
-            w + 2.0 * options.box_padding
+            w + 2.0 * BOX_PADDING
         } else {
             w
         }
     };
     let group_height = |group: &Group| -> f64 {
         let tables: f64 = group.tables.iter().map(|t| sizes[t].1).sum();
-        let gaps = options.table_gap * (group.tables.len().saturating_sub(1)) as f64;
+        let gaps = TABLE_GAP * (group.tables.len().saturating_sub(1)) as f64;
         let inner = tables + gaps;
         if is_boxed(group) {
-            inner + 2.0 * options.box_padding
+            inner + 2.0 * BOX_PADDING
         } else {
             inner
         }
@@ -230,12 +215,12 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
         column_width[group.column] = column_width[group.column].max(group_width(group));
     }
     let mut column_x = vec![0.0_f64; n_columns];
-    let mut x = options.margin;
+    let mut x = MARGIN;
     for col in 0..n_columns {
         column_x[col] = x;
-        x += column_width[col] + options.column_gap;
+        x += column_width[col] + COLUMN_GAP;
     }
-    let total_width = x - options.column_gap + options.margin;
+    let total_width = x - COLUMN_GAP + MARGIN;
 
     // Column heights, then vertical placement (groups sorted by order).
     let mut column_height = vec![0.0_f64; n_columns];
@@ -255,33 +240,33 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
             .iter()
             .map(|&g| group_height(&groups[g]))
             .sum::<f64>()
-            + options.group_gap * (per_column[col].len().saturating_sub(1)) as f64;
+            + GROUP_GAP * (per_column[col].len().saturating_sub(1)) as f64;
         column_height[col] = h;
     }
     let max_height = column_height.iter().copied().fold(0.0_f64, f64::max);
-    let total_height = max_height + 2.0 * options.margin;
+    let total_height = max_height + 2.0 * MARGIN;
 
     // Place tables.
     let mut table_layouts: HashMap<TableId, TableLayout> = HashMap::new();
     for col in 0..n_columns {
         // Center the column's stack vertically.
-        let mut y = options.margin + (max_height - column_height[col]) / 2.0;
+        let mut y = MARGIN + (max_height - column_height[col]) / 2.0;
         for &gidx in &per_column[col] {
             let group = &groups[gidx];
             let boxed = is_boxed(group);
-            let pad = if boxed { options.box_padding } else { 0.0 };
+            let pad = if boxed { BOX_PADDING } else { 0.0 };
             let mut ty = y + pad;
             for &tid in &group.tables {
                 let (w, h) = sizes[&tid];
                 // Center the table horizontally within its column slot.
                 let tx = column_x[col] + (column_width[col] - w) / 2.0;
                 let rect = Rect::new(tx, ty, w, h);
-                let header = Rect::new(tx, ty, w, options.header_height);
+                let header = Rect::new(tx, ty, w, HEADER_HEIGHT);
                 let mut row_rects = Vec::new();
-                let mut ry = ty + options.header_height;
+                let mut ry = ty + HEADER_HEIGHT;
                 for _ in &diagram.tables[tid].rows {
-                    row_rects.push(Rect::new(tx, ry, w, options.row_height));
-                    ry += options.row_height;
+                    row_rects.push(Rect::new(tx, ry, w, ROW_HEIGHT));
+                    ry += ROW_HEIGHT;
                 }
                 table_layouts.insert(
                     tid,
@@ -292,9 +277,9 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
                         row_rects,
                     },
                 );
-                ty += h + options.table_gap;
+                ty += h + TABLE_GAP;
             }
-            y += group_height(group) + options.group_gap;
+            y += group_height(group) + GROUP_GAP;
         }
     }
 
@@ -312,7 +297,7 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
         if let Some(rect) = rect {
             box_layouts.push(BoxLayout {
                 box_index,
-                rect: rect.inflate(options.box_padding),
+                rect: rect.inflate(BOX_PADDING),
             });
         }
     }
@@ -348,7 +333,7 @@ pub fn layout_diagram(diagram: &Diagram, options: &LayoutOptions) -> Layout {
     }
 }
 
-fn measure_tables(diagram: &Diagram, options: &LayoutOptions) -> HashMap<TableId, (f64, f64)> {
+fn measure_tables(diagram: &Diagram) -> HashMap<TableId, (f64, f64)> {
     diagram
         .tables
         .iter()
@@ -357,44 +342,45 @@ fn measure_tables(diagram: &Diagram, options: &LayoutOptions) -> HashMap<TableId
             // chars, not bytes: a multibyte name (`café`, `Übersicht`)
             // must not inflate its table.
             let chars = |s: &str| s.chars().count() as f64;
-            let mut text_width = chars(table.name.as_str()) * options.char_width;
+            let mut text_width = chars(table.name.as_str()) * CHAR_WIDTH;
             for row in &table.rows {
-                text_width = text_width.max(chars(&row.display()) * options.char_width);
+                text_width = text_width.max(chars(&row.display()) * CHAR_WIDTH);
             }
-            let w = (text_width + 2.0 * options.cell_padding).max(options.min_table_width);
-            let h = options.header_height + options.row_height * table.rows.len() as f64;
+            let w = (text_width + 2.0 * CELL_PADDING).max(MIN_TABLE_WIDTH);
+            let h = HEADER_HEIGHT + ROW_HEIGHT * table.rows.len() as f64;
             (table.id, (w, h))
         })
         .collect()
 }
 
-/// Count pairwise proper crossings between edge segments — the quality
-/// metric for the barycenter ablation.
-pub fn crossing_count(layout: &Layout) -> usize {
-    let mut count = 0;
-    for i in 0..layout.edges.len() {
-        for j in (i + 1)..layout.edges.len() {
-            let a = &layout.edges[i];
-            let b = &layout.edges[j];
-            if segments_cross(a.from, a.to, b.from, b.to) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::segments_cross;
     use queryvis_diagram::build_diagram;
     use queryvis_logic::translate;
     use queryvis_sql::parse_query;
 
     fn layout(sql: &str) -> (Diagram, Layout) {
         let d = build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap());
-        let l = layout_diagram(&d, &LayoutOptions::default());
+        let l = layout_diagram(&d);
         (d, l)
+    }
+
+    /// Pairwise proper crossings between edge segments: the quality
+    /// measure barycenter ordering exists to lower.
+    fn crossing_count(layout: &Layout) -> usize {
+        let mut count = 0;
+        for i in 0..layout.edges.len() {
+            for j in (i + 1)..layout.edges.len() {
+                let a = &layout.edges[i];
+                let b = &layout.edges[j];
+                if segments_cross(a.from, a.to, b.from, b.to) {
+                    count += 1;
+                }
+            }
+        }
+        count
     }
 
     const UNIQUE_SET: &str = "SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
@@ -506,14 +492,8 @@ mod tests {
     #[test]
     fn barycenter_does_not_increase_crossings_on_reference_diagrams() {
         let d = build_diagram(&translate(&parse_query(UNIQUE_SET).unwrap(), None).unwrap());
-        let with = layout_diagram(&d, &LayoutOptions::default());
-        let without = layout_diagram(
-            &d,
-            &LayoutOptions {
-                barycenter_passes: 0,
-                ..LayoutOptions::default()
-            },
-        );
+        let with = layout_diagram(&d);
+        let without = layout_with_passes(&d, 0);
         assert!(crossing_count(&with) <= crossing_count(&without));
     }
 

@@ -24,12 +24,10 @@ pub mod number;
 pub mod scene;
 
 pub use carrier::{escape_json, Carrier, JsonEscaped, Lit};
-pub use engine::{
-    crossing_count, layout_diagram, BoxLayout, EdgeLayout, Layout, LayoutOptions, TableLayout,
-};
+pub use engine::{layout_diagram, BoxLayout, EdgeLayout, Layout, TableLayout};
 pub use geometry::{Point, Rect};
 pub use number::{write_shortest, write_tenths, write_whole};
 pub use scene::{
     build_scene, compose_union, EdgeKind, EdgeMark, Mark, MarkRole, RectMark, Scene, SceneBadge,
-    SceneBranch, SceneOptions, StyleClass, TextMark, TextRole, UNION_BADGE_HEIGHT,
+    SceneBranch, StyleClass, TextMark, TextRole, UNION_BADGE_HEIGHT,
 };

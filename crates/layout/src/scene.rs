@@ -272,22 +272,6 @@ impl Scene {
     }
 }
 
-/// Scene construction knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SceneOptions {
-    /// Emit [`TextRole::TitleAnnotation`] runs (`(alias) ∄`) for char
-    /// media. Vector backends skip them either way.
-    pub title_annotations: bool,
-}
-
-impl Default for SceneOptions {
-    fn default() -> Self {
-        SceneOptions {
-            title_annotations: true,
-        }
-    }
-}
-
 /// Height of the separator band between branches of a union scene.
 pub const UNION_BADGE_HEIGHT: f64 = 28.0;
 
@@ -343,7 +327,7 @@ pub fn title_annotation(diagram: &Diagram, table: queryvis_diagram::TableId) -> 
 /// resolved from its interned [`Symbol`](queryvis_diagram::model) here,
 /// every derived rect (the ∀ inner line, text anchors) is computed here,
 /// and backends downstream only project.
-pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -> Scene {
+pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
     let mut marks: Vec<Mark> = Vec::with_capacity(
         layout.boxes.len() * 2 + layout.edges.len() * 2 + layout.tables.len() * 4,
     );
@@ -449,17 +433,15 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, options: &SceneOptions) -
             role: TextRole::Title,
             class: header,
         }));
-        if options.title_annotations {
-            let annotation = title_annotation(diagram, tl.table);
-            if !annotation.is_empty() {
-                marks.push(Mark::Text(TextMark {
-                    id: ids.id(Path::new().str("ann:").str(alias)),
-                    text: annotation,
-                    anchor: tl.header.right_mid(),
-                    role: TextRole::TitleAnnotation,
-                    class: header,
-                }));
-            }
+        let annotation = title_annotation(diagram, tl.table);
+        if !annotation.is_empty() {
+            marks.push(Mark::Text(TextMark {
+                id: ids.id(Path::new().str("ann:").str(alias)),
+                text: annotation,
+                anchor: tl.header.right_mid(),
+                role: TextRole::TitleAnnotation,
+                class: header,
+            }));
         }
         for (i, row) in table.rows.iter().enumerate() {
             let class = row_class(&row.kind);
@@ -548,15 +530,15 @@ pub fn compose_union(scenes: Vec<Scene>, all: bool) -> Scene {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{layout_diagram, LayoutOptions};
+    use crate::engine::layout_diagram;
     use queryvis_diagram::build_diagram;
     use queryvis_logic::translate;
     use queryvis_sql::parse_query;
 
     fn scene(sql: &str) -> Scene {
         let d = build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap());
-        let l = layout_diagram(&d, &LayoutOptions::default());
-        build_scene(&d, &l, &SceneOptions::default())
+        let l = layout_diagram(&d);
+        build_scene(&d, &l)
     }
 
     const QNEG: &str = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
@@ -639,8 +621,8 @@ mod tests {
             )
             .unwrap(),
         ));
-        let l = layout_diagram(&d, &LayoutOptions::default());
-        let s = build_scene(&d, &l, &SceneOptions::default());
+        let l = layout_diagram(&d);
+        let s = build_scene(&d, &l);
         let boxes: Vec<&RectMark> = s.branches[0]
             .marks
             .iter()

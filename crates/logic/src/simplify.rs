@@ -44,8 +44,8 @@ pub fn simplify_in_place(tree: &mut LogicTree) -> usize {
     rewritten
 }
 
-/// Count how many ∄·∄ pairs the simplifier would rewrite — used by the
-/// ablation bench to quantify the §4.8 visual-complexity reduction.
+/// Count how many ∄·∄ pairs the simplifier would rewrite, leaving `tree`
+/// as it is.
 pub fn rewritable_pairs(tree: &LogicTree) -> usize {
     simplify_in_place(&mut tree.clone())
 }

@@ -34,22 +34,20 @@ pub use dot::{to_dot, to_dot_union};
 pub use svg::{to_svg, SvgTheme};
 
 use queryvis_diagram::Diagram;
-use queryvis_layout::{build_scene, layout_diagram, LayoutOptions, Scene, SceneOptions};
+use queryvis_layout::{build_scene, layout_diagram, Scene};
 
 /// Convenience: lay out one diagram and resolve it into a single-branch
-/// [`Scene`] with default options.
+/// [`Scene`].
 pub fn diagram_scene(diagram: &Diagram) -> Scene {
-    let layout = layout_diagram(diagram, &LayoutOptions::default());
-    build_scene(diagram, &layout, &SceneOptions::default())
+    build_scene(diagram, &layout_diagram(diagram))
 }
 
-/// Convenience: lay out and render a diagram as SVG with default options.
+/// Convenience: lay out and render a diagram as SVG in the default theme.
 pub fn render_svg(diagram: &Diagram) -> String {
     to_svg(&diagram_scene(diagram), &SvgTheme::default())
 }
 
-/// Convenience: lay out and render a diagram as plain text with default
-/// options.
+/// Convenience: lay out and render a diagram as plain text.
 pub fn render_ascii(diagram: &Diagram) -> String {
     to_ascii(&diagram_scene(diagram))
 }

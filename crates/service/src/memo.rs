@@ -1,9 +1,9 @@
 //! The L1 text→fingerprint memo: repeat SQL texts skip the frontend.
 //!
-//! BENCH_service.json showed that a warm cache *hit* still paid nearly the
-//! whole request cost in lex→parse→translate→canonicalize — the L2
-//! diagram cache removes compilation, not fingerprinting. This module
-//! removes fingerprinting for *repeat texts*: a sharded memo keyed by the
+//! Without it, a warm cache *hit* still pays nearly the whole request
+//! cost in lex→parse→translate→canonicalize — the L2 diagram cache
+//! removes compilation, not fingerprinting. This module removes
+//! fingerprinting for *repeat texts*: a sharded memo keyed by the
 //! **normalized bytes** of the raw SQL maps straight to the pattern
 //! [`Fingerprint`] (plus the §4.8 word count, the only other per-request
 //! value the frontend produces), so a memoized request goes directly to

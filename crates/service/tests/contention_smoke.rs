@@ -1,12 +1,15 @@
 //! Release-mode contention smoke (CI runs this with `--ignored` after the
 //! release build): eight clients hammer a fully warm service, every reply
 //! must stay byte-identical to the single-client warm reference, and the
-//! run must clear a conservative throughput floor. Catches both
-//! correctness regressions under real contention and the warm path
-//! serializing again: one global lock, or a lock held across a whole
-//! request, would collapse multi-client throughput well below the floor.
-//! The per-shard locks of the memo and the cache are held only for a
-//! lookup, so they do not.
+//! run must clear a conservative throughput floor.
+//!
+//! The floor catches a collapse — warm requests that block, spin or
+//! recompile — not serialization. One warm hit costs about 2 µs p50 in
+//! release, so a warm path serialized behind one global lock would still
+//! serve some 400,000 req/s and clear the floor several times over. The
+//! benchmark's `serve_warm` workload, whose two concurrent clients
+//! BENCHMARK.json bounds, is the check that the warm path does not
+//! serialize.
 //!
 //! The clients are spawned once, outside the timed phase, so the rate
 //! measures requests, not thread spawns.
@@ -16,8 +19,8 @@ use std::time::Instant;
 
 /// Aggregate warm lookups/sec the 8-client run must clear. A warm hit
 /// costs single-digit microseconds on one thread, so even a fully
-/// serialized single-core CI box clears this by an order of magnitude —
-/// unless warm requests start queueing behind each other.
+/// serialized single-core CI box clears this by an order of magnitude;
+/// only a warm path that blocks or recompiles falls below it.
 const MIN_WARM_HITS_PER_SEC: f64 = 50_000.0;
 
 const CLIENTS: usize = 8;

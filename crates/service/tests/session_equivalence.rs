@@ -214,3 +214,51 @@ fn random_edit_scripts_match_from_scratch_compiles_at_every_step() {
     // (a morph that returns to a text seen before is answered there).
     assert!(l1_hits > 0, "no edit was answered by the L1 memo");
 }
+
+/// Rename every occurrence of `from` to the same-length `to`, one changed
+/// character per edit, then back. The identifier stays well-formed at
+/// every step, so every intermediate buffer compiles.
+fn rename_script(base: &str, from: &str, to: &str) -> Vec<Edit> {
+    assert_eq!(from.len(), to.len(), "rename must preserve offsets");
+    let sites: Vec<usize> = base.match_indices(from).map(|(i, _)| i).collect();
+    assert!(!sites.is_empty(), "rename target must occur in the base");
+    let mut edits = Vec::new();
+    for (old, new) in [(from, to), (to, from)] {
+        for &site in &sites {
+            for (i, (a, b)) in old.bytes().zip(new.bytes()).enumerate() {
+                if a != b {
+                    edits.push(Edit {
+                        offset: site + i,
+                        deleted: 1,
+                        inserted: (b as char).to_string(),
+                    });
+                }
+            }
+        }
+    }
+    edits
+}
+
+#[test]
+fn identifier_rename_compiles_at_every_keystroke() {
+    let base = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+                (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
+                (SELECT L.drink FROM Likes L WHERE L.person = F.person \
+                 AND S.drink = L.drink))";
+    let service = Arc::new(DiagramService::new(ServiceConfig::default()));
+    let store = SessionStore::new(service, SessionConfig::default());
+    let (id, opened) = store.open(base, 0).expect("base fits the session budget");
+    opened.expect("base query compiles");
+    let script = rename_script(base, "person", "patron");
+    // Three sites, three changed characters each, there and back.
+    assert_eq!(script.len(), 18);
+    for (step, edit) in script.iter().enumerate() {
+        let reply = store
+            .edit(id, std::slice::from_ref(edit), 0)
+            .expect("scripted edits are in range");
+        if let Err(e) = reply {
+            panic!("rename keystroke {step} does not compile: {e}");
+        }
+    }
+    assert_eq!(store.snapshot().parse_errors, 0);
+}

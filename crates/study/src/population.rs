@@ -149,8 +149,7 @@ pub fn simulate_study(seed: u64) -> StudyData {
     simulate_study_with(seed, &ModelParameters::default())
 }
 
-/// Simulate the full study with explicit model parameters (used by the
-/// calibration ablation bench).
+/// Simulate the full study with explicit model parameters.
 pub fn simulate_study_with(seed: u64, params: &ModelParameters) -> StudyData {
     let stimuli = stimulus_complexities();
     let mut rng = StdRng::seed_from_u64(seed);

@@ -142,8 +142,7 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Record into an owned snapshot (single-threaded accumulation — the
-    /// bench harness path).
+    /// Record into an owned snapshot (single-threaded accumulation).
     pub fn record(&mut self, value: u64) {
         self.counts[bucket_index(value)] += 1;
         self.count += 1;

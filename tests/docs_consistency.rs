@@ -71,6 +71,26 @@ fn ir_crate_has_no_dependencies() {
 }
 
 #[test]
+fn docs_and_ci_name_only_the_one_benchmark_harness() {
+    // qvbench (BENCHMARK.json) is the one speed harness; the in-process
+    // bench, its gate and baseline, and the criterion shim are deleted.
+    // EXPERIMENTS.md and ROADMAP.md keep them as history only.
+    for file in ["README.md", "DESIGN.md", ".github/workflows/ci.yml"] {
+        let text = read(file);
+        for retired in [
+            "service_throughput",
+            "bench_guard",
+            "bench-baseline",
+            "BENCH_service.json",
+            "crates/criterion",
+            "cargo bench",
+        ] {
+            assert!(!text.contains(retired), "{file} names `{retired}`");
+        }
+    }
+}
+
+#[test]
 fn design_md_indexes_every_repro_target() {
     let design = read("DESIGN.md");
     for target in [

@@ -8,7 +8,7 @@ use queryvis::corpus::{
     sailors_only_variants, study_questions, unique_set_sql,
 };
 use queryvis::QueryVis;
-use queryvis_layout::{layout_diagram, LayoutOptions};
+use queryvis_layout::layout_diagram;
 use queryvis_sql::Schema;
 
 /// Every (sql, schema) pair the paper mentions.
@@ -99,7 +99,7 @@ fn diagram_invariants_hold_for_full_corpus() {
 fn layout_invariants_hold_for_full_corpus() {
     for (sql, schema) in &full_corpus() {
         let qv = QueryVis::with_schema(sql, schema).unwrap();
-        let layout = layout_diagram(&qv.diagram, &LayoutOptions::default());
+        let layout = layout_diagram(&qv.diagram);
         assert_eq!(layout.tables.len(), qv.diagram.tables.len());
         // No overlapping tables.
         for i in 0..layout.tables.len() {

@@ -343,8 +343,7 @@ proptest! {
     fn layout_never_overlaps_tables(seed in 0u64..300) {
         let tree = queryvis::unambiguity::random_valid_tree(seed);
         let diagram = build_diagram(&tree);
-        let layout =
-            queryvis_layout::layout_diagram(&diagram, &queryvis_layout::LayoutOptions::default());
+        let layout = queryvis_layout::layout_diagram(&diagram);
         for i in 0..layout.tables.len() {
             for j in (i + 1)..layout.tables.len() {
                 prop_assert!(
