@@ -44,17 +44,53 @@ pub struct TableRow {
 }
 
 impl TableRow {
-    /// The text displayed in the row (render-boundary resolution: this is
-    /// where the interned name becomes a string again).
-    pub fn display(&self) -> String {
+    /// The row's text as the pieces it is written from, in order, with
+    /// unused trailing pieces empty: `column`, `column op value`,
+    /// `FUNC(column)` or `FUNC(column) op value`, a string value in single
+    /// quotes. This is the one definition of the row text (render-boundary
+    /// resolution: here the interned names become strings again).
+    /// [`TableRow::display`] joins the pieces and
+    /// [`TableRow::display_chars`] counts them.
+    fn text_pieces(&self) -> [&'static str; 9] {
+        let column = self.column.as_str();
+        let quote = |value: &Value| match value {
+            Value::Number(_) => "",
+            Value::Str(_) => "'",
+        };
         match &self.kind {
-            RowKind::Attribute | RowKind::GroupBy => self.column.to_string(),
-            RowKind::Selection { op, value } => format!("{} {op} {value}", self.column),
-            RowKind::Aggregate { func } => format!("{func}({})", self.column),
+            RowKind::Attribute | RowKind::GroupBy => [column, "", "", "", "", "", "", "", ""],
+            RowKind::Selection { op, value } => {
+                let q = quote(value);
+                [column, " ", op.as_str(), " ", q, value.text(), q, "", ""]
+            }
+            RowKind::Aggregate { func } => [func.as_str(), "(", column, ")", "", "", "", "", ""],
             RowKind::Having { func, op, value } => {
-                format!("{func}({}) {op} {value}", self.column)
+                let q = quote(value);
+                [
+                    func.as_str(),
+                    "(",
+                    column,
+                    ") ",
+                    op.as_str(),
+                    " ",
+                    q,
+                    value.text(),
+                    q,
+                ]
             }
         }
+    }
+
+    /// The text displayed in the row, in one exact-size allocation.
+    pub fn display(&self) -> String {
+        self.text_pieces().concat()
+    }
+
+    /// The number of chars [`TableRow::display`] holds, counted without
+    /// building it. Layout sizes a row by this count: a row is as wide as
+    /// the characters it displays, however many bytes encode them.
+    pub fn display_chars(&self) -> usize {
+        self.text_pieces().iter().map(|p| p.chars().count()).sum()
     }
 }
 
@@ -230,6 +266,46 @@ mod tests {
             kind: RowKind::Aggregate { func: AggFunc::Sum },
         };
         assert_eq!(agg.display(), "SUM(Quantity)");
+    }
+
+    /// The char count layout sizes a row by is the char count of the text
+    /// the row displays, for every row kind, multibyte names and literals
+    /// included; a count of bytes would widen these rows.
+    #[test]
+    fn display_chars_counts_the_displayed_chars() {
+        let rows = [
+            RowKind::Attribute,
+            RowKind::GroupBy,
+            RowKind::Selection {
+                op: CompareOp::Ne,
+                value: Value::Str("Žatec ∄".into()),
+            },
+            RowKind::Aggregate { func: AggFunc::Avg },
+            RowKind::Having {
+                func: AggFunc::Count,
+                op: CompareOp::Ge,
+                value: Value::Number("3".into()),
+            },
+        ]
+        .map(|kind| TableRow {
+            column: "Übersicht".into(),
+            kind,
+        });
+        let texts: Vec<String> = rows.iter().map(TableRow::display).collect();
+        assert_eq!(
+            texts,
+            [
+                "Übersicht",
+                "Übersicht",
+                "Übersicht <> 'Žatec ∄'",
+                "AVG(Übersicht)",
+                "COUNT(Übersicht) >= 3",
+            ]
+        );
+        for (row, text) in rows.iter().zip(&texts) {
+            assert!(text.chars().count() < text.len(), "{text} is multibyte");
+            assert_eq!(row.display_chars(), text.chars().count(), "{text}");
+        }
     }
 
     #[test]

@@ -4,10 +4,16 @@
 //! → group tables by query block → order groups within each column by
 //! barycenter passes → assign coordinates → compute quantifier-box rects
 //! → anchor edges at row midpoints.
+//!
+//! Everything is indexed by position, nothing is hashed: per-table values
+//! live in vectors indexed by `TableId` (a table's index in
+//! `Diagram::tables`), per-group values in the group list, and a table's
+//! group membership is one compare of `group_of[t]`. Widths come from
+//! counting each row's displayed chars (`TableRow::display_chars`), so no
+//! row string is built to be measured.
 
 use crate::geometry::{Point, Rect};
 use queryvis_diagram::{Diagram, TableId};
-use std::collections::HashMap;
 
 // Layout constants, in px; they mirror the paper's visual density.
 
@@ -64,6 +70,8 @@ pub struct EdgeLayout {
 /// A fully positioned diagram.
 #[derive(Debug, Clone)]
 pub struct Layout {
+    /// Exactly one entry per diagram table, in `TableId` order:
+    /// `tables[id].table == id`, which [`Layout::table`] indexes by.
     pub tables: Vec<TableLayout>,
     pub boxes: Vec<BoxLayout>,
     pub edges: Vec<EdgeLayout>,
@@ -73,11 +81,9 @@ pub struct Layout {
 }
 
 impl Layout {
+    /// The layout of table `id`.
     pub fn table(&self, id: TableId) -> &TableLayout {
-        self.tables
-            .iter()
-            .find(|t| t.table == id)
-            .expect("every diagram table has a layout")
+        &self.tables[id]
     }
 }
 
@@ -94,125 +100,98 @@ fn layout_with_passes(diagram: &Diagram, barycenter_passes: usize) -> Layout {
     // -------- Column assignment --------
     // Column 0: SELECT table. Column d+1: tables at nesting depth d.
     // Grouping unit: the LT node (so boxes stay contiguous); the SELECT
-    // table and each root table form singleton groups.
-    #[derive(Debug)]
+    // table forms a group of its own.
+    #[derive(Default)]
     struct Group {
         tables: Vec<TableId>,
         column: usize,
         /// Mutable ordering key within the column.
         order: f64,
+        /// `BOX_PADDING` when the group's query block is drawn in a
+        /// quantifier box, else 0.
+        pad: f64,
+        /// Footprint, box padding included.
+        width: f64,
+        height: f64,
     }
 
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: HashMap<TableId, usize> = HashMap::new();
-
-    groups.push(Group {
+    let mut groups = vec![Group {
         tables: vec![diagram.select_table],
-        column: 0,
-        order: 0.0,
-    });
-    group_of.insert(diagram.select_table, 0);
-
-    // Group non-select tables by their LT node.
-    let mut node_groups: HashMap<usize, usize> = HashMap::new();
+        ..Group::default()
+    }];
+    // Group 0 holds the SELECT table, so no node's group is 0 and
+    // `node_group[node] == 0` reads "not met yet".
+    let mut group_of: Vec<usize> = vec![0; diagram.tables.len()];
+    let nodes = diagram.tables.iter().filter_map(|t| t.node).max();
+    let mut node_group: Vec<usize> = vec![0; nodes.map_or(0, |n| n + 1)];
     for table in &diagram.tables {
         if table.is_select {
             continue;
         }
         let node = table.node.expect("non-select tables carry their node");
-        let gidx = *node_groups.entry(node).or_insert_with(|| {
+        if node_group[node] == 0 {
+            node_group[node] = groups.len();
             groups.push(Group {
-                tables: Vec::new(),
                 column: table.depth + 1,
                 order: groups.len() as f64,
+                ..Group::default()
             });
-            groups.len() - 1
-        });
+        }
+        let gidx = node_group[node];
         groups[gidx].tables.push(table.id);
-        group_of.insert(table.id, gidx);
+        group_of[table.id] = gidx;
     }
 
     let n_columns = groups.iter().map(|g| g.column).max().unwrap_or(0) + 1;
 
     // -------- Barycenter ordering --------
-    // Connection list at the table level for barycenter computation.
-    let mut adjacency: Vec<(TableId, TableId)> = Vec::new();
-    for edge in &diagram.edges {
-        adjacency.push((edge.from.table, edge.to.table));
-    }
+    // A group's new order is the mean order of the groups its edges reach
+    // outside it, summed in edge order. Orders change only at the end of
+    // each column, so every group of a column reads the orders the column
+    // started with.
+    let mut sums = vec![(0.0_f64, 0_usize); groups.len()];
     for _ in 0..barycenter_passes {
         for col in 0..n_columns {
-            // Current vertical rank of each table = order of its group.
-            let rank: HashMap<TableId, f64> = group_of
-                .iter()
-                .map(|(&t, &g)| (t, groups[g].order))
-                .collect();
-            let mut updates: Vec<(usize, f64)> = Vec::new();
-            for (gidx, group) in groups.iter().enumerate() {
-                if group.column != col {
-                    continue;
-                }
-                let mut total = 0.0;
-                let mut count = 0;
-                for &(a, b) in &adjacency {
-                    let (inside, outside) = if group.tables.contains(&a) {
-                        (a, b)
-                    } else if group.tables.contains(&b) {
-                        (b, a)
-                    } else {
-                        continue;
-                    };
-                    let _ = inside;
-                    if group_of[&outside] != gidx {
-                        total += rank[&outside];
-                        count += 1;
+            for edge in &diagram.edges {
+                let (a, b) = (group_of[edge.from.table], group_of[edge.to.table]);
+                for (inside, outside) in [(a, b), (b, a)] {
+                    if inside != outside && groups[inside].column == col {
+                        sums[inside].0 += groups[outside].order;
+                        sums[inside].1 += 1;
                     }
                 }
-                if count > 0 {
-                    updates.push((gidx, total / count as f64));
-                }
             }
-            for (gidx, order) in updates {
-                groups[gidx].order = order;
+            for (group, sum) in groups.iter_mut().zip(&mut sums) {
+                if sum.1 > 0 {
+                    group.order = sum.0 / sum.1 as f64;
+                }
+                *sum = (0.0, 0);
             }
         }
     }
 
     // -------- Coordinate assignment --------
-    // Column widths: widest group footprint (box padding included when the
-    // group is boxed).
-    let is_boxed = |group: &Group| -> bool {
-        group
+    for group in &mut groups {
+        let boxed = group
             .tables
             .first()
-            .is_some_and(|&t| diagram.box_of(t).is_some())
-    };
-    let group_width = |group: &Group| -> f64 {
-        let w = group
+            .is_some_and(|&t| diagram.box_of(t).is_some());
+        group.pad = if boxed { BOX_PADDING } else { 0.0 };
+        let width = group
             .tables
             .iter()
-            .map(|t| sizes[t].0)
+            .map(|&t| sizes[t].0)
             .fold(0.0_f64, f64::max);
-        if is_boxed(group) {
-            w + 2.0 * BOX_PADDING
-        } else {
-            w
-        }
-    };
-    let group_height = |group: &Group| -> f64 {
-        let tables: f64 = group.tables.iter().map(|t| sizes[t].1).sum();
+        let tables: f64 = group.tables.iter().map(|&t| sizes[t].1).sum();
         let gaps = TABLE_GAP * (group.tables.len().saturating_sub(1)) as f64;
-        let inner = tables + gaps;
-        if is_boxed(group) {
-            inner + 2.0 * BOX_PADDING
-        } else {
-            inner
-        }
-    };
+        group.width = width + 2.0 * group.pad;
+        group.height = tables + gaps + 2.0 * group.pad;
+    }
 
+    // Column widths: widest group footprint.
     let mut column_width = vec![0.0_f64; n_columns];
     for group in &groups {
-        column_width[group.column] = column_width[group.column].max(group_width(group));
+        column_width[group.column] = column_width[group.column].max(group.width);
     }
     let mut column_x = vec![0.0_f64; n_columns];
     let mut x = MARGIN;
@@ -222,118 +201,95 @@ fn layout_with_passes(diagram: &Diagram, barycenter_passes: usize) -> Layout {
     }
     let total_width = x - COLUMN_GAP + MARGIN;
 
-    // Column heights, then vertical placement (groups sorted by order).
+    // Column heights, then vertical placement (groups sorted by order;
+    // the sort is stable, so equal orders keep group index order).
     let mut column_height = vec![0.0_f64; n_columns];
     let mut per_column: Vec<Vec<usize>> = vec![Vec::new(); n_columns];
     for (gidx, group) in groups.iter().enumerate() {
         per_column[group.column].push(gidx);
     }
     for col in 0..n_columns {
-        per_column[col].sort_by(|&a, &b| {
-            groups[a]
-                .order
-                .partial_cmp(&groups[b].order)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let h: f64 = per_column[col]
+        per_column[col].sort_by(|&a, &b| groups[a].order.total_cmp(&groups[b].order));
+        column_height[col] = per_column[col]
             .iter()
-            .map(|&g| group_height(&groups[g]))
+            .map(|&g| groups[g].height)
             .sum::<f64>()
             + GROUP_GAP * (per_column[col].len().saturating_sub(1)) as f64;
-        column_height[col] = h;
     }
     let max_height = column_height.iter().copied().fold(0.0_f64, f64::max);
     let total_height = max_height + 2.0 * MARGIN;
 
-    // Place tables.
-    let mut table_layouts: HashMap<TableId, TableLayout> = HashMap::new();
+    // Place tables, each into its `TableId` slot.
+    let mut placed: Vec<Option<TableLayout>> = vec![None; diagram.tables.len()];
     for col in 0..n_columns {
         // Center the column's stack vertically.
         let mut y = MARGIN + (max_height - column_height[col]) / 2.0;
         for &gidx in &per_column[col] {
             let group = &groups[gidx];
-            let boxed = is_boxed(group);
-            let pad = if boxed { BOX_PADDING } else { 0.0 };
-            let mut ty = y + pad;
+            let mut ty = y + group.pad;
             for &tid in &group.tables {
-                let (w, h) = sizes[&tid];
+                let (w, h) = sizes[tid];
                 // Center the table horizontally within its column slot.
                 let tx = column_x[col] + (column_width[col] - w) / 2.0;
-                let rect = Rect::new(tx, ty, w, h);
-                let header = Rect::new(tx, ty, w, HEADER_HEIGHT);
-                let mut row_rects = Vec::new();
-                let mut ry = ty + HEADER_HEIGHT;
-                for _ in &diagram.tables[tid].rows {
-                    row_rects.push(Rect::new(tx, ry, w, ROW_HEIGHT));
-                    ry += ROW_HEIGHT;
-                }
-                table_layouts.insert(
-                    tid,
-                    TableLayout {
-                        table: tid,
-                        rect,
-                        header,
-                        row_rects,
-                    },
-                );
+                let row_ys =
+                    std::iter::successors(Some(ty + HEADER_HEIGHT), |ry| Some(ry + ROW_HEIGHT));
+                placed[tid] = Some(TableLayout {
+                    table: tid,
+                    rect: Rect::new(tx, ty, w, h),
+                    header: Rect::new(tx, ty, w, HEADER_HEIGHT),
+                    row_rects: row_ys
+                        .take(diagram.tables[tid].rows.len())
+                        .map(|ry| Rect::new(tx, ry, w, ROW_HEIGHT))
+                        .collect(),
+                });
                 ty += h + TABLE_GAP;
             }
-            y += group_height(group) + GROUP_GAP;
+            y += group.height + GROUP_GAP;
         }
     }
+    let mut layout = Layout {
+        tables: placed
+            .into_iter()
+            .map(|t| t.expect("every table sits in a group"))
+            .collect(),
+        boxes: Vec::with_capacity(diagram.boxes.len()),
+        edges: Vec::new(),
+        width: total_width,
+        height: total_height,
+    };
 
     // Quantifier boxes: bounding rect of member tables, inflated.
-    let mut box_layouts = Vec::new();
     for (box_index, qbox) in diagram.boxes.iter().enumerate() {
-        let mut rect: Option<Rect> = None;
-        for &tid in &qbox.tables {
-            let r = table_layouts[&tid].rect;
-            rect = Some(match rect {
-                Some(acc) => acc.union(&r),
-                None => r,
-            });
-        }
-        if let Some(rect) = rect {
-            box_layouts.push(BoxLayout {
-                box_index,
-                rect: rect.inflate(BOX_PADDING),
-            });
+        let rects = qbox.tables.iter().map(|&tid| layout.table(tid).rect);
+        if let Some(rect) = rects.reduce(|acc, r| acc.union(&r)) {
+            let rect = rect.inflate(BOX_PADDING);
+            layout.boxes.push(BoxLayout { box_index, rect });
         }
     }
 
     // Edge anchors: left/right row midpoints facing the other endpoint.
-    let mut edge_layouts = Vec::new();
-    for (edge_index, edge) in diagram.edges.iter().enumerate() {
-        let from_rect = table_layouts[&edge.from.table].row_rects[edge.from.row];
-        let to_rect = table_layouts[&edge.to.table].row_rects[edge.to.row];
+    let edges = diagram.edges.iter().enumerate().map(|(edge_index, edge)| {
+        let from_rect = layout.table(edge.from.table).row_rects[edge.from.row];
+        let to_rect = layout.table(edge.to.table).row_rects[edge.to.row];
         let (from, to) = if from_rect.center().x <= to_rect.center().x {
             (from_rect.right_mid(), to_rect.left_mid())
         } else {
             (from_rect.left_mid(), to_rect.right_mid())
         };
         let mid = from.midpoint(to);
-        edge_layouts.push(EdgeLayout {
+        EdgeLayout {
             edge_index,
             from,
             to,
             label_pos: Point::new(mid.x, mid.y - 6.0),
-        });
-    }
-
-    let mut tables: Vec<TableLayout> = table_layouts.into_values().collect();
-    tables.sort_by_key(|t| t.table);
-
-    Layout {
-        tables,
-        boxes: box_layouts,
-        edges: edge_layouts,
-        width: total_width,
-        height: total_height,
-    }
+        }
+    });
+    layout.edges = edges.collect();
+    layout
 }
 
-fn measure_tables(diagram: &Diagram) -> HashMap<TableId, (f64, f64)> {
+/// Each table's `(width, height)`, indexed by `TableId`.
+fn measure_tables(diagram: &Diagram) -> Vec<(f64, f64)> {
     diagram
         .tables
         .iter()
@@ -341,14 +297,13 @@ fn measure_tables(diagram: &Diagram) -> HashMap<TableId, (f64, f64)> {
             // Width is per displayed character, so text is measured in
             // chars, not bytes: a multibyte name (`café`, `Übersicht`)
             // must not inflate its table.
-            let chars = |s: &str| s.chars().count() as f64;
-            let mut text_width = chars(table.name.as_str()) * CHAR_WIDTH;
+            let mut text_width = table.name.as_str().chars().count() as f64 * CHAR_WIDTH;
             for row in &table.rows {
-                text_width = text_width.max(chars(&row.display()) * CHAR_WIDTH);
+                text_width = text_width.max(row.display_chars() as f64 * CHAR_WIDTH);
             }
             let w = (text_width + 2.0 * CELL_PADDING).max(MIN_TABLE_WIDTH);
             let h = HEADER_HEIGHT + ROW_HEIGHT * table.rows.len() as f64;
-            (table.id, (w, h))
+            (w, h)
         })
         .collect()
 }
@@ -358,7 +313,7 @@ mod tests {
     use super::*;
     use crate::geometry::segments_cross;
     use queryvis_diagram::build_diagram;
-    use queryvis_logic::translate;
+    use queryvis_logic::{simplify, translate, translate_branches};
     use queryvis_sql::parse_query;
 
     fn layout(sql: &str) -> (Diagram, Layout) {
@@ -495,6 +450,56 @@ mod tests {
         let with = layout_diagram(&d);
         let without = layout_with_passes(&d, 0);
         assert!(crossing_count(&with) <= crossing_count(&without));
+    }
+
+    /// `town = 'Žatec ∄'` holds 16 chars in 19 bytes, its twin 16 in 16.
+    /// Each row is its table's widest, past the minimum width, so the two
+    /// tables are equally wide only if layout counts chars.
+    #[test]
+    fn multibyte_text_is_as_wide_as_its_char_count() {
+        let width = |town: &str| {
+            let (d, l) = layout(&format!(
+                "SELECT B.name FROM Brewery B WHERE B.town = '{town}'"
+            ));
+            l.table(d.table_by_binding("B").unwrap().id).rect.w
+        };
+        assert!(width("Zatec E") > MIN_TABLE_WIDTH);
+        assert_eq!(width("Žatec ∄"), width("Zatec E"));
+    }
+
+    /// `Layout::table` indexes `tables` directly: one entry per diagram
+    /// table, in `TableId` order, on every diagram of the paper corpus.
+    #[test]
+    fn tables_are_in_table_id_order_over_the_paper_corpus() {
+        let grid = queryvis_corpus::pattern_grid();
+        let mut sqls = vec![
+            queryvis_corpus::unique_set_sql(),
+            queryvis_corpus::qsome_sql(),
+            queryvis_corpus::qonly_sql(),
+        ];
+        sqls.extend(queryvis_corpus::sailors_only_variants());
+        sqls.extend(grid.iter().map(|q| q.sql.as_str()));
+        sqls.extend(queryvis_corpus::study_questions().iter().map(|q| q.sql));
+        sqls.extend(
+            queryvis_corpus::qualification_questions()
+                .iter()
+                .map(|q| q.sql),
+        );
+        sqls.extend(queryvis_corpus::tutorial_examples().iter().map(|e| e.sql));
+        let mut diagrams = 0;
+        for sql in sqls {
+            for tree in translate_branches(&parse_query(sql).unwrap(), None).unwrap() {
+                for d in [build_diagram(&tree), build_diagram(&simplify(&tree))] {
+                    let l = layout_diagram(&d);
+                    assert_eq!(l.tables.len(), d.tables.len(), "{sql}");
+                    for (i, t) in l.tables.iter().enumerate() {
+                        assert_eq!(t.table, i, "{sql}");
+                    }
+                    diagrams += 1;
+                }
+            }
+        }
+        assert!(diagrams >= 60, "{diagrams} diagrams");
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub use engine::{layout_diagram, BoxLayout, EdgeLayout, Layout, TableLayout};
 pub use geometry::{Point, Rect};
 pub use number::{write_shortest, write_tenths, write_whole};
 pub use scene::{
-    build_scene, compose_union, EdgeKind, EdgeMark, Mark, MarkRole, RectMark, Scene, SceneBadge,
-    SceneBranch, StyleClass, TextMark, TextRole, UNION_BADGE_HEIGHT,
+    build_scene, compose_union, EdgeKind, EdgeMark, IdHashBuilder, IdHasher, Mark, MarkRole,
+    RectMark, Scene, SceneBadge, SceneBranch, StyleClass, TextMark, TextRole, UNION_BADGE_HEIGHT,
 };

@@ -24,8 +24,9 @@
 
 use crate::engine::Layout;
 use crate::geometry::{Point, Rect};
-use queryvis_diagram::{Diagram, RowKind};
+use queryvis_diagram::{Diagram, EdgeEndpoint, RowKind};
 use queryvis_logic::Quantifier;
+use std::collections::{HashMap, HashSet};
 
 /// Abstract style classes. Backends resolve them to their medium: the SVG
 /// theme maps classes to fills/strokes, ASCII to marker glyphs, DOT to
@@ -193,6 +194,39 @@ impl Path {
     }
 }
 
+/// The hasher of every hash table whose keys are already hashes: mark ids,
+/// here and in scene diffs, and mark path hashes. One multiply, then a
+/// rotate: std's tables take the bucket from the low bits, and only the
+/// product's high bits depend on every bit of the key. The keys are
+/// unkeyed FNV hashes of names the request chooses, so a request can make
+/// them collide outright under any table hasher; SipHash's random key
+/// would buy no protection here.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// The `S` of a `HashMap` or `HashSet` hashed by [`IdHasher`].
+pub type IdHashBuilder = std::hash::BuildHasherDefault<IdHasher>;
+
 /// Assigns mark ids within one branch: FNV-1a over a structural [`Path`]
 /// plus an occurrence counter for repeated paths (duplicate aliases),
 /// linearly probed to uniqueness. Purely deterministic — two builds of the
@@ -201,15 +235,16 @@ impl Path {
 /// pair marks across recompiles. Occurrences are counted per 64-bit path
 /// hash, which stands in for the path itself.
 struct MarkIds {
-    used: std::collections::HashSet<u32>,
-    seen: std::collections::HashMap<u64, u32>,
+    used: HashSet<u32, IdHashBuilder>,
+    seen: HashMap<u64, u32, IdHashBuilder>,
 }
 
 impl MarkIds {
-    fn new() -> MarkIds {
+    /// Sized for `marks` ids, so assigning them never grows a table.
+    fn with_capacity(marks: usize) -> MarkIds {
         MarkIds {
-            used: std::collections::HashSet::new(),
-            seen: std::collections::HashMap::new(),
+            used: HashSet::with_capacity_and_hasher(marks, IdHashBuilder::default()),
+            seen: HashMap::with_capacity_and_hasher(marks, IdHashBuilder::default()),
         }
     }
 
@@ -328,10 +363,11 @@ pub fn title_annotation(diagram: &Diagram, table: queryvis_diagram::TableId) -> 
 /// every derived rect (the ∀ inner line, text anchors) is computed here,
 /// and backends downstream only project.
 pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
-    let mut marks: Vec<Mark> = Vec::with_capacity(
-        layout.boxes.len() * 2 + layout.edges.len() * 2 + layout.tables.len() * 4,
-    );
-    let mut ids = MarkIds::new();
+    // At most two marks per box, one per edge, four per table and two per row.
+    let rows: usize = diagram.tables.iter().map(|t| t.rows.len()).sum();
+    let capacity = layout.boxes.len() * 2 + layout.edges.len() + layout.tables.len() * 4 + rows * 2;
+    let mut marks: Vec<Mark> = Vec::with_capacity(capacity);
+    let mut ids = MarkIds::with_capacity(capacity);
 
     // Quantifier boxes first (beneath tables). Box identity keys on the
     // first table's alias — content-addressed, so box ids survive edits
@@ -377,15 +413,14 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
     }
 
     // Edges beneath tables so lines visually attach to row borders.
+    let qualified = |end: EdgeEndpoint| {
+        let table = &diagram.tables[end.table];
+        let column = table.rows[end.row].column.as_str();
+        [table.alias.as_str(), ".", column].concat()
+    };
     for el in &layout.edges {
         let edge = &diagram.edges[el.edge_index];
-        let from_table = &diagram.tables[edge.from.table];
-        let to_table = &diagram.tables[edge.to.table];
-        let from_text = format!(
-            "{}.{}",
-            from_table.alias, from_table.rows[edge.from.row].column
-        );
-        let to_text = format!("{}.{}", to_table.alias, to_table.rows[edge.to.row].column);
+        let (from_text, to_text) = (qualified(edge.from), qualified(edge.to));
         let op = edge.label.map_or("-", |op| op.as_str());
         marks.push(Mark::Edge(EdgeMark {
             id: ids.id(Path::new()
@@ -443,18 +478,20 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
                 class: header,
             }));
         }
+        let rowr = Path::new().str("rowr:").str(alias).str(":");
+        let rowt = Path::new().str("rowt:").str(alias).str(":");
         for (i, row) in table.rows.iter().enumerate() {
             let class = row_class(&row.kind);
             let rect = tl.row_rects[i];
             marks.push(Mark::Rect(RectMark {
-                id: ids.id(Path::new().str("rowr:").str(alias).str(":").num(i)),
+                id: ids.id(rowr.num(i)),
                 rect,
                 role: MarkRole::Row,
                 class,
                 radius: 0.0,
             }));
             marks.push(Mark::Text(TextMark {
-                id: ids.id(Path::new().str("rowt:").str(alias).str(":").num(i)),
+                id: ids.id(rowt.num(i)),
                 text: row.display(),
                 anchor: rect.center(),
                 role: TextRole::RowText,

@@ -41,8 +41,8 @@
 use crate::json::{escape_into, write_u64, Json};
 use crate::scene_json::write_mark_v2;
 use queryvis::layout::{
-    write_shortest, EdgeKind, EdgeMark, Mark, MarkRole, Point, Rect, RectMark, Scene, SceneBadge,
-    StyleClass, TextMark, TextRole,
+    write_shortest, EdgeKind, EdgeMark, IdHashBuilder, Mark, MarkRole, Point, Rect, RectMark,
+    Scene, SceneBadge, StyleClass, TextMark, TextRole,
 };
 
 /// One scene patch op. Geometry travels as the full v2 mark object — the
@@ -140,9 +140,11 @@ pub fn diff_scenes(old: &Scene, new: &Scene) -> Option<Vec<PatchOp>> {
 }
 
 fn diff_marks(i: usize, old: &[Mark], new: &[Mark], ops: &mut Vec<PatchOp>) -> Option<()> {
-    use std::collections::HashMap;
-    let old_by_id: HashMap<u32, &Mark> = old.iter().map(|m| (m.id(), m)).collect();
-    let new_ids: std::collections::HashSet<u32> = new.iter().map(|m| m.id()).collect();
+    use std::collections::{HashMap, HashSet};
+    // Mark ids are already hashes; `collect` sizes each table for its
+    // whole slice before inserting.
+    let old_by_id: HashMap<u32, &Mark, IdHashBuilder> = old.iter().map(|m| (m.id(), m)).collect();
+    let new_ids: HashSet<u32, IdHashBuilder> = new.iter().map(|m| m.id()).collect();
     if old_by_id.len() != old.len() || new_ids.len() != new.len() {
         // Duplicate ids would make addressing ambiguous; resync. (The id
         // assigner probes to uniqueness per branch, so this cannot happen
