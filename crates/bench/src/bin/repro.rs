@@ -77,10 +77,14 @@ fn fig1() {
     let qv = QueryVis::with_schema(unique_set_sql(), &beers_schema()).unwrap();
     println!("--- SQL (Fig. 1a) ---\n{}", qv.sql);
     println!("\n--- TRC (Fig. 9a) ---\n{}", qv.trc());
-    println!("\n--- Logic tree (Fig. 10a) ---\n{}", qv.logic_tree);
+    let names = qv.names();
+    println!(
+        "\n--- Logic tree (Fig. 10a) ---\n{}",
+        names.show(&qv.logic_tree)
+    );
     println!(
         "--- Simplified logic tree (Fig. 10b) ---\n{}",
-        qv.simplified
+        names.show(&qv.simplified)
     );
     println!("--- Diagram (Fig. 1b / Fig. 12b) ---\n{}", qv.ascii());
     println!("--- Reading order (footnote 1) ---\n{}", qv.reading());
@@ -118,7 +122,7 @@ fn fig2() {
 fn fig5() {
     println!("{}", banner("Fig. 5: logic tree of the unique-set query"));
     let qv = QueryVis::with_schema(unique_set_sql(), &beers_schema()).unwrap();
-    println!("{}", qv.logic_tree);
+    println!("{}", qv.names().show(&qv.logic_tree));
 }
 
 fn print_study(analysis: &StudyAnalysis, paper: &[&str]) {
@@ -299,8 +303,8 @@ fn complexity() {
     let s_some = diagram_stats(&some.diagram);
     let s_raw = diagram_stats(&only_raw.diagram);
     let s_simpl = diagram_stats(&only.diagram);
-    let w_some = word_count(&some.query);
-    let w_only = word_count(&only.query);
+    let w_some = word_count(&some.query, some.names());
+    let w_only = word_count(&only.query, only.names());
 
     println!("diagram                 elements   vs Qsome   paper");
     println!(
@@ -379,10 +383,10 @@ fn unambiguity() {
 
     let mut roundtrips = 0;
     for seed in 0..200 {
-        let tree = queryvis::unambiguity::random_valid_tree(seed);
+        let (tree, names) = queryvis::unambiguity::random_valid_tree(seed);
         let diagram = queryvis::diagram::build_diagram(&tree);
         if let Ok(recovered) = queryvis::recover_logic_tree(&diagram) {
-            if tree.structural_eq(&recovered) {
+            if tree.structural_eq(&names, &recovered, &names) {
                 roundtrips += 1;
             }
         }
@@ -409,7 +413,7 @@ fn patterns() {
             .iter()
             .map(|q| {
                 let qv = QueryVis::with_schema(&q.sql, &q.schema).unwrap();
-                canonical_pattern(&qv.logic_tree)
+                canonical_pattern(&qv.logic_tree, qv.names())
             })
             .collect();
         let all_equal = forms.windows(2).all(|w| w[0] == w[1]);
@@ -423,7 +427,7 @@ fn patterns() {
         .iter()
         .map(|sql| {
             let qv = QueryVis::from_sql(sql).unwrap();
-            canonical_pattern(&qv.logic_tree)
+            canonical_pattern(&qv.logic_tree, qv.names())
         })
         .collect();
     println!(
@@ -445,7 +449,7 @@ fn corpus() {
             q.id,
             format!("{:?}", q.category),
             format!("{:?}", q.complexity),
-            word_count(&qv.query),
+            word_count(&qv.query, qv.names()),
             stats.visual_elements()
         );
     }
@@ -455,7 +459,7 @@ fn corpus() {
         println!(
             "  {:>3}  words={:>3}  elements={:>3}",
             q.id,
-            word_count(&qv.query),
+            word_count(&qv.query, qv.names()),
             qv.stats().visual_elements()
         );
     }

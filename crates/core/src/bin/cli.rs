@@ -105,14 +105,14 @@ fn main() {
         "ascii" => qv.ascii(),
         "reading" => format!("{}\n", qv.reading()),
         "trc" => format!("{}\n", qv.trc()),
-        "lt" => format!(
-            "{}",
-            if no_simplify {
+        "lt" => {
+            let tree = if no_simplify {
                 &qv.logic_tree
             } else {
                 &qv.simplified
-            }
-        ),
+            };
+            qv.names().show(tree).to_string()
+        }
         "pattern" => format!("{}\n", qv.pattern()),
         "stats" => {
             let s = qv.stats();

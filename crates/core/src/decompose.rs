@@ -390,12 +390,12 @@ mod tests {
     #[test]
     fn decomposition_solves_all_path_patterns() {
         for pattern in valid_path_patterns() {
-            let diagram = pattern_diagram(&pattern);
+            let (diagram, names) = pattern_diagram(&pattern);
             let by_binding = recovered_depth_by_binding(&diagram)
                 .unwrap_or_else(|e| panic!("{:?}: {e}", pattern.edges));
             for depth in 0..4 {
                 assert_eq!(
-                    by_binding[&Symbol::intern(&format!("T{depth}"))],
+                    by_binding[&names.get(&format!("T{depth}")).unwrap()],
                     depth,
                     "pattern {:?}",
                     pattern.edges
@@ -409,19 +409,20 @@ mod tests {
         // On every random branching tree, the constructive depths must
         // match the brute-force-unique recovery.
         for seed in 0..150 {
-            let tree = random_valid_tree(seed);
+            let (tree, names) = random_valid_tree(seed);
             let diagram = build_diagram(&tree);
             let constructive = recovered_depth_by_binding(&diagram)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{tree}"));
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", names.show(&tree)));
             let exhaustive = recover_logic_tree(&diagram).unwrap();
             for table in tree.bindings() {
                 let expected = exhaustive
                     .node(exhaustive.owner_of(table.key).unwrap())
                     .depth;
                 assert_eq!(
-                    constructive[&table.key], expected,
+                    constructive[&table.key],
+                    expected,
                     "seed {seed}, binding {}",
-                    table.key
+                    names.resolve(table.key)
                 );
             }
         }
@@ -430,7 +431,7 @@ mod tests {
     #[test]
     fn decomposition_matches_original_depths() {
         for seed in 150..250 {
-            let tree = random_valid_tree(seed);
+            let (tree, _) = random_valid_tree(seed);
             let diagram = build_diagram(&tree);
             let constructive = recovered_depth_by_binding(&diagram).unwrap();
             for node in tree.nodes() {
@@ -443,19 +444,21 @@ mod tests {
 
     #[test]
     fn single_block_diagram_is_trivial() {
+        let mut names = queryvis_logic::Names::new();
+        let a = names.intern("A");
         let tree = {
             let mut t = queryvis_logic::LogicTree::with_root();
             t.node_mut(0).tables.push(queryvis_logic::LtTable {
-                key: "A".into(),
-                alias: "A".into(),
-                table: "T".into(),
+                key: a,
+                alias: a,
+                table: names.intern("T"),
             });
             t.select.push(queryvis_logic::SelectAttr::Column(
-                queryvis_logic::AttrRef::new("A", "x"),
+                queryvis_logic::AttrRef::new(a, names.intern("x")),
             ));
             t
         };
         let by_binding = recovered_depth_by_binding(&build_diagram(&tree)).unwrap();
-        assert_eq!(by_binding[&Symbol::intern("A")], 0);
+        assert_eq!(by_binding[&a], 0);
     }
 }

@@ -399,16 +399,24 @@ mod tests {
     use queryvis_corpus::{chinook_schema, study_questions, unique_set_sql};
     use queryvis_diagram::build_diagram;
     use queryvis_logic::{simplify, translate};
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
+
+    fn lt(sql: &str, schema: Option<&queryvis_sql::Schema>) -> (LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, schema, &mut names).unwrap(), names)
+    }
 
     fn roundtrip(sql: &str, schema: Option<&queryvis_sql::Schema>) {
-        let lt = translate(&parse_query(sql).unwrap(), schema).unwrap();
+        let (lt, names) = lt(sql, schema);
         let diagram = build_diagram(&lt);
         let recovered = recover_logic_tree(&diagram)
-            .unwrap_or_else(|e| panic!("recovery failed: {e}\n{diagram}"));
+            .unwrap_or_else(|e| panic!("recovery failed: {e}\n{}", names.show(&diagram)));
         assert!(
-            lt.structural_eq(&recovered),
-            "round trip changed the tree\noriginal:\n{lt}\nrecovered:\n{recovered}"
+            lt.structural_eq(&names, &recovered, &names),
+            "round trip changed the tree\noriginal:\n{}\nrecovered:\n{}",
+            names.show(&lt),
+            names.show(&recovered)
         );
     }
 
@@ -478,16 +486,13 @@ mod tests {
 
     #[test]
     fn forall_diagram_rejected() {
-        let lt = translate(
-            &parse_query(
-                "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+        let lt = lt(
+            "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
                  (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
                  (SELECT * FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))",
-            )
-            .unwrap(),
             None,
         )
-        .unwrap();
+        .0;
         let simplified_diagram = build_diagram(&simplify(&lt));
         let err = recover_logic_tree(&simplified_diagram).unwrap_err();
         assert!(matches!(err, InverseError::Unsupported(_)));
@@ -495,11 +500,7 @@ mod tests {
 
     #[test]
     fn grouping_diagram_rejected() {
-        let lt = translate(
-            &parse_query("SELECT T.a, COUNT(T.b) FROM T GROUP BY T.a").unwrap(),
-            None,
-        )
-        .unwrap();
+        let lt = lt("SELECT T.a, COUNT(T.b) FROM T GROUP BY T.a", None).0;
         let err = recover_logic_tree(&build_diagram(&lt)).unwrap_err();
         assert!(matches!(err, InverseError::Unsupported(_)));
     }
@@ -508,12 +509,11 @@ mod tests {
     fn disconnected_block_has_no_interpretation() {
         // A degenerate query (violates Property 5.2): the subquery block
         // never references the outer block.
-        let lt = translate(
-            &parse_query("SELECT A.x FROM A WHERE NOT EXISTS (SELECT * FROM B WHERE B.y = 'z')")
-                .unwrap(),
+        let lt = lt(
+            "SELECT A.x FROM A WHERE NOT EXISTS (SELECT * FROM B WHERE B.y = 'z')",
             None,
         )
-        .unwrap();
+        .0;
         let err = recover_logic_tree(&build_diagram(&lt)).unwrap_err();
         assert_eq!(err, InverseError::NoInterpretation);
     }
@@ -524,15 +524,12 @@ mod tests {
         // single isolated ∄ group with two more-deeply-nested candidates
         // becomes ambiguous — demonstrating that Property 5.2 is what
         // makes recovery unique.
-        let lt = translate(
-            &parse_query(
-                "SELECT A.x FROM A WHERE NOT EXISTS (SELECT * FROM B WHERE B.y = 'z') \
+        let lt = lt(
+            "SELECT A.x FROM A WHERE NOT EXISTS (SELECT * FROM B WHERE B.y = 'z') \
                  AND NOT EXISTS (SELECT * FROM C WHERE C.u = A.x)",
-            )
-            .unwrap(),
             None,
         )
-        .unwrap();
+        .0;
         let diagram = build_diagram(&lt);
         let gg = group_graph(&diagram).unwrap();
         let with = consistent_assignments(&diagram, &gg, true);

@@ -13,9 +13,10 @@
 //! use, and constants become a placeholder. Two queries obtain the same
 //! token stream iff they share the paper's notion of a visual pattern.
 //!
-//! The token stream is the serving layer's **hot path**: with interned
-//! [`Symbol`] names the whole canonicalization is id arithmetic (symbol →
-//! dense canonical index, the position of the name in a short vector),
+//! The token stream is the serving layer's **hot path**: with the
+//! query's names as [`Symbol`]s the whole canonicalization is id
+//! arithmetic (symbol → dense canonical index, the position of the name
+//! in a short vector),
 //! and the 128-bit cache fingerprint is an FNV-1a hash of the `u32`
 //! tokens — no canonical *string* is ever built on a cache hit.
 //! [`canonical_pattern`] renders the stream into the human-readable
@@ -41,7 +42,7 @@
 //! transport — depended on written order.)
 
 use queryvis_logic::{AttrRef, LogicTree, LtOperand, LtPredicate, NodeId, SelectAttr};
-use queryvis_sql::{AggFunc, CompareOp, Symbol, Value};
+use queryvis_sql::{AggFunc, CompareOp, Names, Symbol, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -115,7 +116,10 @@ struct Eraser<'p> {
     /// under conjunct reordering whenever the constants can tell the
     /// candidates apart. The semantic oracle's data transport depends on
     /// that stability to pair up slots across equal-fingerprint queries.
-    consts: Vec<ConstKey>,
+    consts: Vec<ConstKey<'p>>,
+    /// The query's name table: constants and predicate orientation read
+    /// names as text.
+    names: &'p Names,
     /// Physical-sharing profile of the query being erased (see
     /// [`physical_shares`]), borrowed by every branch's eraser.
     share_of: &'p ShareProfile,
@@ -306,16 +310,16 @@ fn physical_shares(trees: &[&LogicTree]) -> ShareProfile {
 
 /// Order-comparable digest of a constant: numerics by value (sign-folded
 /// IEEE bits give total order), everything else by text. Symbol *ids* are
-/// never compared — they depend on interner history.
-type ConstKey = (u8, u64, &'static str);
+/// never compared — they depend on the order a query spelled its names.
+type ConstKey<'n> = (u8, u64, &'n str);
 
 /// What one speculative continuation recorded, in comparison order:
 /// erased streams first, then the constants trail, then the sharing
 /// trail, then the committed candidate (index or node).
-type ErasedTrail<'p, S, C> = (S, Vec<ConstKey>, Vec<ShareKey<'p>>, C);
+type ErasedTrail<'p, S, C> = (S, Vec<ConstKey<'p>>, Vec<ShareKey<'p>>, C);
 
-fn const_key(v: Value) -> ConstKey {
-    match v.numeric() {
+fn const_key(v: Value, names: &Names) -> ConstKey<'_> {
+    match v.numeric(names) {
         Some(n) => {
             let bits = n.to_bits();
             let ordered = if bits >> 63 == 1 {
@@ -325,16 +329,17 @@ fn const_key(v: Value) -> ConstKey {
             };
             (1, ordered, "")
         }
-        None => (2, 0, v.text()),
+        None => (2, 0, v.text(names)),
     }
 }
 
 impl<'p> Eraser<'p> {
-    fn new(share_of: &'p ShareProfile) -> Eraser<'p> {
+    fn new(share_of: &'p ShareProfile, names: &'p Names) -> Eraser<'p> {
         Eraser {
             bindings: Vec::new(),
             slots: Vec::new(),
             consts: Vec::new(),
+            names,
             share_of,
             shares: Vec::new(),
         }
@@ -408,35 +413,6 @@ impl<'p> Eraser<'p> {
     }
 }
 
-/// Orient a join predicate so the lexicographically smaller attribute (by
-/// resolved name) leads. This is deliberately *name*-based, not id-based:
-/// pattern-equal queries over different alias/attribute names (the paper's
-/// cross-schema patterns) must orient corresponding predicates the same
-/// way, and interner id order depends on process history.
-fn orient(p: &LtPredicate) -> LtPredicate {
-    match p.rhs {
-        LtOperand::Attr(rhs) => {
-            let lhs_name = (p.lhs.binding.as_str(), p.lhs.column.as_str());
-            let rhs_name = (rhs.binding.as_str(), rhs.column.as_str());
-            // Equal names (a self-comparison `x op x`): names cannot break
-            // the tie, so orient by operator code — `x <= x` and its
-            // flipped spelling `x >= x` are the same predicate.
-            let flip =
-                rhs_name < lhs_name || (rhs_name == lhs_name && p.op.flip().code() < p.op.code());
-            if flip {
-                LtPredicate {
-                    lhs: rhs,
-                    op: p.op.flip(),
-                    rhs: LtOperand::Attr(p.lhs),
-                }
-            } else {
-                *p
-            }
-        }
-        LtOperand::Const(_) => *p,
-    }
-}
-
 /// Erase one (already oriented) predicate through the name state, pushing
 /// its constant (if any) onto the tie-break trail.
 fn erase_pred(p: &LtPredicate, eraser: &mut Eraser) -> [u32; 6] {
@@ -447,7 +423,7 @@ fn erase_pred(p: &LtPredicate, eraser: &mut Eraser) -> [u32; 6] {
             [T_PRED_JOIN, p.op.code(), lb, lc, rb, rc]
         }
         LtOperand::Const(v) => {
-            eraser.consts.push(const_key(v));
+            eraser.consts.push(const_key(v, eraser.names));
             [T_PRED_SEL, p.op.code(), lb, lc, 0, 0]
         }
     }
@@ -504,7 +480,7 @@ fn erase_all<'p, T>(
         let mark = eraser.mark();
         // Probe every item, keeping the smallest probe so far and the
         // items that tie it exactly, in written order.
-        let mut min: Option<([u32; 6], Vec<ConstKey>, Vec<ShareKey<'p>>)> = None;
+        let mut min: Option<([u32; 6], Vec<ConstKey<'p>>, Vec<ShareKey<'p>>)> = None;
         let mut candidates: Vec<usize> = Vec::new();
         for (i, item) in remaining.iter().enumerate() {
             let tuple = erase(item, eraser);
@@ -564,10 +540,11 @@ fn erase_all<'p, T>(
 }
 
 impl PatternKey {
-    /// Canonicalize a logic tree into its pattern token stream.
-    pub fn of_tree(tree: &LogicTree) -> PatternKey {
+    /// Canonicalize a logic tree, whose names live in `names`, into its
+    /// pattern token stream.
+    pub fn of_tree(tree: &LogicTree, names: &Names) -> PatternKey {
         let mut tokens = Vec::new();
-        PatternKey::of_tree_into(tree, &mut tokens);
+        PatternKey::of_tree_into(tree, names, &mut tokens);
         PatternKey { tokens }
     }
 
@@ -576,9 +553,9 @@ impl PatternKey {
     /// one `Vec<u32>` across a whole batch instead of allocating a stream
     /// per query. Combine with [`PatternKey::fingerprint128_of`] to hash
     /// without ever materializing a `PatternKey`.
-    pub fn of_tree_into(tree: &LogicTree, tokens: &mut Vec<u32>) {
+    pub fn of_tree_into(tree: &LogicTree, names: &Names, tokens: &mut Vec<u32>) {
         let share_of = physical_shares(&[tree]);
-        Self::canonicalize_into(tree, &mut Eraser::new(&share_of), tokens);
+        Self::canonicalize_into(tree, &mut Eraser::new(&share_of, names), tokens);
     }
 
     /// The full canonicalization, erasing through caller-provided state so
@@ -607,7 +584,7 @@ impl PatternKey {
                 .predicates
                 .iter()
                 .map(|p| {
-                    let p = orient(p);
+                    let p = p.normalized(eraser.names);
                     match p.rhs {
                         LtOperand::Attr(_) => (0, p.op.code()),
                         LtOperand::Const(_) => (1, p.op.code()),
@@ -671,7 +648,7 @@ impl PatternKey {
             // conjunct was written first.
             tokens.push(T_HAVING);
             let rendered = greedy_erase(&tree.having, eraser, |h, eraser| {
-                eraser.consts.push(const_key(h.value));
+                eraser.consts.push(const_key(h.value, eraser.names));
                 match h.arg {
                     Some(a) => {
                         let (b, c) = eraser.attr(a.binding, a.column);
@@ -707,7 +684,11 @@ impl PatternKey {
             // the sort keys are made of (the semantic oracle's second
             // catch: `B.z = 3 AND A.x = B.y` vs the swapped spelling gave
             // `B.y`/`B.z` opposite indices and split the fingerprint).
-            let oriented: Vec<LtPredicate> = node.predicates.iter().map(orient).collect();
+            let oriented: Vec<LtPredicate> = node
+                .predicates
+                .iter()
+                .map(|p| p.normalized(eraser.names))
+                .collect();
             let rendered = greedy_erase(&oriented, eraser, erase_pred);
             for pred in &rendered {
                 let len = if pred[0] == T_PRED_JOIN { 6 } else { 4 };
@@ -782,17 +763,19 @@ impl PatternKey {
     /// diagrams are separate), **order-canonicalized** by sorting the
     /// branch token streams, and framed with union tokens carrying the
     /// `UNION` vs `UNION ALL` distinction.
-    pub fn of_branches(trees: &[&LogicTree], all: bool) -> PatternKey {
+    ///
+    /// Every branch's names live in `names`.
+    pub fn of_branches(trees: &[&LogicTree], all: bool, names: &Names) -> PatternKey {
         let mut tokens = Vec::new();
-        PatternKey::of_branches_into(trees, all, &mut tokens);
+        PatternKey::of_branches_into(trees, all, names, &mut tokens);
         PatternKey { tokens }
     }
 
     /// [`PatternKey::of_branches`] into a caller-owned buffer (cleared
     /// first) — the serving layer's fingerprinting path.
-    pub fn of_branches_into(trees: &[&LogicTree], all: bool, tokens: &mut Vec<u32>) {
+    pub fn of_branches_into(trees: &[&LogicTree], all: bool, names: &Names, tokens: &mut Vec<u32>) {
         if let [single] = trees {
-            PatternKey::of_tree_into(single, tokens);
+            PatternKey::of_tree_into(single, names, tokens);
             return;
         }
         // The sharing profile spans all branches (column sharing is a
@@ -802,7 +785,8 @@ impl PatternKey {
             .iter()
             .map(|tree| {
                 let mut stream = Vec::new();
-                PatternKey::canonicalize_into(tree, &mut Eraser::new(&share_of), &mut stream);
+                let mut eraser = Eraser::new(&share_of, names);
+                PatternKey::canonicalize_into(tree, &mut eraser, &mut stream);
                 stream
             })
             .collect();
@@ -828,13 +812,13 @@ impl PatternKey {
     /// same `b` and corresponding attributes the same `(b, c)`, so a
     /// database generated per canonical slot executes both queries over
     /// "the same" data even when every concrete name differs.
-    pub fn branch_erasures(trees: &[&LogicTree]) -> Vec<TreeErasure> {
+    pub fn branch_erasures(trees: &[&LogicTree], names: &Names) -> Vec<TreeErasure> {
         let share_of = physical_shares(trees);
         let mut trails: Vec<(Vec<ConstKey>, Vec<ShareKey>)> = Vec::with_capacity(trees.len());
         let mut erasures: Vec<TreeErasure> = trees
             .iter()
             .map(|tree| {
-                let mut eraser = Eraser::new(&share_of);
+                let mut eraser = Eraser::new(&share_of, names);
                 let mut tokens = Vec::new();
                 PatternKey::canonicalize_into(tree, &mut eraser, &mut tokens);
                 let bindings: Vec<(Symbol, u32)> = (0..)
@@ -1066,29 +1050,37 @@ impl PatternKey {
 
 /// Compute the canonical pattern string of a logic tree (the rendered form
 /// of [`PatternKey::of_tree`]).
-pub fn canonical_pattern(tree: &LogicTree) -> String {
-    PatternKey::of_tree(tree).render()
+pub fn canonical_pattern(tree: &LogicTree, names: &Names) -> String {
+    PatternKey::of_tree(tree, names).render()
 }
 
 /// [`canonical_pattern`] over the branches of a multi-root (UNION /
 /// OR-split) query.
-pub fn canonical_pattern_branches(trees: &[&LogicTree], all: bool) -> String {
-    PatternKey::of_branches(trees, all).render()
+pub fn canonical_pattern_branches(trees: &[&LogicTree], all: bool, names: &Names) -> String {
+    PatternKey::of_branches(trees, all, names).render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use queryvis_corpus::{pattern_grid, sailors_only_variants, PatternKind};
-    use queryvis_logic::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_logic::{translate, LogicTree};
+    use queryvis_sql::{parse_query, Names};
+
+    /// The logic tree of `sql`, its names interned into `names`.
+    fn lt(sql: &str, names: &mut Names) -> LogicTree {
+        let query = parse_query(sql, names).unwrap();
+        translate(&query, None, names).unwrap()
+    }
 
     fn key(sql: &str) -> PatternKey {
-        PatternKey::of_tree(&translate(&parse_query(sql).unwrap(), None).unwrap())
+        let mut names = Names::new();
+        PatternKey::of_tree(&lt(sql, &mut names), &names)
     }
 
     fn pattern(sql: &str) -> String {
-        canonical_pattern(&translate(&parse_query(sql).unwrap(), None).unwrap())
+        let mut names = Names::new();
+        canonical_pattern(&lt(sql, &mut names), &names)
     }
 
     #[test]
@@ -1310,10 +1302,12 @@ mod tests {
         let xy = sql("B.p = A.x AND B.q = A.y");
         let yx = sql("B.q = A.y AND B.p = A.x");
         assert_eq!(key(&xy), key(&yx), "symmetric conjuncts must not split");
-        let tree_xy = translate(&parse_query(&xy).unwrap(), None).unwrap();
-        let tree_yx = translate(&parse_query(&yx).unwrap(), None).unwrap();
-        let e_xy = &PatternKey::branch_erasures(&[&tree_xy])[0];
-        let e_yx = &PatternKey::branch_erasures(&[&tree_yx])[0];
+        // One table for both spellings, so equal name maps are equal ids.
+        let mut names = Names::new();
+        let tree_xy = lt(&xy, &mut names);
+        let tree_yx = lt(&yx, &mut names);
+        let e_xy = &PatternKey::branch_erasures(&[&tree_xy], &names)[0];
+        let e_yx = &PatternKey::branch_erasures(&[&tree_yx], &names)[0];
         assert_eq!(
             e_xy.attrs, e_yx.attrs,
             "conjunct order leaked into the canonical name maps"
@@ -1331,25 +1325,17 @@ mod tests {
         // while `C.q` sits under a constant comparison. The ShareKey's
         // context profile records exactly that, so the name maps must not
         // depend on written conjunct order.
-        let branch = |preds: &str| {
-            translate(
-                &parse_query(&format!(
-                    "SELECT A.s FROM R A WHERE EXISTS(SELECT * FROM S B WHERE {preds})"
-                ))
-                .unwrap(),
-                None,
-            )
-            .unwrap()
+        // Branches of one query share its table, so `S` is one symbol.
+        let mut names = Names::new();
+        let mut branch = |preds: &str| {
+            let sql = format!("SELECT A.s FROM R A WHERE EXISTS(SELECT * FROM S B WHERE {preds})");
+            lt(&sql, &mut names)
         };
-        let sibling = translate(
-            &parse_query("SELECT C.p FROM S C WHERE C.q > 5").unwrap(),
-            None,
-        )
-        .unwrap();
         let pq = branch("B.p = A.x AND B.q = A.x");
         let qp = branch("B.q = A.x AND B.p = A.x");
-        let e_pq = PatternKey::branch_erasures(&[&pq, &sibling]);
-        let e_qp = PatternKey::branch_erasures(&[&qp, &sibling]);
+        let sibling = lt("SELECT C.p FROM S C WHERE C.q > 5", &mut names);
+        let e_pq = PatternKey::branch_erasures(&[&pq, &sibling], &names);
+        let e_qp = PatternKey::branch_erasures(&[&qp, &sibling], &names);
         assert_eq!(e_pq[0].tokens, e_qp[0].tokens, "symmetric pair split");
         assert_eq!(
             e_pq[0].attrs, e_qp[0].attrs,
@@ -1364,11 +1350,11 @@ mod tests {
         // their ranks from written order, so rotating the branches
         // re-paired them under the transport and broke provability. The
         // per-branch (constants, shares) trails must pin the ranks.
-        let tree = |sql: &str| translate(&parse_query(sql).unwrap(), None).unwrap();
-        let r = tree("SELECT A.x FROM R A WHERE A.y = 1");
-        let s = tree("SELECT B.x FROM S B WHERE B.y = 2");
-        let rs = PatternKey::branch_erasures(&[&r, &s]);
-        let sr = PatternKey::branch_erasures(&[&s, &r]);
+        let mut names = Names::new();
+        let r = lt("SELECT A.x FROM R A WHERE A.y = 1", &mut names);
+        let s = lt("SELECT B.x FROM S B WHERE B.y = 2", &mut names);
+        let rs = PatternKey::branch_erasures(&[&r, &s], &names);
+        let sr = PatternKey::branch_erasures(&[&s, &r], &names);
         assert_eq!(rs[0].tokens, rs[1].tokens, "branches must tokenize alike");
         assert_eq!(
             rs[0].rank, sr[1].rank,
@@ -1382,21 +1368,21 @@ mod tests {
 
     #[test]
     fn branch_erasures_record_the_canonical_name_maps() {
-        let tree = translate(
-            &parse_query("SELECT A.x FROM T A, T B WHERE A.x = B.y AND B.z = 3").unwrap(),
-            None,
-        )
-        .unwrap();
-        let erasures = PatternKey::branch_erasures(&[&tree]);
+        let mut names = Names::new();
+        let tree = lt(
+            "SELECT A.x FROM T A, T B WHERE A.x = B.y AND B.z = 3",
+            &mut names,
+        );
+        let erasures = PatternKey::branch_erasures(&[&tree], &names);
         assert_eq!(erasures.len(), 1);
         let e = &erasures[0];
         assert_eq!(e.rank, 0);
-        assert_eq!(e.tokens, PatternKey::of_tree(&tree).tokens());
+        assert_eq!(e.tokens, PatternKey::of_tree(&tree, &names).tokens());
         // Select list erases first: A → b0, A.x → (0,0).
         let b_of = |name: &str| {
             e.bindings
                 .iter()
-                .find(|(k, _)| k.as_str() == name)
+                .find(|&&(k, _)| names.resolve(k) == name)
                 .map(|&(_, b)| b)
         };
         assert_eq!(b_of("A"), Some(0));
@@ -1404,7 +1390,7 @@ mod tests {
         let slot_of = |binding: &str, column: &str| {
             e.attrs
                 .iter()
-                .find(|(k, c, _)| k.as_str() == binding && c.as_str() == column)
+                .find(|&&(k, c, _)| names.resolve(k) == binding && names.resolve(c) == column)
                 .map(|&(_, _, slot)| slot)
         };
         assert_eq!(slot_of("A", "x"), Some((0, 0)));

@@ -13,7 +13,8 @@ use queryvis_logic::{
 };
 use queryvis_render::{to_ascii, to_dot_union, to_svg, SvgTheme};
 use queryvis_sql::{
-    metrics::word_count_expr, parse_query_expr, ParseError, Query, QueryExpr, Schema, SemanticError,
+    metrics::word_count_expr, parse_query_expr, Names, ParseError, Query, QueryExpr, Schema,
+    SemanticError,
 };
 use queryvis_telemetry::StageDef;
 use std::fmt;
@@ -101,11 +102,16 @@ pub struct UnionBranch {
 }
 
 /// The result of running the full QueryVis pipeline over one query.
+///
+/// It owns the query's name table (in `expr`): every tree and diagram of
+/// every branch resolves its names through [`QueryVis::names`], and the
+/// names are dropped with it.
 #[derive(Debug, Clone)]
 pub struct QueryVis {
     /// Original SQL text.
     pub sql: String,
-    /// The parsed top-level expression (original, before OR lowering).
+    /// The parsed top-level expression (original, before OR lowering),
+    /// with the name table of the whole query.
     pub expr: QueryExpr,
     /// First lowered branch's AST (the whole query when single-block).
     pub query: Query,
@@ -139,7 +145,9 @@ pub struct QueryVis {
 pub struct PreparedQuery {
     /// Original SQL text.
     pub sql: String,
-    /// The parsed top-level expression (original, before OR lowering).
+    /// The parsed top-level expression (original, before OR lowering),
+    /// with the name table of the whole query, binding keys made up by
+    /// translation included.
     pub expr: QueryExpr,
     /// First lowered branch's AST (the whole query when single-block).
     pub query: Query,
@@ -156,6 +164,11 @@ impl PreparedQuery {
     /// The options this query was prepared with (shared, not cloned).
     pub fn options(&self) -> &Arc<QueryVisOptions> {
         &self.options
+    }
+
+    /// The table every name of the query lives in.
+    pub fn names(&self) -> &Names {
+        &self.expr.names
     }
 
     /// All branch logic trees, first branch first.
@@ -175,13 +188,13 @@ impl PreparedQuery {
     /// fingerprints — no canonical string is built on the hot path.
     /// Union/OR branches are order-canonicalized inside the key.
     pub fn pattern_key(&self) -> PatternKey {
-        PatternKey::of_branches(&self.trees(), self.union_all)
+        PatternKey::of_branches(&self.trees(), self.union_all, self.names())
     }
 
     /// Canonicalize into a caller-owned token buffer (cleared first) — the
     /// serving layer's per-request fingerprinting path.
     pub fn pattern_tokens_into(&self, tokens: &mut Vec<u32>) {
-        PatternKey::of_branches_into(&self.trees(), self.union_all, tokens);
+        PatternKey::of_branches_into(&self.trees(), self.union_all, self.names(), tokens);
     }
 
     /// The canonical logical pattern (App. G) rendered as a string: equal
@@ -304,7 +317,7 @@ impl QueryVis {
     /// degeneracy validation, byte-for-byte as `prepare` runs them.
     pub fn prepare_parsed(
         sql: &str,
-        expr: QueryExpr,
+        mut expr: QueryExpr,
         options: impl Into<Arc<QueryVisOptions>>,
     ) -> Result<PreparedQuery, QueryVisError> {
         let options = options.into();
@@ -319,14 +332,15 @@ impl QueryVis {
         // query into its own logic tree, keeping AST and tree paired.
         let _span = STAGE_LOWER.span();
         let mut branches: Vec<(Query, LogicTree)> = Vec::with_capacity(expr.branches.len());
+        let (schema, names) = (options.schema.as_ref(), &mut expr.names);
         for written in &expr.branches {
             if queryvis_logic::has_disjunction(written) {
                 for lowered in queryvis_logic::lower_disjunctions(written)? {
-                    let tree = queryvis_logic::translate(&lowered, options.schema.as_ref())?;
+                    let tree = queryvis_logic::translate(&lowered, schema, names)?;
                     branches.push((lowered, tree));
                 }
             } else {
-                let tree = queryvis_logic::translate(written, options.schema.as_ref())?;
+                let tree = queryvis_logic::translate(written, schema, names)?;
                 branches.push((written.clone(), tree));
             }
         }
@@ -341,7 +355,7 @@ impl QueryVis {
             // Non-degeneracy (Properties 5.1/5.2) plus the depth ≤ 3
             // bound, on every branch.
             for (_, tree) in &branches {
-                check_valid_diagram_source(tree).map_err(QueryVisError::Degenerate)?;
+                check_valid_diagram_source(tree, &expr.names).map_err(QueryVisError::Degenerate)?;
             }
         }
         let union_all = expr.all;
@@ -356,6 +370,11 @@ impl QueryVis {
             union_all,
             options,
         })
+    }
+
+    /// The table every name of the query lives in.
+    pub fn names(&self) -> &Names {
+        &self.expr.names
     }
 
     /// True when the query compiled to more than one diagram (a written
@@ -388,15 +407,16 @@ impl QueryVis {
 
     /// Lay out the first branch's diagram (deterministic).
     pub fn layout(&self) -> Layout {
-        layout_diagram(&self.diagram)
+        layout_diagram(&self.diagram, self.names())
     }
 
     /// Resolve each branch into its own single-branch [`Scene`] (layout +
     /// mark resolution, no union composition).
     pub fn scenes(&self) -> Vec<Scene> {
+        let names = self.names();
         self.diagrams()
             .iter()
-            .map(|d| build_scene(d, &layout_diagram(d)))
+            .map(|d| build_scene(d, &layout_diagram(d, names), names))
             .collect()
     }
 
@@ -421,7 +441,7 @@ impl QueryVis {
 
     /// Export to GraphViz DOT (union branches become labeled clusters).
     pub fn dot(&self) -> String {
-        to_dot_union(&self.diagrams(), self.union_all)
+        to_dot_union(&self.diagrams(), self.union_all, self.names())
     }
 
     /// Render to plain text (union branches separated by a badge line).
@@ -432,7 +452,11 @@ impl QueryVis {
     /// The natural-language reading along the default reading order (§4.6);
     /// union branches read in sequence, joined by the connective.
     pub fn reading(&self) -> String {
-        let readings: Vec<String> = self.diagrams().iter().map(|d| render_reading(d)).collect();
+        let readings: Vec<String> = self
+            .diagrams()
+            .iter()
+            .map(|d| render_reading(d, self.names()))
+            .collect();
         let connective = if self.union_all {
             "\nUNION ALL\n"
         } else {
@@ -444,7 +468,11 @@ impl QueryVis {
     /// The tuple-relational-calculus form (Fig. 9); union branches join
     /// with `∪`.
     pub fn trc(&self) -> String {
-        let forms: Vec<String> = self.trees().iter().map(|t| to_trc(t)).collect();
+        let forms: Vec<String> = self
+            .trees()
+            .iter()
+            .map(|t| to_trc(t, self.names()))
+            .collect();
         forms.join(" \u{222A} ")
     }
 
@@ -462,14 +490,14 @@ impl QueryVis {
     /// ⟺ same visual pattern, across schemas (union branches
     /// order-canonicalized).
     pub fn pattern(&self) -> String {
-        crate::pattern::canonical_pattern_branches(&self.trees(), self.union_all)
+        crate::pattern::canonical_pattern_branches(&self.trees(), self.union_all, self.names())
     }
 
     /// Whether the query is non-degenerate (Properties 5.1/5.2) — every
     /// branch must pass.
     pub fn check_non_degenerate(&self) -> Result<(), DegeneracyError> {
         for tree in self.trees() {
-            check_non_degenerate(tree)?;
+            check_non_degenerate(tree, self.names())?;
         }
         Ok(())
     }
@@ -478,7 +506,7 @@ impl QueryVis {
     /// nesting depth ≤ 3, §5.2) — every branch must pass.
     pub fn check_unambiguous(&self) -> Result<(), DegeneracyError> {
         for tree in self.trees() {
-            check_valid_diagram_source(tree)?;
+            check_valid_diagram_source(tree, self.names())?;
         }
         Ok(())
     }

@@ -23,7 +23,7 @@ use crate::inverse::recover_logic_tree;
 use queryvis_diagram::{
     Diagram, DiagramTable, Edge, EdgeEndpoint, QuantifierBox, RowKind, TableRow,
 };
-use queryvis_logic::Quantifier;
+use queryvis_logic::{Names, Quantifier};
 
 /// The six Fig. 13a edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,15 +125,18 @@ pub fn valid_path_patterns() -> Vec<PathPattern> {
 
 /// Build the synthetic QueryVis diagram of a path pattern: four one-table
 /// groups T0..T3 at depths 0..3 (T1..T3 in ∄ boxes), each present edge
-/// drawn per the arrow rules, plus the SELECT table.
-pub fn pattern_diagram(pattern: &PathPattern) -> Diagram {
+/// drawn per the arrow rules, plus the SELECT table, with the names it
+/// makes up in a table of its own.
+pub fn pattern_diagram(pattern: &PathPattern) -> (Diagram, Names) {
+    let mut names = Names::new();
     let mut tables = Vec::new();
     for depth in 0..4 {
+        let name = names.intern(&format!("T{depth}"));
         tables.push(DiagramTable {
             id: depth,
-            binding: format!("T{depth}").into(),
-            alias: format!("T{depth}").into(),
-            name: format!("T{depth}").into(),
+            binding: name,
+            alias: name,
+            name,
             rows: Vec::new(),
             node: Some(depth),
             depth,
@@ -141,13 +144,14 @@ pub fn pattern_diagram(pattern: &PathPattern) -> Diagram {
         });
     }
     let select_id = 4;
+    let x = names.intern("x");
     tables.push(DiagramTable {
         id: select_id,
-        binding: "SELECT".into(),
-        alias: "SELECT".into(),
-        name: "SELECT".into(),
+        binding: Names::SELECT,
+        alias: Names::SELECT,
+        name: Names::SELECT,
         rows: vec![TableRow {
-            column: "x".into(),
+            column: x,
             kind: RowKind::Attribute,
         }],
         node: None,
@@ -170,7 +174,7 @@ pub fn pattern_diagram(pattern: &PathPattern) -> Diagram {
         };
     for edge in &pattern.edges {
         let (from, to) = edge.drawn();
-        let col = queryvis_ir::Symbol::intern(&format!("{edge:?}").to_lowercase());
+        let col = names.intern(&format!("{edge:?}").to_lowercase());
         let from_row = row_of(&mut tables, from, col);
         let to_row = row_of(&mut tables, to, col);
         edges.push(Edge {
@@ -187,7 +191,7 @@ pub fn pattern_diagram(pattern: &PathPattern) -> Diagram {
         });
     }
     // SELECT edge to the root table.
-    let root_row = row_of(&mut tables, 0, "x".into());
+    let root_row = row_of(&mut tables, 0, x);
     edges.push(Edge {
         from: EdgeEndpoint {
             table: select_id,
@@ -209,12 +213,13 @@ pub fn pattern_diagram(pattern: &PathPattern) -> Diagram {
         })
         .collect();
 
-    Diagram {
+    let diagram = Diagram {
         tables,
         boxes,
         edges,
         select_table: select_id,
-    }
+    };
+    (diagram, names)
 }
 
 /// Verification result for one pattern.
@@ -232,22 +237,22 @@ pub fn verify_path_patterns() -> Vec<PatternVerification> {
     valid_path_patterns()
         .into_iter()
         .map(|pattern| {
-            let diagram = pattern_diagram(&pattern);
+            let (diagram, names) = pattern_diagram(&pattern);
             match recover_logic_tree(&diagram) {
                 Ok(tree) => {
                     // Depth of each group's table must match its label.
                     let ok = (0..4).all(|i| {
-                        let binding = format!("T{i}");
-                        tree.owner_of(binding.as_str())
-                            .map(|node| tree.node(node).depth == i)
-                            .unwrap_or(false)
+                        names
+                            .get(&format!("T{i}"))
+                            .and_then(|binding| tree.owner_of(binding))
+                            .is_some_and(|node| tree.node(node).depth == i)
                     });
                     PatternVerification {
                         unambiguous: ok,
                         detail: if ok {
                             "unique tree, depths 0-3 recovered".into()
                         } else {
-                            format!("recovered wrong depths:\n{tree}")
+                            format!("recovered wrong depths:\n{}", names.show(&tree))
                         },
                         pattern,
                     }
@@ -266,9 +271,10 @@ pub fn verify_path_patterns() -> Vec<PatternVerification> {
 /// depth ≤ 3 (used by property tests and the `repro unambiguity` harness).
 ///
 /// Every non-root node gets an equijoin to its parent (satisfying
-/// Properties 5.1/5.2) plus optional extra joins to ancestors.
-pub fn random_valid_tree(seed: u64) -> queryvis_logic::LogicTree {
-    use queryvis_logic::{LogicTree, LtTable};
+/// Properties 5.1/5.2) plus optional extra joins to ancestors. The tree's
+/// names (`R{i}`, `Rel{i}`, `a`, `b`) are in the table that comes with it.
+pub fn random_valid_tree(seed: u64) -> (queryvis_logic::LogicTree, Names) {
+    use queryvis_logic::{AttrRef, LogicTree, LtTable};
     // Tiny deterministic PRNG (xorshift) to avoid a rand dependency here.
     let mut state = seed
         .wrapping_mul(6364136223846793005)
@@ -280,16 +286,17 @@ pub fn random_valid_tree(seed: u64) -> queryvis_logic::LogicTree {
         (state % bound as u64) as usize
     };
 
+    let mut names = Names::new();
+    let (a, b) = (names.intern("a"), names.intern("b"));
     let mut tree = LogicTree::with_root();
+    let r0 = names.intern("R0");
     tree.node_mut(0).tables.push(LtTable {
-        key: "R0".into(),
-        alias: "R0".into(),
-        table: "Rel0".into(),
+        key: r0,
+        alias: r0,
+        table: names.intern("Rel0"),
     });
     tree.select
-        .push(queryvis_logic::SelectAttr::Column(AttrRefLocal::new(
-            "R0", "a",
-        )));
+        .push(queryvis_logic::SelectAttr::Column(AttrRef::new(r0, a)));
 
     let extra_nodes = 1 + next(5); // 2..=6 nodes total
     for i in 0..extra_nodes {
@@ -297,18 +304,19 @@ pub fn random_valid_tree(seed: u64) -> queryvis_logic::LogicTree {
         let candidates: Vec<usize> = tree.nodes().filter(|n| n.depth < 3).map(|n| n.id).collect();
         let parent = candidates[next(candidates.len())];
         let node = tree.add_child(parent, Quantifier::NotExists);
-        let key = queryvis_ir::Symbol::intern(&format!("R{}", i + 1));
+        let key = names.intern(&format!("R{}", i + 1));
+        let table = names.intern(&format!("Rel{}", i + 1));
         tree.node_mut(node).tables.push(LtTable {
             key,
             alias: key,
-            table: format!("Rel{}", i + 1).into(),
+            table,
         });
         // Mandatory join to the parent block (Property 5.2).
         let parent_key = tree.node(parent).tables[0].key;
         let pred = queryvis_logic::LtPredicate::join(
-            AttrRefLocal::new(key, "a"),
+            AttrRef::new(key, a),
             queryvis_sql::CompareOp::Eq,
-            AttrRefLocal::new(parent_key, "a"),
+            AttrRef::new(parent_key, a),
         );
         tree.node_mut(node).predicates.push(pred);
         // Optional extra join to a random strict ancestor.
@@ -322,17 +330,15 @@ pub fn random_valid_tree(seed: u64) -> queryvis_logic::LogicTree {
             let anc = ancestors[next(ancestors.len())];
             let anc_key = tree.node(anc).tables[0].key;
             let pred = queryvis_logic::LtPredicate::join(
-                AttrRefLocal::new(key, "b"),
+                AttrRef::new(key, b),
                 queryvis_sql::CompareOp::Eq,
-                AttrRefLocal::new(anc_key, "b"),
+                AttrRef::new(anc_key, b),
             );
             tree.node_mut(node).predicates.push(pred);
         }
     }
-    tree
+    (tree, names)
 }
-
-use queryvis_logic::AttrRef as AttrRefLocal;
 
 #[cfg(test)]
 mod tests {
@@ -382,16 +388,18 @@ mod tests {
     #[test]
     fn random_branching_trees_roundtrip() {
         for seed in 0..60 {
-            let tree = random_valid_tree(seed);
-            check_non_degenerate(&tree)
+            let (tree, names) = random_valid_tree(seed);
+            check_non_degenerate(&tree, &names)
                 .unwrap_or_else(|e| panic!("seed {seed}: generator broke invariants: {e}"));
             assert!(tree.max_depth() <= 3);
             let diagram = build_diagram(&tree);
+            let shown = names.show(&tree);
             let recovered = recover_logic_tree(&diagram)
-                .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}\n{tree}"));
+                .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}\n{shown}"));
             assert!(
-                tree.structural_eq(&recovered),
-                "seed {seed}:\noriginal:\n{tree}\nrecovered:\n{recovered}"
+                tree.structural_eq(&names, &recovered, &names),
+                "seed {seed}:\noriginal:\n{shown}\nrecovered:\n{}",
+                names.show(&recovered)
             );
         }
     }

@@ -36,13 +36,13 @@ pub use tutorial::{tutorial_examples, TutorialExample};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use queryvis_sql::parse_and_check;
+    use queryvis_sql::{parse_and_check, Names};
 
     #[test]
     fn every_study_question_parses_and_checks() {
         let schema = chinook_schema();
         for q in study_questions() {
-            parse_and_check(q.sql, &schema)
+            parse_and_check(q.sql, &mut Names::new(), &schema)
                 .unwrap_or_else(|e| panic!("study {} failed: {e}", q.id));
         }
     }
@@ -51,7 +51,7 @@ mod tests {
     fn every_qualification_question_parses_and_checks() {
         let schema = chinook_schema();
         for q in qualification_questions() {
-            parse_and_check(q.sql, &schema)
+            parse_and_check(q.sql, &mut Names::new(), &schema)
                 .unwrap_or_else(|e| panic!("qualification {} failed: {e}", q.id));
         }
     }
@@ -59,7 +59,7 @@ mod tests {
     #[test]
     fn every_pattern_query_parses_and_checks() {
         for q in pattern_grid() {
-            parse_and_check(&q.sql, &q.schema)
+            parse_and_check(&q.sql, &mut Names::new(), &q.schema)
                 .unwrap_or_else(|e| panic!("pattern {}/{:?} failed: {e}", q.schema.name, q.kind));
         }
     }
@@ -67,12 +67,12 @@ mod tests {
     #[test]
     fn running_examples_parse() {
         let beers = beers_schema();
-        parse_and_check(unique_set_sql(), &beers).unwrap();
-        parse_and_check(qsome_sql(), &beers).unwrap();
-        parse_and_check(qonly_sql(), &beers).unwrap();
+        parse_and_check(unique_set_sql(), &mut Names::new(), &beers).unwrap();
+        parse_and_check(qsome_sql(), &mut Names::new(), &beers).unwrap();
+        parse_and_check(qonly_sql(), &mut Names::new(), &beers).unwrap();
         let sailors = sailors_schema();
         for v in sailors_only_variants() {
-            parse_and_check(v, &sailors).unwrap();
+            parse_and_check(v, &mut Names::new(), &sailors).unwrap();
         }
     }
 }

@@ -239,7 +239,7 @@ fn build_pattern(gs: &GridSchema, kind: PatternKind) -> PatternQuery {
 mod tests {
     use super::*;
     use queryvis_logic::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
     #[test]
     fn grid_has_nine_cells() {
@@ -257,9 +257,10 @@ mod tests {
         let fps: Vec<String> = sailors_only_variants()
             .iter()
             .map(|sql| {
-                translate(&parse_query(sql).unwrap(), None)
-                    .unwrap()
-                    .fingerprint()
+                let mut names = Names::new();
+                let query = parse_query(sql, &mut names).unwrap();
+                let tree = translate(&query, None, &mut names).unwrap();
+                tree.fingerprint(&names)
             })
             .collect();
         assert_eq!(fps[0], fps[1]);
@@ -283,7 +284,7 @@ mod tests {
 
     #[test]
     fn unique_set_is_depth_three() {
-        let q = parse_query(unique_set_sql()).unwrap();
+        let q = parse_query(unique_set_sql(), &mut Names::new()).unwrap();
         assert_eq!(q.nesting_depth(), 3);
         assert_eq!(q.table_ref_count(), 6);
     }

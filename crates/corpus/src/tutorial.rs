@@ -116,7 +116,7 @@ pub fn tutorial_examples() -> Vec<TutorialExample> {
 mod tests {
     use super::*;
     use crate::schemas::chinook_schema;
-    use queryvis_sql::parse_and_check;
+    use queryvis_sql::{parse_and_check, Names};
 
     #[test]
     fn six_examples_in_page_order() {
@@ -131,7 +131,7 @@ mod tests {
     fn all_examples_parse_and_check() {
         let schema = chinook_schema();
         for ex in tutorial_examples() {
-            parse_and_check(ex.sql, &schema)
+            parse_and_check(ex.sql, &mut Names::new(), &schema)
                 .unwrap_or_else(|e| panic!("tutorial page {}: {e}", ex.page));
         }
     }

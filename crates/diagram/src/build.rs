@@ -23,7 +23,7 @@
 use crate::model::{
     Diagram, DiagramTable, Edge, EdgeEndpoint, QuantifierBox, RowKind, TableId, TableRow,
 };
-use queryvis_ir::Symbol;
+use queryvis_ir::{Names, Symbol};
 use queryvis_logic::{AttrRef, LogicTree, LtOperand, Quantifier, SelectAttr};
 use std::collections::HashMap;
 
@@ -121,10 +121,7 @@ impl<'t> Builder<'t> {
         // table, wired to the aggregated attribute's source table like
         // select-list aggregates.
         for h in &self.tree.having.clone() {
-            let column = h
-                .arg
-                .map(|a| a.column)
-                .unwrap_or_else(|| Symbol::intern("*"));
+            let column = h.arg.map_or(Names::STAR, |a| a.column);
             self.tables[select_table].rows.push(TableRow {
                 column,
                 kind: RowKind::Having {
@@ -234,9 +231,9 @@ impl<'t> Builder<'t> {
         let select_id = self.tables.len();
         self.tables.push(DiagramTable {
             id: select_id,
-            binding: "SELECT".into(),
-            alias: "SELECT".into(),
-            name: "SELECT".into(),
+            binding: Names::SELECT,
+            alias: Names::SELECT,
+            name: Names::SELECT,
             rows: Vec::new(),
             node: None,
             depth: 0,
@@ -272,10 +269,7 @@ impl<'t> Builder<'t> {
                     });
                 }
                 SelectAttr::Aggregate { func, arg } => {
-                    let column = arg
-                        .as_ref()
-                        .map(|a| a.column)
-                        .unwrap_or_else(|| Symbol::intern("*"));
+                    let column = arg.map_or(Names::STAR, |a| a.column);
                     self.tables[select_id].rows.push(TableRow {
                         column,
                         kind: RowKind::Aggregate { func: *func },
@@ -313,17 +307,23 @@ impl<'t> Builder<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use queryvis_logic::{simplify, translate};
+    use queryvis_logic::{simplify, translate, LogicTree};
     use queryvis_sql::{parse_query, CompareOp};
 
-    fn diagram(sql: &str) -> Diagram {
-        build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap())
+    fn lt(sql: &str) -> (LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
     }
 
-    fn diagram_simplified(sql: &str) -> Diagram {
-        build_diagram(&simplify(
-            &translate(&parse_query(sql).unwrap(), None).unwrap(),
-        ))
+    fn diagram(sql: &str) -> (Diagram, Names) {
+        let (tree, names) = lt(sql);
+        (build_diagram(&tree), names)
+    }
+
+    fn diagram_simplified(sql: &str) -> (Diagram, Names) {
+        let (tree, names) = lt(sql);
+        (build_diagram(&simplify(&tree)), names)
     }
 
     const UNIQUE_SET: &str = "SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn conjunctive_diagram_structure() {
         // Fig. 2a: Qsome — 3 base tables + SELECT, 4 edges, no boxes.
-        let d = diagram(
+        let (d, _) = diagram(
             "SELECT F.person FROM Frequents F, Likes L, Serves S \
              WHERE F.person = L.person AND F.bar = S.bar AND L.drink = S.drink",
         );
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn unique_set_diagram_matches_fig1b() {
-        let d = diagram(UNIQUE_SET);
+        let (d, _) = diagram(UNIQUE_SET);
         // 6 Likes tables + SELECT.
         assert_eq!(d.tables.len(), 7);
         // 5 dashed boxes (L2..L6 blocks), none for the root.
@@ -374,14 +374,14 @@ mod tests {
 
     #[test]
     fn unique_set_arrow_directions_match_appendix_a() {
-        let d = diagram(UNIQUE_SET);
+        let (d, names) = diagram(UNIQUE_SET);
         let edge = |from: &str, to: &str| {
-            let f = d.table_by_binding(from).unwrap().id;
-            let t = d.table_by_binding(to).unwrap().id;
+            let f = d.table_by_binding(names.get(from).unwrap()).unwrap().id;
+            let t = d.table_by_binding(names.get(to).unwrap()).unwrap().id;
             d.edges
                 .iter()
                 .find(|e| e.directed && e.from.table == f && e.to.table == t)
-                .unwrap_or_else(|| panic!("missing edge {from}->{to}\n{d}"))
+                .unwrap_or_else(|| panic!("missing edge {from}->{to}\n{}", names.show(&d)))
         };
         // Appendix A.3 step 4 (with the SQL of Fig. 1a as ground truth):
         edge("L1", "L2"); // depth 0 -> 1 (diff 1)
@@ -398,13 +398,13 @@ mod tests {
         const QONLY: &str = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
              (SELECT L.drink FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))";
-        let raw = diagram(QONLY);
+        let (raw, _) = diagram(QONLY);
         assert_eq!(raw.boxes.len(), 2);
         assert!(raw
             .boxes
             .iter()
             .all(|b| b.quantifier == Quantifier::NotExists));
-        let simp = diagram_simplified(QONLY);
+        let (simp, _) = diagram_simplified(QONLY);
         // Fig. 2c: one ∀ box; the inner ∃ block loses its box.
         assert_eq!(simp.boxes.len(), 1);
         assert_eq!(simp.boxes[0].quantifier, Quantifier::ForAll);
@@ -412,23 +412,23 @@ mod tests {
 
     #[test]
     fn selection_predicate_written_in_row() {
-        let d = diagram("SELECT B.bid FROM Boat B WHERE B.color = 'red'");
-        let boat = d.table_by_binding("B").unwrap();
+        let (d, names) = diagram("SELECT B.bid FROM Boat B WHERE B.color = 'red'");
+        let boat = d.table_by_binding(names.get("B").unwrap()).unwrap();
         let sel_row = boat
             .rows
             .iter()
             .find(|r| matches!(r.kind, RowKind::Selection { .. }))
             .unwrap();
-        assert_eq!(sel_row.display(), "color = 'red'");
+        assert_eq!(sel_row.display(&names), "color = 'red'");
     }
 
     #[test]
     fn ordered_op_same_depth_gets_arrow_and_label() {
-        let d = diagram("SELECT A.x FROM T A, T B WHERE A.x < B.x");
+        let (d, names) = diagram("SELECT A.x FROM T A, T B WHERE A.x < B.x");
         let e = d.edges.iter().find(|e| e.label.is_some()).unwrap();
         assert!(e.directed);
         assert_eq!(e.label, Some(CompareOp::Lt));
-        assert_eq!(d.tables[e.from.table].binding, "A");
+        assert_eq!(names.resolve(d.tables[e.from.table].binding), "A");
     }
 
     #[test]
@@ -436,19 +436,19 @@ mod tests {
         // B is the parent of the subquery block; predicate is written
         // `S.y > B.x` but the arrow must go B -> S (diff 1), so the label
         // must flip to `<` to read `B.x < S.y`.
-        let d = diagram(
+        let (d, names) = diagram(
             "SELECT B.x FROM T B WHERE NOT EXISTS \
              (SELECT * FROM U S WHERE S.y > B.x)",
         );
         let e = d.edges.iter().find(|e| e.label.is_some()).unwrap();
-        assert_eq!(d.tables[e.from.table].binding, "B");
-        assert_eq!(d.tables[e.to.table].binding, "S");
+        assert_eq!(names.resolve(d.tables[e.from.table].binding), "B");
+        assert_eq!(names.resolve(d.tables[e.to.table].binding), "S");
         assert_eq!(e.label, Some(CompareOp::Lt));
     }
 
     #[test]
     fn select_table_edges_are_undirected() {
-        let d = diagram("SELECT L.drinker, L.beer FROM Likes L");
+        let (d, _) = diagram("SELECT L.drinker, L.beer FROM Likes L");
         let select = &d.tables[d.select_table];
         assert!(select.is_select);
         assert_eq!(select.rows.len(), 2);
@@ -458,9 +458,10 @@ mod tests {
 
     #[test]
     fn group_by_rows_marked() {
-        let d = diagram("SELECT T.AlbumId, MAX(T.Milliseconds) FROM Track T GROUP BY T.AlbumId");
-        let track = d.table_by_binding("T").unwrap();
-        let album_row = &track.rows[track.attr_row("AlbumId").unwrap()];
+        let (d, names) =
+            diagram("SELECT T.AlbumId, MAX(T.Milliseconds) FROM Track T GROUP BY T.AlbumId");
+        let track = d.table_by_binding(names.get("T").unwrap()).unwrap();
+        let album_row = &track.rows[track.attr_row(names.get("AlbumId").unwrap()).unwrap()];
         assert_eq!(album_row.kind, RowKind::GroupBy);
         // Aggregate rows exist on both SELECT and source tables.
         assert!(track
@@ -471,41 +472,42 @@ mod tests {
         assert!(select
             .rows
             .iter()
-            .any(|r| r.display() == "MAX(Milliseconds)"));
+            .any(|r| r.display(&names) == "MAX(Milliseconds)"));
         assert!(select
             .rows
             .iter()
-            .any(|r| r.kind == RowKind::GroupBy && r.column == "AlbumId"));
+            .any(|r| r.kind == RowKind::GroupBy && names.resolve(r.column) == "AlbumId"));
     }
 
     #[test]
     fn count_star_has_no_source_edge() {
-        let d = diagram("SELECT COUNT(*) FROM T GROUP BY T.a");
+        let (d, names) = diagram("SELECT COUNT(*) FROM T GROUP BY T.a");
         let select = &d.tables[d.select_table];
-        assert_eq!(select.rows[0].display(), "COUNT(*)");
+        assert_eq!(select.rows[0].display(&names), "COUNT(*)");
         // Only edges: none for COUNT(*) (no source attribute).
-        assert!(d.edges.iter().all(
-            |e| e.from.table != d.select_table || d.tables[e.to.table].attr_row("a").is_some()
-        ));
+        assert!(d.edges.iter().all(|e| e.from.table != d.select_table
+            || d.tables[e.to.table]
+                .attr_row(names.get("a").unwrap())
+                .is_some()));
     }
 
     #[test]
     fn exists_block_has_no_box() {
-        let d = diagram(
+        let (d, names) = diagram(
             "SELECT L.drinker FROM Likes L WHERE EXISTS \
              (SELECT * FROM Serves S WHERE S.beer = L.beer)",
         );
         assert_eq!(d.boxes.len(), 0);
         // But the join edge is still directed by depth (0 -> 1).
         let e = d.edges.iter().find(|e| e.directed).unwrap();
-        assert_eq!(d.tables[e.from.table].binding, "L");
+        assert_eq!(names.resolve(d.tables[e.from.table].binding), "L");
     }
 
     #[test]
     fn rows_appear_in_first_use_order() {
-        let d = diagram(UNIQUE_SET);
-        let l4 = d.table_by_binding("L4").unwrap();
-        let cols: Vec<&str> = l4.rows.iter().map(|r| r.column.as_str()).collect();
+        let (d, names) = diagram(UNIQUE_SET);
+        let l4 = d.table_by_binding(names.get("L4").unwrap()).unwrap();
+        let cols: Vec<&str> = l4.rows.iter().map(|r| names.resolve(r.column)).collect();
         assert_eq!(cols, vec!["drinker", "beer"]);
     }
 }

@@ -5,7 +5,7 @@
 //! from `queryvis-layout`) and of pixels (colors/strokes come from
 //! `queryvis-render`).
 
-use queryvis_ir::{Symbol, SymbolQuery};
+use queryvis_ir::{NamedDisplay, Names, Symbol};
 use queryvis_logic::{NodeId, Quantifier};
 use queryvis_sql::{AggFunc, CompareOp, Value};
 use std::fmt;
@@ -38,7 +38,7 @@ pub enum RowKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRow {
     /// The attribute name (for aggregates, the argument attribute name, or
-    /// `*` for `COUNT(*)`), interned.
+    /// [`Names::STAR`] for `COUNT(*)`).
     pub column: Symbol,
     pub kind: RowKind,
 }
@@ -48,11 +48,11 @@ impl TableRow {
     /// unused trailing pieces empty: `column`, `column op value`,
     /// `FUNC(column)` or `FUNC(column) op value`, a string value in single
     /// quotes. This is the one definition of the row text (render-boundary
-    /// resolution: here the interned names become strings again).
+    /// resolution: here the query's `names` become strings again).
     /// [`TableRow::display`] joins the pieces and
     /// [`TableRow::display_chars`] counts them.
-    fn text_pieces(&self) -> [&'static str; 9] {
-        let column = self.column.as_str();
+    fn text_pieces<'a>(&'a self, names: &'a Names) -> [&'a str; 9] {
+        let column = names.resolve(self.column);
         let quote = |value: &Value| match value {
             Value::Number(_) => "",
             Value::Str(_) => "'",
@@ -61,7 +61,17 @@ impl TableRow {
             RowKind::Attribute | RowKind::GroupBy => [column, "", "", "", "", "", "", "", ""],
             RowKind::Selection { op, value } => {
                 let q = quote(value);
-                [column, " ", op.as_str(), " ", q, value.text(), q, "", ""]
+                [
+                    column,
+                    " ",
+                    op.as_str(),
+                    " ",
+                    q,
+                    value.text(names),
+                    q,
+                    "",
+                    "",
+                ]
             }
             RowKind::Aggregate { func } => [func.as_str(), "(", column, ")", "", "", "", "", ""],
             RowKind::Having { func, op, value } => {
@@ -74,7 +84,7 @@ impl TableRow {
                     op.as_str(),
                     " ",
                     q,
-                    value.text(),
+                    value.text(names),
                     q,
                 ]
             }
@@ -82,15 +92,18 @@ impl TableRow {
     }
 
     /// The text displayed in the row, in one exact-size allocation.
-    pub fn display(&self) -> String {
-        self.text_pieces().concat()
+    pub fn display(&self, names: &Names) -> String {
+        self.text_pieces(names).concat()
     }
 
     /// The number of chars [`TableRow::display`] holds, counted without
     /// building it. Layout sizes a row by this count: a row is as wide as
     /// the characters it displays, however many bytes encode them.
-    pub fn display_chars(&self) -> usize {
-        self.text_pieces().iter().map(|p| p.chars().count()).sum()
+    pub fn display_chars(&self, names: &Names) -> usize {
+        self.text_pieces(names)
+            .iter()
+            .map(|p| p.chars().count())
+            .sum()
     }
 }
 
@@ -115,9 +128,7 @@ pub struct DiagramTable {
 
 impl DiagramTable {
     /// Index of the first attribute/group-by row for `column`, if present.
-    /// String probes never intern (see [`SymbolQuery`]).
-    pub fn attr_row(&self, column: impl SymbolQuery) -> Option<usize> {
-        let column = column.find()?;
+    pub fn attr_row(&self, column: Symbol) -> Option<usize> {
         self.rows.iter().position(|r| {
             r.column == column && matches!(r.kind, RowKind::Attribute | RowKind::GroupBy)
         })
@@ -171,16 +182,13 @@ impl Diagram {
         &self.tables[id]
     }
 
-    /// Find a table by its binding key. String probes never intern.
-    pub fn table_by_binding(&self, binding: impl SymbolQuery) -> Option<&DiagramTable> {
-        let binding = binding.find()?;
+    /// Find a table by its binding key.
+    pub fn table_by_binding(&self, binding: Symbol) -> Option<&DiagramTable> {
         self.tables.iter().find(|t| t.binding == binding)
     }
 
-    /// Find a table by its display alias (first match). String probes
-    /// never intern.
-    pub fn table_by_alias(&self, alias: impl SymbolQuery) -> Option<&DiagramTable> {
-        let alias = alias.find()?;
+    /// Find a table by its display alias (first match).
+    pub fn table_by_alias(&self, alias: Symbol) -> Option<&DiagramTable> {
         self.tables
             .iter()
             .find(|t| t.alias == alias && !t.is_select)
@@ -213,30 +221,30 @@ impl Diagram {
     }
 }
 
-impl fmt::Display for Diagram {
+impl NamedDisplay for Diagram {
     /// A compact text dump used in logs and golden tests.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for table in &self.tables {
             let boxed = match self.box_of(table.id) {
                 Some(b) => format!(" [{}]", b.quantifier),
                 None => String::new(),
             };
-            writeln!(f, "table {} `{}`{}:", table.id, table.name, boxed)?;
+            let name = names.resolve(table.name);
+            writeln!(f, "table {} `{name}`{boxed}:", table.id)?;
             for row in &table.rows {
-                writeln!(f, "  | {}", row.display())?;
+                writeln!(f, "  | {}", row.display(names))?;
             }
         }
+        let end = |e: &EdgeEndpoint| {
+            let table = &self.tables[e.table];
+            let column = table.rows[e.row].column;
+            format!("{}.{}", names.resolve(table.binding), names.resolve(column))
+        };
         for edge in &self.edges {
             let arrow = if edge.directed { "->" } else { "--" };
             let label = edge.label.map(|op| format!(" [{op}]")).unwrap_or_default();
-            writeln!(
-                f,
-                "edge {}.{} {arrow} {}.{}{label}",
-                self.tables[edge.from.table].binding,
-                self.tables[edge.from.table].rows[edge.from.row].column,
-                self.tables[edge.to.table].binding,
-                self.tables[edge.to.table].rows[edge.to.row].column,
-            )?;
+            let (from, to) = (end(&edge.from), end(&edge.to));
+            writeln!(f, "edge {from} {arrow} {to}{label}")?;
         }
         Ok(())
     }
@@ -248,24 +256,25 @@ mod tests {
 
     #[test]
     fn row_display_variants() {
+        let mut names = Names::new();
         let attr = TableRow {
-            column: "drinker".into(),
+            column: names.intern("drinker"),
             kind: RowKind::Attribute,
         };
-        assert_eq!(attr.display(), "drinker");
         let sel = TableRow {
-            column: "color".into(),
+            column: names.intern("color"),
             kind: RowKind::Selection {
                 op: CompareOp::Eq,
-                value: Value::Str("red".into()),
+                value: Value::Str(names.intern("red")),
             },
         };
-        assert_eq!(sel.display(), "color = 'red'");
         let agg = TableRow {
-            column: "Quantity".into(),
+            column: names.intern("Quantity"),
             kind: RowKind::Aggregate { func: AggFunc::Sum },
         };
-        assert_eq!(agg.display(), "SUM(Quantity)");
+        assert_eq!(attr.display(&names), "drinker");
+        assert_eq!(sel.display(&names), "color = 'red'");
+        assert_eq!(agg.display(&names), "SUM(Quantity)");
     }
 
     /// The char count layout sizes a row by is the char count of the text
@@ -273,25 +282,26 @@ mod tests {
     /// included; a count of bytes would widen these rows.
     #[test]
     fn display_chars_counts_the_displayed_chars() {
+        let mut names = Names::new();
         let rows = [
             RowKind::Attribute,
             RowKind::GroupBy,
             RowKind::Selection {
                 op: CompareOp::Ne,
-                value: Value::Str("Žatec ∄".into()),
+                value: Value::Str(names.intern("Žatec ∄")),
             },
             RowKind::Aggregate { func: AggFunc::Avg },
             RowKind::Having {
                 func: AggFunc::Count,
                 op: CompareOp::Ge,
-                value: Value::Number("3".into()),
+                value: Value::Number(names.intern("3")),
             },
         ]
         .map(|kind| TableRow {
-            column: "Übersicht".into(),
+            column: names.intern("Übersicht"),
             kind,
         });
-        let texts: Vec<String> = rows.iter().map(TableRow::display).collect();
+        let texts: Vec<String> = rows.iter().map(|row| row.display(&names)).collect();
         assert_eq!(
             texts,
             [
@@ -304,27 +314,30 @@ mod tests {
         );
         for (row, text) in rows.iter().zip(&texts) {
             assert!(text.chars().count() < text.len(), "{text} is multibyte");
-            assert_eq!(row.display_chars(), text.chars().count(), "{text}");
+            assert_eq!(row.display_chars(&names), text.chars().count(), "{text}");
         }
     }
 
     #[test]
     fn attr_row_lookup_skips_selection_rows() {
+        let mut names = Names::new();
+        let mut n = |text: &str| names.intern(text);
+        let (b, boat, color, red, bid) = (n("B"), n("Boat"), n("color"), n("red"), n("bid"));
         let table = DiagramTable {
             id: 0,
-            binding: "B".into(),
-            alias: "B".into(),
-            name: "Boat".into(),
+            binding: b,
+            alias: b,
+            name: boat,
             rows: vec![
                 TableRow {
-                    column: "color".into(),
+                    column: color,
                     kind: RowKind::Selection {
                         op: CompareOp::Eq,
-                        value: Value::Str("red".into()),
+                        value: Value::Str(red),
                     },
                 },
                 TableRow {
-                    column: "bid".into(),
+                    column: bid,
                     kind: RowKind::Attribute,
                 },
             ],
@@ -332,7 +345,7 @@ mod tests {
             depth: 1,
             is_select: false,
         };
-        assert_eq!(table.attr_row("bid"), Some(1));
-        assert_eq!(table.attr_row("color"), None);
+        assert_eq!(table.attr_row(bid), Some(1));
+        assert_eq!(table.attr_row(color), None);
     }
 }

@@ -10,6 +10,7 @@
 //! paper's footnote 1 describes.
 
 use crate::model::{Diagram, TableId};
+use queryvis_ir::Names;
 use queryvis_logic::Quantifier;
 
 /// One step of the reading order.
@@ -102,7 +103,9 @@ pub fn reading_order(diagram: &Diagram) -> Vec<ReadingStep> {
 /// the reading order and the interpretation rule of §4.6: an edge from
 /// `S.attr1` to a ∄-quantified `T.attr2` labeled `<` reads "there does not
 /// exist any tuple in T where S.attr1 < T.attr2".
-pub fn render_reading(diagram: &Diagram) -> String {
+///
+/// The diagram's names live in `names`.
+pub fn render_reading(diagram: &Diagram, names: &Names) -> String {
     let steps = reading_order(diagram);
     let mut out = String::new();
 
@@ -113,7 +116,7 @@ pub fn render_reading(diagram: &Diagram) -> String {
         .rows
         .iter()
         .filter(|r| !matches!(r.kind, crate::model::RowKind::Having { .. }))
-        .map(|r| r.display())
+        .map(|r| r.display(names))
         .collect();
     out.push_str(&format!("Return {}", cols.join(", ")));
 
@@ -131,10 +134,8 @@ pub fn render_reading(diagram: &Diagram) -> String {
             }
         };
         let connective = if step.restart { "; and" } else { "," };
-        out.push_str(&format!(
-            "{connective} {phrase} {} in {}",
-            table.alias, table.name
-        ));
+        let (alias, name) = (names.resolve(table.alias), names.resolve(table.name));
+        out.push_str(&format!("{connective} {phrase} {alias} in {name}"));
 
         // Conditions: edges between this table and tables already read.
         let mut conds = Vec::new();
@@ -156,8 +157,8 @@ pub fn render_reading(diagram: &Diagram) -> String {
             if !read_before {
                 continue;
             }
-            let here_col = &diagram.tables[step.table].rows[here.row].column;
-            let there_col = &other.rows[there.row].column;
+            let here_col = names.resolve(diagram.tables[step.table].rows[here.row].column);
+            let there_col = names.resolve(other.rows[there.row].column);
             // Orient the operator so it reads here-first.
             let op = match edge.label {
                 None => queryvis_sql::CompareOp::Eq,
@@ -169,15 +170,13 @@ pub fn render_reading(diagram: &Diagram) -> String {
                     }
                 }
             };
-            conds.push(format!(
-                "{}.{here_col} {op} {}.{there_col}",
-                table.alias, other.alias
-            ));
+            let other_alias = names.resolve(other.alias);
+            conds.push(format!("{alias}.{here_col} {op} {other_alias}.{there_col}"));
         }
         // Selection rows read as in-place conditions.
         for row in &table.rows {
             if let crate::model::RowKind::Selection { .. } = row.kind {
-                conds.push(format!("{}.{}", table.alias, row.display()));
+                conds.push(format!("{alias}.{}", row.display(names)));
             }
         }
         if !conds.is_empty() {
@@ -189,7 +188,7 @@ pub fn render_reading(diagram: &Diagram) -> String {
         .rows
         .iter()
         .filter(|r| matches!(r.kind, crate::model::RowKind::Having { .. }))
-        .map(|r| r.display())
+        .map(|r| r.display(names))
         .collect();
     if !having.is_empty() {
         out.push_str(&format!(
@@ -206,10 +205,15 @@ mod tests {
     use super::*;
     use crate::build::build_diagram;
     use queryvis_logic::{simplify, translate};
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
-    fn diagram(sql: &str) -> Diagram {
-        build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap())
+    fn diagram(sql: &str) -> (Diagram, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (
+            build_diagram(&translate(&query, None, &mut names).unwrap()),
+            names,
+        )
     }
 
     const UNIQUE_SET: &str = "SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
@@ -228,11 +232,11 @@ mod tests {
     #[test]
     fn unique_set_reading_matches_footnote_1() {
         // Expected: L1 → L2 → L3 → L4, restart at source L5, then L6.
-        let d = diagram(UNIQUE_SET);
+        let (d, names) = diagram(UNIQUE_SET);
         let steps = reading_order(&d);
         let order: Vec<&str> = steps
             .iter()
-            .map(|s| d.tables[s.table].binding.as_str())
+            .map(|s| names.resolve(d.tables[s.table].binding))
             .collect();
         assert_eq!(order, vec!["L1", "L2", "L3", "L4", "L5", "L6"]);
         assert!(steps[4].restart, "L5 must begin a restart");
@@ -241,7 +245,7 @@ mod tests {
 
     #[test]
     fn conjunctive_reading_visits_everything() {
-        let d = diagram(
+        let (d, _) = diagram(
             "SELECT F.person FROM Frequents F, Likes L, Serves S \
              WHERE F.person = L.person AND F.bar = S.bar AND L.drink = S.drink",
         );
@@ -252,14 +256,16 @@ mod tests {
 
     #[test]
     fn reading_text_mentions_quantifiers_in_order() {
+        let mut names = Names::new();
         let q = parse_query(
             "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
              (SELECT L.drink FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))",
+            &mut names,
         )
         .unwrap();
-        let d = build_diagram(&simplify(&translate(&q, None).unwrap()));
-        let text = render_reading(&d);
+        let d = build_diagram(&simplify(&translate(&q, None, &mut names).unwrap()));
+        let text = render_reading(&d, &names);
         assert!(text.starts_with("Return person"));
         let forall_pos = text.find("for all tuples").unwrap();
         let exists_pos = text.find("there exists a tuple").unwrap();
@@ -269,18 +275,18 @@ mod tests {
 
     #[test]
     fn reading_includes_selection_conditions() {
-        let d = diagram("SELECT B.bid FROM Boat B WHERE B.color = 'red'");
-        let text = render_reading(&d);
+        let (d, names) = diagram("SELECT B.bid FROM Boat B WHERE B.color = 'red'");
+        let text = render_reading(&d, &names);
         assert!(text.contains("B.color = 'red'"), "{text}");
     }
 
     #[test]
     fn reading_orients_operator_along_visit_order() {
-        let d = diagram(
+        let (d, names) = diagram(
             "SELECT B.x FROM T B WHERE NOT EXISTS \
              (SELECT * FROM U S WHERE S.y > B.x)",
         );
-        let text = render_reading(&d);
+        let text = render_reading(&d, &names);
         // Reading visits B then S; when S is read the condition must be
         // stated from S's perspective: S.y > B.x.
         assert!(text.contains("S.y > B.x"), "{text}");

@@ -112,7 +112,7 @@ mod tests {
     use super::*;
     use crate::build::build_diagram;
     use queryvis_logic::{simplify, translate};
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
     const QSOME: &str = "SELECT F.person FROM Frequents F, Likes L, Serves S \
         WHERE F.person = L.person AND F.bar = S.bar AND L.drink = S.drink";
@@ -122,7 +122,9 @@ mod tests {
         (SELECT L.drink FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))";
 
     fn stats(sql: &str, simplified: bool) -> DiagramStats {
-        let lt = translate(&parse_query(sql).unwrap(), None).unwrap();
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        let lt = translate(&query, None, &mut names).unwrap();
         let lt = if simplified { simplify(&lt) } else { lt };
         diagram_stats(&build_diagram(&lt))
     }

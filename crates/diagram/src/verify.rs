@@ -136,10 +136,15 @@ mod tests {
     use crate::build::build_diagram;
     use crate::model::{Edge, EdgeEndpoint};
     use queryvis_logic::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
-    fn diagram(sql: &str) -> Diagram {
-        build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap())
+    fn diagram(sql: &str) -> (Diagram, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (
+            build_diagram(&translate(&query, None, &mut names).unwrap()),
+            names,
+        )
     }
 
     #[test]
@@ -151,13 +156,13 @@ mod tests {
              (SELECT * FROM Serves S WHERE S.bar = F.bar)",
             "SELECT T.a, COUNT(T.b) FROM T GROUP BY T.a",
         ] {
-            assert!(verify_diagram(&diagram(sql)).is_empty(), "{sql}");
+            assert!(verify_diagram(&diagram(sql).0).is_empty(), "{sql}");
         }
     }
 
     #[test]
     fn detects_dangling_endpoint() {
-        let mut d = diagram("SELECT L.drinker FROM Likes L");
+        let (mut d, _) = diagram("SELECT L.drinker FROM Likes L");
         d.edges.push(Edge {
             from: EdgeEndpoint { table: 0, row: 99 },
             to: EdgeEndpoint { table: 42, row: 0 },
@@ -172,8 +177,8 @@ mod tests {
 
     #[test]
     fn detects_self_loop() {
-        let mut d = diagram("SELECT L.drinker, L.beer FROM Likes L");
-        let likes = d.table_by_binding("L").unwrap().id;
+        let (mut d, names) = diagram("SELECT L.drinker, L.beer FROM Likes L");
+        let likes = d.table_by_binding(names.get("L").unwrap()).unwrap().id;
         d.edges.push(Edge {
             from: EdgeEndpoint {
                 table: likes,
@@ -193,7 +198,8 @@ mod tests {
 
     #[test]
     fn detects_redundant_equality_label() {
-        let mut d = diagram("SELECT F.person FROM Frequents F, Likes L WHERE F.person = L.person");
+        let (mut d, _) =
+            diagram("SELECT F.person FROM Frequents F, Likes L WHERE F.person = L.person");
         // Force a `=` label onto the first join edge.
         let idx = d.edges.iter().position(|e| !e.directed).unwrap();
         d.edges[idx].label = Some(queryvis_sql::CompareOp::Eq);
@@ -204,7 +210,7 @@ mod tests {
 
     #[test]
     fn detects_box_enclosing_select() {
-        let mut d = diagram(
+        let (mut d, _) = diagram(
             "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar)",
         );
@@ -216,7 +222,7 @@ mod tests {
 
     #[test]
     fn detects_missing_select_table() {
-        let mut d = diagram("SELECT L.drinker FROM Likes L");
+        let (mut d, _) = diagram("SELECT L.drinker FROM Likes L");
         let sel = d.select_table;
         d.tables[sel].is_select = false;
         assert!(verify_diagram(&d).contains(&DiagramDefect::MissingSelectTable));

@@ -18,7 +18,8 @@ impl Table {
 }
 
 /// A database: base tables by (case-sensitive) name, exactly as the query
-/// spells them.
+/// spells them. Table and column names are symbols of the one query's
+/// name table the database was generated for.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     pub tables: HashMap<Symbol, Table>,

@@ -19,7 +19,7 @@ use crate::datum::{eval_op, row_cmp, Datum, DatumKey};
 use crate::db::{Database, Table};
 use queryvis_logic::{AttrRef, LogicTree, NodeId, Quantifier, SelectAttr};
 use queryvis_logic::{LtOperand, LtPredicate};
-use queryvis_sql::{AggFunc, Symbol, Value};
+use queryvis_sql::{AggFunc, Names, Symbol, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -114,10 +114,12 @@ pub fn render_row(row: &[Datum]) -> String {
 ///
 /// `trees` are the query's branch logic trees ([`queryvis::PreparedQuery::trees`]
 /// order); more than one branch combines under `UNION ALL` when
-/// `union_all`, plain deduplicating `UNION` otherwise.
+/// `union_all`, plain deduplicating `UNION` otherwise. Their names live in
+/// `names`, the table `db` is keyed by.
 pub fn execute(
     trees: &[&LogicTree],
     union_all: bool,
+    names: &Names,
     db: &Database,
     budget: u64,
 ) -> Result<ResultSet, ExecError> {
@@ -126,6 +128,7 @@ pub fn execute(
     for tree in trees {
         let mut ev = Evaluator {
             tree,
+            names,
             db,
             budget: &mut budget,
         };
@@ -144,17 +147,18 @@ type Env = HashMap<Symbol, (Symbol, usize)>;
 
 struct Evaluator<'a> {
     tree: &'a LogicTree,
+    names: &'a Names,
     db: &'a Database,
     budget: &'a mut u64,
 }
 
-fn const_datum(v: Value) -> Result<Datum, ExecError> {
+fn const_datum(v: Value, names: &Names) -> Result<Datum, ExecError> {
     match v {
         Value::Number(_) => v
-            .numeric()
+            .numeric(names)
             .map(Datum::Num)
-            .ok_or_else(|| ExecError::BadLiteral(v.to_string())),
-        Value::Str(_) => Ok(Datum::Str(v.text().to_string())),
+            .ok_or_else(|| ExecError::BadLiteral(names.show(&v).to_string())),
+        Value::Str(_) => Ok(Datum::Str(v.text(names).to_string())),
     }
 }
 
@@ -171,17 +175,17 @@ impl<'a> Evaluator<'a> {
         self.db
             .tables
             .get(&name)
-            .ok_or_else(|| ExecError::MissingTable(name.as_str().to_string()))
+            .ok_or_else(|| ExecError::MissingTable(self.names.resolve(name).to_string()))
     }
 
     fn value(&self, env: &Env, a: AttrRef) -> Result<Datum, ExecError> {
         let &(table, row) = env
             .get(&a.binding)
-            .ok_or_else(|| ExecError::MissingBinding(a.binding.as_str().to_string()))?;
+            .ok_or_else(|| ExecError::MissingBinding(self.names.resolve(a.binding).to_string()))?;
         let t = self.table(table)?;
         let ci = t
             .col(a.column)
-            .ok_or_else(|| ExecError::MissingColumn(format!("{}.{}", a.binding, a.column)))?;
+            .ok_or_else(|| ExecError::MissingColumn(self.names.show(&a).to_string()))?;
         Ok(t.rows[row][ci].clone())
     }
 
@@ -191,7 +195,7 @@ impl<'a> Evaluator<'a> {
             let lhs = self.value(env, p.lhs)?;
             let rhs = match p.rhs {
                 LtOperand::Attr(a) => self.value(env, a)?,
-                LtOperand::Const(v) => const_datum(v)?,
+                LtOperand::Const(v) => const_datum(v, self.names)?,
             };
             if eval_op(p.op, &lhs, &rhs) != Some(true) {
                 return Ok(false);
@@ -414,7 +418,7 @@ impl<'a> Evaluator<'a> {
         'group: for members in groups.values() {
             for h in &tree.having {
                 let agg = self.aggregate(h.func, h.arg, members)?;
-                let rhs = const_datum(h.value)?;
+                let rhs = const_datum(h.value, self.names)?;
                 if eval_op(h.op, &agg, &rhs) != Some(true) {
                     continue 'group;
                 }
@@ -443,32 +447,45 @@ impl<'a> Evaluator<'a> {
 mod tests {
     use super::*;
 
-    fn sym(s: &str) -> Symbol {
-        s.into()
-    }
+    /// Tables by name: column names and rows.
+    type Tables = Vec<(String, Vec<String>, Vec<Vec<Datum>>)>;
 
     #[allow(clippy::type_complexity)]
-    fn db(tables: &[(&str, &[&str], &[&[Datum]])]) -> Database {
+    fn db(tables: &[(&str, &[&str], &[&[Datum]])]) -> Tables {
+        tables
+            .iter()
+            .map(|(name, cols, rows)| {
+                let cols = cols.iter().map(|c| c.to_string()).collect();
+                (
+                    name.to_string(),
+                    cols,
+                    rows.iter().map(|r| r.to_vec()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// The database of `tables` for one query: its names interned into a
+    /// copy of the query's table, which the query's symbols resolve in.
+    fn materialize(tables: &Tables, q: &queryvis::PreparedQuery) -> (Database, Names) {
+        let mut names = q.names().clone();
         let mut d = Database::default();
         for (name, cols, rows) in tables {
-            d.tables.insert(
-                sym(name),
-                Table {
-                    columns: cols.iter().map(|c| sym(c)).collect(),
-                    rows: rows.iter().map(|r| r.to_vec()).collect(),
-                },
-            );
+            let columns = cols.iter().map(|c| names.intern(c)).collect();
+            let rows = rows.clone();
+            d.tables.insert(names.intern(name), Table { columns, rows });
         }
-        d
+        (d, names)
     }
 
     fn prepare(sql: &str) -> queryvis::PreparedQuery {
         queryvis::QueryVis::prepare(sql, queryvis::QueryVisOptions::default()).unwrap()
     }
 
-    fn run(sql: &str, d: &Database) -> ResultSet {
+    fn run(sql: &str, tables: &Tables) -> ResultSet {
         let q = prepare(sql);
-        execute(&q.trees(), q.union_all, d, DEFAULT_BUDGET).unwrap()
+        let (d, names) = materialize(tables, &q);
+        execute(&q.trees(), q.union_all, &names, &d, DEFAULT_BUDGET).unwrap()
     }
 
     fn num(n: f64) -> Datum {
@@ -559,9 +576,9 @@ mod tests {
     fn budget_guard_trips() {
         let rows: Vec<Vec<Datum>> = (0..50).map(|i| vec![num(i as f64)]).collect();
         let row_refs: Vec<&[Datum]> = rows.iter().map(|r| r.as_slice()).collect();
-        let d = db(&[("T", &["a"], &row_refs)]);
         let q = prepare("SELECT A.a FROM T A, T B, T C, T D WHERE A.a = B.a");
-        let err = execute(&q.trees(), q.union_all, &d, 1000).unwrap_err();
+        let (d, names) = materialize(&db(&[("T", &["a"], &row_refs)]), &q);
+        let err = execute(&q.trees(), q.union_all, &names, &d, 1000).unwrap_err();
         assert_eq!(err, ExecError::Budget);
     }
 }

@@ -15,7 +15,7 @@ use crate::datum::Datum;
 use crate::eval::{execute, ExecError, ResultSet, DEFAULT_BUDGET};
 use crate::transport::Analysis;
 use queryvis::PreparedQuery;
-use queryvis_logic::LogicTree;
+use queryvis_logic::{LogicTree, Names};
 
 /// A minimized, reproducible semantic divergence between two queries
 /// that were expected to agree.
@@ -85,16 +85,28 @@ pub fn check_pair(
     seed: u64,
     rows_per_table: usize,
 ) -> Result<PairOutcome, ExecError> {
-    let la = Analysis::of(&left.trees(), left.union_all)?;
-    let ra = Analysis::of(&right.trees(), right.union_all)?;
+    let la = Analysis::of(&left.trees(), left.union_all, left.names())?;
+    let ra = Analysis::of(&right.trees(), right.union_all, right.names())?;
     if let Err(reason) = Analysis::compatible(&la, &ra) {
         return Ok(PairOutcome::Incompatible(reason));
     }
     let run = |rows: usize| -> Result<Option<Divergence>, ExecError> {
         let ldb = la.database(seed, rows);
         let rdb = ra.database(seed, rows);
-        let lres = execute(&left.trees(), left.union_all, &ldb, DEFAULT_BUDGET)?;
-        let rres = execute(&right.trees(), right.union_all, &rdb, DEFAULT_BUDGET)?;
+        let lres = execute(
+            &left.trees(),
+            left.union_all,
+            left.names(),
+            &ldb,
+            DEFAULT_BUDGET,
+        )?;
+        let rres = execute(
+            &right.trees(),
+            right.union_all,
+            right.names(),
+            &rdb,
+            DEFAULT_BUDGET,
+        )?;
         if lres == rres {
             return Ok(None);
         }
@@ -129,7 +141,8 @@ pub fn check_simplify(
     seed: u64,
     rows_per_table: usize,
 ) -> Result<Option<Divergence>, ExecError> {
-    let analysis = Analysis::of(&query.trees(), query.union_all)?;
+    let names = query.names();
+    let analysis = Analysis::of(&query.trees(), query.union_all, names)?;
     let simplified: Vec<LogicTree> = query
         .trees()
         .iter()
@@ -138,8 +151,8 @@ pub fn check_simplify(
     let simp_refs: Vec<&LogicTree> = simplified.iter().collect();
     let run = |rows: usize| -> Result<Option<Divergence>, ExecError> {
         let db = analysis.database(seed, rows);
-        let raw = execute(&query.trees(), query.union_all, &db, DEFAULT_BUDGET)?;
-        let simp = execute(&simp_refs, query.union_all, &db, DEFAULT_BUDGET)?;
+        let raw = execute(&query.trees(), query.union_all, names, &db, DEFAULT_BUDGET)?;
+        let simp = execute(&simp_refs, query.union_all, names, &db, DEFAULT_BUDGET)?;
         if raw == simp {
             return Ok(None);
         }
@@ -170,14 +183,15 @@ pub fn check_simplify(
 pub fn sample_rows(
     trees: &[&LogicTree],
     union_all: bool,
+    names: &Names,
     seed: u64,
     rows_per_table: usize,
     cap: usize,
     budget: u64,
 ) -> Result<(Vec<Vec<Datum>>, bool), ExecError> {
-    let analysis = Analysis::of(trees, union_all)?;
+    let analysis = Analysis::of(trees, union_all, names)?;
     let db = analysis.database(seed, rows_per_table);
-    let result = execute(trees, union_all, &db, budget)?;
+    let result = execute(trees, union_all, names, &db, budget)?;
     let truncated = result.rows.len() > cap;
     let mut rows = result.rows;
     rows.truncate(cap);
@@ -257,7 +271,7 @@ mod tests {
     fn sample_rows_caps_and_flags_truncation() {
         let q = prepare("SELECT A.x FROM T A, T B");
         let (rows, truncated) =
-            sample_rows(&q.trees(), q.union_all, 1, 5, 3, DEFAULT_BUDGET).unwrap();
+            sample_rows(&q.trees(), q.union_all, q.names(), 1, 5, 3, DEFAULT_BUDGET).unwrap();
         assert_eq!(rows.len(), 3);
         assert!(truncated); // 25 assignments > 3
     }

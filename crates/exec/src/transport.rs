@@ -25,7 +25,7 @@ use crate::db::{Database, Table};
 use crate::eval::ExecError;
 use queryvis::PatternKey;
 use queryvis_logic::{LogicTree, LtOperand, SelectAttr};
-use queryvis_sql::{AggFunc, Symbol, Value};
+use queryvis_sql::{AggFunc, Names, Symbol, Value};
 use std::collections::HashMap;
 
 /// Global binding id: (canonical branch rank, canonical binding index).
@@ -212,8 +212,10 @@ fn internal(msg: &str) -> ExecError {
 impl Analysis {
     /// Analyze one query's branches (the [`queryvis::PreparedQuery::trees`]
     /// order) for data transport.
-    pub fn of(trees: &[&LogicTree], union_all: bool) -> Result<Analysis, ExecError> {
-        let erasures = PatternKey::branch_erasures(trees);
+    /// The trees' names live in `names`; the database it materializes is
+    /// keyed by that table's symbols.
+    pub fn of(trees: &[&LogicTree], union_all: bool, names: &Names) -> Result<Analysis, ExecError> {
+        let erasures = PatternKey::branch_erasures(trees, names);
         let branches: Vec<BranchMap> = erasures
             .iter()
             .map(|e| BranchMap {
@@ -368,12 +370,13 @@ impl Analysis {
         // after the pools exist.
         let mut raw_uses: Vec<(u8, u32, u32, Option<SlotId>, usize, Value)> = Vec::new();
 
-        fn add_const(g: usize, v: Value, nums: &mut [Vec<f64>], strs: &mut [Vec<String>]) {
-            match v.numeric() {
+        let add_const =
+            |g: usize, v: Value, nums: &mut [Vec<f64>], strs: &mut [Vec<String>]| match v
+                .numeric(names)
+            {
                 Some(n) => nums[g].push(n),
-                None => strs[g].push(v.text().to_string()),
-            }
-        }
+                None => strs[g].push(v.text(names).to_string()),
+            };
 
         for (tree, bm) in trees.iter().zip(&branches) {
             // Output-visible slots: selected columns and aggregate
@@ -459,9 +462,9 @@ impl Analysis {
         let mut const_uses: Vec<ConstUse> = raw_uses
             .into_iter()
             .map(|(kind, func, op, slot, g, v)| {
-                let datum = match v.numeric() {
+                let datum = match v.numeric(names) {
                     Some(n) => Datum::Num(n),
-                    None => Datum::Str(v.text().to_string()),
+                    None => Datum::Str(v.text(names).to_string()),
                 };
                 if kind == 2 {
                     // Literal kind: carried by value.
@@ -628,9 +631,12 @@ mod tests {
         queryvis::QueryVis::prepare(sql, QueryVisOptions::default()).unwrap()
     }
 
+    fn analysis_of(q: &PreparedQuery) -> Analysis {
+        Analysis::of(&q.trees(), q.union_all, q.names()).unwrap()
+    }
+
     fn analysis(sql: &str) -> Analysis {
-        let q = prepare(sql);
-        Analysis::of(&q.trees(), q.union_all).unwrap()
+        analysis_of(&prepare(sql))
     }
 
     #[test]
@@ -661,17 +667,14 @@ mod tests {
     fn renamed_queries_are_compatible_and_agree() {
         let a = prepare("SELECT A.x FROM T A, T B WHERE A.x = B.y AND B.z > 5");
         let b = prepare("SELECT P.u FROM Rel P, Rel Q WHERE P.u = Q.v AND Q.w > 9");
-        let (aa, ab) = (
-            Analysis::of(&a.trees(), a.union_all).unwrap(),
-            Analysis::of(&b.trees(), b.union_all).unwrap(),
-        );
+        let (aa, ab) = (analysis_of(&a), analysis_of(&b));
         // The differing constants (5 vs 9) sit on a non-projected group
         // (`z` alone), so the shapes line up and the pair is provable.
         Analysis::compatible(&aa, &ab).unwrap();
         for seed in [1, 2, 3] {
             let (da, dbb) = (aa.database(seed, 5), ab.database(seed, 5));
-            let ra = execute(&a.trees(), a.union_all, &da, DEFAULT_BUDGET).unwrap();
-            let rb = execute(&b.trees(), b.union_all, &dbb, DEFAULT_BUDGET).unwrap();
+            let ra = execute(&a.trees(), a.union_all, a.names(), &da, DEFAULT_BUDGET).unwrap();
+            let rb = execute(&b.trees(), b.union_all, b.names(), &dbb, DEFAULT_BUDGET).unwrap();
             assert_eq!(ra, rb, "seed {seed}");
         }
     }
@@ -713,13 +716,14 @@ mod tests {
 
     #[test]
     fn database_generation_is_deterministic() {
-        let a = analysis("SELECT T.a FROM T WHERE T.a > 3");
+        let q = prepare("SELECT T.a FROM T WHERE T.a > 3");
+        let (a, t) = (analysis_of(&q), q.names().get("T").unwrap());
         let d1 = a.database(7, 4);
         let d2 = a.database(7, 4);
-        let t1 = d1.table("T".into()).unwrap();
-        let t2 = d2.table("T".into()).unwrap();
+        let t1 = d1.table(t).unwrap();
+        let t2 = d2.table(t).unwrap();
         assert_eq!(t1.rows, t2.rows);
         let d3 = a.database(8, 4);
-        assert_ne!(t1.rows, d3.table("T".into()).unwrap().rows);
+        assert_ne!(t1.rows, d3.table(t).unwrap().rows);
     }
 }

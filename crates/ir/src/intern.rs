@@ -1,315 +1,242 @@
-//! Thread-safe string interning with copy-type [`Symbol`] ids.
+//! The interner: per-query name tables. [`Names`] maps each distinct name
+//! one query spells to a copy-type [`Symbol`] and back.
 //!
-//! The interner is the single point where name strings enter the compile
-//! pipeline: the SQL lexer interns every identifier and literal once, and
-//! from then on all layers (AST, pattern IR, diagram model, fingerprints)
-//! carry 4-byte [`Symbol`]s. Equality is an integer compare, hashing is an
-//! integer hash, and the canonical-pattern fingerprint hashes ids instead
-//! of re-hashing string bytes on every request.
+//! The SQL lexer interns every identifier and literal of a query into the
+//! table that query owns (`QueryExpr::names`); translation adds the
+//! binding keys it makes up (`alias#n`). From then on every layer (AST,
+//! logic tree, diagram model, fingerprints) carries 4-byte [`Symbol`]s:
+//! equality is an integer compare, hashing an integer hash, and text comes
+//! back only where something resolves a symbol through its table.
 //!
 //! ## Design
 //!
-//! * **Sharded lookup** — `intern` hashes the string (FNV-1a, independent
-//!   of the map's own hasher) to pick one of [`SHARD_COUNT`] mutex-striped
-//!   maps, mirroring the serving layer's sharded cache so concurrent
-//!   requests interning disjoint names rarely contend.
-//! * **Append-only, leaked storage** — each distinct string is copied once
-//!   into a `Box::leak`ed `&'static str`. Interners never forget a string
-//!   (by definition of interning), so leaking trades an unreclaimable but
-//!   *bounded-by-unique-names* allocation for `resolve` being a plain
-//!   index load with no lifetime gymnastics. Operational consequence for
-//!   long-running servers: memory grows with the number of **distinct**
-//!   names ever seen (identifiers *and* constant literals — both are
-//!   query-controlled), never with request count. `Interner::len()` is
-//!   exported as `ServiceStats::interned_symbols` precisely so deployments
-//!   can watch that curve; a per-epoch or GC'd interner is the designed
-//!   escape hatch if a workload's name vocabulary turns out not to
-//!   plateau.
-//! * **Process-global default** — [`Interner::global()`] is the interner
-//!   of the whole pipeline; [`Symbol::intern`]/[`Symbol::as_str`] and all
-//!   `From<&str>` conversions go through it. Fresh instances
-//!   ([`Interner::new`]) exist for tests that must prove resolution
-//!   stability is a property of the *text*, not of id assignment order.
+//! * **Owned by its query.** A request's table is dropped with the
+//!   request; a cache entry keeps only its representative's. Memory tracks
+//!   the queries that are resident, never every name the process has
+//!   seen.
+//! * **One buffer, no lock.** All texts sit back to back in one `String`
+//!   and each symbol's end offset in a `Vec<u32>`, so resolving is two
+//!   index loads and a slice. Lookup by text probes an open-addressing
+//!   table of symbol ids, keyed by the standard library's randomly seeded
+//!   hasher because names come from requests. No name is allocated on its
+//!   own and nothing is shared between threads, so nothing locks.
+//! * **Two reserved names.** Every table starts with [`Names::SELECT`] and
+//!   [`Names::STAR`], the names the diagram builder makes up (the select
+//!   table and `COUNT(*)`'s row), so building a diagram only reads the
+//!   table.
 //!
 //! ## Invariants
 //!
-//! * A [`Symbol`] is only meaningful to the interner that created it.
-//!   [`Symbol::as_str`] resolves against the global interner; resolving a
-//!   foreign symbol panics (out of range) or aliases another string — use
-//!   [`Interner::resolve`] explicitly when working with a local interner.
-//! * `Symbol`'s `Ord` is **id order** (first-interned first), not
-//!   lexicographic order. Anything that must be stable across processes or
-//!   across differently-interned inputs (the canonical pattern, rendered
-//!   artifacts) must not depend on raw id order; see `queryvis::pattern`.
+//! * A [`Symbol`] is meaningful only to the table that made it. Code that
+//!   meets two queries compares resolved text or canonical coordinates,
+//!   never symbols.
+//! * `Symbol`'s `Ord` is first-interned order within one table: the two
+//!   reserved names, then the query's names in the order they were lexed.
+//!   Anything that must not depend on how a query was spelled (the
+//!   canonical pattern, rendered artifacts) orders by resolved text; see
+//!   `queryvis::pattern`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::num::NonZeroU32;
-use std::sync::{Mutex, OnceLock, RwLock};
 
-/// Number of mutex-striped lookup shards.
-pub const SHARD_COUNT: usize = 16;
-
-/// A 4-byte interned-string id. `Copy`, integer-compared, integer-hashed.
+/// A 4-byte id of a name in one [`Names`] table. `Copy`, integer-compared,
+/// integer-hashed.
 ///
-/// Ids start at 1 so `Option<Symbol>` is pointer-width-free (niche
-/// optimization): an `Option<Symbol>` is still 4 bytes.
+/// Ids start at 1 so `Option<Symbol>` is still 4 bytes (niche
+/// optimization).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(NonZeroU32);
 
 impl Symbol {
-    /// Intern `text` in the process-global interner.
-    pub fn intern(text: &str) -> Symbol {
-        Interner::global().intern(text)
-    }
-
-    /// Resolve against the process-global interner.
-    ///
-    /// Panics if `self` was created by a different [`Interner`] and its id
-    /// is out of the global interner's range (a foreign id *within* range
-    /// silently aliases — never mix symbols from different interners).
-    pub fn as_str(self) -> &'static str {
-        Interner::global().resolve(self)
-    }
-
-    /// Zero-based dense index of this symbol (stable within its interner).
+    /// Zero-based dense index of this symbol within its table.
     pub fn index(self) -> u32 {
         self.0.get() - 1
     }
 
-    fn from_index(index: u32) -> Symbol {
-        Symbol(NonZeroU32::new(index + 1).expect("u32 overflow in interner"))
-    }
-}
-
-impl fmt::Display for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+    /// The symbol at `index`. Checked in every build profile: an id past
+    /// `u32::MAX - 1` panics instead of wrapping to another name.
+    fn from_index(index: usize) -> Symbol {
+        u32::try_from(index)
+            .ok()
+            .and_then(|i| i.checked_add(1))
+            .and_then(NonZeroU32::new)
+            .map(Symbol)
+            .expect("name table overflow")
     }
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match Interner::global().try_resolve(*self) {
-            Some(text) => write!(f, "s{:?}", text),
-            None => write!(f, "Symbol#{}", self.index()),
-        }
+        write!(f, "Symbol#{}", self.index())
     }
 }
 
-impl From<&str> for Symbol {
-    fn from(text: &str) -> Symbol {
-        Symbol::intern(text)
-    }
+/// A query's name table: the text of every [`Symbol`] it hands out.
+#[derive(Clone)]
+pub struct Names {
+    /// Every name's text, back to back, in id order.
+    text: String,
+    /// `ends[i]`: where symbol `i`'s text ends in `text` (it starts where
+    /// symbol `i - 1`'s ends).
+    ends: Vec<u32>,
+    /// Open-addressing lookup by text: each slot is empty or holds a
+    /// symbol and the low half of its text's hash, which growing re-files
+    /// by and probes compare before text. Its length is a power of two,
+    /// kept at least twice the number of names.
+    slots: Vec<(Option<Symbol>, u32)>,
+    /// Places names in `slots`; seeded per table, so request text cannot
+    /// be crafted to collide.
+    hasher: RandomState,
 }
 
-impl From<&String> for Symbol {
-    fn from(text: &String) -> Symbol {
-        Symbol::intern(text)
-    }
-}
-
-impl From<String> for Symbol {
-    fn from(text: String) -> Symbol {
-        Symbol::intern(&text)
-    }
-}
-
-impl From<&Symbol> for Symbol {
-    fn from(sym: &Symbol) -> Symbol {
-        *sym
-    }
-}
-
-impl PartialEq<str> for Symbol {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
-    }
-}
-
-impl PartialEq<&str> for Symbol {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
-    }
-}
-
-impl PartialEq<String> for Symbol {
-    fn eq(&self, other: &String) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl PartialEq<Symbol> for str {
-    fn eq(&self, other: &Symbol) -> bool {
-        self == other.as_str()
-    }
-}
-
-impl PartialEq<Symbol> for &str {
-    fn eq(&self, other: &Symbol) -> bool {
-        *self == other.as_str()
-    }
-}
-
-impl PartialEq<Symbol> for String {
-    fn eq(&self, other: &Symbol) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-/// A lookup key for read-only by-name accessors (`Diagram::table_by_binding`,
-/// `LogicTree::owner_of`, …): an existing [`Symbol`] passes through; string
-/// types probe the global interner **without inserting** — a name that was
-/// never interned cannot label anything in any IR, so the lookup simply
-/// misses. This keeps pure queries pure: probing with an unknown string
-/// neither mutates the interner nor leaks the probe text.
-pub trait SymbolQuery {
-    fn find(self) -> Option<Symbol>;
-}
-
-impl SymbolQuery for Symbol {
-    fn find(self) -> Option<Symbol> {
-        Some(self)
-    }
-}
-
-impl SymbolQuery for &Symbol {
-    fn find(self) -> Option<Symbol> {
-        Some(*self)
-    }
-}
-
-impl SymbolQuery for &str {
-    fn find(self) -> Option<Symbol> {
-        Interner::global().get(self)
-    }
-}
-
-impl SymbolQuery for &String {
-    fn find(self) -> Option<Symbol> {
-        Interner::global().get(self)
-    }
-}
-
-impl SymbolQuery for String {
-    fn find(self) -> Option<Symbol> {
-        Interner::global().get(&self)
-    }
-}
-
-/// FNV-1a 64-bit, used only to pick a shard (stable, hasher-independent).
-fn shard_of(text: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % SHARD_COUNT as u64) as usize
-}
-
-/// A thread-safe, append-only string interner.
-pub struct Interner {
-    /// Text → id lookup, striped by a stable hash of the text.
-    shards: [Mutex<HashMap<&'static str, Symbol>>; SHARD_COUNT],
-    /// Id → text resolution (index = `Symbol::index()`).
-    strings: RwLock<Vec<&'static str>>,
-}
-
-impl Default for Interner {
+impl Default for Names {
     fn default() -> Self {
-        Interner::new()
+        Names::new()
     }
 }
 
-impl Interner {
-    /// A fresh, empty interner. Its [`Symbol`]s are only valid with this
-    /// instance's [`Interner::resolve`]; the pipeline itself always uses
-    /// [`Interner::global`].
-    pub fn new() -> Interner {
-        Interner {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            strings: RwLock::new(Vec::new()),
-        }
-    }
+impl Names {
+    /// The select table's binding, alias and header (`SELECT`).
+    pub const SELECT: Symbol = Symbol(NonZeroU32::MIN);
+    /// The row name of `COUNT(*)` (`*`).
+    pub const STAR: Symbol = Symbol(NonZeroU32::MIN.saturating_add(1));
 
-    /// The process-global interner shared by every pipeline layer (and, in
-    /// the serving layer, by every shard of every service in the process).
-    pub fn global() -> &'static Interner {
-        static GLOBAL: OnceLock<Interner> = OnceLock::new();
-        GLOBAL.get_or_init(Interner::new)
-    }
-
-    /// Intern `text`, returning its stable id. O(1) amortized; the hot
-    /// path (already-interned text) takes one shard lock.
-    pub fn intern(&self, text: &str) -> Symbol {
-        let mut shard = self.shards[shard_of(text)]
-            .lock()
-            .expect("interner shard poisoned");
-        if let Some(&sym) = shard.get(text) {
-            return sym;
-        }
-        // First sighting: copy once, leak, publish. The shard lock is held
-        // across the strings append so an id is visible for resolution
-        // before any other thread can observe it through the lookup map.
-        let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        let sym = {
-            let mut strings = self.strings.write().expect("interner strings poisoned");
-            let sym = Symbol::from_index(u32::try_from(strings.len()).expect("interner overflow"));
-            strings.push(leaked);
-            sym
+    /// A table holding only the two reserved names, with room for a
+    /// typical query's names (most tables never grow).
+    pub fn new() -> Names {
+        let mut names = Names {
+            text: String::with_capacity(128),
+            ends: Vec::with_capacity(32),
+            slots: vec![(None, 0); 64],
+            hasher: RandomState::new(),
         };
-        shard.insert(leaked, sym);
+        names.intern("SELECT");
+        names.intern("*");
+        names
+    }
+
+    /// The symbol of `text`, adding it if the table does not hold it yet.
+    pub fn intern(&mut self, text: &str) -> Symbol {
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = self.hasher.hash_one(text) as u32;
+        let slot = match self.probe(text, hash) {
+            Ok(sym) => return sym,
+            Err(slot) => slot,
+        };
+        let end = u32::try_from(self.text.len() + text.len()).expect("name table overflow");
+        let sym = Symbol::from_index(self.ends.len());
+        self.text.push_str(text);
+        self.ends.push(end);
+        self.slots[slot] = (Some(sym), hash);
         sym
     }
 
-    /// Look up `text` **without inserting**: `Some(id)` iff the text has
-    /// already been interned. Read-only probes (diagram/table lookups by
-    /// user-supplied names) use this so a miss neither mutates the
-    /// interner nor leaks the probe string.
+    /// The symbol of `text` if the table holds it; never adds.
     pub fn get(&self, text: &str) -> Option<Symbol> {
-        self.shards[shard_of(text)]
-            .lock()
-            .expect("interner shard poisoned")
-            .get(text)
-            .copied()
+        self.probe(text, self.hasher.hash_one(text) as u32).ok()
     }
 
-    /// Resolve an id created by **this** interner. Panics on foreign ids
-    /// outside this interner's range.
-    pub fn resolve(&self, sym: Symbol) -> &'static str {
+    /// `Ok(symbol)` if `text`, whose hash is `hash`, is in the table, else
+    /// `Err(slot)`: the empty slot where it would go. The table must have
+    /// a free slot.
+    fn probe(&self, text: &str, hash: u32) -> Result<Symbol, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                (None, _) => return Err(slot),
+                (Some(sym), h) if h == hash && self.resolve(sym) == text => return Ok(sym),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the lookup table and re-file every name in it by its stored
+    /// hash.
+    fn grow(&mut self) {
+        let len = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![(None, 0); len]);
+        for (sym, hash) in old.into_iter().filter(|(sym, _)| sym.is_some()) {
+            let mut slot = hash as usize & (len - 1);
+            while self.slots[slot].0.is_some() {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = (sym, hash);
+        }
+    }
+
+    /// The text of `sym`. Panics if this table did not make it.
+    pub fn resolve(&self, sym: Symbol) -> &str {
         self.try_resolve(sym)
-            .expect("Symbol resolved against an interner that did not create it")
+            .expect("Symbol resolved against a table that did not make it")
     }
 
-    /// Non-panicking [`Interner::resolve`].
-    pub fn try_resolve(&self, sym: Symbol) -> Option<&'static str> {
-        self.strings
-            .read()
-            .expect("interner strings poisoned")
-            .get(sym.index() as usize)
-            .copied()
+    /// The text of `sym`, or `None` if it is past this table's end.
+    pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
+        let index = sym.index() as usize;
+        let end = *self.ends.get(index)? as usize;
+        let start = index.checked_sub(1).map_or(0, |i| self.ends[i] as usize);
+        Some(&self.text[start..end])
     }
 
-    /// Number of distinct strings interned so far.
+    /// Number of names in the table, the two reserved ones included.
     pub fn len(&self) -> usize {
-        self.strings
-            .read()
-            .expect("interner strings poisoned")
-            .len()
+        self.ends.len()
     }
 
-    /// True if nothing has been interned.
+    /// True if the table holds no name (never, once built by
+    /// [`Names::new`]).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ends.is_empty()
+    }
+
+    /// `value` paired with this table, so it can be written with `{}`.
+    pub fn show<'a, T: NamedDisplay + ?Sized>(&'a self, value: &'a T) -> Named<'a, T> {
+        Named { value, names: self }
     }
 }
 
-impl fmt::Debug for Interner {
+/// Two tables are equal when they hold the same names under the same ids.
+impl PartialEq for Names {
+    fn eq(&self, other: &Names) -> bool {
+        self.ends == other.ends && self.text == other.text
+    }
+}
+
+impl fmt::Debug for Names {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Interner")
-            .field("strings", &self.len())
-            .field("shards", &SHARD_COUNT)
+        f.debug_list()
+            .entries((0..self.len()).map(|i| self.resolve(Symbol::from_index(i))))
             .finish()
+    }
+}
+
+/// `Display` for values that hold [`Symbol`]s: they are written through
+/// the table their names live in. [`Names::show`] pairs a value with its
+/// table.
+pub trait NamedDisplay {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+}
+
+/// A value paired with its name table; see [`Names::show`].
+pub struct Named<'a, T: ?Sized> {
+    value: &'a T,
+    names: &'a Names,
+}
+
+impl<T: NamedDisplay + ?Sized> fmt::Display for Named<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.value.fmt_named(self.names, f)
+    }
+}
+
+impl NamedDisplay for Symbol {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(names.resolve(*self))
     }
 }
 
@@ -319,15 +246,17 @@ mod tests {
 
     #[test]
     fn same_text_same_symbol() {
-        let a = Symbol::intern("drinker");
-        let b = Symbol::intern("drinker");
+        let mut names = Names::new();
+        let a = names.intern("drinker");
+        let b = names.intern("drinker");
         assert_eq!(a, b);
-        assert_eq!(a.as_str(), "drinker");
+        assert_eq!(names.resolve(a), "drinker");
     }
 
     #[test]
     fn distinct_text_distinct_symbols() {
-        assert_ne!(Symbol::intern("Likes"), Symbol::intern("Serves"));
+        let mut names = Names::new();
+        assert_ne!(names.intern("Likes"), names.intern("Serves"));
     }
 
     #[test]
@@ -337,32 +266,34 @@ mod tests {
     }
 
     #[test]
-    fn string_comparisons_work_both_ways() {
-        let s = Symbol::intern("bar");
-        assert_eq!(s, "bar");
-        assert_eq!("bar", s);
-        assert_eq!(s, "bar".to_string());
-        assert_ne!(s, "baz");
+    fn reserved_names_come_first() {
+        let mut names = Names::new();
+        assert_eq!(names.len(), 2);
+        assert_eq!(names.resolve(Names::SELECT), "SELECT");
+        assert_eq!(names.resolve(Names::STAR), "*");
+        assert_eq!(names.intern("*"), Names::STAR);
+        assert_eq!(names.intern("SELECT"), Names::SELECT);
+        assert_eq!(names.len(), 2);
     }
 
     #[test]
     fn fresh_interner_is_independent() {
-        let local = Interner::new();
-        let a = local.intern("zebra");
-        let b = local.intern("aardvark");
-        assert_eq!(local.resolve(a), "zebra");
-        assert_eq!(local.resolve(b), "aardvark");
-        assert_eq!(local.len(), 2);
-        // Ids are dense and in first-interned order.
+        let mut names = Names::new();
+        let a = names.intern("zebra");
+        let b = names.intern("aardvark");
+        assert_eq!(names.resolve(a), "zebra");
+        assert_eq!(names.resolve(b), "aardvark");
+        assert_eq!(names.len(), 4);
+        assert_eq!((a.index(), b.index()), (2, 3));
         assert!(a < b);
     }
 
     #[test]
     fn resolution_is_stable_across_interners() {
-        // The same text interned into two interners (in different orders)
-        // resolves to the same text — resolution depends on the text alone.
-        let a = Interner::new();
-        let b = Interner::new();
+        // The same text interned into two tables (in different orders)
+        // resolves to the same text: resolution depends on the text alone.
+        let mut a = Names::new();
+        let mut b = Names::new();
         let words = ["Likes", "Frequents", "Serves", "drinker"];
         let in_a: Vec<Symbol> = words.iter().map(|w| a.intern(w)).collect();
         let in_b: Vec<Symbol> = words.iter().rev().map(|w| b.intern(w)).collect();
@@ -373,56 +304,69 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_interning_agrees() {
-        let local = std::sync::Arc::new(Interner::new());
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let local = std::sync::Arc::clone(&local);
-            handles.push(std::thread::spawn(move || {
-                let mut ids = Vec::new();
-                for i in 0..200 {
-                    // Every thread interns the same 50 names (plus skew).
-                    ids.push(local.intern(&format!("name{}", (i + t) % 50)));
-                }
-                ids
-            }));
+    fn many_names_survive_growth() {
+        // Thousands of names force the lookup table through many
+        // doublings; every name keeps its id and text, and lookups of the
+        // empty string and of a prefix find their own entries.
+        let mut names = Names::new();
+        let syms: Vec<Symbol> = (0..5000).map(|i| names.intern(&format!("n{i}"))).collect();
+        let empty = names.intern("");
+        let prefix = names.intern("n1");
+        assert_eq!(prefix, syms[1]);
+        for (i, &sym) in syms.iter().enumerate() {
+            assert_eq!(names.resolve(sym), format!("n{i}"));
+            assert_eq!(names.get(&format!("n{i}")), Some(sym));
         }
-        for handle in handles {
-            for sym in handle.join().unwrap() {
-                assert!(local.resolve(sym).starts_with("name"));
-            }
-        }
-        assert_eq!(local.len(), 50);
+        assert_eq!(names.resolve(empty), "");
+        assert_eq!(names.len(), 5003);
     }
 
     #[test]
     fn get_probes_without_inserting() {
-        let local = Interner::new();
-        local.intern("known");
-        assert_eq!(local.len(), 1);
-        assert!(local.get("unknown").is_none());
-        assert_eq!(local.len(), 1, "a missed probe must not intern");
-        assert_eq!(local.get("known"), local.get("known"));
-        assert!(local.get("known").is_some());
-    }
-
-    #[test]
-    fn symbol_query_miss_does_not_grow_the_global_interner() {
-        // SymbolQuery string probes use get(), so by-name accessors stay
-        // pure: an unknown probe string is not leaked into the interner.
-        // Other tests intern into the global interner on parallel
-        // threads, so check the probe's own text, not the global count.
-        let probe = "never-interned-probe-7f3a9";
-        assert!(SymbolQuery::find(probe).is_none());
-        assert_eq!(Interner::global().get(probe), None);
+        let mut names = Names::new();
+        names.intern("known");
+        assert_eq!(names.len(), 3);
+        assert!(names.get("unknown").is_none());
+        assert_eq!(names.len(), 3, "a missed probe must not intern");
+        assert_eq!(names.get("known"), names.get("known"));
+        assert!(names.get("known").is_some());
     }
 
     #[test]
     fn try_resolve_rejects_foreign_ids() {
-        let local = Interner::new();
-        let sym = local.intern("only");
-        assert_eq!(local.try_resolve(sym), Some("only"));
+        let mut names = Names::new();
+        let sym = names.intern("only");
+        assert_eq!(names.try_resolve(sym), Some("only"));
         let far = Symbol::from_index(9_999_999);
-        assert_eq!(local.try_resolve(far), None);
+        assert_eq!(names.try_resolve(far), None);
+        let last = Symbol::from_index(u32::MAX as usize - 1);
+        assert_eq!(last.index(), u32::MAX - 1);
+        assert_eq!(names.try_resolve(last), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "name table overflow")]
+    fn ids_past_u32_panic_instead_of_wrapping() {
+        Symbol::from_index(u32::MAX as usize);
+    }
+
+    #[test]
+    fn equal_tables_hold_equal_names_under_equal_ids() {
+        let mut a = Names::new();
+        let mut b = Names::new();
+        a.intern("x");
+        b.intern("x");
+        assert_eq!(a, b);
+        b.intern("y");
+        assert_ne!(a, b);
+        assert_eq!(format!("{a:?}"), r#"["SELECT", "*", "x"]"#);
+    }
+
+    #[test]
+    fn show_writes_through_the_table() {
+        let mut names = Names::new();
+        let sym = names.intern("Serves");
+        assert_eq!(names.show(&sym).to_string(), "Serves");
+        assert_eq!(format!("{sym:?}"), "Symbol#2");
     }
 }

@@ -5,7 +5,7 @@
 //! at the bottom of the crate graph, so no layer has to translate between
 //! per-crate copies. `queryvis-sql` re-exports them under its old paths.
 
-use crate::intern::Symbol;
+use crate::intern::{NamedDisplay, Names, Symbol};
 use std::fmt;
 
 /// The six comparison operators of the fragment: `< <= = <> >= >`.
@@ -137,27 +137,31 @@ impl Value {
     /// stored as source text (so `3.50` and `3.5` are *different* symbols);
     /// semantic consumers — the executor above all — must compare them
     /// numerically, and this is the one place that parse lives.
-    pub fn numeric(&self) -> Option<f64> {
+    pub fn numeric(&self, names: &Names) -> Option<f64> {
         match self {
-            Value::Number(n) => n.as_str().parse::<f64>().ok().filter(|v| v.is_finite()),
+            Value::Number(n) => names
+                .resolve(*n)
+                .parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite()),
             Value::Str(_) => None,
         }
     }
 
     /// The literal's text without quoting: the string contents for a string
     /// literal, the source digits for a number.
-    pub fn text(&self) -> &'static str {
+    pub fn text<'a>(&self, names: &'a Names) -> &'a str {
         match self {
-            Value::Number(n) | Value::Str(n) => n.as_str(),
+            Value::Number(n) | Value::Str(n) => names.resolve(*n),
         }
     }
 }
 
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for Value {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Number(n) => write!(f, "{n}"),
-            Value::Str(s) => write!(f, "'{s}'"),
+            Value::Number(n) => f.write_str(names.resolve(*n)),
+            Value::Str(s) => write!(f, "'{}'", names.resolve(*s)),
         }
     }
 }
@@ -199,20 +203,30 @@ mod tests {
 
     #[test]
     fn value_display_quotes_strings() {
-        assert_eq!(Value::Str("Rock".into()).to_string(), "'Rock'");
-        assert_eq!(Value::Number("3.5".into()).to_string(), "3.5");
+        let mut names = Names::new();
+        let rock = Value::Str(names.intern("Rock"));
+        let number = Value::Number(names.intern("3.5"));
+        assert_eq!(names.show(&rock).to_string(), "'Rock'");
+        assert_eq!(names.show(&number).to_string(), "3.5");
     }
 
     #[test]
     fn numeric_access_is_typed_not_textual() {
         // `3.50` and `3.5` are different symbols (textual equality) but the
         // same number — the executor compares through `numeric()`.
-        assert_ne!(Value::Number("3.50".into()), Value::Number("3.5".into()));
-        assert_eq!(Value::Number("3.50".into()).numeric(), Some(3.5));
-        assert_eq!(Value::Number("270000".into()).numeric(), Some(270000.0));
-        assert_eq!(Value::Str("3.5".into()).numeric(), None);
-        assert_eq!(Value::Str("Rock".into()).text(), "Rock");
-        assert_eq!(Value::Number("42".into()).text(), "42");
+        let mut names = Names::new();
+        let mut num = |text: &str| Value::Number(names.intern(text));
+        let (padded, plain, big, answer) = (num("3.50"), num("3.5"), num("270000"), num("42"));
+        let (text, rock) = (
+            Value::Str(names.intern("3.5")),
+            Value::Str(names.intern("Rock")),
+        );
+        assert_ne!(padded, plain);
+        assert_eq!(padded.numeric(&names), Some(3.5));
+        assert_eq!(big.numeric(&names), Some(270000.0));
+        assert_eq!(text.numeric(&names), None);
+        assert_eq!(rock.text(&names), "Rock");
+        assert_eq!(answer.text(&names), "42");
     }
 
     #[test]

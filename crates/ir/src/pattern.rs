@@ -11,14 +11,14 @@
 //! checker all need random access by id and parent/child navigation.
 //!
 //! **All names are interned.** Binding keys, aliases, base-table names, and
-//! attribute names are [`Symbol`]s; every node payload
-//! ([`LtTable`]/[`LtPredicate`]/[`SelectAttr`]) is `Copy`, so cloning a
-//! tree is a flat memcpy of id-sized values and comparing names is an
-//! integer compare. Strings reappear only at rendering boundaries
-//! (`Display` impls resolve through the global interner).
+//! attribute names are [`Symbol`]s of the query's [`Names`] table; every
+//! node payload ([`LtTable`]/[`LtPredicate`]/[`SelectAttr`]) is `Copy`, so
+//! cloning a tree is a flat memcpy of id-sized values and comparing names
+//! is an integer compare. Strings reappear only where a table resolves
+//! them ([`NamedDisplay`], written with [`Names::show`]).
 
 use crate::arena::Arena;
-use crate::intern::{Symbol, SymbolQuery};
+use crate::intern::{NamedDisplay, Names, Symbol};
 use crate::ops::{AggFunc, CompareOp, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -76,10 +76,9 @@ pub struct LtTable {
 
 /// A fully resolved attribute reference: binding key + column name.
 ///
-/// `Ord` is *id order* (interner assignment order), which is deterministic
-/// within a process but not lexicographic; it exists so predicate operand
-/// order can be normalized consistently for any two trees over the same
-/// names (see [`LtPredicate::normalized`]).
+/// `Ord` is *id order* (first-interned order within one [`Names`] table),
+/// not lexicographic; predicate orientation goes by resolved name instead
+/// (see [`LtPredicate::normalized`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrRef {
     pub binding: Symbol,
@@ -87,17 +86,20 @@ pub struct AttrRef {
 }
 
 impl AttrRef {
-    pub fn new(binding: impl Into<Symbol>, column: impl Into<Symbol>) -> Self {
-        AttrRef {
-            binding: binding.into(),
-            column: column.into(),
-        }
+    pub fn new(binding: Symbol, column: Symbol) -> Self {
+        AttrRef { binding, column }
+    }
+
+    /// The `(binding, column)` texts, the key predicates orient by.
+    fn name<'a>(&self, names: &'a Names) -> (&'a str, &'a str) {
+        (names.resolve(self.binding), names.resolve(self.column))
     }
 }
 
-impl fmt::Display for AttrRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.binding, self.column)
+impl NamedDisplay for AttrRef {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (binding, column) = self.name(names);
+        write!(f, "{binding}.{column}")
     }
 }
 
@@ -108,11 +110,11 @@ pub enum LtOperand {
     Const(Value),
 }
 
-impl fmt::Display for LtOperand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for LtOperand {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LtOperand::Attr(a) => write!(f, "{a}"),
-            LtOperand::Const(v) => write!(f, "{v}"),
+            LtOperand::Attr(a) => a.fmt_named(names, f),
+            LtOperand::Const(v) => v.fmt_named(names, f),
         }
     }
 }
@@ -148,27 +150,29 @@ impl LtPredicate {
         matches!(self.rhs, LtOperand::Attr(_))
     }
 
-    /// Canonical form used for order-insensitive comparison of trees over
-    /// the *same* names: join operands are put in id order, flipping the
-    /// operator when they swap. Two trees mentioning identical name sets
-    /// normalize identically; cross-name canonicalization (the serving
-    /// pattern) uses erased canonical indices instead — see
-    /// `queryvis::pattern`.
-    pub fn normalized(&self) -> LtPredicate {
-        match self.rhs {
-            LtOperand::Attr(rhs) if rhs < self.lhs => LtPredicate {
-                lhs: rhs,
-                op: self.op.flip(),
-                rhs: LtOperand::Attr(self.lhs),
-            },
-            _ => *self,
+    /// Canonical orientation: join operands are put in resolved-name
+    /// order, flipping the operator when they swap. Names are text, so two
+    /// separately parsed trees (two tables, two id orders) orient alike.
+    /// A self-comparison `x op x` has equal names, so it orients by
+    /// operator code: `x <= x` and its flipped spelling `x >= x` are the
+    /// same predicate.
+    pub fn normalized(&self, names: &Names) -> LtPredicate {
+        let LtOperand::Attr(rhs) = self.rhs else {
+            return *self;
+        };
+        let (lhs_name, rhs_name) = (self.lhs.name(names), rhs.name(names));
+        if rhs_name < lhs_name || (rhs_name == lhs_name && self.op.flip().code() < self.op.code()) {
+            LtPredicate::join(rhs, self.op.flip(), self.lhs)
+        } else {
+            *self
         }
     }
 }
 
-impl fmt::Display for LtPredicate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({} {} {})", self.lhs, self.op, self.rhs)
+impl NamedDisplay for LtPredicate {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (lhs, rhs) = (names.show(&self.lhs), names.show(&self.rhs));
+        write!(f, "({lhs} {} {rhs})", self.op)
     }
 }
 
@@ -183,11 +187,12 @@ pub struct LtHaving {
     pub value: Value,
 }
 
-impl fmt::Display for LtHaving {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for LtHaving {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let value = names.show(&self.value);
         match &self.arg {
-            Some(a) => write!(f, "{}({a}) {} {}", self.func, self.op, self.value),
-            None => write!(f, "{}(*) {} {}", self.func, self.op, self.value),
+            Some(a) => write!(f, "{}({}) {} {value}", self.func, names.show(a), self.op),
+            None => write!(f, "{}(*) {} {value}", self.func, self.op),
         }
     }
 }
@@ -203,11 +208,11 @@ pub enum SelectAttr {
     },
 }
 
-impl fmt::Display for SelectAttr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for SelectAttr {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SelectAttr::Column(a) => write!(f, "{a}"),
-            SelectAttr::Aggregate { func, arg: Some(a) } => write!(f, "{func}({a})"),
+            SelectAttr::Column(a) => a.fmt_named(names, f),
+            SelectAttr::Aggregate { func, arg: Some(a) } => write!(f, "{func}({})", names.show(a)),
             SelectAttr::Aggregate { func, arg: None } => write!(f, "{func}(*)"),
         }
     }
@@ -333,16 +338,13 @@ impl LogicTree {
         map
     }
 
-    /// The node introducing `binding`, if any. String probes never intern
-    /// (see [`SymbolQuery`]).
-    pub fn owner_of(&self, binding: impl SymbolQuery) -> Option<NodeId> {
-        let binding = binding.find()?;
+    /// The node introducing `binding`, if any.
+    pub fn owner_of(&self, binding: Symbol) -> Option<NodeId> {
         self.nodes.iter().find(|n| n.defines(binding)).map(|n| n.id)
     }
 
-    /// Look up a table by binding key. String probes never intern.
-    pub fn table(&self, binding: impl SymbolQuery) -> Option<&LtTable> {
-        let binding = binding.find()?;
+    /// Look up a table by binding key.
+    pub fn table(&self, binding: Symbol) -> Option<&LtTable> {
         self.nodes
             .iter()
             .flat_map(|n| n.tables.iter())
@@ -398,24 +400,29 @@ impl LogicTree {
     /// logical query (paper Fig. 24) share a fingerprint.
     ///
     /// This is the *named* fingerprint (debugging and structural-equality
-    /// oracle); the serving layer's cross-query cache key is the erased
-    /// canonical pattern in `queryvis::pattern`.
-    pub fn fingerprint(&self) -> String {
-        fn node_fp(tree: &LogicTree, id: NodeId) -> String {
+    /// oracle), a function of the names' text: trees over two tables
+    /// compare through it. The serving layer's cross-query cache key is
+    /// the erased canonical pattern in `queryvis::pattern`.
+    pub fn fingerprint(&self, names: &Names) -> String {
+        fn node_fp(tree: &LogicTree, names: &Names, id: NodeId) -> String {
             let node = tree.node(id);
             let mut tables: Vec<String> = node
                 .tables
                 .iter()
-                .map(|t| format!("{}:{}", t.alias, t.table))
+                .map(|t| format!("{}:{}", names.show(&t.alias), names.show(&t.table)))
                 .collect();
             tables.sort();
             let mut preds: Vec<String> = node
                 .predicates
                 .iter()
-                .map(|p| p.normalized().to_string())
+                .map(|p| names.show(&p.normalized(names)).to_string())
                 .collect();
             preds.sort();
-            let mut kids: Vec<String> = node.children.iter().map(|&c| node_fp(tree, c)).collect();
+            let mut kids: Vec<String> = node
+                .children
+                .iter()
+                .map(|&c| node_fp(tree, names, c))
+                .collect();
             kids.sort();
             format!(
                 "{}{{T[{}]P[{}]C[{}]}}",
@@ -425,31 +432,38 @@ impl LogicTree {
                 kids.join(",")
             )
         }
-        let select: Vec<String> = self.select.iter().map(|s| s.to_string()).collect();
-        let group: Vec<String> = self.group_by.iter().map(|g| g.to_string()).collect();
-        let mut having: Vec<String> = self.having.iter().map(|h| h.to_string()).collect();
+        let select: Vec<String> = shown(names, &self.select);
+        let group: Vec<String> = shown(names, &self.group_by);
+        let mut having: Vec<String> = shown(names, &self.having);
         having.sort();
         format!(
             "S[{}]G[{}]H[{}]{}",
             select.join(","),
             group.join(","),
             having.join(","),
-            node_fp(self, 0)
+            node_fp(self, names, 0)
         )
     }
 
-    /// True if two trees are structurally equal up to conjunct and subtree
-    /// ordering and predicate operand orientation.
-    pub fn structural_eq(&self, other: &LogicTree) -> bool {
-        self.fingerprint() == other.fingerprint()
+    /// True if two trees, each with its own name table, are structurally
+    /// equal up to conjunct and subtree ordering and predicate operand
+    /// orientation.
+    pub fn structural_eq(&self, names: &Names, other: &LogicTree, other_names: &Names) -> bool {
+        self.fingerprint(names) == other.fingerprint(other_names)
     }
 }
 
-impl fmt::Display for LogicTree {
+/// Each item written through `names`.
+fn shown<T: NamedDisplay>(names: &Names, items: &[T]) -> Vec<String> {
+    items.iter().map(|i| names.show(i).to_string()).collect()
+}
+
+impl NamedDisplay for LogicTree {
     /// Renders the tree in the style of the paper's Fig. 5.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn write_node(
             tree: &LogicTree,
+            names: &Names,
             id: NodeId,
             prefix: &str,
             f: &mut fmt::Formatter<'_>,
@@ -458,9 +472,9 @@ impl fmt::Display for LogicTree {
             let tables: Vec<String> = node
                 .tables
                 .iter()
-                .map(|t| format!("{} {}", t.table, t.alias))
+                .map(|t| format!("{} {}", names.show(&t.table), names.show(&t.alias)))
                 .collect();
-            let preds: Vec<String> = node.predicates.iter().map(|p| p.to_string()).collect();
+            let preds: Vec<String> = shown(names, &node.predicates);
             let quant = if node.is_root() {
                 String::new()
             } else {
@@ -473,24 +487,24 @@ impl fmt::Display for LogicTree {
                 preds.join(", ")
             )?;
             if node.is_root() {
-                let select: Vec<String> = tree.select.iter().map(|s| s.to_string()).collect();
+                let select = shown(names, &tree.select);
                 writeln!(f, "{prefix}Selection Attributes: {{{}}}", select.join(", "))?;
                 if !tree.group_by.is_empty() {
-                    let group: Vec<String> = tree.group_by.iter().map(|g| g.to_string()).collect();
+                    let group = shown(names, &tree.group_by);
                     writeln!(f, "{prefix}Group By: {{{}}}", group.join(", "))?;
                 }
                 if !tree.having.is_empty() {
-                    let having: Vec<String> = tree.having.iter().map(|h| h.to_string()).collect();
+                    let having = shown(names, &tree.having);
                     writeln!(f, "{prefix}Having: {{{}}}", having.join(", "))?;
                 }
             }
             let child_prefix = format!("{prefix}    ");
             for &child in &node.children {
-                write_node(tree, child, &child_prefix, f)?;
+                write_node(tree, names, child, &child_prefix, f)?;
             }
             Ok(())
         }
-        write_node(self, 0, "", f)
+        write_node(self, names, 0, "", f)
     }
 }
 
@@ -498,38 +512,44 @@ impl fmt::Display for LogicTree {
 mod tests {
     use super::*;
 
-    fn sample_tree() -> LogicTree {
+    fn table(names: &mut Names, alias: &str, table: &str) -> LtTable {
+        let alias = names.intern(alias);
+        LtTable {
+            key: alias,
+            alias,
+            table: names.intern(table),
+        }
+    }
+
+    fn attr(names: &mut Names, binding: &str, column: &str) -> AttrRef {
+        AttrRef::new(names.intern(binding), names.intern(column))
+    }
+
+    fn sample_tree(names: &mut Names) -> LogicTree {
         let mut lt = LogicTree::with_root();
-        lt.nodes[0].tables.push(LtTable {
-            key: "L1".into(),
-            alias: "L1".into(),
-            table: "Likes".into(),
-        });
+        lt.nodes[0].tables.push(table(names, "L1", "Likes"));
         lt.select
-            .push(SelectAttr::Column(AttrRef::new("L1", "drinker")));
+            .push(SelectAttr::Column(attr(names, "L1", "drinker")));
         let c = lt.add_child(0, Quantifier::NotExists);
-        lt.node_mut(c).tables.push(LtTable {
-            key: "L2".into(),
-            alias: "L2".into(),
-            table: "Likes".into(),
-        });
+        lt.node_mut(c).tables.push(table(names, "L2", "Likes"));
         lt.node_mut(c).predicates.push(LtPredicate::join(
-            AttrRef::new("L1", "drinker"),
+            attr(names, "L1", "drinker"),
             CompareOp::Ne,
-            AttrRef::new("L2", "drinker"),
+            attr(names, "L2", "drinker"),
         ));
         lt
     }
 
     #[test]
     fn arena_structure() {
-        let lt = sample_tree();
+        let mut names = Names::new();
+        let lt = sample_tree(&mut names);
         assert_eq!(lt.node_count(), 2);
         assert_eq!(lt.root().children, vec![1]);
         assert_eq!(lt.node(1).parent, Some(0));
         assert_eq!(lt.node(1).depth, 1);
         assert_eq!(lt.max_depth(), 1);
-        assert_eq!(lt.owner_of("L2"), Some(1));
+        assert_eq!(lt.owner_of(names.intern("L2")), Some(1));
         assert!(lt.is_ancestor(0, 1));
         assert!(!lt.is_ancestor(1, 0));
     }
@@ -540,18 +560,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<LtTable>(), 12);
         assert_eq!(std::mem::size_of::<AttrRef>(), 8);
         assert!(std::mem::size_of::<LtPredicate>() <= 24);
-        let table = LtTable {
-            key: "K".into(),
-            alias: "K".into(),
-            table: "T".into(),
-        };
+        let table = table(&mut Names::new(), "K", "T");
         let copy = table; // Copy, not Clone
         assert_eq!(copy, table);
     }
 
     #[test]
     fn traversal_orders() {
-        let mut lt = sample_tree();
+        let mut lt = sample_tree(&mut Names::new());
         let c1 = 1;
         let g1 = lt.add_child(c1, Quantifier::NotExists);
         let g2 = lt.add_child(c1, Quantifier::NotExists);
@@ -561,80 +577,72 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_operand_and_child_order() {
-        let mut a = sample_tree();
-        let mut b = sample_tree();
+        let (mut na, mut nb) = (Names::new(), Names::new());
+        // b's table meets the names in another order, so its ids differ.
+        nb.intern("Y");
+        let mut a = sample_tree(&mut na);
+        let mut b = sample_tree(&mut nb);
         // Flip the predicate in b: L2.drinker <> L1.drinker.
         b.node_mut(1).predicates[0] = LtPredicate::join(
-            AttrRef::new("L2", "drinker"),
+            attr(&mut nb, "L2", "drinker"),
             CompareOp::Ne,
-            AttrRef::new("L1", "drinker"),
+            attr(&mut nb, "L1", "drinker"),
         );
-        assert!(a.structural_eq(&b));
+        assert!(a.structural_eq(&na, &b, &nb));
         // Add two children in opposite orders.
         let x = a.add_child(1, Quantifier::Exists);
-        a.node_mut(x).tables.push(LtTable {
-            key: "X".into(),
-            alias: "X".into(),
-            table: "T1".into(),
-        });
+        a.node_mut(x).tables.push(table(&mut na, "X", "T1"));
         let y = a.add_child(1, Quantifier::NotExists);
-        a.node_mut(y).tables.push(LtTable {
-            key: "Y".into(),
-            alias: "Y".into(),
-            table: "T2".into(),
-        });
+        a.node_mut(y).tables.push(table(&mut na, "Y", "T2"));
         let y2 = b.add_child(1, Quantifier::NotExists);
-        b.node_mut(y2).tables.push(LtTable {
-            key: "Y".into(),
-            alias: "Y".into(),
-            table: "T2".into(),
-        });
+        b.node_mut(y2).tables.push(table(&mut nb, "Y", "T2"));
         let x2 = b.add_child(1, Quantifier::Exists);
-        b.node_mut(x2).tables.push(LtTable {
-            key: "X".into(),
-            alias: "X".into(),
-            table: "T1".into(),
-        });
-        assert!(a.structural_eq(&b));
+        b.node_mut(x2).tables.push(table(&mut nb, "X", "T1"));
+        assert!(a.structural_eq(&na, &b, &nb));
     }
 
     #[test]
     fn fingerprint_distinguishes_quantifiers() {
-        let a = sample_tree();
-        let mut b = sample_tree();
+        let mut names = Names::new();
+        let a = sample_tree(&mut names);
+        let mut b = a.clone();
         b.node_mut(1).quantifier = Quantifier::ForAll;
-        assert!(!a.structural_eq(&b));
+        assert!(!a.structural_eq(&names, &b, &names));
     }
 
     #[test]
     fn predicate_normalization_is_canonical() {
         // normalized() must be an idempotent canonical form that agrees for
         // a predicate and its operand-swapped mirror.
+        let mut names = Names::new();
         let p = LtPredicate::join(
-            AttrRef::new("B", "x"),
+            attr(&mut names, "B", "x"),
             CompareOp::Lt,
-            AttrRef::new("A", "y"),
+            attr(&mut names, "A", "y"),
         );
         let mirrored = LtPredicate::join(
-            AttrRef::new("A", "y"),
+            attr(&mut names, "A", "y"),
             CompareOp::Gt,
-            AttrRef::new("B", "x"),
+            attr(&mut names, "B", "x"),
         );
-        assert_eq!(p.normalized(), mirrored.normalized());
-        assert_eq!(p.normalized().normalized(), p.normalized());
-        // The normalized orientation puts the id-smaller operand first.
-        let n = p.normalized();
-        if let LtOperand::Attr(rhs) = n.rhs {
-            assert!(n.lhs <= rhs);
-        } else {
-            panic!("join predicate lost its attribute rhs");
-        }
+        let n = p.normalized(&names);
+        assert_eq!(n, mirrored.normalized(&names));
+        assert_eq!(n.normalized(&names), n);
+        // The normalized orientation puts the name-smaller operand first,
+        // although `B` was interned before `A`.
+        assert_eq!(names.show(&n).to_string(), "(A.y > B.x)");
+        // A self-comparison orients by operator code.
+        let a = attr(&mut names, "A", "y");
+        let ge = LtPredicate::join(a, CompareOp::Ge, a);
+        let le = LtPredicate::join(a, CompareOp::Le, a);
+        assert_eq!(ge.normalized(&names), le.normalized(&names));
     }
 
     #[test]
     fn display_matches_fig5_style() {
-        let lt = sample_tree();
-        let text = lt.to_string();
+        let mut names = Names::new();
+        let lt = sample_tree(&mut names);
+        let text = names.show(&lt).to_string();
         assert!(text.contains("T: {Likes L1}"));
         assert!(text.contains("Selection Attributes: {L1.drinker}"));
         assert!(text.contains("Q: \u{2204}"));

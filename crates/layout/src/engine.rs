@@ -14,6 +14,7 @@
 
 use crate::geometry::{Point, Rect};
 use queryvis_diagram::{Diagram, TableId};
+use queryvis_logic::Names;
 
 // Layout constants, in px; they mirror the paper's visual density.
 
@@ -87,15 +88,16 @@ impl Layout {
     }
 }
 
-/// Lay out a diagram.
-pub fn layout_diagram(diagram: &Diagram) -> Layout {
-    layout_with_passes(diagram, BARYCENTER_PASSES)
+/// Lay out a diagram whose names live in `names` (table widths follow
+/// their text).
+pub fn layout_diagram(diagram: &Diagram, names: &Names) -> Layout {
+    layout_with_passes(diagram, names, BARYCENTER_PASSES)
 }
 
 /// [`layout_diagram`] with `barycenter_passes` ordering sweeps (0 keeps
 /// the groups in construction order).
-fn layout_with_passes(diagram: &Diagram, barycenter_passes: usize) -> Layout {
-    let sizes = measure_tables(diagram);
+fn layout_with_passes(diagram: &Diagram, names: &Names, barycenter_passes: usize) -> Layout {
+    let sizes = measure_tables(diagram, names);
 
     // -------- Column assignment --------
     // Column 0: SELECT table. Column d+1: tables at nesting depth d.
@@ -289,7 +291,7 @@ fn layout_with_passes(diagram: &Diagram, barycenter_passes: usize) -> Layout {
 }
 
 /// Each table's `(width, height)`, indexed by `TableId`.
-fn measure_tables(diagram: &Diagram) -> Vec<(f64, f64)> {
+fn measure_tables(diagram: &Diagram, names: &Names) -> Vec<(f64, f64)> {
     diagram
         .tables
         .iter()
@@ -297,9 +299,10 @@ fn measure_tables(diagram: &Diagram) -> Vec<(f64, f64)> {
             // Width is per displayed character, so text is measured in
             // chars, not bytes: a multibyte name (`café`, `Übersicht`)
             // must not inflate its table.
-            let mut text_width = table.name.as_str().chars().count() as f64 * CHAR_WIDTH;
+            let title_chars = names.resolve(table.name).chars().count();
+            let mut text_width = title_chars as f64 * CHAR_WIDTH;
             for row in &table.rows {
-                text_width = text_width.max(row.display_chars() as f64 * CHAR_WIDTH);
+                text_width = text_width.max(row.display_chars(names) as f64 * CHAR_WIDTH);
             }
             let w = (text_width + 2.0 * CELL_PADDING).max(MIN_TABLE_WIDTH);
             let h = HEADER_HEIGHT + ROW_HEIGHT * table.rows.len() as f64;
@@ -314,12 +317,19 @@ mod tests {
     use crate::geometry::segments_cross;
     use queryvis_diagram::build_diagram;
     use queryvis_logic::{simplify, translate, translate_branches};
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
-    fn layout(sql: &str) -> (Diagram, Layout) {
-        let d = build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap());
-        let l = layout_diagram(&d);
-        (d, l)
+    fn lt(sql: &str) -> (queryvis_logic::LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
+    }
+
+    fn layout(sql: &str) -> (Diagram, Layout, Names) {
+        let (tree, names) = lt(sql);
+        let d = build_diagram(&tree);
+        let l = layout_diagram(&d, &names);
+        (d, l, names)
     }
 
     /// Pairwise proper crossings between edge segments: the quality
@@ -353,7 +363,7 @@ mod tests {
 
     #[test]
     fn every_table_and_edge_is_placed() {
-        let (d, l) = layout(UNIQUE_SET);
+        let (d, l, _) = layout(UNIQUE_SET);
         assert_eq!(l.tables.len(), d.tables.len());
         assert_eq!(l.edges.len(), d.edges.len());
         assert_eq!(l.boxes.len(), d.boxes.len());
@@ -362,9 +372,9 @@ mod tests {
 
     #[test]
     fn columns_follow_nesting_depth() {
-        let (d, l) = layout(UNIQUE_SET);
+        let (d, l, names) = layout(UNIQUE_SET);
         let x_of = |binding: &str| {
-            let id = d.table_by_binding(binding).unwrap().id;
+            let id = d.table_by_binding(names.get(binding).unwrap()).unwrap().id;
             l.table(id).rect.x
         };
         assert!(x_of("SELECT") < x_of("L1"));
@@ -378,7 +388,7 @@ mod tests {
 
     #[test]
     fn tables_do_not_overlap() {
-        let (_, l) = layout(UNIQUE_SET);
+        let (_, l, _) = layout(UNIQUE_SET);
         for i in 0..l.tables.len() {
             for j in (i + 1)..l.tables.len() {
                 assert!(
@@ -391,7 +401,7 @@ mod tests {
 
     #[test]
     fn boxes_contain_their_tables() {
-        let (d, l) = layout(UNIQUE_SET);
+        let (d, l, _) = layout(UNIQUE_SET);
         for bl in &l.boxes {
             for &tid in &d.boxes[bl.box_index].tables {
                 let tr = l.table(tid).rect;
@@ -403,7 +413,7 @@ mod tests {
 
     #[test]
     fn boxes_do_not_overlap_each_other() {
-        let (_, l) = layout(UNIQUE_SET);
+        let (_, l, _) = layout(UNIQUE_SET);
         for i in 0..l.boxes.len() {
             for j in (i + 1)..l.boxes.len() {
                 assert!(
@@ -416,7 +426,7 @@ mod tests {
 
     #[test]
     fn edge_anchors_touch_their_rows() {
-        let (d, l) = layout(UNIQUE_SET);
+        let (d, l, _) = layout(UNIQUE_SET);
         for el in &l.edges {
             let edge = &d.edges[el.edge_index];
             let from_row = l.table(edge.from.table).row_rects[edge.from.row];
@@ -433,7 +443,7 @@ mod tests {
 
     #[test]
     fn rows_stack_below_header() {
-        let (_, l) = layout("SELECT L.drinker, L.beer FROM Likes L WHERE L.beer = 'IPA'");
+        let (_, l, _) = layout("SELECT L.drinker, L.beer FROM Likes L WHERE L.beer = 'IPA'");
         for t in &l.tables {
             let mut y = t.header.bottom();
             for r in &t.row_rects {
@@ -446,9 +456,10 @@ mod tests {
 
     #[test]
     fn barycenter_does_not_increase_crossings_on_reference_diagrams() {
-        let d = build_diagram(&translate(&parse_query(UNIQUE_SET).unwrap(), None).unwrap());
-        let with = layout_diagram(&d);
-        let without = layout_with_passes(&d, 0);
+        let (tree, names) = lt(UNIQUE_SET);
+        let d = build_diagram(&tree);
+        let with = layout_diagram(&d, &names);
+        let without = layout_with_passes(&d, &names, 0);
         assert!(crossing_count(&with) <= crossing_count(&without));
     }
 
@@ -458,10 +469,12 @@ mod tests {
     #[test]
     fn multibyte_text_is_as_wide_as_its_char_count() {
         let width = |town: &str| {
-            let (d, l) = layout(&format!(
+            let (d, l, names) = layout(&format!(
                 "SELECT B.name FROM Brewery B WHERE B.town = '{town}'"
             ));
-            l.table(d.table_by_binding("B").unwrap().id).rect.w
+            l.table(d.table_by_binding(names.get("B").unwrap()).unwrap().id)
+                .rect
+                .w
         };
         assert!(width("Zatec E") > MIN_TABLE_WIDTH);
         assert_eq!(width("Žatec ∄"), width("Zatec E"));
@@ -488,9 +501,11 @@ mod tests {
         sqls.extend(queryvis_corpus::tutorial_examples().iter().map(|e| e.sql));
         let mut diagrams = 0;
         for sql in sqls {
-            for tree in translate_branches(&parse_query(sql).unwrap(), None).unwrap() {
+            let mut names = Names::new();
+            let query = parse_query(sql, &mut names).unwrap();
+            for tree in translate_branches(&query, None, &mut names).unwrap() {
                 for d in [build_diagram(&tree), build_diagram(&simplify(&tree))] {
-                    let l = layout_diagram(&d);
+                    let l = layout_diagram(&d, &names);
                     assert_eq!(l.tables.len(), d.tables.len(), "{sql}");
                     for (i, t) in l.tables.iter().enumerate() {
                         assert_eq!(t.table, i, "{sql}");
@@ -504,7 +519,7 @@ mod tests {
 
     #[test]
     fn drawing_fits_all_rects() {
-        let (_, l) = layout(UNIQUE_SET);
+        let (_, l, _) = layout(UNIQUE_SET);
         for t in &l.tables {
             assert!(t.rect.x >= 0.0 && t.rect.right() <= l.width);
             assert!(t.rect.y >= 0.0 && t.rect.bottom() <= l.height);

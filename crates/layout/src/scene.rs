@@ -25,7 +25,7 @@
 use crate::engine::Layout;
 use crate::geometry::{Point, Rect};
 use queryvis_diagram::{Diagram, EdgeEndpoint, RowKind};
-use queryvis_logic::Quantifier;
+use queryvis_logic::{Names, Quantifier};
 use std::collections::{HashMap, HashSet};
 
 /// Abstract style classes. Backends resolve them to their medium: the SVG
@@ -339,12 +339,16 @@ pub fn header_class(is_select: bool) -> StyleClass {
 /// The char-medium title annotation for a table: `(alias)` when the alias
 /// differs from the base name, plus the quantifier symbol when the table
 /// sits in a box. Empty for plain tables.
-pub fn title_annotation(diagram: &Diagram, table: queryvis_diagram::TableId) -> String {
+pub fn title_annotation(
+    diagram: &Diagram,
+    names: &Names,
+    table: queryvis_diagram::TableId,
+) -> String {
     let t = &diagram.tables[table];
     let mut out = String::new();
     if t.alias != t.name && !t.is_select {
         out.push('(');
-        out.push_str(t.alias.as_str());
+        out.push_str(names.resolve(t.alias));
         out.push(')');
     }
     if let Some(qbox) = diagram.box_of(table) {
@@ -359,10 +363,10 @@ pub fn title_annotation(diagram: &Diagram, table: queryvis_diagram::TableId) -> 
 /// Resolve one laid-out diagram into a single-branch [`Scene`].
 ///
 /// This is the only place diagram topology meets geometry: every label is
-/// resolved from its interned [`Symbol`](queryvis_diagram::model) here,
-/// every derived rect (the ∀ inner line, text anchors) is computed here,
-/// and backends downstream only project.
-pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
+/// resolved through the query's `names` here, every derived rect (the ∀
+/// inner line, text anchors) is computed here, and backends downstream
+/// only project.
+pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
     // At most two marks per box, one per edge, four per table and two per row.
     let rows: usize = diagram.tables.iter().map(|t| t.rows.len()).sum();
     let capacity = layout.boxes.len() * 2 + layout.edges.len() + layout.tables.len() * 4 + rows * 2;
@@ -375,7 +379,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
     let box_key = |qbox: &queryvis_diagram::QuantifierBox| {
         qbox.tables
             .first()
-            .map_or("", |&t| diagram.tables[t].alias.as_str())
+            .map_or("", |&t| names.resolve(diagram.tables[t].alias))
     };
     for bl in &layout.boxes {
         let qbox = &diagram.boxes[bl.box_index];
@@ -415,8 +419,8 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
     // Edges beneath tables so lines visually attach to row borders.
     let qualified = |end: EdgeEndpoint| {
         let table = &diagram.tables[end.table];
-        let column = table.rows[end.row].column.as_str();
-        [table.alias.as_str(), ".", column].concat()
+        let column = names.resolve(table.rows[end.row].column);
+        [names.resolve(table.alias), ".", column].concat()
     };
     for el in &layout.edges {
         let edge = &diagram.edges[el.edge_index];
@@ -445,7 +449,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
     // Tables: frame, header band + title, then row bands + texts.
     for tl in &layout.tables {
         let table = &diagram.tables[tl.table];
-        let alias = table.alias.as_str();
+        let alias = names.resolve(table.alias);
         let header = header_class(table.is_select);
         marks.push(Mark::Rect(RectMark {
             id: ids.id(Path::new().str("frame:").str(alias)),
@@ -463,12 +467,12 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
         }));
         marks.push(Mark::Text(TextMark {
             id: ids.id(Path::new().str("title:").str(alias)),
-            text: table.name.as_str().to_string(),
+            text: names.resolve(table.name).to_string(),
             anchor: tl.header.center(),
             role: TextRole::Title,
             class: header,
         }));
-        let annotation = title_annotation(diagram, tl.table);
+        let annotation = title_annotation(diagram, names, tl.table);
         if !annotation.is_empty() {
             marks.push(Mark::Text(TextMark {
                 id: ids.id(Path::new().str("ann:").str(alias)),
@@ -492,7 +496,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout) -> Scene {
             }));
             marks.push(Mark::Text(TextMark {
                 id: ids.id(rowt.num(i)),
-                text: row.display(),
+                text: row.display(names),
                 anchor: rect.center(),
                 role: TextRole::RowText,
                 class,
@@ -570,12 +574,14 @@ mod tests {
     use crate::engine::layout_diagram;
     use queryvis_diagram::build_diagram;
     use queryvis_logic::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
     fn scene(sql: &str) -> Scene {
-        let d = build_diagram(&translate(&parse_query(sql).unwrap(), None).unwrap());
-        let l = layout_diagram(&d);
-        build_scene(&d, &l)
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        let d = build_diagram(&translate(&query, None, &mut names).unwrap());
+        let l = layout_diagram(&d, &names);
+        build_scene(&d, &l, &names)
     }
 
     const QNEG: &str = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
@@ -645,21 +651,19 @@ mod tests {
 
     #[test]
     fn forall_box_emits_inner_line() {
-        let d = build_diagram(&queryvis_logic::simplify(
-            &translate(
-                &parse_query(
-                    "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
-                     (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
-                     (SELECT L.drink FROM Likes L WHERE L.person = F.person \
-                      AND S.drink = L.drink))",
-                )
-                .unwrap(),
-                None,
-            )
-            .unwrap(),
-        ));
-        let l = layout_diagram(&d);
-        let s = build_scene(&d, &l);
+        let mut names = Names::new();
+        let query = parse_query(
+            "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+             (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
+             (SELECT L.drink FROM Likes L WHERE L.person = F.person \
+              AND S.drink = L.drink))",
+            &mut names,
+        )
+        .unwrap();
+        let tree = translate(&query, None, &mut names).unwrap();
+        let d = build_diagram(&queryvis_logic::simplify(&tree));
+        let l = layout_diagram(&d, &names);
+        let s = build_scene(&d, &l, &names);
         let boxes: Vec<&RectMark> = s.branches[0]
             .marks
             .iter()

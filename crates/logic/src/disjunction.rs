@@ -207,20 +207,22 @@ fn pred_choices(pred: &Predicate) -> Result<Vec<Vec<Predicate>>, TranslateError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use queryvis_sql::parse_query;
     use queryvis_sql::printer::to_sql_one_line;
+    use queryvis_sql::{parse_query, Names};
 
     fn branches(sql: &str) -> Vec<String> {
-        lower_disjunctions(&parse_query(sql).unwrap())
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        lower_disjunctions(&query)
             .unwrap()
             .iter()
-            .map(to_sql_one_line)
+            .map(|q| to_sql_one_line(q, &names))
             .collect()
     }
 
     #[test]
     fn or_free_query_is_untouched() {
-        let q = parse_query("SELECT T.a FROM T WHERE T.a = 1").unwrap();
+        let q = parse_query("SELECT T.a FROM T WHERE T.a = 1", &mut Names::new()).unwrap();
         let lowered = lower_disjunctions(&q).unwrap();
         assert_eq!(lowered, vec![q]);
     }
@@ -288,8 +290,11 @@ mod tests {
 
     #[test]
     fn grouped_query_refuses_root_split() {
-        let q = parse_query("SELECT T.a, COUNT(T.b) FROM T WHERE T.a = 1 OR T.b = 2 GROUP BY T.a")
-            .unwrap();
+        let q = parse_query(
+            "SELECT T.a, COUNT(T.b) FROM T WHERE T.a = 1 OR T.b = 2 GROUP BY T.a",
+            &mut Names::new(),
+        )
+        .unwrap();
         assert_eq!(
             lower_disjunctions(&q).unwrap_err(),
             TranslateError::DisjunctiveAggregate
@@ -299,6 +304,7 @@ mod tests {
             "SELECT T.a, COUNT(T.b) FROM T WHERE NOT EXISTS \
              (SELECT * FROM S WHERE S.a = T.a AND (S.x = 1 OR S.y = 2)) \
              GROUP BY T.a",
+            &mut Names::new(),
         )
         .unwrap();
         assert_eq!(lower_disjunctions(&q).unwrap().len(), 1);
@@ -325,7 +331,7 @@ mod tests {
             "SELECT T.a FROM T WHERE ({} OR T.x = 0)",
             (0..4).map(exists).collect::<Vec<_>>().join(" AND ")
         );
-        let q = parse_query(&sql).unwrap();
+        let q = parse_query(&sql, &mut Names::new()).unwrap();
         let start = std::time::Instant::now();
         assert!(matches!(
             lower_disjunctions(&q).unwrap_err(),
@@ -347,7 +353,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join(" AND ")
         );
-        let q = parse_query(&sql).unwrap();
+        let q = parse_query(&sql, &mut Names::new()).unwrap();
         assert!(matches!(
             lower_disjunctions(&q).unwrap_err(),
             TranslateError::DisjunctionTooWide { .. }

@@ -30,6 +30,7 @@ pub use lt::{
     AttrRef, LogicTree, LtHaving, LtNode, LtOperand, LtPredicate, LtTable, NodeId, Quantifier,
     SelectAttr,
 };
+pub use queryvis_ir::{Names, Symbol};
 pub use simplify::{simplify, simplify_in_place};
 pub use translate::{translate, translate_branches, TranslateError};
 pub use trc::to_trc;
@@ -40,10 +41,11 @@ pub use validate::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
     #[test]
     fn end_to_end_unique_set() {
+        let mut names = Names::new();
         let q = parse_query(
             "SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
                SELECT * FROM Likes L2 WHERE L1.drinker <> L2.drinker \
@@ -57,12 +59,13 @@ mod tests {
                  AND NOT EXISTS( \
                    SELECT * FROM Likes L6 WHERE L6.drinker = L2.drinker \
                    AND L6.beer = L5.beer)))",
+            &mut names,
         )
         .unwrap();
-        let lt = translate(&q, None).unwrap();
+        let lt = translate(&q, None, &mut names).unwrap();
         assert_eq!(lt.node_count(), 6);
         assert_eq!(lt.max_depth(), 3);
-        check_non_degenerate(&lt).unwrap();
+        check_non_degenerate(&lt, &names).unwrap();
 
         let simplified = simplify(&lt);
         // L3 and L5 become ∀; L4 and L6 become ∃; L2 stays ∄ (two children).

@@ -54,15 +54,17 @@ pub fn rewritable_pairs(tree: &LogicTree) -> usize {
 mod tests {
     use super::*;
     use crate::translate::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
-    fn lt(sql: &str) -> LogicTree {
-        translate(&parse_query(sql).unwrap(), None).unwrap()
+    fn lt(sql: &str) -> (LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
     }
 
     #[test]
     fn qonly_becomes_forall_exists() {
-        let tree = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+        let (tree, _) = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
              (SELECT L.drink FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))");
         let s = simplify(&tree);
@@ -75,7 +77,7 @@ mod tests {
     fn branching_not_exists_untouched() {
         // A ∄ node with two ∄ children must not be rewritten (paper Fig. 10b:
         // L2 keeps ∄ because it has two children).
-        let tree = lt("SELECT A.a FROM A WHERE NOT EXISTS( \
+        let (tree, _) = lt("SELECT A.a FROM A WHERE NOT EXISTS( \
                SELECT * FROM B WHERE B.a = A.a \
                AND NOT EXISTS(SELECT * FROM C WHERE C.b = B.b) \
                AND NOT EXISTS(SELECT * FROM D WHERE D.b = B.b))");
@@ -88,7 +90,7 @@ mod tests {
 
     #[test]
     fn unique_set_matches_fig10b() {
-        let tree = lt("SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
+        let (tree, names) = lt("SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
                SELECT * FROM Likes L2 WHERE L1.drinker <> L2.drinker \
                AND NOT EXISTS( \
                  SELECT * FROM Likes L3 WHERE L3.drinker = L2.drinker \
@@ -102,7 +104,7 @@ mod tests {
                    AND L6.beer = L5.beer)))");
         let s = simplify(&tree);
         let quant_of = |alias: &str| {
-            let id = s.owner_of(alias).unwrap();
+            let id = s.owner_of(names.get(alias).unwrap()).unwrap();
             s.node(id).quantifier
         };
         assert_eq!(quant_of("L2"), Quantifier::NotExists);
@@ -115,7 +117,7 @@ mod tests {
 
     #[test]
     fn four_chain_alternates() {
-        let tree = lt("SELECT A.a FROM A WHERE NOT EXISTS( \
+        let (tree, _) = lt("SELECT A.a FROM A WHERE NOT EXISTS( \
               SELECT * FROM B WHERE B.a = A.a AND NOT EXISTS( \
                SELECT * FROM C WHERE C.b = B.b AND NOT EXISTS( \
                 SELECT * FROM D WHERE D.c = C.c AND NOT EXISTS( \
@@ -135,7 +137,7 @@ mod tests {
 
     #[test]
     fn exists_chain_untouched() {
-        let tree = lt("SELECT A.a FROM A WHERE EXISTS( \
+        let (tree, _) = lt("SELECT A.a FROM A WHERE EXISTS( \
              SELECT * FROM B WHERE B.a = A.a AND EXISTS( \
              SELECT * FROM C WHERE C.b = B.b))");
         let s = simplify(&tree);
@@ -146,7 +148,7 @@ mod tests {
 
     #[test]
     fn simplify_is_idempotent() {
-        let tree = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+        let (tree, _) = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
              (SELECT L.drink FROM Likes L WHERE L.person = F.person))");
         let once = simplify(&tree);

@@ -21,7 +21,7 @@
 use crate::lt::{
     AttrRef, LogicTree, LtHaving, LtPredicate, LtTable, NodeId, Quantifier, SelectAttr,
 };
-use queryvis_ir::Symbol;
+use queryvis_ir::{Names, Symbol};
 use queryvis_sql::{
     ColumnRef, CompareOp, Operand, Predicate, Query, Schema, SelectItem, SelectList,
 };
@@ -127,9 +127,16 @@ impl std::error::Error for TranslateError {}
 /// sibling ∄-groups) the tree comes back directly, otherwise the query is
 /// a union of conjunctive branches and the caller must use
 /// [`translate_branches`].
-pub fn translate(query: &Query, schema: Option<&Schema>) -> Result<LogicTree, TranslateError> {
+///
+/// The query's names live in `names`; the binding keys translation makes
+/// up for shadowed aliases (`L#2`) go into it too.
+pub fn translate(
+    query: &Query,
+    schema: Option<&Schema>,
+    names: &mut Names,
+) -> Result<LogicTree, TranslateError> {
     if crate::disjunction::has_disjunction(query) {
-        let mut trees = translate_branches(query, schema)?;
+        let mut trees = translate_branches(query, schema, names)?;
         if trees.len() != 1 {
             return Err(TranslateError::UnloweredDisjunction {
                 branches: trees.len(),
@@ -137,7 +144,7 @@ pub fn translate(query: &Query, schema: Option<&Schema>) -> Result<LogicTree, Tr
         }
         return Ok(trees.pop().expect("one branch"));
     }
-    translate_conjunctive(query, schema)
+    translate_conjunctive(query, schema, names)
 }
 
 /// Translate a query into one logic tree per union branch after lowering
@@ -145,10 +152,11 @@ pub fn translate(query: &Query, schema: Option<&Schema>) -> Result<LogicTree, Tr
 pub fn translate_branches(
     query: &Query,
     schema: Option<&Schema>,
+    names: &mut Names,
 ) -> Result<Vec<LogicTree>, TranslateError> {
     crate::disjunction::lower_disjunctions(query)?
         .iter()
-        .map(|q| translate_conjunctive(q, schema))
+        .map(|q| translate_conjunctive(q, schema, names))
         .collect()
 }
 
@@ -156,11 +164,13 @@ pub fn translate_branches(
 fn translate_conjunctive(
     query: &Query,
     schema: Option<&Schema>,
+    names: &mut Names,
 ) -> Result<LogicTree, TranslateError> {
     let mut translator = Translator {
         tree: LogicTree::with_root(),
         scopes: Vec::new(),
         schema,
+        names,
         used_keys: HashMap::new(),
     };
     translator.block(query, 0, true)?;
@@ -180,6 +190,8 @@ struct Translator<'a> {
     /// Stack of per-block binding lists, innermost last.
     scopes: Vec<Vec<Binding>>,
     schema: Option<&'a Schema>,
+    /// The query's name table.
+    names: &'a mut Names,
     /// Disambiguation counters for shadowed aliases.
     used_keys: HashMap<Symbol, usize>,
 }
@@ -376,30 +388,32 @@ impl<'a> Translator<'a> {
     fn resolve(&self, column: &ColumnRef) -> Result<AttrRef, TranslateError> {
         match column.table {
             Some(alias) => {
+                let text = self.names.resolve(alias);
                 for scope in self.scopes.iter().rev() {
                     // Fast path: exact symbol match (the common case, since
                     // queries almost always spell an alias consistently).
                     if let Some(b) = scope.iter().find(|b| {
-                        b.alias == alias || b.alias.as_str().eq_ignore_ascii_case(alias.as_str())
+                        b.alias == alias || self.names.resolve(b.alias).eq_ignore_ascii_case(text)
                     }) {
                         return Ok(AttrRef::new(b.key, column.column));
                     }
                 }
                 Err(TranslateError::UnknownBinding {
-                    binding: alias.to_string(),
+                    binding: text.to_string(),
                 })
             }
             None => {
                 // Schema-aware resolution if available; otherwise only a
                 // unique binding in the innermost non-empty scope works.
+                let column_name = self.names.resolve(column.column);
                 for scope in self.scopes.iter().rev() {
                     let candidates: Vec<&Binding> = match self.schema {
                         Some(schema) => scope
                             .iter()
                             .filter(|b| {
                                 schema
-                                    .table(b.table.as_str())
-                                    .is_some_and(|t| t.has_column(column.column.as_str()))
+                                    .table(self.names.resolve(b.table))
+                                    .is_some_and(|t| t.has_column(column_name))
                             })
                             .collect(),
                         None => scope.iter().collect(),
@@ -409,13 +423,13 @@ impl<'a> Translator<'a> {
                         1 => return Ok(AttrRef::new(candidates[0].key, column.column)),
                         _ => {
                             return Err(TranslateError::AmbiguousColumn {
-                                column: column.column.to_string(),
+                                column: column_name.to_string(),
                             })
                         }
                     }
                 }
                 Err(TranslateError::UnresolvedColumn {
-                    column: column.column.to_string(),
+                    column: column_name.to_string(),
                 })
             }
         }
@@ -429,7 +443,8 @@ impl<'a> Translator<'a> {
         if *count == 1 {
             alias
         } else {
-            Symbol::intern(&format!("{alias}#{count}"))
+            let key = format!("{}#{count}", self.names.resolve(alias));
+            self.names.intern(&key)
         }
     }
 }
@@ -441,13 +456,19 @@ mod tests {
     use queryvis_sql::parse_query;
     use queryvis_sql::schema::beers_schema;
 
-    fn lt(sql: &str) -> LogicTree {
-        translate(&parse_query(sql).unwrap(), None).unwrap()
+    fn lt(sql: &str) -> (LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
+    }
+
+    fn parse(sql: &str, names: &mut Names) -> Query {
+        parse_query(sql, names).unwrap()
     }
 
     #[test]
     fn conjunctive_query_single_node() {
-        let tree = lt("SELECT F.person FROM Frequents F, Likes L, Serves S \
+        let (tree, _) = lt("SELECT F.person FROM Frequents F, Likes L, Serves S \
              WHERE F.person = L.person AND F.bar = S.bar AND L.drink = S.drink");
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.root().tables.len(), 3);
@@ -457,7 +478,7 @@ mod tests {
 
     #[test]
     fn exists_becomes_child() {
-        let tree = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+        let (tree, _) = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar)");
         assert_eq!(tree.node_count(), 2);
         assert_eq!(tree.node(1).quantifier, Quantifier::NotExists);
@@ -467,25 +488,24 @@ mod tests {
 
     #[test]
     fn in_subquery_desugars_to_exists_with_equality() {
-        let tree = lt("SELECT S.sname FROM Sailor S WHERE S.sid IN \
+        let (tree, names) = lt("SELECT S.sname FROM Sailor S WHERE S.sid IN \
              (SELECT R.sid FROM Reserves R)");
         assert_eq!(tree.node(1).quantifier, Quantifier::Exists);
         let p = &tree.node(1).predicates[0];
-        assert_eq!(p.lhs, AttrRef::new("S", "sid"));
-        assert_eq!(p.op, CompareOp::Eq);
-        assert_eq!(p.rhs, LtOperand::Attr(AttrRef::new("R", "sid")));
+        assert_eq!(names.show(p).to_string(), "(S.sid = R.sid)");
+        assert!(matches!(p.rhs, LtOperand::Attr(_)));
     }
 
     #[test]
     fn not_in_desugars_to_not_exists() {
-        let tree = lt("SELECT S.sname FROM Sailor S WHERE S.sid NOT IN \
+        let (tree, _) = lt("SELECT S.sname FROM Sailor S WHERE S.sid NOT IN \
              (SELECT R.sid FROM Reserves R)");
         assert_eq!(tree.node(1).quantifier, Quantifier::NotExists);
     }
 
     #[test]
     fn all_desugars_to_not_exists_with_negated_op() {
-        let tree = lt("SELECT T.TrackId FROM Track T WHERE T.ms >= ALL \
+        let (tree, _) = lt("SELECT T.TrackId FROM Track T WHERE T.ms >= ALL \
              (SELECT T2.ms FROM Track T2)");
         assert_eq!(tree.node(1).quantifier, Quantifier::NotExists);
         let p = &tree.node(1).predicates[0];
@@ -494,7 +514,7 @@ mod tests {
 
     #[test]
     fn negated_any_desugars_to_not_exists() {
-        let tree = lt("SELECT S.sname FROM Sailor S WHERE NOT S.sid = ANY \
+        let (tree, _) = lt("SELECT S.sname FROM Sailor S WHERE NOT S.sid = ANY \
              (SELECT R.sid FROM Reserves R)");
         assert_eq!(tree.node(1).quantifier, Quantifier::NotExists);
         assert_eq!(tree.node(1).predicates[0].op, CompareOp::Eq);
@@ -502,60 +522,86 @@ mod tests {
 
     #[test]
     fn fig24_variants_share_fingerprint() {
-        let v1 = lt("SELECT S.sname FROM Sailor S WHERE NOT EXISTS( \
+        let (v1, n1) = lt("SELECT S.sname FROM Sailor S WHERE NOT EXISTS( \
              SELECT * FROM Reserves R WHERE R.sid = S.sid AND NOT EXISTS( \
              SELECT * FROM Boat B WHERE B.color = 'red' AND R.bid = B.bid))");
-        let v2 = lt("SELECT S.sname FROM Sailor S WHERE S.sid NOT IN( \
+        let (v2, n2) = lt("SELECT S.sname FROM Sailor S WHERE S.sid NOT IN( \
              SELECT R.sid FROM Reserves R WHERE R.bid NOT IN( \
              SELECT B.bid FROM Boat B WHERE B.color = 'red'))");
-        let v3 = lt("SELECT S.sname FROM Sailor S WHERE NOT S.sid = ANY( \
+        let (v3, n3) = lt("SELECT S.sname FROM Sailor S WHERE NOT S.sid = ANY( \
              SELECT R.sid FROM Reserves R WHERE NOT R.bid = ANY( \
              SELECT B.bid FROM Boat B WHERE B.color = 'red'))");
-        assert!(v1.structural_eq(&v2), "\n{v1}\nvs\n{v2}");
-        assert!(v2.structural_eq(&v3), "\n{v2}\nvs\n{v3}");
+        let (s1, s2, s3) = (n1.show(&v1), n2.show(&v2), n3.show(&v3));
+        assert!(v1.structural_eq(&n1, &v2, &n2), "\n{s1}\nvs\n{s2}");
+        assert!(v2.structural_eq(&n2, &v3, &n3), "\n{s2}\nvs\n{s3}");
+    }
+
+    #[test]
+    fn from_order_does_not_change_structure() {
+        // Written `FROM B Y, A X`, the query lexes Y before X, so Y's
+        // symbol id is the smaller one; orienting `X.a = Y.b` by id
+        // would flip it in one spelling and not the other. Orientation
+        // goes by resolved name, so the two trees compare equal.
+        let (xy, nxy) = lt("SELECT Z.c FROM C Z WHERE EXISTS \
+             (SELECT * FROM A X, B Y WHERE X.a = Y.b AND Y.b = Z.c)");
+        let (yx, nyx) = lt("SELECT Z.c FROM C Z WHERE EXISTS \
+             (SELECT * FROM B Y, A X WHERE X.a = Y.b AND Y.b = Z.c)");
+        let (x, y) = (nxy.get("X").unwrap(), nxy.get("Y").unwrap());
+        assert!(x < y && nyx.get("Y").unwrap() < nyx.get("X").unwrap());
+        assert!(xy.structural_eq(&nxy, &yx, &nyx));
     }
 
     #[test]
     fn shadowed_alias_gets_unique_key() {
-        let tree = lt("SELECT L.drinker FROM Likes L WHERE NOT EXISTS \
+        let (tree, names) = lt("SELECT L.drinker FROM Likes L WHERE NOT EXISTS \
              (SELECT * FROM Serves L WHERE L.bar = 'Owl')");
-        assert_eq!(tree.node(0).tables[0].key, "L");
-        assert_eq!(tree.node(1).tables[0].key, "L#2");
+        assert_eq!(names.resolve(tree.node(0).tables[0].key), "L");
+        assert_eq!(names.resolve(tree.node(1).tables[0].key), "L#2");
         // The inner predicate must reference the inner (shadowing) binding.
-        assert_eq!(tree.node(1).predicates[0].lhs.binding, "L#2");
+        assert_eq!(names.resolve(tree.node(1).predicates[0].lhs.binding), "L#2");
     }
 
     #[test]
     fn constant_flipped_to_rhs() {
-        let tree = lt("SELECT T.a FROM T WHERE 3 < T.a");
+        let (tree, names) = lt("SELECT T.a FROM T WHERE 3 < T.a");
         let p = &tree.root().predicates[0];
-        assert_eq!(p.lhs, AttrRef::new("T", "a"));
+        assert_eq!(names.show(&p.lhs).to_string(), "T.a");
         assert_eq!(p.op, CompareOp::Gt);
     }
 
     #[test]
     fn unqualified_resolution_without_schema_single_binding() {
-        let tree = lt("SELECT drinker FROM Likes WHERE beer = 'IPA'");
+        let (tree, names) = lt("SELECT drinker FROM Likes WHERE beer = 'IPA'");
         assert_eq!(tree.select.len(), 1);
-        assert_eq!(tree.root().predicates[0].lhs.binding, "Likes");
+        assert_eq!(
+            names.resolve(tree.root().predicates[0].lhs.binding),
+            "Likes"
+        );
     }
 
     #[test]
     fn unqualified_resolution_with_schema() {
-        let q =
-            parse_query("SELECT drinker FROM Frequents F, Serves S WHERE F.bar = S.bar").unwrap();
-        let tree = translate(&q, Some(&beers_schema())).unwrap();
+        let mut names = Names::new();
+        let q = parse(
+            "SELECT drinker FROM Frequents F, Serves S WHERE F.bar = S.bar",
+            &mut names,
+        );
+        let tree = translate(&q, Some(&beers_schema()), &mut names).unwrap();
         // `drinker` exists only on Frequents.
         match &tree.select[0] {
-            SelectAttr::Column(a) => assert_eq!(a.binding, "F"),
+            SelectAttr::Column(a) => assert_eq!(names.resolve(a.binding), "F"),
             other => panic!("unexpected select {other:?}"),
         }
     }
 
     #[test]
     fn ambiguous_unqualified_without_schema_errors() {
-        let q = parse_query("SELECT drinker FROM Likes L, Frequents F WHERE L.a = F.b").unwrap();
-        let err = translate(&q, None).unwrap_err();
+        let mut names = Names::new();
+        let q = parse(
+            "SELECT drinker FROM Likes L, Frequents F WHERE L.a = F.b",
+            &mut names,
+        );
+        let err = translate(&q, None, &mut names).unwrap_err();
         assert_eq!(
             err,
             TranslateError::AmbiguousColumn {
@@ -566,18 +612,18 @@ mod tests {
 
     #[test]
     fn nested_aggregate_rejected() {
-        let q =
-            parse_query("SELECT T.a FROM T WHERE EXISTS (SELECT COUNT(S.x) FROM S GROUP BY S.x)")
-                .unwrap();
+        let mut names = Names::new();
+        let sql = "SELECT T.a FROM T WHERE EXISTS (SELECT COUNT(S.x) FROM S GROUP BY S.x)";
+        let q = parse(sql, &mut names);
         assert_eq!(
-            translate(&q, None).unwrap_err(),
+            translate(&q, None, &mut names).unwrap_err(),
             TranslateError::NestedAggregate
         );
     }
 
     #[test]
     fn group_by_recorded_on_tree() {
-        let tree = lt("SELECT T.AlbumId, MAX(T.ms) FROM Track T GROUP BY T.AlbumId");
+        let (tree, _) = lt("SELECT T.AlbumId, MAX(T.ms) FROM Track T GROUP BY T.AlbumId");
         assert_eq!(tree.group_by.len(), 1);
         assert_eq!(tree.select.len(), 2);
         assert!(matches!(

@@ -13,6 +13,7 @@
 //!   of its directly nested blocks references both it and its parent.
 
 use crate::lt::{LogicTree, LtNode, LtOperand, NodeId};
+use queryvis_ir::Names;
 use std::fmt;
 
 /// The depth bound for which diagrams are proven unambiguous (paper §5.2).
@@ -62,8 +63,8 @@ impl std::error::Error for DegeneracyError {}
 
 /// Check Properties 5.1 and 5.2 (plus the HAVING attachment rule).
 /// Returns the first violation found.
-pub fn check_non_degenerate(tree: &LogicTree) -> Result<(), DegeneracyError> {
-    check_local_attributes(tree)?;
+pub fn check_non_degenerate(tree: &LogicTree, names: &Names) -> Result<(), DegeneracyError> {
+    check_local_attributes(tree, names)?;
     check_connected_subqueries(tree)?;
     check_having_attachment(tree)?;
     Ok(())
@@ -80,22 +81,22 @@ pub fn check_having_attachment(tree: &LogicTree) -> Result<(), DegeneracyError> 
 
 /// Check non-degeneracy *and* the depth ≤ 3 bound — i.e. whether the tree
 /// is a valid source for a provably unambiguous diagram (paper §5.2).
-pub fn check_valid_diagram_source(tree: &LogicTree) -> Result<(), DegeneracyError> {
+pub fn check_valid_diagram_source(tree: &LogicTree, names: &Names) -> Result<(), DegeneracyError> {
     let depth = tree.max_depth();
     if depth > MAX_DIAGRAM_DEPTH {
         return Err(DegeneracyError::TooDeep { depth });
     }
-    check_non_degenerate(tree)
+    check_non_degenerate(tree, names)
 }
 
-/// Property 5.1.
-pub fn check_local_attributes(tree: &LogicTree) -> Result<(), DegeneracyError> {
+/// Property 5.1. The error names the predicate through `names`.
+pub fn check_local_attributes(tree: &LogicTree, names: &Names) -> Result<(), DegeneracyError> {
     for node in tree.nodes() {
         for pred in &node.predicates {
             if !references_local(node, pred) {
                 return Err(DegeneracyError::NonLocalPredicate {
                     node: node.id,
-                    predicate: pred.to_string(),
+                    predicate: names.show(pred).to_string(),
                 });
             }
         }
@@ -148,19 +149,21 @@ fn references_node(tree: &LogicTree, node: &LtNode, target: NodeId) -> bool {
 mod tests {
     use super::*;
     use crate::translate::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
-    fn lt(sql: &str) -> LogicTree {
-        translate(&parse_query(sql).unwrap(), None).unwrap()
+    fn lt(sql: &str) -> (LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
     }
 
     #[test]
     fn well_formed_query_passes() {
-        let tree = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+        let (tree, names) = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND NOT EXISTS \
              (SELECT L.drink FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))");
-        check_non_degenerate(&tree).unwrap();
-        check_valid_diagram_source(&tree).unwrap();
+        check_non_degenerate(&tree, &names).unwrap();
+        check_valid_diagram_source(&tree, &names).unwrap();
     }
 
     #[test]
@@ -168,9 +171,9 @@ mod tests {
         // §5.1: the predicate F.bar = 'Owl' sits in the Serves block but
         // references only the outer Frequents binding — a smuggled
         // disjunction.
-        let tree = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+        let (tree, names) = lt("SELECT F.person FROM Frequents F WHERE NOT EXISTS \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND F.bar = 'Owl')");
-        let err = check_non_degenerate(&tree).unwrap_err();
+        let err = check_non_degenerate(&tree, &names).unwrap_err();
         assert!(
             matches!(err, DegeneracyError::NonLocalPredicate { node: 1, .. }),
             "{err}"
@@ -180,16 +183,16 @@ mod tests {
     #[test]
     fn non_local_join_predicate_detected() {
         // Both sides of the join live in ancestor blocks.
-        let tree = lt("SELECT A.x FROM A, B WHERE A.x = B.x AND NOT EXISTS \
+        let (tree, names) = lt("SELECT A.x FROM A, B WHERE A.x = B.x AND NOT EXISTS \
              (SELECT * FROM C WHERE A.y = B.y)");
-        let err = check_local_attributes(&tree).unwrap_err();
+        let err = check_local_attributes(&tree, &names).unwrap_err();
         assert!(matches!(err, DegeneracyError::NonLocalPredicate { .. }));
     }
 
     #[test]
     fn disconnected_block_detected() {
         // The subquery never references the outer block.
-        let tree = lt("SELECT A.x FROM A WHERE NOT EXISTS \
+        let (tree, _) = lt("SELECT A.x FROM A WHERE NOT EXISTS \
              (SELECT * FROM B WHERE B.y = 'z')");
         let err = check_connected_subqueries(&tree).unwrap_err();
         assert_eq!(err, DegeneracyError::DisconnectedBlock { node: 1 });
@@ -199,7 +202,7 @@ mod tests {
     fn grandchild_bridge_satisfies_property_52() {
         // Block B does not reference A directly, but its only child C
         // references both B and A — the second arm of Property 5.2.
-        let tree = lt("SELECT A.x FROM A WHERE NOT EXISTS( \
+        let (tree, _) = lt("SELECT A.x FROM A WHERE NOT EXISTS( \
                SELECT * FROM B WHERE B.k = 1 AND NOT EXISTS( \
                  SELECT * FROM C WHERE C.u = B.u AND C.v = A.v))");
         check_connected_subqueries(&tree).unwrap();
@@ -208,7 +211,7 @@ mod tests {
     #[test]
     fn grandchild_bridge_must_cover_all_children() {
         // Two children; only one bridges to the grandparent.
-        let tree = lt("SELECT A.x FROM A WHERE NOT EXISTS( \
+        let (tree, _) = lt("SELECT A.x FROM A WHERE NOT EXISTS( \
                SELECT * FROM B WHERE B.k = 1 \
                AND NOT EXISTS(SELECT * FROM C WHERE C.u = B.u AND C.v = A.v) \
                AND NOT EXISTS(SELECT * FROM D WHERE D.u = B.u))");
@@ -218,22 +221,22 @@ mod tests {
 
     #[test]
     fn depth_bound_enforced() {
-        let tree = lt("SELECT A.a FROM A WHERE NOT EXISTS( \
+        let (tree, names) = lt("SELECT A.a FROM A WHERE NOT EXISTS( \
               SELECT * FROM B WHERE B.a = A.a AND NOT EXISTS( \
                SELECT * FROM C WHERE C.b = B.b AND NOT EXISTS( \
                 SELECT * FROM D WHERE D.c = C.c AND NOT EXISTS( \
                  SELECT * FROM E WHERE E.d = D.d))))");
         assert_eq!(
-            check_valid_diagram_source(&tree).unwrap_err(),
+            check_valid_diagram_source(&tree, &names).unwrap_err(),
             DegeneracyError::TooDeep { depth: 4 }
         );
         // Non-degeneracy itself holds; only the depth bound fails.
-        check_non_degenerate(&tree).unwrap();
+        check_non_degenerate(&tree, &names).unwrap();
     }
 
     #[test]
     fn selection_predicate_is_local() {
-        let tree = lt("SELECT B.bid FROM Boat B WHERE B.color = 'red'");
-        check_non_degenerate(&tree).unwrap();
+        let (tree, names) = lt("SELECT B.bid FROM Boat B WHERE B.color = 'red'");
+        check_non_degenerate(&tree, &names).unwrap();
     }
 }

@@ -277,12 +277,21 @@ mod tests {
     use queryvis_diagram::build_diagram;
     use queryvis_layout::compose_union;
     use queryvis_logic::translate;
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
+
+    fn lt(sql: &str) -> (queryvis_logic::LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
+    }
+
+    fn scene_of(sql: &str) -> queryvis_layout::Scene {
+        let (tree, names) = lt(sql);
+        diagram_scene(&build_diagram(&tree), &names)
+    }
 
     fn ascii(sql: &str) -> String {
-        to_ascii(&diagram_scene(&build_diagram(
-            &translate(&parse_query(sql).unwrap(), None).unwrap(),
-        )))
+        to_ascii(&scene_of(sql))
     }
 
     #[test]
@@ -319,11 +328,7 @@ mod tests {
 
     #[test]
     fn union_badge_lines_match_legacy_format() {
-        let scene = |sql: &str| {
-            diagram_scene(&build_diagram(
-                &translate(&parse_query(sql).unwrap(), None).unwrap(),
-            ))
-        };
+        let scene = scene_of;
         let a = "SELECT F.person FROM Frequents F";
         let b = "SELECT L.person FROM Likes L";
         let union = to_ascii(&compose_union(vec![scene(a), scene(b)], false));

@@ -8,7 +8,7 @@
 use queryvis_diagram::{Diagram, TableId};
 use queryvis_layout::scene::{header_class, row_class};
 use queryvis_layout::StyleClass;
-use queryvis_logic::Quantifier;
+use queryvis_logic::{Names, Quantifier};
 use std::fmt::Write;
 
 /// Escape text for GraphViz HTML-like labels. Quotes must be escaped too:
@@ -21,7 +21,7 @@ fn html_escape(text: &str) -> String {
         .replace('"', "&quot;")
 }
 
-fn table_label(diagram: &Diagram, id: TableId) -> String {
+fn table_label(diagram: &Diagram, names: &Names, id: TableId) -> String {
     let table = &diagram.tables[id];
     let mut out =
         String::from(r#"<<table border="0" cellborder="1" cellspacing="0" cellpadding="4">"#);
@@ -35,7 +35,7 @@ fn table_label(diagram: &Diagram, id: TableId) -> String {
     let _ = write!(
         out,
         r#"<tr><td bgcolor="{bg}"><font color="{fg}"><b>{}</b></font></td></tr>"#,
-        html_escape(table.name.as_str())
+        html_escape(names.resolve(table.name))
     );
     for (i, row) in table.rows.iter().enumerate() {
         let bg = match crate::style::row_fill(row_class(&row.kind)) {
@@ -45,27 +45,28 @@ fn table_label(diagram: &Diagram, id: TableId) -> String {
         let _ = write!(
             out,
             r#"<tr><td port="r{i}"{bg}>{}</td></tr>"#,
-            html_escape(&row.display())
+            html_escape(&row.display(names))
         );
     }
     out.push_str("</table>>");
     out
 }
 
-/// Export a diagram as a GraphViz `digraph`.
-pub fn to_dot(diagram: &Diagram) -> String {
+/// Export a diagram, whose names live in `names`, as a GraphViz `digraph`.
+pub fn to_dot(diagram: &Diagram, names: &Names) -> String {
     let mut out = String::from("digraph queryvis {\n");
     out.push_str("  rankdir=LR;\n  node [shape=plaintext];\n");
-    write_dot_body(&mut out, diagram, "");
+    write_dot_body(&mut out, diagram, names, "");
     out.push_str("}\n");
     out
 }
 
 /// Export a multi-branch (UNION) query as one `digraph`: each branch in
 /// its own labeled cluster, node ids prefixed so branches never collide.
-pub fn to_dot_union(diagrams: &[&Diagram], all: bool) -> String {
+/// Every branch's names live in `names`.
+pub fn to_dot_union(diagrams: &[&Diagram], all: bool, names: &Names) -> String {
     if let [single] = diagrams {
-        return to_dot(single);
+        return to_dot(single, names);
     }
     let connective = if all { "UNION ALL" } else { "UNION" };
     let mut out = String::from("digraph queryvis {\n");
@@ -77,7 +78,7 @@ pub fn to_dot_union(diagrams: &[&Diagram], all: bool) -> String {
             "  subgraph cluster_branch_{i} {{\n    label=\"branch {}\";",
             i + 1
         );
-        write_dot_body(&mut out, diagram, &format!("b{i}_"));
+        write_dot_body(&mut out, diagram, names, &format!("b{i}_"));
         out.push_str("  }\n");
     }
     out.push_str("}\n");
@@ -86,7 +87,7 @@ pub fn to_dot_union(diagrams: &[&Diagram], all: bool) -> String {
 
 /// The clusters, nodes, and edges of one diagram, with `prefix` applied to
 /// every node id and cluster name.
-fn write_dot_body(out: &mut String, diagram: &Diagram, prefix: &str) {
+fn write_dot_body(out: &mut String, diagram: &Diagram, names: &Names, prefix: &str) {
     // Boxed tables inside clusters.
     for (i, qbox) in diagram.boxes.iter().enumerate() {
         let style = match qbox.quantifier {
@@ -99,7 +100,7 @@ fn write_dot_body(out: &mut String, diagram: &Diagram, prefix: &str) {
             let _ = writeln!(
                 out,
                 "    {prefix}t{tid} [label={}];",
-                table_label(diagram, tid)
+                table_label(diagram, names, tid)
             );
         }
         out.push_str("  }\n");
@@ -111,7 +112,7 @@ fn write_dot_body(out: &mut String, diagram: &Diagram, prefix: &str) {
                 out,
                 "  {prefix}t{} [label={}];",
                 table.id,
-                table_label(diagram, table.id)
+                table_label(diagram, names, table.id)
             );
         }
     }
@@ -142,12 +143,14 @@ mod tests {
     use super::*;
     use queryvis_diagram::build_diagram;
     use queryvis_logic::{simplify, translate};
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
 
     fn dot(sql: &str, simplified: bool) -> String {
-        let lt = translate(&parse_query(sql).unwrap(), None).unwrap();
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        let lt = translate(&query, None, &mut names).unwrap();
         let lt = if simplified { simplify(&lt) } else { lt };
-        to_dot(&build_diagram(&lt))
+        to_dot(&build_diagram(&lt), &names)
     }
 
     #[test]

@@ -35,19 +35,10 @@ pub use svg::{to_svg, SvgTheme};
 
 use queryvis_diagram::Diagram;
 use queryvis_layout::{build_scene, layout_diagram, Scene};
+use queryvis_logic::Names;
 
-/// Convenience: lay out one diagram and resolve it into a single-branch
-/// [`Scene`].
-pub fn diagram_scene(diagram: &Diagram) -> Scene {
-    build_scene(diagram, &layout_diagram(diagram))
-}
-
-/// Convenience: lay out and render a diagram as SVG in the default theme.
-pub fn render_svg(diagram: &Diagram) -> String {
-    to_svg(&diagram_scene(diagram), &SvgTheme::default())
-}
-
-/// Convenience: lay out and render a diagram as plain text.
-pub fn render_ascii(diagram: &Diagram) -> String {
-    to_ascii(&diagram_scene(diagram))
+/// Convenience: lay out one diagram, whose names live in `names`, and
+/// resolve it into a single-branch [`Scene`].
+pub fn diagram_scene(diagram: &Diagram, names: &Names) -> Scene {
+    build_scene(diagram, &layout_diagram(diagram, names), names)
 }

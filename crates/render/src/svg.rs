@@ -346,13 +346,24 @@ mod tests {
     use queryvis_diagram::build_diagram;
     use queryvis_layout::compose_union;
     use queryvis_logic::{simplify, translate};
-    use queryvis_sql::parse_query;
+    use queryvis_sql::{parse_query, Names};
+
+    fn lt(sql: &str) -> (queryvis_logic::LogicTree, Names) {
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        (translate(&query, None, &mut names).unwrap(), names)
+    }
+
+    fn scene_of(sql: &str) -> queryvis_layout::Scene {
+        let (tree, names) = lt(sql);
+        diagram_scene(&build_diagram(&tree), &names)
+    }
 
     fn svg(sql: &str, simplified: bool) -> String {
-        let lt = translate(&parse_query(sql).unwrap(), None).unwrap();
+        let (lt, names) = lt(sql);
         let lt = if simplified { simplify(&lt) } else { lt };
         let d = build_diagram(&lt);
-        to_svg(&diagram_scene(&d), &SvgTheme::default())
+        to_svg(&diagram_scene(&d, &names), &SvgTheme::default())
     }
 
     const QONLY: &str = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
@@ -424,13 +435,7 @@ mod tests {
             edge: "#222<>".into(),
             ..SvgTheme::default()
         };
-        let scene = diagram_scene(&build_diagram(
-            &translate(
-                &parse_query("SELECT A.x FROM T A, T B WHERE A.x <> B.x").unwrap(),
-                None,
-            )
-            .unwrap(),
-        ));
+        let scene = scene_of("SELECT A.x FROM T A, T B WHERE A.x <> B.x");
         let s = to_svg(&scene, &theme);
         assert!(s.contains(r#"font-family="&quot;Helvetica Neue&quot;, Arial""#));
         assert!(s.contains(r##"stroke="#222&lt;&gt;""##));
@@ -444,11 +449,7 @@ mod tests {
             "SELECT L.person FROM Likes L WHERE L.beer = 'IPA'",
         ]
         .iter()
-        .map(|sql| {
-            diagram_scene(&build_diagram(
-                &translate(&parse_query(sql).unwrap(), None).unwrap(),
-            ))
-        })
+        .map(|sql| scene_of(sql))
         .collect();
         let s = to_svg(&compose_union(scenes, false), &SvgTheme::default());
         assert_eq!(s.matches("<svg").count(), 1);

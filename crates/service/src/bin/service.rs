@@ -201,7 +201,7 @@ fn stats_line(
         ("compiles".into(), Json::Num(stats.compiles as f64)),
         ("errors".into(), Json::Num(stats.errors as f64)),
         ("l1_hits".into(), Json::Num(stats.l1_hits as f64)),
-        ("l1_entries".into(), Json::Num(stats.l1_entries as f64)),
+        ("l1_entries".into(), Json::Num(stats.memo.entries as f64)),
         (
             "l1_invalidations".into(),
             Json::Num(stats.memo.invalidations as f64),

@@ -45,6 +45,7 @@ use crate::json::{self, Json};
 use crate::protocol::Format;
 use crate::scene_json::{scene_json_v2, write_scene_json};
 use queryvis::diagram::DiagramStats;
+use queryvis::ir::Names;
 use queryvis::layout::{JsonEscaped, Scene};
 use queryvis::render::{ascii, svg, SvgTheme};
 use queryvis::QueryVis;
@@ -139,6 +140,11 @@ impl CompiledEntry {
         &self.representative
     }
 
+    /// The representative's name table: the only names an entry keeps.
+    pub fn names(&self) -> &Names {
+        self.qv.names()
+    }
+
     /// Mark/channel statistics of the diagram (§4.8).
     pub fn stats(&self) -> DiagramStats {
         self.qv.stats()
@@ -206,6 +212,7 @@ impl CompiledEntry {
             queryvis_exec::sample_rows(
                 &self.qv.trees(),
                 self.qv.union_all,
+                self.qv.names(),
                 SAMPLE_SEED,
                 SAMPLE_ROWS_PER_TABLE,
                 MAX_SAMPLE_ROWS,

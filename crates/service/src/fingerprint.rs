@@ -15,10 +15,13 @@
 //! symbol-erased tokens instead of a re-built canonical string — the
 //! always-executed half of every request got cheaper with the IR refactor.
 //! FNV-1a is fully specified (no per-process seeding, unlike
-//! `DefaultHasher`), and the token stream is independent of interner id
-//! assignment order (names are erased to dense first-use indices), so
-//! fingerprints are stable across runs, platforms, and releases of this
-//! workspace — safe to persist or shard on. At 128 bits, accidental
+//! `DefaultHasher`), and the token stream is independent of symbol ids
+//! (names are erased to dense first-use indices, and join operands are
+//! oriented by their text), so fingerprints are a function of the
+//! query's pattern alone: stable across runs, platforms, and releases of
+//! this workspace — safe to persist or shard on. The names themselves
+//! live in the query's own table and leave with the request; only a
+//! pattern's representative keeps its table, inside its cache entry. At 128 bits, accidental
 //! collisions are out of reach for any realistic corpus; the
 //! adversarial-collision caveats of the canonicalization itself are
 //! documented in `queryvis::pattern`.

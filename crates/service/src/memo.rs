@@ -54,12 +54,12 @@
 //! A lookup normalizes the text once, into a per-thread key buffer that
 //! every lookup and insert on the thread clears and reuses. It hashes
 //! that key once with the memo's [`RandomState`], takes the shard lock,
-//! and compares the bucket's candidates with the key by slice equality;
-//! a dirty scan returns before the lock. A key is at most twice its text
-//! (one separator per token), and the scan reserves that much, so the
-//! buffer keeps the capacity of the longest text its thread looked up:
-//! at most about 2× `--max-line`. Once a thread has looked up its longest
-//! text, a hit and a miss are both allocation-free.
+//! and compares the entry filed under that hash with the key by slice
+//! equality; a dirty scan returns before the lock. A key is at most
+//! twice its text (one separator per token), and the scan reserves that
+//! much, so the buffer keeps the capacity of the longest text its thread
+//! looked up: at most about 2× `--max-line`. Once a thread has looked up
+//! its longest text, a hit and a miss are both allocation-free.
 //!
 //! The service memoizes a missed text after the full frontend has run,
 //! on the thread that looked it up. `L1Memo::lookup_key` hands it the
@@ -74,7 +74,7 @@ use queryvis_sql::lexer::is_ident_start;
 use queryvis_sql::scan as swar;
 use queryvis_sql::token::Keyword;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, RandomState};
 use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard};
@@ -306,9 +306,11 @@ struct MemoEntry {
 }
 
 struct MemoShard {
-    /// Normalized-hash → entries (exact normalized bytes verified on every
-    /// lookup, so hash collisions cost a compare, never a wrong answer).
-    map: HashMap<u64, Vec<MemoEntry>>,
+    /// Normalized-hash → entry (exact normalized bytes verified on every
+    /// lookup, so a hash collision costs a compare, never a wrong answer).
+    /// One entry per hash: a text whose hash a resident text already holds
+    /// is not memoized, so a 64-bit collision only costs its recompute.
+    map: HashMap<u64, Box<MemoEntry>>,
     /// FIFO replacement order. Invalidation leaves stale hashes behind
     /// (skipped when popped); [`MemoShard::compact_fifo`] rebuilds the
     /// queue whenever staleness exceeds the live count, so the deque is
@@ -351,17 +353,9 @@ impl MemoShard {
     /// Evict the FIFO-oldest entry.
     fn evict_one(&mut self) {
         while let Some(hash) = self.fifo.pop_front() {
-            let Some(bucket) = self.map.get_mut(&hash) else {
+            let Some(entry) = self.map.remove(&hash) else {
                 continue; // stale FIFO entry left by invalidation
             };
-            if bucket.is_empty() {
-                self.map.remove(&hash);
-                continue;
-            }
-            let entry = bucket.remove(0);
-            if bucket.is_empty() {
-                self.map.remove(&hash);
-            }
             self.len -= 1;
             self.evictions += 1;
             self.unindex(entry.fingerprint, hash);
@@ -370,24 +364,18 @@ impl MemoShard {
     }
 
     /// Drop stale FIFO slots (hashes whose entries were invalidated),
-    /// preserving order and per-hash multiplicity for live entries. Runs
+    /// keeping each live hash's first slot, in order. Runs
     /// when stale slots outnumber live ones, so its O(fifo) cost is
     /// amortized O(1) per insert and the deque never exceeds ~2×capacity —
     /// without it, an invalidation-heavy workload (L2 thrashing) would
     /// grow the queue one slot per compiled request, forever, while `len`
     /// stays below capacity and `evict_one` never reclaims anything.
     fn compact_fifo(&mut self) {
-        let mut live: HashMap<u64, usize> = HashMap::with_capacity(self.map.len());
-        for (hash, bucket) in &self.map {
-            live.insert(*hash, bucket.len());
-        }
+        let mut live: HashSet<u64> = self.map.keys().copied().collect();
         let mut compacted = VecDeque::with_capacity(self.len);
         for hash in self.fifo.drain(..) {
-            if let Some(remaining) = live.get_mut(&hash) {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    compacted.push_back(hash);
-                }
+            if live.remove(&hash) {
+                compacted.push_back(hash);
             }
         }
         self.fifo = compacted;
@@ -396,15 +384,15 @@ impl MemoShard {
 
     /// The entry memoized under `key`, which hashes to `hash`.
     fn lookup(&self, hash: u64, key: &[u8]) -> Option<&MemoEntry> {
-        self.map
-            .get(&hash)?
-            .iter()
-            .find(|entry| *entry.normalized == *key)
+        let entry = self.map.get(&hash)?;
+        (*entry.normalized == *key).then_some(&**entry)
     }
 
     fn insert(&mut self, hash: u64, key: &[u8], fingerprint: Fingerprint, words: u32) {
-        if self.lookup(hash, key).is_some() {
-            return; // incumbent wins; racing inserts agree anyway
+        if self.map.contains_key(&hash) {
+            // The incumbent wins: the same text (racing inserts agree
+            // anyway) or, vanishingly rarely, one whose hash collides.
+            return;
         }
         while self.len >= self.capacity {
             self.evict_one();
@@ -412,11 +400,12 @@ impl MemoShard {
         if self.fifo.len() >= (2 * self.len).max(16) {
             self.compact_fifo();
         }
-        self.map.entry(hash).or_default().push(MemoEntry {
+        let entry = MemoEntry {
             normalized: key.into(),
             fingerprint,
             sql_words: words,
-        });
+        };
+        self.map.insert(hash, Box::new(entry));
         self.fifo.push_back(hash);
         self.by_fingerprint
             .entry(fingerprint.0)
@@ -431,13 +420,13 @@ impl MemoShard {
         };
         let mut removed = 0usize;
         for hash in hashes {
-            if let Some(bucket) = self.map.get_mut(&hash) {
-                let before = bucket.len();
-                bucket.retain(|entry| entry.fingerprint != fingerprint);
-                removed += before - bucket.len();
-                if bucket.is_empty() {
-                    self.map.remove(&hash);
-                }
+            if self
+                .map
+                .get(&hash)
+                .is_some_and(|e| e.fingerprint == fingerprint)
+            {
+                self.map.remove(&hash);
+                removed += 1;
             }
         }
         self.len -= removed;

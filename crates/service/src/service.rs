@@ -20,6 +20,12 @@
 //! fingerprint, and the rare lost race (evicted between L1 probe and L2
 //! get) falls back to the full frontend. The memo never changes response
 //! bytes — it only skips recomputing them.
+//!
+//! **Names.** Every request parses into a name table of its own, dropped
+//! with the request. A [`CompiledEntry`] keeps its representative's
+//! table, so what the service holds is bounded by its cache and memo
+//! capacities, never by the number of distinct names it has seen, and no
+//! name lookup takes a lock shared between threads.
 
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::compile::{compile_representative, CompiledEntry};
@@ -28,7 +34,6 @@ use crate::memo::{L1Memo, MemoConfig, MemoKey, MemoStats};
 use crate::protocol::{
     Artifacts, ErrorKind, Format, Request, Response, SampleOutcome, ServiceError,
 };
-use queryvis::ir::Interner;
 use queryvis::QueryVisOptions;
 use queryvis_telemetry::StageDef;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,13 +81,6 @@ pub struct ServiceStats {
     /// Compile panics caught and converted into per-request `panic`
     /// errors (the process survived every one of them).
     pub panics_caught: u64,
-    /// Texts currently memoized in L1: `memo.entries`, from the same read
-    /// of the memo shards.
-    pub l1_entries: usize,
-    /// Distinct names resident in the shared interner (process-wide; grows
-    /// monotonically with the vocabulary of table/column/alias/constant
-    /// names the service has seen).
-    pub interned_symbols: u64,
     pub cache: CacheStats,
     pub memo: MemoStats,
 }
@@ -93,13 +91,6 @@ pub struct DiagramService {
     /// Shared copy of `config.options` so the per-request front half never
     /// clones a configured schema.
     options: Arc<QueryVisOptions>,
-    /// The shared string interner behind every request's names. One
-    /// sharded, mutex-striped interner serves the whole process (all
-    /// services, all cache shards): symbols are 4-byte ids, so cache keys,
-    /// pattern tokens, and diagram models never re-hash or re-allocate
-    /// name strings, and artifacts resolve ids back to text only at the
-    /// render boundary.
-    interner: &'static Interner,
     /// L1: normalized request text → fingerprint (+ word count).
     memo: L1Memo,
     /// L2: fingerprint → compiled entry.
@@ -117,7 +108,6 @@ impl DiagramService {
             cache: ShardedCache::new(config.cache),
             memo: L1Memo::new(config.memo),
             options: Arc::new(config.options.clone()),
-            interner: Interner::global(),
             config,
             requests: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
@@ -156,17 +146,14 @@ impl DiagramService {
     }
 
     pub fn stats(&self) -> ServiceStats {
-        let memo = self.memo.stats();
         ServiceStats {
             requests: self.requests.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             l1_hits: self.l1_hits.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            l1_entries: memo.entries,
-            interned_symbols: self.interner.len() as u64,
             cache: self.cache.stats(),
-            memo,
+            memo: self.memo.stats(),
         }
     }
 
@@ -357,6 +344,34 @@ mod tests {
     /// Serve `requests` one at a time, in order, as both front ends do.
     fn serve_all(service: &DiagramService, requests: &[Request]) -> Vec<Response> {
         requests.iter().map(|r| service.handle(r)).collect()
+    }
+
+    /// Every request's names live in its own table, dropped with the
+    /// request; the one resident entry keeps only its representative's.
+    /// Fresh spellings of one pattern therefore leave the entry, and
+    /// everything else resident, exactly as the first request left it.
+    #[test]
+    fn fresh_names_leave_the_resident_entry_unchanged() {
+        let service = service();
+        let sql = |i: usize| format!("SELECT T{i}.c{i} FROM T{i} WHERE T{i}.c{i} = 'v{i}'");
+        let first = service.handle(&request(0, &sql(0)));
+        let fingerprint = first.outcome.expect("compiles").fingerprint;
+        let resident = || {
+            service
+                .cache()
+                .peek(fingerprint)
+                .expect("resident")
+                .names()
+                .len()
+        };
+        // `T0`, `c0` and `v0` beside the two reserved names.
+        assert_eq!(resident(), 5);
+        for i in 1..2_000 {
+            let served = service.handle(&request(i as u64, &sql(i)));
+            assert_eq!(served.outcome.expect("serves").fingerprint, fingerprint);
+        }
+        assert_eq!(service.stats().compiles, 1);
+        assert_eq!(resident(), 5);
     }
 
     #[test]

@@ -72,11 +72,6 @@ pub fn service_stats_json(stats: &ServiceStats) -> Json {
         ("errors".to_string(), Json::Int(stats.errors)),
         ("l1_hits".to_string(), Json::Int(stats.l1_hits)),
         ("panics_caught".to_string(), Json::Int(stats.panics_caught)),
-        ("l1_entries".to_string(), usize_json(stats.l1_entries)),
-        (
-            "interned_symbols".to_string(),
-            Json::Int(stats.interned_symbols),
-        ),
         (
             "cache".to_string(),
             Json::Obj(vec![
@@ -199,8 +194,6 @@ mod tests {
             errors: 0,
             l1_hits: 2,
             panics_caught: 0,
-            l1_entries: 3,
-            interned_symbols: 40,
             cache: Default::default(),
             memo: Default::default(),
         };

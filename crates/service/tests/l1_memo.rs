@@ -12,6 +12,7 @@ use queryvis_service::{
 };
 use queryvis_sql::lexer::tokenize;
 use queryvis_sql::token::TokenKind;
+use queryvis_sql::Names;
 
 fn request(id: u64, sql: &str) -> Request {
     Request {
@@ -53,7 +54,10 @@ fn normalization_equivalent_texts_share_one_l1_entry() {
         variants.len() as u64,
         "every variant must resolve through the memo"
     );
-    assert_eq!(stats.l1_entries, 1, "all variants share one normalized key");
+    assert_eq!(
+        stats.memo.entries, 1,
+        "all variants share one normalized key"
+    );
     assert_eq!(stats.compiles, 1);
 }
 
@@ -105,7 +109,7 @@ fn widened_keywords_case_fold_into_one_l1_entry() {
             "every variant of `{canonical}` must resolve through the memo"
         );
         assert_eq!(
-            stats.l1_entries, 1,
+            stats.memo.entries, 1,
             "variants of `{canonical}` must share one normalized key"
         );
         assert_eq!(stats.compiles, 1, "{canonical}");
@@ -126,7 +130,7 @@ fn union_vs_union_all_never_share_a_memo_entry() {
         stats.l1_hits, 0,
         "distinct texts must both run the frontend"
     );
-    assert_eq!(stats.l1_entries, 2);
+    assert_eq!(stats.memo.entries, 2);
     assert_eq!(stats.compiles, 2);
     assert_ne!(
         a.outcome.as_ref().unwrap().fingerprint,
@@ -137,7 +141,7 @@ fn union_vs_union_all_never_share_a_memo_entry() {
     service.handle(&request(2, "select T.a from T union select S.b from S"));
     service.handle(&request(3, "select T.a from T union all select S.b from S"));
     assert_eq!(service.stats().l1_hits, 2);
-    assert_eq!(service.stats().l1_entries, 2);
+    assert_eq!(service.stats().memo.entries, 2);
 }
 
 #[test]
@@ -184,12 +188,12 @@ fn distinct_literals_do_not_share_an_l1_key() {
     assert!(response.outcome.is_ok());
     let stats = service.stats();
     assert_eq!(stats.l1_hits, 0, "distinct literals are distinct texts");
-    assert_eq!(stats.l1_entries, 2);
+    assert_eq!(stats.memo.entries, 2);
     // And likewise for distinct numeric literals.
     service.handle(&request(2, "SELECT T.a FROM T WHERE T.a = 1"));
     service.handle(&request(3, "SELECT T.a FROM T WHERE T.a = 2"));
     assert_eq!(service.stats().l1_hits, 0);
-    assert_eq!(service.stats().l1_entries, 4);
+    assert_eq!(service.stats().memo.entries, 4);
 }
 
 #[test]
@@ -199,7 +203,7 @@ fn identifier_case_is_not_folded() {
     // Table/alias case differs: a different text (and a different query).
     service.handle(&request(1, "SELECT t.a FROM t"));
     assert_eq!(service.stats().l1_hits, 0);
-    assert_eq!(service.stats().l1_entries, 2);
+    assert_eq!(service.stats().memo.entries, 2);
 }
 
 #[test]
@@ -409,9 +413,11 @@ fn corpus_variants_hit_the_memo_after_one_sighting() {
 
 /// The token kinds of `sql` as the parser sees them: `Eof` and a single
 /// trailing `;` (which the parser ignores) dropped. `None` when the text
-/// does not lex.
-fn parsed_kinds(sql: &str) -> Option<Vec<TokenKind>> {
-    let mut kinds: Vec<TokenKind> = tokenize(sql).ok()?.into_iter().map(|t| t.kind).collect();
+/// does not lex. Names go into `names`, so the kinds of texts lexed into
+/// one table compare equal exactly when their names are equal.
+fn parsed_kinds(sql: &str, names: &mut Names) -> Option<Vec<TokenKind>> {
+    let tokens = tokenize(sql, names).ok()?;
+    let mut kinds: Vec<TokenKind> = tokens.into_iter().map(|t| t.kind).collect();
     assert_eq!(kinds.pop(), Some(TokenKind::Eof));
     if kinds.last() == Some(&TokenKind::Semicolon) {
         kinds.pop();
@@ -447,7 +453,8 @@ fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
         } else {
             query.text_variant(case)
         };
-        let kinds = parsed_kinds(&original).expect("sqlgen texts lex");
+        let mut names = Names::new();
+        let kinds = parsed_kinds(&original, &mut names).expect("sqlgen texts lex");
         let memo = L1Memo::new(MemoConfig::default());
         memo.insert(&original, Fingerprint(1), 1);
         for _ in 0..MUTATIONS {
@@ -465,7 +472,7 @@ fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
             let Ok(mutated) = String::from_utf8(bytes) else {
                 continue; // cut through a multi-byte character
             };
-            let agree = parsed_kinds(&mutated).as_ref() == Some(&kinds);
+            let agree = parsed_kinds(&mutated, &mut names).as_ref() == Some(&kinds);
             let hit = memo.lookup(&mutated).is_some();
             assert_eq!(hit, agree, "original: {original:?}\nmutated:  {mutated:?}");
             if hit {

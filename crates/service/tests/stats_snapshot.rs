@@ -108,8 +108,6 @@ fn corpus_stats_snapshot_is_parseable_schema_stable_and_consistent() {
             "errors",
             "l1_hits",
             "panics_caught",
-            "l1_entries",
-            "interned_symbols",
             "cache",
             "memo",
         ]

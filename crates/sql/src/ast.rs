@@ -7,11 +7,12 @@
 //! (`EXISTS`, `IN`, `ANY`/`ALL`), exactly as in the paper.
 //!
 //! All names — table names, aliases, column names, and constant literals —
-//! are interned [`Symbol`]s emitted by the lexer; the operator vocabulary
+//! are [`Symbol`]s the lexer interned into the query's [`Names`] table,
+//! which [`QueryExpr`] owns; the operator vocabulary
 //! ([`CompareOp`], [`AggFunc`], [`Value`]) is shared with the pattern IR
 //! and re-exported from `queryvis-ir`.
 
-use queryvis_ir::Symbol;
+use queryvis_ir::{NamedDisplay, Names, Symbol};
 use std::fmt;
 
 pub use queryvis_ir::{AggFunc, CompareOp, Value};
@@ -26,27 +27,27 @@ pub struct ColumnRef {
 }
 
 impl ColumnRef {
-    pub fn new(table: impl Into<Symbol>, column: impl Into<Symbol>) -> Self {
+    pub fn new(table: Symbol, column: Symbol) -> Self {
         ColumnRef {
-            table: Some(table.into()),
-            column: column.into(),
+            table: Some(table),
+            column,
         }
     }
 
-    pub fn unqualified(column: impl Into<Symbol>) -> Self {
+    pub fn unqualified(column: Symbol) -> Self {
         ColumnRef {
             table: None,
-            column: column.into(),
+            column,
         }
     }
 }
 
-impl fmt::Display for ColumnRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.table {
-            Some(t) => write!(f, "{t}.{}", self.column),
-            None => write!(f, "{}", self.column),
+impl NamedDisplay for ColumnRef {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(t) = self.table {
+            write!(f, "{}.", names.resolve(t))?;
         }
+        f.write_str(names.resolve(self.column))
     }
 }
 
@@ -70,11 +71,11 @@ impl Operand {
     }
 }
 
-impl fmt::Display for Operand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for Operand {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Operand::Column(c) => write!(f, "{c}"),
-            Operand::Value(v) => write!(f, "{v}"),
+            Operand::Column(c) => c.fmt_named(names, f),
+            Operand::Value(v) => v.fmt_named(names, f),
         }
     }
 }
@@ -87,10 +88,10 @@ pub struct AggCall {
     pub arg: Option<ColumnRef>,
 }
 
-impl fmt::Display for AggCall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for AggCall {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.arg {
-            Some(c) => write!(f, "{}({c})", self.func),
+            Some(c) => write!(f, "{}({})", self.func, names.show(c)),
             None => write!(f, "{}(*)", self.func),
         }
     }
@@ -103,11 +104,11 @@ pub enum SelectItem {
     Aggregate(AggCall),
 }
 
-impl fmt::Display for SelectItem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for SelectItem {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SelectItem::Column(c) => write!(f, "{c}"),
-            SelectItem::Aggregate(a) => write!(f, "{a}"),
+            SelectItem::Column(c) => c.fmt_named(names, f),
+            SelectItem::Aggregate(a) => a.fmt_named(names, f),
         }
     }
 }
@@ -144,17 +145,14 @@ pub struct TableRef {
 }
 
 impl TableRef {
-    pub fn new(table: impl Into<Symbol>) -> Self {
-        TableRef {
-            table: table.into(),
-            alias: None,
-        }
+    pub fn new(table: Symbol) -> Self {
+        TableRef { table, alias: None }
     }
 
-    pub fn aliased(table: impl Into<Symbol>, alias: impl Into<Symbol>) -> Self {
+    pub fn aliased(table: Symbol, alias: Symbol) -> Self {
         TableRef {
-            table: table.into(),
-            alias: Some(alias.into()),
+            table,
+            alias: Some(alias),
         }
     }
 
@@ -165,11 +163,12 @@ impl TableRef {
     }
 }
 
-impl fmt::Display for TableRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.alias {
-            Some(a) => write!(f, "{} {a}", self.table),
-            None => write!(f, "{}", self.table),
+impl NamedDisplay for TableRef {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(names.resolve(self.table))?;
+        match self.alias {
+            Some(a) => write!(f, " {}", names.resolve(a)),
+            None => Ok(()),
         }
     }
 }
@@ -227,20 +226,6 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Convenience constructor for an equijoin predicate.
-    pub fn equi(
-        lt: impl Into<Symbol>,
-        lc: impl Into<Symbol>,
-        rt: impl Into<Symbol>,
-        rc: impl Into<Symbol>,
-    ) -> Predicate {
-        Predicate::Compare {
-            lhs: Operand::Column(ColumnRef::new(lt, lc)),
-            op: CompareOp::Eq,
-            rhs: Operand::Column(ColumnRef::new(rt, rc)),
-        }
-    }
-
     /// True if this predicate contains a nested subquery (anywhere, for
     /// `Or`: in any branch).
     pub fn has_subquery(&self) -> bool {
@@ -318,9 +303,10 @@ pub struct HavingPredicate {
     pub value: Value,
 }
 
-impl fmt::Display for HavingPredicate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.agg, self.op, self.value)
+impl NamedDisplay for HavingPredicate {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (agg, value) = (names.show(&self.agg), names.show(&self.value));
+        write!(f, "{agg} {} {value}", self.op)
     }
 }
 
@@ -433,6 +419,9 @@ impl Query {
 /// A top-level query expression: one query block, or a `UNION [ALL]` chain
 /// of blocks. Single-block expressions (the entire pre-widening fragment)
 /// have exactly one branch and `all == false`.
+///
+/// The expression owns its name table: every [`Symbol`] in its branches
+/// resolves through `names`, and the names are dropped with it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryExpr {
     /// The union branches, in written order (always ≥ 1).
@@ -441,17 +430,11 @@ pub struct QueryExpr {
     /// single-block expressions. Mixing the two flavors in one chain is
     /// outside the fragment.
     pub all: bool,
+    /// The table every name of the branches lives in.
+    pub names: Names,
 }
 
 impl QueryExpr {
-    /// Wrap a single query block.
-    pub fn single(query: Query) -> Self {
-        QueryExpr {
-            branches: vec![query],
-            all: false,
-        }
-    }
-
     /// True when the expression is a plain single-block query.
     pub fn is_single(&self) -> bool {
         self.branches.len() == 1
@@ -493,16 +476,21 @@ mod tests {
 
     #[test]
     fn binding_prefers_alias() {
-        assert_eq!(TableRef::aliased("Likes", "L1").binding(), "L1");
-        assert_eq!(TableRef::new("Likes").binding(), "Likes");
+        let mut names = Names::new();
+        let (likes, l1) = (names.intern("Likes"), names.intern("L1"));
+        assert_eq!(TableRef::aliased(likes, l1).binding(), l1);
+        assert_eq!(TableRef::new(likes).binding(), likes);
     }
 
     #[test]
     fn depth_and_counts() {
-        let inner = Query::new(SelectList::Star, vec![TableRef::aliased("Likes", "L2")]);
+        let mut names = Names::new();
+        let mut n = |text: &str| names.intern(text);
+        let (likes, l1, l2, drinker) = (n("Likes"), n("L1"), n("L2"), n("drinker"));
+        let inner = Query::new(SelectList::Star, vec![TableRef::aliased(likes, l2)]);
         let mut outer = Query::new(
-            SelectList::Items(vec![SelectItem::Column(ColumnRef::new("L1", "drinker"))]),
-            vec![TableRef::aliased("Likes", "L1")],
+            SelectList::Items(vec![SelectItem::Column(ColumnRef::new(l1, drinker))]),
+            vec![TableRef::aliased(likes, l1)],
         );
         outer.where_clause.push(Predicate::Exists {
             negated: true,
@@ -516,15 +504,15 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(ColumnRef::new("T", "a").to_string(), "T.a");
-        assert_eq!(Value::Str("Rock".into()).to_string(), "'Rock'");
-        assert_eq!(
-            AggCall {
-                func: AggFunc::Count,
-                arg: None
-            }
-            .to_string(),
-            "COUNT(*)"
-        );
+        let mut names = Names::new();
+        let column = ColumnRef::new(names.intern("T"), names.intern("a"));
+        let rock = Value::Str(names.intern("Rock"));
+        let count = AggCall {
+            func: AggFunc::Count,
+            arg: None,
+        };
+        assert_eq!(names.show(&column).to_string(), "T.a");
+        assert_eq!(names.show(&rock).to_string(), "'Rock'");
+        assert_eq!(names.show(&count).to_string(), "COUNT(*)");
     }
 }

@@ -1,8 +1,10 @@
 //! Hand-written lexer for the QueryVis SQL fragment.
 //!
-//! The lexer is the string→[`Symbol`] boundary of the pipeline: every
-//! identifier and literal is interned exactly once here, and all later
-//! layers (parser, logic tree, diagram, fingerprints) carry ids.
+//! The lexer is the string→[`Symbol`](queryvis_ir::Symbol) boundary of
+//! the pipeline: every identifier and literal is interned exactly once
+//! here, into the [`Names`] table of the query being lexed, and all later
+//! layers (parser, logic tree, diagram, fingerprints) carry ids that
+//! resolve through that table.
 //!
 //! The main loop dispatches on a 256-entry byte-class table (`CLASS`) —
 //! one indexed load per input byte decides the whole token shape, and no
@@ -21,7 +23,7 @@
 use crate::error::ParseError;
 use crate::scan;
 use crate::token::{Keyword, Span, Token, TokenKind};
-use queryvis_ir::{Interner, Symbol};
+use queryvis_ir::Names;
 
 /// Byte classes of the dispatch table: every input byte maps to exactly
 /// one class, and the class decides which scanning routine runs.
@@ -88,35 +90,26 @@ static CLASS: [Class; 256] = {
 };
 
 /// Tokenize `source` into a vector of tokens ending with a single
-/// [`TokenKind::Eof`] token, interning names in the global interner.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, ParseError> {
-    tokenize_in(source, Interner::global())
-}
-
-/// [`tokenize`] with an explicit interner. Symbols in the returned tokens
-/// are only meaningful to `interner` (resolve them on the same instance —
-/// never through global-resolving Display/as_str paths); the property
-/// tests use this to prove that resolution is a function of the text, not
-/// of id assignment order.
-pub fn tokenize_in(source: &str, interner: &Interner) -> Result<Vec<Token>, ParseError> {
+/// [`TokenKind::Eof`] token, interning names into `names`.
+pub fn tokenize(source: &str, names: &mut Names) -> Result<Vec<Token>, ParseError> {
     let mut tokens = Vec::new();
-    tokenize_into(source, interner, &mut tokens)?;
+    tokenize_into(source, names, &mut tokens)?;
     Ok(tokens)
 }
 
-/// [`tokenize_in`] into a caller-owned buffer (cleared first), so a batch
+/// [`tokenize`] into a caller-owned buffer (cleared first), so a batch
 /// of queries reuses one token allocation. The buffer is left holding the
 /// token stream on success and cleared state-unspecified on error.
 pub fn tokenize_into(
     source: &str,
-    interner: &Interner,
+    names: &mut Names,
     tokens: &mut Vec<Token>,
 ) -> Result<(), ParseError> {
     tokens.clear();
     let bytes = source.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        match scan_token(source, bytes, i, interner)? {
+        match scan_token(source, bytes, i, names)? {
             Step::Tok(token, next) => {
                 tokens.push(token);
                 i = next;
@@ -142,7 +135,7 @@ fn scan_token(
     source: &str,
     bytes: &[u8],
     start: usize,
-    interner: &Interner,
+    names: &mut Names,
 ) -> Result<Step, ParseError> {
     let mut i = start;
     let b = bytes[i];
@@ -279,8 +272,8 @@ fn scan_token(
             }
             let symbol = match &escaped {
                 // Escape-free literal: intern straight from the source.
-                None => interner.intern(&source[body_start..i - 1]),
-                Some(value) => interner.intern(value),
+                None => names.intern(&source[body_start..i - 1]),
+                Some(value) => names.intern(value),
             };
             Ok(Step::Tok(tok(TokenKind::Str(symbol), start, i), i))
         }
@@ -292,7 +285,7 @@ fn scan_token(
                 j = scan::digit_run_end(bytes, j + 1);
             }
             Ok(Step::Tok(
-                tok(TokenKind::Number(interner.intern(&source[i..j])), start, j),
+                tok(TokenKind::Number(names.intern(&source[i..j])), start, j),
                 j,
             ))
         }
@@ -301,7 +294,7 @@ fn scan_token(
             let text = &source[i..j];
             let kind = match Keyword::lookup(text) {
                 Some(kw) => TokenKind::Keyword(kw),
-                None => TokenKind::Ident(interner.intern(text)),
+                None => TokenKind::Ident(names.intern(text)),
             };
             Ok(Step::Tok(tok(kind, start, j), j))
         }
@@ -340,18 +333,29 @@ pub fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Convenience for tests and diagnostics: intern in the global interner.
-pub fn sym(text: &str) -> Symbol {
-    Symbol::intern(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::{Keyword, TokenKind as T};
+    use crate::token::TokenKind as T;
+    use queryvis_ir::Symbol;
 
-    fn kinds(src: &str) -> Vec<T> {
-        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
+    /// The token kinds of `src`, with each name written as its text.
+    fn kinds(src: &str) -> Vec<String> {
+        let mut names = Names::new();
+        let tokens = tokenize(src, &mut names).unwrap();
+        tokens
+            .iter()
+            .map(|t| match t.kind {
+                T::Ident(s) => format!("Ident({})", names.resolve(s)),
+                T::Number(s) => format!("Number({})", names.resolve(s)),
+                T::Str(s) => format!("Str({})", names.resolve(s)),
+                kind => format!("{kind:?}"),
+            })
+            .collect()
+    }
+
+    fn lex_err(src: &str) -> ParseError {
+        tokenize(src, &mut Names::new()).unwrap_err()
     }
 
     #[test]
@@ -360,12 +364,12 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                T::Keyword(Keyword::Select),
-                T::Ident("a".into()),
-                T::Keyword(Keyword::From),
-                T::Ident("t".into()),
-                T::Semicolon,
-                T::Eof,
+                "Keyword(Select)",
+                "Ident(a)",
+                "Keyword(From)",
+                "Ident(t)",
+                "Semicolon",
+                "Eof",
             ]
         );
     }
@@ -373,26 +377,26 @@ mod tests {
     #[test]
     fn lex_operators() {
         let ks = kinds("a < b <= c = d <> e >= f > g != h");
-        let ops: Vec<_> = ks
+        let ops: Vec<&str> = ks
             .iter()
-            .filter(|k| matches!(k, T::Lt | T::Le | T::Eq | T::Ne | T::Ge | T::Gt))
-            .cloned()
+            .map(String::as_str)
+            .filter(|k| !k.starts_with("Ident") && *k != "Eof")
             .collect();
-        assert_eq!(ops, vec![T::Lt, T::Le, T::Eq, T::Ne, T::Ge, T::Gt, T::Ne]);
+        assert_eq!(ops, vec!["Lt", "Le", "Eq", "Ne", "Ge", "Gt", "Ne"]);
     }
 
     #[test]
     fn lex_string_with_escape() {
         let ks = kinds("name = 'AC/DC' AND x = 'it''s'");
-        assert!(ks.contains(&T::Str("AC/DC".into())));
-        assert!(ks.contains(&T::Str("it's".into())));
+        assert!(ks.contains(&"Str(AC/DC)".to_string()));
+        assert!(ks.contains(&"Str(it's)".to_string()));
     }
 
     #[test]
     fn lex_numbers() {
         let ks = kinds("x = 270000 AND y = 3.5");
-        assert!(ks.contains(&T::Number("270000".into())));
-        assert!(ks.contains(&T::Number("3.5".into())));
+        assert!(ks.contains(&"Number(270000)".to_string()));
+        assert!(ks.contains(&"Number(3.5)".to_string()));
     }
 
     #[test]
@@ -410,14 +414,7 @@ mod tests {
     #[test]
     fn lex_block_comment_between_tokens_is_a_separator() {
         let ks = kinds("SELECT a/*x*/b FROM t");
-        assert_eq!(
-            ks[..3],
-            [
-                T::Keyword(Keyword::Select),
-                T::Ident("a".into()),
-                T::Ident("b".into()),
-            ]
-        );
+        assert_eq!(ks[..3], ["Keyword(Select)", "Ident(a)", "Ident(b)"]);
     }
 
     #[test]
@@ -428,7 +425,7 @@ mod tests {
 
     #[test]
     fn lex_unterminated_block_comment() {
-        let err = tokenize("SELECT a /* never closed").unwrap_err();
+        let err = lex_err("SELECT a /* never closed");
         assert!(err.message.contains("unterminated block comment"));
         assert_eq!(err.column, 10);
     }
@@ -436,7 +433,7 @@ mod tests {
     #[test]
     fn lex_unterminated_nested_block_comment() {
         // The inner comment closes; the outer one does not.
-        let err = tokenize("SELECT a /* outer /* inner */ oops").unwrap_err();
+        let err = lex_err("SELECT a /* outer /* inner */ oops");
         assert!(err.message.contains("unterminated block comment"));
     }
 
@@ -444,26 +441,26 @@ mod tests {
     fn block_comment_close_without_open_is_an_error() {
         // `*/` outside a comment hits the generic unexpected-character path
         // on `*` being legal (Star) but `/` not: the `/` is rejected.
-        let err = tokenize("SELECT a */ FROM t").unwrap_err();
+        let err = lex_err("SELECT a */ FROM t");
         assert!(err.message.contains('/'), "{}", err.message);
     }
 
     #[test]
     fn lex_unterminated_string() {
-        let err = tokenize("x = 'oops").unwrap_err();
+        let err = lex_err("x = 'oops");
         assert!(err.message.contains("unterminated"));
     }
 
     #[test]
     fn lex_unexpected_char() {
-        let err = tokenize("x # y").unwrap_err();
+        let err = lex_err("x # y");
         assert!(err.message.contains('#'));
         assert_eq!(err.column, 3);
     }
 
     #[test]
     fn spans_are_byte_accurate() {
-        let toks = tokenize("ab cd").unwrap();
+        let toks = tokenize("ab cd", &mut Names::new()).unwrap();
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(3, 5));
     }
@@ -474,12 +471,12 @@ mod tests {
         assert_eq!(
             ks[..6],
             [
-                T::Keyword(Keyword::Select),
-                T::Keyword(Keyword::From),
-                T::Keyword(Keyword::Where),
-                T::Keyword(Keyword::And),
-                T::Keyword(Keyword::Not),
-                T::Keyword(Keyword::Exists),
+                "Keyword(Select)",
+                "Keyword(From)",
+                "Keyword(Where)",
+                "Keyword(And)",
+                "Keyword(Not)",
+                "Keyword(Exists)",
             ]
         );
     }
@@ -489,19 +486,17 @@ mod tests {
         // `L1.drinker` style references must lex as Ident Dot Ident, and a
         // trailing `1.` must not swallow the dot when not followed by digits.
         let ks = kinds("L1.drinker");
-        assert_eq!(
-            ks[..3],
-            [T::Ident("L1".into()), T::Dot, T::Ident("drinker".into())]
-        );
+        assert_eq!(ks[..3], ["Ident(L1)", "Dot", "Ident(drinker)"]);
     }
 
     #[test]
     fn idents_intern_to_the_same_symbol() {
-        let toks = tokenize("SELECT a FROM t WHERE a = a").unwrap();
+        let mut names = Names::new();
+        let toks = tokenize("SELECT a FROM t WHERE a = a", &mut names).unwrap();
         let ids: Vec<Symbol> = toks
             .iter()
             .filter_map(|t| match t.kind {
-                T::Ident(s) if s == "a" => Some(s),
+                T::Ident(s) if names.resolve(s) == "a" => Some(s),
                 _ => None,
             })
             .collect();
@@ -511,8 +506,8 @@ mod tests {
 
     #[test]
     fn explicit_interner_receives_the_names() {
-        let local = Interner::new();
-        let toks = tokenize_in("SELECT abc FROM xyz", &local).unwrap();
+        let mut local = Names::new();
+        let toks = tokenize("SELECT abc FROM xyz", &mut local).unwrap();
         let names: Vec<&str> = toks
             .iter()
             .filter_map(|t| match t.kind {
@@ -521,6 +516,7 @@ mod tests {
             })
             .collect();
         assert_eq!(names, vec!["abc", "xyz"]);
-        assert_eq!(local.len(), 2);
+        // The two reserved names, then the query's in lexing order.
+        assert_eq!(local.len(), 4);
     }
 }

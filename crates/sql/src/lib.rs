@@ -53,20 +53,22 @@ pub use ast::{
 };
 pub use error::{ParseError, SemanticError};
 pub use incremental::{apply_edit, Edit};
-pub use lexer::{tokenize, tokenize_in, tokenize_into};
-pub use parser::{
-    parse_query, parse_query_expr, parse_query_expr_in, parse_query_expr_with, parse_query_in,
-    parse_query_with,
-};
+pub use lexer::{tokenize, tokenize_into};
+pub use parser::{parse_query, parse_query_expr};
 pub use printer::{to_sql, to_sql_expr};
-pub use queryvis_ir::{Interner, Symbol, SymbolQuery};
+pub use queryvis_ir::{Names, Symbol};
 pub use schema::{Schema, Table};
 
-/// Parse a query and semantically validate it against a schema in one call.
-pub fn parse_and_check(sql: &str, schema: &Schema) -> Result<Query, error::SqlError> {
-    let query = parse_query(sql).map_err(error::SqlError::Parse)?;
+/// Parse a query into `names` and semantically validate it against a
+/// schema in one call.
+pub fn parse_and_check(
+    sql: &str,
+    names: &mut Names,
+    schema: &Schema,
+) -> Result<Query, error::SqlError> {
+    let query = parse_query(sql, names).map_err(error::SqlError::Parse)?;
     schema
-        .check_query(&query)
+        .check_query(&query, names)
         .map_err(error::SqlError::Semantic)?;
     Ok(query)
 }
@@ -84,6 +86,7 @@ mod tests {
         let q = parse_and_check(
             "SELECT F.drinker FROM Frequents F, Likes L, Serves S \
              WHERE F.drinker = L.drinker AND F.bar = S.bar AND L.beer = S.beer",
+            &mut Names::new(),
             &schema,
         )
         .unwrap();

@@ -7,6 +7,7 @@
 
 use crate::ast::{Operand, Predicate, Query, QueryExpr};
 use crate::printer::{to_sql, to_sql_expr};
+use queryvis_ir::Names;
 
 /// Word count of the canonical rendering of a query.
 ///
@@ -15,8 +16,8 @@ use crate::printer::{to_sql, to_sql_expr};
 /// as `=` and parenthesized subquery openers count as words of their own
 /// only when whitespace-separated, which the canonical printer guarantees
 /// for operators).
-pub fn word_count(query: &Query) -> usize {
-    to_sql(query).split_whitespace().count()
+pub fn word_count(query: &Query, names: &Names) -> usize {
+    to_sql(query, names).split_whitespace().count()
 }
 
 /// [`word_count`] over a full query expression (`UNION` chains count the
@@ -26,13 +27,16 @@ pub fn word_count_expr(expr: &QueryExpr) -> usize {
 }
 
 /// Number of lines of the canonical rendering.
-pub fn line_count(query: &Query) -> usize {
-    to_sql(query).lines().count()
+pub fn line_count(query: &Query, names: &Names) -> usize {
+    to_sql(query, names).lines().count()
 }
 
 /// Character count (excluding whitespace) of the canonical rendering.
-pub fn char_count(query: &Query) -> usize {
-    to_sql(query).chars().filter(|c| !c.is_whitespace()).count()
+pub fn char_count(query: &Query, names: &Names) -> usize {
+    to_sql(query, names)
+        .chars()
+        .filter(|c| !c.is_whitespace())
+        .count()
 }
 
 /// A bundle of structural complexity measures used by the study simulator
@@ -60,11 +64,11 @@ pub struct QueryComplexity {
 }
 
 /// Compute all complexity measures for a query.
-pub fn complexity(query: &Query) -> QueryComplexity {
+pub fn complexity(query: &Query, names: &Names) -> QueryComplexity {
     QueryComplexity {
-        words: word_count(query),
-        lines: line_count(query),
-        chars: char_count(query),
+        words: word_count(query, names),
+        lines: line_count(query, names),
+        chars: char_count(query, names),
         nesting_depth: query.nesting_depth(),
         blocks: query.block_count(),
         table_refs: query.table_ref_count(),
@@ -162,8 +166,11 @@ mod tests {
     fn qonly_is_much_wordier_than_qsome() {
         // §4.8: "the SQL text is much more complex (167% more words)".
         // We reproduce the direction and rough magnitude on canonical text.
-        let some = word_count(&parse_query(QSOME).unwrap());
-        let only = word_count(&parse_query(QONLY).unwrap());
+        let words = |sql: &str| {
+            let mut names = Names::new();
+            word_count(&parse_query(sql, &mut names).unwrap(), &names)
+        };
+        let (some, only) = (words(QSOME), words(QONLY));
         assert!(only > some, "nested query must be wordier");
         let increase = (only as f64 - some as f64) / some as f64;
         assert!(
@@ -174,7 +181,8 @@ mod tests {
 
     #[test]
     fn complexity_bundle() {
-        let c = complexity(&parse_query(QONLY).unwrap());
+        let mut names = Names::new();
+        let c = complexity(&parse_query(QONLY, &mut names).unwrap(), &names);
         assert_eq!(c.nesting_depth, 2);
         assert_eq!(c.blocks, 3);
         assert_eq!(c.table_refs, 3);
@@ -190,6 +198,7 @@ mod tests {
             "SELECT C.CustomerId FROM Customer C, Invoice I1, Invoice I2 \
              WHERE C.CustomerId = I1.CustomerId AND C.CustomerId = I2.CustomerId \
              AND I1.BillingState <> I2.BillingState",
+            &mut Names::new(),
         )
         .unwrap();
         assert!(has_self_join(&q));
@@ -200,6 +209,7 @@ mod tests {
         let q = parse_query(
             "SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS \
              (SELECT * FROM Likes L2 WHERE L1.drinker <> L2.drinker)",
+            &mut Names::new(),
         )
         .unwrap();
         assert!(has_self_join(&q));
@@ -207,14 +217,17 @@ mod tests {
 
     #[test]
     fn no_self_join() {
-        let q = parse_query(QSOME).unwrap();
+        let q = parse_query(QSOME, &mut Names::new()).unwrap();
         assert!(!has_self_join(&q));
     }
 
     #[test]
     fn selection_counting() {
-        let q =
-            parse_query("SELECT B.bid FROM Boat B WHERE B.color = 'red' AND B.bid > 7").unwrap();
+        let q = parse_query(
+            "SELECT B.bid FROM Boat B WHERE B.color = 'red' AND B.bid > 7",
+            &mut Names::new(),
+        )
+        .unwrap();
         assert_eq!(selection_count(&q), 2);
     }
 }

@@ -17,12 +17,17 @@
 //! `DISTINCT`, `ORDER BY`, `UNION` in subqueries, …) are rejected with
 //! targeted, spanned error messages instead of a generic
 //! "unexpected token".
+//!
+//! Names go into a [`Names`] table: [`parse_query_expr`] makes one and
+//! returns it inside the [`QueryExpr`], which owns it from then on;
+//! [`parse_query`] interns into a table the caller passes, so several
+//! parses can share one when their symbols must compare.
 
 use crate::ast::*;
 use crate::error::ParseError;
 use crate::lexer::tokenize_into;
 use crate::token::{Keyword, Span, Token, TokenKind};
-use queryvis_ir::{Interner, Symbol};
+use queryvis_ir::{Named, Names, Symbol};
 use queryvis_telemetry::StageDef;
 use std::cell::RefCell;
 
@@ -40,103 +45,59 @@ thread_local! {
     static TOKEN_SCRATCH: RefCell<Vec<Token>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Parse a single query (optionally terminated by `;`) into an AST, with
-/// all names interned in the global interner.
+/// Parse a single query (optionally terminated by `;`) into an AST,
+/// interning its names into `names`.
 ///
 /// Top-level `UNION` is rejected here with a pointer at
 /// [`parse_query_expr`], which the diagram pipeline uses; every other
 /// widened construct (`JOIN … ON`, `OR`, `HAVING`) parses.
-pub fn parse_query(source: &str) -> Result<Query, ParseError> {
-    parse_query_in(source, Interner::global())
+pub fn parse_query(source: &str, names: &mut Names) -> Result<Query, ParseError> {
+    with_scratch(|scratch| {
+        tokenize_into(source, names, scratch)?;
+        let mut parser = Parser::new(scratch, source, names);
+        let query = parser.query_block()?;
+        if matches!(parser.peek_kind(), TokenKind::Keyword(Keyword::Union)) {
+            return Err(parser.err_here(
+                "top-level `UNION` is supported through the query-expression entry \
+                 points (`parse_query_expr` / the diagram pipeline), not `parse_query`",
+            ));
+        }
+        parser.finish()?;
+        Ok(query)
+    })
 }
 
 /// Parse a full query expression — a query block or a top-level
-/// `UNION [ALL]` chain of blocks — with all names interned in the global
-/// interner.
+/// `UNION [ALL]` chain of blocks — into an expression that owns the name
+/// table its symbols resolve through.
 pub fn parse_query_expr(source: &str) -> Result<QueryExpr, ParseError> {
-    parse_query_expr_in(source, Interner::global())
-}
-
-/// [`parse_query_expr`] with an explicit interner; the containment caveats
-/// of [`parse_query_in`] apply.
-pub fn parse_query_expr_in(source: &str, interner: &Interner) -> Result<QueryExpr, ParseError> {
-    TOKEN_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => parse_query_expr_with(source, interner, &mut scratch),
-        Err(_) => parse_query_expr_with(source, interner, &mut Vec::new()),
+    let mut names = Names::new();
+    let (branches, all) = with_scratch(|scratch| {
+        {
+            let _span = STAGE_LEX.span();
+            tokenize_into(source, &mut names, scratch)?;
+        }
+        let _span = STAGE_PARSE.span();
+        let mut parser = Parser::new(scratch, source, &names);
+        let branches_all = parser.query_expr()?;
+        parser.finish()?;
+        Ok::<_, ParseError>(branches_all)
+    })?;
+    Ok(QueryExpr {
+        branches,
+        all,
+        names,
     })
 }
 
-/// [`parse_query_expr_in`] with an explicit token scratch buffer.
-pub fn parse_query_expr_with(
-    source: &str,
-    interner: &Interner,
-    scratch: &mut Vec<Token>,
-) -> Result<QueryExpr, ParseError> {
-    {
-        let _span = STAGE_LEX.span();
-        tokenize_into(source, interner, scratch)?;
-    }
-    let _span = STAGE_PARSE.span();
-    let mut parser = Parser {
-        tokens: scratch,
-        pos: 0,
-        source,
-        interner,
-        scope: Vec::new(),
-        depth: 0,
-    };
-    let expr = parser.query_expr()?;
-    parser.eat_if(&TokenKind::Semicolon);
-    parser.expect_eof()?;
-    Ok(expr)
-}
-
-/// [`parse_query`] with an explicit interner, for tests that prove symbol
-/// resolution is a property of the source text rather than of interner
-/// history.
-///
-/// The returned AST's symbols are only meaningful to `interner`: resolve
-/// them with [`Interner::resolve`] on the same instance, and do **not**
-/// feed the AST to downstream stages (`translate`, `Schema::check_query`,
-/// the diagram pipeline) — those resolve through [`Interner::global`] and
-/// would panic on out-of-range ids or silently alias in-range ones. The
-/// pipeline proper always parses via [`parse_query`].
-pub fn parse_query_in(source: &str, interner: &Interner) -> Result<Query, ParseError> {
+/// Run `parse` with this thread's token scratch buffer, or with a fresh
+/// one on a re-entrant parse (which the pipeline never does, but a caller
+/// that nests stays correct).
+fn with_scratch<R>(parse: impl FnOnce(&mut Vec<Token>) -> R) -> R {
     TOKEN_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => parse_query_with(source, interner, &mut scratch),
-        // Re-entrant parse on this thread (doesn't happen in the pipeline,
-        // but stay correct if a caller nests): fall back to a fresh buffer.
-        Err(_) => parse_query_with(source, interner, &mut Vec::new()),
+        Ok(mut scratch) => parse(&mut scratch),
+        Err(_) => parse(&mut Vec::new()),
     })
-}
-
-/// [`parse_query_in`] with an explicit token scratch buffer, for batch
-/// callers that want to control reuse directly. The buffer is cleared and
-/// refilled; its capacity is the only state carried across calls.
-pub fn parse_query_with(
-    source: &str,
-    interner: &Interner,
-    scratch: &mut Vec<Token>,
-) -> Result<Query, ParseError> {
-    tokenize_into(source, interner, scratch)?;
-    let mut parser = Parser {
-        tokens: scratch,
-        pos: 0,
-        source,
-        interner,
-        scope: Vec::new(),
-        depth: 0,
-    };
-    let query = parser.query_block()?;
-    if matches!(parser.peek_kind(), TokenKind::Keyword(Keyword::Union)) {
-        return Err(parser.err_here(
-            "top-level `UNION` is supported through the query-expression entry \
-             points (`parse_query_expr` / the diagram pipeline), not `parse_query`",
-        ));
-    }
-    parser.eat_if(&TokenKind::Semicolon);
-    parser.expect_eof()?;
-    Ok(query)
 }
 
 /// Maximum combined nesting (subquery blocks + parenthesized predicate
@@ -154,7 +115,7 @@ struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
     source: &'a str,
-    interner: &'a Interner,
+    names: &'a Names,
     /// Bindings in scope, outermost first: each query block pushes its
     /// FROM bindings as they are parsed (so `JOIN … ON` sees exactly the
     /// tables introduced *before* it, plus every enclosing block's) and
@@ -165,12 +126,34 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(tokens: &'a [Token], source: &'a str, names: &'a Names) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            source,
+            names,
+            scope: Vec::new(),
+            depth: 0,
+        }
+    }
+
+    /// An optional `;`, then the end of input.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.eat_if(&TokenKind::Semicolon);
+        self.expect_eof()
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
 
     fn peek_kind(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
+    }
+
+    /// The current token, written for an error message.
+    fn found(&self) -> Named<'_, TokenKind> {
+        self.names.show(self.peek_kind())
     }
 
     fn peek2_kind(&self) -> &TokenKind {
@@ -234,7 +217,7 @@ impl<'a> Parser<'a> {
             Err(self.err_here(format!(
                 "expected `{}`, found `{}`",
                 kw.as_str(),
-                self.peek_kind()
+                self.found()
             )))
         }
     }
@@ -243,14 +226,18 @@ impl<'a> Parser<'a> {
         if self.eat_if(&kind) {
             Ok(())
         } else {
-            Err(self.err_here(format!("expected `{kind}`, found `{}`", self.peek_kind())))
+            Err(self.err_here(format!(
+                "expected `{}`, found `{}`",
+                self.names.show(&kind),
+                self.found()
+            )))
         }
     }
 
     fn expect_eof(&mut self) -> Result<(), ParseError> {
         match self.peek_kind() {
             TokenKind::Eof => Ok(()),
-            other => Err(self.err_here(format!("unexpected trailing input `{other}`"))),
+            _ => Err(self.err_here(format!("unexpected trailing input `{}`", self.found()))),
         }
     }
 
@@ -260,7 +247,7 @@ impl<'a> Parser<'a> {
                 self.advance();
                 Ok(name)
             }
-            other => Err(self.err_here(format!("expected {what}, found `{other}`"))),
+            _ => Err(self.err_here(format!("expected {what}, found `{}`", self.found()))),
         }
     }
 
@@ -282,7 +269,8 @@ impl<'a> Parser<'a> {
     }
 
     // E ::= Q [UNION [ALL] Q ...]
-    fn query_expr(&mut self) -> Result<QueryExpr, ParseError> {
+    /// The branches and whether they combine under `UNION ALL`.
+    fn query_expr(&mut self) -> Result<(Vec<Query>, bool), ParseError> {
         let mut branches = vec![self.query_block()?];
         let mut all: Option<bool> = None;
         while matches!(self.peek_kind(), TokenKind::Keyword(Keyword::Union)) {
@@ -302,10 +290,7 @@ impl<'a> Parser<'a> {
             }
             branches.push(self.query_block()?);
         }
-        Ok(QueryExpr {
-            branches,
-            all: all.unwrap_or(false),
-        })
+        Ok((branches, all.unwrap_or(false)))
     }
 
     // Q ::= SELECT ... FROM ... [WHERE ...] [GROUP BY ... [HAVING ...]]
@@ -556,11 +541,11 @@ impl<'a> Parser<'a> {
             let Some(qualifier) = column.table else {
                 continue;
             };
-            let qualifier_text = self.interner.resolve(qualifier);
+            let qualifier_text = self.names.resolve(qualifier);
             let known = self.scope.iter().any(|binding| {
                 *binding == qualifier
                     || self
-                        .interner
+                        .names
                         .resolve(*binding)
                         .eq_ignore_ascii_case(qualifier_text)
             });
@@ -755,9 +740,10 @@ impl<'a> Parser<'a> {
             TokenKind::Ne => CompareOp::Ne,
             TokenKind::Ge => CompareOp::Ge,
             TokenKind::Gt => CompareOp::Gt,
-            other => {
+            _ => {
                 return Err(self.err_here(format!(
-                    "expected a comparison operator (< <= = <> >= >), found `{other}`"
+                    "expected a comparison operator (< <= = <> >= >), found `{}`",
+                    self.found()
                 )))
             }
         };
@@ -776,8 +762,9 @@ impl<'a> Parser<'a> {
                 Ok(Operand::Value(Value::Str(s)))
             }
             TokenKind::Ident(_) => Ok(Operand::Column(self.column_ref()?)),
-            other => Err(self.err_here(format!(
-                "expected a column reference or constant, found `{other}`"
+            _ => Err(self.err_here(format!(
+                "expected a column reference or constant, found `{}`",
+                self.found()
             ))),
         }
     }
@@ -803,6 +790,11 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// Parse into a table of its own, for tests that read no names.
+    fn parse(sql: &str) -> Result<Query, ParseError> {
+        parse_query(sql, &mut Names::new())
+    }
+
     #[test]
     fn pathological_nesting_errors_instead_of_overflowing() {
         // Regression: 50k nested predicate groups used to recurse the
@@ -814,7 +806,7 @@ mod tests {
             "(".repeat(depth),
             ")".repeat(depth)
         );
-        let err = parse_query(&sql).expect_err("deep nesting must be rejected");
+        let err = parse(&sql).expect_err("deep nesting must be rejected");
         assert!(
             err.to_string().contains("nesting exceeds"),
             "unexpected message: {err}"
@@ -827,7 +819,7 @@ mod tests {
             sql.push_str(" WHERE T.a IN (SELECT T.a FROM T");
         }
         sql.push_str(&")".repeat(depth));
-        let err = parse_query(&sql).expect_err("deep subqueries must be rejected");
+        let err = parse(&sql).expect_err("deep subqueries must be rejected");
         assert!(
             err.to_string().contains("nesting exceeds"),
             "unexpected message: {err}"
@@ -840,12 +832,12 @@ mod tests {
             "(".repeat(shallow),
             ")".repeat(shallow)
         );
-        parse_query(&sql).expect("shallow nesting stays accepted");
+        parse(&sql).expect("shallow nesting stays accepted");
     }
 
     #[test]
     fn parse_conjunctive_query() {
-        let q = parse_query(
+        let q = parse(
             "SELECT F.person FROM Frequents F, Likes L, Serves S \
              WHERE F.person = L.person AND F.bar = S.bar AND L.drink = S.drink",
         )
@@ -858,7 +850,7 @@ mod tests {
 
     #[test]
     fn parse_qonly_nested() {
-        let q = parse_query(
+        let q = parse(
             "SELECT F.person FROM Frequents F WHERE not exists \
              (SELECT * FROM Serves S WHERE S.bar = F.bar AND not exists \
              (SELECT L.drink FROM Likes L WHERE L.person = F.person AND S.drink = L.drink))",
@@ -872,7 +864,7 @@ mod tests {
     #[test]
     fn parse_unique_set_query() {
         // Fig. 1a of the paper, depth-3 nesting, 6 aliases of the same table.
-        let q = parse_query(
+        let q = parse(
             "SELECT L1.drinker FROM Likes L1 WHERE NOT EXISTS( \
                SELECT * FROM Likes L2 WHERE L1.drinker <> L2.drinker \
                AND NOT EXISTS( \
@@ -896,14 +888,14 @@ mod tests {
     #[test]
     fn parse_in_and_any_variants() {
         // The three semantically equivalent variants of Fig. 24.
-        let v2 = parse_query(
+        let v2 = parse(
             "SELECT S.sname FROM Sailor S WHERE S.sid NOT IN( \
              SELECT R.sid FROM Reserves R WHERE R.bid NOT IN( \
              SELECT B.bid FROM Boat B WHERE B.color = 'red'))",
         )
         .unwrap();
         assert_eq!(v2.nesting_depth(), 2);
-        let v3 = parse_query(
+        let v3 = parse(
             "SELECT S.sname FROM Sailor S WHERE NOT S.sid = ANY( \
              SELECT R.sid FROM Reserves R WHERE NOT R.bid = ANY( \
              SELECT B.bid FROM Boat B WHERE B.color = 'red'))",
@@ -927,7 +919,7 @@ mod tests {
 
     #[test]
     fn parse_all_comparison() {
-        let q = parse_query(
+        let q = parse(
             "SELECT T.TrackId FROM Track T WHERE T.Milliseconds >= ALL \
              (SELECT T2.Milliseconds FROM Track T2)",
         )
@@ -942,7 +934,7 @@ mod tests {
 
     #[test]
     fn parse_group_by_with_aggregates() {
-        let q = parse_query(
+        let q = parse(
             "SELECT P.PlaylistId, G.Name, COUNT(T.TrackId) \
              FROM Playlist P, PlaylistTrack PT, Track T, Genre G \
              WHERE P.PlaylistId = PT.PlaylistId AND PT.TrackId = T.TrackId \
@@ -956,17 +948,16 @@ mod tests {
 
     #[test]
     fn parse_selection_predicates() {
-        let q = parse_query(
-            "SELECT T.TrackId FROM Track T WHERE T.UnitPrice > 2 AND T.Name = 'Bohemian'",
-        )
-        .unwrap();
+        let q =
+            parse("SELECT T.TrackId FROM Track T WHERE T.UnitPrice > 2 AND T.Name = 'Bohemian'")
+                .unwrap();
         assert_eq!(q.where_clause.len(), 2);
         assert_eq!(q.join_count(), 0);
     }
 
     #[test]
     fn or_parses_with_and_precedence() {
-        let q = parse_query("SELECT t.a FROM t WHERE t.a = 1 AND t.b = 2 OR t.c = 3").unwrap();
+        let q = parse("SELECT t.a FROM t WHERE t.a = 1 AND t.b = 2 OR t.c = 3").unwrap();
         assert_eq!(q.where_clause.len(), 1);
         match &q.where_clause[0] {
             Predicate::Or(branches) => {
@@ -980,7 +971,7 @@ mod tests {
 
     #[test]
     fn parenthesized_group_keeps_or_inside_conjunction() {
-        let q = parse_query("SELECT t.a FROM t WHERE t.a = 1 AND (t.b = 2 OR t.c = 3)").unwrap();
+        let q = parse("SELECT t.a FROM t WHERE t.a = 1 AND (t.b = 2 OR t.c = 3)").unwrap();
         assert_eq!(q.where_clause.len(), 2);
         assert!(matches!(q.where_clause[0], Predicate::Compare { .. }));
         match &q.where_clause[1] {
@@ -988,20 +979,24 @@ mod tests {
             other => panic!("expected Or, got {other:?}"),
         }
         // A redundant single-predicate group is inlined.
-        let q = parse_query("SELECT t.a FROM t WHERE (t.a = 1)").unwrap();
+        let q = parse("SELECT t.a FROM t WHERE (t.a = 1)").unwrap();
         assert!(matches!(q.where_clause[0], Predicate::Compare { .. }));
     }
 
     #[test]
     fn join_on_desugars_to_from_and_where() {
+        // One table for both, so equal ASTs mean equal names.
+        let mut names = Names::new();
         let explicit = parse_query(
             "SELECT F.person FROM Frequents F JOIN Serves S ON F.bar = S.bar \
              WHERE S.drink = 'IPA'",
+            &mut names,
         )
         .unwrap();
         let implicit = parse_query(
             "SELECT F.person FROM Frequents F, Serves S \
              WHERE F.bar = S.bar AND S.drink = 'IPA'",
+            &mut names,
         )
         .unwrap();
         assert_eq!(
@@ -1009,7 +1004,7 @@ mod tests {
             "JOIN … ON must desugar to the implicit form"
         );
         // INNER JOIN is the same thing; chains and multi-conjunct ON work.
-        let chained = parse_query(
+        let chained = parse(
             "SELECT F.person FROM Frequents F INNER JOIN Serves S ON F.bar = S.bar \
              JOIN Likes L ON L.person = F.person AND L.beer = S.beer",
         )
@@ -1020,8 +1015,7 @@ mod tests {
 
     #[test]
     fn join_mixes_with_comma_list() {
-        let q =
-            parse_query("SELECT A.x FROM T A JOIN U B ON A.x = B.x, V C WHERE C.y = A.y").unwrap();
+        let q = parse("SELECT A.x FROM T A JOIN U B ON A.x = B.x, V C WHERE C.y = A.y").unwrap();
         assert_eq!(q.from.len(), 3);
         assert_eq!(q.where_clause.len(), 2);
     }
@@ -1030,20 +1024,20 @@ mod tests {
     fn join_on_scoping_is_left_to_right() {
         // Forward reference into the rest of the FROM list: invalid SQL,
         // must not silently desugar into a valid-looking diagram.
-        let err = parse_query("SELECT A.x FROM T A JOIN U B ON A.x = C.y, V C").unwrap_err();
+        let err = parse("SELECT A.x FROM T A JOIN U B ON A.x = C.y, V C").unwrap_err();
         assert!(err.message.contains("not in scope"), "{}", err.message);
         assert!(err.message.contains("`C`"), "{}", err.message);
         // A completely unknown binding is rejected the same way.
-        let err = parse_query("SELECT A.x FROM T A JOIN U B ON A.x = Z.y").unwrap_err();
+        let err = parse("SELECT A.x FROM T A JOIN U B ON A.x = Z.y").unwrap_err();
         assert!(err.message.contains("not in scope"), "{}", err.message);
         // ON in a correlated subquery may reference enclosing bindings.
-        parse_query(
+        parse(
             "SELECT F.x FROM T F WHERE EXISTS \
              (SELECT * FROM U B JOIN V C ON B.k = C.k AND C.y = F.x)",
         )
         .unwrap();
         // Alias matching is case-insensitive, like the translator's.
-        parse_query("SELECT A.x FROM T A JOIN U B ON a.x = b.y").unwrap();
+        parse("SELECT A.x FROM T A JOIN U B ON a.x = b.y").unwrap();
     }
 
     #[test]
@@ -1057,14 +1051,14 @@ mod tests {
             ),
             ("SELECT a FROM t CROSS JOIN s", "CROSS JOIN"),
         ] {
-            let err = parse_query(sql).unwrap_err();
+            let err = parse(sql).unwrap_err();
             assert!(err.message.contains(token), "{sql}: {}", err.message);
         }
     }
 
     #[test]
     fn having_parses_after_group_by() {
-        let q = parse_query(
+        let q = parse(
             "SELECT T.a, COUNT(T.b) FROM T GROUP BY T.a \
              HAVING COUNT(T.b) > 2 AND MAX(T.c) <= 10",
         )
@@ -1077,11 +1071,11 @@ mod tests {
 
     #[test]
     fn having_requires_group_by_and_aggregates() {
-        let err = parse_query("SELECT t.a FROM t HAVING COUNT(t.a) > 1").unwrap_err();
+        let err = parse("SELECT t.a FROM t HAVING COUNT(t.a) > 1").unwrap_err();
         assert!(err.message.contains("GROUP BY"), "{}", err.message);
-        let err = parse_query("SELECT t.a FROM t GROUP BY t.a HAVING t.a > 1").unwrap_err();
+        let err = parse("SELECT t.a FROM t GROUP BY t.a HAVING t.a > 1").unwrap_err();
         assert!(err.message.contains("aggregate"), "{}", err.message);
-        let err = parse_query("SELECT t.a FROM t GROUP BY t.a HAVING COUNT(*) > t.b").unwrap_err();
+        let err = parse("SELECT t.a FROM t GROUP BY t.a HAVING COUNT(*) > t.b").unwrap_err();
         assert!(err.message.contains("constant"), "{}", err.message);
     }
 
@@ -1099,7 +1093,7 @@ mod tests {
 
     #[test]
     fn union_rejected_where_unsupported() {
-        let err = parse_query("SELECT t.a FROM t UNION SELECT s.b FROM s").unwrap_err();
+        let err = parse("SELECT t.a FROM t UNION SELECT s.b FROM s").unwrap_err();
         assert!(err.message.contains("parse_query_expr"), "{}", err.message);
         let err = parse_query_expr(
             "SELECT t.a FROM t UNION SELECT s.b FROM s UNION ALL SELECT u.c FROM u",
@@ -1115,44 +1109,46 @@ mod tests {
 
     #[test]
     fn reject_not_before_plain_comparison() {
-        let err = parse_query("SELECT a FROM t WHERE NOT t.a = 3").unwrap_err();
+        let err = parse("SELECT a FROM t WHERE NOT t.a = 3").unwrap_err();
         assert!(err.message.contains("NOT"), "{}", err.message);
     }
 
     #[test]
     fn reject_trailing_garbage() {
-        let err = parse_query("SELECT a FROM t WHERE t.a = 1 banana").unwrap_err();
+        let err = parse("SELECT a FROM t WHERE t.a = 1 banana").unwrap_err();
         assert!(err.message.contains("alias") || err.message.contains("trailing"));
     }
 
     #[test]
     fn reject_missing_from() {
-        let err = parse_query("SELECT a").unwrap_err();
+        let err = parse("SELECT a").unwrap_err();
         assert!(err.message.contains("FROM"));
     }
 
     #[test]
     fn alias_with_and_without_as() {
-        let q = parse_query("SELECT a FROM Likes AS L1, Serves S2 WHERE L1.a = S2.b").unwrap();
-        assert_eq!(q.from[0].binding(), "L1");
-        assert_eq!(q.from[1].binding(), "S2");
+        let mut names = Names::new();
+        let sql = "SELECT a FROM Likes AS L1, Serves S2 WHERE L1.a = S2.b";
+        let q = parse_query(sql, &mut names).unwrap();
+        assert_eq!(names.resolve(q.from[0].binding()), "L1");
+        assert_eq!(names.resolve(q.from[1].binding()), "S2");
     }
 
     #[test]
     fn semicolon_is_optional() {
-        assert!(parse_query("SELECT a FROM t;").is_ok());
-        assert!(parse_query("SELECT a FROM t").is_ok());
+        assert!(parse("SELECT a FROM t;").is_ok());
+        assert!(parse("SELECT a FROM t").is_ok());
     }
 
     #[test]
     fn error_carries_line_and_column() {
-        let err = parse_query("SELECT a\nFROM t\nWHERE a ==").unwrap_err();
+        let err = parse("SELECT a\nFROM t\nWHERE a ==").unwrap_err();
         assert_eq!(err.line, 3);
     }
 
     #[test]
     fn count_star() {
-        let q = parse_query("SELECT COUNT(*) FROM t GROUP BY t.a").unwrap();
+        let q = parse("SELECT COUNT(*) FROM t GROUP BY t.a").unwrap();
         match &q.select.items()[0] {
             SelectItem::Aggregate(AggCall { func, arg }) => {
                 assert_eq!(*func, AggFunc::Count);

@@ -7,12 +7,14 @@
 //! rather than over incidental whitespace choices.
 
 use crate::ast::*;
+use queryvis_ir::{NamedDisplay, Names};
 use std::fmt::Write;
 
-/// Render a query as canonical multi-line SQL text.
-pub fn to_sql(query: &Query) -> String {
+/// Render a query, whose names live in `names`, as canonical multi-line
+/// SQL text.
+pub fn to_sql(query: &Query, names: &Names) -> String {
     let mut out = String::new();
-    write_query(&mut out, query, 0);
+    write_query(&mut out, names, query, 0);
     out.push(';');
     out
 }
@@ -27,15 +29,15 @@ pub fn to_sql_expr(expr: &QueryExpr) -> String {
             out.push_str(if expr.all { "UNION ALL" } else { "UNION" });
             out.push('\n');
         }
-        write_query(&mut out, branch, 0);
+        write_query(&mut out, &expr.names, branch, 0);
     }
     out.push(';');
     out
 }
 
 /// Render a query on a single line (used in logs and error messages).
-pub fn to_sql_one_line(query: &Query) -> String {
-    to_sql(query)
+pub fn to_sql_one_line(query: &Query, names: &Names) -> String {
+    to_sql(query, names)
         .split_whitespace()
         .collect::<Vec<_>>()
         .join(" ")
@@ -47,21 +49,19 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn write_query(out: &mut String, query: &Query, level: usize) {
+fn write_query(out: &mut String, names: &Names, query: &Query, level: usize) {
     indent(out, level);
     out.push_str("SELECT ");
     match &query.select {
         SelectList::Star => out.push('*'),
         SelectList::Items(items) => {
-            let rendered: Vec<String> = items.iter().map(|i| i.to_string()).collect();
-            out.push_str(&rendered.join(", "));
+            write_joined(out, names, items, ", ");
         }
     }
     out.push('\n');
     indent(out, level);
     out.push_str("FROM ");
-    let tables: Vec<String> = query.from.iter().map(|t| t.to_string()).collect();
-    out.push_str(&tables.join(", "));
+    write_joined(out, names, &query.from, ", ");
     if !query.where_clause.is_empty() {
         out.push('\n');
         indent(out, level);
@@ -72,36 +72,44 @@ fn write_query(out: &mut String, query: &Query, level: usize) {
                 indent(out, level);
                 out.push_str("AND ");
             }
-            write_predicate(out, pred, level);
+            write_predicate(out, names, pred, level);
         }
     }
     if !query.group_by.is_empty() {
         out.push('\n');
         indent(out, level);
         out.push_str("GROUP BY ");
-        let cols: Vec<String> = query.group_by.iter().map(|c| c.to_string()).collect();
-        out.push_str(&cols.join(", "));
+        write_joined(out, names, &query.group_by, ", ");
     }
     if !query.having.is_empty() {
         out.push('\n');
         indent(out, level);
         out.push_str("HAVING ");
-        let preds: Vec<String> = query.having.iter().map(|h| h.to_string()).collect();
-        out.push_str(&preds.join(" AND "));
+        write_joined(out, names, &query.having, " AND ");
     }
 }
 
-fn write_predicate(out: &mut String, pred: &Predicate, level: usize) {
+/// Write `items` through `names`, separated by `sep`.
+fn write_joined<T: NamedDisplay>(out: &mut String, names: &Names, items: &[T], sep: &str) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        let _ = write!(out, "{}", names.show(item));
+    }
+}
+
+fn write_predicate(out: &mut String, names: &Names, pred: &Predicate, level: usize) {
     match pred {
         Predicate::Compare { lhs, op, rhs } => {
-            let _ = write!(out, "{lhs} {op} {rhs}");
+            let _ = write!(out, "{} {op} {}", names.show(lhs), names.show(rhs));
         }
         Predicate::Exists { negated, query } => {
             if *negated {
                 out.push_str("NOT ");
             }
             out.push_str("EXISTS (\n");
-            write_query(out, query, level + 1);
+            write_query(out, names, query, level + 1);
             out.push(')');
         }
         Predicate::InSubquery {
@@ -109,12 +117,12 @@ fn write_predicate(out: &mut String, pred: &Predicate, level: usize) {
             negated,
             query,
         } => {
-            let _ = write!(out, "{column} ");
+            let _ = write!(out, "{} ", names.show(column));
             if *negated {
                 out.push_str("NOT ");
             }
             out.push_str("IN (\n");
-            write_query(out, query, level + 1);
+            write_query(out, names, query, level + 1);
             out.push(')');
         }
         Predicate::Quantified {
@@ -127,8 +135,9 @@ fn write_predicate(out: &mut String, pred: &Predicate, level: usize) {
             if *negated {
                 out.push_str("NOT ");
             }
+            let column = names.show(column);
             let _ = writeln!(out, "{column} {op} {} (", quantifier.as_str());
-            write_query(out, query, level + 1);
+            write_query(out, names, query, level + 1);
             out.push(')');
         }
         // A disjunction prints parenthesized so precedence survives the
@@ -143,7 +152,7 @@ fn write_predicate(out: &mut String, pred: &Predicate, level: usize) {
                     if j > 0 {
                         out.push_str(" AND ");
                     }
-                    write_predicate(out, pred, level);
+                    write_predicate(out, names, pred, level);
                 }
             }
             out.push(')');
@@ -157,9 +166,11 @@ mod tests {
     use crate::parser::parse_query;
 
     fn roundtrip(sql: &str) {
-        let q1 = parse_query(sql).unwrap();
-        let printed = to_sql(&q1);
-        let q2 = parse_query(&printed)
+        // Both parses intern into one table, so equal ASTs mean equal names.
+        let mut names = Names::new();
+        let q1 = parse_query(sql, &mut names).unwrap();
+        let printed = to_sql(&q1, &names);
+        let q2 = parse_query(&printed, &mut names)
             .unwrap_or_else(|e| panic!("re-parse of printed SQL failed: {e}\n{printed}"));
         assert_eq!(q1, q2, "round trip changed the AST:\n{printed}");
     }
@@ -198,6 +209,8 @@ mod tests {
         let printed = to_sql_expr(&e1);
         let e2 = crate::parser::parse_query_expr(&printed)
             .unwrap_or_else(|e| panic!("re-parse of printed SQL failed: {e}\n{printed}"));
+        // Equal tables too: the printed form lexes the names in their
+        // original first-seen order.
         assert_eq!(e1, e2, "round trip changed the AST:\n{printed}");
     }
 
@@ -229,9 +242,9 @@ mod tests {
 
     #[test]
     fn join_prints_in_desugared_form() {
-        let q =
-            parse_query("SELECT F.person FROM Frequents F JOIN Serves S ON F.bar = S.bar").unwrap();
-        let printed = to_sql(&q);
+        let mut names = Names::new();
+        let sql = "SELECT F.person FROM Frequents F JOIN Serves S ON F.bar = S.bar";
+        let printed = to_sql(&parse_query(sql, &mut names).unwrap(), &names);
         assert!(printed.contains("FROM Frequents F, Serves S"), "{printed}");
         assert!(printed.contains("WHERE F.bar = S.bar"), "{printed}");
         roundtrip("SELECT F.person FROM Frequents F JOIN Serves S ON F.bar = S.bar");
@@ -247,17 +260,20 @@ mod tests {
 
     #[test]
     fn printed_form_is_canonical() {
-        let q = parse_query("select   a from t where t.a=1").unwrap();
-        let printed = to_sql(&q);
+        let mut names = Names::new();
+        let q = parse_query("select   a from t where t.a=1", &mut names).unwrap();
+        let printed = to_sql(&q, &names);
         assert!(printed.starts_with("SELECT a\nFROM t\nWHERE t.a = 1"));
     }
 
     #[test]
     fn one_line_has_no_newlines() {
+        let mut names = Names::new();
         let q = parse_query(
             "SELECT F.person FROM Frequents F WHERE NOT EXISTS (SELECT * FROM Serves S)",
+            &mut names,
         )
         .unwrap();
-        assert!(!to_sql_one_line(&q).contains('\n'));
+        assert!(!to_sql_one_line(&q, &names).contains('\n'));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::ast::{ColumnRef, Operand, Predicate, Query, QueryExpr, SelectItem, SelectList};
 use crate::error::SemanticError;
-use queryvis_ir::Symbol;
+use queryvis_ir::Names;
 
 /// A table definition: name plus ordered column names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,9 +62,11 @@ impl Schema {
     /// (including correlation to outer blocks), no constant–constant
     /// comparisons, and single-column SELECT lists for `IN`/`ANY`/`ALL`
     /// subqueries.
-    pub fn check_query(&self, query: &Query) -> Result<(), SemanticError> {
-        let mut scopes: Vec<Vec<(Symbol, &Table)>> = Vec::new();
-        self.check_block(query, &mut scopes, false)
+    ///
+    /// The query's names live in `names`.
+    pub fn check_query(&self, query: &Query, names: &Names) -> Result<(), SemanticError> {
+        let mut scopes: Vec<Vec<(&str, &Table)>> = Vec::new();
+        self.check_block(names, query, &mut scopes, false)
     }
 
     /// Validate a full query expression: every `UNION` branch checks
@@ -73,7 +75,7 @@ impl Schema {
     pub fn check_query_expr(&self, expr: &QueryExpr) -> Result<(), SemanticError> {
         let mut arity: Option<usize> = None;
         for branch in &expr.branches {
-            self.check_query(branch)?;
+            self.check_query(branch, &expr.names)?;
             if let SelectList::Items(items) = &branch.select {
                 match arity {
                     None => arity = Some(items.len()),
@@ -90,21 +92,23 @@ impl Schema {
         Ok(())
     }
 
-    fn check_block<'s>(
+    fn check_block<'s, 'n>(
         &'s self,
+        names: &'n Names,
         query: &Query,
-        scopes: &mut Vec<Vec<(Symbol, &'s Table)>>,
+        scopes: &mut Vec<Vec<(&'n str, &'s Table)>>,
         needs_single_column: bool,
     ) -> Result<(), SemanticError> {
         // Register this block's bindings.
-        let mut bindings: Vec<(Symbol, &Table)> = Vec::new();
+        let mut bindings: Vec<(&str, &Table)> = Vec::new();
         for table_ref in &query.from {
-            let table = self.table(table_ref.table.as_str()).ok_or_else(|| {
-                SemanticError::UnknownTable {
-                    table: table_ref.table.to_string(),
-                }
-            })?;
-            let binding = table_ref.binding();
+            let name = names.resolve(table_ref.table);
+            let table = self
+                .table(name)
+                .ok_or_else(|| SemanticError::UnknownTable {
+                    table: name.to_string(),
+                })?;
+            let binding = names.resolve(table_ref.binding());
             if bindings.iter().any(|(b, _)| *b == binding) {
                 return Err(SemanticError::DuplicateAlias {
                     alias: binding.to_string(),
@@ -132,11 +136,11 @@ impl Schema {
                     for item in items {
                         match item {
                             SelectItem::Column(c) => {
-                                self.resolve(c, scopes)?;
+                                self.resolve(names, c, scopes)?;
                             }
                             SelectItem::Aggregate(agg) => {
                                 if let Some(c) = &agg.arg {
-                                    self.resolve(c, scopes)?;
+                                    self.resolve(names, c, scopes)?;
                                 }
                             }
                         }
@@ -145,17 +149,17 @@ impl Schema {
             }
             // GROUP BY columns.
             for c in &query.group_by {
-                self.resolve(c, scopes)?;
+                self.resolve(names, c, scopes)?;
             }
             // HAVING aggregates (arguments resolve like any other column).
             for h in &query.having {
                 if let Some(c) = &h.agg.arg {
-                    self.resolve(c, scopes)?;
+                    self.resolve(names, c, scopes)?;
                 }
             }
             // WHERE predicates.
             for pred in &query.where_clause {
-                self.check_predicate(pred, scopes)?;
+                self.check_predicate(names, pred, scopes)?;
             }
             Ok(())
         })();
@@ -164,10 +168,11 @@ impl Schema {
         result
     }
 
-    fn check_predicate<'s>(
+    fn check_predicate<'s, 'n>(
         &'s self,
+        names: &'n Names,
         pred: &Predicate,
-        scopes: &mut Vec<Vec<(Symbol, &'s Table)>>,
+        scopes: &mut Vec<Vec<(&'n str, &'s Table)>>,
     ) -> Result<(), SemanticError> {
         match pred {
             Predicate::Compare { lhs, op: _, rhs } => {
@@ -176,24 +181,21 @@ impl Schema {
                 }
                 for operand in [lhs, rhs] {
                     if let Operand::Column(c) = operand {
-                        self.resolve(c, scopes)?;
+                        self.resolve(names, c, scopes)?;
                     }
                 }
                 Ok(())
             }
-            Predicate::Exists { query, .. } => self.check_block(query, scopes, false),
-            Predicate::InSubquery { column, query, .. } => {
-                self.resolve(column, scopes)?;
-                self.check_block(query, scopes, true)
-            }
-            Predicate::Quantified { column, query, .. } => {
-                self.resolve(column, scopes)?;
-                self.check_block(query, scopes, true)
+            Predicate::Exists { query, .. } => self.check_block(names, query, scopes, false),
+            Predicate::InSubquery { column, query, .. }
+            | Predicate::Quantified { column, query, .. } => {
+                self.resolve(names, column, scopes)?;
+                self.check_block(names, query, scopes, true)
             }
             Predicate::Or(branches) => {
                 for branch in branches {
                     for pred in branch {
-                        self.check_predicate(pred, scopes)?;
+                        self.check_predicate(names, pred, scopes)?;
                     }
                 }
                 Ok(())
@@ -205,22 +207,24 @@ impl Schema {
     /// first, matching SQL's correlation rules).
     fn resolve<'s>(
         &'s self,
+        names: &Names,
         column: &ColumnRef,
-        scopes: &[Vec<(Symbol, &'s Table)>],
+        scopes: &[Vec<(&str, &'s Table)>],
     ) -> Result<&'s Table, SemanticError> {
-        match &column.table {
+        let column_name = names.resolve(column.column);
+        match column.table {
             Some(binding) => {
+                let binding = names.resolve(binding);
                 for scope in scopes.iter().rev() {
-                    if let Some((_, table)) = scope
-                        .iter()
-                        .find(|(b, _)| b.as_str().eq_ignore_ascii_case(binding.as_str()))
+                    if let Some((_, table)) =
+                        scope.iter().find(|(b, _)| b.eq_ignore_ascii_case(binding))
                     {
-                        if table.has_column(column.column.as_str()) {
+                        if table.has_column(column_name) {
                             return Ok(table);
                         }
                         return Err(SemanticError::UnknownColumn {
                             binding: binding.to_string(),
-                            column: column.column.to_string(),
+                            column: column_name.to_string(),
                         });
                     }
                 }
@@ -233,23 +237,23 @@ impl Schema {
                 // innermost scope outward, stopping at the first scope with
                 // any match (standard SQL shadowing).
                 for scope in scopes.iter().rev() {
-                    let matches: Vec<&(Symbol, &Table)> = scope
+                    let matches: Vec<&(&str, &Table)> = scope
                         .iter()
-                        .filter(|(_, t)| t.has_column(column.column.as_str()))
+                        .filter(|(_, t)| t.has_column(column_name))
                         .collect();
                     match matches.len() {
                         0 => continue,
                         1 => return Ok(matches[0].1),
                         _ => {
                             return Err(SemanticError::AmbiguousColumn {
-                                column: column.column.to_string(),
+                                column: column_name.to_string(),
                                 candidates: matches.iter().map(|(b, _)| b.to_string()).collect(),
                             })
                         }
                     }
                 }
                 Err(SemanticError::UnresolvedColumn {
-                    column: column.column.to_string(),
+                    column: column_name.to_string(),
                 })
             }
         }
@@ -275,7 +279,9 @@ mod tests {
     use crate::parser::parse_query;
 
     fn check(sql: &str) -> Result<(), SemanticError> {
-        beers_schema().check_query(&parse_query(sql).unwrap())
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        beers_schema().check_query(&query, &names)
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Token definitions for the SQL lexer.
 
-use queryvis_ir::Symbol;
+use queryvis_ir::{NamedDisplay, Names, Symbol};
 use std::fmt;
 
 /// A half-open byte range into the original source text.
@@ -202,9 +202,9 @@ impl Keyword {
 
 /// Lexical token kinds.
 ///
-/// Identifiers and literals are interned [`Symbol`]s: the lexer is the one
-/// place in the pipeline where name text is copied; every later layer
-/// moves 4-byte ids.
+/// Identifiers and literals are [`Symbol`]s of the query's [`Names`]: the
+/// lexer is the one place in the pipeline where name text is copied; every
+/// later layer moves 4-byte ids.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
     Keyword(Keyword),
@@ -229,13 +229,12 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NamedDisplay for TokenKind {
+    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Keyword(k) => write!(f, "{}", k.as_str()),
-            TokenKind::Ident(s) => write!(f, "{s}"),
-            TokenKind::Number(s) => write!(f, "{s}"),
-            TokenKind::Str(s) => write!(f, "'{s}'"),
+            TokenKind::Ident(s) | TokenKind::Number(s) => f.write_str(names.resolve(*s)),
+            TokenKind::Str(s) => write!(f, "'{}'", names.resolve(*s)),
             TokenKind::LParen => write!(f, "("),
             TokenKind::RParen => write!(f, ")"),
             TokenKind::Comma => write!(f, ","),

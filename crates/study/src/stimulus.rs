@@ -13,7 +13,7 @@ use queryvis_corpus::{chinook_schema, study_questions, McqQuestion};
 use queryvis_diagram::{build_diagram, diagram_stats};
 use queryvis_logic::{simplify, translate};
 use queryvis_sql::metrics;
-use queryvis_sql::parse_query;
+use queryvis_sql::{parse_query, Names};
 
 /// Complexity measures for one study question.
 #[derive(Debug, Clone)]
@@ -37,8 +37,9 @@ pub fn stimulus_complexities() -> Vec<StimulusComplexity> {
     study_questions()
         .into_iter()
         .map(|question| {
-            let ast = parse_query(question.sql).expect("corpus SQL parses");
-            let lt = translate(&ast, Some(&schema)).expect("corpus SQL translates");
+            let mut names = Names::new();
+            let ast = parse_query(question.sql, &mut names).expect("corpus SQL parses");
+            let lt = translate(&ast, Some(&schema), &mut names).expect("corpus SQL translates");
             let diagram = build_diagram(&simplify(&lt));
             let stats = diagram_stats(&diagram);
             let choice_words = question
@@ -47,7 +48,7 @@ pub fn stimulus_complexities() -> Vec<StimulusComplexity> {
                 .map(|c| c.split_whitespace().count())
                 .sum();
             StimulusComplexity {
-                sql_words: metrics::word_count(&ast),
+                sql_words: metrics::word_count(&ast, &names),
                 diagram_elements: stats.visual_elements(),
                 choice_words,
                 nesting_depth: ast.nesting_depth(),

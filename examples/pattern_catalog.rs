@@ -25,7 +25,7 @@ fn main() {
         );
         println!("{}", qv.ascii());
         by_pattern
-            .entry(canonical_pattern(&qv.logic_tree))
+            .entry(canonical_pattern(&qv.logic_tree, qv.names()))
             .or_default()
             .push(cell.description.clone());
     }
@@ -48,7 +48,10 @@ fn main() {
     // Fig. 24: syntactic variants collapse too.
     let forms: Vec<String> = sailors_only_variants()
         .iter()
-        .map(|sql| canonical_pattern(&QueryVis::from_sql(sql).unwrap().logic_tree))
+        .map(|sql| {
+            let qv = QueryVis::from_sql(sql).unwrap();
+            canonical_pattern(&qv.logic_tree, qv.names())
+        })
         .collect();
     assert!(forms.windows(2).all(|w| w[0] == w[1]));
     println!("\nFig. 24: NOT EXISTS / NOT IN / NOT = ANY all share one pattern ✓");

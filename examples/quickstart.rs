@@ -26,7 +26,7 @@ WHERE NOT EXISTS
     println!("== Tuple relational calculus ==\n{}\n", qv.trc());
     println!(
         "== Logic tree (after the FOR-ALL simplification) ==\n{}",
-        qv.simplified
+        qv.names().show(&qv.simplified)
     );
     println!("== Diagram ==\n{}", qv.ascii());
     println!("== Reading ==\n{}\n", qv.reading());

@@ -16,10 +16,14 @@ fn main() {
 
     // Stage 2: TRC / logic tree (Figs. 9a, 10a).
     println!("== Fig. 9a: tuple relational calculus ==\n{}\n", qv.trc());
-    println!("== Fig. 10a: logic tree ==\n{}", qv.logic_tree);
+    let names = qv.names();
+    println!("== Fig. 10a: logic tree ==\n{}", names.show(&qv.logic_tree));
 
     // Stage 3: the optional ∀ simplification (Figs. 9b, 10b).
-    println!("== Fig. 10b: simplified logic tree ==\n{}", qv.simplified);
+    println!(
+        "== Fig. 10b: simplified logic tree ==\n{}",
+        names.show(&qv.simplified)
+    );
 
     // Stage 4: the diagram (Figs. 1b, 12).
     println!("== Fig. 1b: the diagram ==\n{}", qv.ascii());
@@ -47,6 +51,8 @@ fn main() {
 
     // And the inverse: the diagram alone determines the logic tree (§5).
     let recovered = queryvis::recover_logic_tree(qv.raw_diagram()).unwrap();
-    assert!(qv.logic_tree.structural_eq(&recovered));
+    assert!(qv
+        .logic_tree
+        .structural_eq(qv.names(), &recovered, qv.names()));
     println!("\nInverse check: the diagram maps back to exactly one logic tree ✓");
 }

@@ -9,7 +9,7 @@
 //! [`PatternKey::of_branches`] token stream and, per branch, the rank,
 //! the token stream and every binding and `(binding, column)` slot of the
 //! name maps. Symbols are folded as their text, never as ids, because ids
-//! depend on interner history.
+//! depend on the order a query spells its names.
 //!
 //! The inputs are the paper corpus, `reply_digest.rs`'s fixed-seed
 //! `sqlgen` draw, the star `T.a{i} = U.k` at n = 8 and n = 25 in three
@@ -146,23 +146,23 @@ fn canonical_patterns_and_name_maps_match_recorded_digest() {
     for sql in inputs() {
         let prepared = QueryVis::prepare(&sql, QueryVisOptions::default())
             .unwrap_or_else(|e| panic!("{sql}: {e:?}"));
-        let trees = prepared.trees();
+        let (trees, names) = (prepared.trees(), prepared.names());
         multi_branch += usize::from(trees.len() > 1);
-        digest.tokens(PatternKey::of_branches(&trees, prepared.union_all).tokens());
-        let erasures = PatternKey::branch_erasures(&trees);
+        digest.tokens(PatternKey::of_branches(&trees, prepared.union_all, names).tokens());
+        let erasures = PatternKey::branch_erasures(&trees, names);
         digest.word(erasures.len() as u32);
         for e in &erasures {
             digest.word(e.rank as u32);
             digest.tokens(&e.tokens);
             digest.word(e.bindings.len() as u32);
             for &(key, b) in &e.bindings {
-                digest.text(key.as_str());
+                digest.text(names.resolve(key));
                 digest.word(b);
             }
             digest.word(e.attrs.len() as u32);
             for &(key, column, (b, c)) in &e.attrs {
-                digest.text(key.as_str());
-                digest.text(column.as_str());
+                digest.text(names.resolve(key));
+                digest.text(names.resolve(column));
                 digest.word(b);
                 digest.word(c);
             }

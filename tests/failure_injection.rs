@@ -5,7 +5,7 @@
 use queryvis::corpus::beers_schema;
 use queryvis::{QueryVis, QueryVisError, QueryVisOptions};
 use queryvis_logic::{check_valid_diagram_source, translate, DegeneracyError, TranslateError};
-use queryvis_sql::{parse_query, SemanticError};
+use queryvis_sql::{parse_query, Names, SemanticError};
 
 fn strict(sql: &str) -> Result<QueryVis, QueryVisError> {
     QueryVis::with_options(
@@ -51,7 +51,7 @@ fn malformed_sql_catalog() {
         ("SELECT a FROM t WHERE a @ 1", "unexpected character"),
     ];
     for (sql, expected) in cases {
-        let err = parse_query(sql).unwrap_err();
+        let err = parse_query(sql, &mut Names::new()).unwrap_err();
         assert!(
             err.message.contains(expected),
             "for `{sql}`: expected message containing `{expected}`, got `{}`",
@@ -142,9 +142,13 @@ fn out_of_fragment_lowering_limits() {
 
 #[test]
 fn parse_errors_carry_positions() {
-    let err = parse_query("SELECT a\nFROM t\nORDER BY a").unwrap_err();
+    let err = parse_query("SELECT a\nFROM t\nORDER BY a", &mut Names::new()).unwrap_err();
     assert_eq!(err.line, 3, "error on line 3, got {}", err.line);
-    let err = parse_query("SELECT a FROM t\nLEFT JOIN s ON t.x = s.x").unwrap_err();
+    let err = parse_query(
+        "SELECT a FROM t\nLEFT JOIN s ON t.x = s.x",
+        &mut Names::new(),
+    )
+    .unwrap_err();
     assert_eq!(err.line, 2, "error on line 2, got {}", err.line);
 }
 
@@ -176,8 +180,9 @@ fn schema_violations() {
         }),
     ];
     for (sql, check) in cases {
-        let query = parse_query(sql).unwrap();
-        let err = schema.check_query(&query).unwrap_err();
+        let mut names = Names::new();
+        let query = parse_query(sql, &mut names).unwrap();
+        let err = schema.check_query(&query, &names).unwrap_err();
         assert!(check(&err), "for `{sql}`: got {err:?}");
     }
 }
@@ -186,18 +191,21 @@ fn schema_violations() {
 
 #[test]
 fn in_subquery_with_star_rejected() {
-    let q = parse_query("SELECT a FROM t WHERE t.a IN (SELECT * FROM s)").unwrap();
+    let mut names = Names::new();
+    let q = parse_query("SELECT a FROM t WHERE t.a IN (SELECT * FROM s)", &mut names).unwrap();
     assert_eq!(
-        translate(&q, None).unwrap_err(),
+        translate(&q, None, &mut names).unwrap_err(),
         TranslateError::BadSubquerySelect
     );
 }
 
 #[test]
 fn nested_group_by_rejected() {
-    let q = parse_query("SELECT t.a FROM t WHERE EXISTS (SELECT s.x FROM s GROUP BY s.x)").unwrap();
+    let mut names = Names::new();
+    let sql = "SELECT t.a FROM t WHERE EXISTS (SELECT s.x FROM s GROUP BY s.x)";
+    let q = parse_query(sql, &mut names).unwrap();
     assert_eq!(
-        translate(&q, None).unwrap_err(),
+        translate(&q, None, &mut names).unwrap_err(),
         TranslateError::NestedAggregate
     );
 }
@@ -302,7 +310,7 @@ fn strict_mode_checks_every_branch() {
     for sql in [union, or_split] {
         let lenient = QueryVis::from_sql(sql).unwrap();
         assert_eq!(lenient.rest.len(), 1, "{sql}");
-        check_valid_diagram_source(&lenient.logic_tree)
+        check_valid_diagram_source(&lenient.logic_tree, lenient.names())
             .unwrap_or_else(|e| panic!("first branch of {sql} is valid: {e}"));
     }
     assert_eq!(

@@ -15,11 +15,16 @@ fn fig6_q10_diagram_structure() {
         .unwrap();
     let qv = QueryVis::with_schema(q10.sql, &chinook_schema()).unwrap();
     let d = &qv.diagram;
+    let names = qv.names();
 
     // 3 base tables + SELECT.
     assert_eq!(d.tables.len(), 4);
     let select = &d.tables[d.select_table];
-    let select_cols: Vec<&str> = select.rows.iter().map(|r| r.column.as_str()).collect();
+    let select_cols: Vec<&str> = select
+        .rows
+        .iter()
+        .map(|r| names.resolve(r.column))
+        .collect();
     assert_eq!(select_cols, vec!["ArtistId", "Name"]);
 
     // One dashed box holding Album and Track together.
@@ -28,18 +33,18 @@ fn fig6_q10_diagram_structure() {
     let boxed: Vec<&str> = d.boxes[0]
         .tables
         .iter()
-        .map(|&t| d.tables[t].name.as_str())
+        .map(|&t| names.resolve(d.tables[t].name))
         .collect();
     assert_eq!(boxed, vec!["Album", "Track"]);
 
     // Artist is outside any box.
-    let artist = d.table_by_alias("A").unwrap();
+    let artist = d.table_by_alias(names.get("A").unwrap()).unwrap();
     assert!(d.box_of(artist.id).is_none());
 
     // Edges: 2 SELECT edges + 3 join predicates.
     assert_eq!(d.edges.len(), 5);
     // The A.ArtistId = AL.ArtistId join is drawn Artist → Album (Δ=1).
-    let album = d.table_by_alias("AL").unwrap();
+    let album = d.table_by_alias(names.get("AL").unwrap()).unwrap();
     assert!(d
         .edges
         .iter()
@@ -59,6 +64,7 @@ fn fig1b_unique_set_census() {
     )
     .unwrap();
     let d = &qv.diagram;
+    let names = qv.names();
     assert_eq!(d.tables.len(), 7); // L1..L6 + SELECT
     assert_eq!(d.boxes.len(), 5); // L2..L6 each in a ∄ box
     assert_eq!(d.edges.len(), 8); // 7 joins + 1 select edge
@@ -67,13 +73,13 @@ fn fig1b_unique_set_census() {
 
     // Row census: L1, L2 show only `drinker`; L3..L6 show drinker + beer.
     for alias in ["L1", "L2"] {
-        let t = d.table_by_binding(alias).unwrap();
-        let cols: Vec<&str> = t.rows.iter().map(|r| r.column.as_str()).collect();
+        let t = d.table_by_binding(names.get(alias).unwrap()).unwrap();
+        let cols: Vec<&str> = t.rows.iter().map(|r| names.resolve(r.column)).collect();
         assert_eq!(cols, vec!["drinker"], "{alias}");
     }
     for alias in ["L3", "L4", "L5", "L6"] {
-        let t = d.table_by_binding(alias).unwrap();
-        let mut cols: Vec<&str> = t.rows.iter().map(|r| r.column.as_str()).collect();
+        let t = d.table_by_binding(names.get(alias).unwrap()).unwrap();
+        let mut cols: Vec<&str> = t.rows.iter().map(|r| names.resolve(r.column)).collect();
         cols.sort_unstable();
         assert_eq!(cols, vec!["beer", "drinker"], "{alias}");
     }
@@ -85,9 +91,10 @@ fn fig1b_unique_set_census() {
 fn fig12b_simplified_unique_set() {
     let qv = QueryVis::with_schema(unique_set_sql(), &beers_schema()).unwrap();
     let d = &qv.diagram;
+    let names = qv.names();
     assert_eq!(d.boxes.len(), 3); // L2 ∄; L3 ∀; L5 ∀
     let quant_of = |alias: &str| {
-        let id = d.table_by_binding(alias).unwrap().id;
+        let id = d.table_by_binding(names.get(alias).unwrap()).unwrap().id;
         d.box_of(id).map(|b| b.quantifier)
     };
     assert_eq!(quant_of("L2"), Some(Quantifier::NotExists));
@@ -115,12 +122,18 @@ fn join_on_golden_matches_implicit_join() {
         &beers_schema(),
     )
     .unwrap();
-    assert_eq!(explicit.diagram, implicit.diagram);
+    // Two queries, two name tables: compare the diagrams as text.
+    let shown = |qv: &QueryVis| qv.names().show(&qv.diagram).to_string();
+    assert_eq!(shown(&explicit), shown(&implicit));
     let d = &explicit.diagram;
+    let names = explicit.names();
     assert_eq!(d.tables.len(), 3); // F, S, SELECT
     assert_eq!(d.boxes.len(), 0);
-    let serves = d.table_by_binding("S").unwrap();
-    assert!(serves.rows.iter().any(|r| r.display() == "drink = 'IPA'"));
+    let serves = d.table_by_binding(names.get("S").unwrap()).unwrap();
+    assert!(serves
+        .rows
+        .iter()
+        .any(|r| r.display(names) == "drink = 'IPA'"));
 }
 
 /// A negative-polarity OR splits into *sibling ∄-groups*: one dashed box
@@ -139,6 +152,7 @@ fn or_splits_into_sibling_groups_golden() {
     )
     .unwrap();
     let d = &qv.diagram;
+    let names = qv.names();
     assert!(!qv.is_union(), "negative OR stays one diagram");
     // Two sibling ∄ boxes, each with one Serves table.
     assert_eq!(d.boxes.len(), 2);
@@ -150,7 +164,7 @@ fn or_splits_into_sibling_groups_golden() {
     let serves: Vec<_> = d
         .tables
         .iter()
-        .filter(|t| t.name.as_str() == "Serves")
+        .filter(|t| names.resolve(t.name) == "Serves")
         .collect();
     assert_eq!(serves.len(), 2, "one Serves copy per disjunct");
     // Each copy carries its disjunct's selection row.
@@ -158,7 +172,7 @@ fn or_splits_into_sibling_groups_golden() {
         .iter()
         .flat_map(|t| t.rows.iter())
         .filter(|r| matches!(r.kind, queryvis::diagram::RowKind::Selection { .. }))
-        .map(|r| r.display())
+        .map(|r| r.display(names))
         .collect();
     selections.sort();
     assert_eq!(selections, vec!["drink = 'IPA'", "drink = 'Stout'"]);
@@ -174,13 +188,14 @@ fn having_golden() {
     )
     .unwrap();
     let d = &qv.diagram;
+    let names = qv.names();
     let select = &d.tables[d.select_table];
     let having_row = select
         .rows
         .iter()
         .find(|r| matches!(r.kind, queryvis::diagram::RowKind::Having { .. }))
         .expect("HAVING row on the SELECT table");
-    assert_eq!(having_row.display(), "COUNT(TrackId) > 2");
+    assert_eq!(having_row.display(names), "COUNT(TrackId) > 2");
     // The HAVING row connects (undirected) to the source attribute.
     let having_idx = select
         .rows
@@ -221,7 +236,10 @@ fn union_two_branch_golden() {
         assert_eq!(d.boxes.len(), 0);
     }
     assert_eq!(qv.rest.len(), 1);
-    assert_eq!(qv.rest[0].diagram.tables[0].name.as_str(), "Likes");
+    assert_eq!(
+        qv.names().resolve(qv.rest[0].diagram.tables[0].name),
+        "Likes"
+    );
     // Badges in every artifact.
     let ascii = qv.ascii();
     assert!(ascii.contains("UNION"), "{ascii}");

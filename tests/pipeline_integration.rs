@@ -79,7 +79,8 @@ fn diagram_invariants_hold_for_full_corpus() {
                 assert!(end.table < d.tables.len(), "{sql}");
                 assert!(
                     end.row < d.tables[end.table].rows.len(),
-                    "edge references a missing row in:\n{sql}\n{d}"
+                    "edge references a missing row in:\n{sql}\n{}",
+                    qv.names().show(d)
                 );
             }
         }
@@ -99,7 +100,7 @@ fn diagram_invariants_hold_for_full_corpus() {
 fn layout_invariants_hold_for_full_corpus() {
     for (sql, schema) in &full_corpus() {
         let qv = QueryVis::with_schema(sql, schema).unwrap();
-        let layout = layout_diagram(&qv.diagram);
+        let layout = layout_diagram(&qv.diagram, qv.names());
         assert_eq!(layout.tables.len(), qv.diagram.tables.len());
         // No overlapping tables.
         for i in 0..layout.tables.len() {

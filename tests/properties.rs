@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use queryvis::diagram::{build_diagram, diagram_stats};
 use queryvis::logic::{simplify, translate, Quantifier};
 use queryvis_sql::ast::*;
-use queryvis_sql::{parse_query, printer::to_sql};
+use queryvis_sql::{parse_query, printer::to_sql, Names};
 
 // ---------- generators ----------
 
@@ -16,10 +16,19 @@ fn ident() -> impl Strategy<Value = String> {
     })
 }
 
-fn value() -> impl Strategy<Value = Value> {
+/// A generated operand before interning: a column of alias `T{t}` (by
+/// index into the generated column names), a number or a string.
+#[derive(Debug, Clone)]
+enum GenOperand {
+    Column(usize, usize),
+    Number(u32),
+    Str(String),
+}
+
+fn value() -> impl Strategy<Value = GenOperand> {
     prop_oneof![
-        (0u32..100000).prop_map(|n| Value::Number(n.to_string().into())),
-        "[a-zA-Z0-9 /]{1,10}".prop_map(|s| Value::Str(s.into())),
+        (0u32..100000).prop_map(GenOperand::Number),
+        "[a-zA-Z0-9 /]{1,10}".prop_map(GenOperand::Str),
     ]
 }
 
@@ -34,46 +43,47 @@ fn compare_op() -> impl Strategy<Value = CompareOp> {
     ]
 }
 
-/// A random flat (conjunctive) query block over aliases T0..Tk.
-fn conjunctive_query(max_tables: usize) -> impl Strategy<Value = Query> {
+/// A random flat (conjunctive) query block over aliases T0..Tk, with the
+/// name table its symbols live in.
+fn conjunctive_query(max_tables: usize) -> impl Strategy<Value = (Query, Names)> {
     (1..=max_tables, proptest::collection::vec(ident(), 1..=4)).prop_flat_map(
         move |(n_tables, columns)| {
-            let aliases: Vec<String> = (0..n_tables).map(|i| format!("T{i}")).collect();
-            let tables: Vec<TableRef> = aliases
-                .iter()
-                .enumerate()
-                .map(|(i, a)| TableRef::aliased(format!("Rel{i}"), a.clone()))
-                .collect();
-            let col = {
-                let aliases = aliases.clone();
-                let columns = columns.clone();
-                (0..aliases.len(), 0..columns.len())
-                    .prop_map(move |(t, c)| ColumnRef::new(aliases[t].clone(), columns[c].clone()))
-            };
-            let predicate = prop_oneof![
-                (col.clone(), compare_op(), col.clone()).prop_map(|(l, op, r)| {
-                    Predicate::Compare {
-                        lhs: Operand::Column(l),
-                        op,
-                        rhs: Operand::Column(r),
-                    }
-                }),
-                (col.clone(), compare_op(), value()).prop_map(|(l, op, v)| {
-                    Predicate::Compare {
-                        lhs: Operand::Column(l),
-                        op,
-                        rhs: Operand::Value(v),
-                    }
-                }),
-            ];
-            (col.clone(), proptest::collection::vec(predicate, 0..5)).prop_map(
+            let col = (0..n_tables, 0..columns.len()).prop_map(|(t, c)| GenOperand::Column(t, c));
+            let predicate = (col.clone(), compare_op(), prop_oneof![col.clone(), value()]);
+            (col, proptest::collection::vec(predicate, 0..5)).prop_map(
                 move |(select_col, preds)| {
-                    let mut q = Query::new(
-                        SelectList::Items(vec![SelectItem::Column(select_col)]),
-                        tables.clone(),
-                    );
-                    q.where_clause = preds;
-                    q
+                    let mut names = Names::new();
+                    let mut operand = |o: &GenOperand| match o {
+                        GenOperand::Column(t, c) => Operand::Column(ColumnRef::new(
+                            names.intern(&format!("T{t}")),
+                            names.intern(&columns[*c]),
+                        )),
+                        GenOperand::Number(n) => {
+                            Operand::Value(Value::Number(names.intern(&n.to_string())))
+                        }
+                        GenOperand::Str(s) => Operand::Value(Value::Str(names.intern(s))),
+                    };
+                    let Operand::Column(select) = operand(&select_col) else {
+                        unreachable!("the select item is a column")
+                    };
+                    let where_clause = preds
+                        .iter()
+                        .map(|(l, op, r)| Predicate::Compare {
+                            lhs: operand(l),
+                            op: *op,
+                            rhs: operand(r),
+                        })
+                        .collect();
+                    let tables = (0..n_tables)
+                        .map(|i| {
+                            let table = names.intern(&format!("Rel{i}"));
+                            TableRef::aliased(table, names.intern(&format!("T{i}")))
+                        })
+                        .collect();
+                    let mut q =
+                        Query::new(SelectList::Items(vec![SelectItem::Column(select)]), tables);
+                    q.where_clause = where_clause;
+                    (q, names)
                 },
             )
         },
@@ -169,46 +179,46 @@ fn resolved_names(query: &Query, resolve: &dyn Fn(queryvis_sql::Symbol) -> Strin
     out
 }
 
-/// Assert that parsing `printed` through two *fresh* interners (one of
+/// Assert that parsing `printed` through two *fresh* name tables (one of
 /// them pre-polluted so id assignment orders diverge) resolves every name
-/// to the same text as the global-interner parse: symbol resolution is a
-/// function of the source text, never of interner history.
-fn assert_symbol_resolution_stable(printed: &str) {
-    let global_ast = parse_query(printed).unwrap();
-    let fresh = queryvis_sql::Interner::new();
-    let polluted = queryvis_sql::Interner::new();
+/// to `expected`: symbol resolution is a function of the source text,
+/// never of id order.
+fn assert_symbol_resolution_stable(printed: &str, expected: &[String]) {
+    let mut fresh = Names::new();
+    let mut polluted = Names::new();
     for i in 0..17 {
         polluted.intern(&format!("unrelated_name_{i}"));
     }
-    let fresh_ast = queryvis_sql::parse_query_in(printed, &fresh).unwrap();
-    let polluted_ast = queryvis_sql::parse_query_in(printed, &polluted).unwrap();
-    let global_names = resolved_names(&global_ast, &|s| s.as_str().to_string());
+    let fresh_ast = parse_query(printed, &mut fresh).unwrap();
+    let polluted_ast = parse_query(printed, &mut polluted).unwrap();
     let fresh_names = resolved_names(&fresh_ast, &|s| fresh.resolve(s).to_string());
     let polluted_names = resolved_names(&polluted_ast, &|s| polluted.resolve(s).to_string());
+    assert_eq!(expected, fresh_names, "fresh table diverged:\n{printed}");
     assert_eq!(
-        global_names, fresh_names,
-        "fresh interner diverged:\n{printed}"
-    );
-    assert_eq!(
-        global_names, polluted_names,
-        "polluted interner diverged:\n{printed}"
+        expected, polluted_names,
+        "polluted table diverged:\n{printed}"
     );
 }
 
 proptest! {
     #[test]
-    fn printer_parser_roundtrip(query in conjunctive_query(4)) {
-        let printed = to_sql(&query);
-        let reparsed = parse_query(&printed)
+    fn printer_parser_roundtrip(generated in conjunctive_query(4)) {
+        let (query, mut names) = generated;
+        // Re-parsed into the generating table, so equal ASTs mean equal
+        // names.
+        let printed = to_sql(&query, &names);
+        let reparsed = parse_query(&printed, &mut names)
             .unwrap_or_else(|e| panic!("re-parse failed: {e}\n{printed}"));
         prop_assert_eq!(query, reparsed);
     }
 
     #[test]
-    fn symbol_resolution_stable_across_fresh_interners(query in conjunctive_query(4)) {
-        // parse(print(ast)) round-trips through interners with entirely
+    fn symbol_resolution_stable_across_fresh_interners(generated in conjunctive_query(4)) {
+        let (query, names) = generated;
+        // parse(print(ast)) round-trips through tables with entirely
         // different id assignments; the resolved names must be identical.
-        assert_symbol_resolution_stable(&to_sql(&query));
+        let expected = resolved_names(&query, &|s| names.resolve(s).to_string());
+        assert_symbol_resolution_stable(&to_sql(&query, &names), &expected);
     }
 
     #[test]
@@ -218,14 +228,19 @@ proptest! {
         // corpus so every predicate shape crosses a fresh interner.
         let corpus = queryvis_service::paper_corpus_requests(&[]);
         let request = &corpus[index % corpus.len()];
-        let canonical = to_sql(&parse_query(&request.sql).unwrap());
-        assert_symbol_resolution_stable(&canonical);
+        let mut names = Names::new();
+        let query = parse_query(&request.sql, &mut names).unwrap();
+        let expected = resolved_names(&query, &|s| names.resolve(s).to_string());
+        assert_symbol_resolution_stable(&to_sql(&query, &names), &expected);
     }
 
     #[test]
-    fn word_count_positive_and_stable(query in conjunctive_query(3)) {
-        let w1 = queryvis_sql::metrics::word_count(&query);
-        let w2 = queryvis_sql::metrics::word_count(&parse_query(&to_sql(&query)).unwrap());
+    fn word_count_positive_and_stable(generated in conjunctive_query(3)) {
+        let (query, names) = generated;
+        let w1 = queryvis_sql::metrics::word_count(&query, &names);
+        let mut fresh = Names::new();
+        let reparsed = parse_query(&to_sql(&query, &names), &mut fresh).unwrap();
+        let w2 = queryvis_sql::metrics::word_count(&reparsed, &fresh);
         prop_assert!(w1 >= 4);
         prop_assert_eq!(w1, w2);
     }
@@ -297,7 +312,7 @@ proptest! {
 proptest! {
     #[test]
     fn diagram_counts_match_tree(seed in 0u64..500) {
-        let tree = queryvis::unambiguity::random_valid_tree(seed);
+        let (tree, _) = queryvis::unambiguity::random_valid_tree(seed);
         let diagram = build_diagram(&tree);
         let stats = diagram_stats(&diagram);
         // One diagram table per binding plus the SELECT table.
@@ -316,7 +331,7 @@ proptest! {
 
     #[test]
     fn simplify_never_increases_elements(seed in 0u64..500) {
-        let tree = queryvis::unambiguity::random_valid_tree(seed);
+        let (tree, _) = queryvis::unambiguity::random_valid_tree(seed);
         let raw = diagram_stats(&build_diagram(&tree)).visual_elements();
         let simplified = diagram_stats(&build_diagram(&simplify(&tree))).visual_elements();
         prop_assert!(simplified <= raw);
@@ -327,9 +342,10 @@ proptest! {
 
 proptest! {
     #[test]
-    fn translation_preserves_block_counts(query in conjunctive_query(4)) {
+    fn translation_preserves_block_counts(generated in conjunctive_query(4)) {
+        let (query, mut names) = generated;
         // Flat queries map to a single-node tree with the same table count.
-        if let Ok(tree) = translate(&query, None) {
+        if let Ok(tree) = translate(&query, None, &mut names) {
             prop_assert_eq!(tree.node_count(), 1);
             prop_assert_eq!(tree.root().tables.len(), query.from.len());
         }
@@ -341,9 +357,9 @@ proptest! {
 proptest! {
     #[test]
     fn layout_never_overlaps_tables(seed in 0u64..300) {
-        let tree = queryvis::unambiguity::random_valid_tree(seed);
+        let (tree, names) = queryvis::unambiguity::random_valid_tree(seed);
         let diagram = build_diagram(&tree);
-        let layout = queryvis_layout::layout_diagram(&diagram);
+        let layout = queryvis_layout::layout_diagram(&diagram, &names);
         for i in 0..layout.tables.len() {
             for j in (i + 1)..layout.tables.len() {
                 prop_assert!(
@@ -375,7 +391,7 @@ proptest! {
 
     #[test]
     fn reading_order_is_a_permutation(seed in 0u64..300) {
-        let tree = queryvis::unambiguity::random_valid_tree(seed);
+        let (tree, _) = queryvis::unambiguity::random_valid_tree(seed);
         let diagram = build_diagram(&tree);
         let steps = queryvis::diagram::reading_order(&diagram);
         let mut seen: Vec<usize> = steps.iter().map(|s| s.table).collect();
@@ -386,7 +402,7 @@ proptest! {
 
     #[test]
     fn decomposition_agrees_with_bruteforce(seed in 300u64..450) {
-        let tree = queryvis::unambiguity::random_valid_tree(seed);
+        let (tree, _) = queryvis::unambiguity::random_valid_tree(seed);
         let diagram = build_diagram(&tree);
         let constructive = queryvis::recovered_depth_by_binding(&diagram).unwrap();
         for node in tree.nodes() {

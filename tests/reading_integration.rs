@@ -12,12 +12,12 @@ fn readings_mention_every_table_alias() {
         let qv = QueryVis::with_schema(q.sql, &schema).unwrap();
         let reading = qv.reading();
         for table in qv.diagram.tables.iter().filter(|t| !t.is_select) {
+            let names = qv.names();
+            let (alias, name) = (names.resolve(table.alias), names.resolve(table.name));
             assert!(
-                reading.contains(&format!(" {} in {}", table.alias, table.name)),
-                "{}: reading misses {} {}\n{reading}",
+                reading.contains(&format!(" {alias} in {name}")),
+                "{}: reading misses {name} {alias}\n{reading}",
                 q.id,
-                table.name,
-                table.alias
             );
         }
     }
