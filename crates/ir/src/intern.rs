@@ -103,8 +103,10 @@ impl Names {
     /// The row name of `COUNT(*)` (`*`).
     pub const STAR: Symbol = Symbol(NonZeroU32::MIN.saturating_add(1));
 
-    /// A table holding only the two reserved names, with room for a
-    /// typical query's names (most tables never grow).
+    /// A table holding only the two reserved names, with room for 30
+    /// more in 128 bytes of text: enough for 78–83 % of the generated
+    /// queries the benchmark compiles or serves and for every edit-session
+    /// buffer (EXPERIMENTS.md), so most tables never grow.
     pub fn new() -> Names {
         let mut names = Names {
             text: String::with_capacity(128),

@@ -45,7 +45,6 @@ use crate::json::{self, Json};
 use crate::protocol::Format;
 use crate::scene_json::{scene_json_v2, write_scene_json};
 use queryvis::diagram::DiagramStats;
-use queryvis::ir::Names;
 use queryvis::layout::{JsonEscaped, Scene};
 use queryvis::render::{ascii, svg, SvgTheme};
 use queryvis::QueryVis;
@@ -138,11 +137,6 @@ impl CompiledEntry {
     /// that disclose it without copying).
     pub fn representative_shared(&self) -> &Arc<str> {
         &self.representative
-    }
-
-    /// The representative's name table: the only names an entry keeps.
-    pub fn names(&self) -> &Names {
-        self.qv.names()
     }
 
     /// Mark/channel statistics of the diagram (§4.8).
@@ -297,11 +291,48 @@ pub fn compile_representative(fingerprinted: FingerprintedQuery) -> CompiledEntr
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint_sql;
+    use crate::protocol::Request;
     use crate::scene_json::scene_json;
+    use crate::service::{DiagramService, ServiceConfig};
     use queryvis::QueryVisOptions;
 
     fn compiled(sql: &str) -> CompiledEntry {
         compile_representative(fingerprint_sql(sql, QueryVisOptions::default()).unwrap())
+    }
+
+    /// Every request's names live in its own table, dropped with the
+    /// request; the one resident entry keeps only its representative's.
+    /// Fresh spellings of one pattern therefore leave the entry, and
+    /// everything else resident, exactly as the first request left it.
+    #[test]
+    fn fresh_names_leave_the_resident_entry_unchanged() {
+        let service = DiagramService::new(ServiceConfig::default());
+        let request = |id: usize, sql: String| Request {
+            id: id as u64,
+            sql,
+            formats: vec![Format::Ascii],
+            rows: None,
+        };
+        let sql = |i: usize| format!("SELECT T{i}.c{i} FROM T{i} WHERE T{i}.c{i} = 'v{i}'");
+        let first = service.handle(&request(0, sql(0)));
+        let fingerprint = first.outcome.expect("compiles").fingerprint;
+        let resident = || {
+            service
+                .cache()
+                .peek(fingerprint)
+                .expect("resident")
+                .qv
+                .names()
+                .len()
+        };
+        // `T0`, `c0` and `v0` beside the two reserved names.
+        assert_eq!(resident(), 5);
+        for i in 1..2_000 {
+            let served = service.handle(&request(i, sql(i)));
+            assert_eq!(served.outcome.expect("serves").fingerprint, fingerprint);
+        }
+        assert_eq!(service.stats().compiles, 1);
+        assert_eq!(resident(), 5);
     }
 
     /// Each stored artifact is a JSON string literal that decodes to

@@ -346,34 +346,6 @@ mod tests {
         requests.iter().map(|r| service.handle(r)).collect()
     }
 
-    /// Every request's names live in its own table, dropped with the
-    /// request; the one resident entry keeps only its representative's.
-    /// Fresh spellings of one pattern therefore leave the entry, and
-    /// everything else resident, exactly as the first request left it.
-    #[test]
-    fn fresh_names_leave_the_resident_entry_unchanged() {
-        let service = service();
-        let sql = |i: usize| format!("SELECT T{i}.c{i} FROM T{i} WHERE T{i}.c{i} = 'v{i}'");
-        let first = service.handle(&request(0, &sql(0)));
-        let fingerprint = first.outcome.expect("compiles").fingerprint;
-        let resident = || {
-            service
-                .cache()
-                .peek(fingerprint)
-                .expect("resident")
-                .names()
-                .len()
-        };
-        // `T0`, `c0` and `v0` beside the two reserved names.
-        assert_eq!(resident(), 5);
-        for i in 1..2_000 {
-            let served = service.handle(&request(i as u64, &sql(i)));
-            assert_eq!(served.outcome.expect("serves").fingerprint, fingerprint);
-        }
-        assert_eq!(service.stats().compiles, 1);
-        assert_eq!(resident(), 5);
-    }
-
     #[test]
     fn single_request_miss_then_hit() {
         let service = service();
