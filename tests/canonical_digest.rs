@@ -13,8 +13,10 @@
 //!
 //! The inputs are the paper corpus, `reply_digest.rs`'s fixed-seed
 //! `sqlgen` draw, the star `T.a{i} = U.k` at n = 8 and n = 25 in three
-//! conjunct orders each, and a 23-conjunct query whose tied probes split
-//! its fingerprint across conjunct orders, in eight fixed permutations.
+//! conjunct orders each, a 23-conjunct query whose tied probes split
+//! its fingerprint across conjunct orders, in eight fixed permutations,
+//! and the self-join path `R{i}.b = R{i+1}.a` and its closed cycle at
+//! n = 50, in three conjunct orders each.
 //! The star and the split query reach the tie lookahead and exhaust its
 //! work budget, so a change to the tie-break order moves the constant.
 //!
@@ -40,8 +42,9 @@ const DRAW_CASES: u64 = 600;
 
 const STAR_SIZES: [usize; 2] = [8, 25];
 const SPLIT_PERMUTATIONS: u64 = 8;
+const SELF_JOIN_SIZE: usize = 50;
 
-const EXPECTED: u64 = 0x4c79747535ad52e7;
+const EXPECTED: u64 = 0xcb42aa9a34291e65;
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -108,6 +111,27 @@ fn split() -> Vec<String> {
     conjuncts
 }
 
+/// ROADMAP item 1's self-join path over `n` bindings of one table,
+/// closed into a cycle by `R{n-1}.b = R0.a` when `cycle` is set.
+fn self_join(n: usize, cycle: bool) -> (String, Vec<String>) {
+    let from: Vec<String> = (0..n).map(|i| format!("R R{i}")).collect();
+    let mut conjuncts: Vec<String> = (1..n)
+        .map(|i| format!("R{}.b = R{i}.a", i - 1))
+        .collect();
+    if cycle {
+        conjuncts.push(format!("R{}.b = R0.a", n - 1));
+    }
+    (format!("SELECT R0.a FROM {}", from.join(", ")), conjuncts)
+}
+
+/// `conjuncts` as written, reversed, and shuffled by `case`.
+fn three_orders(conjuncts: Vec<String>, case: u64) -> [Vec<String>; 3] {
+    let mut reversed = conjuncts.clone();
+    reversed.reverse();
+    let mixed = shuffled(conjuncts.clone(), case);
+    [conjuncts, reversed, mixed]
+}
+
 fn inputs() -> Vec<String> {
     let mut sqls: Vec<String> = paper_corpus_requests(&[])
         .into_iter()
@@ -118,11 +142,7 @@ fn inputs() -> Vec<String> {
         sqls.push(gen_query(&DRAW, &mut rng).canonical());
     }
     for n in STAR_SIZES {
-        let written = star(n);
-        let mut reversed = written.clone();
-        reversed.reverse();
-        let mixed = shuffled(written.clone(), n as u64);
-        for order in [written, reversed, mixed] {
+        for order in three_orders(star(n), n as u64) {
             sqls.push(format!(
                 "SELECT T.a0 FROM T, U WHERE {}",
                 order.join(" AND ")
@@ -135,6 +155,12 @@ fn inputs() -> Vec<String> {
             "SELECT T.a0 FROM T, U, W, V WHERE {}",
             order.join(" AND ")
         ));
+    }
+    for (cycle, case) in [(false, 200), (true, 300)] {
+        let (head, conjuncts) = self_join(SELF_JOIN_SIZE, cycle);
+        for order in three_orders(conjuncts, case) {
+            sqls.push(format!("{head} WHERE {}", order.join(" AND ")));
+        }
     }
     sqls
 }
