@@ -14,9 +14,9 @@
 //! token stream iff they share the paper's notion of a visual pattern.
 //!
 //! The token stream is the serving layer's **hot path**: with the
-//! query's names as [`Symbol`]s the whole canonicalization is id
-//! arithmetic (symbol → dense canonical index, the position of the name
-//! in a short vector),
+//! query's names as [`Symbol`]s the whole canonicalization is index
+//! arithmetic (a binding's canonical index is a load from a vector indexed
+//! by [`Symbol::index`], its columns a short chain of its own),
 //! and the 128-bit cache fingerprint is an FNV-1a hash of the `u32`
 //! tokens — no canonical *string* is ever built on a cache hit.
 //! [`canonical_pattern`] renders the stream into the human-readable
@@ -40,9 +40,24 @@
 //! lookahead, and token-symmetric conjuncts whose cross-binding column
 //! sharing — erased from the stream but compared by the oracle's data
 //! transport — depended on written order.)
+//!
+//! Each probe does only the work its comparison reads. A conjunct list's
+//! first pass compares bare 6-word tuples, so it erases with the trails
+//! (the constants and sharing descriptors above) off; only the probes
+//! whose tuple ties the minimum are erased again with the trails on.
+//! Trails are recorded only inside the regions that compare them —
+//! tuple-tie re-probes, lookahead continuations and sibling-tie walks —
+//! and always by [`PatternKey::branch_erasures`], which ranks branches by
+//! them. That is exact: every comparison reads the trail from the mark
+//! taken when its region began, never an entry older than that, and
+//! everything a region records is rolled back when it ends. The
+//! physical-sharing profile the trail reads is built the first time a
+//! trail needs it, and each predicate's orientation and each constant's
+//! sort key are computed once per query, not once per probe.
 
-use queryvis_logic::{AttrRef, LogicTree, LtOperand, LtPredicate, NodeId, SelectAttr};
+use queryvis_logic::{AttrRef, LogicTree, LtOperand, NodeId, SelectAttr};
 use queryvis_sql::{AggFunc, CompareOp, Names, Symbol, Value};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -67,6 +82,10 @@ const T_BRANCH: u32 = 0xF000_0010;
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+
+/// No index: an unnamed binding, the end of a column chain, or a
+/// co-sharer that has not named the shared column yet.
+const NONE: u32 = u32::MAX;
 
 /// The canonical pattern of a query as a compact token stream.
 ///
@@ -96,35 +115,59 @@ pub struct TreeErasure {
     pub attrs: Vec<(Symbol, Symbol, (u32, u32))>,
 }
 
-/// Canonical-name erasure state, flat and in allocation order: a binding's
-/// canonical index is its position in `bindings`, and `slots` lists every
-/// named column with its index. Speculative probes (the tie-breaks in
-/// [`erase_all`] and `walk`) erase against this live state and then
-/// [`Eraser::rollback`] to the [`Mark`] taken before them, so a probe
+/// Canonical-name erasure state on dense indices: a binding's canonical
+/// index is a load from `canonical`, and its named columns form a chain
+/// through `slots` that only it walks. Speculative probes (the tie-breaks
+/// in [`erase_all`] and [`Query::walk`]) erase against this live state and
+/// then [`Eraser::rollback`] to the [`Mark`] taken before them, so a probe
 /// costs what it erases, not a copy of everything named so far.
 struct Eraser<'p> {
-    /// Binding key and the next free column index of that binding, by
-    /// canonical binding index.
-    bindings: Vec<(Symbol, u32)>,
-    /// `(b, column, c)`: column `column` of binding `b` is canonical
-    /// column `c`, in allocation order.
-    slots: Vec<(u32, Symbol, u32)>,
-    /// Constant values seen, in erasure order. *Not* part of the token
-    /// stream (the pattern erases constant values) — recorded only as a
-    /// deterministic tie-break between candidates whose erased streams
+    /// Canonical index of each binding key by [`Symbol::index`] in the
+    /// query's name table; [`NONE`] while the binding is unnamed.
+    canonical: Vec<u32>,
+    /// Named bindings, by canonical index.
+    bindings: Vec<Binding>,
+    /// Every named column, in allocation order.
+    slots: Vec<Slot>,
+    /// Whether erasure records the tie-break [`Trail`].
+    recording: bool,
+    trail: Trail<'p>,
+    /// The query's physical-sharing profile, which the trail reads.
+    sharing: &'p Sharing<'p>,
+}
+
+/// A named binding.
+struct Binding {
+    key: Symbol,
+    /// The next free canonical column index.
+    next: u32,
+    /// The binding's most recently named column (an index into
+    /// [`Eraser::slots`]), the head of its chain; [`NONE`] for none.
+    last: u32,
+}
+
+/// A named column: column `column` of binding `b` is canonical column `c`.
+struct Slot {
+    b: u32,
+    column: Symbol,
+    c: u32,
+    /// The same binding's previously named column, [`NONE`] for its first.
+    prev: u32,
+}
+
+/// The tie-break trails erasure records while [`Eraser::recording`] is
+/// set, in erasure order. Neither is part of the token stream.
+#[derive(Default)]
+struct Trail<'p> {
+    /// Constant values seen (the pattern erases them) — recorded only as
+    /// a deterministic tie-break between candidates whose erased streams
     /// tie, so the canonical *name maps* ([`TreeErasure`]) stay stable
     /// under conjunct reordering whenever the constants can tell the
     /// candidates apart. The semantic oracle's data transport depends on
     /// that stability to pair up slots across equal-fingerprint queries.
     consts: Vec<ConstKey<'p>>,
-    /// The query's name table: constants and predicate orientation read
-    /// names as text.
-    names: &'p Names,
-    /// Physical-sharing profile of the query being erased (see
-    /// [`physical_shares`]), borrowed by every branch's eraser.
-    share_of: &'p ShareProfile,
     /// Sharing descriptors of freshly allocated columns, in allocation
-    /// order — the last-resort tie-break trail. Candidates can be fully
+    /// order — the last-resort tie-break. Candidates can be fully
     /// token-symmetric (identical probes *and* identical continuations:
     /// `B.p = A.x AND B.q = A.y`) yet erase physically different columns,
     /// and cross-binding column sharing — invisible to the token stream
@@ -133,7 +176,9 @@ struct Eraser<'p> {
     /// canonical indices of already-named co-sharers, plus a count of
     /// not-yet-named ones), so ordering on the trail keeps the name maps
     /// spelling-independent without re-admitting names into the pattern.
-    shares: Vec<ShareKey<'p>>,
+    shares: Vec<ShareKey>,
+    /// The named co-sharers of every descriptor in `shares`, back to back.
+    named: Vec<(u32, u32)>,
 }
 
 /// The lengths of an [`Eraser`]'s vectors before a speculative probe.
@@ -143,14 +188,17 @@ struct Mark {
     slots: usize,
     consts: usize,
     shares: usize,
+    named: usize,
 }
 
-/// One fresh column's sharing descriptor, compared component-wise:
+/// One fresh column's sharing descriptor, compared component-wise (see
+/// [`cmp_trails`]):
 ///
 /// 1. For every *other* binding referencing the same physical column
 ///    that is already named at allocation time, its canonical binding
 ///    index and the canonical column index it gave the shared column
-///    (`u32::MAX` when it has not touched the column yet), sorted.
+///    ([`NONE`] when it has not touched the column yet), sorted: the
+///    range `named` of [`Trail::named`].
 /// 2. A count of co-sharing bindings not named at all yet (including
 ///    bindings in sibling branches, which erase separately).
 /// 3. The (binding, column)'s total reference count across the query —
@@ -158,13 +206,20 @@ struct Mark {
 ///    lookahead cannot reach.
 /// 4. The physical column's reference-context profile (see [`CtxTag`]) —
 ///    which sees *how* sibling branches use the shared column even
-///    though their erasures are independent.
+///    though their erasures are independent: the range `contexts` of
+///    [`ShareProfile::contexts`].
 ///
 /// Every component is an erasure output or a structural count, never a
 /// concrete name — two sharing classes of equal size still compare
 /// differently when their members sit at different canonical coordinates
 /// or are used differently elsewhere in the query.
-type ShareKey<'p> = (Vec<(u32, u32)>, u32, u32, &'p [CtxTag]);
+#[derive(Clone, Copy)]
+struct ShareKey {
+    named: (u32, u32),
+    unnamed: u32,
+    refs: u32,
+    contexts: (u32, u32),
+}
 
 /// One reference context of a physical column, name-free: selected
 /// column, aggregate argument (with function), grouping column, HAVING
@@ -202,24 +257,39 @@ struct ShareEntry {
 }
 
 impl ShareProfile {
-    /// Reference count, sharing class and context multiset of one
-    /// (binding key, column); nothing for a column the query never
-    /// references.
-    fn of(&self, binding: Symbol, column: Symbol) -> (u32, &[Symbol], &[CtxTag]) {
-        match self
-            .entries
+    /// The entry of one (binding key, column); none for a column the
+    /// query never references.
+    fn entry(&self, binding: Symbol, column: Symbol) -> Option<&ShareEntry> {
+        self.entries
             .binary_search_by_key(&(binding, column), |e| e.key)
-        {
-            Ok(i) => {
-                let e = &self.entries[i];
-                (
-                    e.refs,
-                    &self.members[e.class.clone()],
-                    &self.contexts[e.contexts.clone()],
-                )
-            }
-            Err(_) => (0, &[], &[]),
+            .ok()
+            .map(|i| &self.entries[i])
+    }
+}
+
+/// A query's [`ShareProfile`], built the first time a trail records a
+/// fresh column. Most queries never tie, so most never build it.
+struct Sharing<'q> {
+    trees: &'q [&'q LogicTree],
+    profile: OnceCell<ShareProfile>,
+}
+
+impl<'q> Sharing<'q> {
+    fn new(trees: &'q [&'q LogicTree]) -> Sharing<'q> {
+        Sharing {
+            trees,
+            profile: OnceCell::new(),
         }
+    }
+
+    fn profile(&self) -> &ShareProfile {
+        self.profile.get_or_init(|| physical_shares(self.trees))
+    }
+
+    /// The context multisets that [`ShareKey::contexts`] ranges index;
+    /// empty while no descriptor exists.
+    fn contexts(&self) -> &[CtxTag] {
+        self.profile.get().map_or(&[], |p| &p.contexts)
     }
 }
 
@@ -313,11 +383,6 @@ fn physical_shares(trees: &[&LogicTree]) -> ShareProfile {
 /// never compared — they depend on the order a query spelled its names.
 type ConstKey<'n> = (u8, u64, &'n str);
 
-/// What one speculative continuation recorded, in comparison order:
-/// erased streams first, then the constants trail, then the sharing
-/// trail, then the committed candidate (index or node).
-type ErasedTrail<'p, S, C> = (S, Vec<ConstKey<'p>>, Vec<ShareKey<'p>>, C);
-
 fn const_key(v: Value, names: &Names) -> ConstKey<'_> {
     match v.numeric(names) {
         Some(n) => {
@@ -333,15 +398,80 @@ fn const_key(v: Value, names: &Names) -> ConstKey<'_> {
     }
 }
 
+fn span((start, end): (u32, u32)) -> Range<usize> {
+    start as usize..end as usize
+}
+
+/// A recorded trail to compare: the live one since a [`Mark`], or a
+/// saved copy. Descriptors' `named` ranges index `named`.
+#[derive(Clone, Copy)]
+struct TrailView<'t, 'p> {
+    consts: &'t [ConstKey<'p>],
+    shares: &'t [ShareKey],
+    named: &'t [(u32, u32)],
+}
+
+/// Constants first, then the sharing descriptors in order, each compared
+/// component-wise as [`ShareKey`] lists; `contexts` is the profile's.
+fn cmp_trails(a: TrailView, b: TrailView, contexts: &[CtxTag]) -> Ordering {
+    a.consts.cmp(b.consts).then_with(|| {
+        for (x, y) in a.shares.iter().zip(b.shares) {
+            let order = a.named[span(x.named)]
+                .cmp(&b.named[span(y.named)])
+                .then(x.unnamed.cmp(&y.unnamed))
+                .then(x.refs.cmp(&y.refs))
+                .then_with(|| contexts[span(x.contexts)].cmp(&contexts[span(y.contexts)]));
+            if order != Ordering::Equal {
+                return order;
+            }
+        }
+        a.shares.len().cmp(&b.shares.len())
+    })
+}
+
+impl<'p> Trail<'p> {
+    fn view(&self) -> TrailView<'_, 'p> {
+        TrailView {
+            consts: &self.consts,
+            shares: &self.shares,
+            named: &self.named,
+        }
+    }
+
+    /// What was recorded since `mark`.
+    fn since(&self, mark: Mark) -> TrailView<'_, 'p> {
+        TrailView {
+            consts: &self.consts[mark.consts..],
+            shares: &self.shares[mark.shares..],
+            named: &self.named,
+        }
+    }
+
+    /// Overwrite this buffer with `live`'s trail since `mark`.
+    fn copy_since(&mut self, live: &Trail<'p>, mark: Mark) {
+        let base = mark.named as u32;
+        self.consts.clear();
+        self.consts.extend_from_slice(&live.consts[mark.consts..]);
+        self.named.clear();
+        self.named.extend_from_slice(&live.named[mark.named..]);
+        self.shares.clear();
+        self.shares
+            .extend(live.shares[mark.shares..].iter().map(|k| ShareKey {
+                named: (k.named.0 - base, k.named.1 - base),
+                ..*k
+            }));
+    }
+}
+
 impl<'p> Eraser<'p> {
-    fn new(share_of: &'p ShareProfile, names: &'p Names) -> Eraser<'p> {
+    fn new(sharing: &'p Sharing<'p>, names: &Names, recording: bool) -> Eraser<'p> {
         Eraser {
+            canonical: vec![NONE; names.len()],
             bindings: Vec::new(),
             slots: Vec::new(),
-            consts: Vec::new(),
-            names,
-            share_of,
-            shares: Vec::new(),
+            recording,
+            trail: Trail::default(),
+            sharing,
         }
     }
 
@@ -349,42 +479,65 @@ impl<'p> Eraser<'p> {
         Mark {
             bindings: self.bindings.len(),
             slots: self.slots.len(),
-            consts: self.consts.len(),
-            shares: self.shares.len(),
+            consts: self.trail.consts.len(),
+            shares: self.trail.shares.len(),
+            named: self.trail.named.len(),
         }
     }
 
     /// Undo everything erased since `mark`. A binding's next free column
-    /// index goes back to the smallest index it handed out since then.
+    /// index and chain head go back to what they were before the first
+    /// column it named since then.
     fn rollback(&mut self, mark: Mark) {
-        for &(b, _, c) in self.slots[mark.slots..].iter().rev() {
-            self.bindings[b as usize].1 = c;
+        for s in self.slots[mark.slots..].iter().rev() {
+            let binding = &mut self.bindings[s.b as usize];
+            binding.next = s.c;
+            binding.last = s.prev;
+        }
+        self.slots.truncate(mark.slots);
+        for binding in &self.bindings[mark.bindings..] {
+            self.canonical[binding.key.index() as usize] = NONE;
         }
         self.bindings.truncate(mark.bindings);
-        self.slots.truncate(mark.slots);
-        self.consts.truncate(mark.consts);
-        self.shares.truncate(mark.shares);
+        self.trail.consts.truncate(mark.consts);
+        self.trail.shares.truncate(mark.shares);
+        self.trail.named.truncate(mark.named);
     }
 
-    fn binding_of(&self, key: Symbol) -> Option<u32> {
-        self.bindings
-            .iter()
-            .position(|&(k, _)| k == key)
-            .map(|b| b as u32)
+    /// Turn trail recording on or off, returning the previous setting.
+    fn set_recording(&mut self, on: bool) -> bool {
+        std::mem::replace(&mut self.recording, on)
     }
 
-    fn column_of(&self, b: u32, column: Symbol) -> Option<u32> {
-        self.slots
-            .iter()
-            .find(|&&(sb, sc, _)| sb == b && sc == column)
-            .map(|&(_, _, c)| c)
+    fn record_const(&mut self, key: ConstKey<'p>) {
+        if self.recording {
+            self.trail.consts.push(key);
+        }
     }
 
     fn binding(&mut self, key: Symbol) -> u32 {
-        self.binding_of(key).unwrap_or_else(|| {
-            self.bindings.push((key, 0));
-            self.bindings.len() as u32 - 1
-        })
+        let b = &mut self.canonical[key.index() as usize];
+        if *b == NONE {
+            *b = self.bindings.len() as u32;
+            self.bindings.push(Binding {
+                key,
+                next: 0,
+                last: NONE,
+            });
+        }
+        *b
+    }
+
+    fn column_of(&self, b: u32, column: Symbol) -> Option<u32> {
+        let mut at = self.bindings[b as usize].last;
+        while at != NONE {
+            let slot = &self.slots[at as usize];
+            if slot.column == column {
+                return Some(slot.c);
+            }
+            at = slot.prev;
+        }
+        None
     }
 
     fn attr(&mut self, binding: Symbol, column: Symbol) -> (u32, u32) {
@@ -394,42 +547,85 @@ impl<'p> Eraser<'p> {
         }
         // Fresh column: record its sharing descriptor (see [`ShareKey`])
         // before committing the index.
-        let (refs, class, ctx) = self.share_of.of(binding, column);
-        let mut named: Vec<(u32, u32)> = Vec::new();
-        let mut unnamed = 0u32;
-        for &k in class.iter().filter(|&&k| k != binding) {
-            match self.binding_of(k) {
-                Some(bk) => named.push((bk, self.column_of(bk, column).unwrap_or(u32::MAX))),
-                None => unnamed += 1,
+        if self.recording {
+            self.record_share(binding, column);
+        }
+        let at = self.slots.len() as u32;
+        let entry = &mut self.bindings[b as usize];
+        let c = entry.next;
+        self.slots.push(Slot {
+            b,
+            column,
+            c,
+            prev: entry.last,
+        });
+        entry.next += 1;
+        entry.last = at;
+        (b, c)
+    }
+
+    fn record_share(&mut self, binding: Symbol, column: Symbol) {
+        let profile = self.sharing.profile();
+        let start = self.trail.named.len();
+        let (mut refs, mut unnamed, mut contexts) = (0, 0, 0..0);
+        if let Some(e) = profile.entry(binding, column) {
+            refs = e.refs;
+            contexts = e.contexts.clone();
+            for &k in profile.members[e.class.clone()]
+                .iter()
+                .filter(|&&k| k != binding)
+            {
+                match self.canonical[k.index() as usize] {
+                    NONE => unnamed += 1,
+                    bk => {
+                        let c = self.column_of(bk, column).unwrap_or(NONE);
+                        self.trail.named.push((bk, c));
+                    }
+                }
             }
         }
-        named.sort_unstable();
-        self.shares.push((named, unnamed, refs, ctx));
-        let next = &mut self.bindings[b as usize].1;
-        let c = *next;
-        *next += 1;
-        self.slots.push((b, column, c));
-        (b, c)
+        self.trail.named[start..].sort_unstable();
+        self.trail.shares.push(ShareKey {
+            named: (start as u32, self.trail.named.len() as u32),
+            unnamed,
+            refs,
+            contexts: (contexts.start as u32, contexts.end as u32),
+        });
     }
 }
 
-/// Erase one (already oriented) predicate through the name state, pushing
-/// its constant (if any) onto the tie-break trail.
-fn erase_pred(p: &LtPredicate, eraser: &mut Eraser) -> [u32; 6] {
+/// A predicate in its canonical orientation ([`LtPredicate::normalized`],
+/// resolved once per query), its constant as a [`ConstKey`].
+///
+/// [`LtPredicate::normalized`]: queryvis_logic::LtPredicate::normalized
+struct Conjunct<'n> {
+    lhs: AttrRef,
+    op: CompareOp,
+    rhs: Operand<'n>,
+}
+
+enum Operand<'n> {
+    Attr(AttrRef),
+    Const(ConstKey<'n>),
+}
+
+/// Erase one conjunct through the name state, recording its constant (if
+/// any) on the trail.
+fn erase_pred<'p>(p: &Conjunct<'p>, eraser: &mut Eraser<'p>) -> [u32; 6] {
     let (lb, lc) = eraser.attr(p.lhs.binding, p.lhs.column);
     match p.rhs {
-        LtOperand::Attr(a) => {
+        Operand::Attr(a) => {
             let (rb, rc) = eraser.attr(a.binding, a.column);
             [T_PRED_JOIN, p.op.code(), lb, lc, rb, rc]
         }
-        LtOperand::Const(v) => {
-            eraser.consts.push(const_key(v, eraser.names));
+        Operand::Const(key) => {
+            eraser.record_const(key);
             [T_PRED_SEL, p.op.code(), lb, lc, 0, 0]
         }
     }
 }
 
-/// Work cap on recursive tie lookahead, counted in probe erasures. Real
+/// Work cap on recursive tie lookahead, counted in first-pass probes. Real
 /// conjunct lists resolve in a handful of probes; the cap only exists so
 /// an adversarial query with many mutually indistinguishable conjuncts
 /// degrades to first-wins (still deterministic per normalized text)
@@ -455,7 +651,7 @@ const TIE_LOOKAHEAD_BUDGET: u32 = 10_000;
 /// remaining list under each tied candidate and commit the one whose full
 /// continuation is smallest. Candidates that stay tied even through the
 /// lookahead (fully token-symmetric conjuncts) are ordered by the
-/// physical-sharing trail — see [`Eraser::shares`] — before falling back
+/// physical-sharing trail — see [`Trail::shares`] — before falling back
 /// to written order.
 fn greedy_erase<'p, T>(
     items: &[T],
@@ -469,6 +665,17 @@ fn greedy_erase<'p, T>(
     ordered
 }
 
+/// The step loop of [`greedy_erase`], probing **tuple first**. A probe's
+/// key is (tuple, constants, sharing), compared in that order, so the
+/// items whose key is smallest are exactly the items whose tuple is
+/// smallest that, among those, have the smallest trails. The first pass
+/// therefore erases every item with the trails off and keeps the items
+/// tying the minimum tuple, in written order; only when more than one
+/// ties are those erased again with the trails on and filtered to the
+/// smallest trail. That is the candidate set a full-key pass finds, in
+/// the same order, and the budget is charged one unit per first-pass
+/// probe as before (re-probes and commits are free), so lookahead runs —
+/// and stops — exactly where it did.
 fn erase_all<'p, T>(
     remaining: &mut Vec<&T>,
     eraser: &mut Eraser<'p>,
@@ -476,31 +683,67 @@ fn erase_all<'p, T>(
     budget: &mut u32,
     out: &mut Vec<[u32; 6]>,
 ) {
+    // Reused across steps; only `candidates` allocates unless a tuple
+    // ties.
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut min_trail = Trail::default();
+    let mut best_trail = Trail::default();
+    let mut best_tuples: Vec<[u32; 6]> = Vec::new();
+    let mut tuples: Vec<[u32; 6]> = Vec::new();
+    let mut rest: Vec<&T> = Vec::new();
     while !remaining.is_empty() {
         let mark = eraser.mark();
-        // Probe every item, keeping the smallest probe so far and the
-        // items that tie it exactly, in written order.
-        let mut min: Option<([u32; 6], Vec<ConstKey<'p>>, Vec<ShareKey<'p>>)> = None;
-        let mut candidates: Vec<usize> = Vec::new();
+        let recording = eraser.set_recording(false);
+        let mut min = [0; 6];
+        candidates.clear();
         for (i, item) in remaining.iter().enumerate() {
             let tuple = erase(item, eraser);
-            let consts = &eraser.consts[mark.consts..];
-            let shares = &eraser.shares[mark.shares..];
-            let order = match &min {
-                None => Ordering::Less,
-                Some((t, k, s)) => (&tuple, consts, shares).cmp(&(t, k.as_slice(), s.as_slice())),
+            eraser.rollback(mark);
+            *budget = budget.saturating_sub(1);
+            let order = if candidates.is_empty() {
+                Ordering::Less
+            } else {
+                tuple.cmp(&min)
             };
             match order {
                 Ordering::Less => {
-                    min = Some((tuple, consts.to_vec(), shares.to_vec()));
+                    min = tuple;
                     candidates.clear();
                     candidates.push(i);
                 }
                 Ordering::Equal => candidates.push(i),
                 Ordering::Greater => {}
             }
-            eraser.rollback(mark);
-            *budget = budget.saturating_sub(1);
+        }
+        eraser.set_recording(true);
+        if candidates.len() > 1 {
+            // Tuple tie: keep the candidates with the smallest trails.
+            let mut kept = 0;
+            for k in 0..candidates.len() {
+                erase(remaining[candidates[k]], eraser);
+                let order = match kept {
+                    0 => Ordering::Less,
+                    _ => cmp_trails(
+                        eraser.trail.since(mark),
+                        min_trail.view(),
+                        eraser.sharing.contexts(),
+                    ),
+                };
+                match order {
+                    Ordering::Less => {
+                        min_trail.copy_since(&eraser.trail, mark);
+                        candidates[0] = candidates[k];
+                        kept = 1;
+                    }
+                    Ordering::Equal => {
+                        candidates[kept] = candidates[k];
+                        kept += 1;
+                    }
+                    Ordering::Greater => {}
+                }
+                eraser.rollback(mark);
+            }
+            candidates.truncate(kept);
         }
         let chosen = if candidates.len() == 1 || *budget == 0 {
             candidates[0]
@@ -509,33 +752,211 @@ fn erase_all<'p, T>(
             // whole continuations (tokens, then constants, then the
             // physical-sharing trail) and commit the candidate yielding
             // the smallest one.
-            let mut best: Option<ErasedTrail<'p, Vec<[u32; 6]>, usize>> = None;
+            let mut best = None;
             for &c in &candidates {
-                let mut trail = vec![erase(remaining[c], eraser)];
-                let mut rest: Vec<&T> = remaining
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != c)
-                    .map(|(_, item)| *item)
-                    .collect();
-                erase_all(&mut rest, eraser, erase, budget, &mut trail);
-                let consts = &eraser.consts[mark.consts..];
-                let shares = &eraser.shares[mark.shares..];
-                let better = match &best {
-                    None => true,
-                    Some((t, k, s, _)) => {
-                        (&trail, consts, shares) < (t, k.as_slice(), s.as_slice())
-                    }
-                };
+                tuples.clear();
+                tuples.push(erase(remaining[c], eraser));
+                rest.clear();
+                rest.extend(
+                    remaining
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != c)
+                        .map(|(_, item)| *item),
+                );
+                erase_all(&mut rest, eraser, erase, budget, &mut tuples);
+                let better = best.is_none()
+                    || tuples.cmp(&best_tuples).then_with(|| {
+                        cmp_trails(
+                            eraser.trail.since(mark),
+                            best_trail.view(),
+                            eraser.sharing.contexts(),
+                        )
+                    }) == Ordering::Less;
                 if better {
-                    best = Some((trail, consts.to_vec(), shares.to_vec(), c));
+                    std::mem::swap(&mut tuples, &mut best_tuples);
+                    best_trail.copy_since(&eraser.trail, mark);
+                    best = Some(c);
                 }
                 eraser.rollback(mark);
             }
-            best.unwrap().3
+            best.expect("a tie has candidates")
         };
+        eraser.set_recording(recording);
         let item = remaining.remove(chosen);
         out.push(erase(item, eraser));
+    }
+}
+
+/// What one canonicalization reads of its tree, computed once: the
+/// sibling-ordering signatures and every block's oriented conjuncts.
+struct Query<'q> {
+    tree: &'q LogicTree,
+    /// Name-free structural signature of every node, by id.
+    signature: Vec<Vec<u32>>,
+    /// Every block's conjuncts, back to back in node-id order.
+    conjuncts: Vec<Conjunct<'q>>,
+    /// Node `id`'s conjuncts are `conjuncts[starts[id]..starts[id + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl<'q> Query<'q> {
+    fn new(tree: &'q LogicTree, names: &'q Names) -> Query<'q> {
+        // Orient every predicate once: both the signatures and the
+        // erasure read the oriented form.
+        let mut conjuncts = Vec::new();
+        let mut starts = Vec::with_capacity(tree.node_count() + 1);
+        for node in tree.nodes() {
+            starts.push(conjuncts.len());
+            conjuncts.extend(node.predicates.iter().map(|p| {
+                let p = p.normalized(names);
+                let rhs = match p.rhs {
+                    LtOperand::Attr(a) => Operand::Attr(a),
+                    LtOperand::Const(v) => Operand::Const(const_key(v, names)),
+                };
+                Conjunct {
+                    lhs: p.lhs,
+                    op: p.op,
+                    rhs,
+                }
+            }));
+        }
+        starts.push(conjuncts.len());
+        let mut query = Query {
+            tree,
+            signature: vec![Vec::new(); tree.node_count()],
+            conjuncts,
+            starts,
+        };
+        // Structural signatures, bottom-up, name-free. Used to order
+        // children deterministically before assigning canonical names.
+        // Signatures are token streams themselves (compared
+        // lexicographically), so sibling ordering never hinges on a hash.
+        for &id in tree.preorder().iter().rev() {
+            let node = tree.node(id);
+            let mut child_sigs: Vec<&[u32]> = node
+                .children
+                .iter()
+                .map(|&c| query.signature[c].as_slice())
+                .collect();
+            child_sigs.sort();
+            // Predicate *shapes* only (join vs selection, operator), no
+            // names. Shapes come from the *oriented* predicate: the
+            // written `A.x > B.y` and its flipped spelling `B.y < A.x`
+            // must contribute the same shape, or operand-flipped variants
+            // could sort siblings differently and diverge in erasure.
+            let mut pred_shapes: Vec<(u32, u32)> = query
+                .conjuncts_of(id)
+                .iter()
+                .map(|p| match p.rhs {
+                    Operand::Attr(_) => (0, p.op.code()),
+                    Operand::Const(_) => (1, p.op.code()),
+                })
+                .collect();
+            pred_shapes.sort_unstable();
+            let mut sig = Vec::with_capacity(8 + 2 * pred_shapes.len());
+            sig.push(T_OPEN);
+            sig.push(node.quantifier.code());
+            sig.push(node.tables.len() as u32);
+            for (kind, op) in &pred_shapes {
+                sig.push(*kind);
+                sig.push(*op);
+            }
+            for child in child_sigs {
+                sig.extend_from_slice(child);
+            }
+            sig.push(T_CLOSE);
+            query.signature[id] = sig;
+        }
+        query
+    }
+
+    fn conjuncts_of(&self, id: NodeId) -> &[Conjunct<'q>] {
+        &self.conjuncts[self.starts[id]..self.starts[id + 1]]
+    }
+
+    /// Erase block `id` and its subtree into `tokens`.
+    fn walk(&self, id: NodeId, eraser: &mut Eraser<'q>, tokens: &mut Vec<u32>) {
+        let node = self.tree.node(id);
+        tokens.push(T_OPEN);
+        tokens.push(node.quantifier.code());
+        // Bindings in FROM order get canonical names on first visit.
+        for table in &node.tables {
+            let b = eraser.binding(table.key);
+            tokens.extend_from_slice(&[T_BINDING, b]);
+        }
+        // Predicates: oriented, then greedily ordered-and-named.
+        // Naming in written conjunct order and sorting afterwards is
+        // not order-insensitive — naming *assigns* the `c` indices
+        // the sort keys are made of (the semantic oracle's second
+        // catch: `B.z = 3 AND A.x = B.y` vs the swapped spelling gave
+        // `B.y`/`B.z` opposite indices and split the fingerprint).
+        let rendered = greedy_erase(self.conjuncts_of(id), eraser, erase_pred);
+        for pred in &rendered {
+            let len = if pred[0] == T_PRED_JOIN { 6 } else { 4 };
+            tokens.extend_from_slice(&pred[..len]);
+        }
+        // Children in canonical (signature) order. Signatures are
+        // name-free, so structurally identical siblings *tie* even when
+        // they are cross-linked to different outer bindings (e.g. two
+        // one-table ∄ blocks, one joining back to `a`, one to `b`).
+        // Ties used to fall back to insertion order, which made the
+        // erased stream depend on the written conjunct order — the
+        // semantic oracle's first catch. Resolve a tied run by erasing
+        // each candidate subtree against the current eraser, rolled
+        // back after each, and ordering on the resulting streams:
+        // candidate streams only reference outer bindings (already
+        // named) and a sibling's own fresh bindings (named
+        // deterministically from the marked state), never another
+        // sibling's, so they are stable while the run commits and the
+        // greedy order is canonical.
+        let signature = &self.signature;
+        let mut children = node.children.clone();
+        children.sort_by(|&a, &b| signature[a].cmp(&signature[b]));
+        let mut start = 0;
+        while start < children.len() {
+            let mut end = start + 1;
+            while end < children.len() && signature[children[end]] == signature[children[start]] {
+                end += 1;
+            }
+            if end - start > 1 {
+                // Sort key: the candidate's erased stream, then the
+                // constants its erasure saw (identical streams can
+                // still differ in erased constant values, and the
+                // name-map transport needs those paired canonically),
+                // then the physical-sharing trail (token-symmetric
+                // candidates can still erase differently shared
+                // columns), then node id for full determinism.
+                let mark = eraser.mark();
+                let recording = eraser.set_recording(true);
+                let mut keyed: Vec<(Vec<u32>, Trail, NodeId)> = children[start..end]
+                    .iter()
+                    .map(|&child| {
+                        let mut stream = Vec::new();
+                        self.walk(child, eraser, &mut stream);
+                        let mut trail = Trail::default();
+                        trail.copy_since(&eraser.trail, mark);
+                        eraser.rollback(mark);
+                        (stream, trail, child)
+                    })
+                    .collect();
+                eraser.set_recording(recording);
+                let contexts = eraser.sharing.contexts();
+                keyed.sort_by(|x, y| {
+                    x.0.cmp(&y.0)
+                        .then_with(|| cmp_trails(x.1.view(), y.1.view(), contexts))
+                        .then(x.2.cmp(&y.2))
+                });
+                for (offset, (_, _, child)) in keyed.into_iter().enumerate() {
+                    children[start + offset] = child;
+                }
+            }
+            start = end;
+        }
+        for child in children {
+            self.walk(child, eraser, tokens);
+        }
+        tokens.push(T_CLOSE);
     }
 }
 
@@ -554,61 +975,25 @@ impl PatternKey {
     /// per query. Combine with [`PatternKey::fingerprint128_of`] to hash
     /// without ever materializing a `PatternKey`.
     pub fn of_tree_into(tree: &LogicTree, names: &Names, tokens: &mut Vec<u32>) {
-        let share_of = physical_shares(&[tree]);
-        Self::canonicalize_into(tree, &mut Eraser::new(&share_of, names), tokens);
+        let trees = [tree];
+        let sharing = Sharing::new(&trees);
+        let mut eraser = Eraser::new(&sharing, names, false);
+        Self::canonicalize_into(tree, names, &mut eraser, tokens);
     }
 
     /// The full canonicalization, erasing through caller-provided state so
     /// [`PatternKey::branch_erasures`] can read the name assignment back
     /// out of the `Eraser` afterwards.
-    fn canonicalize_into(tree: &LogicTree, eraser: &mut Eraser, tokens: &mut Vec<u32>) {
-        // Phase 1: structural signatures, bottom-up, name-free. Used to
-        // order children deterministically before assigning canonical
-        // names. Signatures are token streams themselves (compared
-        // lexicographically), so sibling ordering never hinges on a hash.
-        let mut signature: Vec<Vec<u32>> = vec![Vec::new(); tree.node_count()];
-        for &id in tree.preorder().iter().rev() {
-            let node = tree.node(id);
-            let mut child_sigs: Vec<&[u32]> = node
-                .children
-                .iter()
-                .map(|&c| signature[c].as_slice())
-                .collect();
-            child_sigs.sort();
-            // Predicate *shapes* only (join vs selection, operator), no
-            // names. Shapes come from the *oriented* predicate: the
-            // written `A.x > B.y` and its flipped spelling `B.y < A.x`
-            // must contribute the same shape, or operand-flipped variants
-            // could sort siblings differently and diverge in erasure.
-            let mut pred_shapes: Vec<(u32, u32)> = node
-                .predicates
-                .iter()
-                .map(|p| {
-                    let p = p.normalized(eraser.names);
-                    match p.rhs {
-                        LtOperand::Attr(_) => (0, p.op.code()),
-                        LtOperand::Const(_) => (1, p.op.code()),
-                    }
-                })
-                .collect();
-            pred_shapes.sort_unstable();
-            let mut sig = Vec::with_capacity(8 + 2 * pred_shapes.len());
-            sig.push(T_OPEN);
-            sig.push(node.quantifier.code());
-            sig.push(node.tables.len() as u32);
-            for (kind, op) in &pred_shapes {
-                sig.push(*kind);
-                sig.push(*op);
-            }
-            for child in child_sigs {
-                sig.extend_from_slice(child);
-            }
-            sig.push(T_CLOSE);
-            signature[id] = sig;
-        }
+    fn canonicalize_into<'p>(
+        tree: &'p LogicTree,
+        names: &'p Names,
+        eraser: &mut Eraser<'p>,
+        tokens: &mut Vec<u32>,
+    ) {
+        let query = Query::new(tree, names);
 
-        // Phase 2: canonical traversal (children ordered by signature),
-        // with name erasure into dense indices.
+        // Canonical traversal (children ordered by signature), with name
+        // erasure into dense indices.
         tokens.clear();
         tokens.reserve(16 * tree.node_count());
 
@@ -647,8 +1032,13 @@ impl PatternKey {
             // aggregate argument's `c` index never depends on which
             // conjunct was written first.
             tokens.push(T_HAVING);
-            let rendered = greedy_erase(&tree.having, eraser, |h, eraser| {
-                eraser.consts.push(const_key(h.value, eraser.names));
+            let having: Vec<_> = tree
+                .having
+                .iter()
+                .map(|h| (h, const_key(h.value, names)))
+                .collect();
+            let rendered = greedy_erase(&having, eraser, |&(h, key), eraser| {
+                eraser.record_const(key);
                 match h.arg {
                     Some(a) => {
                         let (b, c) = eraser.attr(a.binding, a.column);
@@ -662,98 +1052,7 @@ impl PatternKey {
                 tokens.extend_from_slice(&pred[..len]);
             }
         }
-
-        fn walk(
-            tree: &LogicTree,
-            id: NodeId,
-            signature: &[Vec<u32>],
-            eraser: &mut Eraser,
-            tokens: &mut Vec<u32>,
-        ) {
-            let node = tree.node(id);
-            tokens.push(T_OPEN);
-            tokens.push(node.quantifier.code());
-            // Bindings in FROM order get canonical names on first visit.
-            for table in &node.tables {
-                let b = eraser.binding(table.key);
-                tokens.extend_from_slice(&[T_BINDING, b]);
-            }
-            // Predicates: oriented, then greedily ordered-and-named.
-            // Naming in written conjunct order and sorting afterwards is
-            // not order-insensitive — naming *assigns* the `c` indices
-            // the sort keys are made of (the semantic oracle's second
-            // catch: `B.z = 3 AND A.x = B.y` vs the swapped spelling gave
-            // `B.y`/`B.z` opposite indices and split the fingerprint).
-            let oriented: Vec<LtPredicate> = node
-                .predicates
-                .iter()
-                .map(|p| p.normalized(eraser.names))
-                .collect();
-            let rendered = greedy_erase(&oriented, eraser, erase_pred);
-            for pred in &rendered {
-                let len = if pred[0] == T_PRED_JOIN { 6 } else { 4 };
-                tokens.extend_from_slice(&pred[..len]);
-            }
-            // Children in canonical (signature) order. Signatures are
-            // name-free, so structurally identical siblings *tie* even when
-            // they are cross-linked to different outer bindings (e.g. two
-            // one-table ∄ blocks, one joining back to `a`, one to `b`).
-            // Ties used to fall back to insertion order, which made the
-            // erased stream depend on the written conjunct order — the
-            // semantic oracle's first catch. Resolve a tied run by erasing
-            // each candidate subtree against the current eraser, rolled
-            // back after each, and ordering on the resulting streams:
-            // candidate streams only reference outer bindings (already
-            // named) and a sibling's own fresh bindings (named
-            // deterministically from the marked state), never another
-            // sibling's, so they are stable while the run commits and the
-            // greedy order is canonical.
-            let mut children = node.children.clone();
-            children.sort_by(|&a, &b| signature[a].cmp(&signature[b]));
-            let mut start = 0;
-            while start < children.len() {
-                let mut end = start + 1;
-                while end < children.len() && signature[children[end]] == signature[children[start]]
-                {
-                    end += 1;
-                }
-                if end - start > 1 {
-                    // Sort key: the candidate's erased stream, then the
-                    // constants its erasure saw (identical streams can
-                    // still differ in erased constant values, and the
-                    // name-map transport needs those paired canonically),
-                    // then the physical-sharing trail (token-symmetric
-                    // candidates can still erase differently shared
-                    // columns), then node id for full determinism.
-                    let mark = eraser.mark();
-                    let mut keyed: Vec<ErasedTrail<Vec<u32>, NodeId>> = children[start..end]
-                        .iter()
-                        .map(|&child| {
-                            let mut stream = Vec::new();
-                            walk(tree, child, signature, eraser, &mut stream);
-                            let key = (
-                                stream,
-                                eraser.consts[mark.consts..].to_vec(),
-                                eraser.shares[mark.shares..].to_vec(),
-                                child,
-                            );
-                            eraser.rollback(mark);
-                            key
-                        })
-                        .collect();
-                    keyed.sort();
-                    for (offset, (_, _, _, child)) in keyed.into_iter().enumerate() {
-                        children[start + offset] = child;
-                    }
-                }
-                start = end;
-            }
-            for child in children {
-                walk(tree, child, signature, eraser, tokens);
-            }
-            tokens.push(T_CLOSE);
-        }
-        walk(tree, 0, &signature, eraser, tokens);
+        query.walk(0, eraser, tokens);
     }
 
     /// Canonicalize a multi-branch (UNION / OR-split) query. A single
@@ -780,13 +1079,13 @@ impl PatternKey {
         }
         // The sharing profile spans all branches (column sharing is a
         // query-wide relation), so every branch erases against one profile.
-        let share_of = physical_shares(trees);
+        let sharing = Sharing::new(trees);
         let mut branch_streams: Vec<Vec<u32>> = trees
             .iter()
             .map(|tree| {
                 let mut stream = Vec::new();
-                let mut eraser = Eraser::new(&share_of, names);
-                PatternKey::canonicalize_into(tree, &mut eraser, &mut stream);
+                let mut eraser = Eraser::new(&sharing, names, false);
+                PatternKey::canonicalize_into(tree, names, &mut eraser, &mut stream);
                 stream
             })
             .collect();
@@ -813,25 +1112,27 @@ impl PatternKey {
     /// database generated per canonical slot executes both queries over
     /// "the same" data even when every concrete name differs.
     pub fn branch_erasures(trees: &[&LogicTree], names: &Names) -> Vec<TreeErasure> {
-        let share_of = physical_shares(trees);
-        let mut trails: Vec<(Vec<ConstKey>, Vec<ShareKey>)> = Vec::with_capacity(trees.len());
+        let sharing = Sharing::new(trees);
+        let mut trails: Vec<Trail> = Vec::with_capacity(trees.len());
         let mut erasures: Vec<TreeErasure> = trees
             .iter()
             .map(|tree| {
-                let mut eraser = Eraser::new(&share_of, names);
+                // Ranks compare whole trails, so this eraser records
+                // from the start.
+                let mut eraser = Eraser::new(&sharing, names, true);
                 let mut tokens = Vec::new();
-                PatternKey::canonicalize_into(tree, &mut eraser, &mut tokens);
+                PatternKey::canonicalize_into(tree, names, &mut eraser, &mut tokens);
                 let bindings: Vec<(Symbol, u32)> = (0..)
                     .zip(&eraser.bindings)
-                    .map(|(b, &(key, _))| (key, b))
+                    .map(|(b, binding)| (binding.key, b))
                     .collect();
                 let mut attrs: Vec<(Symbol, Symbol, (u32, u32))> = eraser
                     .slots
                     .iter()
-                    .map(|&(b, column, c)| (bindings[b as usize].0, column, (b, c)))
+                    .map(|s| (bindings[s.b as usize].0, s.column, (s.b, s.c)))
                     .collect();
                 attrs.sort_by_key(|&(_, _, slot)| slot);
-                trails.push((eraser.consts, eraser.shares));
+                trails.push(eraser.trail);
                 TreeErasure {
                     rank: 0,
                     tokens,
@@ -848,12 +1149,13 @@ impl PatternKey {
         // trails (constants, then physical sharing; both invariant under
         // branch rotation and renaming) before falling back to written
         // branch order.
+        let contexts = sharing.contexts();
         let mut order: Vec<usize> = (0..erasures.len()).collect();
         order.sort_by(|&i, &j| {
             erasures[i]
                 .tokens
                 .cmp(&erasures[j].tokens)
-                .then_with(|| trails[i].cmp(&trails[j]))
+                .then_with(|| cmp_trails(trails[i].view(), trails[j].view(), contexts))
                 .then(i.cmp(&j))
         });
         for (rank, &index) in order.iter().enumerate() {

@@ -23,11 +23,16 @@
 //! An intentional change to canonicalization re-records the constant:
 //! run `cargo test --release --test canonical_digest -- --nocapture` and
 //! copy the printed digest.
+//!
+//! A second test bounds the cost of the self-join path at n = 400, whose
+//! canonicalization grew as about n^3.8 while every probe built a sharing
+//! descriptor for each fresh column it touched.
 
 use proptest::sqlgen::{gen_query, GenConfig};
 use proptest::test_runner::TestRng;
 use queryvis::{PatternKey, QueryVis, QueryVisOptions};
 use queryvis_service::paper_corpus_requests;
+use std::time::{Duration, Instant};
 
 /// `reply_digest.rs`'s draw: the widened grammar at nesting depth 3.
 const DRAW: GenConfig = GenConfig {
@@ -43,6 +48,13 @@ const DRAW_CASES: u64 = 600;
 const STAR_SIZES: [usize; 2] = [8, 25];
 const SPLIT_PERMUTATIONS: u64 = 8;
 const SELF_JOIN_SIZE: usize = 50;
+
+/// The timed self-join path. Canonicalizing it took 14–16 s when probes
+/// built sharing descriptors, and takes about 1.4 ms in a release build on
+/// a 2-vCPU x86-64 container now; the bound is about 70 times the latter
+/// and over 100 times below the former.
+const COST_SIZE: usize = 400;
+const COST_BOUND: Duration = Duration::from_millis(100);
 
 const EXPECTED: u64 = 0xcb42aa9a34291e65;
 
@@ -115,9 +127,7 @@ fn split() -> Vec<String> {
 /// closed into a cycle by `R{n-1}.b = R0.a` when `cycle` is set.
 fn self_join(n: usize, cycle: bool) -> (String, Vec<String>) {
     let from: Vec<String> = (0..n).map(|i| format!("R R{i}")).collect();
-    let mut conjuncts: Vec<String> = (1..n)
-        .map(|i| format!("R{}.b = R{i}.a", i - 1))
-        .collect();
+    let mut conjuncts: Vec<String> = (1..n).map(|i| format!("R{}.b = R{i}.a", i - 1)).collect();
     if cycle {
         conjuncts.push(format!("R{}.b = R0.a", n - 1));
     }
@@ -197,4 +207,20 @@ fn canonical_patterns_and_name_maps_match_recorded_digest() {
     assert!(multi_branch > 0, "the draw reached no multi-branch query");
     println!("{:#018x}", digest.0);
     assert_eq!(digest.0, EXPECTED, "canonicalization drifted");
+}
+
+#[test]
+fn self_join_path_fingerprints_within_its_cost_bound() {
+    let (head, conjuncts) = self_join(COST_SIZE, false);
+    let sql = format!("{head} WHERE {}", conjuncts.join(" AND "));
+    let prepared = QueryVis::prepare(&sql, QueryVisOptions::default()).unwrap();
+    let mut tokens = Vec::new();
+    let start = Instant::now();
+    prepared.pattern_tokens_into(&mut tokens);
+    let elapsed = start.elapsed();
+    println!("self-join path n = {COST_SIZE}: {elapsed:?}");
+    assert!(
+        elapsed < COST_BOUND,
+        "n = {COST_SIZE} self-join path took {elapsed:?}, bound {COST_BOUND:?}"
+    );
 }
