@@ -6,8 +6,9 @@
 //! stimulus-complexity input of the study simulator.
 
 use crate::ast::{Operand, Predicate, Query, QueryExpr};
-use crate::printer::{to_sql, to_sql_expr};
+use crate::printer::{to_sql, write_sql, write_sql_expr};
 use queryvis_ir::Names;
+use std::fmt;
 
 /// Word count of the canonical rendering of a query.
 ///
@@ -17,13 +18,38 @@ use queryvis_ir::Names;
 /// only when whitespace-separated, which the canonical printer guarantees
 /// for operators).
 pub fn word_count(query: &Query, names: &Names) -> usize {
-    to_sql(query, names).split_whitespace().count()
+    let mut words = Words::default();
+    let _ = write_sql(&mut words, query, names);
+    words.count
 }
 
 /// [`word_count`] over a full query expression (`UNION` chains count the
 /// connective keywords, matching how one would count the printed text).
 pub fn word_count_expr(expr: &QueryExpr) -> usize {
-    to_sql_expr(expr).split_whitespace().count()
+    let mut words = Words::default();
+    let _ = write_sql_expr(&mut words, expr);
+    words.count
+}
+
+/// A sink that counts the words written into it instead of keeping the
+/// text: a word starts at every char that is not [`char::is_whitespace`]
+/// and follows one that is (or starts the text), so the count equals
+/// `text.split_whitespace().count()` however the writes split the text.
+#[derive(Default)]
+struct Words {
+    count: usize,
+    in_word: bool,
+}
+
+impl fmt::Write for Words {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            let word = !c.is_whitespace();
+            self.count += usize::from(word && !self.in_word);
+            self.in_word = word;
+        }
+        Ok(())
+    }
 }
 
 /// Number of lines of the canonical rendering.

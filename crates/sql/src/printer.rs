@@ -8,31 +8,43 @@
 
 use crate::ast::*;
 use queryvis_ir::{NamedDisplay, Names};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Render a query, whose names live in `names`, as canonical multi-line
 /// SQL text.
 pub fn to_sql(query: &Query, names: &Names) -> String {
     let mut out = String::new();
-    write_query(&mut out, names, query, 0);
-    out.push(';');
+    let _ = write_sql(&mut out, query, names);
     out
+}
+
+/// [`to_sql`]'s text, written into any [`fmt::Write`] sink.
+pub fn write_sql(out: &mut impl Write, query: &Query, names: &Names) -> fmt::Result {
+    write_query(out, names, query, 0)?;
+    out.write_char(';')
 }
 
 /// Render a full query expression (a query block or a `UNION [ALL]` chain)
 /// as canonical multi-line SQL text.
 pub fn to_sql_expr(expr: &QueryExpr) -> String {
     let mut out = String::new();
+    let _ = write_sql_expr(&mut out, expr);
+    out
+}
+
+/// [`to_sql_expr`]'s text, written into any [`fmt::Write`] sink.
+pub fn write_sql_expr(out: &mut impl Write, expr: &QueryExpr) -> fmt::Result {
     for (i, branch) in expr.branches.iter().enumerate() {
         if i > 0 {
-            out.push('\n');
-            out.push_str(if expr.all { "UNION ALL" } else { "UNION" });
-            out.push('\n');
+            out.write_str(if expr.all {
+                "\nUNION ALL\n"
+            } else {
+                "\nUNION\n"
+            })?;
         }
-        write_query(&mut out, &expr.names, branch, 0);
+        write_query(out, &expr.names, branch, 0)?;
     }
-    out.push(';');
-    out
+    out.write_char(';')
 }
 
 /// Render a query on a single line (used in logs and error messages).
@@ -43,87 +55,98 @@ pub fn to_sql_one_line(query: &Query, names: &Names) -> String {
         .join(" ")
 }
 
-fn indent(out: &mut String, level: usize) {
+fn indent(out: &mut impl Write, level: usize) -> fmt::Result {
     for _ in 0..level {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
+    Ok(())
 }
 
-fn write_query(out: &mut String, names: &Names, query: &Query, level: usize) {
-    indent(out, level);
-    out.push_str("SELECT ");
+fn write_query<W: Write>(out: &mut W, names: &Names, query: &Query, level: usize) -> fmt::Result {
+    indent(out, level)?;
+    out.write_str("SELECT ")?;
     match &query.select {
-        SelectList::Star => out.push('*'),
-        SelectList::Items(items) => {
-            write_joined(out, names, items, ", ");
-        }
+        SelectList::Star => out.write_char('*')?,
+        SelectList::Items(items) => write_joined(out, names, items, ", ")?,
     }
-    out.push('\n');
-    indent(out, level);
-    out.push_str("FROM ");
-    write_joined(out, names, &query.from, ", ");
+    out.write_char('\n')?;
+    indent(out, level)?;
+    out.write_str("FROM ")?;
+    write_joined(out, names, &query.from, ", ")?;
     if !query.where_clause.is_empty() {
-        out.push('\n');
-        indent(out, level);
-        out.push_str("WHERE ");
+        out.write_char('\n')?;
+        indent(out, level)?;
+        out.write_str("WHERE ")?;
         for (i, pred) in query.where_clause.iter().enumerate() {
             if i > 0 {
-                out.push('\n');
-                indent(out, level);
-                out.push_str("AND ");
+                out.write_char('\n')?;
+                indent(out, level)?;
+                out.write_str("AND ")?;
             }
-            write_predicate(out, names, pred, level);
+            write_predicate(out, names, pred, level)?;
         }
     }
     if !query.group_by.is_empty() {
-        out.push('\n');
-        indent(out, level);
-        out.push_str("GROUP BY ");
-        write_joined(out, names, &query.group_by, ", ");
+        out.write_char('\n')?;
+        indent(out, level)?;
+        out.write_str("GROUP BY ")?;
+        write_joined(out, names, &query.group_by, ", ")?;
     }
     if !query.having.is_empty() {
-        out.push('\n');
-        indent(out, level);
-        out.push_str("HAVING ");
-        write_joined(out, names, &query.having, " AND ");
+        out.write_char('\n')?;
+        indent(out, level)?;
+        out.write_str("HAVING ")?;
+        write_joined(out, names, &query.having, " AND ")?;
     }
+    Ok(())
 }
 
 /// Write `items` through `names`, separated by `sep`.
-fn write_joined<T: NamedDisplay>(out: &mut String, names: &Names, items: &[T], sep: &str) {
+fn write_joined<T: NamedDisplay>(
+    out: &mut impl Write,
+    names: &Names,
+    items: &[T],
+    sep: &str,
+) -> fmt::Result {
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            out.push_str(sep);
+            out.write_str(sep)?;
         }
-        let _ = write!(out, "{}", names.show(item));
+        write!(out, "{}", names.show(item))?;
     }
+    Ok(())
 }
 
-fn write_predicate(out: &mut String, names: &Names, pred: &Predicate, level: usize) {
+fn write_predicate<W: Write>(
+    out: &mut W,
+    names: &Names,
+    pred: &Predicate,
+    level: usize,
+) -> fmt::Result {
     match pred {
         Predicate::Compare { lhs, op, rhs } => {
-            let _ = write!(out, "{} {op} {}", names.show(lhs), names.show(rhs));
+            write!(out, "{} {op} {}", names.show(lhs), names.show(rhs))
         }
         Predicate::Exists { negated, query } => {
             if *negated {
-                out.push_str("NOT ");
+                out.write_str("NOT ")?;
             }
-            out.push_str("EXISTS (\n");
-            write_query(out, names, query, level + 1);
-            out.push(')');
+            out.write_str("EXISTS (\n")?;
+            write_query(out, names, query, level + 1)?;
+            out.write_char(')')
         }
         Predicate::InSubquery {
             column,
             negated,
             query,
         } => {
-            let _ = write!(out, "{} ", names.show(column));
+            write!(out, "{} ", names.show(column))?;
             if *negated {
-                out.push_str("NOT ");
+                out.write_str("NOT ")?;
             }
-            out.push_str("IN (\n");
-            write_query(out, names, query, level + 1);
-            out.push(')');
+            out.write_str("IN (\n")?;
+            write_query(out, names, query, level + 1)?;
+            out.write_char(')')
         }
         Predicate::Quantified {
             column,
@@ -133,29 +156,29 @@ fn write_predicate(out: &mut String, names: &Names, pred: &Predicate, level: usi
             query,
         } => {
             if *negated {
-                out.push_str("NOT ");
+                out.write_str("NOT ")?;
             }
             let column = names.show(column);
-            let _ = writeln!(out, "{column} {op} {} (", quantifier.as_str());
-            write_query(out, names, query, level + 1);
-            out.push(')');
+            writeln!(out, "{column} {op} {} (", quantifier.as_str())?;
+            write_query(out, names, query, level + 1)?;
+            out.write_char(')')
         }
         // A disjunction prints parenthesized so precedence survives the
         // round trip: `(a AND b OR c)` re-parses to the same branches.
         Predicate::Or(branches) => {
-            out.push('(');
+            out.write_char('(')?;
             for (i, branch) in branches.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(" OR ");
+                    out.write_str(" OR ")?;
                 }
                 for (j, pred) in branch.iter().enumerate() {
                     if j > 0 {
-                        out.push_str(" AND ");
+                        out.write_str(" AND ")?;
                     }
-                    write_predicate(out, names, pred, level);
+                    write_predicate(out, names, pred, level)?;
                 }
             }
-            out.push(')');
+            out.write_char(')')
         }
     }
 }
