@@ -1,7 +1,7 @@
 //! `service` — the JSON-lines front end of the diagram-compilation service.
 //!
 //! Reads one request per stdin line and writes one reply per stdout line,
-//! in request order. Every line goes through
+//! in request order, serving each line as it arrives. Every line goes through
 //! [`Frontend::serve_line`](queryvis_service::Frontend::serve_line), the
 //! function the TCP `server` answers its lines with, so both front ends
 //! answer a line with the same bytes. With `--stats` it prints one JSON
@@ -29,6 +29,8 @@
 //!
 //! The cache persists across passes, so `--passes 2 --stats` demonstrates
 //! the steady-state hit rate: pass 2 of any fixed input is 100 % hits.
+//! Only a run with more than one pass keeps its input lines, to replay
+//! them; a pass-1 stats line over stdin times the wait for input too.
 //! A `{"op":"shutdown"}` line ends the run after its ack.
 //! `--stats`, `--stats-json`, and `--trace-jsonl` all enable process
 //! telemetry; without them every span stays a single relaxed atomic
@@ -138,42 +140,40 @@ enum Input {
     TooLarge(usize),
 }
 
-/// Read the whole input once. Stdin goes through the same bounded line
-/// framer the TCP server uses: a line past `max_line` bytes is *discarded
-/// to its newline* (never buffered whole — a hostile or corrupt input
-/// cannot balloon memory through one giant line) and answers `too_large`
-/// at its position. `--corpus` turns the paper corpus into request lines.
-fn read_input(corpus: bool, max_line: usize) -> Vec<Input> {
-    if corpus {
-        return paper_corpus_requests(&[])
-            .iter()
-            .map(|request| {
-                let mut line = String::from("{\"id\":");
-                json::write_u64(&mut line, request.id);
-                line.push_str(",\"sql\":");
-                json::escape_into(&mut line, &request.sql);
-                line.push('}');
-                Input::Line(line)
-            })
-            .collect();
-    }
-    let stdin = std::io::stdin();
-    let mut reader = LineReader::new(stdin.lock(), max_line);
-    let mut input = Vec::new();
+/// The paper corpus as request lines (`--corpus`).
+fn corpus_input() -> Vec<Input> {
+    paper_corpus_requests(&[])
+        .iter()
+        .map(|request| {
+            let mut line = String::from("{\"id\":");
+            json::write_u64(&mut line, request.id);
+            line.push_str(",\"sql\":");
+            json::escape_into(&mut line, &request.sql);
+            line.push('}');
+            Input::Line(line)
+        })
+        .collect()
+}
+
+/// The next stdin line, or `None` at the end of input. Stdin goes through
+/// the same bounded line framer the TCP server uses: a line past
+/// `max_line` bytes is *discarded to its newline* (never buffered whole —
+/// a hostile or corrupt input cannot balloon memory through one giant
+/// line) and answers `too_large` at its position.
+fn next_line<R: std::io::Read>(reader: &mut LineReader<R>) -> Option<Input> {
     loop {
-        match reader.poll() {
-            Poll::Line(line) => input.push(Input::Line(line)),
-            Poll::TooLarge { len } => input.push(Input::TooLarge(len)),
+        return match reader.poll() {
+            Poll::Line(line) => Some(Input::Line(line)),
+            Poll::TooLarge { len } => Some(Input::TooLarge(len)),
             // Blocking stdin never reports Idle, but stay total.
             Poll::Idle => continue,
-            Poll::Eof => break,
+            Poll::Eof => None,
             Poll::Fatal(e) => {
                 eprintln!("service: stdin read error: {e}");
-                break;
+                None
             }
-        }
+        };
     }
-    input
 }
 
 fn stats_line(
@@ -287,7 +287,14 @@ fn main() {
         default_formats: cli.default_formats.clone(),
     }));
     let frontend = Frontend::new(Arc::clone(&service));
-    let input = read_input(cli.corpus, cli.max_line);
+    // Pass 1 serves stdin as it arrives; its lines are kept only for the
+    // passes that replay them, so a one-pass run holds one line at a time.
+    let mut stdin = (!cli.corpus).then(|| LineReader::new(std::io::stdin().lock(), cli.max_line));
+    let mut kept = if cli.corpus {
+        corpus_input()
+    } else {
+        Vec::new()
+    };
 
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
@@ -301,11 +308,12 @@ fn main() {
         let telemetry_before = telemetry_on.then(|| queryvis_telemetry::global().snapshot());
         let start = Instant::now();
         let mut served = 0usize;
-        for (line_id, line) in input.iter().enumerate() {
+        // Answer one line; true once it asked to shut down.
+        let mut serve = |line_id: usize, line: &Input| {
             let line_id = line_id as u64;
             // Stdin is one client: owner 0 holds every session it opens.
             let outcome = match line {
-                Input::Line(text) if text.trim().is_empty() => continue,
+                Input::Line(text) if text.trim().is_empty() => return false,
                 Input::Line(text) => frontend.serve_line(text, line_id, 0, &mut reply),
                 Input::TooLarge(len) => {
                     too_large_reply(line_id, cli.max_line, *len, &mut reply);
@@ -318,9 +326,29 @@ fn main() {
             reply.push('\n');
             out.write_all(reply.as_bytes()).expect("stdout write");
             served += 1;
-            if outcome == Served::Shutdown {
-                shutdown = true;
-                break;
+            outcome == Served::Shutdown
+        };
+        match stdin.take() {
+            Some(mut reader) => {
+                let mut line_id = 0;
+                while let Some(line) = next_line(&mut reader) {
+                    shutdown = serve(line_id, &line);
+                    if cli.passes > 1 {
+                        kept.push(line);
+                    }
+                    line_id += 1;
+                    if shutdown {
+                        break;
+                    }
+                }
+            }
+            None => {
+                for (line_id, line) in kept.iter().enumerate() {
+                    shutdown = serve(line_id, line);
+                    if shutdown {
+                        break;
+                    }
+                }
             }
         }
         let elapsed = start.elapsed().as_secs_f64();
