@@ -162,17 +162,17 @@ fn corpus_input() -> Vec<Input> {
 /// line) and answers `too_large` at its position.
 fn next_line<R: std::io::Read>(reader: &mut LineReader<R>) -> Option<Input> {
     loop {
-        return match reader.poll() {
-            Poll::Line(line) => Some(Input::Line(line)),
-            Poll::TooLarge { len } => Some(Input::TooLarge(len)),
+        match reader.poll() {
+            Poll::Line(line) => return Some(Input::Line(line)),
+            Poll::TooLarge { len } => return Some(Input::TooLarge(len)),
             // Blocking stdin never reports Idle, but stay total.
-            Poll::Idle => continue,
-            Poll::Eof => None,
+            Poll::Idle => {}
+            Poll::Eof => return None,
             Poll::Fatal(e) => {
                 eprintln!("service: stdin read error: {e}");
-                None
+                return None;
             }
-        };
+        }
     }
 }
 

@@ -19,7 +19,7 @@ pub fn to_sql(query: &Query, names: &Names) -> String {
 }
 
 /// [`to_sql`]'s text, written into any [`fmt::Write`] sink.
-pub fn write_sql(out: &mut impl Write, query: &Query, names: &Names) -> fmt::Result {
+pub(crate) fn write_sql(out: &mut impl Write, query: &Query, names: &Names) -> fmt::Result {
     write_query(out, names, query, 0)?;
     out.write_char(';')
 }
@@ -33,7 +33,7 @@ pub fn to_sql_expr(expr: &QueryExpr) -> String {
 }
 
 /// [`to_sql_expr`]'s text, written into any [`fmt::Write`] sink.
-pub fn write_sql_expr(out: &mut impl Write, expr: &QueryExpr) -> fmt::Result {
+pub(crate) fn write_sql_expr(out: &mut impl Write, expr: &QueryExpr) -> fmt::Result {
     for (i, branch) in expr.branches.iter().enumerate() {
         if i > 0 {
             out.write_str(if expr.all {
