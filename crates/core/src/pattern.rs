@@ -16,7 +16,7 @@
 //! The token stream is the serving layer's **hot path**: with the
 //! query's names as [`Symbol`]s the whole canonicalization is index
 //! arithmetic (a binding's canonical index is a load from a vector indexed
-//! by [`Symbol::index`], its columns a short chain of its own),
+//! by [`Symbol::index`], a column's the end of a short chain walk),
 //! and the 128-bit cache fingerprint is an FNV-1a hash of the `u32`
 //! tokens — no canonical *string* is ever built on a cache hit.
 //! [`canonical_pattern`] renders the stream into the human-readable
@@ -116,15 +116,16 @@ pub struct TreeErasure {
 }
 
 /// Canonical-name erasure state on dense indices: a binding's canonical
-/// index is a load from `canonical`, and its named columns form a chain
-/// through `slots` that only it walks. Speculative probes (the tie-breaks
-/// in [`erase_all`] and [`Query::walk`]) erase against this live state and
-/// then [`Eraser::rollback`] to the [`Mark`] taken before them, so a probe
+/// index is a load from `names`, and every named column sits on two
+/// chains through `slots`, its binding's and its column name's; a lookup
+/// walks the shorter. Speculative probes (the tie-breaks in [`erase_all`]
+/// and [`Query::walk`]) erase against this live state and then
+/// [`Eraser::rollback`] to the [`Mark`] taken before them, so a probe
 /// costs what it erases, not a copy of everything named so far.
 struct Eraser<'p> {
-    /// Canonical index of each binding key by [`Symbol::index`] in the
-    /// query's name table; [`NONE`] while the binding is unnamed.
-    canonical: Vec<u32>,
+    /// What the eraser knows of each name of the query's table, by
+    /// [`Symbol::index`].
+    names: Vec<NameState>,
     /// Named bindings, by canonical index.
     bindings: Vec<Binding>,
     /// Every named column, in allocation order.
@@ -146,6 +147,18 @@ struct Binding {
     last: u32,
 }
 
+/// What an [`Eraser`] knows of one name.
+#[derive(Clone, Copy)]
+struct NameState {
+    /// As a binding key: its canonical binding index, [`NONE`] while
+    /// unnamed.
+    binding: u32,
+    /// As a column name: the most recent slot spelling it (the head of its
+    /// chain), [`NONE`] for none, and how many slots do.
+    last_slot: u32,
+    slots: u32,
+}
+
 /// A named column: column `column` of binding `b` is canonical column `c`.
 struct Slot {
     b: u32,
@@ -153,6 +166,8 @@ struct Slot {
     c: u32,
     /// The same binding's previously named column, [`NONE`] for its first.
     prev: u32,
+    /// The previous slot spelling the same column name, [`NONE`] for none.
+    prev_same_name: u32,
 }
 
 /// The tie-break trails erasure records while [`Eraser::recording`] is
@@ -466,7 +481,14 @@ impl<'p> Trail<'p> {
 impl<'p> Eraser<'p> {
     fn new(sharing: &'p Sharing<'p>, names: &Names, recording: bool) -> Eraser<'p> {
         Eraser {
-            canonical: vec![NONE; names.len()],
+            names: vec![
+                NameState {
+                    binding: NONE,
+                    last_slot: NONE,
+                    slots: 0,
+                };
+                names.len()
+            ],
             bindings: Vec::new(),
             slots: Vec::new(),
             recording,
@@ -486,17 +508,20 @@ impl<'p> Eraser<'p> {
     }
 
     /// Undo everything erased since `mark`. A binding's next free column
-    /// index and chain head go back to what they were before the first
-    /// column it named since then.
+    /// index and both chain heads go back to what they were before the
+    /// first column named since then.
     fn rollback(&mut self, mark: Mark) {
         for s in self.slots[mark.slots..].iter().rev() {
             let binding = &mut self.bindings[s.b as usize];
             binding.next = s.c;
             binding.last = s.prev;
+            let name = &mut self.names[s.column.index() as usize];
+            name.last_slot = s.prev_same_name;
+            name.slots -= 1;
         }
         self.slots.truncate(mark.slots);
         for binding in &self.bindings[mark.bindings..] {
-            self.canonical[binding.key.index() as usize] = NONE;
+            self.names[binding.key.index() as usize].binding = NONE;
         }
         self.bindings.truncate(mark.bindings);
         self.trail.consts.truncate(mark.consts);
@@ -516,7 +541,7 @@ impl<'p> Eraser<'p> {
     }
 
     fn binding(&mut self, key: Symbol) -> u32 {
-        let b = &mut self.canonical[key.index() as usize];
+        let b = &mut self.names[key.index() as usize].binding;
         if *b == NONE {
             *b = self.bindings.len() as u32;
             self.bindings.push(Binding {
@@ -528,14 +553,29 @@ impl<'p> Eraser<'p> {
         *b
     }
 
+    /// The canonical index binding `b` gave `column`, found along the
+    /// shorter chain: `b`'s columns (it named `next` of them) or the
+    /// slots spelling `column`. A binding with many columns (the star's
+    /// `T.a{i}`) and a name many bindings share (the self-join path's
+    /// `R{i}.a`) both cost a short walk.
     fn column_of(&self, b: u32, column: Symbol) -> Option<u32> {
-        let mut at = self.bindings[b as usize].last;
+        let binding = &self.bindings[b as usize];
+        let name = &self.names[column.index() as usize];
+        let (mut at, by_name) = if name.slots < binding.next {
+            (name.last_slot, true)
+        } else {
+            (binding.last, false)
+        };
         while at != NONE {
             let slot = &self.slots[at as usize];
-            if slot.column == column {
+            if slot.b == b && slot.column == column {
                 return Some(slot.c);
             }
-            at = slot.prev;
+            at = if by_name {
+                slot.prev_same_name
+            } else {
+                slot.prev
+            };
         }
         None
     }
@@ -552,15 +592,19 @@ impl<'p> Eraser<'p> {
         }
         let at = self.slots.len() as u32;
         let entry = &mut self.bindings[b as usize];
+        let name = &mut self.names[column.index() as usize];
         let c = entry.next;
         self.slots.push(Slot {
             b,
             column,
             c,
             prev: entry.last,
+            prev_same_name: name.last_slot,
         });
         entry.next += 1;
         entry.last = at;
+        name.last_slot = at;
+        name.slots += 1;
         (b, c)
     }
 
@@ -575,7 +619,7 @@ impl<'p> Eraser<'p> {
                 .iter()
                 .filter(|&&k| k != binding)
             {
-                match self.canonical[k.index() as usize] {
+                match self.names[k.index() as usize].binding {
                     NONE => unnamed += 1,
                     bk => {
                         let c = self.column_of(bk, column).unwrap_or(NONE);
@@ -661,7 +705,14 @@ fn greedy_erase<'p, T>(
     let mut remaining: Vec<&T> = items.iter().collect();
     let mut ordered = Vec::with_capacity(items.len());
     let mut budget = TIE_LOOKAHEAD_BUDGET;
-    erase_all(&mut remaining, eraser, &erase, &mut budget, &mut ordered);
+    erase_all(
+        &mut remaining,
+        eraser,
+        &erase,
+        &mut budget,
+        false,
+        &mut ordered,
+    );
     ordered
 }
 
@@ -676,11 +727,19 @@ fn greedy_erase<'p, T>(
 /// the same order, and the budget is charged one unit per first-pass
 /// probe as before (re-probes and commits are free), so lookahead runs —
 /// and stops — exactly where it did.
+///
+/// Ties recur within a list — the star `T.a{i} = U.k` ties at every
+/// step — and there re-probing would erase every item twice. So the first
+/// pass compares full keys, with the trails on, while `full_keys` is set:
+/// from the start of a lookahead continuation, which exists because its
+/// list just tied, and after any step whose tuples tied. Both passes find
+/// the same candidates.
 fn erase_all<'p, T>(
     remaining: &mut Vec<&T>,
     eraser: &mut Eraser<'p>,
     erase: &impl Fn(&T, &mut Eraser<'p>) -> [u32; 6],
     budget: &mut u32,
+    mut full_keys: bool,
     out: &mut Vec<[u32; 6]>,
 ) {
     // Reused across steps; only `candidates` allocates unless a tuple
@@ -693,30 +752,47 @@ fn erase_all<'p, T>(
     let mut rest: Vec<&T> = Vec::new();
     while !remaining.is_empty() {
         let mark = eraser.mark();
-        let recording = eraser.set_recording(false);
+        let recording = eraser.set_recording(full_keys);
         let mut min = [0; 6];
+        let mut tuple_ties = 0;
         candidates.clear();
         for (i, item) in remaining.iter().enumerate() {
             let tuple = erase(item, eraser);
-            eraser.rollback(mark);
             *budget = budget.saturating_sub(1);
-            let order = if candidates.is_empty() {
+            let by_tuple = if candidates.is_empty() {
                 Ordering::Less
             } else {
                 tuple.cmp(&min)
             };
+            tuple_ties = match by_tuple {
+                Ordering::Less => 1,
+                Ordering::Equal => tuple_ties + 1,
+                Ordering::Greater => tuple_ties,
+            };
+            let order = match by_tuple {
+                Ordering::Equal if full_keys => cmp_trails(
+                    eraser.trail.since(mark),
+                    min_trail.view(),
+                    eraser.sharing.contexts(),
+                ),
+                order => order,
+            };
             match order {
                 Ordering::Less => {
                     min = tuple;
+                    if full_keys {
+                        min_trail.copy_since(&eraser.trail, mark);
+                    }
                     candidates.clear();
                     candidates.push(i);
                 }
                 Ordering::Equal => candidates.push(i),
                 Ordering::Greater => {}
             }
+            eraser.rollback(mark);
         }
         eraser.set_recording(true);
-        if candidates.len() > 1 {
+        if !full_keys && candidates.len() > 1 {
             // Tuple tie: keep the candidates with the smallest trails.
             let mut kept = 0;
             for k in 0..candidates.len() {
@@ -745,6 +821,7 @@ fn erase_all<'p, T>(
             }
             candidates.truncate(kept);
         }
+        full_keys = tuple_ties > 1;
         let chosen = if candidates.len() == 1 || *budget == 0 {
             candidates[0]
         } else {
@@ -764,7 +841,7 @@ fn erase_all<'p, T>(
                         .filter(|&(j, _)| j != c)
                         .map(|(_, item)| *item),
                 );
-                erase_all(&mut rest, eraser, erase, budget, &mut tuples);
+                erase_all(&mut rest, eraser, erase, budget, true, &mut tuples);
                 let better = best.is_none()
                     || tuples.cmp(&best_tuples).then_with(|| {
                         cmp_trails(
