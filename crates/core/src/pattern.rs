@@ -728,18 +728,18 @@ fn greedy_erase<'p, T>(
 /// probe as before (re-probes and commits are free), so lookahead runs —
 /// and stops — exactly where it did.
 ///
-/// Ties recur within a list — the star `T.a{i} = U.k` ties at every
-/// step — and there re-probing would erase every item twice. So the first
-/// pass compares full keys, with the trails on, while `full_keys` is set:
-/// from the start of a lookahead continuation, which exists because its
-/// list just tied, and after any step whose tuples tied. Both passes find
-/// the same candidates.
+/// A lookahead continuation erases a list that just tied, and ties recur
+/// there — the star `T.a{i} = U.k` ties at every step, and nearly all its
+/// work is lookahead — so re-probing would erase each item twice. With
+/// `full_keys` set, as it is for every continuation, the first pass
+/// compares full keys with the trails on instead. Both passes find the
+/// same candidates.
 fn erase_all<'p, T>(
     remaining: &mut Vec<&T>,
     eraser: &mut Eraser<'p>,
     erase: &impl Fn(&T, &mut Eraser<'p>) -> [u32; 6],
     budget: &mut u32,
-    mut full_keys: bool,
+    full_keys: bool,
     out: &mut Vec<[u32; 6]>,
 ) {
     // Reused across steps; only `candidates` allocates unless a tuple
@@ -754,7 +754,6 @@ fn erase_all<'p, T>(
         let mark = eraser.mark();
         let recording = eraser.set_recording(full_keys);
         let mut min = [0; 6];
-        let mut tuple_ties = 0;
         candidates.clear();
         for (i, item) in remaining.iter().enumerate() {
             let tuple = erase(item, eraser);
@@ -763,11 +762,6 @@ fn erase_all<'p, T>(
                 Ordering::Less
             } else {
                 tuple.cmp(&min)
-            };
-            tuple_ties = match by_tuple {
-                Ordering::Less => 1,
-                Ordering::Equal => tuple_ties + 1,
-                Ordering::Greater => tuple_ties,
             };
             let order = match by_tuple {
                 Ordering::Equal if full_keys => cmp_trails(
@@ -821,7 +815,6 @@ fn erase_all<'p, T>(
             }
             candidates.truncate(kept);
         }
-        full_keys = tuple_ties > 1;
         let chosen = if candidates.len() == 1 || *budget == 0 {
             candidates[0]
         } else {
