@@ -140,7 +140,8 @@ struct Eraser<'p> {
 /// A named binding.
 struct Binding {
     key: Symbol,
-    /// The next free canonical column index.
+    /// The next free canonical column index, which is also how many
+    /// columns the binding has named (its chain's length).
     next: u32,
     /// The binding's most recently named column (an index into
     /// [`Eraser::slots`]), the head of its chain; [`NONE`] for none.
