@@ -17,7 +17,6 @@ use queryvis::corpus::{
 use queryvis::diagram::diagram_stats;
 use queryvis::{canonical_pattern, verify_path_patterns, QueryVis, QueryVisOptions};
 use queryvis_bench::{banner, fmt_ci, fmt_ci3, fmt_p, fmt_pct, text_histogram};
-use queryvis_sql::metrics::word_count;
 use queryvis_study::{
     analyze, classify_participants, exclusion::scatter_points, model::ParticipantKind,
     pilot_power_estimate, population::CANONICAL_SEED, simulate_pilot, simulate_study,
@@ -303,8 +302,8 @@ fn complexity() {
     let s_some = diagram_stats(&some.diagram);
     let s_raw = diagram_stats(&only_raw.diagram);
     let s_simpl = diagram_stats(&only.diagram);
-    let w_some = word_count(&some.query, some.names());
-    let w_only = word_count(&only.query, only.names());
+    let w_some = some.sql_word_count();
+    let w_only = only.sql_word_count();
 
     println!("diagram                 elements   vs Qsome   paper");
     println!(
@@ -449,7 +448,7 @@ fn corpus() {
             q.id,
             format!("{:?}", q.category),
             format!("{:?}", q.complexity),
-            word_count(&qv.query, qv.names()),
+            qv.sql_word_count(),
             stats.visual_elements()
         );
     }
@@ -459,7 +458,7 @@ fn corpus() {
         println!(
             "  {:>3}  words={:>3}  elements={:>3}",
             q.id,
-            word_count(&qv.query, qv.names()),
+            qv.sql_word_count(),
             qv.stats().visual_elements()
         );
     }

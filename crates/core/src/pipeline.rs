@@ -3,6 +3,12 @@
 //! layout/render boundary reified as the [`Scene`] display-list IR:
 //! geometry and union composition are computed once in
 //! [`QueryVis::scene`], and every geometric backend walks the result).
+//!
+//! The parsed AST lives only inside [`QueryVis::prepare_parsed`]: it is
+//! read once — lowered and translated branch by branch without a copy,
+//! and its §4.8 word count taken — and dropped there. A
+//! [`PreparedQuery`] and a [`QueryVis`] keep the query's name table, its
+//! word count and its logic trees, and no AST.
 
 use crate::pattern::PatternKey;
 use queryvis_diagram::{build_diagram, diagram_stats, render_reading, Diagram, DiagramStats};
@@ -13,8 +19,7 @@ use queryvis_logic::{
 };
 use queryvis_render::{to_ascii, to_dot_union, to_svg, SvgTheme};
 use queryvis_sql::{
-    metrics::word_count_expr, parse_query_expr, Names, ParseError, Query, QueryExpr, Schema,
-    SemanticError,
+    metrics::word_count_expr, parse_query_expr, Names, ParseError, QueryExpr, Schema, SemanticError,
 };
 use queryvis_telemetry::StageDef;
 use std::fmt;
@@ -91,8 +96,6 @@ pub struct QueryVisOptions {
 /// pre-widening fragment — read exactly as before.
 #[derive(Debug, Clone)]
 pub struct UnionBranch {
-    /// The branch's (lowered, OR-free) AST.
-    pub query: Query,
     /// Logic tree straight from translation (all ∃/∄).
     pub logic_tree: LogicTree,
     /// Logic tree after the ∀ simplification.
@@ -103,18 +106,17 @@ pub struct UnionBranch {
 
 /// The result of running the full QueryVis pipeline over one query.
 ///
-/// It owns the query's name table (in `expr`): every tree and diagram of
-/// every branch resolves its names through [`QueryVis::names`], and the
-/// names are dropped with it.
+/// It owns the query's name table: every tree and diagram of every branch
+/// resolves its names through [`QueryVis::names`], and the names are
+/// dropped with it.
 #[derive(Debug, Clone)]
 pub struct QueryVis {
     /// Original SQL text.
     pub sql: String,
-    /// The parsed top-level expression (original, before OR lowering),
-    /// with the name table of the whole query.
-    pub expr: QueryExpr,
-    /// First lowered branch's AST (the whole query when single-block).
-    pub query: Query,
+    /// The name table of the whole query.
+    names: Names,
+    /// The §4.8 word count of the written query.
+    words: usize,
     /// First branch's logic tree straight from translation (all ∃/∄).
     pub logic_tree: LogicTree,
     /// First branch's logic tree after the ∀ simplification.
@@ -145,16 +147,15 @@ pub struct QueryVis {
 pub struct PreparedQuery {
     /// Original SQL text.
     pub sql: String,
-    /// The parsed top-level expression (original, before OR lowering),
-    /// with the name table of the whole query, binding keys made up by
+    /// The name table of the whole query, binding keys made up by
     /// translation included.
-    pub expr: QueryExpr,
-    /// First lowered branch's AST (the whole query when single-block).
-    pub query: Query,
+    names: Names,
+    /// The §4.8 word count of the written query, taken at prepare.
+    words: usize,
     /// First branch's logic tree straight from translation (all ∃/∄).
     pub logic_tree: LogicTree,
-    /// Lowered branches beyond the first: (OR-free AST, logic tree).
-    pub rest: Vec<(Query, LogicTree)>,
+    /// Logic trees of the lowered branches beyond the first.
+    pub rest: Vec<LogicTree>,
     /// True when the branches combine under `UNION ALL`.
     pub union_all: bool,
     options: Arc<QueryVisOptions>,
@@ -168,13 +169,13 @@ impl PreparedQuery {
 
     /// The table every name of the query lives in.
     pub fn names(&self) -> &Names {
-        &self.expr.names
+        &self.names
     }
 
     /// All branch logic trees, first branch first.
     pub fn trees(&self) -> Vec<&LogicTree> {
         std::iter::once(&self.logic_tree)
-            .chain(self.rest.iter().map(|(_, tree)| tree))
+            .chain(&self.rest)
             .collect()
     }
 
@@ -204,9 +205,9 @@ impl PreparedQuery {
     }
 
     /// The §4.8 word count of the canonical rendering of the *original*
-    /// expression (OR lowering does not inflate it).
+    /// expression (OR lowering does not inflate it), counted at prepare.
     pub fn sql_word_count(&self) -> usize {
-        word_count_expr(&self.expr)
+        self.words
     }
 
     /// Run the back half of the pipeline: simplification and diagram
@@ -216,8 +217,8 @@ impl PreparedQuery {
         let _span = STAGE_DIAGRAM.span();
         let PreparedQuery {
             sql,
-            expr,
-            query,
+            names,
+            words,
             logic_tree,
             rest,
             union_all,
@@ -245,10 +246,9 @@ impl PreparedQuery {
         }
         let rest = rest
             .into_iter()
-            .map(|(query, logic_tree)| {
+            .map(|logic_tree| {
                 let (simplified, diagram) = compile_branch(&logic_tree);
                 UnionBranch {
-                    query,
                     logic_tree,
                     simplified,
                     diagram,
@@ -257,8 +257,8 @@ impl PreparedQuery {
             .collect();
         QueryVis {
             sql,
-            expr,
-            query,
+            names,
+            words,
             logic_tree,
             simplified,
             diagram,
@@ -314,7 +314,9 @@ impl QueryVis {
 
     /// [`QueryVis::prepare`] starting from an already-parsed expression:
     /// the schema check, OR lowering, translation and (in strict mode)
-    /// degeneracy validation, byte-for-byte as `prepare` runs them.
+    /// degeneracy validation, byte-for-byte as `prepare` runs them. The
+    /// expression is read once and dropped here; the result keeps its
+    /// name table and word count.
     pub fn prepare_parsed(
         sql: &str,
         mut expr: QueryExpr,
@@ -329,44 +331,43 @@ impl QueryVis {
         // Lower each written UNION branch (negative-polarity ORs become
         // sibling ∄-groups in place; positive-polarity ORs split into
         // further branches) and translate every resulting conjunctive
-        // query into its own logic tree, keeping AST and tree paired.
+        // block into its own logic tree. Errors come branch by branch:
+        // a written branch's lowering, then its lowered branches'
+        // translations; the total branch count is checked last.
         let _span = STAGE_LOWER.span();
-        let mut branches: Vec<(Query, LogicTree)> = Vec::with_capacity(expr.branches.len());
+        let mut trees: Vec<LogicTree> = Vec::with_capacity(expr.branches.len());
         let (schema, names) = (options.schema.as_ref(), &mut expr.names);
         for written in &expr.branches {
-            if queryvis_logic::has_disjunction(written) {
-                for lowered in queryvis_logic::lower_disjunctions(written)? {
-                    let tree = queryvis_logic::translate(&lowered, schema, names)?;
-                    branches.push((lowered, tree));
-                }
-            } else {
-                let tree = queryvis_logic::translate(written, schema, names)?;
-                branches.push((written.clone(), tree));
-            }
+            trees.extend(queryvis_logic::translate_branches(written, schema, names)?);
         }
-        if branches.len() > MAX_QUERY_BRANCHES {
+        if trees.len() > MAX_QUERY_BRANCHES {
             return Err(QueryVisError::Translate(
                 TranslateError::DisjunctionTooWide {
-                    branches: branches.len(),
+                    branches: trees.len(),
                 },
             ));
         }
         if options.strict {
             // Non-degeneracy (Properties 5.1/5.2) plus the depth ≤ 3
             // bound, on every branch.
-            for (_, tree) in &branches {
+            for tree in &trees {
                 check_valid_diagram_source(tree, &expr.names).map_err(QueryVisError::Degenerate)?;
             }
         }
-        let union_all = expr.all;
-        let mut iter = branches.into_iter();
-        let (query, logic_tree) = iter.next().expect("at least one branch");
+        let words = word_count_expr(&expr);
+        let QueryExpr {
+            names,
+            all: union_all,
+            ..
+        } = expr;
+        let mut trees = trees.into_iter();
+        let logic_tree = trees.next().expect("at least one branch");
         Ok(PreparedQuery {
             sql: sql.to_string(),
-            expr,
-            query,
+            names,
+            words,
             logic_tree,
-            rest: iter.collect(),
+            rest: trees.collect(),
             union_all,
             options,
         })
@@ -374,7 +375,13 @@ impl QueryVis {
 
     /// The table every name of the query lives in.
     pub fn names(&self) -> &Names {
-        &self.expr.names
+        &self.names
+    }
+
+    /// The §4.8 word count of the canonical rendering of the written
+    /// query, counted at prepare.
+    pub fn sql_word_count(&self) -> usize {
+        self.words
     }
 
     /// True when the query compiled to more than one diagram (a written

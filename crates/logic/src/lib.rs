@@ -25,7 +25,7 @@ pub mod translate;
 pub mod trc;
 pub mod validate;
 
-pub use disjunction::{has_disjunction, lower_disjunctions, MAX_DISJUNCTION_BRANCHES};
+pub use disjunction::MAX_DISJUNCTION_BRANCHES;
 pub use lt::{
     AttrRef, LogicTree, LtHaving, LtNode, LtOperand, LtPredicate, LtTable, NodeId, Quantifier,
     SelectAttr,

@@ -18,6 +18,7 @@
 //! where `sel(Q)` is the single column of `Q`'s SELECT list and `¬op` is the
 //! logical negation of `op` (`x op ALL Q ≡ ∄ t ∈ Q : x ¬op t`).
 
+use crate::disjunction::{Conjunct, Lowering};
 use crate::lt::{
     AttrRef, LogicTree, LtHaving, LtPredicate, LtTable, NodeId, Quantifier, SelectAttr,
 };
@@ -135,34 +136,38 @@ pub fn translate(
     schema: Option<&Schema>,
     names: &mut Names,
 ) -> Result<LogicTree, TranslateError> {
-    if crate::disjunction::has_disjunction(query) {
-        let mut trees = translate_branches(query, schema, names)?;
-        if trees.len() != 1 {
-            return Err(TranslateError::UnloweredDisjunction {
-                branches: trees.len(),
-            });
-        }
-        return Ok(trees.pop().expect("one branch"));
+    let mut trees = translate_branches(query, schema, names)?;
+    if trees.len() != 1 {
+        return Err(TranslateError::UnloweredDisjunction {
+            branches: trees.len(),
+        });
     }
-    translate_conjunctive(query, schema, names)
+    Ok(trees.pop().expect("one branch"))
 }
 
 /// Translate a query into one logic tree per union branch after lowering
-/// its disjunctions. OR-free queries yield exactly one tree.
+/// its disjunctions, in branch order; the first error wins, lowering's
+/// before any branch's. OR-free queries yield exactly one tree, walked as
+/// written; a disjunctive query is walked through its lowered blocks,
+/// which borrow the query and copy none of it.
 pub fn translate_branches(
     query: &Query,
     schema: Option<&Schema>,
     names: &mut Names,
 ) -> Result<Vec<LogicTree>, TranslateError> {
-    crate::disjunction::lower_disjunctions(query)?
-        .iter()
-        .map(|q| translate_conjunctive(q, schema, names))
+    if !query.has_disjunction() {
+        return Ok(vec![translate_block(Block::Written(query), schema, names)?]);
+    }
+    let lowering = Lowering::of(query)?;
+    lowering
+        .roots()
+        .map(|root| translate_block(Block::Lowered(&lowering, root), schema, names))
         .collect()
 }
 
-/// [`translate`] for a query already known to be OR-free.
-fn translate_conjunctive(
-    query: &Query,
+/// Translate one OR-free block and everything nested in it.
+fn translate_block(
+    block: Block<'_>,
     schema: Option<&Schema>,
     names: &mut Names,
 ) -> Result<LogicTree, TranslateError> {
@@ -173,8 +178,50 @@ fn translate_conjunctive(
         names,
         used_keys: HashMap::new(),
     };
-    translator.block(query, 0, true)?;
+    translator.block(block, 0, true)?;
     Ok(translator.tree)
+}
+
+/// A block the translator walks: an OR-free block as written, or a block
+/// of a [`Lowering`].
+#[derive(Clone, Copy)]
+enum Block<'a> {
+    Written(&'a Query),
+    Lowered(&'a Lowering<'a>, u32),
+}
+
+impl<'a> Block<'a> {
+    /// The written block: select list, FROM list and grouping.
+    fn query(self) -> &'a Query {
+        match self {
+            Block::Written(query) => query,
+            Block::Lowered(lowering, block) => lowering.query(block),
+        }
+    }
+
+    fn conjunct_count(self) -> usize {
+        match self {
+            Block::Written(query) => query.where_clause.len(),
+            Block::Lowered(lowering, block) => lowering.conjuncts(block).len(),
+        }
+    }
+
+    /// Conjunct `k`: its predicate and, for a subquery predicate, the block
+    /// of its subquery.
+    fn conjunct(self, k: usize) -> (&'a Predicate, Option<Block<'a>>) {
+        match self {
+            Block::Written(query) => {
+                let predicate = &query.where_clause[k];
+                (predicate, predicate.subquery().map(Block::Written))
+            }
+            Block::Lowered(lowering, block) => match lowering.conjuncts(block)[k] {
+                Conjunct::Compare(predicate) => (predicate, None),
+                Conjunct::Subquery(predicate, sub) => {
+                    (predicate, Some(Block::Lowered(lowering, sub)))
+                }
+            },
+        }
+    }
 }
 
 /// One in-scope binding: (alias as written, unique key, base table name).
@@ -202,10 +249,11 @@ impl<'a> Translator<'a> {
     /// (used for `IN`/`ANY`/`ALL` de-sugaring).
     fn block(
         &mut self,
-        query: &Query,
+        block: Block<'_>,
         node_id: NodeId,
         is_root: bool,
     ) -> Result<Option<AttrRef>, TranslateError> {
+        let query = block.query();
         if !is_root && query.uses_grouping() {
             return Err(TranslateError::NestedAggregate);
         }
@@ -228,17 +276,18 @@ impl<'a> Translator<'a> {
         }
         self.scopes.push(bindings);
 
-        let result = self.block_body(query, node_id, is_root);
+        let result = self.block_body(block, node_id, is_root);
         self.scopes.pop();
         result
     }
 
     fn block_body(
         &mut self,
-        query: &Query,
+        block: Block<'_>,
         node_id: NodeId,
         is_root: bool,
     ) -> Result<Option<AttrRef>, TranslateError> {
+        let query = block.query();
         // Select list (root: recorded on the tree; nested: returned for
         // de-sugaring).
         let mut single_select = None;
@@ -284,41 +333,45 @@ impl<'a> Translator<'a> {
         }
 
         // Predicates.
-        for pred in &query.where_clause {
-            match pred {
-                Predicate::Compare { lhs, op, rhs } => {
+        for k in 0..block.conjunct_count() {
+            match block.conjunct(k) {
+                (Predicate::Compare { lhs, op, rhs }, _) => {
                     let lt_pred = self.comparison(lhs, *op, rhs)?;
                     self.tree.node_mut(node_id).predicates.push(lt_pred);
                 }
-                Predicate::Exists { negated, query } => {
+                (Predicate::Exists { negated, .. }, Some(sub)) => {
                     let quant = if *negated {
                         Quantifier::NotExists
                     } else {
                         Quantifier::Exists
                     };
                     let child = self.tree.add_child(node_id, quant);
-                    self.block(query, child, false)?;
+                    self.block(sub, child, false)?;
                 }
-                Predicate::InSubquery {
-                    column,
-                    negated,
-                    query,
-                } => {
+                (
+                    Predicate::InSubquery {
+                        column, negated, ..
+                    },
+                    Some(sub),
+                ) => {
                     let outer = self.resolve(column)?;
                     let quant = if *negated {
                         Quantifier::NotExists
                     } else {
                         Quantifier::Exists
                     };
-                    self.desugar_subquery(node_id, quant, outer, CompareOp::Eq, query)?;
+                    self.desugar_subquery(node_id, quant, outer, CompareOp::Eq, sub)?;
                 }
-                Predicate::Quantified {
-                    column,
-                    op,
-                    quantifier,
-                    negated,
-                    query,
-                } => {
+                (
+                    Predicate::Quantified {
+                        column,
+                        op,
+                        quantifier,
+                        negated,
+                        ..
+                    },
+                    Some(sub),
+                ) => {
                     let outer = self.resolve(column)?;
                     use queryvis_sql::ast::SubqueryQuantifier as SQ;
                     let (quant, child_op) = match (quantifier, negated) {
@@ -327,15 +380,16 @@ impl<'a> Translator<'a> {
                         (SQ::All, false) => (Quantifier::NotExists, op.negate()),
                         (SQ::All, true) => (Quantifier::Exists, op.negate()),
                     };
-                    self.desugar_subquery(node_id, quant, outer, child_op, query)?;
+                    self.desugar_subquery(node_id, quant, outer, child_op, sub)?;
                 }
                 // Lowering runs before translation (see `translate`); a
                 // surviving disjunction means the caller skipped it.
-                Predicate::Or(branches) => {
+                (Predicate::Or(branches), _) => {
                     return Err(TranslateError::UnloweredDisjunction {
                         branches: branches.len(),
                     })
                 }
+                (_, None) => unreachable!("a subquery predicate has a block"),
             }
         }
         Ok(single_select)
@@ -349,11 +403,11 @@ impl<'a> Translator<'a> {
         quant: Quantifier,
         outer: AttrRef,
         op: CompareOp,
-        query: &Query,
+        block: Block<'_>,
     ) -> Result<(), TranslateError> {
         let child = self.tree.add_child(parent, quant);
         let sel = self
-            .block(query, child, false)?
+            .block(block, child, false)?
             .ok_or(TranslateError::BadSubquerySelect)?;
         self.tree
             .node_mut(child)

@@ -6,9 +6,8 @@
 //! stimulus-complexity input of the study simulator.
 
 use crate::ast::{Operand, Predicate, Query, QueryExpr};
-use crate::printer::{to_sql, write_sql, write_sql_expr};
+use crate::printer::{to_sql, write_sql, write_sql_expr, Sink};
 use queryvis_ir::Names;
-use std::fmt;
 
 /// Word count of the canonical rendering of a query.
 ///
@@ -16,10 +15,11 @@ use std::fmt;
 /// matches how one would count words in the paper's figures (operators such
 /// as `=` and parenthesized subquery openers count as words of their own
 /// only when whitespace-separated, which the canonical printer guarantees
-/// for operators).
+/// for operators). The count comes from the printer's own walk: it hands
+/// its pieces to a counter, and no text is formatted or kept.
 pub fn word_count(query: &Query, names: &Names) -> usize {
     let mut words = Words::default();
-    let _ = write_sql(&mut words, query, names);
+    write_sql(&mut words, query, names);
     words.count
 }
 
@@ -27,28 +27,40 @@ pub fn word_count(query: &Query, names: &Names) -> usize {
 /// connective keywords, matching how one would count the printed text).
 pub fn word_count_expr(expr: &QueryExpr) -> usize {
     let mut words = Words::default();
-    let _ = write_sql_expr(&mut words, expr);
+    write_sql_expr(&mut words, expr);
     words.count
 }
 
-/// A sink that counts the words written into it instead of keeping the
-/// text: a word starts at every char that is not [`char::is_whitespace`]
-/// and follows one that is (or starts the text), so the count equals
-/// `text.split_whitespace().count()` however the writes split the text.
+/// A sink that counts the words of the pieces put into it instead of
+/// keeping the text: a word starts at every char that is not
+/// [`char::is_whitespace`] and follows one that is (or starts the text),
+/// so the count equals `text.split_whitespace().count()` however the
+/// pieces split the text.
 #[derive(Default)]
 struct Words {
     count: usize,
     in_word: bool,
 }
 
-impl fmt::Write for Words {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for c in s.chars() {
-            let word = !c.is_whitespace();
-            self.count += usize::from(word && !self.in_word);
-            self.in_word = word;
+impl Sink for Words {
+    fn put(&mut self, piece: &str) {
+        if piece.is_ascii() {
+            // `char::is_whitespace` on ASCII: space and `\t` to `\r`.
+            for &b in piece.as_bytes() {
+                self.step(!matches!(b, b' ' | b'\t'..=b'\r'));
+            }
+        } else {
+            for c in piece.chars() {
+                self.step(!c.is_whitespace());
+            }
         }
-        Ok(())
+    }
+}
+
+impl Words {
+    fn step(&mut self, word: bool) {
+        self.count += usize::from(word && !self.in_word);
+        self.in_word = word;
     }
 }
 

@@ -7,44 +7,56 @@
 //! rather than over incidental whitespace choices.
 
 use crate::ast::*;
-use queryvis_ir::{NamedDisplay, Names};
-use std::fmt::{self, Write};
+use queryvis_ir::Names;
+
+/// Where the printer's walk goes: the pieces of the canonical text —
+/// keywords, punctuation, resolved names and literal text — in order. A
+/// `String` keeps them; the §4.8 word counter only counts them.
+pub(crate) trait Sink {
+    fn put(&mut self, piece: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, piece: &str) {
+        self.push_str(piece);
+    }
+}
 
 /// Render a query, whose names live in `names`, as canonical multi-line
 /// SQL text.
 pub fn to_sql(query: &Query, names: &Names) -> String {
     let mut out = String::new();
-    let _ = write_sql(&mut out, query, names);
+    write_sql(&mut out, query, names);
     out
 }
 
-/// [`to_sql`]'s text, written into any [`fmt::Write`] sink.
-pub(crate) fn write_sql(out: &mut impl Write, query: &Query, names: &Names) -> fmt::Result {
-    write_query(out, names, query, 0)?;
-    out.write_char(';')
+/// [`to_sql`]'s text, put into any [`Sink`].
+pub(crate) fn write_sql(out: &mut impl Sink, query: &Query, names: &Names) {
+    write_query(out, names, query, 0);
+    out.put(";");
 }
 
 /// Render a full query expression (a query block or a `UNION [ALL]` chain)
 /// as canonical multi-line SQL text.
 pub fn to_sql_expr(expr: &QueryExpr) -> String {
     let mut out = String::new();
-    let _ = write_sql_expr(&mut out, expr);
+    write_sql_expr(&mut out, expr);
     out
 }
 
-/// [`to_sql_expr`]'s text, written into any [`fmt::Write`] sink.
-pub(crate) fn write_sql_expr(out: &mut impl Write, expr: &QueryExpr) -> fmt::Result {
+/// [`to_sql_expr`]'s text, put into any [`Sink`].
+pub(crate) fn write_sql_expr(out: &mut impl Sink, expr: &QueryExpr) {
     for (i, branch) in expr.branches.iter().enumerate() {
         if i > 0 {
-            out.write_str(if expr.all {
+            out.put(if expr.all {
                 "\nUNION ALL\n"
             } else {
                 "\nUNION\n"
-            })?;
+            });
         }
-        write_query(out, &expr.names, branch, 0)?;
+        write_query(out, &expr.names, branch, 0);
     }
-    out.write_char(';')
+    out.put(";");
 }
 
 /// Render a query on a single line (used in logs and error messages).
@@ -55,98 +67,147 @@ pub fn to_sql_one_line(query: &Query, names: &Names) -> String {
         .join(" ")
 }
 
-fn indent(out: &mut impl Write, level: usize) -> fmt::Result {
+/// A new line at nesting `level`.
+fn line(out: &mut impl Sink, level: usize) {
+    out.put("\n");
     for _ in 0..level {
-        out.write_str("  ")?;
+        out.put("  ");
     }
-    Ok(())
 }
 
-fn write_query<W: Write>(out: &mut W, names: &Names, query: &Query, level: usize) -> fmt::Result {
-    indent(out, level)?;
-    out.write_str("SELECT ")?;
-    match &query.select {
-        SelectList::Star => out.write_char('*')?,
-        SelectList::Items(items) => write_joined(out, names, items, ", ")?,
+fn write_query<S: Sink>(out: &mut S, names: &Names, query: &Query, level: usize) {
+    for _ in 0..level {
+        out.put("  ");
     }
-    out.write_char('\n')?;
-    indent(out, level)?;
-    out.write_str("FROM ")?;
-    write_joined(out, names, &query.from, ", ")?;
+    out.put("SELECT ");
+    match &query.select {
+        SelectList::Star => out.put("*"),
+        SelectList::Items(items) => write_joined(out, ", ", items, |out, item| match item {
+            SelectItem::Column(c) => write_column(out, names, c),
+            SelectItem::Aggregate(a) => write_aggregate(out, names, a),
+        }),
+    }
+    line(out, level);
+    out.put("FROM ");
+    write_joined(out, ", ", &query.from, |out, t| {
+        out.put(names.resolve(t.table));
+        if let Some(alias) = t.alias {
+            out.put(" ");
+            out.put(names.resolve(alias));
+        }
+    });
     if !query.where_clause.is_empty() {
-        out.write_char('\n')?;
-        indent(out, level)?;
-        out.write_str("WHERE ")?;
+        line(out, level);
+        out.put("WHERE ");
         for (i, pred) in query.where_clause.iter().enumerate() {
             if i > 0 {
-                out.write_char('\n')?;
-                indent(out, level)?;
-                out.write_str("AND ")?;
+                line(out, level);
+                out.put("AND ");
             }
-            write_predicate(out, names, pred, level)?;
+            write_predicate(out, names, pred, level);
         }
     }
     if !query.group_by.is_empty() {
-        out.write_char('\n')?;
-        indent(out, level)?;
-        out.write_str("GROUP BY ")?;
-        write_joined(out, names, &query.group_by, ", ")?;
+        line(out, level);
+        out.put("GROUP BY ");
+        write_joined(out, ", ", &query.group_by, |out, c| {
+            write_column(out, names, c)
+        });
     }
     if !query.having.is_empty() {
-        out.write_char('\n')?;
-        indent(out, level)?;
-        out.write_str("HAVING ")?;
-        write_joined(out, names, &query.having, " AND ")?;
+        line(out, level);
+        out.put("HAVING ");
+        write_joined(out, " AND ", &query.having, |out, h| {
+            write_aggregate(out, names, &h.agg);
+            out.put(" ");
+            out.put(h.op.as_str());
+            out.put(" ");
+            write_value(out, names, &h.value);
+        });
     }
-    Ok(())
 }
 
-/// Write `items` through `names`, separated by `sep`.
-fn write_joined<T: NamedDisplay>(
-    out: &mut impl Write,
-    names: &Names,
-    items: &[T],
+/// Write each of `items` with `write`, separated by `sep`.
+fn write_joined<S: Sink, T>(
+    out: &mut S,
     sep: &str,
-) -> fmt::Result {
+    items: &[T],
+    mut write: impl FnMut(&mut S, &T),
+) {
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            out.write_str(sep)?;
+            out.put(sep);
         }
-        write!(out, "{}", names.show(item))?;
+        write(out, item);
     }
-    Ok(())
 }
 
-fn write_predicate<W: Write>(
-    out: &mut W,
-    names: &Names,
-    pred: &Predicate,
-    level: usize,
-) -> fmt::Result {
+fn write_column(out: &mut impl Sink, names: &Names, column: &ColumnRef) {
+    if let Some(table) = column.table {
+        out.put(names.resolve(table));
+        out.put(".");
+    }
+    out.put(names.resolve(column.column));
+}
+
+fn write_aggregate(out: &mut impl Sink, names: &Names, agg: &AggCall) {
+    out.put(agg.func.as_str());
+    out.put("(");
+    match &agg.arg {
+        Some(c) => write_column(out, names, c),
+        None => out.put("*"),
+    }
+    out.put(")");
+}
+
+fn write_value(out: &mut impl Sink, names: &Names, value: &Value) {
+    match value {
+        Value::Number(n) => out.put(names.resolve(*n)),
+        Value::Str(s) => {
+            out.put("'");
+            out.put(names.resolve(*s));
+            out.put("'");
+        }
+    }
+}
+
+fn write_operand(out: &mut impl Sink, names: &Names, operand: &Operand) {
+    match operand {
+        Operand::Column(c) => write_column(out, names, c),
+        Operand::Value(v) => write_value(out, names, v),
+    }
+}
+
+fn write_predicate<S: Sink>(out: &mut S, names: &Names, pred: &Predicate, level: usize) {
     match pred {
         Predicate::Compare { lhs, op, rhs } => {
-            write!(out, "{} {op} {}", names.show(lhs), names.show(rhs))
+            write_operand(out, names, lhs);
+            out.put(" ");
+            out.put(op.as_str());
+            out.put(" ");
+            write_operand(out, names, rhs);
         }
         Predicate::Exists { negated, query } => {
             if *negated {
-                out.write_str("NOT ")?;
+                out.put("NOT ");
             }
-            out.write_str("EXISTS (\n")?;
-            write_query(out, names, query, level + 1)?;
-            out.write_char(')')
+            out.put("EXISTS (\n");
+            write_query(out, names, query, level + 1);
+            out.put(")");
         }
         Predicate::InSubquery {
             column,
             negated,
             query,
         } => {
-            write!(out, "{} ", names.show(column))?;
+            write_column(out, names, column);
+            out.put(" ");
             if *negated {
-                out.write_str("NOT ")?;
+                out.put("NOT ");
             }
-            out.write_str("IN (\n")?;
-            write_query(out, names, query, level + 1)?;
-            out.write_char(')')
+            out.put("IN (\n");
+            write_query(out, names, query, level + 1);
+            out.put(")");
         }
         Predicate::Quantified {
             column,
@@ -156,29 +217,27 @@ fn write_predicate<W: Write>(
             query,
         } => {
             if *negated {
-                out.write_str("NOT ")?;
+                out.put("NOT ");
             }
-            let column = names.show(column);
-            writeln!(out, "{column} {op} {} (", quantifier.as_str())?;
-            write_query(out, names, query, level + 1)?;
-            out.write_char(')')
+            write_column(out, names, column);
+            out.put(" ");
+            out.put(op.as_str());
+            out.put(" ");
+            out.put(quantifier.as_str());
+            out.put(" (\n");
+            write_query(out, names, query, level + 1);
+            out.put(")");
         }
         // A disjunction prints parenthesized so precedence survives the
         // round trip: `(a AND b OR c)` re-parses to the same branches.
         Predicate::Or(branches) => {
-            out.write_char('(')?;
-            for (i, branch) in branches.iter().enumerate() {
-                if i > 0 {
-                    out.write_str(" OR ")?;
-                }
-                for (j, pred) in branch.iter().enumerate() {
-                    if j > 0 {
-                        out.write_str(" AND ")?;
-                    }
-                    write_predicate(out, names, pred, level)?;
-                }
-            }
-            out.write_char(')')
+            out.put("(");
+            write_joined(out, " OR ", branches, |out, branch| {
+                write_joined(out, " AND ", branch, |out, pred| {
+                    write_predicate(out, names, pred, level)
+                })
+            });
+            out.put(")");
         }
     }
 }
