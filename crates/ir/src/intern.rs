@@ -172,12 +172,14 @@ impl Names {
     }
 
     /// The text of `sym`. Panics if this table did not make it.
+    #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
         self.try_resolve(sym)
             .expect("Symbol resolved against a table that did not make it")
     }
 
     /// The text of `sym`, or `None` if it is past this table's end.
+    #[inline]
     pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
         let index = sym.index() as usize;
         let end = *self.ends.get(index)? as usize;

@@ -57,7 +57,7 @@ pub(crate) enum Conjunct<'q> {
 /// One OR-free block: its written block and its own conjuncts, a range of
 /// [`Lowering::conjuncts`].
 #[derive(Debug)]
-struct Block<'q> {
+struct LoweredBlock<'q> {
     query: &'q Query,
     conjuncts: Range<u32>,
 }
@@ -67,7 +67,7 @@ struct Block<'q> {
 /// branch order: choices expand left to right, written order first.
 #[derive(Debug)]
 pub(crate) struct Lowering<'q> {
-    blocks: Vec<Block<'q>>,
+    blocks: Vec<LoweredBlock<'q>>,
     conjuncts: Vec<Conjunct<'q>>,
     roots: Range<u32>,
 }
@@ -122,7 +122,7 @@ impl<'q> Lowering<'q> {
                 let begin = self.conjuncts.len() as u32;
                 self.conjuncts.extend_from_slice(where_clause);
                 let end = self.conjuncts.len() as u32;
-                self.blocks.push(Block {
+                self.blocks.push(LoweredBlock {
                     query,
                     conjuncts: begin..end,
                 });
@@ -231,16 +231,20 @@ impl<'q> Lowering<'q> {
             })
     }
 
-    /// Two lowered blocks compare as the lowered queries they stand for.
+    /// Two lowered blocks compare as the lowered queries they stand for:
+    /// select, FROM and grouping of their written blocks, and their
+    /// conjuncts.
     fn same_block(&self, i: u32, j: u32) -> bool {
+        if i == j {
+            return true;
+        }
         let (a, b) = (self.query(i), self.query(j));
-        i == j
-            || ((std::ptr::eq(a, b)
-                || (a.select == b.select
-                    && a.from == b.from
-                    && a.group_by == b.group_by
-                    && a.having == b.having))
-                && self.same_conjuncts(self.conjuncts(i), self.conjuncts(j)))
+        let same_frame = std::ptr::eq(a, b)
+            || (a.select == b.select
+                && a.from == b.from
+                && a.group_by == b.group_by
+                && a.having == b.having);
+        same_frame && self.same_conjuncts(self.conjuncts(i), self.conjuncts(j))
     }
 }
 

@@ -17,6 +17,11 @@
 //!
 //! where `sel(Q)` is the single column of `Q`'s SELECT list and `¬op` is the
 //! logical negation of `op` (`x op ALL Q ≡ ∄ t ∈ Q : x ¬op t`).
+//!
+//! The translator walks blocks, not copies of them: an OR-free query as
+//! written, or the OR-free blocks [`crate::disjunction`] lowers a
+//! disjunctive one into, each a written `&Query` (select list, FROM list,
+//! grouping) with its own conjunct list. Nothing of the AST is cloned.
 
 use crate::disjunction::{Conjunct, Lowering};
 use crate::lt::{
@@ -26,7 +31,6 @@ use queryvis_ir::{Names, Symbol};
 use queryvis_sql::{
     ColumnRef, CompareOp, Operand, Predicate, Query, Schema, SelectItem, SelectList,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors produced during SQL → LT translation.
@@ -175,8 +179,8 @@ fn translate_block(
         tree: LogicTree::with_root(),
         scopes: Vec::new(),
         schema,
+        used_keys: vec![0; names.len()],
         names,
-        used_keys: HashMap::new(),
     };
     translator.block(block, 0, true)?;
     Ok(translator.tree)
@@ -239,8 +243,9 @@ struct Translator<'a> {
     schema: Option<&'a Schema>,
     /// The query's name table.
     names: &'a mut Names,
-    /// Disambiguation counters for shadowed aliases.
-    used_keys: HashMap<Symbol, usize>,
+    /// Disambiguation counters for shadowed aliases, indexed by the
+    /// alias's [`Symbol::index`].
+    used_keys: Vec<u32>,
 }
 
 impl<'a> Translator<'a> {
@@ -492,7 +497,11 @@ impl<'a> Translator<'a> {
     /// Produce a globally unique binding key for an alias (shadowed aliases
     /// get a numeric suffix: `L`, `L#2`, `L#3`, ...).
     fn unique_key(&mut self, alias: Symbol) -> Symbol {
-        let count = self.used_keys.entry(alias).or_insert(0);
+        let index = alias.index() as usize;
+        if index >= self.used_keys.len() {
+            self.used_keys.resize(index + 1, 0);
+        }
+        let count = &mut self.used_keys[index];
         *count += 1;
         if *count == 1 {
             alias

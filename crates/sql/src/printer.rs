@@ -17,6 +17,7 @@ pub(crate) trait Sink {
 }
 
 impl Sink for String {
+    #[inline]
     fn put(&mut self, piece: &str) {
         self.push_str(piece);
     }
