@@ -25,9 +25,9 @@
 //! cannot blow up the service; grouped queries refuse root-level splits
 //! (splitting a `GROUP BY` across branches would change aggregate results).
 //!
-//! The lowered blocks point into the written AST. A [`Lowering`] is one
+//! The lowered blocks point into the written AST. A `Lowering` is one
 //! arena of OR-free blocks, each its written block (`&Query`: select list,
-//! FROM list, grouping) plus its own list of [`Conjunct`]s. A conjunct is a
+//! FROM list, grouping) plus its own list of `Conjunct`s. A conjunct is a
 //! written comparison, or a written subquery predicate paired with the
 //! arena index of one lowered block of its subquery. Conjuncts are `Copy`,
 //! so a cross product copies conjunct lists, never a predicate, subquery,

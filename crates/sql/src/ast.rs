@@ -71,15 +71,6 @@ impl Operand {
     }
 }
 
-impl NamedDisplay for Operand {
-    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Column(c) => c.fmt_named(names, f),
-            Operand::Value(v) => v.fmt_named(names, f),
-        }
-    }
-}
-
 /// An aggregate call `AGG(T.A)` or `COUNT(*)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AggCall {
@@ -102,15 +93,6 @@ impl NamedDisplay for AggCall {
 pub enum SelectItem {
     Column(ColumnRef),
     Aggregate(AggCall),
-}
-
-impl NamedDisplay for SelectItem {
-    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SelectItem::Column(c) => c.fmt_named(names, f),
-            SelectItem::Aggregate(a) => a.fmt_named(names, f),
-        }
-    }
 }
 
 /// `SELECT *` or an explicit item list.
@@ -160,16 +142,6 @@ impl TableRef {
     /// present, otherwise the table name itself.
     pub fn binding(&self) -> Symbol {
         self.alias.unwrap_or(self.table)
-    }
-}
-
-impl NamedDisplay for TableRef {
-    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(names.resolve(self.table))?;
-        match self.alias {
-            Some(a) => write!(f, " {}", names.resolve(a)),
-            None => Ok(()),
-        }
     }
 }
 
@@ -301,13 +273,6 @@ pub struct HavingPredicate {
     pub agg: AggCall,
     pub op: CompareOp,
     pub value: Value,
-}
-
-impl NamedDisplay for HavingPredicate {
-    fn fmt_named(&self, names: &Names, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (agg, value) = (names.show(&self.agg), names.show(&self.value));
-        write!(f, "{agg} {} {value}", self.op)
-    }
 }
 
 /// A query block (`SELECT`–`FROM`–`WHERE`\[–`GROUP BY`\[–`HAVING`\]\]).
