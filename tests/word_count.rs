@@ -2,10 +2,11 @@
 //! printer writes them without keeping the text, equals the word count of
 //! the printed text, `to_sql_expr(e).split_whitespace().count()`.
 //!
-//! The inputs are the paper corpus, `canonical_digest.rs`'s fixed-seed
-//! `sqlgen` draw, and string literals whose whitespace (spaces, tabs,
-//! newlines, U+00A0 and other Unicode spaces, leading, trailing and
-//! embedded) the printer copies into the text verbatim.
+//! The inputs are the paper corpus, fixed queries that cover every form
+//! the printer writes, `canonical_digest.rs`'s fixed-seed `sqlgen` draw,
+//! and string literals whose whitespace (spaces, tabs, newlines, U+00A0
+//! and other Unicode spaces, leading, trailing and embedded) the printer
+//! copies into the text verbatim.
 
 use proptest::sqlgen::{gen_query, GenConfig};
 use proptest::test_runner::TestRng;
@@ -23,6 +24,31 @@ const DRAW: GenConfig = GenConfig {
     with_having: true,
 };
 const DRAW_CASES: u64 = 600;
+
+/// One query per form the printer writes: each subquery form with and
+/// without `NOT`, `OR` groups whose branches are conjunctions, grouping
+/// with `COUNT(*)`, `UNION ALL`, `JOIN … ON` and a whitespace-only literal.
+const FORMS: [&str; 10] = [
+    "SELECT S.sname FROM Sailor S WHERE S.sid IN (SELECT R.sid FROM Reserves R) \
+     AND S.age NOT IN (SELECT B.bid FROM Boat B WHERE B.color = 'red')",
+    "SELECT T.a FROM T WHERE T.a = ANY (SELECT U.b FROM U) \
+     AND NOT T.c = ANY (SELECT V.d FROM V WHERE V.e > 3)",
+    "SELECT T.a FROM T WHERE T.a >= ALL (SELECT U.b FROM U) \
+     AND NOT T.c < ALL (SELECT V.d FROM V)",
+    "SELECT F.person FROM Frequents F WHERE EXISTS (SELECT * FROM Likes L \
+     WHERE L.person = F.person AND NOT EXISTS (SELECT * FROM Serves S \
+     WHERE S.bar = F.bar AND S.drink = L.drink))",
+    "SELECT T.a FROM T WHERE T.x = 1 AND (T.a = 1 AND T.b = 2 OR T.c = 3 AND T.d = 'x y' \
+     OR EXISTS (SELECT * FROM U WHERE U.k = T.a))",
+    "SELECT T.a, COUNT(*), MAX(T.b) FROM T WHERE T.c = 1 GROUP BY T.a, T.d \
+     HAVING COUNT(*) >= 3 AND SUM(T.b) < 10",
+    "SELECT T.a FROM T WHERE T.a = 1 UNION ALL SELECT U.b FROM U \
+     UNION ALL SELECT V.c FROM V WHERE V.c <> 'z'",
+    "SELECT F.person FROM Frequents F JOIN Serves S ON F.bar = S.bar \
+     JOIN Likes L ON L.drink = S.drink WHERE L.person = F.person",
+    "SELECT T.a FROM T WHERE T.b = ' ' AND T.c = '\t\n' AND '  ' = T.d",
+    "SELECT a FROM T WHERE b = 2.50 OR c = 10",
+];
 
 /// Literal contents drawn per generated case, and their length cap.
 const LITERAL_CASES: u64 = 256;
@@ -61,6 +87,9 @@ fn with_literal(text: &str) -> String {
 fn word_count_matches_the_printed_text_on_the_corpus() {
     for request in paper_corpus_requests(&[]) {
         check(&request.sql);
+    }
+    for sql in FORMS {
+        check(sql);
     }
 }
 
