@@ -4,7 +4,9 @@
 //! keywords capitalized"; this printer reproduces that canonical layout so
 //! that (a) round-trip tests can compare ASTs after re-parsing and (b) the
 //! word-count complexity metric (§4.8) is computed over a normalized form
-//! rather than over incidental whitespace choices.
+//! rather than over incidental whitespace choices. The metric counts the
+//! pieces of this same walk (the crate-private `Sink`) without keeping
+//! the text.
 
 use crate::ast::*;
 use queryvis_ir::Names;
