@@ -6,11 +6,18 @@
 //! The goldens pin three hand-picked diagrams; this pins hundreds. The
 //! inputs are the paper corpus, one shadowed-alias query (the inner `a`
 //! repeats the outer alias, which exercises the repeated-path counter of
-//! mark ids), and a fixed-seed `sqlgen` draw from the widened grammar.
+//! mark ids), fixed queries with long labels, and a fixed-seed `sqlgen`
+//! draw from the widened grammar.
 //! Per input it digests the ascii, svg, scene_json and scene_json_v2
 //! bytes of the composed scene, plus the scene-diff patch from the
 //! previous input's scene, so a change to any number or text writer, or
 //! to any mark id, moves a constant.
+//!
+//! The draw's labels are short: a title, row text or edge endpoint past 22
+//! bytes is rare in it. The long-label inputs pin that side on purpose: a
+//! long string literal, table name, alias, `alias.column` endpoint and
+//! HAVING row, a label of exactly 22 bytes, and one whose 22nd byte falls
+//! inside a multi-byte char.
 //!
 //! The draw also has to reach coordinates whose shortest `{}` form has
 //! more than one decimal (for example `…39999999999998`): the goldens
@@ -46,13 +53,36 @@ const MIN_DRAWN: usize = 500;
 const SHADOWED_ALIAS: &str =
     "SELECT a.x FROM T a WHERE NOT EXISTS (SELECT * FROM U a WHERE a.y = 1)";
 
-/// Digests recorded before the writer rewrite.
+/// Labels longer than 22 bytes, and the lengths on either side of it.
+const LONG_LABELS: [&str; 7] = [
+    // A selection row with a long string literal.
+    "SELECT B.bid FROM Boat B WHERE B.color = 'a rather long literal past the inline bound'",
+    // A long table name.
+    "SELECT R.a FROM ReservationsArchiveOfTheYear R",
+    // Long `alias.column` edge endpoints, on both sides of an edge.
+    "SELECT Reservation.customerIdentifier FROM Reservations Reservation, Customers C \
+     WHERE Reservation.customerIdentifier = C.identifier",
+    // A long HAVING row.
+    "SELECT O.customer, SUM(O.amount) FROM Orders O GROUP BY O.customer \
+     HAVING SUM(O.totalAmount) >= 1000000",
+    // A 22-byte title, a 22-byte row (`x = '…'`) and a 23-byte row.
+    "SELECT T.a FROM TwentyTwoByteTableName T \
+     WHERE T.x = 'abcdefghijklmnop' AND T.y = 'abcdefghijklmnopq'",
+    // 21 ASCII bytes, then `é` across the 22nd and 23rd.
+    "SELECT T.a FROM T WHERE T.x = 'abcdefghijklmnop\u{e9}'",
+    // A long alias in a quantified title annotation and an endpoint.
+    "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
+     (SELECT * FROM Serves ServesWithALongAlias WHERE ServesWithALongAlias.bar = F.bar)",
+];
+
+/// Digests recorded before the writer rewrite, and re-recorded on that
+/// code when the long-label inputs were added.
 const EXPECTED: [(&str, u64); 5] = [
-    ("ascii", 0x5057903e70cf8f08),
-    ("svg", 0x38b07d500b195010),
-    ("scene_json", 0x05b3db3e2adbb1ea),
-    ("scene_json_v2", 0x6bc6daf782e97632),
-    ("patch", 0xca0128900ad5c59e),
+    ("ascii", 0xe851732be41cba68),
+    ("svg", 0x0c12e65826a383c1),
+    ("scene_json", 0x66f2f0c9cc1cdd22),
+    ("scene_json_v2", 0x001583612417a7e4),
+    ("patch", 0x335329030fed4e15),
 ];
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,6 +103,7 @@ fn inputs() -> Vec<String> {
         .map(|r| r.sql)
         .collect();
     sqls.push(SHADOWED_ALIAS.to_string());
+    sqls.extend(LONG_LABELS.map(str::to_string));
     for case in 0..DRAW_CASES {
         let mut rng = TestRng::for_case("render_digest", case);
         sqls.push(gen_query(&DRAW, &mut rng).canonical());
@@ -104,6 +135,21 @@ fn coordinates(scene: &Scene) -> Vec<f64> {
     out
 }
 
+/// Every label of the scene's marks longer than 22 bytes.
+fn long_labels(scene: &Scene) -> usize {
+    let long = |text: &str| usize::from(text.len() > 22);
+    scene
+        .marks()
+        .map(|(mark, _)| match mark {
+            Mark::Rect(_) => 0,
+            Mark::Text(t) => long(&t.text),
+            Mark::Edge(e) => {
+                long(&e.from_text) + long(&e.to_text) + e.label.as_deref().map_or(0, long)
+            }
+        })
+        .sum()
+}
+
 fn long_decimal(value: f64) -> bool {
     format!("{value}")
         .split_once('.')
@@ -115,10 +161,15 @@ fn rendered_bytes_match_recorded_digests() {
     let theme = SvgTheme::default();
     let mut digests = [FNV64_OFFSET; 5];
     let (mut compiled, mut patches, mut long_coordinates) = (0usize, 0usize, 0usize);
+    let mut long_labels_seen = 0usize;
     let mut previous: Option<std::sync::Arc<Scene>> = None;
     let mut patch = String::new();
     for sql in inputs() {
         let Ok(qv) = QueryVis::from_sql(&sql) else {
+            assert!(
+                !LONG_LABELS.contains(&sql.as_str()),
+                "{sql} does not compile"
+            );
             continue;
         };
         compiled += 1;
@@ -137,6 +188,7 @@ fn rendered_bytes_match_recorded_digests() {
             .into_iter()
             .filter(|&v| long_decimal(v))
             .count();
+        long_labels_seen += long_labels(&scene);
         previous = Some(scene);
     }
 
@@ -150,12 +202,16 @@ fn rendered_bytes_match_recorded_digests() {
         "the draw no longer reaches a coordinate with a long `{{}}` form"
     );
     assert!(patches > 0, "no consecutive scenes diffed to a patch");
+    assert!(
+        long_labels_seen >= 15,
+        "only {long_labels_seen} labels are longer than 22 bytes"
+    );
     for ((name, _), actual) in EXPECTED.iter().zip(digests) {
         println!("(\"{name}\", {actual:#018x}),");
     }
     println!(
         "{compiled} inputs compiled, {patches} patches, \
-         {long_coordinates} long-decimal coordinates"
+         {long_coordinates} long-decimal coordinates, {long_labels_seen} labels past 22 bytes"
     );
     let actual: Vec<(&str, u64)> = EXPECTED.iter().map(|(n, _)| *n).zip(digests).collect();
     assert_eq!(actual, EXPECTED, "rendered bytes drifted");
