@@ -423,7 +423,7 @@ impl QueryVis {
         let names = self.names();
         self.diagrams()
             .iter()
-            .map(|d| build_scene(d, &layout_diagram(d, names), names))
+            .map(|d| build_scene(d, layout_diagram(d, names), names))
             .collect()
     }
 

@@ -49,9 +49,9 @@ impl TableRow {
     /// `FUNC(column)` or `FUNC(column) op value`, a string value in single
     /// quotes. This is the one definition of the row text (render-boundary
     /// resolution: here the query's `names` become strings again).
-    /// [`TableRow::display`] joins the pieces and
-    /// [`TableRow::display_chars`] counts them.
-    fn text_pieces<'a>(&'a self, names: &'a Names) -> [&'a str; 9] {
+    /// [`TableRow::display`] joins the pieces, and layout joins them into
+    /// the scene's row text, which also sets its table's width.
+    pub fn text_pieces<'a>(&'a self, names: &'a Names) -> [&'a str; 9] {
         let column = names.resolve(self.column);
         let quote = |value: &Value| match value {
             Value::Number(_) => "",
@@ -94,16 +94,6 @@ impl TableRow {
     /// The text displayed in the row, in one exact-size allocation.
     pub fn display(&self, names: &Names) -> String {
         self.text_pieces(names).concat()
-    }
-
-    /// The number of chars [`TableRow::display`] holds, counted without
-    /// building it. Layout sizes a row by this count: a row is as wide as
-    /// the characters it displays, however many bytes encode them.
-    pub fn display_chars(&self, names: &Names) -> usize {
-        self.text_pieces(names)
-            .iter()
-            .map(|p| p.chars().count())
-            .sum()
     }
 }
 
@@ -275,47 +265,6 @@ mod tests {
         assert_eq!(attr.display(&names), "drinker");
         assert_eq!(sel.display(&names), "color = 'red'");
         assert_eq!(agg.display(&names), "SUM(Quantity)");
-    }
-
-    /// The char count layout sizes a row by is the char count of the text
-    /// the row displays, for every row kind, multibyte names and literals
-    /// included; a count of bytes would widen these rows.
-    #[test]
-    fn display_chars_counts_the_displayed_chars() {
-        let mut names = Names::new();
-        let rows = [
-            RowKind::Attribute,
-            RowKind::GroupBy,
-            RowKind::Selection {
-                op: CompareOp::Ne,
-                value: Value::Str(names.intern("Žatec ∄")),
-            },
-            RowKind::Aggregate { func: AggFunc::Avg },
-            RowKind::Having {
-                func: AggFunc::Count,
-                op: CompareOp::Ge,
-                value: Value::Number(names.intern("3")),
-            },
-        ]
-        .map(|kind| TableRow {
-            column: names.intern("Übersicht"),
-            kind,
-        });
-        let texts: Vec<String> = rows.iter().map(|row| row.display(&names)).collect();
-        assert_eq!(
-            texts,
-            [
-                "Übersicht",
-                "Übersicht",
-                "Übersicht <> 'Žatec ∄'",
-                "AVG(Übersicht)",
-                "COUNT(Übersicht) >= 3",
-            ]
-        );
-        for (row, text) in rows.iter().zip(&texts) {
-            assert!(text.chars().count() < text.len(), "{text} is multibyte");
-            assert_eq!(row.display_chars(&names), text.chars().count(), "{text}");
-        }
     }
 
     #[test]

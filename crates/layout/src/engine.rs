@@ -13,6 +13,7 @@
 //! row string is built to be measured.
 
 use crate::geometry::{Point, Rect};
+use crate::text::MarkText;
 use queryvis_diagram::{Diagram, TableId};
 use queryvis_logic::Names;
 
@@ -76,6 +77,10 @@ pub struct Layout {
     pub tables: Vec<TableLayout>,
     pub boxes: Vec<BoxLayout>,
     pub edges: Vec<EdgeLayout>,
+    /// The text of every row, in `TableId` and then row order, written
+    /// once: it sized its table here, and
+    /// [`build_scene`](crate::build_scene) moves it into the row's mark.
+    pub row_texts: Vec<MarkText>,
     /// Total drawing size.
     pub width: f64,
     pub height: f64,
@@ -97,7 +102,7 @@ pub fn layout_diagram(diagram: &Diagram, names: &Names) -> Layout {
 /// [`layout_diagram`] with `barycenter_passes` ordering sweeps (0 keeps
 /// the groups in construction order).
 fn layout_with_passes(diagram: &Diagram, names: &Names, barycenter_passes: usize) -> Layout {
-    let sizes = measure_tables(diagram, names);
+    let (sizes, row_texts) = measure_tables(diagram, names);
 
     // -------- Column assignment --------
     // Column 0: SELECT table. Column d+1: tables at nesting depth d.
@@ -256,6 +261,7 @@ fn layout_with_passes(diagram: &Diagram, names: &Names, barycenter_passes: usize
             .collect(),
         boxes: Vec::with_capacity(diagram.boxes.len()),
         edges: Vec::new(),
+        row_texts,
         width: total_width,
         height: total_height,
     };
@@ -290,9 +296,12 @@ fn layout_with_passes(diagram: &Diagram, names: &Names, barycenter_passes: usize
     layout
 }
 
-/// Each table's `(width, height)`, indexed by `TableId`.
-fn measure_tables(diagram: &Diagram, names: &Names) -> Vec<(f64, f64)> {
-    diagram
+/// Each table's `(width, height)`, indexed by `TableId`, and the text of
+/// every row, in `TableId` and row order.
+fn measure_tables(diagram: &Diagram, names: &Names) -> (Vec<(f64, f64)>, Vec<MarkText>) {
+    let rows = diagram.tables.iter().map(|t| t.rows.len()).sum();
+    let mut row_texts = Vec::with_capacity(rows);
+    let sizes = diagram
         .tables
         .iter()
         .map(|table| {
@@ -302,20 +311,23 @@ fn measure_tables(diagram: &Diagram, names: &Names) -> Vec<(f64, f64)> {
             let title_chars = names.resolve(table.name).chars().count();
             let mut text_width = title_chars as f64 * CHAR_WIDTH;
             for row in &table.rows {
-                text_width = text_width.max(row.display_chars(names) as f64 * CHAR_WIDTH);
+                let text = MarkText::from_pieces(&row.text_pieces(names));
+                text_width = text_width.max(text.chars().count() as f64 * CHAR_WIDTH);
+                row_texts.push(text);
             }
             let w = (text_width + 2.0 * CELL_PADDING).max(MIN_TABLE_WIDTH);
             let h = HEADER_HEIGHT + ROW_HEIGHT * table.rows.len() as f64;
             (w, h)
         })
-        .collect()
+        .collect();
+    (sizes, row_texts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::segments_cross;
-    use queryvis_diagram::build_diagram;
+    use queryvis_diagram::{build_diagram, TableRow};
     use queryvis_logic::{simplify, translate, translate_branches};
     use queryvis_sql::{parse_query, Names};
 
@@ -478,6 +490,51 @@ mod tests {
         };
         assert!(width("Zatec E") > MIN_TABLE_WIDTH);
         assert_eq!(width("Žatec ∄"), width("Zatec E"));
+    }
+
+    /// Layout writes each row's text once, and it is the text the row
+    /// displays, for every row kind, multibyte names and literals included:
+    /// `Übersicht` holds 9 chars in 10 bytes. The row texts follow table
+    /// and row order, and each table is as wide as its widest text in
+    /// chars; a count of bytes would widen these tables.
+    #[test]
+    fn row_texts_are_the_displayed_texts_sized_in_chars() {
+        let (tree, mut names) = lt("SELECT T.a, AVG(T.b) FROM T WHERE T.c <> 'Žatec ∄' \
+             GROUP BY T.a HAVING COUNT(T.d) >= 3");
+        let mut d = build_diagram(&tree);
+        let wide = names.intern("Übersicht");
+        for row in d.tables.iter_mut().flat_map(|t| &mut t.rows) {
+            row.column = wide;
+        }
+        let l = layout_diagram(&d, &names);
+        let rows: Vec<&TableRow> = d.tables.iter().flat_map(|t| &t.rows).collect();
+        let texts: Vec<&str> = l.row_texts.iter().map(MarkText::as_str).collect();
+        let displayed: Vec<String> = rows.iter().map(|row| row.display(&names)).collect();
+        assert_eq!(texts, displayed);
+        for kind in ["Attribute", "GroupBy", "Selection", "Aggregate", "Having"] {
+            assert!(
+                rows.iter()
+                    .any(|row| format!("{:?}", row.kind).starts_with(kind)),
+                "no {kind} row"
+            );
+        }
+        for text in &texts {
+            assert!(text.chars().count() < text.len(), "{text} is multibyte");
+        }
+        for table in &d.tables {
+            let chars = table
+                .rows
+                .iter()
+                .map(|row| row.display(&names).chars().count())
+                .fold(names.resolve(table.name).chars().count(), usize::max);
+            let width = (chars as f64 * CHAR_WIDTH + 2.0 * CELL_PADDING).max(MIN_TABLE_WIDTH);
+            assert_eq!(
+                l.table(table.id).rect.w,
+                width,
+                "{}",
+                names.resolve(table.name)
+            );
+        }
     }
 
     /// `Layout::table` indexes `tables` directly: one entry per diagram

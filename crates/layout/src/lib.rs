@@ -22,6 +22,7 @@ pub mod engine;
 pub mod geometry;
 pub mod number;
 pub mod scene;
+pub mod text;
 
 pub use carrier::{escape_json, Carrier, JsonEscaped, Lit};
 pub use engine::{layout_diagram, BoxLayout, EdgeLayout, Layout, TableLayout};
@@ -31,3 +32,4 @@ pub use scene::{
     build_scene, compose_union, EdgeKind, EdgeMark, IdHashBuilder, IdHasher, Mark, MarkRole,
     RectMark, Scene, SceneBadge, SceneBranch, StyleClass, TextMark, TextRole, UNION_BADGE_HEIGHT,
 };
+pub use text::MarkText;

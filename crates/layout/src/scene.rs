@@ -24,6 +24,7 @@
 
 use crate::engine::Layout;
 use crate::geometry::{Point, Rect};
+use crate::text::MarkText;
 use queryvis_diagram::{Diagram, EdgeEndpoint, RowKind};
 use queryvis_logic::{Names, Quantifier};
 use std::collections::{HashMap, HashSet};
@@ -105,7 +106,7 @@ pub struct RectMark {
 pub struct TextMark {
     /// Stable structural identity (see [`build_scene`]).
     pub id: u32,
-    pub text: String,
+    pub text: MarkText,
     pub anchor: Point,
     pub role: TextRole,
     /// Style class of the band this text sits on (header/row classes); lets
@@ -134,13 +135,13 @@ pub struct EdgeMark {
     pub kind: EdgeKind,
     /// Operator label text (`<>`, `<`, …); `None` for the unlabeled
     /// equijoin (§4.3.1 minimality).
-    pub label: Option<String>,
+    pub label: Option<MarkText>,
     /// Where the label is anchored, when present.
     pub label_pos: Point,
     /// Qualified source endpoint, e.g. `F.bar`.
-    pub from_text: String,
+    pub from_text: MarkText,
     /// Qualified target endpoint, e.g. `S.bar`.
-    pub to_text: String,
+    pub to_text: MarkText,
 }
 
 /// One mark of the display list.
@@ -338,26 +339,25 @@ pub fn header_class(is_select: bool) -> StyleClass {
 
 /// The char-medium title annotation for a table: `(alias)` when the alias
 /// differs from the base name, plus the quantifier symbol when the table
-/// sits in a box. Empty for plain tables.
+/// sits in a box, joined by a space when both are present. Empty for plain
+/// tables.
 pub fn title_annotation(
     diagram: &Diagram,
     names: &Names,
     table: queryvis_diagram::TableId,
-) -> String {
+) -> MarkText {
     let t = &diagram.tables[table];
-    let mut out = String::new();
-    if t.alias != t.name && !t.is_select {
-        out.push('(');
-        out.push_str(names.resolve(t.alias));
-        out.push(')');
-    }
-    if let Some(qbox) = diagram.box_of(table) {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(qbox.quantifier.symbol());
-    }
-    out
+    let alias = if t.alias != t.name && !t.is_select {
+        ["(", names.resolve(t.alias), ")"]
+    } else {
+        ["", "", ""]
+    };
+    let quantifier = match diagram.box_of(table) {
+        Some(qbox) if alias[0].is_empty() => ["", qbox.quantifier.symbol()],
+        Some(qbox) => [" ", qbox.quantifier.symbol()],
+        None => ["", ""],
+    };
+    MarkText::from_pieces(&[alias[0], alias[1], alias[2], quantifier[0], quantifier[1]])
 }
 
 /// Resolve one laid-out diagram into a single-branch [`Scene`].
@@ -365,11 +365,19 @@ pub fn title_annotation(
 /// This is the only place diagram topology meets geometry: every label is
 /// resolved through the query's `names` here, every derived rect (the ∀
 /// inner line, text anchors) is computed here, and backends downstream
-/// only project.
-pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
+/// only project. Row texts were written once by layout, which sized each
+/// table by them; they move from `layout` into the row marks.
+pub fn build_scene(diagram: &Diagram, layout: Layout, names: &Names) -> Scene {
+    let Layout {
+        tables,
+        boxes,
+        edges,
+        row_texts,
+        width,
+        height,
+    } = layout;
     // At most two marks per box, one per edge, four per table and two per row.
-    let rows: usize = diagram.tables.iter().map(|t| t.rows.len()).sum();
-    let capacity = layout.boxes.len() * 2 + layout.edges.len() + layout.tables.len() * 4 + rows * 2;
+    let capacity = boxes.len() * 2 + edges.len() + tables.len() * 4 + row_texts.len() * 2;
     let mut marks: Vec<Mark> = Vec::with_capacity(capacity);
     let mut ids = MarkIds::with_capacity(capacity);
 
@@ -381,7 +389,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
             .first()
             .map_or("", |&t| names.resolve(diagram.tables[t].alias))
     };
-    for bl in &layout.boxes {
+    for bl in &boxes {
         let qbox = &diagram.boxes[bl.box_index];
         match qbox.quantifier {
             Quantifier::NotExists => marks.push(Mark::Rect(RectMark {
@@ -420,9 +428,9 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
     let qualified = |end: EdgeEndpoint| {
         let table = &diagram.tables[end.table];
         let column = names.resolve(table.rows[end.row].column);
-        [names.resolve(table.alias), ".", column].concat()
+        MarkText::from_pieces(&[names.resolve(table.alias), ".", column])
     };
-    for el in &layout.edges {
+    for el in &edges {
         let edge = &diagram.edges[el.edge_index];
         let (from_text, to_text) = (qualified(edge.from), qualified(edge.to));
         let op = edge.label.map_or("-", |op| op.as_str());
@@ -439,15 +447,17 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
             } else {
                 EdgeKind::Undirected
             },
-            label: edge.label.map(|op| op.as_str().to_string()),
+            label: edge.label.map(|op| MarkText::from(op.as_str())),
             label_pos: el.label_pos,
             from_text,
             to_text,
         }));
     }
 
-    // Tables: frame, header band + title, then row bands + texts.
-    for tl in &layout.tables {
+    // Tables: frame, header band + title, then row bands + texts. Layout
+    // lists the row texts in table and row order, the order read here.
+    let mut row_texts = row_texts.into_iter();
+    for tl in &tables {
         let table = &diagram.tables[tl.table];
         let alias = names.resolve(table.alias);
         let header = header_class(table.is_select);
@@ -467,7 +477,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
         }));
         marks.push(Mark::Text(TextMark {
             id: ids.id(Path::new().str("title:").str(alias)),
-            text: names.resolve(table.name).to_string(),
+            text: MarkText::from(names.resolve(table.name)),
             anchor: tl.header.center(),
             role: TextRole::Title,
             class: header,
@@ -484,7 +494,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
         }
         let rowr = Path::new().str("rowr:").str(alias).str(":");
         let rowt = Path::new().str("rowt:").str(alias).str(":");
-        for (i, row) in table.rows.iter().enumerate() {
+        for (i, (row, text)) in table.rows.iter().zip(row_texts.by_ref()).enumerate() {
             let class = row_class(&row.kind);
             let rect = tl.row_rects[i];
             marks.push(Mark::Rect(RectMark {
@@ -496,7 +506,7 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
             }));
             marks.push(Mark::Text(TextMark {
                 id: ids.id(rowt.num(i)),
-                text: row.display(names),
+                text,
                 anchor: rect.center(),
                 role: TextRole::RowText,
                 class,
@@ -505,12 +515,12 @@ pub fn build_scene(diagram: &Diagram, layout: &Layout, names: &Names) -> Scene {
     }
 
     Scene {
-        width: layout.width,
-        height: layout.height,
+        width,
+        height,
         branches: vec![SceneBranch {
             dy: 0.0,
-            width: layout.width,
-            height: layout.height,
+            width,
+            height,
             marks,
         }],
         badges: Vec::new(),
@@ -580,8 +590,7 @@ mod tests {
         let mut names = Names::new();
         let query = parse_query(sql, &mut names).unwrap();
         let d = build_diagram(&translate(&query, None, &mut names).unwrap());
-        let l = layout_diagram(&d, &names);
-        build_scene(&d, &l, &names)
+        build_scene(&d, layout_diagram(&d, &names), &names)
     }
 
     const QNEG: &str = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
@@ -662,8 +671,7 @@ mod tests {
         .unwrap();
         let tree = translate(&query, None, &mut names).unwrap();
         let d = build_diagram(&queryvis_logic::simplify(&tree));
-        let l = layout_diagram(&d, &names);
-        let s = build_scene(&d, &l, &names);
+        let s = build_scene(&d, layout_diagram(&d, &names), &names);
         let boxes: Vec<&RectMark> = s.branches[0]
             .marks
             .iter()

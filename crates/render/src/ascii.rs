@@ -135,7 +135,7 @@ fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
                     match text.role {
                         TextRole::Title => {
                             if chars(&block.title) == 0 {
-                                block.title = vec![&text.text];
+                                block.title = vec![text.text.as_str()];
                             }
                         }
                         TextRole::TitleAnnotation => {

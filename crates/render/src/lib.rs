@@ -40,5 +40,5 @@ use queryvis_logic::Names;
 /// Convenience: lay out one diagram, whose names live in `names`, and
 /// resolve it into a single-branch [`Scene`].
 pub fn diagram_scene(diagram: &Diagram, names: &Names) -> Scene {
-    build_scene(diagram, &layout_diagram(diagram, names), names)
+    build_scene(diagram, layout_diagram(diagram, names), names)
 }

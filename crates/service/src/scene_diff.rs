@@ -41,8 +41,8 @@
 use crate::json::{escape_into, write_u64, Json};
 use crate::scene_json::write_mark_v2;
 use queryvis::layout::{
-    write_shortest, EdgeKind, EdgeMark, IdHashBuilder, Mark, MarkRole, Point, Rect, RectMark,
-    Scene, SceneBadge, StyleClass, TextMark, TextRole,
+    write_shortest, EdgeKind, EdgeMark, IdHashBuilder, Mark, MarkRole, MarkText, Point, Rect,
+    RectMark, Scene, SceneBadge, StyleClass, TextMark, TextRole,
 };
 
 /// One scene patch op. Geometry travels as the full v2 mark object — the
@@ -178,7 +178,7 @@ fn diff_marks(i: usize, old: &[Mark], new: &[Mark], ops: &mut Vec<PatchOp>) -> O
                         ops.push(PatchOp::Retext {
                             i,
                             id,
-                            s: t.text.clone(),
+                            s: t.text.as_str().to_owned(),
                         });
                     }
                 } else {
@@ -308,7 +308,7 @@ pub fn apply_patch(base: &Scene, ops: &[PatchOp]) -> Result<Scene, String> {
         for mark in &mut marks {
             if let Some(s) = retext.get(&mark.id()) {
                 match mark {
-                    Mark::Text(t) => t.text = (*s).to_string(),
+                    Mark::Text(t) => t.text = MarkText::from(*s),
                     _ => return Err(format!("retext addresses non-text mark {}", mark.id())),
                 }
             }
@@ -472,7 +472,7 @@ pub fn parse_mark(obj: &Json) -> Result<Mark, String> {
         })),
         "text" => Ok(Mark::Text(TextMark {
             id,
-            text: field_str(obj, "s")?.to_string(),
+            text: MarkText::from(field_str(obj, "s")?),
             anchor: Point {
                 x: field_f64(obj, "x")?,
                 y: field_f64(obj, "y")?,
@@ -487,7 +487,7 @@ pub fn parse_mark(obj: &Json) -> Result<Mark, String> {
             class: class_of(field_str(obj, "class")?)?,
         })),
         "edge" => {
-            let label = obj.get("label").and_then(Json::as_str).map(str::to_string);
+            let label = obj.get("label").and_then(Json::as_str).map(MarkText::from);
             let (lx, ly) = if label.is_some() {
                 (field_f64(obj, "lx")?, field_f64(obj, "ly")?)
             } else {
@@ -510,8 +510,8 @@ pub fn parse_mark(obj: &Json) -> Result<Mark, String> {
                 },
                 label,
                 label_pos: Point { x: lx, y: ly },
-                from_text: field_str(obj, "from")?.to_string(),
-                to_text: field_str(obj, "to")?.to_string(),
+                from_text: MarkText::from(field_str(obj, "from")?),
+                to_text: MarkText::from(field_str(obj, "to")?),
             }))
         }
         other => Err(format!("unknown mark type {other:?}")),
@@ -634,6 +634,29 @@ mod tests {
         );
         assert_eq!(ops.len(), 1, "{ops:?}");
         assert!(matches!(&ops[0], PatchOp::Retext { s, .. } if s.contains("Ow1")));
+    }
+
+    /// A row retexted to a 40-byte text, held on the heap, and back to a
+    /// short one, held inline: each edit is one retext, and the patched
+    /// scene, through the wire form, is the from-scratch scene. A wider
+    /// row keeps the table's width, so no geometry moves.
+    #[test]
+    fn retext_to_a_long_text_and_back_round_trips() {
+        let wide = "SELECT F.person FROM Frequents F \
+                    WHERE F.note = 'a note that sets the table width, 44 bytes' AND ";
+        let short = format!("{wide}F.bar = 'Owl'");
+        let long = format!("{wide}F.bar = 'a bar name of thirty-two bytes..'");
+        for (old, new, text) in [
+            (&short, &long, "bar = 'a bar name of thirty-two bytes..'"),
+            (&long, &short, "bar = 'Owl'"),
+        ] {
+            let ops = round_trip(old, new);
+            assert_eq!(ops.len(), 1, "{ops:?}");
+            assert!(
+                matches!(&ops[0], PatchOp::Retext { s, .. } if s == text),
+                "{ops:?}"
+            );
+        }
     }
 
     #[test]

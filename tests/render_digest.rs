@@ -14,7 +14,7 @@
 //! to any mark id, moves a constant.
 //!
 //! The draw's labels are short: a title, row text or edge endpoint past 22
-//! bytes is rare in it. The long-label inputs pin that side on purpose: a
+//! bytes, the most a mark's text holds inline, is rare in it. The long-label inputs pin that side on purpose: a
 //! long string literal, table name, alias, `alias.column` endpoint and
 //! HAVING row, a label of exactly 22 bytes, and one whose 22nd byte falls
 //! inside a multi-byte char.
