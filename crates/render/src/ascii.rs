@@ -13,13 +13,36 @@
 //! title annotated with its alias and quantifier symbol; selection rows
 //! are marked `*`, group-by rows `#`. Edges are listed below the grid in
 //! reading form, straight from the scene's resolved endpoint names.
+//!
+//! The grid is written line by line with no rescanning. A branch's rows
+//! sit in one flat list, each row's char count taken once. Its columns are
+//! ranges over one list of table indices, sorted by x and then, within
+//! each column, by y. Each column keeps a cursor, its current table and
+//! that table's line, which advances one line per output line. Padding,
+//! rules and the badge fill are cut from constant runs.
 
 use queryvis_layout::{
     lit, Carrier, EdgeKind, EdgeMark, Mark, MarkRole, Scene, StyleClass, TextRole,
 };
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Width of the `====… UNION …====` badge line between union branches.
 const BADGE_WIDTH: usize = 35;
+
+/// The constant runs padding, rules and the badge fill are cut from.
+const SPACES: &str = "                                ";
+const DASHES: &str = "--------------------------------";
+const EQUALS: &str = "================================";
+
+/// Append `n` chars of `run`, a run of one ASCII char, in slices of it.
+fn push_run(out: &mut String, run: &str, mut n: usize) {
+    while n > 0 {
+        let take = n.min(run.len());
+        out.push_str(&run[..take]);
+        n -= take;
+    }
+}
 
 /// Render a scene as plain text (union branches separated by a badge
 /// line).
@@ -39,19 +62,15 @@ pub fn write_ascii<C: Carrier>(out: &mut C, scene: &Scene) {
             // Project the badge rule into a fixed-width char rule with the
             // label centered on it.
             let pad = BADGE_WIDTH.saturating_sub(label.chars().count() + 2);
-            push_repeated(out.plain(), '=', pad / 2 + pad % 2);
+            push_run(out.plain(), EQUALS, pad / 2 + pad % 2);
             out.plain().push(' ');
             out.text(label);
             out.plain().push(' ');
-            push_repeated(out.plain(), '=', pad / 2);
+            push_run(out.plain(), EQUALS, pad / 2);
             out.lit(lit!("\n"));
         }
         write_branch(out, &branch.marks);
     }
-}
-
-fn push_repeated(out: &mut String, c: char, n: usize) {
-    out.extend(std::iter::repeat_n(c, n));
 }
 
 /// The ASCII row marker of a row-band style class (shared semantics with
@@ -64,22 +83,42 @@ fn marker(class: StyleClass) -> char {
     }
 }
 
+/// One row run of a branch, borrowed from the scene.
+struct Row<'a> {
+    marker: char,
+    text: &'a str,
+    /// `text`'s char count.
+    chars: usize,
+}
+
+/// A branch's text runs, in paint order: every table's title pieces, and
+/// every table's rows.
+#[derive(Default)]
+struct Runs<'a> {
+    titles: Vec<&'a str>,
+    rows: Vec<Row<'a>>,
+}
+
 /// One table box, rebuilt from the display list: the frame rect plus the
-/// content runs that followed it in paint order, borrowed from the scene
-/// and drawn line by line straight into the output.
-struct Block<'a> {
+/// content runs that followed it in paint order, drawn line by line
+/// straight into the output.
+struct Block {
     x: f64,
     right: f64,
     y: f64,
-    /// The title in pieces: the title run, then `" "` and each annotation.
-    title: Vec<&'a str>,
-    rows: Vec<(char, &'a str)>,
+    /// The title's pieces in [`Runs::titles`]: the first non-empty title
+    /// run, then `" "` and each annotation run after it.
+    title: Range<usize>,
+    /// The title's char count.
+    title_chars: usize,
+    /// The table's rows in [`Runs::rows`].
+    rows: Range<usize>,
     /// Interior width in chars: the widest of the title and the rows
     /// (each row one char wider for its marker).
     width: usize,
 }
 
-impl Block<'_> {
+impl Block {
     /// Box height in lines: three rules, the title, the rows.
     fn height(&self) -> usize {
         self.rows.len() + 4
@@ -87,38 +126,46 @@ impl Block<'_> {
 
     /// Write line `line` of the box: a `+---+` rule, `| title |`, or
     /// `| <marker>row |`, padded to the box width.
-    fn write_line<C: Carrier>(&self, out: &mut C, line: usize) {
+    fn write_line<C: Carrier>(&self, out: &mut C, runs: &Runs, line: usize) {
         if line == 0 || line == 2 || line == self.height() - 1 {
             let rule = out.plain();
             rule.push('+');
-            push_repeated(rule, '-', self.width + 2);
+            push_run(rule, DASHES, self.width + 2);
             rule.push('+');
             return;
         }
         out.plain().push_str("| ");
         let used = if line == 1 {
-            self.title.iter().for_each(|piece| out.text(piece));
-            chars(&self.title)
+            for piece in &runs.titles[self.title.clone()] {
+                out.text(piece);
+            }
+            self.title_chars
         } else {
-            let (marker, text) = self.rows[line - 3];
-            out.plain().push(marker);
-            out.text(text);
-            text.chars().count() + 1
+            let row = &runs.rows[self.rows.start + line - 3];
+            out.plain().push(row.marker);
+            out.text(row.text);
+            row.chars + 1
         };
-        push_repeated(out.plain(), ' ', self.width - used);
+        push_run(out.plain(), SPACES, self.width - used);
         out.plain().push_str(" |");
     }
 }
 
-fn chars(pieces: &[&str]) -> usize {
-    pieces.iter().map(|piece| piece.chars().count()).sum()
+/// Where a column's output stands: the position of its current table in
+/// the sorted index list, and that table's line. The line one past the
+/// table's last is the blank line below it.
+struct Cursor {
+    at: usize,
+    line: usize,
 }
 
 fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
     // -------- Pass 1: rebuild per-table content from mark order --------
     // A Frame rect opens a table; Title/Annotation/RowText runs up to the
-    // next Frame belong to it. Edge marks feed the legend.
+    // next Frame belong to it, and so sit at the end of the run lists
+    // while it is open. Edge marks feed the legend.
     let mut blocks: Vec<Block> = Vec::new();
+    let mut runs = Runs::default();
     let mut edges: Vec<&EdgeMark> = Vec::new();
     for mark in marks {
         match mark {
@@ -126,24 +173,36 @@ fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
                 x: rect.rect.x,
                 right: rect.rect.right(),
                 y: rect.rect.y,
-                title: Vec::new(),
-                rows: Vec::new(),
+                title: runs.titles.len()..runs.titles.len(),
+                title_chars: 0,
+                rows: runs.rows.len()..runs.rows.len(),
                 width: 0,
             }),
             Mark::Text(text) => {
                 if let Some(block) = blocks.last_mut() {
                     match text.role {
-                        TextRole::Title => {
-                            if chars(&block.title) == 0 {
-                                block.title = vec![text.text.as_str()];
-                            }
+                        TextRole::Title if block.title_chars == 0 => {
+                            runs.titles.truncate(block.title.start);
+                            runs.titles.push(&text.text);
+                            block.title_chars = text.text.chars().count();
                         }
                         TextRole::TitleAnnotation => {
-                            block.title.extend([" ", text.text.as_str()]);
+                            runs.titles.extend([" ", text.text.as_str()]);
+                            block.title_chars += 1 + text.text.chars().count();
                         }
-                        TextRole::RowText => block.rows.push((marker(text.class), &text.text)),
-                        TextRole::EdgeLabel => {}
+                        TextRole::RowText => {
+                            let chars = text.text.chars().count();
+                            runs.rows.push(Row {
+                                marker: marker(text.class),
+                                text: &text.text,
+                                chars,
+                            });
+                            block.width = block.width.max(chars + 1);
+                        }
+                        TextRole::Title | TextRole::EdgeLabel => {}
                     }
+                    block.title.end = runs.titles.len();
+                    block.rows.end = runs.rows.len();
                 }
             }
             Mark::Edge(edge) => edges.push(edge),
@@ -151,11 +210,7 @@ fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
         }
     }
     for block in &mut blocks {
-        block.width = block
-            .rows
-            .iter()
-            .map(|(_, text)| text.chars().count() + 1)
-            .fold(chars(&block.title), usize::max);
+        block.width = block.width.max(block.title_chars);
     }
 
     // -------- Pass 2: project x → column, y → order within column --------
@@ -164,34 +219,31 @@ fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
     // Chaining x-overlaps therefore recovers the column structure without
     // re-deriving it. Box interiors size to their text in char cells;
     // positions (columns, stacking) come from the scene geometry.
+    let by = |key: fn(&Block) -> f64| {
+        let blocks = &blocks;
+        move |&a: &usize, &b: &usize| {
+            key(&blocks[a])
+                .partial_cmp(&key(&blocks[b]))
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        }
+    };
     let mut order: Vec<usize> = (0..blocks.len()).collect();
-    order.sort_by(|&a, &b| {
-        blocks[a]
-            .x
-            .partial_cmp(&blocks[b].x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut columns: Vec<Vec<usize>> = Vec::new();
+    order.sort_by(by(|block| block.x));
+    let mut columns: Vec<Range<usize>> = Vec::new();
     let mut column_right = f64::NEG_INFINITY;
-    for idx in order {
+    for (at, &idx) in order.iter().enumerate() {
         let block = &blocks[idx];
         if columns.is_empty() || block.x >= column_right {
-            columns.push(Vec::new());
+            columns.push(at..at);
             column_right = block.right;
         } else {
             column_right = column_right.max(block.right);
         }
-        columns.last_mut().expect("non-empty").push(idx);
+        columns.last_mut().expect("non-empty").end = at + 1;
     }
-    for column in &mut columns {
-        column.sort_by(|&a, &b| {
-            blocks[a]
-                .y
-                .partial_cmp(&blocks[b].y)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+    for column in &columns {
+        order[column.clone()].sort_by(by(|block| block.y));
     }
 
     // -------- Pass 3: stack within columns, join side by side --------
@@ -199,30 +251,53 @@ fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
     // them; each column pads to its widest box plus a three-space gutter.
     // Trailing blanks are never written: box lines end in `+` or `|`, so
     // a line ends at its last non-blank cell.
+    let column_blocks = |column: &Range<usize>| order[column.clone()].iter().map(|&id| &blocks[id]);
     let widths: Vec<usize> = columns
         .iter()
-        .map(|ids| {
-            ids.iter()
-                .map(|&id| blocks[id].width + 4)
+        .map(|column| {
+            column_blocks(column)
+                .map(|block| block.width + 4)
                 .max()
                 .unwrap_or(0)
         })
         .collect();
     let max_height = columns
         .iter()
-        .map(|ids| ids.iter().map(|&id| blocks[id].height() + 1).sum::<usize>() - 1)
+        .map(|column| {
+            column_blocks(column)
+                .map(|block| block.height() + 1)
+                .sum::<usize>()
+                - 1
+        })
         .max()
         .unwrap_or(0);
-    for line in 0..max_height {
+    let mut cursors: Vec<Cursor> = columns
+        .iter()
+        .map(|column| Cursor {
+            at: column.start,
+            line: 0,
+        })
+        .collect();
+    for _ in 0..max_height {
         let mut pending = 0;
-        for (column, &width) in columns.iter().zip(&widths) {
-            match cell(&blocks, column, line) {
-                Some((block, block_line)) => {
-                    push_repeated(out.plain(), ' ', pending);
-                    block.write_line(out, block_line);
+        for ((column, cursor), &width) in columns.iter().zip(&mut cursors).zip(&widths) {
+            let block = (cursor.at < column.end).then(|| &blocks[order[cursor.at]]);
+            match block {
+                Some(block) if cursor.line < block.height() => {
+                    push_run(out.plain(), SPACES, pending);
+                    block.write_line(out, &runs, cursor.line);
                     pending = width - (block.width + 4) + 3;
+                    cursor.line += 1;
                 }
-                None => pending += width + 3,
+                _ => {
+                    // A blank cell: the line below a table, which moves
+                    // the cursor to the next, or past the column's end.
+                    pending += width + 3;
+                    if block.is_some() {
+                        cursor.at += 1;
+                        cursor.line = 0;
+                    }
+                }
             }
         }
         out.lit(lit!("\n"));
@@ -248,26 +323,6 @@ fn write_branch<C: Carrier>(out: &mut C, marks: &[Mark]) {
             out.lit(lit!("\n"));
         }
     }
-}
-
-/// The box (and its line) that `line` of a column shows, or `None` for a
-/// blank cell: a separator between boxes, or below the column's end.
-fn cell<'b, 'a>(
-    blocks: &'b [Block<'a>],
-    column: &[usize],
-    mut line: usize,
-) -> Option<(&'b Block<'a>, usize)> {
-    for &id in column {
-        let height = blocks[id].height();
-        if line < height {
-            return Some((&blocks[id], line));
-        }
-        if line == height {
-            return None;
-        }
-        line -= height + 1;
-    }
-    None
 }
 
 #[cfg(test)]
