@@ -95,31 +95,54 @@ fn round_scaled(value: f64, scale: f64) -> Option<u64> {
 
 /// Write `scaled / 10^decimals` with exactly `decimals` fractional digits.
 fn write_fixed(out: &mut String, scaled: u64, decimals: usize) {
-    out.push_str(fixed_digits(&mut [0; 24], scaled, decimals));
+    let mut buf = [0; 24];
+    let digits = fixed_digits(&mut buf, scaled, decimals);
+    out.extend(digits.iter().map(|&digit| char::from(digit)));
 }
 
-/// `scaled / 10^decimals` with exactly `decimals` fractional digits,
-/// formatted into the end of `buf`.
-pub(crate) fn fixed_digits(buf: &mut [u8; 24], mut scaled: u64, decimals: usize) -> &str {
-    let mut i = buf.len();
-    for _ in 0..decimals {
-        i -= 1;
-        buf[i] = b'0' + (scaled % 10) as u8;
+/// `00`, `01`, …, `99`: the two ASCII digits of `n < 100` at `2n`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Put the two digits of `n < 100` just before `buf[*at]`.
+fn put_pair(buf: &mut [u8; 24], at: &mut usize, n: u64) {
+    let pair = n as usize * 2;
+    *at -= 2;
+    buf[*at..*at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+}
+
+/// `scaled / 10^decimals` with exactly `decimals` fractional digits, as
+/// ASCII bytes formatted into the end of `buf`, two digits per step.
+pub(crate) fn fixed_digits(buf: &mut [u8; 24], mut scaled: u64, decimals: usize) -> &[u8] {
+    let mut at = buf.len();
+    for _ in 0..decimals / 2 {
+        put_pair(buf, &mut at, scaled % 100);
+        scaled /= 100;
+    }
+    if decimals % 2 == 1 {
+        at -= 1;
+        buf[at] = b'0' + (scaled % 10) as u8;
         scaled /= 10;
     }
     if decimals > 0 {
-        i -= 1;
-        buf[i] = b'.';
+        at -= 1;
+        buf[at] = b'.';
     }
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (scaled % 10) as u8;
-        scaled /= 10;
-        if scaled == 0 {
-            break;
-        }
+    while scaled >= 100 {
+        put_pair(buf, &mut at, scaled % 100);
+        scaled /= 100;
     }
-    std::str::from_utf8(&buf[i..]).expect("ascii digits")
+    if scaled >= 10 {
+        put_pair(buf, &mut at, scaled);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + scaled as u8;
+    }
+    &buf[at..]
 }
 
 #[cfg(test)]
@@ -217,10 +240,21 @@ mod tests {
         }
     }
 
+    /// Twentieths, and each power-of-ten boundary the pair table crosses
+    /// below the limit, where a value gains a digit: `10^k − 1`, `10^k`
+    /// and `10^k + 1`, whole and as tenths and hundredths.
     #[test]
     fn twentieths_and_their_neighbours_match_core_fmt() {
         for k in 0..200_000u32 {
             check_with_neighbours(f64::from(k) / 20.0);
+        }
+        for k in 0..=7 {
+            let power = 10f64.powi(k);
+            for whole in [power - 1.0, power, power + 1.0] {
+                for divisor in [1.0, 10.0, 100.0] {
+                    check_with_neighbours(whole / divisor);
+                }
+            }
         }
     }
 

@@ -181,8 +181,12 @@ impl Path {
         }
     }
 
-    fn str(mut self, s: &str) -> Path {
-        for &b in s.as_bytes() {
+    fn str(self, s: &str) -> Path {
+        self.bytes(s.as_bytes())
+    }
+
+    fn bytes(mut self, bytes: &[u8]) -> Path {
+        for &b in bytes {
             self.h32 = (self.h32 ^ u32::from(b)).wrapping_mul(0x0100_0193);
             self.h64 = (self.h64 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -191,7 +195,7 @@ impl Path {
 
     /// The decimal digits of `n`, as `{n}` prints them.
     fn num(self, n: usize) -> Path {
-        self.str(crate::number::fixed_digits(&mut [0; 24], n as u64, 0))
+        self.bytes(crate::number::fixed_digits(&mut [0; 24], n as u64, 0))
     }
 }
 
