@@ -155,24 +155,31 @@ fn layout_with_passes(diagram: &Diagram, names: &Names, barycenter_passes: usize
     // A group's new order is the mean order of the groups its edges reach
     // outside it, summed in edge order. Orders change only at the end of
     // each column, so every group of a column reads the orders the column
-    // started with.
+    // started with. A group's column never changes, so each column's
+    // (inside, outside) pairs are listed once, in edge order (the sort is
+    // stable), and each pass visits each pair once.
+    let mut pairs: Vec<(usize, usize, usize)> = Vec::with_capacity(2 * diagram.edges.len());
+    for edge in &diagram.edges {
+        let (a, b) = (group_of[edge.from.table], group_of[edge.to.table]);
+        if a != b {
+            pairs.push((groups[a].column, a, b));
+            pairs.push((groups[b].column, b, a));
+        }
+    }
+    pairs.sort_by_key(|&(column, _, _)| column);
     let mut sums = vec![(0.0_f64, 0_usize); groups.len()];
     for _ in 0..barycenter_passes {
-        for col in 0..n_columns {
-            for edge in &diagram.edges {
-                let (a, b) = (group_of[edge.from.table], group_of[edge.to.table]);
-                for (inside, outside) in [(a, b), (b, a)] {
-                    if inside != outside && groups[inside].column == col {
-                        sums[inside].0 += groups[outside].order;
-                        sums[inside].1 += 1;
-                    }
-                }
+        for column in pairs.chunk_by(|p, q| p.0 == q.0) {
+            for &(_, inside, outside) in column {
+                sums[inside].0 += groups[outside].order;
+                sums[inside].1 += 1;
             }
-            for (group, sum) in groups.iter_mut().zip(&mut sums) {
+            for &(_, inside, _) in column {
+                let sum = &mut sums[inside];
                 if sum.1 > 0 {
-                    group.order = sum.0 / sum.1 as f64;
+                    groups[inside].order = sum.0 / sum.1 as f64;
+                    *sum = (0.0, 0);
                 }
-                *sum = (0.0, 0);
             }
         }
     }
