@@ -8,9 +8,12 @@
 //! Everything is indexed by position, nothing is hashed: per-table values
 //! live in vectors indexed by `TableId` (a table's index in
 //! `Diagram::tables`), per-group values in the group list, and a table's
-//! group membership is one compare of `group_of[t]`. Widths come from
-//! counting each row's displayed chars (`TableRow::display_chars`), so no
-//! row string is built to be measured.
+//! group membership is one compare of `group_of[t]`. Each row's text is
+//! written once, here, as a [`MarkText`] joined from the row-text pieces
+//! (`TableRow::text_pieces`): its char count sizes the table, and
+//! [`Layout::row_texts`] hands it on to the scene, so no row is resolved
+//! twice. Barycenter passes visit each column's group pairs, listed once
+//! in edge order, instead of every edge once per column.
 
 use crate::geometry::{Point, Rect};
 use crate::text::MarkText;

@@ -26,6 +26,11 @@
 //!   `v × 10^d`, that is the shortest form: no shorter decimal is an
 //!   integer, and below the limit no two `d`-digit decimals share a value.
 //!   Longer forms (`…39999999999998`) fall back.
+//!
+//! A fast path writes its digits two at a time from a `00`–`99` pair
+//! table, into a stack buffer, and pushes them as chars after one
+//! reserve: it never re-validates its own ASCII output as UTF-8. Mark-id
+//! path hashing reads the same digits as bytes.
 
 use std::fmt::Write;
 

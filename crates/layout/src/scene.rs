@@ -8,11 +8,17 @@
 //! (multi-branch) stacking logic was triplicated per format. A [`Scene`]
 //! fixes that: [`build_scene`] resolves one diagram + one layout into a
 //! flat, ordered list of *marks* — rectangles, text runs, and edges with
-//! every label already a string — and [`compose_union`] stacks branch
+//! every label already resolved — and [`compose_union`] stacks branch
 //! scenes (offsets, badges, total extent) exactly once. Backends are
 //! then thin walkers: they *project* mark coordinates into their medium
 //! (px for SVG, char cells for ASCII, JSON for machine clients) but never
 //! invent geometry.
+//!
+//! Every label is a [`MarkText`]: short text inline, long text in one
+//! box, each built from its pieces without an intermediate `String`. Row
+//! texts arrive already written: layout wrote each once to size its
+//! table, and [`build_scene`] takes the [`Layout`] by value and moves
+//! them into the row marks.
 //!
 //! Mark order is paint order (painter's algorithm): quantifier boxes
 //! first (beneath everything), then edges (beneath tables so lines
