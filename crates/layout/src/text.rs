@@ -87,12 +87,6 @@ impl PartialEq for MarkText {
     }
 }
 
-impl PartialEq<str> for MarkText {
-    fn eq(&self, other: &str) -> bool {
-        **self == *other
-    }
-}
-
 impl PartialEq<&str> for MarkText {
     fn eq(&self, other: &&str) -> bool {
         **self == **other
