@@ -17,10 +17,10 @@
 //!   union-branch rotation, and `JOIN … ON` syntax for eligible blocks.
 //!   The variant parses to a different (or differently spelled) text with
 //!   the **same canonical pattern fingerprint**;
-//! * [`GenQuery::text_variant`] — a *normalization-equivalent* rewrite:
-//!   same token stream modulo whitespace, comments, keyword case,
-//!   `!=`/`SOME` spellings, and a trailing semicolon. The variant must hit
-//!   the same L1 memo entry as the canonical text.
+//! * [`GenQuery::text_variant`] — a *spelling-only* rewrite: the same
+//!   token stream with other whitespace, comments, keyword case, `!=`
+//!   and `SOME` spellings, and a trailing semicolon. The variant must
+//!   keep the canonical text's fingerprint.
 //!
 //! Emission is deterministic: the same [`TestRng`] seed yields the same
 //! query and variants.
@@ -423,8 +423,8 @@ impl GenQuery {
         })
     }
 
-    /// A normalization-equivalent rewrite of the canonical text: the L1
-    /// memo must treat it as the same key.
+    /// A spelling-only rewrite of the canonical text (same token stream):
+    /// it must keep the canonical text's fingerprint.
     pub fn text_variant(&self, salt: u64) -> String {
         let mut opts = CANONICAL;
         opts.noisy = true;

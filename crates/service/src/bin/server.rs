@@ -18,7 +18,7 @@
 //! ```
 
 use queryvis_service::{
-    fault, CacheConfig, DiagramService, Format, MemoConfig, Server, ServerConfig, ServiceConfig,
+    fault, CacheConfig, DiagramService, Format, Server, ServerConfig, ServiceConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -132,10 +132,6 @@ fn main() {
     let service = Arc::new(DiagramService::new(ServiceConfig {
         cache: CacheConfig {
             capacity: cli.capacity,
-            shards: cli.shards,
-        },
-        memo: MemoConfig {
-            capacity: cli.capacity.saturating_mul(4),
             shards: cli.shards,
         },
         options: Default::default(),

@@ -41,8 +41,8 @@ use queryvis_service::json::{self, Json};
 use queryvis_service::net::{LineReader, Poll};
 use queryvis_service::stats_json::{histogram_json, stats_snapshot_json, write_trace_jsonl};
 use queryvis_service::{
-    paper_corpus_requests, CacheConfig, DiagramService, Format, Frontend, MemoConfig, Served,
-    ServiceConfig, ServiceStats,
+    paper_corpus_requests, CacheConfig, DiagramService, Format, Frontend, Served, ServiceConfig,
+    ServiceStats,
 };
 use queryvis_telemetry::TelemetrySnapshot;
 use std::io::Write;
@@ -274,13 +274,6 @@ fn main() {
     let service = Arc::new(DiagramService::new(ServiceConfig {
         cache: CacheConfig {
             capacity: cli.capacity,
-            shards: cli.shards,
-        },
-        // L1 holds *texts* (many per pattern), so it gets 4× the entry
-        // budget of the diagram cache; its entries are tiny (normalized
-        // bytes + 20B) next to compiled diagrams.
-        memo: MemoConfig {
-            capacity: cli.capacity.saturating_mul(4),
             shards: cli.shards,
         },
         options: Default::default(),

@@ -13,7 +13,7 @@
 //! compile):
 //!
 //! ```text
-//! SQL text → L1 memo (normalized bytes → fingerprint)
+//! SQL text → L1 memo (exact text → fingerprint)
 //!              │ miss: parse → translate → canonical pattern → fingerprint
 //!              ▼
 //!            L2 sharded ARC cache (fingerprint → compiled entry)
@@ -24,7 +24,7 @@
 //!                 into responses, copied into reply lines)
 //! ```
 //!
-//! * [`memo`] — the L1 text→fingerprint memo (byte-level normalization,
+//! * [`memo`] — the L1 text→fingerprint memo (keyed by the text as sent,
 //!   exact match, invalidated on L2 eviction);
 //! * [`fingerprint`] — canonical-pattern cache keys;
 //! * [`cache`] — the N-shard ARC cache, one mutex per shard, with
@@ -73,7 +73,7 @@ pub use cache::{CacheConfig, CacheStats, ShardedCache};
 pub use compile::{compile_representative, CompiledEntry};
 pub use fingerprint::{fingerprint_prepared, fingerprint_sql, Fingerprint, FingerprintedQuery};
 pub use frontend::{Frontend, Served};
-pub use memo::{L1Memo, MemoConfig, MemoStats};
+pub use memo::{L1Memo, MemoStats};
 pub use protocol::{Artifacts, ErrorKind, Format, Request, Response, ServiceError};
 pub use scene_diff::{apply_patch, diff_scenes, parse_patch_ops, write_patch_ops, PatchOp};
 pub use scene_json::{scene_json, scene_json_v2, write_scene_json, write_scene_json_v2};

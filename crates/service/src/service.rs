@@ -11,15 +11,16 @@
 //! ([`crate::session`]) take the same path.
 //!
 //! **The warm path.** Before any lexing happens, the request text is
-//! probed in the [`L1Memo`]: a repeat text (modulo whitespace, comments,
-//! and keyword case) resolves straight to its pattern fingerprint and
-//! word count, skipping parse, translation, and canonicalization
-//! entirely, and proceeds to the L2 entry whose `Arc<str>` artifacts are
-//! shared — not copied — into the response. L1 and L2 stay coherent: an
-//! L2 eviction eagerly invalidates every L1 text pointing at the evicted
-//! fingerprint, and the rare lost race (evicted between L1 probe and L2
-//! get) falls back to the full frontend. The memo never changes response
-//! bytes — it only skips recomputing them.
+//! probed in the [`L1Memo`]: a text seen before, byte for byte, resolves
+//! straight to its pattern fingerprint and word count, skipping parse,
+//! translation, and canonicalization entirely, and proceeds to the L2
+//! entry whose `Arc<str>` artifacts are shared — not copied — into the
+//! response. A respelling of a seen text runs the frontend once and is
+//! served from the same L2 entry without a compile. L1 and L2 stay
+//! coherent: an L2 eviction eagerly invalidates every L1 text pointing at
+//! the evicted fingerprint, and the rare lost race (evicted between L1
+//! probe and L2 get) falls back to the full frontend. The memo never
+//! changes response bytes — it only skips recomputing them.
 //!
 //! **Names.** Every request parses into a name table of its own, dropped
 //! with the request. A [`CompiledEntry`] keeps its representative's
@@ -30,7 +31,7 @@
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::compile::{compile_representative, CompiledEntry};
 use crate::fingerprint::{fingerprint_sql, Fingerprint, FingerprintedQuery};
-use crate::memo::{L1Memo, MemoConfig, MemoKey, MemoStats};
+use crate::memo::{L1Memo, MemoStats};
 use crate::protocol::{
     Artifacts, ErrorKind, Format, Request, Response, SampleOutcome, ServiceError,
 };
@@ -43,12 +44,16 @@ use std::sync::Arc;
 /// End-to-end request latency: `handle()` wall time.
 static STAGE_REQUEST: StageDef = StageDef::new("request");
 
+/// L1 memo entries per L2 cache entry: the memo holds *texts*, many per
+/// pattern, and its entries are small next to compiled diagrams.
+const MEMO_TEXTS_PER_ENTRY: usize = 4;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
+    /// L2 geometry. The L1 memo gets four times its capacity
+    /// (`MEMO_TEXTS_PER_ENTRY`) over the same number of shards.
     pub cache: CacheConfig,
-    /// Geometry of the L1 text→fingerprint memo.
-    pub memo: MemoConfig,
     /// Pipeline options applied to every request (schema, strictness, …).
     pub options: QueryVisOptions,
     /// Formats served when a request does not name any.
@@ -59,7 +64,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache: CacheConfig::default(),
-            memo: MemoConfig::default(),
             options: QueryVisOptions::default(),
             default_formats: vec![Format::Ascii],
         }
@@ -91,7 +95,7 @@ pub struct DiagramService {
     /// Shared copy of `config.options` so the per-request front half never
     /// clones a configured schema.
     options: Arc<QueryVisOptions>,
-    /// L1: normalized request text → fingerprint (+ word count).
+    /// L1: request text → fingerprint (+ word count).
     memo: L1Memo,
     /// L2: fingerprint → compiled entry.
     cache: ShardedCache,
@@ -106,7 +110,10 @@ impl DiagramService {
     pub fn new(config: ServiceConfig) -> DiagramService {
         DiagramService {
             cache: ShardedCache::new(config.cache),
-            memo: L1Memo::new(config.memo),
+            memo: L1Memo::new(
+                config.cache.capacity.saturating_mul(MEMO_TEXTS_PER_ENTRY),
+                config.cache.shards,
+            ),
             options: Arc::new(config.options.clone()),
             config,
             requests: AtomicU64::new(0),
@@ -185,8 +192,7 @@ impl DiagramService {
         self.requests.fetch_add(1, Ordering::Relaxed);
         // L1: a repeat text resolves to its fingerprint without touching
         // the frontend at all.
-        let (hit, key) = self.memo.lookup_key(sql);
-        if let Some((fingerprint, words)) = hit {
+        if let Some((fingerprint, words)) = self.memo.lookup(sql) {
             if let Some(entry) = self.cache.get(fingerprint) {
                 self.l1_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((words as usize, entry));
@@ -195,20 +201,15 @@ impl DiagramService {
             // and our probe (or we raced it): fall through to the full
             // path, which recompiles and re-publishes both levels.
         }
-        self.resolve_miss(sql, key)
+        self.resolve_miss(sql)
     }
 
     /// [`Self::resolve`] past the L1 probe: frontend, L2 lookup or
-    /// compile, then memoize the text under the probe's `key`. Kept out
-    /// of line so the L1-hit path that `handle` inlines stays small: with
-    /// this body inlined too, warm serving p50 read ~8 % slower (2-vCPU
-    /// x86-64 host).
+    /// compile, then memoize the text. Kept out of line so the L1-hit
+    /// path that `handle` inlines stays small: with this body inlined
+    /// too, warm serving p50 read ~8 % slower (2-vCPU x86-64 host).
     #[inline(never)]
-    fn resolve_miss(
-        &self,
-        sql: &str,
-        key: MemoKey,
-    ) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
+    fn resolve_miss(&self, sql: &str) -> Result<(usize, Arc<CompiledEntry>), ServiceError> {
         let resolved = fingerprint_sql(sql, Arc::clone(&self.options))
             .map_err(|e| ServiceError::new(ErrorKind::Compile, e.to_string()))
             .and_then(|fingerprinted| {
@@ -217,7 +218,7 @@ impl DiagramService {
                 let entry = self.entry_for(fingerprinted)?;
                 // Memoize only after the entry is resident in L2, so an L1
                 // hit almost always finds its L2 entry.
-                self.memo.insert_key(key, sql, fingerprint, words as u32);
+                self.memo.insert(sql, fingerprint, words as u32);
                 Ok((words, entry))
             });
         if resolved.is_err() {

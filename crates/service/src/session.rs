@@ -611,12 +611,14 @@ mod tests {
         assert!(reply.scene.is_some());
         assert_eq!(store.open_count(), 1);
 
-        // Whitespace edit: the L1 memo recognizes the text, nothing
-        // compiles, and the unchanged scene ships as an empty patch.
+        // Whitespace edit: a new text, so an L1 miss, but its pattern's
+        // entry is in L2, nothing compiles, and the unchanged scene ships
+        // as an empty patch.
         let before = store.service.stats();
         let reply = store.edit(id, &[ins(6, "  ")], 1).unwrap().unwrap();
         let after = store.service.stats();
-        assert_eq!(after.l1_hits, before.l1_hits + 1);
+        assert_eq!(after.l1_hits, before.l1_hits);
+        assert_eq!(after.cache.hits, before.cache.hits + 1);
         assert_eq!(after.compiles, before.compiles);
         assert_eq!(reply.patch.as_deref(), Some(""));
 

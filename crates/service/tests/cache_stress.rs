@@ -16,7 +16,7 @@
 use queryvis::QueryVisOptions;
 use queryvis_service::{
     compile_representative, fingerprint_sql, paper_corpus_requests, CacheConfig, CompiledEntry,
-    DiagramService, Fingerprint, Format, L1Memo, MemoConfig, Response, ServiceConfig, ShardedCache,
+    DiagramService, Fingerprint, Format, L1Memo, Response, ServiceConfig, ShardedCache,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -93,10 +93,7 @@ fn l1_lookups_never_return_a_stale_fingerprint_under_churn() {
     // readers look the same texts up: a hit must always carry the
     // fingerprint memoized for that exact text. Tiny shards force
     // eviction and FIFO compaction.
-    let memo = L1Memo::new(MemoConfig {
-        capacity: 32,
-        shards: 2,
-    });
+    let memo = L1Memo::new(32, 2);
     let texts: Vec<(String, Fingerprint, u32)> = (0..64u32)
         .map(|i| {
             (

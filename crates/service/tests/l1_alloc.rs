@@ -1,12 +1,12 @@
-//! The L1 lookup path allocates nothing once its thread has looked up
-//! its longest text: a lookup normalizes into a per-thread key buffer
-//! that keeps its capacity (`memo.rs` module docs). A hit, a
-//! normalization variant, an absent key and the two dirty scans
-//! (unterminated comment, unterminated string) are each counted by a
-//! global allocator that keeps one count per thread, so tests running
-//! in parallel do not see each other's allocations.
+//! The L1 lookup path allocates nothing, from a thread's first lookup
+//! on: a lookup hashes the text as sent and compares it with the entry
+//! under that hash (`memo.rs` module docs). A hit, a respelling, an
+//! absent text and two malformed texts (unterminated comment,
+//! unterminated string) are each counted by a global allocator that
+//! keeps one count per thread, so tests running in parallel do not see
+//! each other's allocations.
 
-use queryvis_service::{Fingerprint, L1Memo, MemoConfig};
+use queryvis_service::{Fingerprint, L1Memo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -41,16 +41,15 @@ const MEMOIZED: &str = "SELECT F.person FROM Frequents F WHERE NOT EXISTS \
 
 #[test]
 fn lookups_allocate_nothing_once_the_thread_saw_its_longest_text() {
-    let memo = L1Memo::new(MemoConfig::default());
+    let memo = L1Memo::new(4 * 4096, 16);
     memo.insert(MEMOIZED, Fingerprint(7), 11);
-    let longest = format!("/* the longest text this thread looks up */ {MEMOIZED};");
     let cases = [
         ("hit", MEMOIZED, Some((Fingerprint(7), 11))),
         (
             "variant",
             "select F.person  from Frequents F -- who\n where not exists \
              (/* c */ select * from Serves S where S.bar = F.bar);",
-            Some((Fingerprint(7), 11)),
+            None,
         ),
         ("absent", "SELECT S.bar FROM Serves S", None),
         (
@@ -64,9 +63,7 @@ fn lookups_allocate_nothing_once_the_thread_saw_its_longest_text() {
             None,
         ),
     ];
-    assert!(cases.iter().all(|(_, sql, _)| sql.len() <= longest.len()));
-    assert!(memo.lookup(&longest).is_some());
-
+    // No warm-up: the thread's first lookup is counted too.
     for (what, sql, expected) in cases {
         let before = ALLOCATIONS.with(Cell::get);
         let got = memo.lookup(sql);

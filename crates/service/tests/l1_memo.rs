@@ -1,18 +1,15 @@
-//! End-to-end semantics of the L1 text→fingerprint memo: normalization
-//! equivalence, coherence with L2 eviction, the property that a
-//! memoized fingerprint always equals the recomputed one, and the
-//! agreement of L1 keys with the lexer's token streams.
+//! End-to-end semantics of the L1 text→fingerprint memo: exact text
+//! keys (a respelling is an L1 miss that L2 serves without a compile,
+//! then an L1 hit), coherence with L2 eviction, and the property that a
+//! memoized fingerprint always equals the recomputed one.
 
 use proptest::sqlgen::{gen_query, GenConfig};
 use proptest::test_runner::TestRng;
 use queryvis::QueryVisOptions;
 use queryvis_service::{
-    fingerprint_sql, paper_corpus_requests, CacheConfig, DiagramService, Fingerprint, Format,
-    L1Memo, MemoConfig, Request, Response, ServiceConfig,
+    fingerprint_sql, paper_corpus_requests, Artifacts, CacheConfig, DiagramService, Fingerprint,
+    Format, L1Memo, Request, Response, ServiceConfig,
 };
-use queryvis_sql::lexer::tokenize;
-use queryvis_sql::token::TokenKind;
-use queryvis_sql::Names;
 
 fn request(id: u64, sql: &str) -> Request {
     Request {
@@ -27,46 +24,40 @@ fn service() -> DiagramService {
     DiagramService::new(ServiceConfig::default())
 }
 
-#[test]
-fn normalization_equivalent_texts_share_one_l1_entry() {
-    let service = service();
-    let canonical = "SELECT T.a FROM T";
-    let variants = [
-        "select T.a from T",
-        "  SELECT\n\tT.a\r\n FROM   T  ",
-        "SELECT /* projection */ T.a FROM T -- trailing",
-        "SELECT T.a FROM T;",
-    ];
-    let first = service.handle(&request(0, canonical));
-    let fp = first.outcome.as_ref().unwrap().fingerprint;
-    assert_eq!(
-        service.stats().l1_hits,
-        0,
-        "first sighting runs the frontend"
-    );
-    for (i, variant) in variants.iter().enumerate() {
-        let response = service.handle(&request(1 + i as u64, variant));
-        assert_eq!(response.outcome.as_ref().unwrap().fingerprint, fp);
-    }
-    let stats = service.stats();
-    assert_eq!(
-        stats.l1_hits,
-        variants.len() as u64,
-        "every variant must resolve through the memo"
-    );
-    assert_eq!(
-        stats.memo.entries, 1,
-        "all variants share one normalized key"
-    );
-    assert_eq!(stats.compiles, 1);
+/// Serve `sql`, a respelling of a text `service` has served, twice. The
+/// first sighting misses L1 and L2 serves it without a compile; the
+/// second hits L1. Both reply with `expected`'s fingerprint and artifacts.
+fn serve_respelling(service: &DiagramService, sql: &str, expected: &Artifacts) {
+    let before = service.stats();
+    let first = service.handle(&request(1, sql));
+    let after = service.stats();
+    assert_eq!(after.l1_hits, before.l1_hits, "L1 miss: {sql}");
+    assert_eq!(after.cache.hits, before.cache.hits + 1, "L2 hit: {sql}");
+    assert_eq!(after.compiles, before.compiles, "no compile: {sql}");
+    let artifacts = first.outcome.as_ref().expect("respelling serves");
+    assert_eq!(artifacts.fingerprint, expected.fingerprint, "{sql}");
+    assert_eq!(artifacts.rendered, expected.rendered, "{sql}");
+    let second = service.handle(&request(1, sql));
+    assert_eq!(service.stats().l1_hits, after.l1_hits + 1, "L1 hit: {sql}");
+    assert_eq!(second.to_json_line(), first.to_json_line(), "{sql}");
 }
 
-/// The widened-fragment keywords (`JOIN`/`ON`/`HAVING`/`UNION`, ISSUE 4)
-/// case-fold in normalization exactly like the rest: every spelling and
-/// comment/whitespace variant of a widened query shares one memo entry.
+/// Whitespace, comments, keyword case and a trailing `;` make another
+/// text: each respelling runs the frontend once, shares the pattern's L2
+/// entry and gets an L1 entry of its own. The widened-fragment keywords
+/// (`JOIN`/`ON`/`HAVING`/`UNION`) behave like the rest.
 #[test]
-fn widened_keywords_case_fold_into_one_l1_entry() {
+fn respellings_miss_l1_once_and_share_the_l2_entry() {
     let cases: &[(&str, &[&str])] = &[
+        (
+            "SELECT T.a FROM T",
+            &[
+                "select T.a from T",
+                "  SELECT\n\tT.a\r\n FROM   T  ",
+                "SELECT /* projection */ T.a FROM T -- trailing",
+                "SELECT T.a FROM T;",
+            ],
+        ),
         (
             "SELECT F.a FROM Frequents F JOIN Serves S ON F.b = S.b",
             &[
@@ -93,25 +84,18 @@ fn widened_keywords_case_fold_into_one_l1_entry() {
     for (canonical, variants) in cases {
         let service = service();
         let first = service.handle(&request(0, canonical));
-        let fp = first.outcome.as_ref().unwrap().fingerprint;
-        for (i, variant) in variants.iter().enumerate() {
-            let response = service.handle(&request(1 + i as u64, variant));
-            assert_eq!(
-                response.outcome.as_ref().unwrap().fingerprint,
-                fp,
-                "variant diverged: {variant}"
-            );
+        let expected = first.outcome.as_ref().unwrap();
+        assert_eq!(
+            service.stats().l1_hits,
+            0,
+            "first sighting runs the frontend"
+        );
+        for variant in *variants {
+            serve_respelling(&service, variant, expected);
         }
         let stats = service.stats();
-        assert_eq!(
-            stats.l1_hits,
-            variants.len() as u64,
-            "every variant of `{canonical}` must resolve through the memo"
-        );
-        assert_eq!(
-            stats.memo.entries, 1,
-            "variants of `{canonical}` must share one normalized key"
-        );
+        assert_eq!(stats.l1_hits, variants.len() as u64, "{canonical}");
+        assert_eq!(stats.memo.entries, 1 + variants.len(), "{canonical}");
         assert_eq!(stats.compiles, 1, "{canonical}");
     }
 }
@@ -137,18 +121,27 @@ fn union_vs_union_all_never_share_a_memo_entry() {
         b.outcome.as_ref().unwrap().fingerprint,
         "UNION and UNION ALL are different patterns"
     );
-    // Each spelling warms only itself.
-    service.handle(&request(2, "select T.a from T union select S.b from S"));
-    service.handle(&request(3, "select T.a from T union all select S.b from S"));
-    assert_eq!(service.stats().l1_hits, 2);
-    assert_eq!(service.stats().memo.entries, 2);
+    // A lowercase re-send is its own text, served from its pattern's
+    // entry: `union` from UNION's, `union all` from UNION ALL's.
+    serve_respelling(
+        &service,
+        "select T.a from T union select S.b from S",
+        a.outcome.as_ref().unwrap(),
+    );
+    serve_respelling(
+        &service,
+        "select T.a from T union all select S.b from S",
+        b.outcome.as_ref().unwrap(),
+    );
+    assert_eq!(service.stats().memo.entries, 4);
+    assert_eq!(service.stats().compiles, 2);
 }
 
 #[test]
 fn malformed_texts_error_identically_warm_and_cold() {
-    // A warm memo must never rescue a malformed text: `/* oops` swallowed
-    // by normalization would otherwise make this text byte-equal to the
-    // memoized valid one and serve artifacts for an unlexable request.
+    // A warm memo must never rescue a malformed text: a key that dropped
+    // `/* oops` would make this text equal to the memoized valid one and
+    // serve artifacts for an unlexable request.
     let malformed = [
         "SELECT T.a FROM T /* oops",
         "SELECT T.a FROM T /* a /* b */",
@@ -214,7 +207,6 @@ fn l2_eviction_invalidates_l1_and_the_service_recovers() {
             capacity: 1,
             shards: 1,
         },
-        memo: MemoConfig::default(),
         options: QueryVisOptions::default(),
         default_formats: vec![Format::Ascii],
     });
@@ -249,14 +241,10 @@ fn l2_eviction_invalidates_l1_and_the_service_recovers() {
 /// holds for any L2 eviction policy.
 #[test]
 fn resident_entries_keep_their_texts_memoized_under_eviction() {
-    // The binaries' memo-to-cache ratio (4×), one shard each.
+    // The memo gets 4× the cache's capacity (32 texts), one shard each.
     let service = DiagramService::new(ServiceConfig {
         cache: CacheConfig {
             capacity: 8,
-            shards: 1,
-        },
-        memo: MemoConfig {
-            capacity: 32,
             shards: 1,
         },
         options: QueryVisOptions::default(),
@@ -290,7 +278,7 @@ fn resident_entries_keep_their_texts_memoized_under_eviction() {
 #[test]
 fn memoized_fingerprints_equal_recomputed_ones_across_the_corpus() {
     // Property over the whole paper corpus: after serving, every memoized
-    // (normalized-text → fingerprint) pair must agree exactly with a fresh
+    // (text → fingerprint) pair must agree exactly with a fresh
     // run of the full frontend — the memo may only ever skip work, never
     // change an answer.
     let service = service();
@@ -320,8 +308,8 @@ fn memoized_fingerprints_equal_recomputed_ones_across_the_corpus() {
 
 #[test]
 fn corpus_variants_hit_the_memo_after_one_sighting() {
-    // Deterministic text mutations that normalization must erase: keyword
-    // case, whitespace shape, an injected comment, a trailing semicolon.
+    // Deterministic respellings that keep the token stream: keyword case,
+    // whitespace shape, an injected comment, a trailing semicolon.
     // Identifier spelling and string-literal contents are left untouched —
     // those are significant.
     fn mutate(sql: &str, salt: usize) -> String {
@@ -383,55 +371,55 @@ fn corpus_variants_hit_the_memo_after_one_sighting() {
         out.push_str(" ;");
         out
     }
-    let service = service();
     let requests = paper_corpus_requests(&[Format::Ascii]);
-    let baseline: Vec<Response> = requests.iter().map(|r| service.handle(r)).collect();
+    let serve_corpus = |service: &DiagramService| -> Vec<Response> {
+        requests.iter().map(|r| service.handle(r)).collect()
+    };
+    // The reference has served the corpus alone: it holds the same
+    // representatives and has seen none of the variants.
+    let fresh = service();
+    serve_corpus(&fresh);
+    let service = service();
+    let baseline = serve_corpus(&service);
     let mut checked = 0;
-    for (i, (request, response)) in requests.iter().zip(&baseline).enumerate() {
+    for (i, (original, response)) in requests.iter().zip(&baseline).enumerate() {
         let Ok(artifacts) = &response.outcome else {
             continue;
         };
-        let mutated = mutate(&request.sql, i);
-        let hits_before = service.stats().l1_hits;
-        let varied = service.handle(&Request {
-            id: 10_000 + i as u64,
-            sql: mutated.clone(),
-            formats: vec![Format::Ascii],
-            rows: None,
-        });
+        let mutated = request(10_000 + i as u64, &mutate(&original.sql, i));
+        let before = service.stats();
+        let varied = service.handle(&mutated);
+        let line = varied.to_json_line();
+        assert_eq!(
+            line,
+            fresh.handle(&mutated).to_json_line(),
+            "{}",
+            mutated.sql
+        );
         let varied = varied.outcome.expect("mutated corpus text still serves");
-        assert_eq!(varied.fingerprint, artifacts.fingerprint, "{mutated}");
+        assert_eq!(varied.fingerprint, artifacts.fingerprint, "{}", mutated.sql);
+        let after = service.stats();
+        assert_eq!(after.l1_hits, before.l1_hits, "{}", mutated.sql);
+        assert_eq!(after.compiles, before.compiles, "{}", mutated.sql);
+        // The second sighting is an L1 hit, with the same bytes.
+        assert_eq!(service.handle(&mutated).to_json_line(), line);
         assert_eq!(
             service.stats().l1_hits,
-            hits_before + 1,
-            "variant must be served through the memo: {mutated}"
+            after.l1_hits + 1,
+            "a variant is memoized after one sighting: {}",
+            mutated.sql
         );
         checked += 1;
     }
     assert!(checked >= 30, "corpus coverage: {checked}");
 }
 
-/// The token kinds of `sql` as the parser sees them: `Eof` and a single
-/// trailing `;` (which the parser ignores) dropped. `None` when the text
-/// does not lex. Names go into `names`, so the kinds of texts lexed into
-/// one table compare equal exactly when their names are equal.
-fn parsed_kinds(sql: &str, names: &mut Names) -> Option<Vec<TokenKind>> {
-    let tokens = tokenize(sql, names).ok()?;
-    let mut kinds: Vec<TokenKind> = tokens.into_iter().map(|t| t.kind).collect();
-    assert_eq!(kinds.pop(), Some(TokenKind::Eof));
-    if kinds.last() == Some(&TokenKind::Semicolon) {
-        kinds.pop();
-    }
-    Some(kinds)
-}
-
 #[test]
-fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
-    // The soundness argument of the memo, checked on texts that lex
-    // differently: once the original is memoized, a mutated text hits
-    // exactly when both texts lex and their token kinds are equal. Kinds,
-    // not spellings: the noisy variants spell `ANY` as `SOME`, and both
-    // lex as `ANY`.
+fn one_byte_mutations_hit_exactly_when_the_text_is_unchanged() {
+    // Keys are exact: once the original is memoized, a mutated text hits
+    // exactly when it equals the original, whether or not it lexes like
+    // it (the noisy variants respell whitespace, comments, keyword case,
+    // `SOME` and `!=`).
     const TEXTS: u64 = 150;
     const MUTATIONS: u64 = 40;
     const BYTES: &[u8] = b"'-/*;!<>=. \n0123456789\
@@ -444,7 +432,7 @@ fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
         with_union: true,
         with_having: true,
     };
-    let (mut hits, mut misses) = (0u64, 0u64);
+    let mut misses = 0u64;
     for case in 0..TEXTS {
         let mut rng = TestRng::for_case("l1_lexer_agreement", case);
         let query = gen_query(&config, &mut rng);
@@ -453,10 +441,9 @@ fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
         } else {
             query.text_variant(case)
         };
-        let mut names = Names::new();
-        let kinds = parsed_kinds(&original, &mut names).expect("sqlgen texts lex");
-        let memo = L1Memo::new(MemoConfig::default());
+        let memo = L1Memo::new(4 * 4096, 16);
         memo.insert(&original, Fingerprint(1), 1);
+        assert_eq!(memo.lookup(&original), Some((Fingerprint(1), 1)));
         for _ in 0..MUTATIONS {
             let mut bytes = original.clone().into_bytes();
             let op = rng.below(3);
@@ -472,18 +459,14 @@ fn one_byte_mutations_hit_exactly_when_the_lexer_agrees() {
             let Ok(mutated) = String::from_utf8(bytes) else {
                 continue; // cut through a multi-byte character
             };
-            let agree = parsed_kinds(&mutated, &mut names).as_ref() == Some(&kinds);
             let hit = memo.lookup(&mutated).is_some();
-            assert_eq!(hit, agree, "original: {original:?}\nmutated:  {mutated:?}");
-            if hit {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
+            assert_eq!(
+                hit,
+                mutated == original,
+                "original: {original:?}\nmutated:  {mutated:?}"
+            );
+            misses += u64::from(!hit);
         }
     }
-    // Both sides of the property are exercised (about 1 in 10 mutations
-    // hits).
-    assert!(hits >= TEXTS * MUTATIONS / 20, "hits: {hits}");
     assert!(misses >= TEXTS * MUTATIONS / 20, "misses: {misses}");
 }

@@ -152,12 +152,19 @@ fn scene_json_requests_hit_both_cache_levels() {
     service.handle(&request(0, sql, &[Format::SceneJson]));
     let before = service.stats();
     assert_eq!(before.compiles, 1);
-    // Normalization-equivalent variant text: same L1 key.
+    // A lowercase respelling is another text: an L1 miss that L2 serves.
     let variant = "select T.a from T where T.b = 'x';";
     let response = service.handle(&request(1, variant, &[Format::SceneJson]));
     assert!(response.outcome.is_ok());
     let after = service.stats();
     assert_eq!(after.compiles, 1, "no recompile");
-    assert_eq!(after.l1_hits, before.l1_hits + 1, "L1 hit");
+    assert_eq!(after.l1_hits, before.l1_hits, "L1 miss");
     assert_eq!(after.cache.hits, before.cache.hits + 1, "L2 hit");
+    // Sent again, it is an L1 hit (and an L2 hit behind it).
+    let again = service.handle(&request(2, variant, &[Format::SceneJson]));
+    assert!(again.outcome.is_ok());
+    let last = service.stats();
+    assert_eq!(last.compiles, 1, "no recompile");
+    assert_eq!(last.l1_hits, after.l1_hits + 1, "L1 hit");
+    assert_eq!(last.cache.hits, after.cache.hits + 1, "L2 hit");
 }

@@ -48,6 +48,15 @@ fn paired(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     (stream, reader)
 }
 
+/// The counter at `path` in a stats reply's `service` section.
+fn service_counter(stats: &Json, path: &[&str]) -> u64 {
+    let mut json = stats.get("service").expect("service section");
+    for key in path {
+        json = json.get(key).unwrap_or_else(|| panic!("no {key}"));
+    }
+    json.as_u64().expect("a count")
+}
+
 fn error_kind(response: &Json) -> Option<String> {
     response
         .get("error_kind")
@@ -448,8 +457,10 @@ fn session_ops_compile_incrementally_over_the_wire() {
     );
     let cold_fp = opened.get("fingerprint").and_then(Json::as_str).unwrap();
 
-    // Whitespace keystroke: the L1 memo recognizes the text, fingerprint
-    // unchanged, empty patch against the acked scene.
+    // Whitespace keystroke: a new text, so an L1 miss, but L2 serves
+    // its pattern without a compile; fingerprint unchanged, empty patch
+    // against the acked scene.
+    let before = roundtrip(&mut stream, &mut reader, "{\"op\":\"stats\"}");
     let edited = roundtrip(
         &mut stream,
         &mut reader,
@@ -457,11 +468,30 @@ fn session_ops_compile_incrementally_over_the_wire() {
             "{{\"op\":\"edit\",\"id\":2,\"session\":{session},\"edits\":[{{\"at\":6,\"ins\":\" \"}}]}}"
         ),
     );
+    let after = roundtrip(&mut stream, &mut reader, "{\"op\":\"stats\"}");
     assert_eq!(
         edited.get("fingerprint").and_then(Json::as_str),
         Some(cold_fp)
     );
-    assert!(edited.get("patch").is_some(), "small edit ships a patch");
+    assert_eq!(
+        edited
+            .get("patch")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
+        Some(0),
+        "the unchanged scene ships an empty patch"
+    );
+    for (path, added) in [
+        (&["l1_hits"][..], 0),
+        (&["cache", "hits"][..], 1),
+        (&["compiles"][..], 0),
+    ] {
+        assert_eq!(
+            service_counter(&after, path),
+            service_counter(&before, path) + added,
+            "{path:?}"
+        );
+    }
 
     // A broken intermediate state is an error, not a lost session.
     let broken = roundtrip(
@@ -483,14 +513,15 @@ fn session_ops_compile_incrementally_over_the_wire() {
         assert!(reply.get("path").is_none(), "replies name no compile tier");
     }
 
-    // The stats op carries the session ledger; the whitespace edit and
-    // the recovery were both answered by the service's L1 memo.
+    // The stats op carries the session ledger; the recovery, which
+    // restores the whitespace edit's text, was answered by the service's
+    // L1 memo.
     let stats = roundtrip(&mut stream, &mut reader, "{\"op\":\"stats\"}");
     let sessions = stats.get("sessions").expect("sessions section");
     assert_eq!(sessions.get("open").and_then(Json::as_u64), Some(1));
     assert_eq!(sessions.get("edits").and_then(Json::as_u64), Some(3));
     let service = stats.get("service").expect("service section");
-    assert_eq!(service.get("l1_hits").and_then(Json::as_u64), Some(2));
+    assert_eq!(service.get("l1_hits").and_then(Json::as_u64), Some(1));
     assert_eq!(sessions.get("parse_errors").and_then(Json::as_u64), Some(1));
 
     let closed = roundtrip(

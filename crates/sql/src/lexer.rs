@@ -320,19 +320,6 @@ fn tok(kind: TokenKind, start: usize, end: usize) -> Token {
     }
 }
 
-/// Whether `b` can start an identifier (`[A-Za-z_]`). Public so byte-level
-/// scanners outside the lexer (the service's L1 text normalizer) classify
-/// word boundaries exactly the way the lexer does.
-pub fn is_ident_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_'
-}
-
-/// Whether `b` can continue an identifier (`[A-Za-z0-9_]`). See
-/// [`is_ident_start`] for why this is public.
-pub fn is_ident_continue(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,12 @@
 //! Word-at-a-time (SWAR) byte scanning.
 //!
-//! The lexer and the service's L1 normalizer spend most of their time in
-//! four loops: skipping whitespace runs, consuming identifier runs,
-//! consuming digit runs, and hunting for a delimiter byte (`\n`, `'`,
-//! `*`, `/`). This module replaces the byte-at-a-time versions with
-//! SIMD-friendly 8-lane scans over a `u64` register — no intrinsics, so
-//! the same code vectorizes on every target the toolchain supports and
-//! degrades to plain scalar code nowhere worse than the original loop.
+//! The lexer spends most of its time in four loops: skipping whitespace
+//! runs, consuming identifier runs (`[A-Za-z0-9_]`), consuming digit
+//! runs, and hunting for a delimiter byte (`\n`, `'`, `*`, `/`). This
+//! module replaces the byte-at-a-time versions with SIMD-friendly 8-lane
+//! scans over a `u64` register — no intrinsics, so the same code
+//! vectorizes on every target the toolchain supports and degrades to
+//! plain scalar code nowhere worse than the original loop.
 //!
 //! ## The lane formulas
 //!
@@ -67,8 +67,7 @@ const fn eq<const B: u8>(x: u64) -> u64 {
     lt::<1>(x ^ splat(B))
 }
 
-/// MSB-per-lane mask of identifier bytes (`[A-Za-z0-9_]`), matching
-/// `is_ident_continue` exactly.
+/// MSB-per-lane mask of identifier bytes, exactly `[A-Za-z0-9_]`.
 #[inline(always)]
 fn ident_mask(x: u64) -> u64 {
     let folded = x | splat(0x20);
