@@ -42,22 +42,49 @@ fn serve_respelling(service: &DiagramService, sql: &str, expected: &Artifacts) {
     assert_eq!(second.to_json_line(), first.to_json_line(), "{sql}");
 }
 
+/// For each `(text, respellings)` case on a fresh service: each
+/// respelling runs the frontend once, shares the text's L2 entry and
+/// gets an L1 entry of its own.
+fn check_respellings(cases: &[(&str, &[&str])]) {
+    for (canonical, variants) in cases {
+        let service = service();
+        let first = service.handle(&request(0, canonical));
+        let expected = first.outcome.as_ref().unwrap();
+        assert_eq!(
+            service.stats().l1_hits,
+            0,
+            "first sighting runs the frontend"
+        );
+        for variant in *variants {
+            serve_respelling(&service, variant, expected);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.l1_hits, variants.len() as u64, "{canonical}");
+        assert_eq!(stats.memo.entries, 1 + variants.len(), "{canonical}");
+        assert_eq!(stats.compiles, 1, "{canonical}");
+    }
+}
+
 /// Whitespace, comments, keyword case and a trailing `;` make another
-/// text: each respelling runs the frontend once, shares the pattern's L2
-/// entry and gets an L1 entry of its own. The widened-fragment keywords
-/// (`JOIN`/`ON`/`HAVING`/`UNION`) behave like the rest.
+/// text.
 #[test]
 fn respellings_miss_l1_once_and_share_the_l2_entry() {
-    let cases: &[(&str, &[&str])] = &[
-        (
-            "SELECT T.a FROM T",
-            &[
-                "select T.a from T",
-                "  SELECT\n\tT.a\r\n FROM   T  ",
-                "SELECT /* projection */ T.a FROM T -- trailing",
-                "SELECT T.a FROM T;",
-            ],
-        ),
+    check_respellings(&[(
+        "SELECT T.a FROM T",
+        &[
+            "select T.a from T",
+            "  SELECT\n\tT.a\r\n FROM   T  ",
+            "SELECT /* projection */ T.a FROM T -- trailing",
+            "SELECT T.a FROM T;",
+        ],
+    )]);
+}
+
+/// The widened-fragment keywords (`JOIN`/`ON`/`HAVING`/`UNION`) behave
+/// like the rest: a respelling is another text.
+#[test]
+fn widened_keyword_respellings_miss_l1_once_and_share_the_l2_entry() {
+    check_respellings(&[
         (
             "SELECT F.a FROM Frequents F JOIN Serves S ON F.b = S.b",
             &[
@@ -80,24 +107,7 @@ fn respellings_miss_l1_once_and_share_the_l2_entry() {
                 "SELECT T.a FROM T  union  SELECT S.b FROM S;",
             ],
         ),
-    ];
-    for (canonical, variants) in cases {
-        let service = service();
-        let first = service.handle(&request(0, canonical));
-        let expected = first.outcome.as_ref().unwrap();
-        assert_eq!(
-            service.stats().l1_hits,
-            0,
-            "first sighting runs the frontend"
-        );
-        for variant in *variants {
-            serve_respelling(&service, variant, expected);
-        }
-        let stats = service.stats();
-        assert_eq!(stats.l1_hits, variants.len() as u64, "{canonical}");
-        assert_eq!(stats.memo.entries, 1 + variants.len(), "{canonical}");
-        assert_eq!(stats.compiles, 1, "{canonical}");
-    }
+    ]);
 }
 
 /// `UNION` and `UNION ALL` must never share a memo entry (or a
